@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .geometry import estimate_kappa, liouville_quadrature, make_phase_space
 from .grushin import DIAGNOSTICS_CSV_HEADER, b_diagnostics
-from .harness import ExperimentConfig, preset_config, run as run_experiment, verify as verify_run
+from .harness import ExperimentConfig, _emit, preset_config, run as run_experiment, verify as verify_run
 from .potential import potential_sweep
 from .quantize import quantize_symbol, save_matrix
 from .randmat import derive_seed, sample_ginibre
@@ -103,9 +103,8 @@ def main(argv=None) -> int:
                 delta = schedule.rule(N)
                 G = sample_ginibre(T.dim, derive_seed(seed, "cell", N))
                 lam = np.linalg.eigvals(T.entries + delta * G.entries)
-                path = out / f"eig_N{N}_s{seed}.csv"
-                path.write_text("\n".join(spectrum_csv_rows(SpectrumResult(lam, f"N{N}_s{seed}"))) + "\n")
-                print(path)
+                print(_emit(out, f"eig_N{N}_s{seed}.csv",
+                            spectrum_csv_rows(SpectrumResult(lam, f"N{N}_s{seed}"))))
         return 0
 
     if args.verb == "potential":
@@ -113,9 +112,7 @@ def main(argv=None) -> int:
         report = potential_sweep(f, space, cfg.n_values, cfg.schedule(),
                                  z_grid=cfg.probe_points(f, space), seeds=cfg.seeds,
                                  grid=liouville_quadrature(space, cfg.resolution))
-        path = out / "potential_sweep.csv"
-        path.write_text("\n".join(report.csv_rows()) + "\n")
-        print(path)
+        print(_emit(out, "potential_sweep.csv", report.csv_rows()))
         print(json.dumps({"medians_by_size": report.medians_by_size,
                           "singular_probes": report.singular_probes}, indent=2))
         return 0
@@ -134,9 +131,7 @@ def main(argv=None) -> int:
                 for zre, zim in cfg.grushin_probes:
                     diag = b_diagnostics(T, complex(zre, zim), cfg.rho, delta, G, grid, seed=seed)
                     rows.append(diag.csv_row(N))
-        path = out / "diagnostics.csv"
-        path.write_text("\n".join(rows) + "\n")
-        print(path)
+        print(_emit(out, "diagnostics.csv", rows))
         return 0
 
     if args.verb == "kappa":

@@ -2,9 +2,11 @@
 
 A run executes quantize -> perturb -> spectra / potential / diagnostics for
 every (size, seed) cell of a validated configuration and persists plot-ready
-CSV tables plus a JSON manifest with per-artifact checksums.  Identical
-configurations byte-reproduce every CSV; the manifest additionally records
-wall-clock and tool version (and is therefore not byte-stable itself).
+CSV tables plus a JSON manifest with per-artifact checksums and per-cell
+numerical health.  Identical configurations byte-reproduce every CSV on the
+same numpy/LAPACK/BLAS build with the same BLAS thread count; LAPACK results
+change in the last bits when either changes.  The manifest additionally
+records wall-clock and tool version (and is therefore not byte-stable itself).
 
 Per-cell randomness: the Ginibre stream of cell ``(N, seed)`` is keyed by
 ``derive_seed(seed, "cell", N)``, so cells are independent and reproducible
@@ -35,7 +37,7 @@ from .geometry import (
     symbol_to_record,
 )
 from .grushin import DIAGNOSTICS_CSV_HEADER, b_diagnostics
-from .potential import PROBE_EXCLUSION_RADIUS, limit_potential_many
+from .potential import limit_potential_many, potential_from_spectrum
 from .quantize import bergman_dimension, quantize_symbol
 from .randmat import DeltaRule, PerturbationSchedule, ScheduleError, delta_window, derive_seed, sample_ginibre
 from .spectra import DiskFamily, SpectrumResult, empirical_cdf_disks, spectrum_csv_rows, weyl_predict
@@ -317,16 +319,13 @@ def run(config: ExperimentConfig, out_dir=None, workers: int | None = None) -> R
 
         rows = ["z_re,z_im,N,seed,U_emp,U_lim,deviation"]
         seed_label = -1 if seed is None else seed
-        eye = np.eye(dim)
-        for z, ul in zip(probes, u_lim):
-            if np.min(np.abs(lam - z)) < PROBE_EXCLUSION_RADIUS:
-                continue
-            sign, value = np.linalg.slogdet(M - z * eye)
-            ue = value / dim if sign != 0 else float("-inf")
-            dev = abs(ue - float(ul)) if np.isfinite(ue) else float("nan")
+        u_emp, kept, health = potential_from_spectrum(M, lam, probes)
+        for z, ue, ul in zip(probes[kept], u_emp[kept], u_lim[kept]):
+            dev = abs(ue - ul) if np.isfinite(ue) else float("nan")
             rows.append(f"{float(z.real)!r},{float(z.imag)!r},{N},{seed_label},"
                         f"{float(ue)!r},{float(ul)!r},{float(dev)!r}")
         files["potential"] = _emit(out, f"pot_{name}.csv", rows)
+        health["max_abs_eig"] = float(np.max(np.abs(lam)))
 
         if kind == "perturbed":
             rows = [DIAGNOSTICS_CSV_HEADER]
@@ -334,7 +333,7 @@ def run(config: ExperimentConfig, out_dir=None, workers: int | None = None) -> R
                 diag = b_diagnostics(T, z, config.rho, delta, G, grid, seed=seed)
                 rows.append(diag.csv_row(N))
             files["diagnostics"] = _emit(out, f"diag_{name}.csv", rows)
-        return name, files
+        return name, files, health
 
     results = {}
     errors = {}
@@ -343,15 +342,15 @@ def run(config: ExperimentConfig, out_dir=None, workers: int | None = None) -> R
             futures = {pool.submit(run_cell, c): c for c in cells}
             for fut, cell in futures.items():
                 try:
-                    name, files = fut.result()
-                    results[name] = files
+                    name, files, health = fut.result()
+                    results[name] = (files, health)
                 except Exception as exc:  # crash isolation per cell
                     errors[_cell_name(cell)] = f"{type(exc).__name__}: {exc}"
     else:
         for cell in cells:
             try:
-                name, files = run_cell(cell)
-                results[name] = files
+                name, files, health = run_cell(cell)
+                results[name] = (files, health)
             except Exception as exc:
                 errors[_cell_name(cell)] = f"{type(exc).__name__}: {exc}"
 
@@ -365,8 +364,9 @@ def run(config: ExperimentConfig, out_dir=None, workers: int | None = None) -> R
         "wall_clock_s": time.time() - t_start,
         "cells": {
             name: {"files": {k: {"path": str(p.name), "sha256": _sha256_file(p)}
-                             for k, p in files.items()}}
-            for name, files in sorted(results.items())
+                             for k, p in files.items()},
+                   "health": health}
+            for name, (files, health) in sorted(results.items())
         },
         "errors": errors,
     }

@@ -222,13 +222,22 @@ def save_matrix(T: ToeplitzMatrix, path) -> None:
 
 
 def load_matrix(path) -> ToeplitzMatrix:
+    """Read a :func:`save_matrix` file; malformed files raise ValueError."""
     with open(path, "rb") as fh:
         magic = fh.read(len(_MATRIX_MAGIC))
         if magic != _MATRIX_MAGIC:
             raise ValueError(f"{path}: not a toeplab matrix file")
         header = json.loads(fh.readline().decode("utf-8"))
-        dim = int(header["dim"])
-        raw = fh.read(dim * dim * 16)
+        raw = fh.read()
+    missing = {"kind", "N", "dim", "symbol"} - set(header)
+    if missing:
+        raise ValueError(f"{path}: header lacks {sorted(missing)}")
+    dim = int(header["dim"])
+    expected = dim * dim * 16
+    if len(raw) != expected:
+        problem = "truncated payload" if len(raw) < expected else "trailing bytes after payload"
+        raise ValueError(f"{path}: {problem}: header dim {dim} needs {expected} bytes, "
+                         f"file holds {len(raw)}")
     entries = np.frombuffer(raw, dtype="<c16").reshape(dim, dim).copy()
     return ToeplitzMatrix(
         space=make_phase_space(header["kind"]),

@@ -11,7 +11,7 @@ about 20% of its mass within 0.02 of the unit circle's rim while every
 perturbed eigenvalue stays below radius ~0.977, so the criterion fails at
 roughly 0.20 regardless of the admissible noise size; the companion
 reference test shows the same check passing at the figure scale (size 2000).
-See the decisions ledger for the full analysis.
+See the README section "Acceptance status" for the full analysis.
 """
 
 import numpy as np
@@ -110,7 +110,7 @@ def test_criterion_03_weyl_law_desk_scale(figure_run):
         worst = max(worst, float(np.max(np.abs(emp - closed))))
     ok = worst <= 0.05
     detail = report(3, ok, f"sup CDF deviation over 5 seeds {worst:.4f} (tolerance 0.05); "
-                           "known rim defect at desk scale, see ledger and the "
+                           "known rim defect at desk scale, see README 'Acceptance status' and the "
                            "figure-scale reference test")
     assert ok, detail
 

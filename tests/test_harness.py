@@ -13,6 +13,7 @@ from toeplab.harness import (
     run,
     verify,
 )
+from toeplab.potential import LOGDET_CHECK_BOUND
 from toeplab.quantize import load_matrix
 
 
@@ -188,6 +189,20 @@ class TestRun:
         assert "synthetic cell failure" in record.manifest["errors"]["N24_s1"]
         assert "N24_s0" in record.manifest["cells"]
         assert "N48_s1" in record.manifest["cells"]
+
+    def test_manifest_records_cell_health(self, done):
+        out, record = done
+        for name, cell in record.manifest["cells"].items():
+            health = cell["health"]
+            assert set(health) == {"probes_dropped", "logdet_check_residual",
+                                   "logdet_fallback", "max_abs_eig"}
+            assert health["logdet_fallback"] is False
+            assert 0.0 <= health["logdet_check_residual"] <= LOGDET_CHECK_BOUND
+            rows = (out / cell["files"]["potential"]["path"]).read_text().splitlines()[1:]
+            assert health["probes_dropped"] == 16 - len(rows)  # 4 x 4 probe grid
+            eig = [complex(float(a), float(b)) for a, b in
+                   (ln.split(",") for ln in (out / f"eig_{name}.csv").read_text().splitlines()[1:])]
+            assert health["max_abs_eig"] == pytest.approx(max(abs(x) for x in eig), rel=1e-15)
 
     def test_manifest_records_tool_version(self, done):
         _, record = done

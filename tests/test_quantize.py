@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -202,4 +204,44 @@ class TestPersistence:
         path = tmp_path / "bad.tmat"
         path.write_bytes(b"not a matrix file")
         with pytest.raises(ValueError, match="not a toeplab matrix"):
+            load_matrix(path)
+
+    @staticmethod
+    def _parts(tmp_path, N=16):
+        """(path, header fields, payload) of a freshly saved sphere matrix."""
+        path = tmp_path / f"m{N}.tmat"
+        save_matrix(quantize_sphere(sphere_symbol({(1, 0, 0): 1j}), N), path)
+        _, header, payload = path.read_bytes().split(b"\n", 2)
+        return path, json.loads(header), payload
+
+    @staticmethod
+    def _write(path, header, payload):
+        path.write_bytes(b"TOEPLABMAT1\n" + json.dumps(header).encode() + b"\n" + payload)
+
+    def test_truncated_payload(self, tmp_path):
+        path, header, payload = self._parts(tmp_path)
+        self._write(path, header, payload[:-100])
+        with pytest.raises(ValueError, match=r"m16\.tmat: truncated payload: .*needs 4624 bytes, file holds 4524"):
+            load_matrix(path)
+
+    def test_payload_size_disagrees_with_header_dim(self, tmp_path):
+        # header of the N=17 matrix (dim 18) in front of the N=16 payload (dim 17)
+        path, _, payload = self._parts(tmp_path, 16)
+        _, header, _ = self._parts(tmp_path, 17)
+        self._write(path, header, payload)
+        with pytest.raises(ValueError, match=r"m16\.tmat: .*header dim 18 needs 5184 bytes, file holds 4624"):
+            load_matrix(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path, header, payload = self._parts(tmp_path)
+        self._write(path, header, payload + bytes(16))
+        with pytest.raises(ValueError, match=r"m16\.tmat: trailing bytes .*needs 4624 bytes, file holds 4640"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("key", ["kind", "N", "dim", "symbol"])
+    def test_header_missing_key(self, tmp_path, key):
+        path, header, payload = self._parts(tmp_path)
+        del header[key]
+        self._write(path, header, payload)
+        with pytest.raises(ValueError, match=rf"m16\.tmat: header lacks \['{key}'\]"):
             load_matrix(path)
