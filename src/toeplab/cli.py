@@ -21,7 +21,7 @@ from .grushin import DIAGNOSTICS_CSV_HEADER, b_diagnostics
 from .harness import ExperimentConfig, _emit, preset_config, run as run_experiment, verify as verify_run
 from .potential import potential_sweep
 from .quantize import quantize_symbol, save_matrix
-from .randmat import derive_seed, sample_ginibre
+from .randmat import derive_seed, operator_norm, sample_ginibre
 from .spectra import SpectrumResult, spectrum_csv_rows
 
 
@@ -128,8 +128,10 @@ def main(argv=None) -> int:
             delta = schedule.rule(N)
             for seed in cfg.seeds:
                 G = sample_ginibre(T.dim, derive_seed(seed, "cell", N))
+                g_norm = operator_norm(G.entries)
                 for zre, zim in cfg.grushin_probes:
-                    diag = b_diagnostics(T, complex(zre, zim), cfg.rho, delta, G, grid, seed=seed)
+                    diag = b_diagnostics(T, complex(zre, zim), cfg.rho, delta, G, grid,
+                                         seed=seed, g_norm=g_norm)
                     rows.append(diag.csv_row(N))
         print(_emit(out, "diagnostics.csv", rows))
         return 0

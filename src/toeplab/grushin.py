@@ -167,6 +167,22 @@ def _bordered_matrix(shifted: np.ndarray, triples: SingularTriples, A: int) -> n
     return M
 
 
+def _bulk_norm(triples: SingularTriples, A: int) -> float:
+    """``||bulk inverse|| = 1/t_{A+1}``: zero without a tail, infinite on a singular tail."""
+    if A == triples.dim:
+        return 0.0
+    t = triples.values[A]
+    return 1.0 / t if t > 0.0 else float("inf")
+
+
+def _neumann_warning(shift_norm: float, triples: SingularTriples, A: int) -> str | None:
+    """Warning text when ``delta ||G|| (||bulk|| + ||injection||) >= 1``, else None."""
+    neumann = shift_norm * (_bulk_norm(triples, A) + (1.0 if A else 0.0))
+    if neumann >= 1.0:
+        return f"Neumann invertibility condition violated ({neumann:.3g} >= 1); inverting anyway"
+    return None
+
+
 def assemble_grushin(triples: SingularTriples, params: GrushinParams,
                      perturbation=None) -> GrushinSystem:
     """Build the bordered matrix and invert it.
@@ -198,11 +214,9 @@ def assemble_grushin(triples: SingularTriples, params: GrushinParams,
 
     closed = closed_form_inverse(triples, A)
     if delta != 0.0 and Gm is not None:
-        neumann = delta * operator_norm(Gm) * (
-            operator_norm(closed.bulk_inverse) + (1.0 if A else 0.0))
-        if neumann >= 1.0:
-            warnings.append(
-                f"Neumann invertibility condition violated ({neumann:.3g} >= 1); inverting anyway")
+        warning = _neumann_warning(delta * operator_norm(Gm), triples, A)
+        if warning:
+            warnings.append(warning)
 
     M = _bordered_matrix(shifted, triples, A)
     condition = float(np.linalg.cond(M)) if M.size else 1.0
@@ -276,6 +290,7 @@ class SplitDiagnostics:
     integral, ``b2`` is the perturbation shift of the bordered determinant,
     ``b3`` is the normalized corner log-determinant.  Their sum reassembles
     ``log|det(P + delta G - z)| / dim - avg log|z - f0|`` exactly (Schur).
+    ``condition`` is LAPACK's 1-norm condition estimate of the bordered matrix.
     """
 
     b1: float
@@ -291,6 +306,7 @@ class SplitDiagnostics:
     log_det_corner: float
     classical_integral: float
     schur_residual: float
+    condition: float
     flags: tuple
 
     def total(self) -> float:
@@ -319,13 +335,26 @@ DIAGNOSTICS_CSV_HEADER = "N,z_re,z_im,rho,delta,seed,A,B1,B2,B3,schur_residual,f
 
 
 def b_diagnostics(T, z: complex, rho: float, delta: float, G,
-                  grid: QuadratureGrid | None = None, seed: int = -1) -> SplitDiagnostics:
+                  grid: QuadratureGrid | None = None, seed: int = -1,
+                  g_norm: float | None = None) -> SplitDiagnostics:
     """Compute the three-way split for a quantization matrix at one probe.
 
     ``T`` must be a ToeplitzMatrix (the classical side needs its symbol).
     The unperturbed bulk term uses ``log|det bordered| = sum_{i>A} log t_i``,
-    which is exact for the unperturbed system.
+    which is exact for the unperturbed system.  ``g_norm`` is ``||G||``;
+    callers probing one ``G`` at several ``z`` pass it once, otherwise it is
+    computed here.
+
+    Dense work per probe: one SVD of ``P - z``, one ``slogdet`` of
+    ``P + delta G - z`` (Schur route one) and one LU of the bordered matrix,
+    which gives ``log|det bordered|``, the corner block (solving against the
+    ``A`` unit columns ``[0; I_A]``) and LAPACK's 1-norm condition estimate.
+    Above ``CONDITION_GUARD`` the corner comes from the closed-form route.
+    ``assemble_grushin`` and ``schur_identity_residual`` are the slow oracles
+    for this path.
     """
+    import scipy.linalg  # deferred: keeps ``import toeplab`` light
+
     entries = T.entries
     space, f = T.space, T.symbol
     dim = entries.shape[0]
@@ -347,15 +376,40 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G,
     classical = limit_potential(f, space, z, grid)
     b1 = log_free / dim - classical
 
+    delta = float(delta)
     Gm = G.entries if hasattr(G, "entries") else np.asarray(G, dtype=complex)
-    system = assemble_grushin(triples, params, (delta, Gm))
-    flags.extend(system.warnings)
-    if A > 0:
-        log_bordered = log_abs_det(system.matrix)
-        log_corner = log_abs_det(system.corner)
-    else:
-        log_bordered = log_abs_det(entries + delta * Gm - z * np.eye(dim))
+    if Gm.shape != (dim, dim):
+        raise ValueError(f"perturbation shape {Gm.shape} does not match dim {dim}")
+    if delta != 0.0:
+        warning = _neumann_warning(
+            delta * (operator_norm(Gm) if g_norm is None else float(g_norm)), triples, A)
+        if warning:
+            flags.append(warning)
+
+    shifted = entries + delta * Gm - complex(z) * np.eye(dim)
+    log_direct = log_abs_det(shifted)
+
+    M = _bordered_matrix(shifted, triples, A)
+    anorm = np.linalg.norm(M, 1)
+    lu, piv = scipy.linalg.lu_factor(M, overwrite_a=True)
+    rcond, _ = scipy.linalg.lapack.zgecon(lu, anorm, norm="1")
+    condition = 1.0 / rcond if rcond > 0.0 else float("inf")
+    with np.errstate(divide="ignore"):
+        log_bordered = float(np.sum(np.log(np.abs(np.diag(lu)))))
+    guarded = condition > CONDITION_GUARD
+    if guarded:
+        flags.append(f"condition estimate {condition:.3g} exceeds guard; using closed-form route")
+    if A == 0:
         log_corner = 0.0
+    else:
+        if guarded:
+            closed = closed_form_inverse(triples, A)
+            corner = _closed_route_inverse(closed, delta, Gm, dim, A)[dim:, dim:]
+        else:
+            unit = np.zeros((dim + A, A), dtype=complex)
+            unit[dim:, :] = np.eye(A)
+            corner = scipy.linalg.lu_solve((lu, piv), unit)[dim:, :]
+        log_corner = log_abs_det(corner)
     b2 = (log_bordered - log_free) / dim
     b3 = log_corner / dim
     if not np.isfinite(b2):
@@ -363,13 +417,17 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G,
     if A > 0 and not np.isfinite(b3):
         flags.append("singular-corner-determinant")
 
-    residual = schur_identity_residual(entries, z, (delta, Gm), params)
+    total = log_bordered + log_corner
+    if np.isfinite(log_direct) and np.isfinite(total):
+        residual = abs(log_direct - total)
+    else:
+        residual = float("nan")
     return SplitDiagnostics(
         b1=float(b1), b2=float(b2), b3=float(b3), n_small=A, z=complex(z),
-        rho=float(rho), delta=float(delta), seed=int(seed),
-        log_det_bordered_free=log_free, log_det_bordered=float(log_bordered),
+        rho=float(rho), delta=delta, seed=int(seed),
+        log_det_bordered_free=log_free, log_det_bordered=log_bordered,
         log_det_corner=float(log_corner), classical_integral=float(classical),
-        schur_residual=float(residual), flags=tuple(flags),
+        schur_residual=float(residual), condition=float(condition), flags=tuple(flags),
     )
 
 

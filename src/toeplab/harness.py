@@ -39,7 +39,8 @@ from .geometry import (
 from .grushin import DIAGNOSTICS_CSV_HEADER, b_diagnostics
 from .potential import limit_potential_many, potential_from_spectrum
 from .quantize import bergman_dimension, quantize_symbol
-from .randmat import DeltaRule, PerturbationSchedule, ScheduleError, delta_window, derive_seed, sample_ginibre
+from .randmat import (DeltaRule, PerturbationSchedule, ScheduleError, delta_window, derive_seed,
+                      operator_norm, sample_ginibre)
 from .spectra import DiskFamily, SpectrumResult, empirical_cdf_disks, spectrum_csv_rows, weyl_predict
 
 
@@ -329,10 +330,17 @@ def run(config: ExperimentConfig, out_dir=None, workers: int | None = None) -> R
 
         if kind == "perturbed":
             rows = [DIAGNOSTICS_CSV_HEADER]
-            for z in grushin_probes:
-                diag = b_diagnostics(T, z, config.rho, delta, G, grid, seed=seed)
-                rows.append(diag.csv_row(N))
+            g_norm = operator_norm(G.entries)
+            diags = [b_diagnostics(T, z, config.rho, delta, G, grid, seed=seed, g_norm=g_norm)
+                     for z in grushin_probes]
+            rows += [diag.csv_row(N) for diag in diags]
             files["diagnostics"] = _emit(out, f"diag_{name}.csv", rows)
+            # np.max, not max: a nan residual must surface, not vanish by order
+            health["schur_residual_max"] = float(
+                np.max([d.schur_residual for d in diags], initial=0.0))
+            health["bordered_condition_max"] = float(
+                np.max([d.condition for d in diags], initial=0.0))
+            health["grushin_flagged_probes"] = sum(1 for d in diags if d.flags)
         return name, files, health
 
     results = {}

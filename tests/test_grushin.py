@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from toeplab.geometry import liouville_quadrature, make_phase_space, sphere_symbol
+import toeplab.grushin as grushin_module
+from toeplab.geometry import (
+    liouville_quadrature,
+    make_phase_space,
+    scottish_flag_symbol,
+    sphere_symbol,
+)
 from toeplab.grushin import (
     DIAGNOSTICS_CSV_HEADER,
+    GrushinParams,
     assemble_grushin,
     b_diagnostics,
     closed_form_inverse,
@@ -13,10 +21,11 @@ from toeplab.grushin import (
     small_eigen_count_scan,
 )
 from toeplab.potential import limit_potential, log_abs_det
-from toeplab.quantize import quantize_sphere
+from toeplab.quantize import quantize_sphere, quantize_torus
 from toeplab.randmat import operator_norm, sample_ginibre
 
 SPHERE = make_phase_space("sphere")
+TORUS = make_phase_space("torus")
 PROJECTION = sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0})
 
 
@@ -125,6 +134,15 @@ class TestClosedFormInverse:
         assert blocks.singular_tail
         np.testing.assert_array_equal(blocks.bulk_inverse, 0.0)
 
+    def test_neumann_warning_on_singular_tail(self):
+        # a zero singular value above the cutoff makes ||bulk|| infinite, so
+        # any nonzero perturbation violates the Neumann condition
+        tr = singular_triples(np.diag([0.0, 2.0]), 0.0)
+        p = GrushinParams(rho=0.25, alpha=0.1, n_small=0)
+        assert closed_form_inverse(tr, 0).singular_tail
+        system = assemble_grushin(tr, p, (1e-3, sample_ginibre(2, 19)))
+        assert any("Neumann" in w for w in system.warnings)
+
     def test_neumann_warning(self):
         tr = self._triples(12, 15)
         p = grushin_params(12, 0.3, tr)
@@ -223,6 +241,150 @@ class TestSplitDiagnostics:
         # rho = 0.25, kappa = 1: rate exponent 0.5, ratio is A / sqrt(N)
         assert diag.small_count_rate_ratio(120, 1.0) == pytest.approx(
             diag.n_small / np.sqrt(120.0))
+
+
+def _slow_split(T, z, rho, delta, G):
+    """(A, B2, B3) through assemble_grushin and slogdet of its blocks."""
+    dim = T.dim
+    tr = singular_triples(T.entries, z)
+    params = grushin_params(T.N, rho, tr)
+    A = params.n_small
+    system = assemble_grushin(tr, params, (delta, G))
+    log_free = float(np.sum(np.log(tr.values[A:])))
+    log_corner = log_abs_det(system.corner) if A else 0.0
+    return A, (log_abs_det(system.matrix) - log_free) / dim, log_corner / dim, system
+
+
+def _draws():
+    """Perturbed sphere and torus draws with probes on and off the spectrum."""
+    sphere = quantize_sphere(PROJECTION, 79)                     # dim 80
+    torus = quantize_torus(scottish_flag_symbol(), 60)           # dim 60
+    lam = np.linalg.eigvals(torus.entries)
+    torus_probes = [complex(lam[k]) + 1e-3 for k in (0, 17, 41)]
+    return [
+        (sphere, [0.3 + 0.2j, 0.6, 0.8j, 0.0, 50.0], 79.0 ** -1.5, 21),
+        (torus, torus_probes + [50.0], 60.0 ** -1.5, 22),
+    ]
+
+
+DRAWS = _draws()
+
+
+class TestFastRouteOracle:
+    """b_diagnostics against the slow oracles assemble_grushin / slogdet."""
+
+    @pytest.mark.parametrize("T, probes, delta, seed", DRAWS, ids=["sphere", "torus"])
+    def test_matches_slow_routes(self, T, probes, delta, seed):
+        G = sample_ginibre(T.dim, seed)
+        grid = liouville_quadrature(T.space, 60)
+        counts = []
+        for z in probes:
+            diag = b_diagnostics(T, z, 0.25, delta, G, grid, seed=seed)
+            A, b2, b3, system = _slow_split(T, z, 0.25, delta, G)
+            tr = singular_triples(T.entries, z)
+            b1 = float(np.sum(np.log(tr.values[A:]))) / T.dim - limit_potential(
+                T.symbol, T.space, z, grid)
+            assert diag.n_small == A
+            assert diag.b1 == b1
+            assert diag.b2 == pytest.approx(b2, abs=1e-10)
+            assert diag.b3 == pytest.approx(b3, abs=1e-10)
+            assert diag.schur_residual <= 1e-8
+            assert diag.flags == system.warnings == ()
+            assert 1.0 <= diag.condition < grushin_module.CONDITION_GUARD
+            counts.append(A)
+        assert sum(a >= 1 for a in counts) >= 3 and 0 in counts
+
+    def test_condition_is_lapack_one_norm_estimate(self):
+        T, probes, delta, seed = DRAWS[0]
+        G = sample_ginibre(T.dim, seed)
+        diag = b_diagnostics(T, probes[0], 0.25, delta, G)
+        _, _, _, system = _slow_split(T, probes[0], 0.25, delta, G)
+        exact = np.linalg.cond(system.matrix, 1)
+        # the estimator is a lower bound, within a small factor in practice
+        assert exact / 3.0 <= diag.condition <= exact * (1.0 + 1e-8)
+
+    def test_guard_branch_matches_lu_corner(self, monkeypatch):
+        T, probes, delta, seed = DRAWS[1]
+        G = sample_ginibre(T.dim, seed)
+        fast = [b_diagnostics(T, z, 0.25, delta, G) for z in probes]
+        monkeypatch.setattr(grushin_module, "CONDITION_GUARD", 0.5)   # below any condition
+        guarded = [b_diagnostics(T, z, 0.25, delta, G) for z in probes]
+        for lu_route, closed_route in zip(fast, guarded):
+            assert any("exceeds guard" in w for w in closed_route.flags)
+            assert closed_route.log_det_corner == pytest.approx(lu_route.log_det_corner, abs=1e-9)
+            assert closed_route.b3 == pytest.approx(lu_route.b3, abs=1e-10)
+            assert closed_route.b2 == lu_route.b2
+            assert closed_route.schur_residual <= 1e-8
+
+    def test_neumann_branch(self):
+        T, probes, _, seed = DRAWS[0]
+        G = sample_ginibre(T.dim, seed)
+        for z in (probes[0], probes[-1]):                             # A >= 1 and A = 0
+            diag = b_diagnostics(T, z, 0.25, 10.0, G)
+            A, b2, b3, system = _slow_split(T, z, 0.25, 10.0, G)
+            assert any("Neumann" in w for w in diag.flags)
+            assert diag.flags == system.warnings
+            assert diag.b2 == pytest.approx(b2, abs=1e-10)
+            assert diag.b3 == pytest.approx(b3, abs=1e-10)
+            assert diag.schur_residual <= 1e-8
+
+    def test_given_norm_matches_computed(self):
+        T, probes, delta, seed = DRAWS[0]
+        G = sample_ginibre(T.dim, seed)
+        for d in (delta, 10.0):
+            given = b_diagnostics(T, probes[0], 0.25, d, G, g_norm=operator_norm(G.entries))
+            assert given == b_diagnostics(T, probes[0], 0.25, d, G)
+
+
+class TestFactorizationCount:
+    """The dense work of one probe; guards against repeated factorizations."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        counts = {"svd": 0, "inv": 0, "cond": 0, "norm2": 0, "slogdet": 0, "lu_factor": 0}
+
+        def wrap(mod, attr, key, counted=lambda args, kwargs: True):
+            real = getattr(mod, attr)
+
+            def counting(*args, **kwargs):
+                if counted(args, kwargs):
+                    counts[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(mod, attr, counting)
+
+        for name in ("svd", "inv", "cond", "slogdet"):
+            wrap(np.linalg, name, name)
+        wrap(np.linalg, "norm", "norm2",
+             lambda args, kwargs: (args[1] if len(args) > 1 else kwargs.get("ord")) in (2, -2))
+        wrap(scipy.linalg, "lu_factor", "lu_factor")
+        return counts
+
+    def test_one_svd_and_one_lu_per_probe(self, monkeypatch):
+        T, probes, delta, seed = DRAWS[0]
+        G = sample_ginibre(T.dim, seed)
+        g_norm = operator_norm(G.entries)
+        counts = self._count(monkeypatch)
+        diag = b_diagnostics(T, probes[0], 0.25, delta, G, g_norm=g_norm)
+        assert diag.n_small >= 1
+        assert counts == {"svd": 1, "inv": 0, "cond": 0, "norm2": 0,
+                          "slogdet": 2, "lu_factor": 1}
+
+    def test_run_takes_one_norm_per_perturbed_cell(self, monkeypatch, tmp_path):
+        from toeplab.geometry import symbol_to_record
+        from toeplab.harness import ExperimentConfig, run
+
+        cfg = ExperimentConfig.from_mapping(dict(
+            space="sphere", symbol=symbol_to_record(PROJECTION), n_values=[24, 32],
+            delta={"preset": "weyl"}, seeds=[0, 1], probe_grid={"nx": 3, "ny": 3},
+            radii={"count": 5, "max": 1.0}, grushin_probes=[[0.3, 0.2], [0.6, 0.0]],
+            resolution=40, kappa_samples=10**4))
+        counts = self._count(monkeypatch)
+        record = run(cfg, out_dir=tmp_path, workers=1)
+        assert not record.manifest["errors"]
+        assert counts["norm2"] == 4                     # 2 sizes x 2 seeds
+        assert counts["svd"] == 8 and counts["lu_factor"] == 8
+        assert counts["inv"] == counts["cond"] == 0
 
 
 class TestCountScan:

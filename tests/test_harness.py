@@ -5,6 +5,7 @@ import pytest
 
 from toeplab.cli import main as cli_main
 from toeplab.geometry import sphere_symbol, symbol_to_record
+from toeplab.grushin import CONDITION_GUARD
 from toeplab.harness import (
     ConfigError,
     ExperimentConfig,
@@ -195,7 +196,8 @@ class TestRun:
         for name, cell in record.manifest["cells"].items():
             health = cell["health"]
             assert set(health) == {"probes_dropped", "logdet_check_residual",
-                                   "logdet_fallback", "max_abs_eig"}
+                                   "logdet_fallback", "max_abs_eig", "schur_residual_max",
+                                   "bordered_condition_max", "grushin_flagged_probes"}
             assert health["logdet_fallback"] is False
             assert 0.0 <= health["logdet_check_residual"] <= LOGDET_CHECK_BOUND
             rows = (out / cell["files"]["potential"]["path"]).read_text().splitlines()[1:]
@@ -203,6 +205,12 @@ class TestRun:
             eig = [complex(float(a), float(b)) for a, b in
                    (ln.split(",") for ln in (out / f"eig_{name}.csv").read_text().splitlines()[1:])]
             assert health["max_abs_eig"] == pytest.approx(max(abs(x) for x in eig), rel=1e-15)
+            diag = [ln.split(",") for ln in
+                    (out / cell["files"]["diagnostics"]["path"]).read_text().splitlines()[1:]]
+            assert health["schur_residual_max"] == max(float(r[10]) for r in diag)
+            assert health["schur_residual_max"] <= 1e-6
+            assert 1.0 <= health["bordered_condition_max"] <= CONDITION_GUARD
+            assert health["grushin_flagged_probes"] == sum(1 for r in diag if r[11])
 
     def test_manifest_records_tool_version(self, done):
         _, record = done
