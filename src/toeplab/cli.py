@@ -32,7 +32,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="use the full figure sizes instead of desk-scale defaults")
     p.add_argument("--seed", type=int, help="override: use this single seed")
     p.add_argument("--out", help="output directory (default: runs/)")
-    p.add_argument("--workers", type=int, help="override worker count")
+    p.add_argument("--workers", type=int,
+                   help="accepted for compatibility; runs size their own thread pool")
 
 
 def _load_config(args) -> ExperimentConfig:

@@ -51,17 +51,22 @@ class SingularTriples:
         return len(self.values)
 
 
-def singular_triples(P: np.ndarray, z: complex, source: str = "") -> SingularTriples:
-    P = np.asarray(P, dtype=complex)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+def _shifted_svd(P: np.ndarray, z: complex, source: str):
+    """Full SVD ``U, s, Vh`` of ``P - z`` and the ascending order of ``s``."""
+    shifted = np.array(P, dtype=complex)
+    if shifted.ndim != 2 or shifted.shape[0] != shifted.shape[1]:
         raise ValueError("singular_triples requires a square matrix")
-    shifted = P - complex(z) * np.eye(P.shape[0])
+    shifted.flat[:: shifted.shape[0] + 1] -= complex(z)
     try:
         U, s, Vh = np.linalg.svd(shifted)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"singular value decomposition failed for {source or '<unnamed>'}: {exc}") from exc
-    order = np.argsort(s)  # ascending
+    return U, s, Vh, np.argsort(s)
+
+
+def singular_triples(P: np.ndarray, z: complex, source: str = "") -> SingularTriples:
+    U, s, Vh, order = _shifted_svd(P, z, source)
     return SingularTriples(
         values=s[order],
         right_vectors=Vh.conj().T[:, order],
@@ -81,10 +86,14 @@ class GrushinParams:
 
 
 def grushin_params(N: int, rho: float, triples: SingularTriples) -> GrushinParams:
+    return _params_of_values(N, rho, triples.values)
+
+
+def _params_of_values(N: int, rho: float, values: np.ndarray) -> GrushinParams:
     if not (0.0 < rho < 0.5):
         raise ValueError(f"rho must lie in (0, 1/2), got {rho}")
     alpha = float(N) ** (-2.0 * rho)
-    n_small = int(np.sum(triples.values**2 <= alpha))
+    n_small = int(np.sum(values**2 <= alpha))
     return GrushinParams(rho=float(rho), alpha=alpha, n_small=n_small)
 
 
@@ -167,17 +176,20 @@ def _bordered_matrix(shifted: np.ndarray, triples: SingularTriples, A: int) -> n
     return M
 
 
-def _bulk_norm(triples: SingularTriples, A: int) -> float:
+def _bulk_norm(values: np.ndarray, A: int) -> float:
     """``||bulk inverse|| = 1/t_{A+1}``: zero without a tail, infinite on a singular tail."""
-    if A == triples.dim:
+    if A == len(values):
         return 0.0
-    t = triples.values[A]
+    t = values[A]
     return 1.0 / t if t > 0.0 else float("inf")
 
 
-def _neumann_warning(shift_norm: float, triples: SingularTriples, A: int) -> str | None:
-    """Warning text when ``delta ||G|| (||bulk|| + ||injection||) >= 1``, else None."""
-    neumann = shift_norm * (_bulk_norm(triples, A) + (1.0 if A else 0.0))
+def _neumann_warning(shift_norm: float, values: np.ndarray, A: int) -> str | None:
+    """Warning text when ``delta ||G|| (||bulk|| + ||injection||) >= 1``, else None.
+
+    ``values`` are the ascending singular values of ``P - z``.
+    """
+    neumann = shift_norm * (_bulk_norm(values, A) + (1.0 if A else 0.0))
     if neumann >= 1.0:
         return f"Neumann invertibility condition violated ({neumann:.3g} >= 1); inverting anyway"
     return None
@@ -214,7 +226,7 @@ def assemble_grushin(triples: SingularTriples, params: GrushinParams,
 
     closed = closed_form_inverse(triples, A)
     if delta != 0.0 and Gm is not None:
-        warning = _neumann_warning(delta * operator_norm(Gm), triples, A)
+        warning = _neumann_warning(delta * operator_norm(Gm), triples.values, A)
         if warning:
             warnings.append(warning)
 
@@ -349,7 +361,12 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G,
     ``P + delta G - z`` (Schur route one) and one LU of the bordered matrix,
     which gives ``log|det bordered|``, the corner block (solving against the
     ``A`` unit columns ``[0; I_A]``) and LAPACK's 1-norm condition estimate.
-    Above ``CONDITION_GUARD`` the corner comes from the closed-form route.
+    With ``A = 0`` the bordered matrix is ``P + delta G - z`` itself, so its
+    LU serves both routes and the residual is 0 by construction.  Only the
+    singular values and the ``A`` smallest vector pairs outlive the SVD, and
+    ``P + delta G - z`` is built in the bordered matrix's top-left block, so
+    concurrent probes stay lean.  Above ``CONDITION_GUARD`` the corner comes
+    from the closed-form route, which recomputes the full triples.
     ``assemble_grushin`` and ``schur_identity_residual`` are the slow oracles
     for this path.
     """
@@ -360,13 +377,16 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G,
     dim = entries.shape[0]
     flags = []
 
-    triples = singular_triples(entries, z, source=f"N={T.N}")
-    params = grushin_params(T.N, rho, triples)
-    A = params.n_small
+    U, s, Vh, order = _shifted_svd(entries, z, source=f"N={T.N}")
+    values = s[order]
+    A = _params_of_values(T.N, rho, values).n_small
+    small = order[:A]
+    left, right_h = U[:, small], Vh[small]      # columns f_1..f_A, rows e_1*..e_A*
+    del U, Vh
     if A == dim:
         flags.append("all-singular-values-small")
 
-    tail = triples.values[A:]
+    tail = values[A:]
     if np.any(tail == 0.0):
         flags.append("zero-singular-value-above-cutoff")
         log_free = float("-inf")
@@ -382,14 +402,21 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G,
         raise ValueError(f"perturbation shape {Gm.shape} does not match dim {dim}")
     if delta != 0.0:
         warning = _neumann_warning(
-            delta * (operator_norm(Gm) if g_norm is None else float(g_norm)), triples, A)
+            delta * (operator_norm(Gm) if g_norm is None else float(g_norm)), values, A)
         if warning:
             flags.append(warning)
 
-    shifted = entries + delta * Gm - complex(z) * np.eye(dim)
-    log_direct = log_abs_det(shifted)
+    # Fortran order lets lu_factor overwrite M instead of copying it
+    M = np.empty((dim + A, dim + A), dtype=complex, order="F")
+    shifted = M[:dim, :dim]
+    np.multiply(Gm, delta, out=shifted)
+    shifted += entries
+    shifted[np.diag_indices(dim)] -= complex(z)
+    M[:dim, dim:] = left
+    M[dim:, :dim] = right_h
+    M[dim:, dim:] = 0.0
+    log_direct = log_abs_det(shifted) if A else None    # A = 0: the LU below is route one
 
-    M = _bordered_matrix(shifted, triples, A)
     anorm = np.linalg.norm(M, 1)
     lu, piv = scipy.linalg.lu_factor(M, overwrite_a=True)
     rcond, _ = scipy.linalg.lapack.zgecon(lu, anorm, norm="1")
@@ -400,10 +427,10 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G,
     if guarded:
         flags.append(f"condition estimate {condition:.3g} exceeds guard; using closed-form route")
     if A == 0:
-        log_corner = 0.0
+        log_direct, log_corner = log_bordered, 0.0
     else:
         if guarded:
-            closed = closed_form_inverse(triples, A)
+            closed = closed_form_inverse(singular_triples(entries, z), A)
             corner = _closed_route_inverse(closed, delta, Gm, dim, A)[dim:, dim:]
         else:
             unit = np.zeros((dim + A, A), dtype=complex)

@@ -3,10 +3,13 @@
 A run executes quantize -> perturb -> spectra / potential / diagnostics for
 every (size, seed) cell of a validated configuration and persists plot-ready
 CSV tables plus a JSON manifest with per-artifact checksums and per-cell
-numerical health.  Identical configurations byte-reproduce every CSV on the
-same numpy/LAPACK/BLAS build with the same BLAS thread count; LAPACK results
-change in the last bits when either changes.  The manifest additionally
-records wall-clock and tool version (and is therefore not byte-stable itself).
+numerical health.  Cells run as tasks on a thread pool with OpenBLAS pinned
+to one thread, so identical configurations byte-reproduce every CSV on the
+same numpy/scipy/OpenBLAS build (and CPU instruction set, which OpenBLAS
+dispatches on) whatever the core count or ``workers``.  Without a pinnable
+OpenBLAS the cells run one at a time and the bits also depend on the BLAS
+thread count.  The manifest additionally records wall-clock, tool version and
+the build (and is therefore not byte-stable itself).
 
 Per-cell randomness: the Ginibre stream of cell ``(N, seed)`` is keyed by
 ``derive_seed(seed, "cell", N)``, so cells are independent and reproducible
@@ -20,6 +23,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,7 +42,7 @@ from .geometry import (
 )
 from .grushin import DIAGNOSTICS_CSV_HEADER, b_diagnostics
 from .potential import limit_potential_many, potential_from_spectrum
-from .quantize import bergman_dimension, quantize_symbol
+from .quantize import quantize_symbol
 from .randmat import (DeltaRule, PerturbationSchedule, ScheduleError, delta_window, derive_seed,
                       operator_norm, sample_ginibre)
 from .spectra import DiskFamily, SpectrumResult, empirical_cdf_disks, spectrum_csv_rows, weyl_predict
@@ -265,13 +269,21 @@ def _atomic_write_text(path: Path, text: str) -> None:
 def run(config: ExperimentConfig, out_dir=None, workers: int | None = None) -> RunRecord:
     """Execute every (size, seed) cell and persist artifacts atomically.
 
-    A failing cell records its error in the manifest and never disturbs
-    sibling cells.
+    Every cell is a spectrum task (eigenvalues, disk counts, potential) and,
+    when perturbed, a Grushin task (``||G||`` once, then the split at each
+    Grushin probe).  Each task draws its own copy of the cell's noise, so no
+    per-cell matrix exists outside a running task.  All tasks share one
+    thread pool with one thread per usable CPU while every loaded OpenBLAS is
+    pinned to one thread (restored afterwards); without a pinnable OpenBLAS
+    the tasks run one at a time and BLAS keeps its own threads.  ``workers``
+    is accepted for compatibility and does not change execution.
+
+    A failing task records its cell's error in the manifest and never
+    disturbs sibling cells.
     """
     t_start = time.time()
     out = Path(out_dir or config.out_dir or "runs")
     out.mkdir(parents=True, exist_ok=True)
-    workers = int(workers or config.workers or 1)
 
     validation = config.validate()
     f = config.symbol_spec()
@@ -293,20 +305,20 @@ def run(config: ExperimentConfig, out_dir=None, workers: int | None = None) -> R
     cells = [("unperturbed", int(N), None) for N in config.unperturbed_sizes]
     cells += [("perturbed", int(N), int(seed)) for N in config.n_values for seed in config.seeds]
 
-    def run_cell(cell):
-        kind, N, seed = cell
+    def noise(N, seed):
+        return sample_ginibre(prepared[N][0].dim, derive_seed(seed, "cell", N))
+
+    def spectrum_task(kind, N, seed):
         T, prediction = prepared[N]
-        dim = bergman_dimension(space, N)
-        name = f"N{N}_unperturbed" if kind == "unperturbed" else f"N{N}_s{seed}"
+        name = _cell_name((kind, N, seed))
         files = {}
 
         if kind == "unperturbed":
             M = T.entries
-            delta = 0.0
         else:
-            delta = schedule.rule(N)
-            G = sample_ginibre(dim, derive_seed(seed, "cell", N))
-            M = T.entries + delta * G.entries
+            M = noise(N, seed).entries      # M = T + delta G, built over this task's G
+            M *= schedule.rule(N)
+            M += T.entries
 
         lam = np.linalg.eigvals(M)
         spec = SpectrumResult(lam, source=name)
@@ -327,40 +339,43 @@ def run(config: ExperimentConfig, out_dir=None, workers: int | None = None) -> R
                         f"{float(ue)!r},{float(ul)!r},{float(dev)!r}")
         files["potential"] = _emit(out, f"pot_{name}.csv", rows)
         health["max_abs_eig"] = float(np.max(np.abs(lam)))
+        return files, health
 
-        if kind == "perturbed":
-            rows = [DIAGNOSTICS_CSV_HEADER]
-            g_norm = operator_norm(G.entries)
-            diags = [b_diagnostics(T, z, config.rho, delta, G, grid, seed=seed, g_norm=g_norm)
-                     for z in grushin_probes]
-            rows += [diag.csv_row(N) for diag in diags]
-            files["diagnostics"] = _emit(out, f"diag_{name}.csv", rows)
+    def grushin_task(kind, N, seed):
+        T, _ = prepared[N]
+        delta = schedule.rule(N)
+        G = noise(N, seed)
+        g_norm = operator_norm(G.entries)
+        diags = [b_diagnostics(T, z, config.rho, delta, G, grid, seed=seed, g_norm=g_norm)
+                 for z in grushin_probes]
+        rows = [DIAGNOSTICS_CSV_HEADER] + [diag.csv_row(N) for diag in diags]
+        files = {"diagnostics": _emit(out, f"diag_{_cell_name((kind, N, seed))}.csv", rows)}
+        health = {
             # np.max, not max: a nan residual must surface, not vanish by order
-            health["schur_residual_max"] = float(
-                np.max([d.schur_residual for d in diags], initial=0.0))
-            health["bordered_condition_max"] = float(
-                np.max([d.condition for d in diags], initial=0.0))
-            health["grushin_flagged_probes"] = sum(1 for d in diags if d.flags)
-        return name, files, health
+            "schur_residual_max": float(np.max([d.schur_residual for d in diags], initial=0.0)),
+            "bordered_condition_max": float(np.max([d.condition for d in diags], initial=0.0)),
+            "grushin_flagged_probes": sum(1 for d in diags if d.flags),
+        }
+        return files, health
 
-    results = {}
-    errors = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(run_cell, c): c for c in cells}
-            for fut, cell in futures.items():
+    tasks = [(cell, spectrum_task) for cell in cells]
+    tasks += [(cell, grushin_task) for cell in cells if cell[0] == "perturbed"]
+    cell_files: dict = {}
+    cell_health: dict = {}
+    failures: dict = {}
+    with _pinned_blas() as pinned:
+        pool_size = _usable_cpus() if pinned else 1
+        with ThreadPoolExecutor(max_workers=pool_size) as pool:
+            futures = [(_cell_name(cell), pool.submit(task, *cell)) for cell, task in tasks]
+            for name, fut in futures:
                 try:
-                    name, files, health = fut.result()
-                    results[name] = (files, health)
-                except Exception as exc:  # crash isolation per cell
-                    errors[_cell_name(cell)] = f"{type(exc).__name__}: {exc}"
-    else:
-        for cell in cells:
-            try:
-                name, files, health = run_cell(cell)
-                results[name] = (files, health)
-            except Exception as exc:
-                errors[_cell_name(cell)] = f"{type(exc).__name__}: {exc}"
+                    task_files, task_health = fut.result()
+                except Exception as exc:  # crash isolation per task
+                    failures.setdefault(name, []).append(f"{type(exc).__name__}: {exc}")
+                    continue
+                cell_files.setdefault(name, {}).update(task_files)
+                cell_health.setdefault(name, {}).update(task_health)
+    errors = {name: "; ".join(dict.fromkeys(msgs)) for name, msgs in failures.items()}
 
     manifest = {
         "tool": "toeplab",
@@ -370,17 +385,107 @@ def run(config: ExperimentConfig, out_dir=None, workers: int | None = None) -> R
         "kappa_hat": validation["kappa_hat"],
         "warnings": validation["warnings"],
         "wall_clock_s": time.time() - t_start,
+        "environment": _environment(pinned, pool_size),
         "cells": {
             name: {"files": {k: {"path": str(p.name), "sha256": _sha256_file(p)}
-                             for k, p in files.items()},
-                   "health": health}
-            for name, (files, health) in sorted(results.items())
+                             for k, p in cell_files[name].items()},
+                   "health": cell_health[name]}
+            for name in sorted(cell_files) if name not in errors
         },
         "errors": errors,
     }
     manifest_path = out / "manifest.json"
     _atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
     return RunRecord(str(out), manifest["config_hash"], manifest, str(manifest_path))
+
+
+# ---------------------------------------------------------------------------
+# execution environment
+# ---------------------------------------------------------------------------
+
+#: (get, set) thread-count symbols of the scipy-openblas builds that the
+#: numpy (ILP64) and scipy (LP64) wheels ship.  Other BLAS builds are left
+#: alone, and the run is then serial.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_controls() -> list:
+    """``(get, set)`` thread-count functions of every OpenBLAS mapped into this process."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and "/" in ln})
+    except OSError:                             # no /proc: not Linux
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:                         # e.g. a "(deleted)" mapping
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextmanager
+def _pinned_blas():
+    """Pin every loaded OpenBLAS to one thread; yields whether any was found.
+
+    Each library's thread count is restored on exit, also when the body raises.
+    """
+    import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS, so it is pinned too)
+
+    saved = [(set_, get()) for get, set_ in _openblas_thread_controls()]
+    for set_, _ in saved:
+        set_(1)
+    try:
+        yield bool(saved)
+    finally:
+        for set_, count in saved:
+            set_(count)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                      # not on Linux
+        return os.cpu_count() or 1
+
+
+def _environment(pinned: bool, pool_size: int) -> dict:
+    """Build and execution record of a run (its CSV bits depend on the build)."""
+    import scipy
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):               # numpy < 1.25 has no dict mode
+        blas = {}
+    try:
+        import resource
+        peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+    except ImportError:                         # not on a POSIX system
+        peak_rss_mb = None
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_pinned": pinned,
+        "blas_threads": 1 if pinned else None,
+        "pool_size": pool_size,
+        "usable_cpus": _usable_cpus(),
+        "peak_rss_mb": peak_rss_mb,
+    }
 
 
 def _cell_name(cell) -> str:

@@ -49,7 +49,16 @@ def sample_ginibre(dim: int, seed: int) -> GinibreSample:
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     u1 = rng.random((dim, dim))
     u2 = rng.random((dim, dim))
-    entries = np.sqrt(-np.log1p(-u1)) * np.exp(2j * np.pi * u2)
+    # sqrt(-log1p(-u1)) * exp(2j pi u2), evaluated in place: same bits, and
+    # no dim x dim temporaries beyond the two uniforms and the result
+    radius = np.negative(u1, out=u1)
+    np.log1p(radius, out=radius)
+    np.negative(radius, out=radius)
+    np.sqrt(radius, out=radius)
+    entries = np.multiply(2j * np.pi, u2)
+    del u2
+    np.exp(entries, out=entries)
+    np.multiply(radius, entries, out=entries)
     return GinibreSample(dim=int(dim), seed=int(seed), entries=entries)
 
 

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -342,13 +344,15 @@ class TestFactorizationCount:
     @staticmethod
     def _count(monkeypatch):
         counts = {"svd": 0, "inv": 0, "cond": 0, "norm2": 0, "slogdet": 0, "lu_factor": 0}
+        lock = threading.Lock()                 # run() calls these from pool threads
 
         def wrap(mod, attr, key, counted=lambda args, kwargs: True):
             real = getattr(mod, attr)
 
             def counting(*args, **kwargs):
                 if counted(args, kwargs):
-                    counts[key] += 1
+                    with lock:
+                        counts[key] += 1
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(mod, attr, counting)
@@ -369,6 +373,19 @@ class TestFactorizationCount:
         assert diag.n_small >= 1
         assert counts == {"svd": 1, "inv": 0, "cond": 0, "norm2": 0,
                           "slogdet": 2, "lu_factor": 1}
+
+    def test_far_probe_shares_one_lu_between_routes(self, monkeypatch):
+        T, probes, delta, seed = DRAWS[0]
+        G = sample_ginibre(T.dim, seed)
+        g_norm = operator_norm(G.entries)
+        counts = self._count(monkeypatch)
+        diag = b_diagnostics(T, probes[-1], 0.25, delta, G, g_norm=g_norm)
+        assert diag.n_small == 0
+        assert counts == {"svd": 1, "inv": 0, "cond": 0, "norm2": 0,
+                          "slogdet": 0, "lu_factor": 1}
+        assert diag.schur_residual == 0.0
+        M = T.entries + delta * G.entries - probes[-1] * np.eye(T.dim)
+        assert diag.log_det_bordered == pytest.approx(log_abs_det(M), abs=1e-10)
 
     def test_run_takes_one_norm_per_perturbed_cell(self, monkeypatch, tmp_path):
         from toeplab.geometry import symbol_to_record

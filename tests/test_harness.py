@@ -1,6 +1,8 @@
 import json
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from toeplab.cli import main as cli_main
@@ -191,6 +193,107 @@ class TestRun:
         assert "N24_s0" in record.manifest["cells"]
         assert "N48_s1" in record.manifest["cells"]
 
+    def test_crash_isolation_per_stage(self, tmp_path, monkeypatch):
+        import toeplab.harness as hz
+        real = hz.b_diagnostics
+
+        def flaky(T, z, rho, delta, G, grid=None, seed=-1, g_norm=None):
+            if T.N == 24 and seed == 1:
+                raise RuntimeError("synthetic Grushin failure")
+            return real(T, z, rho, delta, G, grid, seed=seed, g_norm=g_norm)
+
+        monkeypatch.setattr(hz, "b_diagnostics", flaky)
+        record = run(tiny_config(), out_dir=tmp_path / "flaky", workers=1)
+        assert set(record.manifest["errors"]) == {"N24_s1"}
+        assert "synthetic Grushin failure" in record.manifest["errors"]["N24_s1"]
+        assert set(record.manifest["cells"]) == {"N24_s0", "N48_s0", "N48_s1"}
+        for cell in record.manifest["cells"].values():
+            assert set(cell["files"]) == {"spectrum", "cdf", "potential", "diagnostics"}
+
+    def test_manifest_records_environment(self, done):
+        import scipy
+        _, record = done
+        env = record.manifest["environment"]
+        assert set(env) == {"numpy", "scipy", "blas", "blas_pinned", "blas_threads",
+                            "pool_size", "usable_cpus", "peak_rss_mb"}
+        assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+        assert isinstance(env["blas"]["name"], str) and env["blas"]["name"]
+        assert env["usable_cpus"] >= 1
+        if env["blas_pinned"]:
+            assert env["blas_threads"] == 1 and env["pool_size"] == env["usable_cpus"]
+        else:
+            assert env["blas_threads"] is None and env["pool_size"] == 1
+        assert env["peak_rss_mb"] > 0.0
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_csv_bits_independent_of_pool_size(self, done, tmp_path, monkeypatch, cpus):
+        import toeplab.harness as hz
+        out, _ = done
+        monkeypatch.setattr(hz, "_usable_cpus", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)           # interleave the pool threads finely
+        try:
+            record = run(tiny_config(), out_dir=tmp_path / "again", workers=2)
+        finally:
+            sys.setswitchinterval(interval)
+        env = record.manifest["environment"]
+        assert env["pool_size"] == (cpus if env["blas_pinned"] else 1)
+        assert sorted(p.name for p in (tmp_path / "again").glob("*.csv")) == \
+            sorted(p.name for p in out.glob("*.csv"))
+        for path in sorted(out.glob("*.csv")):
+            assert (tmp_path / "again" / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_without_pinnable_blas_runs_serially(self, done, tmp_path, monkeypatch):
+        import toeplab.harness as hz
+        out, expected = done
+        monkeypatch.setattr(hz, "_openblas_thread_controls", lambda: [])
+        record = run(tiny_config(), out_dir=tmp_path / "serial", workers=2)
+        env = record.manifest["environment"]
+        assert env["blas_pinned"] is False and env["blas_threads"] is None
+        assert env["pool_size"] == 1
+        assert record.manifest["errors"] == {}
+        assert set(record.manifest["cells"]) == set(expected.manifest["cells"])
+        # BLAS keeps its own thread count here, which may move the last bits
+        for path in sorted(out.glob("*.csv")):
+            got, want = _csv_values(tmp_path / "serial" / path.name), _csv_values(path)
+            if path.name.startswith("eig_"):
+                got, want = np.sort_complex(got @ [1, 1j]), np.sort_complex(want @ [1, 1j])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10, err_msg=path.name)
+
+    def test_blas_thread_counts_restored(self, tmp_path, monkeypatch):
+        import toeplab.harness as hz
+        controls = hz._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread-count symbol in this process")
+        original = [get() for get, _ in controls]
+        real = hz.b_diagnostics
+        inside = []
+
+        def recording(*args, **kwargs):
+            inside.append([get() for get, _ in controls])
+            if kwargs.get("seed") == 1:
+                raise RuntimeError("synthetic Grushin failure")
+            return real(*args, **kwargs)
+
+        def broken():
+            raise RuntimeError("synthetic pool failure")
+
+        try:
+            for _, set_ in controls:
+                set_(2)
+            monkeypatch.setattr(hz, "b_diagnostics", recording)
+            record = run(tiny_config(), out_dir=tmp_path / "failing", workers=1)
+            assert set(record.manifest["errors"]) == {"N24_s1", "N48_s1"}
+            assert inside and all(counts == [1] * len(controls) for counts in inside)
+            assert [get() for get, _ in controls] == [2] * len(controls)
+            monkeypatch.setattr(hz, "_usable_cpus", broken)
+            with pytest.raises(RuntimeError, match="synthetic pool failure"):
+                run(tiny_config(), out_dir=tmp_path / "raising", workers=1)
+            assert [get() for get, _ in controls] == [2] * len(controls)
+        finally:
+            for (_, set_), count in zip(controls, original):
+                set_(count)
+
     def test_manifest_records_cell_health(self, done):
         out, record = done
         for name, cell in record.manifest["cells"].items():
@@ -217,6 +320,12 @@ class TestRun:
         import toeplab
         assert record.manifest["version"] == toeplab.__version__
         assert record.manifest["wall_clock_s"] > 0
+
+
+def _csv_values(path: Path) -> np.ndarray:
+    """Numeric columns of a CSV artifact (the diagnostics flags column is text)."""
+    rows = [ln.split(",") for ln in path.read_text().splitlines()[1:]]
+    return np.array([[float(x) for x in r[:11]] for r in rows])
 
 
 class TestCli:

@@ -25,6 +25,13 @@ class TestGinibre:
         c = sample_ginibre(64, 20260809)
         assert not np.array_equal(a.entries, c.entries)
 
+    def test_matches_reference_expression_bit_for_bit(self):
+        rng = np.random.Generator(np.random.Philox(key=77))
+        u1, u2 = rng.random((40, 40)), rng.random((40, 40))
+        reference = np.sqrt(-np.log1p(-u1)) * np.exp(2j * np.pi * u2)
+        got = sample_ginibre(40, 77).entries
+        assert np.array_equal(got.view(np.uint64), reference.view(np.uint64))
+
     def test_moments_at_256(self):
         # entry law: mean 0, E|g|^2 = 1 (|g|^2 is Exp(1)); check within 3 SE
         g = sample_ginibre(256, 5).entries
