@@ -44,23 +44,15 @@ from .randmat import (
 )
 from .spectra import (
     DiskFamily,
-    EmpiricalMeasure,
-    RectangleFamily,
     SpectrumResult,
     WeylPrediction,
     eigenvalues,
     empirical_cdf_disks,
-    weyl_compare,
     weyl_predict,
 )
 from .potential import (
-    PotentialField,
-    empirical_field,
-    empirical_potential,
-    limit_field,
     limit_potential,
     log_abs_det,
-    potential_sweep,
 )
 from .grushin import (
     GrushinParams,

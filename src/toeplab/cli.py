@@ -1,9 +1,12 @@
 """Command line front end.
 
 Verbs: quantize, spectrum, potential, grushin, run, verify, kappa.  Every
-verb takes a configuration (``--config FILE`` or ``--preset NAME``) plus the
-shared flags ``--seed``, ``--out``, ``--workers``.  Outputs are CSV tables
-and JSON manifests; there is no interactive mode.
+verb but verify takes a configuration (``--config FILE`` or ``--preset
+NAME``) plus the shared flags ``--seed`` and ``--out``.  ``run`` computes
+every stage of every cell; ``spectrum``, ``potential`` and ``grushin`` are
+``run`` restricted to the stages :data:`VERB_STAGES` names, so they write
+the same per-cell CSVs and a manifest.  Outputs are CSV tables and JSON
+manifests; there is no interactive mode.
 """
 
 from __future__ import annotations
@@ -16,13 +19,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .geometry import estimate_kappa, liouville_quadrature, make_phase_space
-from .grushin import DIAGNOSTICS_CSV_HEADER, b_diagnostics
-from .harness import ExperimentConfig, _emit, preset_config, run as run_experiment, verify as verify_run
-from .potential import potential_sweep
+from .geometry import estimate_kappa
+from .harness import STAGES, ExperimentConfig, preset_config, run as run_experiment, verify as verify_run
 from .quantize import quantize_symbol, save_matrix
-from .randmat import derive_seed, operator_norm, sample_ginibre
-from .spectra import SpectrumResult, spectrum_csv_rows
+
+#: The stages each run-type verb computes (see ``harness.run``).
+VERB_STAGES = {
+    "run": STAGES,
+    "spectrum": ("spectrum",),
+    "potential": ("spectrum", "potential"),
+    "grushin": ("grushin",),
+}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -32,8 +39,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="use the full figure sizes instead of desk-scale defaults")
     p.add_argument("--seed", type=int, help="override: use this single seed")
     p.add_argument("--out", help="output directory (default: runs/)")
-    p.add_argument("--workers", type=int,
-                   help="accepted for compatibility; runs size their own thread pool")
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -47,15 +52,7 @@ def _load_config(args) -> ExperimentConfig:
         cfg.seeds = [args.seed]
     if args.out:
         cfg.out_dir = args.out
-    if args.workers:
-        cfg.workers = args.workers
     return cfg
-
-
-def _out_dir(cfg) -> Path:
-    out = Path(cfg.out_dir or "runs")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def main(argv=None) -> int:
@@ -75,66 +72,22 @@ def main(argv=None) -> int:
         return 0 if report.passed else 1
 
     cfg = _load_config(args)
-    f = cfg.symbol_spec()
-    space = make_phase_space(cfg.space)
-
-    if args.verb == "run":
-        record = run_experiment(cfg, out_dir=cfg.out_dir, workers=cfg.workers)
+    if args.verb in VERB_STAGES:
+        record = run_experiment(cfg, stages=VERB_STAGES[args.verb])
         print(json.dumps({"out_dir": record.out_dir, "config_hash": record.config_hash,
                           "cells": len(record.manifest["cells"]),
                           "errors": record.manifest["errors"]}, indent=2))
         return 0 if not record.manifest["errors"] else 1
 
+    f = cfg.symbol_spec()
     if args.verb == "quantize":
-        out = _out_dir(cfg)
+        out = Path(cfg.out_dir or "runs")
+        out.mkdir(parents=True, exist_ok=True)
         for N in cfg.n_values:
             T = quantize_symbol(f, int(N))
             path = out / f"matrix_N{int(N)}.tmat"
             save_matrix(T, path)
             print(path)
-        return 0
-
-    if args.verb == "spectrum":
-        out = _out_dir(cfg)
-        schedule = cfg.schedule()
-        for N in cfg.n_values:
-            N = int(N)
-            T = quantize_symbol(f, N)
-            for seed in cfg.seeds:
-                delta = schedule.rule(N)
-                G = sample_ginibre(T.dim, derive_seed(seed, "cell", N))
-                lam = np.linalg.eigvals(T.entries + delta * G.entries)
-                print(_emit(out, f"eig_N{N}_s{seed}.csv",
-                            spectrum_csv_rows(SpectrumResult(lam, f"N{N}_s{seed}"))))
-        return 0
-
-    if args.verb == "potential":
-        out = _out_dir(cfg)
-        report = potential_sweep(f, space, cfg.n_values, cfg.schedule(),
-                                 z_grid=cfg.probe_points(f, space), seeds=cfg.seeds,
-                                 grid=liouville_quadrature(space, cfg.resolution))
-        print(_emit(out, "potential_sweep.csv", report.csv_rows()))
-        print(json.dumps({"medians_by_size": report.medians_by_size,
-                          "singular_probes": report.singular_probes}, indent=2))
-        return 0
-
-    if args.verb == "grushin":
-        out = _out_dir(cfg)
-        schedule = cfg.schedule()
-        grid = liouville_quadrature(space, cfg.resolution)
-        rows = [DIAGNOSTICS_CSV_HEADER]
-        for N in cfg.n_values:
-            N = int(N)
-            T = quantize_symbol(f, N)
-            delta = schedule.rule(N)
-            for seed in cfg.seeds:
-                G = sample_ginibre(T.dim, derive_seed(seed, "cell", N))
-                g_norm = operator_norm(G.entries)
-                for zre, zim in cfg.grushin_probes:
-                    diag = b_diagnostics(T, complex(zre, zim), cfg.rho, delta, G, grid,
-                                         seed=seed, g_norm=g_norm)
-                    rows.append(diag.csv_row(N))
-        print(_emit(out, "diagnostics.csv", rows))
         return 0
 
     if args.verb == "kappa":

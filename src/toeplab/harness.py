@@ -1,15 +1,17 @@
 """Experiment configuration, seeded sweep execution, persistence, verification.
 
 A run executes quantize -> perturb -> spectra / potential / diagnostics for
-every (size, seed) cell of a validated configuration and persists plot-ready
-CSV tables plus a JSON manifest with per-artifact checksums and per-cell
-numerical health.  Cells run as tasks on a thread pool with OpenBLAS pinned
-to one thread, so identical configurations byte-reproduce every CSV on the
-same numpy/scipy/OpenBLAS build (and CPU instruction set, which OpenBLAS
-dispatches on) whatever the core count or ``workers``.  Without a pinnable
-OpenBLAS the cells run one at a time and the bits also depend on the BLAS
-thread count.  The manifest additionally records wall-clock, tool version and
-the build (and is therefore not byte-stable itself).
+every (size, seed) cell of a validated configuration, or a subset of those
+stages (the ``spectrum``, ``potential`` and ``grushin`` CLI verbs), and
+persists plot-ready CSV tables plus a JSON manifest with per-artifact
+checksums and per-cell numerical health.  Cells run as tasks on a thread
+pool with OpenBLAS pinned to one thread, so identical configurations
+byte-reproduce every CSV on the same numpy/scipy/OpenBLAS build (and CPU
+instruction set, which OpenBLAS dispatches on) whatever the core count.
+Without a pinnable OpenBLAS the cells run one at a time and the bits also
+depend on the BLAS thread count.  The manifest additionally records
+wall-clock, tool version and the build (and is therefore not byte-stable
+itself).
 
 Per-cell randomness: the Ginibre stream of cell ``(N, seed)`` is keyed by
 ``derive_seed(seed, "cell", N)``, so cells are independent and reproducible
@@ -31,6 +33,7 @@ import numpy as np
 
 from . import __version__
 from .geometry import (
+    QuadratureGrid,
     estimate_kappa,
     evaluate_symbol_grid,
     liouville_quadrature,
@@ -42,10 +45,11 @@ from .geometry import (
 )
 from .grushin import DIAGNOSTICS_CSV_HEADER, b_diagnostics
 from .potential import limit_potential_many, potential_from_spectrum
-from .quantize import quantize_symbol
+from .quantize import ToeplitzMatrix, quantize_symbol
 from .randmat import (DeltaRule, PerturbationSchedule, ScheduleError, delta_window, derive_seed,
                       operator_norm, sample_ginibre)
-from .spectra import DiskFamily, SpectrumResult, empirical_cdf_disks, spectrum_csv_rows, weyl_predict
+from .spectra import (DiskFamily, SpectrumResult, WeylPrediction, empirical_cdf_disks,
+                      spectrum_csv_rows, weyl_predict)
 
 
 class ConfigError(ValueError):
@@ -55,7 +59,7 @@ class ConfigError(ValueError):
 _CONFIG_KEYS = {
     "space", "symbol", "n_values", "unperturbed_sizes", "delta", "epsilon", "rho",
     "gamma", "c_exponent", "seeds", "probe_grid", "radii", "grushin_probes",
-    "resolution", "kappa_hat", "kappa_samples", "out_dir", "workers",
+    "resolution", "kappa_hat", "kappa_samples", "out_dir",
 }
 
 
@@ -80,7 +84,6 @@ class ExperimentConfig:
     kappa_hat: float | None = None
     kappa_samples: int = 10**5
     out_dir: str | None = None
-    workers: int = 1
 
     @classmethod
     def from_mapping(cls, data: dict) -> "ExperimentConfig":
@@ -108,13 +111,12 @@ class ExperimentConfig:
             "probe_grid": self.probe_grid, "radii": self.radii,
             "grushin_probes": self.grushin_probes, "resolution": int(self.resolution),
             "kappa_hat": self.kappa_hat, "kappa_samples": int(self.kappa_samples),
-            "out_dir": self.out_dir, "workers": int(self.workers),
+            "out_dir": self.out_dir,
         }
 
     def canonical_json(self) -> str:
         payload = self.to_mapping()
-        payload.pop("out_dir")          # location and parallelism do not
-        payload.pop("workers")          # affect the data products
+        payload.pop("out_dir")          # location does not affect the data products
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
@@ -266,21 +268,49 @@ def _atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def run(config: ExperimentConfig, out_dir=None, workers: int | None = None) -> RunRecord:
-    """Execute every (size, seed) cell and persist artifacts atomically.
+#: The stages a run computes per cell.  ``potential`` reads the spectrum
+#: task's matrix and eigenvalues, so it needs ``spectrum``.
+STAGES = ("spectrum", "potential", "grushin")
 
-    Every cell is a spectrum task (eigenvalues, disk counts, potential) and,
-    when perturbed, a Grushin task (``||G||`` once, then the split at each
-    Grushin probe).  Each task draws its own copy of the cell's noise, so no
-    per-cell matrix exists outside a running task.  All tasks share one
-    thread pool with one thread per usable CPU while every loaded OpenBLAS is
-    pinned to one thread (restored afterwards); without a pinnable OpenBLAS
-    the tasks run one at a time and BLAS keeps its own threads.  ``workers``
-    is accepted for compatibility and does not change execution.
+
+@dataclass(frozen=True)
+class _Setup:
+    """Run-wide inputs that every stage task reads; built once, before the tasks."""
+
+    out: Path
+    matrices: dict                      # N -> ToeplitzMatrix
+    schedule: PerturbationSchedule
+    grid: QuadratureGrid
+    radii: np.ndarray
+    prediction: WeylPrediction | None   # None without the spectrum stage
+    probes: np.ndarray | None           # None without the potential stage
+    u_lim: np.ndarray | None
+    grushin_probes: list
+    rho: float
+
+
+def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> RunRecord:
+    """Run the selected stages of every (size, seed) cell; persist artifacts atomically.
+
+    ``stages`` is a subset of :data:`STAGES`.  The spectrum stage of a cell
+    is one task (eigenvalues and disk counts, plus the potential when that
+    stage is selected); the Grushin stage of a perturbed cell is a second
+    task (``||G||`` once, then the split at each Grushin probe).  Each task
+    draws its own copy of the cell's noise, so no per-cell matrix exists
+    outside a running task.  All tasks share one thread pool with one thread
+    per usable CPU while every loaded OpenBLAS is pinned to one thread
+    (restored afterwards); without a pinnable OpenBLAS the tasks run one at
+    a time and BLAS keeps its own threads.  ``workers`` is ignored; it is
+    kept so that callers passing it positionally, such as the benchmark's
+    ``perfbench/child.py``, keep working.
 
     A failing task records its cell's error in the manifest and never
     disturbs sibling cells.
     """
+    stages = set(stages)
+    if not stages <= set(STAGES) or ("potential" in stages and "spectrum" not in stages):
+        raise ValueError(f"stages must be a subset of {STAGES}, with 'potential' only "
+                         f"beside 'spectrum'; got {sorted(stages)}")
     t_start = time.time()
     out = Path(out_dir or config.out_dir or "runs")
     out.mkdir(parents=True, exist_ok=True)
@@ -288,85 +318,37 @@ def run(config: ExperimentConfig, out_dir=None, workers: int | None = None) -> R
     validation = config.validate()
     f = config.symbol_spec()
     space = make_phase_space(config.space)
-    schedule = config.schedule()
     radii = config.radii_grid()
-    probes = config.probe_points(f, space)
-    grushin_probes = [complex(re, im) for re, im in config.grushin_probes]
     grid = liouville_quadrature(space, config.resolution)
-
-    prepared = {}
-    for N in sorted({int(n) for n in list(config.n_values) + list(config.unperturbed_sizes)}):
-        T = quantize_symbol(f, N)
-        prediction = weyl_predict(f, space, DiskFamily(0.0, tuple(radii)),
-                                  resolution=config.resolution)
-        prepared[N] = (T, prediction)
-    u_lim = limit_potential_many(f, space, probes, grid)
 
     cells = [("unperturbed", int(N), None) for N in config.unperturbed_sizes]
     cells += [("perturbed", int(N), int(seed)) for N in config.n_values for seed in config.seeds]
+    tasks = [(cell, _spectrum_task) for cell in cells if "spectrum" in stages]
+    tasks += [(cell, _grushin_task) for cell in cells
+              if "grushin" in stages and cell[0] == "perturbed"]
 
-    def noise(N, seed):
-        return sample_ginibre(prepared[N][0].dim, derive_seed(seed, "cell", N))
+    probes = config.probe_points(f, space) if "potential" in stages else None
+    setup = _Setup(
+        out=out,
+        matrices={N: quantize_symbol(f, N) for N in sorted({cell[1] for cell, _ in tasks})},
+        schedule=config.schedule(),
+        grid=grid,
+        radii=radii,
+        prediction=(weyl_predict(f, space, DiskFamily(0.0, tuple(radii)), grid)
+                    if "spectrum" in stages else None),
+        probes=probes,
+        u_lim=None if probes is None else limit_potential_many(f, space, probes, grid),
+        grushin_probes=[complex(re, im) for re, im in config.grushin_probes],
+        rho=config.rho,
+    )
 
-    def spectrum_task(kind, N, seed):
-        T, prediction = prepared[N]
-        name = _cell_name((kind, N, seed))
-        files = {}
-
-        if kind == "unperturbed":
-            M = T.entries
-        else:
-            M = noise(N, seed).entries      # M = T + delta G, built over this task's G
-            M *= schedule.rule(N)
-            M += T.entries
-
-        lam = np.linalg.eigvals(M)
-        spec = SpectrumResult(lam, source=name)
-        files["spectrum"] = _emit(out, f"eig_{name}.csv", spectrum_csv_rows(spec))
-
-        emp = empirical_cdf_disks(spec, 0.0, radii)
-        rows = ["r,empirical,predicted"]
-        rows += [f"{float(r)!r},{float(e)!r},{float(p)!r}"
-                 for r, e, p in zip(radii, emp, prediction.fractions)]
-        files["cdf"] = _emit(out, f"cdf_{name}.csv", rows)
-
-        rows = ["z_re,z_im,N,seed,U_emp,U_lim,deviation"]
-        seed_label = -1 if seed is None else seed
-        u_emp, kept, health = potential_from_spectrum(M, lam, probes)
-        for z, ue, ul in zip(probes[kept], u_emp[kept], u_lim[kept]):
-            dev = abs(ue - ul) if np.isfinite(ue) else float("nan")
-            rows.append(f"{float(z.real)!r},{float(z.imag)!r},{N},{seed_label},"
-                        f"{float(ue)!r},{float(ul)!r},{float(dev)!r}")
-        files["potential"] = _emit(out, f"pot_{name}.csv", rows)
-        health["max_abs_eig"] = float(np.max(np.abs(lam)))
-        return files, health
-
-    def grushin_task(kind, N, seed):
-        T, _ = prepared[N]
-        delta = schedule.rule(N)
-        G = noise(N, seed)
-        g_norm = operator_norm(G.entries)
-        diags = [b_diagnostics(T, z, config.rho, delta, G, grid, seed=seed, g_norm=g_norm)
-                 for z in grushin_probes]
-        rows = [DIAGNOSTICS_CSV_HEADER] + [diag.csv_row(N) for diag in diags]
-        files = {"diagnostics": _emit(out, f"diag_{_cell_name((kind, N, seed))}.csv", rows)}
-        health = {
-            # np.max, not max: a nan residual must surface, not vanish by order
-            "schur_residual_max": float(np.max([d.schur_residual for d in diags], initial=0.0)),
-            "bordered_condition_max": float(np.max([d.condition for d in diags], initial=0.0)),
-            "grushin_flagged_probes": sum(1 for d in diags if d.flags),
-        }
-        return files, health
-
-    tasks = [(cell, spectrum_task) for cell in cells]
-    tasks += [(cell, grushin_task) for cell in cells if cell[0] == "perturbed"]
     cell_files: dict = {}
     cell_health: dict = {}
     failures: dict = {}
     with _pinned_blas() as pinned:
         pool_size = _usable_cpus() if pinned else 1
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            futures = [(_cell_name(cell), pool.submit(task, *cell)) for cell, task in tasks]
+            futures = [(_cell_name(cell), pool.submit(task, setup, *cell)) for cell, task in tasks]
             for name, fut in futures:
                 try:
                     task_files, task_health = fut.result()
@@ -397,6 +379,66 @@ def run(config: ExperimentConfig, out_dir=None, workers: int | None = None) -> R
     manifest_path = out / "manifest.json"
     _atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
     return RunRecord(str(out), manifest["config_hash"], manifest, str(manifest_path))
+
+
+def _cell_noise(T: ToeplitzMatrix, seed: int):
+    """The cell's Ginibre matrix; every task of the cell draws the same one."""
+    return sample_ginibre(T.dim, derive_seed(seed, "cell", T.N))
+
+
+def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
+    """Spectrum stage of one cell, plus its potential when that stage is selected."""
+    T = setup.matrices[N]
+    name = _cell_name((kind, N, seed))
+    if kind == "unperturbed":
+        M = T.entries
+    else:
+        M = _cell_noise(T, seed).entries     # M = T + delta G, built over this task's G
+        M *= setup.schedule.rule(N)
+        M += T.entries
+
+    lam = np.linalg.eigvals(M)
+    spec = SpectrumResult(lam, source=name)
+    files = {"spectrum": _emit(setup.out, f"eig_{name}.csv", spectrum_csv_rows(spec))}
+
+    emp = empirical_cdf_disks(spec, 0.0, setup.radii)
+    rows = ["r,empirical,predicted"]
+    rows += [f"{float(r)!r},{float(e)!r},{float(p)!r}"
+             for r, e, p in zip(setup.radii, emp, setup.prediction.fractions)]
+    files["cdf"] = _emit(setup.out, f"cdf_{name}.csv", rows)
+    health = {"max_abs_eig": float(np.max(np.abs(lam)))}
+    if setup.probes is None:
+        return files, health
+
+    rows = ["z_re,z_im,N,seed,U_emp,U_lim,deviation"]
+    seed_label = -1 if seed is None else seed
+    u_emp, kept, potential_health = potential_from_spectrum(M, lam, setup.probes)
+    for z, ue, ul in zip(setup.probes[kept], u_emp[kept], setup.u_lim[kept]):
+        dev = abs(ue - ul) if np.isfinite(ue) else float("nan")
+        rows.append(f"{float(z.real)!r},{float(z.imag)!r},{N},{seed_label},"
+                    f"{float(ue)!r},{float(ul)!r},{float(dev)!r}")
+    files["potential"] = _emit(setup.out, f"pot_{name}.csv", rows)
+    health.update(potential_health)
+    return files, health
+
+
+def _grushin_task(setup: _Setup, kind: str, N: int, seed: int):
+    """Grushin stage of one perturbed cell: the split at each Grushin probe, in order."""
+    T = setup.matrices[N]
+    delta = setup.schedule.rule(N)
+    G = _cell_noise(T, seed)
+    g_norm = operator_norm(G.entries)
+    diags = [b_diagnostics(T, z, setup.rho, delta, G, setup.grid, seed=seed, g_norm=g_norm)
+             for z in setup.grushin_probes]
+    rows = [DIAGNOSTICS_CSV_HEADER] + [diag.csv_row(N) for diag in diags]
+    files = {"diagnostics": _emit(setup.out, f"diag_{_cell_name((kind, N, seed))}.csv", rows)}
+    health = {
+        # np.max, not max: a nan residual must surface, not vanish by order
+        "schur_residual_max": float(np.max([d.schur_residual for d in diags], initial=0.0)),
+        "bordered_condition_max": float(np.max([d.condition for d in diags], initial=0.0)),
+        "grushin_flagged_probes": sum(1 for d in diags if d.flags),
+    }
+    return files, health
 
 
 # ---------------------------------------------------------------------------

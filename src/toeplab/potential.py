@@ -2,8 +2,8 @@
 
 The empirical potential of a perturbed quantization at a probe ``z`` is
 ``log|det(T + delta G - z)| / dim``; the classical potential is the
-volume-normalized integral of ``log|z - f0|``.  The sweep drives both across
-a probe grid and a ladder of matrix sizes and reports per-probe deviations.
+volume-normalized integral of ``log|z - f0|``.  A run's potential stage
+evaluates both over the probe grid of every cell (``harness.run``).
 
 Over a probe grid the empirical potential is read off the cell's spectrum,
 ``sum log|lambda_i - z| / dim``, with ``slogdet`` on a few probes as an
@@ -11,8 +11,6 @@ in-run cross-check (see :func:`potential_from_spectrum`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +21,6 @@ from .geometry import (
     evaluate_symbol_grid,
     liouville_quadrature,
 )
-from .quantize import bergman_dimension, quantize_symbol
-from .randmat import PerturbationSchedule, derive_seed, sample_ginibre
 
 #: Probes closer than this to an eigenvalue are dropped from a realization.
 PROBE_EXCLUSION_RADIUS = 1e-4
@@ -45,17 +41,6 @@ def log_abs_det(M: np.ndarray) -> float:
     if sign == 0:
         return float("-inf")
     return float(value)
-
-
-def empirical_potential(T, G, delta: float, z: complex) -> float:
-    """Normalized log-determinant of the perturbed, shifted quantization."""
-    Tm = T.entries if hasattr(T, "entries") else np.asarray(T)
-    Gm = G.entries if hasattr(G, "entries") else np.asarray(G)
-    if Tm.shape != Gm.shape:
-        raise ValueError(f"matrix shapes differ: {Tm.shape} vs {Gm.shape}")
-    dim = Tm.shape[0]
-    M = Tm + delta * Gm - z * np.eye(dim)
-    return log_abs_det(M) / dim
 
 
 def potential_from_spectrum(M: np.ndarray, lam, probes):
@@ -131,28 +116,6 @@ def limit_potential_many(f: SymbolSpec, space: PhaseSpace, probes,
     return out
 
 
-@dataclass(frozen=True)
-class PotentialField:
-    """Potential values over a probe grid; -inf marks singular probes."""
-
-    z_grid: tuple
-    values: np.ndarray
-    kind: str  # "empirical" | "limit"
-
-
-def empirical_field(T, G, delta: float, z_grid) -> PotentialField:
-    """Empirical potential evaluated over a probe grid."""
-    values = np.array([empirical_potential(T, G, delta, z) for z in z_grid])
-    return PotentialField(tuple(complex(z) for z in z_grid), values, "empirical")
-
-
-def limit_field(f: SymbolSpec, space: PhaseSpace, z_grid,
-                grid: QuadratureGrid | None = None) -> PotentialField:
-    """Classical potential evaluated over a probe grid."""
-    values = limit_potential_many(f, space, list(z_grid), grid)
-    return PotentialField(tuple(complex(z) for z in z_grid), values, "limit")
-
-
 def default_probe_grid(f: SymbolSpec, space: PhaseSpace, nx: int = 41, ny: int = 41) -> np.ndarray:
     """Probe grid on the symbol image's bounding box inflated by 50%."""
     g = liouville_quadrature(space, space.quadrature_default)
@@ -165,70 +128,3 @@ def default_probe_grid(f: SymbolSpec, space: PhaseSpace, nx: int = 41, ny: int =
     xs = np.linspace(cre - hre, cre + hre, nx)
     ys = np.linspace(cim - him, cim + him, ny)
     return (xs[:, None] + 1j * ys[None, :]).ravel()
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Per-(probe, size, seed) potential deviations and their medians.
-
-    ``rows`` are ``(z, N, seed, u_empirical, u_limit, deviation)`` with
-    ``deviation = nan`` on singular probes; those are excluded from medians
-    and counted in ``singular_probes``.  When both potentials already agree
-    within ``floor_tolerance`` the deviation is reported as-is (it simply
-    floors; no significance is implied below the floor).
-    """
-
-    rows: tuple
-    medians_by_size: dict
-    singular_probes: int
-    floor_tolerance: float
-
-    def median_by_probe(self, N: int) -> dict:
-        """Per-probe median deviation over seeds at one size (outlier-robust)."""
-        acc: dict[complex, list] = {}
-        for z, n, _, _, _, dev in self.rows:
-            if n == int(N) and np.isfinite(dev):
-                acc.setdefault(z, []).append(dev)
-        return {z: float(np.median(v)) for z, v in acc.items()}
-
-    def csv_rows(self):
-        yield "z_re,z_im,N,seed,U_emp,U_lim,deviation"
-        for z, N, seed, ue, ul, dev in self.rows:
-            yield (f"{float(z.real)!r},{float(z.imag)!r},{N},{seed},"
-                   f"{float(ue)!r},{float(ul)!r},{float(dev)!r}")
-
-
-def potential_sweep(f: SymbolSpec, space: PhaseSpace, n_values, schedule: PerturbationSchedule,
-                    z_grid=None, seeds=(0,), grid: QuadratureGrid | None = None,
-                    floor_tolerance: float = 1e-12) -> ConvergenceReport:
-    """Deviation |U_empirical - U_limit| across sizes, probes and seeds.
-
-    Probes within :data:`PROBE_EXCLUSION_RADIUS` of a realization's spectrum
-    are dropped for that realization only.
-    """
-    probes = np.asarray(z_grid if z_grid is not None else default_probe_grid(f, space))
-    g = grid or liouville_quadrature(space, space.quadrature_default)
-    u_lim = limit_potential_many(f, space, probes, g)
-
-    rows = []
-    singular = 0
-    devs_by_size: dict[int, list] = {int(N): [] for N in n_values}
-    for N in n_values:
-        N = int(N)
-        T = quantize_symbol(f, N)
-        dim = bergman_dimension(space, N)
-        delta = schedule.rule(N)
-        for seed in seeds:
-            G = sample_ginibre(dim, derive_seed(seed, "potential", N))
-            M = T.entries + delta * G.entries
-            u_emp, kept, _ = potential_from_spectrum(M, np.linalg.eigvals(M), probes)
-            for z, ue, ul in zip(probes[kept], u_emp[kept], u_lim[kept]):
-                if not np.isfinite(ue):
-                    singular += 1
-                    rows.append((complex(z), N, int(seed), float("-inf"), float(ul), float("nan")))
-                    continue
-                dev = abs(float(ue) - float(ul))
-                rows.append((complex(z), N, int(seed), float(ue), float(ul), dev))
-                devs_by_size[N].append(dev)
-    medians = {N: (float(np.median(v)) if v else float("nan")) for N, v in devs_by_size.items()}
-    return ConvergenceReport(tuple(rows), medians, singular, floor_tolerance)

@@ -1,10 +1,10 @@
 """Non-Hermitian spectra, disk counting functions, and the classical prediction.
 
-The empirical side is the uniform probability measure on the eigenvalues of a
-(perturbed) quantization matrix; the classical side is the push-forward of the
-normalized Liouville measure by the principal symbol.  Counting regions are
-families of concentric disks (matching the figure convention) or axis-aligned
-rectangles.
+The empirical side is the fraction of a (perturbed) quantization matrix's
+eigenvalues in each disk of a concentric family (the figure convention); the
+classical side is the push-forward of the normalized Liouville measure by the
+principal symbol, integrated over the same disks on a quadrature grid.
+``match_eigenvalues`` compares two spectra as multisets.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import numpy as np
 
 from .geometry import (
     PhaseSpace,
+    QuadratureGrid,
     SymbolSpec,
     evaluate_symbol_grid,
     liouville_quadrature,
-    sample_points,
 )
 
 
@@ -28,21 +28,6 @@ class SpectrumResult:
 
     eigenvalues: np.ndarray
     source: str
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Uniform probability measure on a spectrum's eigenvalues."""
-
-    atoms: np.ndarray
-
-    @property
-    def weight(self) -> float:
-        return 1.0 / len(self.atoms)
-
-    @classmethod
-    def from_spectrum(cls, spec: SpectrumResult) -> "EmpiricalMeasure":
-        return cls(atoms=spec.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -57,44 +42,17 @@ class DiskFamily:
         if r.size and (np.any(r < 0.0) or np.any(np.diff(r) < 0.0)):
             raise ValueError("disk radii must be nonnegative and ascending")
 
-    def __len__(self):
-        return len(self.radii)
-
     def membership(self, values: np.ndarray) -> np.ndarray:
         d = np.abs(np.asarray(values) - self.center)
         return d[None, :] <= np.asarray(self.radii, dtype=float)[:, None]
 
 
 @dataclass(frozen=True)
-class RectangleFamily:
-    """Axis-aligned rectangles (re_min, re_max, im_min, im_max)."""
-
-    rectangles: tuple
-
-    def __len__(self):
-        return len(self.rectangles)
-
-    def membership(self, values: np.ndarray) -> np.ndarray:
-        v = np.asarray(values)
-        rows = []
-        for (a, b, c, d) in self.rectangles:
-            rows.append((v.real >= a) & (v.real <= b) & (v.imag >= c) & (v.imag <= d))
-        return np.array(rows)
-
-
-@dataclass(frozen=True)
 class WeylPrediction:
-    """Classical fraction mu{f0 in region} / vol per counting region."""
+    """Classical fraction mu{f0 in disk} / vol per disk of a family."""
 
-    regions: object
+    regions: DiskFamily
     fractions: np.ndarray
-    stderr: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class WeylComparison:
-    sup_deviation: float
-    table: tuple  # rows (region index, empirical, predicted, |difference|)
 
 
 # ---------------------------------------------------------------------------
@@ -129,48 +87,21 @@ def empirical_cdf_disks(spec: SpectrumResult, center: complex, radii) -> np.ndar
     return family.membership(spec.eigenvalues).mean(axis=1)
 
 
-def weyl_predict(f: SymbolSpec, space: PhaseSpace, regions,
-                 method: str = "quadrature", resolution: int | None = None,
-                 samples: int = 10**5, seed: int = 0) -> WeylPrediction:
-    """Classical counting prediction for the principal symbol.
+def weyl_predict(f: SymbolSpec, space: PhaseSpace, disks: DiskFamily,
+                 grid: QuadratureGrid | None = None) -> WeylPrediction:
+    """Classical counting prediction for the principal symbol on a disk family.
 
-    ``method="quadrature"`` integrates region indicators on the Liouville
-    grid; ``method="montecarlo"`` uses uniform samples and reports binomial
-    standard errors.
+    Integrates the disk indicators on the Liouville ``grid`` (by default the
+    space's default-resolution grid).
     """
-    if method == "quadrature":
-        grid = liouville_quadrature(space, resolution or space.quadrature_default)
-        vals = evaluate_symbol_grid(f.principal(), grid.points)
-        if isinstance(regions, DiskFamily):
-            # cumulative weights over sorted distances: exactly monotone in r
-            dist = np.abs(vals - regions.center)
-            order = np.argsort(dist)
-            cum = np.concatenate([[0.0], np.cumsum(grid.weights[order])])
-            idx = np.searchsorted(dist[order], np.asarray(regions.radii, dtype=float),
-                                  side="right")
-            fractions = cum[idx] / space.volume
-        else:
-            fractions = regions.membership(vals) @ grid.weights / space.volume
-        return WeylPrediction(regions, fractions, None)
-    if method == "montecarlo":
-        pts = sample_points(space, samples, seed)
-        vals = evaluate_symbol_grid(f.principal(), pts)
-        inside = regions.membership(vals)
-        fractions = inside.mean(axis=1)
-        stderr = np.sqrt(fractions * (1.0 - fractions) / samples)
-        return WeylPrediction(regions, fractions, stderr)
-    raise ValueError(f"unknown prediction method {method!r}")
-
-
-def weyl_compare(empirical, predicted: WeylPrediction) -> WeylComparison:
-    """Sup deviation between empirical fractions and the prediction."""
-    emp = np.asarray(empirical, dtype=float)
-    pred = np.asarray(predicted.fractions, dtype=float)
-    if emp.shape != pred.shape:
-        raise ValueError(f"region families do not match: {emp.shape} vs {pred.shape}")
-    diff = np.abs(emp - pred)
-    table = tuple((i, float(emp[i]), float(pred[i]), float(diff[i])) for i in range(len(emp)))
-    return WeylComparison(float(diff.max(initial=0.0)), table)
+    grid = grid or liouville_quadrature(space, space.quadrature_default)
+    vals = evaluate_symbol_grid(f.principal(), grid.points)
+    # cumulative weights over sorted distances: exactly monotone in r
+    dist = np.abs(vals - disks.center)
+    order = np.argsort(dist)
+    cum = np.concatenate([[0.0], np.cumsum(grid.weights[order])])
+    idx = np.searchsorted(dist[order], np.asarray(disks.radii, dtype=float), side="right")
+    return WeylPrediction(disks, cum[idx] / space.volume)
 
 
 def match_eigenvalues(a, b) -> float:

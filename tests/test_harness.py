@@ -77,8 +77,8 @@ class TestConfig:
         assert 0.0 < out["kappa_hat"] <= 1.0
 
     def test_hash_ignores_location_and_workers(self):
-        a = tiny_config(out_dir="x", workers=1)
-        b = tiny_config(out_dir="y", workers=8)
+        a = tiny_config(out_dir="x")
+        b = tiny_config(out_dir="y")
         assert a.config_hash() == b.config_hash()
         c = tiny_config(seeds=[5])
         assert a.config_hash() != c.config_hash()
@@ -176,6 +176,11 @@ class TestRun:
         assert report.criteria["weyl_deviation"]["status"] == "skipped"
         assert report.criteria["potential_median"]["status"] == "skipped"
         assert report.criteria["b3_negative"]["status"] in ("pass", "fail")
+
+    def test_unknown_or_incomplete_stages_rejected(self, tmp_path):
+        for stages in (("potential",), ("spectrum", "timings")):
+            with pytest.raises(ValueError, match="stages"):
+                run(tiny_config(), out_dir=tmp_path, stages=stages)
 
     def test_crash_isolation(self, tmp_path, monkeypatch):
         import toeplab.harness as hz
@@ -329,8 +334,8 @@ def _csv_values(path: Path) -> np.ndarray:
 
 
 class TestCli:
-    def _write_config(self, tmp_path):
-        cfg = tiny_config(n_values=[16], seeds=[0], kappa_samples=10**4)
+    def _write_config(self, tmp_path, **overrides):
+        cfg = tiny_config(n_values=[16], seeds=[0], kappa_samples=10**4, **overrides)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg.to_mapping()))
         return path
@@ -359,6 +364,28 @@ class TestCli:
         assert cli_main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "eig_N16_s0.csv").read_text().strip().splitlines()
         assert lines[0] == "re,im" and len(lines) == 18
+
+    def test_stage_verbs_match_run(self, tmp_path, capsys):
+        # each stage verb is run restricted to its stages: same CSV bytes, own manifest
+        cfg = self._write_config(tmp_path, unperturbed_sizes=[10])
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        expected = {
+            "spectrum": ["cdf_N10_unperturbed.csv", "cdf_N16_s0.csv",
+                         "eig_N10_unperturbed.csv", "eig_N16_s0.csv"],
+            "potential": ["cdf_N10_unperturbed.csv", "cdf_N16_s0.csv",
+                          "eig_N10_unperturbed.csv", "eig_N16_s0.csv",
+                          "pot_N10_unperturbed.csv", "pot_N16_s0.csv"],
+            "grushin": ["diag_N16_s0.csv"],
+        }
+        for verb, names in expected.items():
+            out = tmp_path / verb
+            assert cli_main([verb, "--config", str(cfg), "--out", str(out)]) == 0
+            assert sorted(p.name for p in out.glob("*.csv")) == names, verb
+            for name in names:
+                assert (out / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+            capsys.readouterr()
+            assert cli_main(["verify", str(out), "--suite", "integrity"]) == 0, verb
+            assert json.loads(capsys.readouterr().out)["passed"] is True
 
     def test_kappa_verb(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)

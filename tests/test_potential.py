@@ -6,17 +6,13 @@ from toeplab.potential import (
     LOGDET_CHECK_BOUND,
     PROBE_EXCLUSION_RADIUS,
     default_probe_grid,
-    empirical_field,
-    empirical_potential,
-    limit_field,
     limit_potential,
     limit_potential_many,
     log_abs_det,
     potential_from_spectrum,
-    potential_sweep,
 )
 from toeplab.quantize import quantize_sphere, quantize_symbol
-from toeplab.randmat import PerturbationSchedule, sample_ginibre
+from toeplab.randmat import sample_ginibre
 from toeplab.spectra import eigenvalues
 
 SPHERE = make_phase_space("sphere")
@@ -40,33 +36,6 @@ class TestLogAbsDet:
         M = np.eye(4)
         M[2] = 0.0
         assert log_abs_det(M) == -np.inf
-
-
-class TestEmpiricalPotential:
-    def test_scalar_case(self):
-        T = np.zeros((1, 1))
-        G = np.zeros((1, 1))
-        z = 0.3 + 0.4j
-        assert empirical_potential(T, G, 0.0, z) == pytest.approx(np.log(abs(z)))
-
-    def test_identity_at_origin(self):
-        assert empirical_potential(np.eye(3), np.zeros((3, 3)), 0.0, 0.0) == pytest.approx(0.0)
-
-    def test_matches_eigenvalue_route(self):
-        # oracle: |det(M - z)| equals the product of |lambda_i - z|
-        T = quantize_sphere(sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0}), 40)
-        G = sample_ginibre(41, 9)
-        delta = 1.0 / 40
-        z = 0.4 + 0.3j
-        lam = eigenvalues(T.entries + delta * G.entries).eigenvalues
-        assert np.min(np.abs(lam - z)) > 1e-6
-        via_eig = np.mean(np.log(np.abs(z - lam)))
-        via_det = empirical_potential(T, G, delta, z)
-        assert via_det == pytest.approx(via_eig, abs=1e-8)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            empirical_potential(np.eye(3), np.eye(4), 0.1, 0.0)
 
 
 class TestPotentialFromSpectrum:
@@ -170,70 +139,8 @@ class TestLimitPotential:
         assert abs(laplacian) < 5e-5  # h^2-order stencil error
 
 
-class TestFields:
-    def test_empirical_field_matches_eigenvalue_route(self):
-        # field invariant: values equal the normalized sum of log distances
-        # to the eigenvalues wherever no eigenvalue sits near the probe
-        T = quantize_sphere(sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0}), 30)
-        G = sample_ginibre(31, 4)
-        delta = 1.0 / 30
-        probes = [0.3 + 0.2j, 1.5, -2.0j]
-        lam = eigenvalues(T.entries + delta * G.entries).eigenvalues
-        assert min(np.min(np.abs(lam - z)) for z in probes) > 1e-6
-        field = empirical_field(T, G, delta, probes)
-        assert field.kind == "empirical"
-        for z, v in zip(field.z_grid, field.values):
-            assert v == pytest.approx(np.mean(np.log(np.abs(z - lam))), abs=1e-8)
-
-    def test_limit_field(self):
-        field = limit_field(X3, SPHERE, [2.0, 3.0])
-        assert field.kind == "limit"
-        assert field.values[0] == pytest.approx((3 * np.log(3.0) - 2.0) / 2.0, abs=1e-9)
-
-
-class TestSweep:
-    def test_deviation_decays_with_size(self):
-        f = sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0})
-        schedule = PerturbationSchedule.weyl(d=1)
-        probes = [0.3 + 0.2j, -0.4 + 0.1j, 1.6 + 0.4j]
-        report = potential_sweep(f, SPHERE, [40, 120], schedule, z_grid=probes, seeds=(0, 1))
-        assert report.medians_by_size[120] < report.medians_by_size[40]
-        assert report.singular_probes == 0
-        per_probe = report.median_by_probe(120)
-        assert set(per_probe) == set(complex(z) for z in probes)
-        assert all(np.isfinite(v) for v in per_probe.values())
-
-    def test_floor_reporting_contract(self):
-        # constant symbol, delta = 0: both potentials equal log|z - c| at
-        # every size, so deviations floor near machine precision and doubling
-        # the size is reported as-is rather than inventing decay
-        f = sphere_symbol({(0, 0, 0): 0.25})
-        schedule = PerturbationSchedule(0.25, 0.5, 1, rule=type(
-            "Zero", (), {"__call__": lambda self, N: 0.0, "describe": lambda self: "0"})())
-        report = potential_sweep(f, SPHERE, [30, 60], schedule, z_grid=[5.0 + 3.0j], seeds=(0,))
-        devs = [r[5] for r in report.rows]
-        assert len(devs) == 2
-        assert all(d < 1e-12 for d in devs)
-
-    def test_probe_exclusion_near_spectrum(self):
-        # a probe placed exactly on an eigenvalue is dropped per realization
-        f = X3
-        T = quantize_sphere(f, 30)
-        lam0 = float(np.real(np.diag(T.entries)[0]))
-        schedule = PerturbationSchedule(0.25, 0.5, 1, rule=type(
-            "Zero", (), {"__call__": lambda self, N: 0.0, "describe": lambda self: "0"})())
-        report = potential_sweep(f, SPHERE, [30], schedule, z_grid=[lam0, 7.0], seeds=(0,))
-        assert len(report.rows) == 1  # only the far probe survives
-
+class TestProbeGrid:
     def test_default_probe_grid_inflates_image_box(self):
         probes = default_probe_grid(X3, SPHERE, nx=11, ny=11)
         assert len(probes) == 121
         assert probes.real.min() < -1.2 and probes.real.max() > 1.2
-
-    def test_csv_rows(self):
-        f = X3
-        schedule = PerturbationSchedule.weyl(d=1)
-        report = potential_sweep(f, SPHERE, [30], schedule, z_grid=[2.0], seeds=(0,))
-        rows = list(report.csv_rows())
-        assert rows[0] == "z_re,z_im,N,seed,U_emp,U_lim,deviation"
-        assert len(rows) == 2

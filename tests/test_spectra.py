@@ -3,19 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toeplab.geometry import make_phase_space, scottish_flag_symbol, sphere_symbol, sup_abs
+from toeplab.geometry import (
+    liouville_quadrature,
+    make_phase_space,
+    scottish_flag_symbol,
+    sphere_symbol,
+    sup_abs,
+)
 from toeplab.quantize import quantize_torus
 from toeplab.randmat import operator_norm, sample_ginibre
 from toeplab.spectra import (
     DiskFamily,
-    EmpiricalMeasure,
-    RectangleFamily,
     SpectrumResult,
     eigenvalues,
     empirical_cdf_disks,
     match_eigenvalues,
     spectrum_csv_rows,
-    weyl_compare,
     weyl_predict,
 )
 
@@ -74,11 +77,6 @@ class TestEigenvalues:
         b = eigenvalues(U.conj().T @ M @ U).eigenvalues
         assert match_eigenvalues(a, b) < 1e-8
 
-    def test_empirical_measure_mass(self):
-        spec = eigenvalues(np.diag([1.0, 2.0]))
-        mu = EmpiricalMeasure.from_spectrum(spec)
-        assert mu.weight * len(mu.atoms) == pytest.approx(1.0)
-
 
 class TestCdfDisks:
     def test_single_atom(self):
@@ -113,22 +111,9 @@ class TestWeylPredict:
         pred = weyl_predict(f, SPHERE, DiskFamily(0.0, tuple(radii)))
         closed = 1.0 - np.sqrt(1.0 - radii**2)
         np.testing.assert_allclose(pred.fractions, closed, atol=8e-3)
-        fine = weyl_predict(f, SPHERE, DiskFamily(0.0, tuple(radii)), resolution=800)
+        fine = weyl_predict(f, SPHERE, DiskFamily(0.0, tuple(radii)),
+                            liouville_quadrature(SPHERE, 800))
         assert np.max(np.abs(fine.fractions - closed)) < np.max(np.abs(pred.fractions - closed))
-
-    def test_disk_montecarlo_matches(self):
-        f = sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0})
-        radii = (0.3, 0.6, 0.9)
-        pred = weyl_predict(f, SPHERE, DiskFamily(0.0, radii), method="montecarlo",
-                            samples=200_000, seed=8)
-        closed = 1.0 - np.sqrt(1.0 - np.asarray(radii) ** 2)
-        assert np.all(np.abs(pred.fractions - closed) <= 5 * pred.stderr + 1e-4)
-
-    def test_real_symbol_thin_rectangle(self):
-        f = sphere_symbol({(0, 0, 1): 1.0})
-        regions = RectangleFamily(((-1.0, 1.0, -1e-6, 1e-6),))
-        pred = weyl_predict(f, SPHERE, regions)
-        assert pred.fractions[0] == pytest.approx(1.0)
 
     def test_constant_symbol_disk_around_value(self):
         f = sphere_symbol({(0, 0, 0): 0.7 + 0.2j})
@@ -141,24 +126,6 @@ class TestWeylPredict:
         pred = weyl_predict(f, torus, DiskFamily(0.0, tuple(np.linspace(0, 2, 21))))
         assert np.all(np.diff(pred.fractions) >= 0.0)
         assert np.all((pred.fractions >= 0.0) & (pred.fractions <= 1.0))
-
-
-class TestWeylCompare:
-    def test_identical_is_zero(self):
-        pred = weyl_predict(sphere_symbol({(0, 0, 1): 1.0}), SPHERE, DiskFamily(0.0, (0.5, 1.0)))
-        cmp = weyl_compare(pred.fractions, pred)
-        assert cmp.sup_deviation == 0.0
-
-    def test_simple_difference(self):
-        pred = weyl_predict(sphere_symbol({(0, 0, 0): 1.0}), SPHERE, DiskFamily(1.0, (0.1,)))
-        cmp = weyl_compare(np.array([0.9]), pred)
-        assert cmp.sup_deviation == pytest.approx(0.1)
-        assert len(cmp.table) == 1
-
-    def test_mismatched_regions(self):
-        pred = weyl_predict(sphere_symbol({(0, 0, 0): 1.0}), SPHERE, DiskFamily(1.0, (0.1,)))
-        with pytest.raises(ValueError, match="do not match"):
-            weyl_compare(np.array([0.9, 0.8]), pred)
 
 
 class TestSpectralSupport:
