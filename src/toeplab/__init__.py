@@ -44,9 +44,6 @@ from .randmat import (
 )
 from .spectra import (
     DiskFamily,
-    SpectrumResult,
-    WeylPrediction,
-    eigenvalues,
     empirical_cdf_disks,
     weyl_predict,
 )

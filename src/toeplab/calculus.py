@@ -46,11 +46,6 @@ class ResidualCurve:
                 out.append((N, lookup[2 * N] / lookup[N]))
         return out
 
-    def csv_rows(self):
-        yield "N,residual"
-        for N, r in zip(self.n_values, self.residuals):
-            yield f"{N},{float(r)!r}"
-
 
 def _fit_curve(n_values, residuals) -> ResidualCurve:
     ns = np.asarray(n_values, dtype=float)

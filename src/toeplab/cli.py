@@ -16,10 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .geometry import estimate_kappa
 from .harness import STAGES, ExperimentConfig, preset_config, run as run_experiment, verify as verify_run
 from .quantize import quantize_symbol, save_matrix
 
@@ -79,8 +76,8 @@ def main(argv=None) -> int:
                           "errors": record.manifest["errors"]}, indent=2))
         return 0 if not record.manifest["errors"] else 1
 
-    f = cfg.symbol_spec()
     if args.verb == "quantize":
+        f = cfg.symbol_spec()
         out = Path(cfg.out_dir or "runs")
         out.mkdir(parents=True, exist_ok=True)
         for N in cfg.n_values:
@@ -91,10 +88,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.verb == "kappa":
-        seed = cfg.seeds[0] if cfg.seeds else 0
-        from .harness import _kappa_probes
-        est = estimate_kappa(f, _kappa_probes(f, cfg.space), max(cfg.kappa_samples, 10**4),
-                             np.logspace(-3, -1, 7), seed=seed)
+        est = cfg.kappa_estimate()
         print(json.dumps({
             "kappa": est.kappa,
             "fits": [{"z": [z.real, z.imag], "slope": s, "rms": r, "bins": b}

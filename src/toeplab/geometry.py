@@ -68,11 +68,6 @@ class SymbolSpec:
         """The N-independent part of the expansion."""
         return SymbolSpec(self.kind, dict(self.terms), ())
 
-    def max_mode(self) -> int:
-        """Largest exponent magnitude appearing in any term."""
-        exps = [abs(e) for t in self._all_terms() for e in t]
-        return max(exps, default=0)
-
     def total_degree(self) -> int:
         """Largest total degree over all terms (sphere polynomials)."""
         return max((sum(t) for t in self._all_terms()), default=0)
@@ -210,13 +205,6 @@ def symbol_product(f: SymbolSpec, g: SymbolSpec) -> SymbolSpec:
     return _from_orders(f.kind, orders)
 
 
-def symbol_scale(f: SymbolSpec, c: complex) -> SymbolSpec:
-    orders = {0: {e: c * v for e, v in f.terms.items()}}
-    for j, terms in f.corrections:
-        orders[j] = {e: c * v for e, v in terms.items()}
-    return _from_orders(f.kind, orders)
-
-
 def constant_symbol(kind: str, value: complex) -> SymbolSpec:
     exps = (0, 0) if kind == TORUS else (0, 0, 0)
     maker = torus_symbol if kind == TORUS else sphere_symbol
@@ -304,7 +292,6 @@ class RegularityEstimate:
     """
 
     kappa: float
-    probe_points: tuple
     fit_diagnostics: tuple
     skipped: tuple
 
@@ -347,7 +334,6 @@ def estimate_kappa(f: SymbolSpec, z_grid, samples: int, t_grid, seed: int = 0) -
         raise ValueError(f"estimate_kappa: nonpositive fitted exponent {kappa:g}")
     return RegularityEstimate(
         kappa=min(1.0, float(kappa)),
-        probe_points=tuple(complex(z) for z in z_grid),
         fit_diagnostics=tuple(diagnostics),
         skipped=tuple(skipped),
     )

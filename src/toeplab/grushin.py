@@ -325,19 +325,6 @@ class SplitDiagnostics:
     condition: float
     flags: tuple
 
-    def total(self) -> float:
-        return self.b1 + self.b2 + self.b3
-
-    def small_count_rate_ratio(self, N: int, kappa: float) -> float:
-        """Coupling count against its predicted growth scale.
-
-        Returns ``n_small / N^(1 - min(2 rho kappa, 1 - 2 rho))`` (complex
-        dimension 1).  The implied constant is not asserted; the ratio is a
-        diagnostic to be tracked across sizes.
-        """
-        rate = 1.0 - min(2.0 * self.rho * kappa, 1.0 - 2.0 * self.rho)
-        return self.n_small / float(N) ** rate
-
     def csv_row(self, N: int) -> str:
         f = lambda x: repr(float(x))
         return ",".join([
@@ -480,8 +467,7 @@ def small_eigen_count_scan(f: SymbolSpec, space: PhaseSpace, z: complex, rho: fl
         N = int(N)
         T = quantize_symbol(f, N)
         t = np.linalg.svd(T.entries - complex(z) * np.eye(T.dim), compute_uv=False)
-        alpha = float(N) ** (-2.0 * rho)
-        counts.append(int(np.sum(t**2 <= alpha)))
+        counts.append(_params_of_values(N, rho, t).n_small)
     ns = np.asarray([int(N) for N in n_values], dtype=float)
     cs = np.asarray(counts, dtype=float)
     mask = cs >= 1

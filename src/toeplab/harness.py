@@ -26,7 +26,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__
 from .geometry import (
     QuadratureGrid,
+    RegularityEstimate,
     estimate_kappa,
     evaluate_symbol_grid,
     liouville_quadrature,
@@ -48,19 +49,11 @@ from .potential import limit_potential_many, potential_from_spectrum
 from .quantize import ToeplitzMatrix, quantize_symbol
 from .randmat import (DeltaRule, PerturbationSchedule, ScheduleError, delta_window, derive_seed,
                       operator_norm, sample_ginibre)
-from .spectra import (DiskFamily, SpectrumResult, WeylPrediction, empirical_cdf_disks,
-                      spectrum_csv_rows, weyl_predict)
+from .spectra import DiskFamily, empirical_cdf_disks, spectrum_csv_rows, weyl_predict
 
 
 class ConfigError(ValueError):
     """An experiment configuration failed validation."""
-
-
-_CONFIG_KEYS = {
-    "space", "symbol", "n_values", "unperturbed_sizes", "delta", "epsilon", "rho",
-    "gamma", "c_exponent", "seeds", "probe_grid", "radii", "grushin_probes",
-    "resolution", "kappa_hat", "kappa_samples", "out_dir",
-}
 
 
 @dataclass
@@ -87,7 +80,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - _CONFIG_KEYS
+        unknown = set(data) - {fld.name for fld in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
         missing = {"space", "symbol", "n_values", "delta"} - set(data)
@@ -152,6 +145,16 @@ class ExperimentConfig:
         return default_probe_grid(f, space, int(self.probe_grid.get("nx", 41)),
                                   int(self.probe_grid.get("ny", 41)))
 
+    def kappa_estimate(self) -> RegularityEstimate:
+        """The sublevel-set exponent fit that :meth:`validate` uses without a ``kappa_hat``.
+
+        Its seed comes from the configuration hash, so every run and the
+        ``kappa`` verb of one configuration fit the same samples.
+        """
+        f = self.symbol_spec()
+        return estimate_kappa(f, _kappa_probes(f, self.space), max(self.kappa_samples, 10**4),
+                              np.logspace(-3, -1, 7), seed=derive_seed("kappa", self.config_hash()))
+
     def validate(self) -> dict:
         """Hard-check the parameter schedule; returns {kappa_hat, warnings}."""
         if not self.n_values:
@@ -161,13 +164,10 @@ class ExperimentConfig:
         if not (0.0 < self.rho < min(0.5, self.epsilon)):
             raise ConfigError(
                 f"rho={self.rho} outside (0, min(1/2, epsilon)) = (0, {min(0.5, self.epsilon)})")
-        f = self.symbol_spec()
+        self.symbol_spec()              # rejects a symbol of another space
         kappa = self.kappa_hat
         if kappa is None:
-            probes = _kappa_probes(f, self.space)
-            est = estimate_kappa(f, probes, max(self.kappa_samples, 10**4),
-                                 np.logspace(-3, -1, 7), seed=derive_seed("kappa", self.config_hash()))
-            kappa = est.kappa
+            kappa = self.kappa_estimate().kappa
         gamma_cap = min(self.epsilon - self.rho, 2.0 * self.rho * kappa, 1.0 - 2.0 * self.rho)
         if not (0.0 < self.gamma < gamma_cap):
             raise ConfigError(
@@ -282,7 +282,7 @@ class _Setup:
     schedule: PerturbationSchedule
     grid: QuadratureGrid
     radii: np.ndarray
-    prediction: WeylPrediction | None   # None without the spectrum stage
+    predicted: np.ndarray | None        # None without the spectrum stage
     probes: np.ndarray | None           # None without the potential stage
     u_lim: np.ndarray | None
     grushin_probes: list
@@ -334,8 +334,8 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
         schedule=config.schedule(),
         grid=grid,
         radii=radii,
-        prediction=(weyl_predict(f, space, DiskFamily(0.0, tuple(radii)), grid)
-                    if "spectrum" in stages else None),
+        predicted=(weyl_predict(f, space, DiskFamily(0.0, tuple(radii)), grid)
+                   if "spectrum" in stages else None),
         probes=probes,
         u_lim=None if probes is None else limit_potential_many(f, space, probes, grid),
         grushin_probes=[complex(re, im) for re, im in config.grushin_probes],
@@ -398,13 +398,12 @@ def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
         M += T.entries
 
     lam = np.linalg.eigvals(M)
-    spec = SpectrumResult(lam, source=name)
-    files = {"spectrum": _emit(setup.out, f"eig_{name}.csv", spectrum_csv_rows(spec))}
+    files = {"spectrum": _emit(setup.out, f"eig_{name}.csv", spectrum_csv_rows(lam))}
 
-    emp = empirical_cdf_disks(spec, 0.0, setup.radii)
+    emp = empirical_cdf_disks(lam, 0.0, setup.radii)
     rows = ["r,empirical,predicted"]
     rows += [f"{float(r)!r},{float(e)!r},{float(p)!r}"
-             for r, e, p in zip(setup.radii, emp, setup.prediction.fractions)]
+             for r, e, p in zip(setup.radii, emp, setup.predicted)]
     files["cdf"] = _emit(setup.out, f"cdf_{name}.csv", rows)
     health = {"max_abs_eig": float(np.max(np.abs(lam)))}
     if setup.probes is None:

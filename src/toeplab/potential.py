@@ -7,7 +7,9 @@ evaluates both over the probe grid of every cell (``harness.run``).
 
 Over a probe grid the empirical potential is read off the cell's spectrum,
 ``sum log|lambda_i - z| / dim``, with ``slogdet`` on a few probes as an
-in-run cross-check (see :func:`potential_from_spectrum`).
+in-run cross-check (see :func:`potential_from_spectrum`).  The classical
+potential has one quadrature loop, :func:`limit_potential_many`;
+:func:`limit_potential` is that loop at one probe.
 """
 
 from __future__ import annotations
@@ -87,32 +89,35 @@ def potential_from_spectrum(M: np.ndarray, lam, probes):
 
 def limit_potential(f: SymbolSpec, space: PhaseSpace, z: complex,
                     grid: QuadratureGrid | None = None) -> float:
-    """Volume-normalized quadrature of log|z - f0|.
-
-    If the probe lands exactly on a node image the grid is refined (node
-    positions shift with resolution) rather than returning -inf.
-    """
-    resolution = space.quadrature_default
-    for attempt in range(4):
-        g = grid if (grid is not None and attempt == 0) else liouville_quadrature(space, resolution + attempt)
-        dist = np.abs(complex(z) - evaluate_symbol_grid(f.principal(), g.points))
-        if np.all(dist > 0.0):
-            return float(np.dot(g.weights, np.log(dist)) / space.volume)
-    raise ValueError(f"probe z={z} hits quadrature node images at every refinement")
+    """:func:`limit_potential_many` at the single probe ``z``."""
+    return float(limit_potential_many(f, space, [z], grid)[0])
 
 
 def limit_potential_many(f: SymbolSpec, space: PhaseSpace, probes,
                          grid: QuadratureGrid | None = None) -> np.ndarray:
-    """Vectorized :func:`limit_potential` over a probe list."""
-    g = grid or liouville_quadrature(space, space.quadrature_default)
-    vals = evaluate_symbol_grid(f.principal(), g.points)
+    """Volume-normalized quadrature of log|z - f0| at each probe ``z``.
+
+    Uses ``grid`` (by default the space's default-resolution grid).  A probe
+    that lands exactly on a node image is retried on the default resolution
+    plus 1, 2 and 3 (node positions shift with resolution) rather than
+    returning -inf.  Probes are done one at a time, so the working set is one
+    grid-sized array however many probes there are.
+    """
+    f0 = f.principal()
+    grids = [grid or liouville_quadrature(space, space.quadrature_default)]
+    images = [evaluate_symbol_grid(f0, grids[0].points)]
     out = np.empty(len(probes))
     for i, z in enumerate(probes):
-        dist = np.abs(complex(z) - vals)
-        if np.any(dist == 0.0):
-            out[i] = limit_potential(f, space, z)  # refine path
+        for attempt in range(4):
+            if attempt == len(grids):
+                grids.append(liouville_quadrature(space, space.quadrature_default + attempt))
+                images.append(evaluate_symbol_grid(f0, grids[attempt].points))
+            dist = np.abs(complex(z) - images[attempt])
+            if np.all(dist > 0.0):
+                out[i] = np.dot(grids[attempt].weights, np.log(dist)) / space.volume
+                break
         else:
-            out[i] = np.dot(g.weights, np.log(dist)) / space.volume
+            raise ValueError(f"probe z={z} hits quadrature node images at every refinement")
     return out
 
 

@@ -75,9 +75,6 @@ class DeltaRule:
     def __call__(self, N: int) -> float:
         return float(N) ** (-self.exponent)
 
-    def describe(self) -> str:
-        return f"N^-{self.exponent:g}"
-
 
 @dataclass(frozen=True)
 class PerturbationSchedule:

@@ -238,12 +238,6 @@ class TestSplitDiagnostics:
         assert fields[0] == "120"
         assert int(fields[6]) == diag.n_small
 
-    def test_small_count_rate_ratio(self, diag300):
-        _, diag, _, _ = diag300
-        # rho = 0.25, kappa = 1: rate exponent 0.5, ratio is A / sqrt(N)
-        assert diag.small_count_rate_ratio(120, 1.0) == pytest.approx(
-            diag.n_small / np.sqrt(120.0))
-
 
 def _slow_split(T, z, rho, delta, G):
     """(A, B2, B3) through assemble_grushin and slogdet of its blocks."""
@@ -409,6 +403,11 @@ class TestCountScan:
         scan = small_eigen_count_scan(PROJECTION, SPHERE, 50.0, 0.25, [30, 60, 90])
         assert scan.counts == (0, 0, 0)
         assert scan.fitted_exponent is None
+
+    def test_rejects_rho_outside_cutoff_window(self):
+        # the scan counts with b_diagnostics' cutoff rule, rho in (0, 1/2) included
+        with pytest.raises(ValueError, match="rho"):
+            small_eigen_count_scan(PROJECTION, SPHERE, 0.3 + 0.2j, 0.5, [30])
 
     def test_counts_grow_sublinearly(self):
         scan = small_eigen_count_scan(PROJECTION, SPHERE, 0.3 + 0.2j, 0.25,

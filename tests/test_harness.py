@@ -93,6 +93,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             preset_config("nonexistent")
 
+    def test_mapping_round_trip(self):
+        # to_mapping must carry every field, or a saved config loses settings
+        configs = [preset_config(name, full_scale=full)
+                   for name in ["scottish-flag-figure1", "sphere-figure3"] for full in (False, True)]
+        for cfg in configs + [acceptance_config()]:
+            assert ExperimentConfig.from_mapping(cfg.to_mapping()) == cfg
+
     def test_acceptance_config_shape(self):
         cfg = acceptance_config()
         assert cfg.n_values == [100, 300]
@@ -197,6 +204,21 @@ class TestRun:
         assert "synthetic cell failure" in record.manifest["errors"]["N24_s1"]
         assert "N24_s0" in record.manifest["cells"]
         assert "N48_s1" in record.manifest["cells"]
+
+    def test_nonfinite_noise_isolated(self, tmp_path, monkeypatch):
+        import toeplab.harness as hz
+        real = hz.sample_ginibre
+
+        def poisoned(dim, seed):
+            G = real(dim, seed)
+            if seed == hz.derive_seed(1, "cell", 24):
+                G.entries[0, 0] = np.nan
+            return G
+
+        monkeypatch.setattr(hz, "sample_ginibre", poisoned)
+        record = run(tiny_config(), out_dir=tmp_path / "nan", workers=1)
+        assert set(record.manifest["errors"]) == {"N24_s1"}
+        assert set(record.manifest["cells"]) == {"N24_s0", "N48_s0", "N48_s1"}
 
     def test_crash_isolation_per_stage(self, tmp_path, monkeypatch):
         import toeplab.harness as hz
@@ -392,6 +414,13 @@ class TestCli:
         assert cli_main(["kappa", "--config", str(cfg)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert 0.0 < payload["kappa"] <= 1.0
+
+    def test_kappa_verb_prints_the_runs_kappa_hat(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        assert cli_main(["kappa", "--config", str(cfg)]) == 0
+        kappa = json.loads(capsys.readouterr().out)["kappa"]
+        record = run(ExperimentConfig.from_json(cfg), out_dir=tmp_path / "out", stages=("spectrum",))
+        assert kappa == record.manifest["kappa_hat"]
 
     def test_requires_config_or_preset(self):
         with pytest.raises(SystemExit):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from toeplab.geometry import liouville_quadrature, make_phase_space, scottish_flag_symbol, sphere_symbol
+from toeplab.geometry import (
+    evaluate_symbol_grid,
+    liouville_quadrature,
+    make_phase_space,
+    scottish_flag_symbol,
+    sphere_symbol,
+)
 from toeplab.potential import (
     LOGDET_CHECK_BOUND,
     PROBE_EXCLUSION_RADIUS,
@@ -13,7 +19,6 @@ from toeplab.potential import (
 )
 from toeplab.quantize import quantize_sphere, quantize_symbol
 from toeplab.randmat import sample_ginibre
-from toeplab.spectra import eigenvalues
 
 SPHERE = make_phase_space("sphere")
 X3 = sphere_symbol({(0, 0, 1): 1.0})
@@ -52,7 +57,7 @@ class TestPotentialFromSpectrum:
         T = quantize_symbol(f, N)
         M = T.entries + delta * sample_ginibre(T.dim, 3).entries
         probes = default_probe_grid(f, T.space, 12, 12)
-        values, kept, health = potential_from_spectrum(M, eigenvalues(M).eigenvalues, probes)
+        values, kept, health = potential_from_spectrum(M, np.linalg.eigvals(M), probes)
         assert kept.all() and health["probes_dropped"] == 0
         assert not health["logdet_fallback"]
         assert health["logdet_check_residual"] <= self.ROUTE_TOL
@@ -81,7 +86,7 @@ class TestPotentialFromSpectrum:
     def test_kept_mask_matches_per_probe_rule(self):
         T = quantize_sphere(sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0}), 40)
         M = T.entries + sample_ginibre(41, 5).entries / 40
-        lam = eigenvalues(M).eigenvalues
+        lam = np.linalg.eigvals(M)
         probes = np.concatenate([
             [lam[0], lam[1] + 0.5e-4, lam[2] + 1e-4j, lam[3] - 2e-4, lam[4] + 0.99e-4j],
             default_probe_grid(T.symbol, SPHERE, 6, 6),
@@ -121,12 +126,18 @@ class TestLimitPotential:
         val = limit_potential(X3, SPHERE, z, grid)
         assert np.isfinite(val)
 
-    def test_many_matches_single(self):
-        f = sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0})
-        probes = [2.0, 0.3 + 0.2j, -1.5j]
-        many = limit_potential_many(f, SPHERE, probes)
-        single = [limit_potential(f, SPHERE, z) for z in probes]
-        np.testing.assert_allclose(many, single, atol=1e-12)
+    def test_node_hit_among_ordinary_probes(self):
+        # only the probe on a node image is refined; its neighbours keep the
+        # plain quadrature on the given grid, bit for bit
+        grid = liouville_quadrature(SPHERE, 50)
+        hit = complex(grid.points[17, 2])
+        probes = [2.0 + 0.5j, hit, -0.3 + 0.7j]
+        u = limit_potential_many(X3, SPHERE, probes, grid)
+        images = evaluate_symbol_grid(X3, grid.points)
+        for i in (0, 2):
+            plain = np.dot(grid.weights, np.log(np.abs(probes[i] - images))) / SPHERE.volume
+            assert u[i] == plain
+        assert np.isfinite(u[1])
 
     def test_harmonic_away_from_image(self):
         # log|z - w| is harmonic off the support; the 5-point Laplacian of
