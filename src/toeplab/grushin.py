@@ -14,6 +14,11 @@ whose inverse blocks are explicit at ``delta = 0``: the bulk inverse
 
 which splits the normalized log-determinant into a bulk part (b1), a
 perturbation shift (b2) and a small-singular-value part (b3).
+
+``b_diagnostics`` is the fast route to the split.  ``assemble_grushin``
+(the bordered matrix and its explicit ``inv``) is the one slow reference
+route, and ``schur_identity_residual`` checks the identity by comparing a
+``slogdet`` of ``P + delta*G - z`` against it.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from .potential import limit_potential, log_abs_det
 from .quantize import quantize_symbol
 from .randmat import operator_norm
 
-#: Direct inversion of the bordered matrix is rejected above this condition
-#: estimate; the closed-form route with a Neumann correction is used instead.
+#: ``b_diagnostics`` rejects the bordered LU above this condition estimate
+#: and takes the corner from the closed-form route with a Neumann correction.
 #: The branch is kept as recovery from an ill-conditioned bordered LU, not as
 #: a path real runs take: the worst LAPACK 1-norm estimate measured is 434
 #: on the benchmark workloads and 193 on the full-scale sphere figure (N =
@@ -47,15 +52,13 @@ class SingularTriples:
     values: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
-    z: complex
-    source: str = ""
 
     @property
     def dim(self) -> int:
         return len(self.values)
 
 
-def _shifted_svd(P: np.ndarray, z: complex, source: str):
+def _shifted_svd(P: np.ndarray, z: complex, source: str = ""):
     """Full SVD ``U, s, Vh`` of ``P - z`` and the ascending order of ``s``."""
     shifted = np.array(P, dtype=complex)
     if shifted.ndim != 2 or shifted.shape[0] != shifted.shape[1]:
@@ -69,14 +72,12 @@ def _shifted_svd(P: np.ndarray, z: complex, source: str):
     return U, s, Vh, np.argsort(s)
 
 
-def singular_triples(P: np.ndarray, z: complex, source: str = "") -> SingularTriples:
-    U, s, Vh, order = _shifted_svd(P, z, source)
+def singular_triples(P: np.ndarray, z: complex) -> SingularTriples:
+    U, s, Vh, order = _shifted_svd(P, z)
     return SingularTriples(
         values=s[order],
         right_vectors=Vh.conj().T[:, order],
         left_vectors=U[:, order],
-        z=complex(z),
-        source=source,
     )
 
 
@@ -149,9 +150,6 @@ class GrushinSystem:
     matrix: np.ndarray
     inverse: np.ndarray
     dim: int
-    n_small: int
-    delta: float
-    condition: float
     warnings: tuple
 
     @property
@@ -201,48 +199,34 @@ def _neumann_warning(shift_norm: float, values: np.ndarray, A: int) -> str | Non
 
 def assemble_grushin(triples: SingularTriples, params: GrushinParams,
                      perturbation=None) -> GrushinSystem:
-    """Build the bordered matrix and invert it.
+    """Build the bordered matrix and invert it with ``np.linalg.inv``.
 
     ``perturbation`` is ``(delta, G)`` with ``G`` a matrix or a Ginibre
     sample; omit it for the unperturbed system.  If the Neumann invertibility
     condition ``delta ||G|| (||bulk|| + ||injection||) < 1`` fails, a warning
-    is attached and the inversion is still attempted.  Direct inversion falls
-    back to the closed form (with a Neumann correction when perturbed) above
-    the condition guard.
+    is attached and the inversion is still attempted.  This is the slow
+    reference route that ``b_diagnostics`` is tested against.
     """
     dim = triples.dim
     A = params.n_small
     warnings = []
 
-    delta = 0.0
-    Gm = None
+    # reconstruct P - z from the triples so callers need not carry P around
+    shifted = (triples.left_vectors * triples.values[None, :]) @ triples.right_vectors.conj().T
     if perturbation is not None:
         delta, G = perturbation
         delta = float(delta)
         Gm = G.entries if hasattr(G, "entries") else np.asarray(G, dtype=complex)
         if Gm.shape != (dim, dim):
             raise ValueError(f"perturbation shape {Gm.shape} does not match dim {dim}")
-
-    # reconstruct P - z from the triples so callers need not carry P around
-    shifted = (triples.left_vectors * triples.values[None, :]) @ triples.right_vectors.conj().T
-    if Gm is not None and delta != 0.0:
-        shifted = shifted + delta * Gm
-
-    closed = closed_form_inverse(triples, A)
-    if delta != 0.0 and Gm is not None:
-        warning = _neumann_warning(delta * operator_norm(Gm), triples.values, A)
-        if warning:
-            warnings.append(warning)
+        if delta != 0.0:
+            shifted = shifted + delta * Gm
+            warning = _neumann_warning(delta * operator_norm(Gm), triples.values, A)
+            if warning:
+                warnings.append(warning)
 
     M = _bordered_matrix(shifted, triples, A)
-    condition = float(np.linalg.cond(M)) if M.size else 1.0
-    if condition <= CONDITION_GUARD:
-        inverse = np.linalg.inv(M) if M.size else M.copy()
-    else:
-        warnings.append(
-            f"condition estimate {condition:.3g} exceeds guard; using closed-form route")
-        inverse = _closed_route_inverse(closed, delta, Gm, dim, A)
-    return GrushinSystem(M, inverse, dim, A, delta, condition, tuple(warnings))
+    return GrushinSystem(M, np.linalg.inv(M), dim, tuple(warnings))
 
 
 def _closed_route_inverse(closed: InverseBlocks, delta: float, Gm, dim: int, A: int) -> np.ndarray:
@@ -260,39 +244,29 @@ def _closed_route_inverse(closed: InverseBlocks, delta: float, Gm, dim: int, A: 
     return E0 @ np.linalg.inv(np.eye(dim + A) + K)
 
 
-def schur_identity_residual(P: np.ndarray, z: complex, perturbation=None,
-                            params: GrushinParams | None = None,
-                            rho: float = 0.25, N: int | None = None) -> float:
+def schur_identity_residual(P: np.ndarray, z: complex, perturbation=None) -> float:
     """Residual of the determinant factorization, via independent routes.
 
-    Route one factors ``P + delta G - z`` directly; route two factors the
-    bordered matrix and its corner inverse block.  Returns ``nan`` (never an
-    exception) when any determinant is singular.
+    Route one is ``slogdet`` of ``P + delta G - z`` built from ``P``; route
+    two is ``log|det matrix| + log|det corner|`` of :func:`assemble_grushin`
+    with ``rho = 1/4`` and ``N = dim``.  Returns ``nan`` (never an exception)
+    when any determinant is singular.
     """
     P = np.asarray(P, dtype=complex)
-    triples = singular_triples(P, z)
-    if params is None:
-        params = grushin_params(N if N is not None else P.shape[0], rho, triples)
-    A = params.n_small
-    dim = triples.dim
-
-    delta, Gm = 0.0, None
+    dim = P.shape[0]
+    shifted = P - complex(z) * np.eye(dim)
     if perturbation is not None:
         delta, G = perturbation
         Gm = G.entries if hasattr(G, "entries") else np.asarray(G, dtype=complex)
-    shifted = P - complex(z) * np.eye(dim)
-    if Gm is not None and delta != 0.0:
         shifted = shifted + float(delta) * Gm
 
+    triples = singular_triples(P, z)
+    try:
+        system = assemble_grushin(triples, grushin_params(dim, 0.25, triples), perturbation)
+    except np.linalg.LinAlgError:               # exactly singular bordered matrix
+        return float("nan")
     direct = log_abs_det(shifted)
-    if A == 0:
-        other = log_abs_det(shifted)  # identity degenerates, no augmentation
-        return abs(direct - other)
-    M = _bordered_matrix(shifted, triples, A)
-    log_bordered = log_abs_det(M)
-    corner = np.linalg.inv(M)[dim:, dim:]
-    log_corner = log_abs_det(corner)
-    total = log_bordered + log_corner
+    total = log_abs_det(system.matrix) + log_abs_det(system.corner)
     if not (np.isfinite(direct) and np.isfinite(total)):
         return float("nan")
     return abs(direct - total)
@@ -317,10 +291,8 @@ class SplitDiagnostics:
     rho: float
     delta: float
     seed: int
-    log_det_bordered_free: float
     log_det_bordered: float
     log_det_corner: float
-    classical_integral: float
     schur_residual: float
     condition: float
     flags: tuple
@@ -358,8 +330,8 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G,
     ``P + delta G - z`` is built in the bordered matrix's top-left block, so
     concurrent probes stay lean.  Above ``CONDITION_GUARD`` the corner comes
     from the closed-form route, which recomputes the full triples.
-    ``assemble_grushin`` and ``schur_identity_residual`` are the slow oracles
-    for this path.
+    ``assemble_grushin`` (the bordered matrix and its explicit ``inv``) is
+    the slow reference route for this path.
     """
     import scipy.linalg  # deferred: keeps ``import toeplab`` light
 
@@ -443,8 +415,7 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G,
     return SplitDiagnostics(
         b1=float(b1), b2=float(b2), b3=float(b3), n_small=A, z=complex(z),
         rho=float(rho), delta=delta, seed=int(seed),
-        log_det_bordered_free=log_free, log_det_bordered=log_bordered,
-        log_det_corner=float(log_corner), classical_integral=float(classical),
+        log_det_bordered=log_bordered, log_det_corner=float(log_corner),
         schur_residual=float(residual), condition=float(condition), flags=tuple(flags),
     )
 

@@ -146,11 +146,6 @@ class TailExperiment:
     dim: int
     seed: int
 
-    def csv_rows(self):
-        yield "t,trials,successes,p_hat,stderr"
-        for t, s, p, e in zip(self.t_grid, self.successes, self.p_hat, self.stderr):
-            yield f"{float(t)!r},{self.trials},{int(s)},{float(p)!r},{float(e)!r}"
-
 
 def smin_tail_experiment(B: np.ndarray, delta: float, t_grid, trials: int,
                          seed: int) -> TailExperiment:

@@ -184,6 +184,13 @@ class TestSchurIdentity:
         res = schur_identity_residual(P, 100.0, None)  # far probe, A = 0
         assert res <= 1e-8
 
+    def test_singular_determinant_gives_nan(self):
+        # P - z = 0: route one is -inf, the bordered matrix stays invertible
+        assert np.isnan(schur_identity_residual(np.zeros((4, 4)), 0.0, None))
+        # P + delta G - z = 0 with A = 1: the bordered matrix itself is singular
+        res = schur_identity_residual(np.diag([0.0, 2.0]), 0.0, (1.0, np.diag([0.0, -2.0])))
+        assert np.isnan(res)
+
 
 @pytest.fixture(scope="module")
 def diag300():

@@ -1,4 +1,5 @@
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -183,6 +184,44 @@ class TestRun:
         assert report.criteria["weyl_deviation"]["status"] == "skipped"
         assert report.criteria["potential_median"]["status"] == "skipped"
         assert report.criteria["b3_negative"]["status"] in ("pass", "fail")
+
+    @staticmethod
+    def _run_failing_top_size(out, monkeypatch):
+        """Run tiny_config into ``out`` with every N = 48 cell failing; verify it."""
+        import toeplab.harness as hz
+        real = hz.sample_ginibre
+        doomed = {hz.derive_seed(seed, "cell", 48) for seed in (0, 1)}
+
+        def flaky(dim, seed):
+            if seed in doomed:
+                raise RuntimeError("synthetic N=48 failure")
+            return real(dim, seed)
+
+        monkeypatch.setattr(hz, "sample_ginibre", flaky)
+        record = run(tiny_config(), out_dir=out, workers=1)
+        assert set(record.manifest["errors"]) == {"N48_s0", "N48_s1"}
+        return verify(out).criteria
+
+    def test_verify_skips_criteria_without_top_size(self, tmp_path, monkeypatch):
+        criteria = self._run_failing_top_size(tmp_path / "fresh", monkeypatch)
+        for name in ("weyl_deviation", "potential_median"):
+            assert criteria[name]["status"] == "skipped"
+            assert "N=48" in criteria[name]["detail"]
+        assert criteria["b3_negative"]["status"] == "pass"
+        assert criteria["schur_residual"]["status"] == "pass"
+
+    def test_verify_ignores_stale_unlisted_artifacts(self, done, tmp_path, monkeypatch):
+        out, _ = done
+        stale = tmp_path / "stale"
+        shutil.copytree(out, stale)             # an earlier good run's N48 CSVs stay on disk
+        criteria = self._run_failing_top_size(stale, monkeypatch)
+        assert (stale / "cdf_N48_s0.csv").exists()
+        assert criteria["weyl_deviation"]["status"] == "skipped"
+        assert criteria["potential_median"]["status"] == "skipped"
+        rows = [ln.split(",") for seed in (0, 1)
+                for ln in (stale / f"diag_N24_s{seed}.csv").read_text().splitlines()[1:]]
+        with_small = sum(1 for r in rows if int(r[6]) >= 1)
+        assert criteria["b3_negative"]["detail"].startswith(f"{with_small}/{with_small} ")
 
     def test_unknown_or_incomplete_stages_rejected(self, tmp_path):
         for stages in (("potential",), ("spectrum", "timings")):

@@ -162,8 +162,3 @@ class TestSminTail:
             smin_tail_experiment(np.zeros((4, 4)), 1.0, [0.1], trials=10, seed=0)
         with pytest.raises(ValueError):
             smin_tail_experiment(np.zeros((4, 4)), 1.0, [1.5], trials=100, seed=0)
-
-    def test_csv_rows(self, zero_matrix_tail):
-        rows = list(zero_matrix_tail.csv_rows())
-        assert rows[0] == "t,trials,successes,p_hat,stderr"
-        assert len(rows) == 1 + len(zero_matrix_tail.t_grid)
