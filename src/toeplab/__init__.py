@@ -34,16 +34,13 @@ from .quantize import (
 )
 from .randmat import (
     GinibreSample,
-    PerturbationSchedule,
-    ScheduleError,
-    delta_window,
     derive_seed,
+    noise_window,
     operator_norm,
     sample_ginibre,
     smin_tail_experiment,
 )
 from .spectra import (
-    DiskFamily,
     empirical_cdf_disks,
     weyl_predict,
 )

@@ -34,8 +34,6 @@ class ResidualCurve:
     n_values: tuple
     residuals: tuple
     fitted_exponent: float | None
-    exponent_stderr: float | None
-    fit_rms: float | None
 
     def halving_ratios(self):
         """(N, residual(2N)/residual(N)) for every doubled pair present."""
@@ -51,18 +49,11 @@ def _fit_curve(n_values, residuals) -> ResidualCurve:
     ns = np.asarray(n_values, dtype=float)
     rs = np.asarray(residuals, dtype=float)
     mask = rs > 0.0
-    exponent = stderr = rms = None
+    exponent = None
     if mask.sum() >= 2:
-        x, y = np.log(ns[mask]), np.log(rs[mask])
-        if mask.sum() == 2:
-            exponent = float((y[1] - y[0]) / (x[1] - x[0]))
-        else:
-            coeffs, cov = np.polyfit(x, y, 1, cov=True)
-            exponent = float(coeffs[0])
-            stderr = float(np.sqrt(cov[0, 0]))
-            rms = float(np.sqrt(np.mean((y - np.polyval(coeffs, x)) ** 2)))
+        exponent = float(np.polyfit(np.log(ns[mask]), np.log(rs[mask]), 1)[0])
     return ResidualCurve(tuple(int(N) for N in n_values), tuple(float(r) for r in residuals),
-                         exponent, stderr, rms)
+                         exponent)
 
 
 def composition_residual(f: SymbolSpec, g: SymbolSpec, n_values) -> ResidualCurve:

@@ -427,7 +427,6 @@ class CountScan:
     n_values: tuple
     counts: tuple
     fitted_exponent: float | None
-    fit_stderr: float | None
 
 
 def small_eigen_count_scan(f: SymbolSpec, space: PhaseSpace, z: complex, rho: float,
@@ -442,10 +441,7 @@ def small_eigen_count_scan(f: SymbolSpec, space: PhaseSpace, z: complex, rho: fl
     ns = np.asarray([int(N) for N in n_values], dtype=float)
     cs = np.asarray(counts, dtype=float)
     mask = cs >= 1
-    exponent = stderr = None
+    exponent = None
     if mask.sum() >= 2:
-        x, y = np.log(ns[mask]), np.log(cs[mask])
-        coeffs, cov = np.polyfit(x, y, 1, cov=True)
-        exponent = float(coeffs[0])
-        stderr = float(np.sqrt(cov[0, 0]))
-    return CountScan(tuple(int(N) for N in n_values), tuple(counts), exponent, stderr)
+        exponent = float(np.polyfit(np.log(ns[mask]), np.log(cs[mask]), 1)[0])
+    return CountScan(tuple(int(N) for N in n_values), tuple(counts), exponent)

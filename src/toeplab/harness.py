@@ -47,9 +47,8 @@ from .geometry import (
 from .grushin import DIAGNOSTICS_CSV_HEADER, b_diagnostics
 from .potential import limit_potential_many, potential_from_spectrum
 from .quantize import ToeplitzMatrix, quantize_symbol
-from .randmat import (DeltaRule, PerturbationSchedule, ScheduleError, delta_window, derive_seed,
-                      operator_norm, sample_ginibre)
-from .spectra import DiskFamily, empirical_cdf_disks, spectrum_csv_rows, weyl_predict
+from .randmat import derive_seed, noise_window, operator_norm, sample_ginibre
+from .spectra import empirical_cdf_disks, spectrum_csv_rows, weyl_predict
 
 
 class ConfigError(ValueError):
@@ -115,19 +114,21 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
-    def schedule(self) -> PerturbationSchedule:
-        d = 1
+    def noise_size(self, N: int) -> float:
+        """delta(N) = N^-p: p = 1/2 + 2 epsilon for "default", 1 for "weyl", or the given power."""
         if "preset" in self.delta:
             name = self.delta["preset"]
             if name == "default":
-                return PerturbationSchedule.default(d, self.epsilon, self.c_exponent)
-            if name == "weyl":
-                return PerturbationSchedule.weyl(d, self.epsilon, self.c_exponent)
-            raise ConfigError(f"unknown delta preset {name!r}")
-        if "power" in self.delta:
-            return PerturbationSchedule(self.epsilon, self.c_exponent, d,
-                                        DeltaRule(float(self.delta["power"])))
-        raise ConfigError(f"delta rule must give a preset or a power, got {self.delta}")
+                p = 0.5 + 2.0 * self.epsilon
+            elif name == "weyl":
+                p = 1.0
+            else:
+                raise ConfigError(f"unknown delta preset {name!r}")
+        elif "power" in self.delta:
+            p = float(self.delta["power"])
+        else:
+            raise ConfigError(f"delta rule must give a preset or a power, got {self.delta}")
+        return float(N) ** -p
 
     def symbol_spec(self):
         f = symbol_from_record(self.symbol)
@@ -156,11 +157,29 @@ class ExperimentConfig:
                               np.logspace(-3, -1, 7), seed=derive_seed("kappa", self.config_hash()))
 
     def validate(self) -> dict:
-        """Hard-check the parameter schedule; returns {kappa_hat, warnings}."""
+        """Hard-check the parameters; returns {kappa_hat, warnings}."""
         if not self.n_values:
             raise ConfigError("n_values must be a nonempty list")
         if not self.seeds:
             raise ConfigError("seeds must be a nonempty list")
+        for key in ("n_values", "seeds", "unperturbed_sizes"):
+            values = [int(v) for v in getattr(self, key)]
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{key} has duplicate entries: {values}")
+        if any(int(N) < 2 for N in self.n_values):
+            raise ConfigError(f"every size in n_values must be >= 2, got {self.n_values}")
+        if not (0.0 < self.c_exponent < 1.0):
+            raise ConfigError(f"c_exponent must lie in (0, 1), got {self.c_exponent}")
+        if self.epsilon <= 0.0:
+            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if float(self.radii.get("max", 1.0)) < 0.0:
+            raise ConfigError(f"radii max must be nonnegative, got {self.radii}")
+        for N in self.n_values:
+            lower, upper = noise_window(int(N), self.epsilon, self.c_exponent)
+            delta = self.noise_size(int(N))
+            if not (lower < delta < upper):
+                raise ConfigError(f"delta(N={N}) = {delta:.3e} outside admissible window "
+                                  f"({lower:.3e}, {upper:.3e})")
         if not (0.0 < self.rho < min(0.5, self.epsilon)):
             raise ConfigError(
                 f"rho={self.rho} outside (0, min(1/2, epsilon)) = (0, {min(0.5, self.epsilon)})")
@@ -172,18 +191,14 @@ class ExperimentConfig:
         if not (0.0 < self.gamma < gamma_cap):
             raise ConfigError(
                 f"gamma={self.gamma} outside (0, min(eps-rho, 2 rho kappa, 1-2 rho)) = (0, {gamma_cap:g})")
-        schedule = self.schedule()
+        # the kappa-dependent window can be empty at finite N; flag it
+        c_paper = min(2.0 * self.rho * kappa, 1.0 - 2.0 * self.rho) - self.gamma
         warnings = []
         for N in self.n_values:
-            try:
-                delta_window(int(N), schedule)
-            except ScheduleError as exc:
-                raise ConfigError(str(exc)) from exc
-            # the kappa-dependent window can be empty at finite N; flag it
-            c_paper = min(2.0 * self.rho * kappa, 1.0 - 2.0 * self.rho) - self.gamma
-            if schedule.rule(int(N)) <= float(np.exp(-float(N) ** c_paper)):
+            delta = self.noise_size(int(N))
+            if delta <= float(np.exp(-float(N) ** c_paper)):
                 warnings.append(
-                    f"N={N}: delta {schedule.rule(int(N)):.3e} is below exp(-N^{c_paper:.3f}); "
+                    f"N={N}: delta {delta:.3e} is below exp(-N^{c_paper:.3f}); "
                     "the kappa-derived window is empty at this size")
         return {"kappa_hat": float(kappa), "warnings": warnings}
 
@@ -279,7 +294,7 @@ class _Setup:
 
     out: Path
     matrices: dict                      # N -> ToeplitzMatrix
-    schedule: PerturbationSchedule
+    deltas: dict                        # N -> noise size delta(N), perturbed sizes
     grid: QuadratureGrid
     radii: np.ndarray
     predicted: np.ndarray | None        # None without the spectrum stage
@@ -331,10 +346,10 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     setup = _Setup(
         out=out,
         matrices={N: quantize_symbol(f, N) for N in sorted({cell[1] for cell, _ in tasks})},
-        schedule=config.schedule(),
+        deltas={int(N): config.noise_size(int(N)) for N in config.n_values},
         grid=grid,
         radii=radii,
-        predicted=(weyl_predict(f, space, DiskFamily(0.0, tuple(radii)), grid)
+        predicted=(weyl_predict(f, space, radii, grid)
                    if "spectrum" in stages else None),
         probes=probes,
         u_lim=None if probes is None else limit_potential_many(f, space, probes, grid),
@@ -394,13 +409,13 @@ def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
         M = T.entries
     else:
         M = _cell_noise(T, seed).entries     # M = T + delta G, built over this task's G
-        M *= setup.schedule.rule(N)
+        M *= setup.deltas[N]
         M += T.entries
 
     lam = np.linalg.eigvals(M)
     files = {"spectrum": _emit(setup.out, f"eig_{name}.csv", spectrum_csv_rows(lam))}
 
-    emp = empirical_cdf_disks(lam, 0.0, setup.radii)
+    emp = empirical_cdf_disks(lam, setup.radii)
     rows = ["r,empirical,predicted"]
     rows += [f"{float(r)!r},{float(e)!r},{float(p)!r}"
              for r, e, p in zip(setup.radii, emp, setup.predicted)]
@@ -424,7 +439,7 @@ def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
 def _grushin_task(setup: _Setup, kind: str, N: int, seed: int):
     """Grushin stage of one perturbed cell: the split at each Grushin probe, in order."""
     T = setup.matrices[N]
-    delta = setup.schedule.rule(N)
+    delta = setup.deltas[N]
     G = _cell_noise(T, seed)
     g_norm = operator_norm(G.entries)
     diags = [b_diagnostics(T, z, setup.rho, delta, G, setup.grid, seed=seed, g_norm=g_norm)
@@ -555,7 +570,7 @@ class VerifyReport:
 
 
 def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
-    """Check artifact integrity and the named criteria suite of a run."""
+    """Check artifact integrity, that no cell failed, and the named criteria suite of a run."""
     out = Path(run_dir)
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
@@ -577,6 +592,9 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
         criteria["integrity"] = {"status": "fail", "detail": f"missing artifacts: {missing}"}
     else:
         criteria["integrity"] = {"status": "pass", "detail": f"{len(manifest['cells'])} cells intact"}
+    failed = sorted(manifest["errors"])
+    criteria["cell_errors"] = {"status": "fail" if failed else "pass",
+                               "detail": f"failed cells: {failed}" if failed else "no failed cells"}
 
     if suite == "acceptance":
         _verify_acceptance(out, manifest, criteria)

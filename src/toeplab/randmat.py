@@ -23,10 +23,6 @@ import numpy as np
 TAIL_BOUND_CONSTANT = 4.0
 
 
-class ScheduleError(ValueError):
-    """A perturbation schedule fell outside its admissible window."""
-
-
 def derive_seed(*parts) -> int:
     """Stable 64-bit seed from a list of ints/strings (documented: SHA-256)."""
     blob = ",".join(str(p) for p in parts).encode("utf-8")
@@ -35,10 +31,8 @@ def derive_seed(*parts) -> int:
 
 @dataclass(frozen=True)
 class GinibreSample:
-    """An i.i.d. complex Gaussian matrix (entry variance 1) with its seed."""
+    """An i.i.d. complex Gaussian matrix (entry variance 1)."""
 
-    dim: int
-    seed: int
     entries: np.ndarray
 
 
@@ -59,66 +53,20 @@ def sample_ginibre(dim: int, seed: int) -> GinibreSample:
     del u2
     np.exp(entries, out=entries)
     np.multiply(radius, entries, out=entries)
-    return GinibreSample(dim=int(dim), seed=int(seed), entries=entries)
+    return GinibreSample(entries)
 
 
 # ---------------------------------------------------------------------------
-# noise size schedule
+# noise size window
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DeltaRule:
-    """delta(N) = N^(-exponent)."""
+def noise_window(N: int, epsilon: float, c_exponent: float):
+    """Admissible open interval ``(exp(-N^c_exponent), N^(-1/2 - epsilon))`` for delta(N).
 
-    exponent: float
-
-    def __call__(self, N: int) -> float:
-        return float(N) ** (-self.exponent)
-
-
-@dataclass(frozen=True)
-class PerturbationSchedule:
-    """A noise-size rule with its admissibility window parameters.
-
-    The admissible window for delta(N) is the open interval
-    ``(exp(-N^c_exponent), N^(-d/2 - epsilon))``.
+    Both phase spaces have complex dimension 1, which fixes the upper edge's
+    ``d/2`` at 1/2.
     """
-
-    epsilon: float
-    c_exponent: float
-    d: int
-    rule: DeltaRule
-
-    @classmethod
-    def default(cls, d: int = 1, epsilon: float = 0.25, c_exponent: float = 0.5):
-        """delta = N^-(d/2 + 2 epsilon), comfortably inside the window."""
-        return cls(epsilon, c_exponent, d, DeltaRule(d / 2.0 + 2.0 * epsilon))
-
-    @classmethod
-    def weyl(cls, d: int = 1, epsilon: float = 0.25, c_exponent: float = 0.5):
-        """delta = N^-d, the scaling used for the counting-law figures."""
-        return cls(epsilon, c_exponent, d, DeltaRule(float(d)))
-
-
-def delta_window(N: int, schedule: PerturbationSchedule):
-    """Admissible open interval and the configured delta(N).
-
-    Returns ``(lower, upper, delta)`` and raises :class:`ScheduleError` when
-    delta falls outside ``(lower, upper)``.
-    """
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    if not (0.0 < schedule.c_exponent < 1.0):
-        raise ScheduleError(f"c_exponent must lie in (0, 1), got {schedule.c_exponent}")
-    if schedule.epsilon <= 0.0:
-        raise ScheduleError(f"epsilon must be positive, got {schedule.epsilon}")
-    lower = float(np.exp(-float(N) ** schedule.c_exponent))
-    upper = float(N) ** (-schedule.d / 2.0 - schedule.epsilon)
-    delta = schedule.rule(N)
-    if not (lower < delta < upper):
-        raise ScheduleError(
-            f"delta(N={N}) = {delta:.3e} outside admissible window ({lower:.3e}, {upper:.3e})")
-    return lower, upper, delta
+    return float(np.exp(-float(N) ** c_exponent)), float(N) ** (-0.5 - epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +86,8 @@ class TailExperiment:
     """Empirical tail of the smallest singular value of B + delta*G."""
 
     t_grid: np.ndarray
-    trials: int
     successes: np.ndarray
     p_hat: np.ndarray
-    stderr: np.ndarray
-    delta: float
-    dim: int
-    seed: int
 
 
 def smin_tail_experiment(B: np.ndarray, delta: float, t_grid, trials: int,
@@ -166,10 +109,7 @@ def smin_tail_experiment(B: np.ndarray, delta: float, t_grid, trials: int,
         G = sample_ginibre(dim, derive_seed(seed, "tail", i)).entries
         smin[i] = np.linalg.svd(B + delta * G, compute_uv=False)[-1]
     successes = np.array([(smin < delta * t).sum() for t in t_grid])
-    p_hat = successes / trials
-    stderr = np.sqrt(p_hat * (1.0 - p_hat) / trials)
-    return TailExperiment(t_grid, int(trials), successes, p_hat, stderr,
-                          float(delta), dim, int(seed))
+    return TailExperiment(t_grid, successes, successes / trials)
 
 
 def fit_tail_slope(result: TailExperiment, min_successes: int = 5):

@@ -416,6 +416,12 @@ class TestCountScan:
         with pytest.raises(ValueError, match="rho"):
             small_eigen_count_scan(PROJECTION, SPHERE, 0.3 + 0.2j, 0.5, [30])
 
+    def test_two_sizes_fit_a_line(self):
+        # two points determine the growth exponent exactly
+        scan = small_eigen_count_scan(PROJECTION, SPHERE, 0.3 + 0.2j, 0.25, [100, 200])
+        assert scan.counts == (5, 7)
+        assert scan.fitted_exponent == pytest.approx(np.log(7 / 5) / np.log(2))
+
     def test_counts_grow_sublinearly(self):
         scan = small_eigen_count_scan(PROJECTION, SPHERE, 0.3 + 0.2j, 0.25,
                                       [50, 100, 200, 300])

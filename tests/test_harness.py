@@ -68,6 +68,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="window"):
             cfg.validate()
 
+    def test_noise_parameters_rejected(self):
+        for overrides, message in [({"c_exponent": 0.0}, "c_exponent"),
+                                   ({"c_exponent": 1.0}, "c_exponent"),
+                                   ({"epsilon": 0.0}, "epsilon"),
+                                   ({"n_values": [1, 24]}, "n_values")]:
+            with pytest.raises(ConfigError, match=message):
+                tiny_config(**overrides).validate()
+
+    def test_duplicates_rejected(self):
+        # a repeated seed or size would run its cell twice into the same files
+        for key, values in [("seeds", [0, 0]), ("n_values", [24, 48, 24]),
+                            ("unperturbed_sizes", [10, 10])]:
+            with pytest.raises(ConfigError, match=key):
+                tiny_config(**{key: values}).validate()
+
+    def test_negative_radii_max_rejected(self):
+        with pytest.raises(ConfigError, match="radii"):
+            tiny_config(radii={"count": 10, "max": -1.0}).validate()
+
     def test_symbol_kind_mismatch(self):
         cfg = tiny_config(space="torus")
         with pytest.raises(ConfigError, match="does not match"):
@@ -153,9 +172,10 @@ class TestRun:
     def test_verify_reports_acceptance_criteria(self, done):
         out, _ = done
         report = verify(out)
-        for name in ["integrity", "weyl_deviation", "potential_median",
+        for name in ["integrity", "cell_errors", "weyl_deviation", "potential_median",
                      "b3_negative", "schur_residual"]:
             assert name in report.criteria
+        assert report.criteria["cell_errors"]["status"] == "pass"
 
     def test_tampered_artifact_detected(self, done, tmp_path):
         out, _ = done
@@ -209,6 +229,16 @@ class TestRun:
             assert "N=48" in criteria[name]["detail"]
         assert criteria["b3_negative"]["status"] == "pass"
         assert criteria["schur_residual"]["status"] == "pass"
+
+    def test_verify_fails_a_run_with_failed_cells(self, tmp_path, monkeypatch):
+        out = tmp_path / "failed"
+        criteria = self._run_failing_top_size(out, monkeypatch)
+        assert criteria["cell_errors"]["status"] == "fail"
+        assert "N48_s0" in criteria["cell_errors"]["detail"]
+        assert "N48_s1" in criteria["cell_errors"]["detail"]
+        for suite in ("acceptance", "integrity"):
+            assert not verify(out, suite=suite).passed
+            assert cli_main(["verify", str(out), "--suite", suite]) == 1
 
     def test_verify_ignores_stale_unlisted_artifacts(self, done, tmp_path, monkeypatch):
         out, _ = done

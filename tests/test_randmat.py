@@ -1,16 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from toeplab.geometry import scottish_flag_symbol
+from toeplab.harness import ConfigError, preset_config
 from toeplab.quantize import quantize_torus
 from toeplab.randmat import (
     TAIL_BOUND_CONSTANT,
-    DeltaRule,
-    PerturbationSchedule,
-    ScheduleError,
-    delta_window,
     derive_seed,
     fit_tail_slope,
+    noise_window,
     operator_norm,
     sample_ginibre,
     smin_tail_experiment,
@@ -67,35 +67,51 @@ class TestDeriveSeed:
         assert derive_seed(0, "cell", 300) == 7407284075645938819
 
 
+def _noise_config(delta, n_values, epsilon=0.25):
+    return replace(preset_config("sphere-figure3"), n_values=n_values, delta=delta,
+                   epsilon=epsilon, kappa_hat=0.9)
+
+
 class TestDeltaWindow:
     def test_interval_example(self):
-        sched = PerturbationSchedule(epsilon=0.25, c_exponent=0.5, d=1, rule=DeltaRule(1.0))
-        lower, upper, delta = delta_window(100, sched)
-        assert delta == pytest.approx(0.01)
+        lower, upper = noise_window(100, 0.25, 0.5)
         assert lower == pytest.approx(np.exp(-10.0))
         assert upper == pytest.approx(100 ** -0.75)
-        assert lower < delta < upper
+        assert lower < 0.01 < upper
+        assert _noise_config({"preset": "weyl"}, [100]).noise_size(100) == 0.01
 
     def test_inverse_dimension_preset_accepted(self):
-        sched = PerturbationSchedule.weyl(d=1)
-        delta_window(100, sched)
+        sizes = [10, 100, 1000]
+        for eps in (0.25, 0.3):
+            cfg = _noise_config({"preset": "weyl"}, sizes, epsilon=eps)
+            cfg.validate()
+            for N in sizes:
+                lower, upper = noise_window(N, eps, cfg.c_exponent)
+                assert cfg.noise_size(N) == float(N) ** -1.0
+                assert lower < cfg.noise_size(N) < upper
 
     def test_default_preset_accepted(self):
-        sched = PerturbationSchedule.default(d=1)
-        for N in [10, 100, 1000]:
-            lower, upper, delta = delta_window(N, sched)
-            assert lower < delta < upper
+        sizes = [10, 100, 1000]
+        for eps in (0.25, 0.3):
+            cfg = _noise_config({"preset": "default"}, sizes, epsilon=eps)
+            cfg.validate()
+            for N in sizes:
+                lower, upper = noise_window(N, eps, cfg.c_exponent)
+                assert cfg.noise_size(N) == float(N) ** -(0.5 + 2 * eps)
+                assert lower < cfg.noise_size(N) < upper
 
     def test_constant_delta_rejected(self):
-        sched = PerturbationSchedule(0.25, 0.5, 1, DeltaRule(0.0))  # delta = 1
-        with pytest.raises(ScheduleError):
-            delta_window(100, sched)
+        cfg = _noise_config({"power": 0.0}, [100])  # delta = 1
+        assert cfg.noise_size(100) > noise_window(100, cfg.epsilon, cfg.c_exponent)[1]
+        with pytest.raises(ConfigError, match="window"):
+            cfg.validate()
 
     def test_window_invariant_over_range(self):
-        sched = PerturbationSchedule.weyl(d=1)
         for N in range(10, 500, 7):
-            lower, upper, delta = delta_window(N, sched)
-            assert np.exp(-N**0.5) < delta < N**-0.75
+            lower, upper = noise_window(N, 0.25, 0.5)
+            assert lower == pytest.approx(np.exp(-N**0.5))
+            assert upper == pytest.approx(N**-0.75)
+            assert lower < 1.0 / N < upper
 
 
 class TestOperatorNorm:

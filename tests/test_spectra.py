@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +12,6 @@ from toeplab.geometry import (
 from toeplab.quantize import quantize_torus
 from toeplab.randmat import operator_norm, sample_ginibre
 from toeplab.spectra import (
-    DiskFamily,
     empirical_cdf_disks,
     match_eigenvalues,
     spectrum_csv_rows,
@@ -49,22 +47,18 @@ class TestEigenvalues:
 
 class TestCdfDisks:
     def test_single_atom(self):
-        np.testing.assert_allclose(empirical_cdf_disks(np.array([0.0 + 0j]), 0.0, [1.0]), [1.0])
+        np.testing.assert_allclose(empirical_cdf_disks(np.array([0.0 + 0j]), [1.0]), [1.0])
 
     def test_roots_of_unity(self):
         lam = np.exp(2j * np.pi * np.arange(4) / 4)
-        np.testing.assert_allclose(empirical_cdf_disks(lam, 0.0, [0.5, 1.0]), [0.0, 1.0])
-
-    def test_radii_must_ascend(self):
-        with pytest.raises(ValueError):
-            empirical_cdf_disks(np.array([0.0 + 0j]), 0.0, [1.0, 0.5])
+        np.testing.assert_allclose(empirical_cdf_disks(lam, [0.5, 1.0]), [0.0, 1.0])
 
     @given(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_cdf_monotone(self, radii):
         radii = sorted(radii)
         lam = sample_ginibre(12, 5).entries.ravel()[:12]
-        cdf = empirical_cdf_disks(lam, 0.1 + 0.1j, radii)
+        cdf = empirical_cdf_disks(lam, radii)
         assert np.all(np.diff(cdf) >= 0.0)
         assert np.all((cdf >= 0.0) & (cdf <= 1.0))
 
@@ -75,22 +69,22 @@ class TestWeylPredict:
         # indicator integration is first order in the grid resolution
         f = sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0})
         radii = np.linspace(0.05, 0.95, 19)
-        pred = weyl_predict(f, SPHERE, DiskFamily(0.0, tuple(radii)))
+        pred = weyl_predict(f, SPHERE, radii)
         closed = 1.0 - np.sqrt(1.0 - radii**2)
         np.testing.assert_allclose(pred, closed, atol=8e-3)
-        fine = weyl_predict(f, SPHERE, DiskFamily(0.0, tuple(radii)),
-                            liouville_quadrature(SPHERE, 800))
+        fine = weyl_predict(f, SPHERE, radii, liouville_quadrature(SPHERE, 800))
         assert np.max(np.abs(fine - closed)) < np.max(np.abs(pred - closed))
 
-    def test_constant_symbol_disk_around_value(self):
-        f = sphere_symbol({(0, 0, 0): 0.7 + 0.2j})
-        pred = weyl_predict(f, SPHERE, DiskFamily(0.7 + 0.2j, (0.1,)))
-        assert pred[0] == pytest.approx(1.0)
+    def test_constant_symbol_steps_at_its_modulus(self):
+        # |0.6 + 0.8i| = 1: all of the mass enters between r = 0.99 and r = 1.01
+        f = sphere_symbol({(0, 0, 0): 0.6 + 0.8j})
+        pred = weyl_predict(f, SPHERE, [0.0, 0.99, 1.01, 2.0])
+        np.testing.assert_allclose(pred, [0.0, 0.0, 1.0, 1.0])
 
     def test_monotone_in_nested_disks(self):
         f = scottish_flag_symbol()
         torus = make_phase_space("torus")
-        pred = weyl_predict(f, torus, DiskFamily(0.0, tuple(np.linspace(0, 2, 21))))
+        pred = weyl_predict(f, torus, np.linspace(0, 2, 21))
         assert np.all(np.diff(pred) >= 0.0)
         assert np.all((pred >= 0.0) & (pred <= 1.0))
 
