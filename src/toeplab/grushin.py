@@ -15,10 +15,14 @@ whose inverse blocks are explicit at ``delta = 0``: the bulk inverse
 which splits the normalized log-determinant into a bulk part (b1), a
 perturbation shift (b2) and a small-singular-value part (b3).
 
-``b_diagnostics`` is the fast route to the split.  ``assemble_grushin``
-(the bordered matrix and its explicit ``inv``) is the one slow reference
-route, and ``schur_identity_residual`` checks the identity by comparing a
-``slogdet`` of ``P + delta*G - z`` against it.
+``b_diagnostics`` is the fast route to the split.  When ``P - z`` is
+bidiagonal (both sphere presets quantize a weighted shift), it takes the
+singular values and the small singular subspaces from banded Hermitian
+eigensolves of the tridiagonal ``(P - z)*(P - z)`` and ``(P - z)(P - z)*``;
+otherwise from a dense SVD.  ``assemble_grushin`` (the bordered matrix from
+the dense singular triples and its explicit ``inv``) is the one slow
+reference route, and ``schur_identity_residual`` checks the identity by
+comparing a ``slogdet`` of ``P + delta*G - z`` against it.
 """
 
 from __future__ import annotations
@@ -100,6 +104,76 @@ def _params_of_values(N: int, rho: float, values: np.ndarray) -> GrushinParams:
     alpha = float(N) ** (-2.0 * rho)
     n_small = int(np.sum(values**2 <= alpha))
     return GrushinParams(rho=float(rho), alpha=alpha, n_small=n_small)
+
+
+def _bidiagonal_grams(P: np.ndarray, z: complex):
+    """Lower band storage of ``B*B`` and ``BB*`` for a bidiagonal ``B = P - z``, else None.
+
+    ``B`` is bidiagonal when its nonzeros lie on the diagonal and on one
+    adjacent off-diagonal; both Gram matrices are then tridiagonal.  A lower
+    bidiagonal ``B`` is read as the upper bidiagonal ``B*``, whose Gram
+    matrices are those of ``B`` in swapped order.
+    """
+    d = np.diagonal(P) - complex(z)
+    above, below = np.diagonal(P, 1), np.diagonal(P, -1)
+    n_above, n_below = np.count_nonzero(above), np.count_nonzero(below)
+    if (n_above and n_below) or np.count_nonzero(P) != (
+            np.count_nonzero(np.diagonal(P)) + n_above + n_below):
+        return None
+    swap = n_below > 0
+    if swap:
+        d, e = d.conj(), below.conj()
+    else:
+        e = above                               # B[i, i+1] = e[i]
+    right = np.zeros((2, len(d)), dtype=complex)
+    left = np.zeros((2, len(d)), dtype=complex)
+    right[0] = left[0] = np.abs(d) ** 2
+    right[0, 1:] += np.abs(e) ** 2
+    left[0, :-1] += np.abs(e) ** 2
+    right[1, :-1] = e.conj() * d[:-1]           # (B*B)[i+1, i]
+    left[1, :-1] = d[1:] * e.conj()             # (BB*)[i+1, i]
+    return (left, right) if swap else (right, left)
+
+
+def _small_subspaces(P: np.ndarray, z: complex, N: int, rho: float,
+                     vectors: bool = True, source: str = ""):
+    """Singular values of ``P - z``, the cutoff, and bases of its small singular subspaces.
+
+    Returns ``(values, params, left, right_h)``: the ascending singular
+    values, :class:`GrushinParams` for ``(N, rho)``, the columns ``f_1..f_A``
+    and the rows ``e_1*..e_A*`` (both None with ``vectors=False``).  A
+    bidiagonal ``P - z`` takes banded Hermitian eigensolves (LAPACK
+    ``zhbevd`` for the values, ``zhbevx`` for the ``A`` smallest vectors);
+    any other matrix a dense SVD.  The two bases span the singular subspaces
+    but are not paired vector by vector, which changes no ``|det|`` of the
+    split.
+    """
+    import scipy.linalg  # deferred: keeps ``import toeplab`` light
+
+    bands = _bidiagonal_grams(P, z)
+    if bands is None:
+        if not vectors:
+            values = np.sort(np.linalg.svd(P - complex(z) * np.eye(len(P)), compute_uv=False))
+            return values, _params_of_values(N, rho, values), None, None
+        U, s, Vh, order = _shifted_svd(P, z, source)
+        values = s[order]
+        params = _params_of_values(N, rho, values)
+        small = order[:params.n_small]
+        return values, params, U[:, small], Vh[small]
+
+    right_band, left_band = bands
+    squares = scipy.linalg.eig_banded(right_band, lower=True, eigvals_only=True)
+    values = np.sqrt(np.clip(squares, 0.0, None))
+    params = _params_of_values(N, rho, values)
+    A = params.n_small
+    if not vectors:
+        return values, params, None, None
+    if A == 0:
+        dim = len(values)
+        return values, params, np.empty((dim, 0), complex), np.empty((0, dim), complex)
+    _, right = scipy.linalg.eig_banded(right_band, lower=True, select="i", select_range=(0, A - 1))
+    _, left = scipy.linalg.eig_banded(left_band, lower=True, select="i", select_range=(0, A - 1))
+    return values, params, left, right.conj().T
 
 
 @dataclass(frozen=True)
@@ -281,6 +355,8 @@ class SplitDiagnostics:
     ``b3`` is the normalized corner log-determinant.  Their sum reassembles
     ``log|det(P + delta G - z)| / dim - avg log|z - f0|`` exactly (Schur).
     ``condition`` is LAPACK's 1-norm condition estimate of the bordered matrix.
+    ``cutoff_gap`` is ``min_i |t_i^2 - alpha| / alpha``: how far the nearest
+    singular value sits from the cutoff, so how fragile the count ``A`` is.
     """
 
     b1: float
@@ -295,6 +371,7 @@ class SplitDiagnostics:
     log_det_corner: float
     schur_residual: float
     condition: float
+    cutoff_gap: float
     flags: tuple
 
     def csv_row(self, N: int) -> str:
@@ -320,16 +397,19 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G,
     callers probing one ``G`` at several ``z`` pass it once, otherwise it is
     computed here.
 
-    Dense work per probe: one SVD of ``P - z``, one ``slogdet`` of
-    ``P + delta G - z`` (Schur route one) and one LU of the bordered matrix,
-    which gives ``log|det bordered|``, the corner block (solving against the
-    ``A`` unit columns ``[0; I_A]``) and LAPACK's 1-norm condition estimate.
-    With ``A = 0`` the bordered matrix is ``P + delta G - z`` itself, so its
-    LU serves both routes and the residual is 0 by construction.  Only the
-    singular values and the ``A`` smallest vector pairs outlive the SVD, and
+    Dense work per probe: one ``slogdet`` of ``P + delta G - z`` (Schur
+    route one) and one LU of the bordered matrix, which gives
+    ``log|det bordered|``, the corner block (solving against the ``A`` unit
+    columns ``[0; I_A]``) and LAPACK's 1-norm condition estimate.  With
+    ``A = 0`` the bordered matrix is ``P + delta G - z`` itself, so its LU
+    serves both routes and the residual is 0 by construction.  The singular
+    values and the ``A``-dimensional small singular subspaces come from
+    :func:`_small_subspaces`: banded eigensolves of the tridiagonal Gram
+    matrices when ``P - z`` is bidiagonal (no dense SVD), otherwise one SVD
+    of which only the values and the ``A`` smallest vector pairs are kept.
     ``P + delta G - z`` is built in the bordered matrix's top-left block, so
     concurrent probes stay lean.  Above ``CONDITION_GUARD`` the corner comes
-    from the closed-form route, which recomputes the full triples.
+    from the closed-form route, which recomputes the full dense triples.
     ``assemble_grushin`` (the bordered matrix and its explicit ``inv``) is
     the slow reference route for this path.
     """
@@ -340,12 +420,10 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G,
     dim = entries.shape[0]
     flags = []
 
-    U, s, Vh, order = _shifted_svd(entries, z, source=f"N={T.N}")
-    values = s[order]
-    A = _params_of_values(T.N, rho, values).n_small
-    small = order[:A]
-    left, right_h = U[:, small], Vh[small]      # columns f_1..f_A, rows e_1*..e_A*
-    del U, Vh
+    # columns f_1..f_A, rows e_1*..e_A*
+    values, params, left, right_h = _small_subspaces(entries, z, T.N, rho, source=f"N={T.N}")
+    A = params.n_small
+    cutoff_gap = float(np.min(np.abs(values**2 - params.alpha))) / params.alpha
     if A == dim:
         flags.append("all-singular-values-small")
 
@@ -416,7 +494,8 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G,
         b1=float(b1), b2=float(b2), b3=float(b3), n_small=A, z=complex(z),
         rho=float(rho), delta=delta, seed=int(seed),
         log_det_bordered=log_bordered, log_det_corner=float(log_corner),
-        schur_residual=float(residual), condition=float(condition), flags=tuple(flags),
+        schur_residual=float(residual), condition=float(condition), cutoff_gap=cutoff_gap,
+        flags=tuple(flags),
     )
 
 
@@ -431,13 +510,16 @@ class CountScan:
 
 def small_eigen_count_scan(f: SymbolSpec, space: PhaseSpace, z: complex, rho: float,
                            n_values) -> CountScan:
-    """Count singular values with t^2 <= N^(-2 rho) for each N and fit growth."""
+    """Count singular values with t^2 <= N^(-2 rho) for each N and fit growth.
+
+    The count takes :func:`b_diagnostics`' route to the singular values, so
+    the scan and the split agree on ``A``.
+    """
     counts = []
     for N in n_values:
         N = int(N)
-        T = quantize_symbol(f, N)
-        t = np.linalg.svd(T.entries - complex(z) * np.eye(T.dim), compute_uv=False)
-        counts.append(_params_of_values(N, rho, t).n_small)
+        _, params, _, _ = _small_subspaces(quantize_symbol(f, N).entries, z, N, rho, vectors=False)
+        counts.append(params.n_small)
     ns = np.asarray([int(N) for N in n_values], dtype=float)
     cs = np.asarray(counts, dtype=float)
     mask = cs >= 1

@@ -46,7 +46,7 @@ from .geometry import (
 )
 from .grushin import DIAGNOSTICS_CSV_HEADER, b_diagnostics
 from .potential import limit_potential_many, potential_from_spectrum
-from .quantize import ToeplitzMatrix, quantize_symbol
+from .quantize import ToeplitzMatrix, check_size, quantize_symbol
 from .randmat import derive_seed, noise_window, operator_norm, sample_ginibre
 from .spectra import empirical_cdf_disks, spectrum_csv_rows, weyl_predict
 
@@ -174,6 +174,8 @@ class ExperimentConfig:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if float(self.radii.get("max", 1.0)) < 0.0:
             raise ConfigError(f"radii max must be nonnegative, got {self.radii}")
+        if int(self.radii.get("count", 50)) < 0:
+            raise ConfigError(f"radii count must be nonnegative, got {self.radii}")
         for N in self.n_values:
             lower, upper = noise_window(int(N), self.epsilon, self.c_exponent)
             delta = self.noise_size(int(N))
@@ -183,7 +185,13 @@ class ExperimentConfig:
         if not (0.0 < self.rho < min(0.5, self.epsilon)):
             raise ConfigError(
                 f"rho={self.rho} outside (0, min(1/2, epsilon)) = (0, {min(0.5, self.epsilon)})")
-        self.symbol_spec()              # rejects a symbol of another space
+        f = self.symbol_spec()          # rejects a symbol of another space
+        for key in ("n_values", "unperturbed_sizes"):
+            for N in getattr(self, key):
+                try:
+                    check_size(f, int(N))
+                except ValueError as exc:
+                    raise ConfigError(f"{key}: {exc}") from None
         kappa = self.kappa_hat
         if kappa is None:
             kappa = self.kappa_estimate().kappa
@@ -451,6 +459,7 @@ def _grushin_task(setup: _Setup, kind: str, N: int, seed: int):
         "schur_residual_max": float(np.max([d.schur_residual for d in diags], initial=0.0)),
         "bordered_condition_max": float(np.max([d.condition for d in diags], initial=0.0)),
         "grushin_flagged_probes": sum(1 for d in diags if d.flags),
+        "cutoff_gap_min": float(np.min([d.cutoff_gap for d in diags])) if diags else None,
     }
     return files, health
 

@@ -71,6 +71,24 @@ def quantize_symbol(f: SymbolSpec, N: int) -> ToeplitzMatrix:
     return quantize_sphere(f, N) if f.kind == SPHERE else quantize_torus(f, N)
 
 
+def check_size(f: SymbolSpec, N: int) -> None:
+    """Raise ValueError when N is too small to quantize ``f``.
+
+    On the sphere the total degree must be at most N/2; on the torus every
+    mode (m, n), corrections included, needs ``2 max(|m|, |n|) < N``.
+    """
+    if f.kind == SPHERE:
+        deg = f.total_degree()
+        if deg > N / 2:
+            raise ValueError(f"symbol degree {deg} exceeds N/2 = {N / 2:g}; increase N")
+        return
+    for order, terms in [(0, f.terms)] + list(f.corrections):
+        for (m, n) in terms:
+            if 2 * max(abs(m), abs(n)) >= N:
+                raise ValueError(
+                    f"N={N} is too small for mode (m, n)=({m}, {n}); need N > {2 * max(abs(m), abs(n))}")
+
+
 # ---------------------------------------------------------------------------
 # torus
 # ---------------------------------------------------------------------------
@@ -79,12 +97,8 @@ def quantize_torus(f: SymbolSpec, N: int) -> ToeplitzMatrix:
     """Quantize a finite Fourier expansion on the torus."""
     if f.kind != TORUS:
         raise ValueError("quantize_torus requires a torus symbol")
+    check_size(f, N)
     space = make_phase_space(TORUS)
-    for order, terms in [(0, f.terms)] + list(f.corrections):
-        for (m, n) in terms:
-            if 2 * max(abs(m), abs(n)) >= N:
-                raise ValueError(
-                    f"N={N} is too small for mode (m, n)=({m}, {n}); need N > {2 * max(abs(m), abs(n))}")
     T = np.zeros((N, N), dtype=complex)
     diag = np.exp(2j * np.pi * np.arange(1, N + 1) / N)  # clock entries, k = 1..N
     cols = np.arange(N)
@@ -130,9 +144,7 @@ def quantize_sphere(f: SymbolSpec, N: int) -> ToeplitzMatrix:
     """Quantize a polynomial symbol on the sphere via closed-form entries."""
     if f.kind != SPHERE:
         raise ValueError("quantize_sphere requires a sphere (polynomial) symbol")
-    deg = f.total_degree()
-    if deg > N / 2:
-        raise ValueError(f"symbol degree {deg} exceeds N/2 = {N / 2:g}; increase N")
+    check_size(f, N)
     space = make_phase_space(SPHERE)
     dim = N + 1
     T = np.zeros((dim, dim), dtype=complex)

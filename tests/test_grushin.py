@@ -276,8 +276,10 @@ DRAWS = _draws()
 class TestFastRouteOracle:
     """b_diagnostics against the slow oracles assemble_grushin / slogdet."""
 
-    @pytest.mark.parametrize("T, probes, delta, seed", DRAWS, ids=["sphere", "torus"])
-    def test_matches_slow_routes(self, T, probes, delta, seed):
+    @staticmethod
+    def _check(T, probes, delta, seed, b1_exact):
+        # the dense route shares the oracle's SVD, so B1 is bit-identical there;
+        # the banded route's values agree to rounding
         G = sample_ginibre(T.dim, seed)
         grid = liouville_quadrature(T.space, 60)
         counts = []
@@ -288,7 +290,10 @@ class TestFastRouteOracle:
             b1 = float(np.sum(np.log(tr.values[A:]))) / T.dim - limit_potential(
                 T.symbol, T.space, z, grid)
             assert diag.n_small == A
-            assert diag.b1 == b1
+            if b1_exact:
+                assert diag.b1 == b1
+            else:
+                assert diag.b1 == pytest.approx(b1, abs=1e-12)
             assert diag.b2 == pytest.approx(b2, abs=1e-10)
             assert diag.b3 == pytest.approx(b3, abs=1e-10)
             assert diag.schur_residual <= 1e-8
@@ -296,6 +301,16 @@ class TestFastRouteOracle:
             assert 1.0 <= diag.condition < grushin_module.CONDITION_GUARD
             counts.append(A)
         assert sum(a >= 1 for a in counts) >= 3 and 0 in counts
+
+    @pytest.mark.parametrize("T, probes, delta, seed", DRAWS, ids=["sphere", "torus"])
+    def test_matches_slow_routes(self, T, probes, delta, seed):
+        banded = grushin_module._bidiagonal_grams(T.entries, 0.0) is not None
+        assert banded == (T.space.kind == "sphere")
+        self._check(T, probes, delta, seed, b1_exact=not banded)
+
+    def test_dense_route_on_sphere_is_bit_identical(self, monkeypatch):
+        monkeypatch.setattr(grushin_module, "_bidiagonal_grams", lambda P, z: None)
+        self._check(*DRAWS[0], b1_exact=True)
 
     def test_condition_is_lapack_one_norm_estimate(self):
         T, probes, delta, seed = DRAWS[0]
@@ -344,7 +359,8 @@ class TestFactorizationCount:
 
     @staticmethod
     def _count(monkeypatch):
-        counts = {"svd": 0, "inv": 0, "cond": 0, "norm2": 0, "slogdet": 0, "lu_factor": 0}
+        counts = {"svd": 0, "inv": 0, "cond": 0, "norm2": 0, "slogdet": 0, "lu_factor": 0,
+                  "eig_banded": 0}
         lock = threading.Lock()                 # run() calls these from pool threads
 
         def wrap(mod, attr, key, counted=lambda args, kwargs: True):
@@ -363,17 +379,30 @@ class TestFactorizationCount:
         wrap(np.linalg, "norm", "norm2",
              lambda args, kwargs: (args[1] if len(args) > 1 else kwargs.get("ord")) in (2, -2))
         wrap(scipy.linalg, "lu_factor", "lu_factor")
+        wrap(scipy.linalg, "eig_banded", "eig_banded")
         return counts
 
     def test_one_svd_and_one_lu_per_probe(self, monkeypatch):
-        T, probes, delta, seed = DRAWS[0]
+        # the torus band is not bidiagonal: one dense SVD
+        T, probes, delta, seed = DRAWS[1]
         G = sample_ginibre(T.dim, seed)
         g_norm = operator_norm(G.entries)
         counts = self._count(monkeypatch)
         diag = b_diagnostics(T, probes[0], 0.25, delta, G, g_norm=g_norm)
         assert diag.n_small >= 1
         assert counts == {"svd": 1, "inv": 0, "cond": 0, "norm2": 0,
-                          "slogdet": 2, "lu_factor": 1}
+                          "slogdet": 2, "lu_factor": 1, "eig_banded": 0}
+
+    def test_bidiagonal_probe_takes_no_svd(self, monkeypatch):
+        # values, then the right and the left small subspaces
+        T, probes, delta, seed = DRAWS[0]
+        G = sample_ginibre(T.dim, seed)
+        g_norm = operator_norm(G.entries)
+        counts = self._count(monkeypatch)
+        diag = b_diagnostics(T, probes[0], 0.25, delta, G, g_norm=g_norm)
+        assert diag.n_small >= 1
+        assert counts == {"svd": 0, "inv": 0, "cond": 0, "norm2": 0,
+                          "slogdet": 2, "lu_factor": 1, "eig_banded": 3}
 
     def test_far_probe_shares_one_lu_between_routes(self, monkeypatch):
         T, probes, delta, seed = DRAWS[0]
@@ -382,8 +411,8 @@ class TestFactorizationCount:
         counts = self._count(monkeypatch)
         diag = b_diagnostics(T, probes[-1], 0.25, delta, G, g_norm=g_norm)
         assert diag.n_small == 0
-        assert counts == {"svd": 1, "inv": 0, "cond": 0, "norm2": 0,
-                          "slogdet": 0, "lu_factor": 1}
+        assert counts == {"svd": 0, "inv": 0, "cond": 0, "norm2": 0,
+                          "slogdet": 0, "lu_factor": 1, "eig_banded": 1}
         assert diag.schur_residual == 0.0
         M = T.entries + delta * G.entries - probes[-1] * np.eye(T.dim)
         assert diag.log_det_bordered == pytest.approx(log_abs_det(M), abs=1e-10)
@@ -401,8 +430,71 @@ class TestFactorizationCount:
         record = run(cfg, out_dir=tmp_path, workers=1)
         assert not record.manifest["errors"]
         assert counts["norm2"] == 4                     # 2 sizes x 2 seeds
-        assert counts["svd"] == 8 and counts["lu_factor"] == 8
+        assert counts["svd"] == 0 and counts["lu_factor"] == 8      # bidiagonal: banded route
         assert counts["inv"] == counts["cond"] == 0
+
+
+LOWER = sphere_symbol({(1, 0, 0): 1.0, (0, 1, 0): 1j})          # x1 + i x2: lower bidiagonal
+TILTED = sphere_symbol({(1, 0, 0): 1.0, (0, 1, 0): 1j, (0, 0, 1): 0.5})   # with a diagonal
+
+
+class TestBandedRoute:
+    """Route selection, and the bidiagonal route against the dense oracle."""
+
+    @pytest.mark.parametrize("f", [PROJECTION, LOWER, TILTED], ids=["upper", "lower", "tilted"])
+    def test_bidiagonal_grams_match_dense(self, f):
+        P = quantize_sphere(f, 30).entries
+        z = 0.2 - 0.1j
+        B = P - z * np.eye(31)
+        bands = grushin_module._bidiagonal_grams(P, z)
+        assert bands is not None
+        for band, dense in zip(bands, (B.conj().T @ B, B @ B.conj().T)):
+            gram = np.diag(band[0]) + np.diag(band[1, :-1], -1)
+            gram = gram + np.tril(gram, -1).conj().T
+            assert np.max(np.abs(gram - dense)) < 1e-14
+
+    def test_other_bands_take_the_dense_route(self):
+        stray = quantize_sphere(PROJECTION, 30).entries.copy()
+        stray[0, -1] = 1e-3                                      # one far entry
+        for P in (quantize_sphere(sphere_symbol({(1, 0, 0): 1.0}), 30).entries,   # tridiagonal
+                  quantize_torus(scottish_flag_symbol(), 30).entries,
+                  stray):
+            assert grushin_module._bidiagonal_grams(P, 0.1) is None
+
+    @pytest.mark.parametrize("f", [PROJECTION, LOWER, TILTED], ids=["upper", "lower", "tilted"])
+    def test_matches_dense_oracle(self, f):
+        T = quantize_sphere(f, 79)
+        delta, seed = 79.0 ** -1.5, 23
+        G = sample_ginibre(T.dim, seed)
+        grid = liouville_quadrature(SPHERE, 60)
+        counts = []
+        for z in (0.3 + 0.2j, 0.0, 50.0):         # 0: an exactly zero value for the pure shifts
+            values, params, left, right_h = grushin_module._small_subspaces(T.entries, z, 79, 0.25)
+            tr = singular_triples(T.entries, z)
+            A = params.n_small
+            assert A == grushin_params(79, 0.25, tr).n_small
+            assert np.max(np.abs(values**2 - tr.values**2)) <= 1e-13 * tr.values[-1] ** 2
+            eye = np.eye(A)
+            assert np.max(np.abs(left.conj().T @ left - eye), initial=0.0) < 1e-12
+            assert np.max(np.abs(right_h @ right_h.conj().T - eye), initial=0.0) < 1e-12
+            if A:                                                # same subspaces as the SVD
+                for basis, ref in ((left, tr.left_vectors), (right_h.conj().T, tr.right_vectors)):
+                    cosines = np.linalg.svd(ref[:, :A].conj().T @ basis, compute_uv=False)
+                    assert cosines.min() > 1.0 - 1e-12
+
+            diag = b_diagnostics(T, z, 0.25, delta, G, grid, seed=seed)
+            A_slow, b2, b3, _ = _slow_split(T, z, 0.25, delta, G)
+            b1 = float(np.sum(np.log(tr.values[A:]))) / T.dim - limit_potential(
+                T.symbol, SPHERE, z, grid)
+            assert diag.n_small == A == A_slow
+            assert diag.b1 == pytest.approx(b1, abs=1e-12)
+            assert diag.b2 == pytest.approx(b2, abs=1e-12)
+            assert diag.b3 == pytest.approx(b3, abs=1e-12)
+            assert diag.schur_residual <= 1e-10
+            assert diag.cutoff_gap == pytest.approx(
+                np.min(np.abs(tr.values**2 - params.alpha)) / params.alpha, abs=1e-10)
+            counts.append(A)
+        assert counts[0] >= 1 and counts[1] >= 1 and counts[2] == 0
 
 
 class TestCountScan:

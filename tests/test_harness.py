@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from toeplab.cli import main as cli_main
-from toeplab.geometry import sphere_symbol, symbol_to_record
+from toeplab.geometry import (
+    scottish_flag_symbol,
+    sphere_symbol,
+    symbol_from_record,
+    symbol_to_record,
+)
 from toeplab.grushin import CONDITION_GUARD
 from toeplab.harness import (
     ConfigError,
@@ -18,7 +23,7 @@ from toeplab.harness import (
     verify,
 )
 from toeplab.potential import LOGDET_CHECK_BOUND
-from toeplab.quantize import load_matrix
+from toeplab.quantize import load_matrix, quantize_symbol
 
 
 def tiny_config(**overrides):
@@ -86,6 +91,23 @@ class TestConfig:
     def test_negative_radii_max_rejected(self):
         with pytest.raises(ConfigError, match="radii"):
             tiny_config(radii={"count": 10, "max": -1.0}).validate()
+
+    def test_negative_radii_count_rejected(self):
+        with pytest.raises(ConfigError, match="radii count"):
+            tiny_config(radii={"count": -1, "max": 1.0}).validate()
+
+    def test_sizes_too_small_for_the_symbol_rejected(self):
+        # run would fail in quantize_symbol during set-up, before any manifest
+        quadric = symbol_to_record(sphere_symbol({(2, 0, 0): 1.0, (0, 1, 0): 1j}))
+        flag = symbol_to_record(scottish_flag_symbol())
+        for overrides, key in [({"unperturbed_sizes": [0]}, "unperturbed_sizes"),
+                               ({"unperturbed_sizes": [1]}, "unperturbed_sizes"),
+                               ({"symbol": quadric, "n_values": [3, 24]}, "n_values"),
+                               ({"space": "torus", "symbol": flag, "n_values": [2, 24]},
+                                "n_values")]:
+            with pytest.raises(ConfigError, match=key):
+                tiny_config(**overrides).validate()
+        tiny_config(unperturbed_sizes=[2]).validate()          # degree 1 <= 2 / 2
 
     def test_symbol_kind_mismatch(self):
         cfg = tiny_config(space="torus")
@@ -396,7 +418,8 @@ class TestRun:
             health = cell["health"]
             assert set(health) == {"probes_dropped", "logdet_check_residual",
                                    "logdet_fallback", "max_abs_eig", "schur_residual_max",
-                                   "bordered_condition_max", "grushin_flagged_probes"}
+                                   "bordered_condition_max", "grushin_flagged_probes",
+                                   "cutoff_gap_min"}
             assert health["logdet_fallback"] is False
             assert 0.0 <= health["logdet_check_residual"] <= LOGDET_CHECK_BOUND
             rows = (out / cell["files"]["potential"]["path"]).read_text().splitlines()[1:]
@@ -410,6 +433,14 @@ class TestRun:
             assert health["schur_residual_max"] <= 1e-6
             assert 1.0 <= health["bordered_condition_max"] <= CONDITION_GUARD
             assert health["grushin_flagged_probes"] == sum(1 for r in diag if r[11])
+            # the gap of the one Grushin probe, from the dense singular values
+            N, z = int(diag[0][0]), complex(float(diag[0][1]), float(diag[0][2]))
+            t = np.linalg.svd(quantize_symbol(symbol_from_record(tiny_config().symbol), N).entries
+                              - z * np.eye(N + 1), compute_uv=False)
+            alpha = N ** (-2.0 * float(diag[0][3]))
+            assert health["cutoff_gap_min"] == pytest.approx(
+                np.min(np.abs(t**2 - alpha)) / alpha, abs=1e-12)
+            assert int(diag[0][6]) == int(np.sum(t**2 <= alpha))
 
     def test_manifest_records_tool_version(self, done):
         _, record = done
