@@ -14,7 +14,6 @@ from .geometry import (
     RegularityEstimate,
     SymbolSpec,
     estimate_kappa,
-    evaluate_symbol,
     liouville_quadrature,
     make_phase_space,
     scottish_flag_symbol,
@@ -67,7 +66,6 @@ from .calculus import (
     composition_residual,
     functional_calculus_residual,
     norm_bound_check,
-    parametrix_residual,
     trace_residual,
 )
 from .harness import (

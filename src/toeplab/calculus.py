@@ -68,27 +68,6 @@ def composition_residual(f: SymbolSpec, g: SymbolSpec, n_values) -> ResidualCurv
     return _fit_curve(n_values, residuals)
 
 
-def parametrix_residual(f: SymbolSpec, inverse_approx: SymbolSpec, sup_error: float,
-                        space: PhaseSpace, n_values) -> ResidualCurve:
-    """|| T(f) T(g) - I || for a supplied approximate-reciprocal symbol g.
-
-    Requires a real symbol with positive principal part; the expected floor
-    is the surrogate's sup-error times the scale of f, plus an O(1/N) term.
-    """
-    if not is_real_valued(f):
-        raise ValueError("parametrix requires a real-valued symbol")
-    grid = liouville_quadrature(space, space.quadrature_default)
-    fmin = float(np.min(evaluate_symbol_grid(f.principal(), grid.points).real))
-    if fmin <= 0.0:
-        raise ValueError(f"principal part must be bounded below by a positive constant (min {fmin:g})")
-    residuals = []
-    for N in n_values:
-        Tf = quantize_symbol(f, int(N)).entries
-        Tg = quantize_symbol(inverse_approx, int(N)).entries
-        residuals.append(operator_norm(Tf @ Tg - np.eye(Tf.shape[0])))
-    return _fit_curve(n_values, residuals)
-
-
 @dataclass(frozen=True)
 class ScalarSurrogate:
     """A scalar function with a polynomial stand-in of measured sup-error."""

@@ -121,27 +121,18 @@ def _normalized_corrections(corrections, arity: int) -> tuple:
 # symbol evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate_symbol(f: SymbolSpec, point, N: int | None = None) -> complex:
-    """Evaluate the symbol at a single manifold point.
+def evaluate_symbol_grid(f: SymbolSpec, points: np.ndarray, N: int | None = None) -> np.ndarray:
+    """Evaluate the symbol on an (n, 2) array of torus or (n, 3) array of sphere points.
 
     With ``N`` given, corrections enter with weight ``N^-j``; otherwise only
     the principal part is evaluated.  Sphere points must satisfy |p|^2 = 1
     within 1e-12, torus coordinates are taken mod 1.
     """
-    p = np.asarray(point, dtype=float)
-    if f.kind == SPHERE:
-        if p.shape != (3,):
-            raise ValueError("sphere points are (x1, x2, x3) triples")
-        if abs(float(p @ p) - 1.0) > _OFF_MANIFOLD_TOL:
-            raise ValueError(f"point {point} lies off the unit sphere (|p|^2 - 1 = {p @ p - 1:g})")
-    elif p.shape != (2,):
-        raise ValueError("torus points are (x, xi) pairs")
-    return complex(evaluate_symbol_grid(f, p[None, :], N)[0])
-
-
-def evaluate_symbol_grid(f: SymbolSpec, points: np.ndarray, N: int | None = None) -> np.ndarray:
-    """Vectorized evaluation on an (n, 2) or (n, 3) array of points."""
     pts = np.asarray(points, dtype=float)
+    if f.kind == SPHERE:
+        drift = np.abs(np.einsum("ij,ij->i", pts, pts) - 1.0)
+        if np.any(drift > _OFF_MANIFOLD_TOL):
+            raise ValueError(f"a point lies off the unit sphere (|p|^2 - 1 = {np.max(drift):g})")
     values = _eval_terms(f.kind, f.terms, pts)
     for order, terms in f.corrections:
         if N is None:

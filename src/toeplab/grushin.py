@@ -15,14 +15,20 @@ whose inverse blocks are explicit at ``delta = 0``: the bulk inverse
 which splits the normalized log-determinant into a bulk part (b1), a
 perturbation shift (b2) and a small-singular-value part (b3).
 
-``b_diagnostics`` is the fast route to the split.  When ``P - z`` is
-bidiagonal (both sphere presets quantize a weighted shift), it takes the
-singular values and the small singular subspaces from banded Hermitian
-eigensolves of the tridiagonal ``(P - z)*(P - z)`` and ``(P - z)(P - z)*``;
-otherwise from a dense SVD.  ``assemble_grushin`` (the bordered matrix from
-the dense singular triples and its explicit ``inv``) is the one slow
-reference route, and ``schur_identity_residual`` checks the identity by
-comparing a ``slogdet`` of ``P + delta*G - z`` against it.
+``b_diagnostics`` is the fast route to the split.  Every matrix that a run
+quantizes is banded: a sphere symbol of degree d gives band d, and a torus
+symbol of largest mode m a cyclic band m, which the interleaving
+``0, n-1, 1, n-2, ...`` turns into a plain band 2m.  For a banded
+``P - z`` the singular values come from a banded Hermitian eigensolve of
+``(P - z)*(P - z)``, and the small singular subspaces from shifted inverse
+iteration on ``(P - z)*(P - z)`` and ``(P - z)(P - z)*``; only input that
+is not banded takes a dense SVD.  The Neumann test takes ``||G||`` as a
+Cholesky-certified upper bound (:class:`~toeplab.randmat.NormBound`) and
+computes the exact norm only when the bound cannot rule the warning out.
+``assemble_grushin`` (the bordered matrix from the dense singular triples
+and its explicit ``inv``) is the one slow reference route, and
+``schur_identity_residual`` checks the identity by comparing a ``slogdet``
+of ``P + delta*G - z`` against it.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import numpy as np
 from .geometry import PhaseSpace, QuadratureGrid, SymbolSpec
 from .potential import limit_potential, log_abs_det
 from .quantize import quantize_symbol
-from .randmat import operator_norm
+from .randmat import NormBound, operator_norm
 
 #: ``b_diagnostics`` rejects the bordered LU above this condition estimate
 #: and takes the corner from the closed-form route with a Neumann correction.
@@ -106,74 +112,165 @@ def _params_of_values(N: int, rho: float, values: np.ndarray) -> GrushinParams:
     return GrushinParams(rho=float(rho), alpha=alpha, n_small=n_small)
 
 
-def _bidiagonal_grams(P: np.ndarray, z: complex):
-    """Lower band storage of ``B*B`` and ``BB*`` for a bidiagonal ``B = P - z``, else None.
+def _banded_grams(P: np.ndarray, z: complex):
+    """Lower band storage of ``B*B`` and ``B B*`` for a banded ``B = P - z``, else None.
 
-    ``B`` is bidiagonal when its nonzeros lie on the diagonal and on one
-    adjacent off-diagonal; both Gram matrices are then tridiagonal.  A lower
-    bidiagonal ``B`` is read as the upper bidiagonal ``B*``, whose Gram
-    matrices are those of ``B`` in swapped order.
+    Returns ``(right, left, perm)``: the two Gram bands of ``B`` with rows and
+    columns taken in the order ``perm``, which is None for a plain band.  A
+    cyclic band of width m (the torus quantizes a trigonometric polynomial
+    of largest mode m to one) becomes a plain band of width 2m under the
+    interleaving ``0, n-1, 1, n-2, ...``.  Bands wider than ``dim/4`` return
+    None: the banded work no longer pays there.
     """
-    d = np.diagonal(P) - complex(z)
-    above, below = np.diagonal(P, 1), np.diagonal(P, -1)
-    n_above, n_below = np.count_nonzero(above), np.count_nonzero(below)
-    if (n_above and n_below) or np.count_nonzero(P) != (
-            np.count_nonzero(np.diagonal(P)) + n_above + n_below):
+    n = P.shape[0]
+    widest = n // 4
+    if np.count_nonzero(P) > n * (2 * widest + 1):
         return None
-    swap = n_below > 0
-    if swap:
-        d, e = d.conj(), below.conj()
-    else:
-        e = above                               # B[i, i+1] = e[i]
-    right = np.zeros((2, len(d)), dtype=complex)
-    left = np.zeros((2, len(d)), dtype=complex)
-    right[0] = left[0] = np.abs(d) ** 2
-    right[0, 1:] += np.abs(e) ** 2
-    left[0, :-1] += np.abs(e) ** 2
-    right[1, :-1] = e.conj() * d[:-1]           # (B*B)[i+1, i]
-    left[1, :-1] = d[1:] * e.conj()             # (BB*)[i+1, i]
-    return (left, right) if swap else (right, left)
+    rows, cols = np.nonzero(P)
+    entries = P[rows, cols]
+    perm = None
+    if np.max(np.abs(cols - rows), initial=0) > widest:
+        perm = np.empty(n, dtype=np.intp)
+        perm[0::2] = np.arange((n + 1) // 2)
+        perm[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+        position = np.empty(n, dtype=np.intp)
+        position[perm] = np.arange(n)
+        rows, cols = position[rows], position[cols]
+        if np.max(np.abs(cols - rows), initial=0) > widest:
+            return None
+    offsets = cols - rows
+    lo, hi = max(0, -int(np.min(offsets, initial=0))), max(0, int(np.max(offsets, initial=0)))
+    # diagonals, row-indexed: diags[lo + k, r] = B[r, r + k], and the same for B*
+    diags = np.zeros((lo + hi + 1, n), dtype=complex)
+    diags[lo + offsets, rows] = entries
+    diags[lo] -= complex(z)
+    adjoint = np.zeros_like(diags)
+    adjoint[hi - offsets, cols] = entries.conj()
+    adjoint[hi] -= complex(z).conjugate()
+    return _gram_band(diags, lo, hi), _gram_band(adjoint, hi, lo), perm
+
+
+def _gram_band(diags: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Lower band storage ``band[d, c] = (B*B)[c + d, c]`` from the diagonals of ``B``."""
+    n = diags.shape[1]
+    band = np.zeros((lo + hi + 1, n), dtype=complex)
+    for d in range(lo + hi + 1):
+        for k in range(-lo, hi - d + 1):        # B[r, r+k] and B[r, r+k+d] share row r
+            r0, r1 = max(0, -k), min(n, n - k)
+            column = diags[lo + k, r0:r1]
+            if d == 0:
+                band[0, r0 + k:r1 + k] += np.abs(column) ** 2
+            else:
+                band[d, r0 + k:r1 + k] += diags[lo + k + d, r0:r1].conj() * column
+    return band
+
+
+def _band_matvec(band: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``M X`` for the Hermitian ``M`` in lower band storage ``band``."""
+    n = band.shape[1]
+    Y = band[0][:, None] * X
+    for d in range(1, band.shape[0]):
+        Y[d:] += band[d, :n - d, None] * X[:n - d]
+        Y[:n - d] += band[d, :n - d, None].conj() * X[d:]
+    return Y
+
+
+def _smallest_eigenvectors(band: np.ndarray, eigenvalues: np.ndarray, A: int):
+    """Orthonormal eigenvectors of the ``A`` smallest eigenvalues of a banded Hermitian ``M``.
+
+    ``eigenvalues`` are ``M``'s computed eigenvalues, ascending.  Shifted
+    block inverse iteration: eigenvalues closer than ``1e3 * tol`` (``tol =
+    n eps ||M||``, the eigensolver's error scale) form one cluster, and each
+    cluster takes one pivoted banded LU of ``M - sigma`` with ``sigma`` ``tol``
+    below the cluster (so an exact zero eigenvalue keeps ``M - sigma``
+    nonsingular) and two solves from a fixed start block, each followed by
+    orthogonalization against the earlier clusters.  One Rayleigh-Ritz step
+    closes.  Returns the basis and the worst residual ``||M v - theta v||``.
+    """
+    import scipy.linalg.lapack as lapack  # deferred: keeps ``import toeplab`` light
+
+    w, n = band.shape[0] - 1, band.shape[1]
+    if A == 0:
+        return np.empty((n, 0), dtype=complex), 0.0
+    tol = n * np.finfo(float).eps * max(float(eigenvalues[-1]), np.finfo(float).tiny)
+    full = np.zeros((3 * w + 1, n), dtype=complex)   # LAPACK general band storage, w fill rows
+    full[2 * w:] = band
+    for d in range(1, w + 1):
+        full[2 * w - d, d:] = band[d, :n - d].conj()
+    ends = np.flatnonzero(np.diff(eigenvalues[:A]) > 1e3 * tol) + 1
+    rng = np.random.Generator(np.random.Philox(key=0))
+    basis = np.empty((n, A), dtype=complex)
+    for start, stop in zip(np.r_[0, ends], np.r_[ends, A]):
+        shifted = full.copy()
+        shifted[2 * w] -= eigenvalues[start] - tol
+        lu, piv, _ = lapack.zgbtrf(shifted, w, w, overwrite_ab=True)
+        pivots = lu[2 * w]
+        pivots[pivots == 0.0] = tol             # exactly singular: keep iterating
+        block = rng.standard_normal((n, stop - start)).astype(complex)
+        done = basis[:, :start]
+        for _ in range(2):
+            block, _ = lapack.zgbtrs(lu, w, w, block, piv)
+            for _ in range(2):
+                block -= done @ (done.conj().T @ block)
+            block = np.linalg.qr(block)[0]
+        basis[:, start:stop] = block
+    image = _band_matvec(band, basis)
+    theta, rotation = np.linalg.eigh(basis.conj().T @ image)
+    basis = basis @ rotation
+    return basis, _worst_residual(image @ rotation, basis, theta)
+
+
+def _worst_residual(image: np.ndarray, basis: np.ndarray, theta: np.ndarray) -> float:
+    """``max_i ||image_i - theta_i basis_i||`` over the columns; 0 for no columns."""
+    return float(np.max(np.linalg.norm(image - basis * theta, axis=0), initial=0.0))
 
 
 def _small_subspaces(P: np.ndarray, z: complex, N: int, rho: float,
                      vectors: bool = True, source: str = ""):
     """Singular values of ``P - z``, the cutoff, and bases of its small singular subspaces.
 
-    Returns ``(values, params, left, right_h)``: the ascending singular
-    values, :class:`GrushinParams` for ``(N, rho)``, the columns ``f_1..f_A``
-    and the rows ``e_1*..e_A*`` (both None with ``vectors=False``).  A
-    bidiagonal ``P - z`` takes banded Hermitian eigensolves (LAPACK
-    ``zhbevd`` for the values, ``zhbevx`` for the ``A`` smallest vectors);
-    any other matrix a dense SVD.  The two bases span the singular subspaces
-    but are not paired vector by vector, which changes no ``|det|`` of the
-    split.
+    Returns ``(values, params, left, right_h, residual)``: the ascending
+    singular values, :class:`GrushinParams` for ``(N, rho)``, the columns
+    ``f_1..f_A``, the rows ``e_1*..e_A*`` and the worst residual
+    ``||B*B v - lambda v||`` (``B = P - z``) over both bases, with ``B B*``
+    for the left one (the last three None with ``vectors=False``).  A banded
+    ``B`` (see :func:`_banded_grams`) takes the values from a banded Hermitian
+    eigensolve of ``B*B`` (LAPACK ``zhbevd``) and both bases from shifted
+    inverse iteration on ``B*B`` and ``B B*``; any other matrix takes a
+    dense SVD.  The two bases span the singular subspaces but are not paired
+    vector by vector, which changes no ``|det|`` of the split.
     """
     import scipy.linalg  # deferred: keeps ``import toeplab`` light
 
-    bands = _bidiagonal_grams(P, z)
-    if bands is None:
+    grams = _banded_grams(P, z)
+    if grams is None:
         if not vectors:
             values = np.sort(np.linalg.svd(P - complex(z) * np.eye(len(P)), compute_uv=False))
-            return values, _params_of_values(N, rho, values), None, None
+            return values, _params_of_values(N, rho, values), None, None, None
         U, s, Vh, order = _shifted_svd(P, z, source)
         values = s[order]
         params = _params_of_values(N, rho, values)
         small = order[:params.n_small]
-        return values, params, U[:, small], Vh[small]
+        left, right = U[:, small], Vh[small].conj().T
+        B = P - complex(z) * np.eye(len(P))
+        squares = values[:params.n_small] ** 2
+        residual = max(_worst_residual(B.conj().T @ (B @ right), right, squares),
+                       _worst_residual(B @ (B.conj().T @ left), left, squares))
+        return values, params, left, right.conj().T, residual
 
-    right_band, left_band = bands
-    squares = scipy.linalg.eig_banded(right_band, lower=True, eigvals_only=True)
+    right_gram, left_gram, perm = grams
+    squares = scipy.linalg.eig_banded(right_gram, lower=True, eigvals_only=True)
     values = np.sqrt(np.clip(squares, 0.0, None))
     params = _params_of_values(N, rho, values)
-    A = params.n_small
     if not vectors:
-        return values, params, None, None
-    if A == 0:
-        dim = len(values)
-        return values, params, np.empty((dim, 0), complex), np.empty((0, dim), complex)
-    _, right = scipy.linalg.eig_banded(right_band, lower=True, select="i", select_range=(0, A - 1))
-    _, left = scipy.linalg.eig_banded(left_band, lower=True, select="i", select_range=(0, A - 1))
-    return values, params, left, right.conj().T
+        return values, params, None, None, None
+    A = params.n_small
+    right, right_residual = _smallest_eigenvectors(right_gram, squares, A)
+    left, left_residual = _smallest_eigenvectors(left_gram, squares, A)
+    if perm is not None:                        # back from the interleaved order
+        order = np.argsort(perm)
+        right, left = right[order], left[order]
+    return values, params, left, right.conj().T, max(right_residual, left_residual)
 
 
 @dataclass(frozen=True)
@@ -260,12 +357,20 @@ def _bulk_norm(values: np.ndarray, A: int) -> float:
     return 1.0 / t if t > 0.0 else float("inf")
 
 
-def _neumann_warning(shift_norm: float, values: np.ndarray, A: int) -> str | None:
+def _neumann_warning(delta: float, g_norm, values: np.ndarray, A: int) -> str | None:
     """Warning text when ``delta ||G|| (||bulk|| + ||injection||) >= 1``, else None.
 
-    ``values`` are the ascending singular values of ``P - z``.
+    ``values`` are the ascending singular values of ``P - z``.  ``g_norm`` is
+    ``||G||`` or a :class:`~toeplab.randmat.NormBound`, whose exact norm is
+    computed only when its certified bound cannot rule the warning out, so
+    the warning is the one the exact norm gives.
     """
-    neumann = shift_norm * (_bulk_norm(values, A) + (1.0 if A else 0.0))
+    reach = _bulk_norm(values, A) + (1.0 if A else 0.0)
+    if isinstance(g_norm, NormBound):
+        if delta * g_norm.bound * reach < 1.0:
+            return None
+        g_norm = g_norm.exact()
+    neumann = delta * g_norm * reach
     if neumann >= 1.0:
         return f"Neumann invertibility condition violated ({neumann:.3g} >= 1); inverting anyway"
     return None
@@ -295,7 +400,7 @@ def assemble_grushin(triples: SingularTriples, params: GrushinParams,
             raise ValueError(f"perturbation shape {Gm.shape} does not match dim {dim}")
         if delta != 0.0:
             shifted = shifted + delta * Gm
-            warning = _neumann_warning(delta * operator_norm(Gm), triples.values, A)
+            warning = _neumann_warning(delta, operator_norm(Gm), triples.values, A)
             if warning:
                 warnings.append(warning)
 
@@ -357,6 +462,8 @@ class SplitDiagnostics:
     ``condition`` is LAPACK's 1-norm condition estimate of the bordered matrix.
     ``cutoff_gap`` is ``min_i |t_i^2 - alpha| / alpha``: how far the nearest
     singular value sits from the cutoff, so how fragile the count ``A`` is.
+    ``subspace_residual`` is the worst ``||B*B v - lambda v||`` over the two
+    small singular bases (``B B*`` for the left one), ``B = P - z``.
     """
 
     b1: float
@@ -372,6 +479,7 @@ class SplitDiagnostics:
     schur_residual: float
     condition: float
     cutoff_gap: float
+    subspace_residual: float
     flags: tuple
 
     def csv_row(self, N: int) -> str:
@@ -393,8 +501,10 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G,
 
     ``T`` must be a ToeplitzMatrix (the classical side needs its symbol).
     The unperturbed bulk term uses ``log|det bordered| = sum_{i>A} log t_i``,
-    which is exact for the unperturbed system.  ``g_norm`` is ``||G||``;
-    callers probing one ``G`` at several ``z`` pass it once, otherwise it is
+    which is exact for the unperturbed system.  ``g_norm`` is ``||G||`` or a
+    :class:`~toeplab.randmat.NormBound`, whose exact norm is computed only
+    when its certified bound cannot rule out the Neumann warning; callers
+    probing one ``G`` at several ``z`` pass it once, otherwise ``||G||`` is
     computed here.
 
     Dense work per probe: one ``slogdet`` of ``P + delta G - z`` (Schur
@@ -404,9 +514,10 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G,
     ``A = 0`` the bordered matrix is ``P + delta G - z`` itself, so its LU
     serves both routes and the residual is 0 by construction.  The singular
     values and the ``A``-dimensional small singular subspaces come from
-    :func:`_small_subspaces`: banded eigensolves of the tridiagonal Gram
-    matrices when ``P - z`` is bidiagonal (no dense SVD), otherwise one SVD
-    of which only the values and the ``A`` smallest vector pairs are kept.
+    :func:`_small_subspaces`: a banded eigensolve and banded inverse
+    iteration when ``P - z`` is banded, plainly or cyclically (no dense
+    SVD), otherwise one SVD of which only the values and the ``A`` smallest
+    vector pairs are kept.
     ``P + delta G - z`` is built in the bordered matrix's top-left block, so
     concurrent probes stay lean.  Above ``CONDITION_GUARD`` the corner comes
     from the closed-form route, which recomputes the full dense triples.
@@ -421,7 +532,8 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G,
     flags = []
 
     # columns f_1..f_A, rows e_1*..e_A*
-    values, params, left, right_h = _small_subspaces(entries, z, T.N, rho, source=f"N={T.N}")
+    values, params, left, right_h, subspace_residual = _small_subspaces(
+        entries, z, T.N, rho, source=f"N={T.N}")
     A = params.n_small
     cutoff_gap = float(np.min(np.abs(values**2 - params.alpha))) / params.alpha
     if A == dim:
@@ -443,7 +555,7 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G,
         raise ValueError(f"perturbation shape {Gm.shape} does not match dim {dim}")
     if delta != 0.0:
         warning = _neumann_warning(
-            delta * (operator_norm(Gm) if g_norm is None else float(g_norm)), values, A)
+            delta, operator_norm(Gm) if g_norm is None else g_norm, values, A)
         if warning:
             flags.append(warning)
 
@@ -495,7 +607,7 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G,
         rho=float(rho), delta=delta, seed=int(seed),
         log_det_bordered=log_bordered, log_det_corner=float(log_corner),
         schur_residual=float(residual), condition=float(condition), cutoff_gap=cutoff_gap,
-        flags=tuple(flags),
+        subspace_residual=subspace_residual, flags=tuple(flags),
     )
 
 
@@ -518,7 +630,8 @@ def small_eigen_count_scan(f: SymbolSpec, space: PhaseSpace, z: complex, rho: fl
     counts = []
     for N in n_values:
         N = int(N)
-        _, params, _, _ = _small_subspaces(quantize_symbol(f, N).entries, z, N, rho, vectors=False)
+        _, params, _, _, _ = _small_subspaces(
+            quantize_symbol(f, N).entries, z, N, rho, vectors=False)
         counts.append(params.n_small)
     ns = np.asarray([int(N) for N in n_values], dtype=float)
     cs = np.asarray(counts, dtype=float)

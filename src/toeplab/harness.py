@@ -47,7 +47,7 @@ from .geometry import (
 from .grushin import DIAGNOSTICS_CSV_HEADER, b_diagnostics
 from .potential import limit_potential_many, potential_from_spectrum
 from .quantize import ToeplitzMatrix, check_size, quantize_symbol
-from .randmat import derive_seed, noise_window, operator_norm, sample_ginibre
+from .randmat import NormBound, derive_seed, noise_window, sample_ginibre
 from .spectra import empirical_cdf_disks, spectrum_csv_rows, weyl_predict
 
 
@@ -318,9 +318,9 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     ``stages`` is a subset of :data:`STAGES`.  The spectrum stage of a cell
     is one task (eigenvalues and disk counts, plus the potential when that
     stage is selected); the Grushin stage of a perturbed cell is a second
-    task (``||G||`` once, then the split at each Grushin probe).  Each task
-    draws its own copy of the cell's noise, so no per-cell matrix exists
-    outside a running task.  All tasks share one thread pool with one thread
+    task (a certified bound on ``||G||`` once, then the split at each
+    Grushin probe).  Each task draws its own copy of the cell's noise, so no
+    per-cell matrix exists outside a running task.  All tasks share one thread pool with one thread
     per usable CPU while every loaded OpenBLAS is pinned to one thread
     (restored afterwards); without a pinnable OpenBLAS the tasks run one at
     a time and BLAS keeps its own threads.  ``workers`` is ignored; it is
@@ -449,7 +449,7 @@ def _grushin_task(setup: _Setup, kind: str, N: int, seed: int):
     T = setup.matrices[N]
     delta = setup.deltas[N]
     G = _cell_noise(T, seed)
-    g_norm = operator_norm(G.entries)
+    g_norm = NormBound(G.entries)           # certified; the exact norm only if a flag hinges on it
     diags = [b_diagnostics(T, z, setup.rho, delta, G, setup.grid, seed=seed, g_norm=g_norm)
              for z in setup.grushin_probes]
     rows = [DIAGNOSTICS_CSV_HEADER] + [diag.csv_row(N) for diag in diags]
@@ -460,6 +460,9 @@ def _grushin_task(setup: _Setup, kind: str, N: int, seed: int):
         "bordered_condition_max": float(np.max([d.condition for d in diags], initial=0.0)),
         "grushin_flagged_probes": sum(1 for d in diags if d.flags),
         "cutoff_gap_min": float(np.min([d.cutoff_gap for d in diags])) if diags else None,
+        "subspace_residual_max": float(np.max([d.subspace_residual for d in diags], initial=0.0)),
+        "g_norm_bound": g_norm.bound,
+        "g_norm_route": g_norm.route,
     }
     return files, health
 

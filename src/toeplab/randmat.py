@@ -11,6 +11,7 @@ independent, reproducible streams on any platform.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,79 @@ def operator_norm(M: np.ndarray) -> float:
     if M.size == 0:
         return 0.0
     return float(np.linalg.norm(M, 2))
+
+
+def certify_norm_bound(G: np.ndarray, c: float) -> float | None:
+    """Prove ``||G|| < c`` for a square ``G``; the rounding shift used, or None.
+
+    The proof is a Cholesky factorization (``zpotrf``) of ``c^2 I - G*G``
+    shifted down by ``s``, an upper bound on every rounding error of forming
+    and factoring it (Rump, "Verification of positive definiteness", BIT 46,
+    2006).  With ``u`` the unit roundoff and ``gamma = k u / (1 - k u)`` at
+    ``k = 2 dim + 4`` (complex dot products of length dim), ``s`` is twice
+
+        gamma / (1 - gamma) * dim * c^2 (1 + u)  +  4 u c^2  +  (u + gamma) ||G||_F^2:
+
+    the Cholesky backward error over the trace, the rounding of ``c^2`` and
+    of the diagonal, and the error of the product ``G*G``, entry by entry
+    (only the triangle that ``zpotrf`` reads is formed).
+    The factor 2 covers evaluating ``s`` itself.  Underflow is assumed not to
+    occur.  A factorization that fails (or a non-finite ``G``) proves nothing
+    and returns None.
+    """
+    import scipy.linalg  # deferred: keeps ``import toeplab`` light
+
+    G = np.asarray(G, dtype=complex)
+    dim = G.shape[0]
+    u = np.finfo(float).eps / 2.0
+    gamma = (2 * dim + 4) * u / (1.0 - (2 * dim + 4) * u)
+    # the lower triangle of -G*G by row blocks, so no conjugated copy of G
+    # exists; read in Fortran order it is the upper triangle of -conj(G*G).
+    # numpy's product releases the GIL (zherk would hold it and stall the
+    # other pool threads).
+    gram = np.empty((dim, dim), dtype=complex)
+    for i0 in range(0, dim, 128):
+        block = gram[i0:i0 + 128, :i0 + 128]
+        np.matmul(G[:, i0:i0 + 128].conj().T, G[:, :i0 + 128], out=block)
+        np.negative(block, out=block)
+    gram = gram.T
+    diagonal = gram.diagonal().real.copy()               # -|column|^2, each within gamma
+    frobenius = math.fsum(-diagonal) * (1.0 + 3.0 * gamma)
+    c2 = float(c) * float(c)
+    shift = 2.0 * (gamma / (1.0 - gamma) * dim * c2 * (1.0 + u)
+                   + 4.0 * u * c2 + (u + gamma) * frobenius)
+    if not (np.isfinite(shift) and shift < c2):
+        return None
+    gram[np.diag_indices(dim)] = (c2 - shift) + diagonal
+    _, info = scipy.linalg.lapack.zpotrf(gram, lower=0, clean=0, overwrite_a=1)
+    return shift if info == 0 else None
+
+
+class NormBound:
+    """``||G||`` for a Neumann test: a certified upper bound, the exact norm on demand.
+
+    ``bound`` is ``c = 2 sqrt(dim) + 3`` when :func:`certify_norm_bound`
+    proves it (``route`` ``"cholesky"``), otherwise the exact norm from an
+    SVD (``"svd-fallback"``).  The choice of ``c`` comes from Gaussian
+    concentration of a Ginibre matrix's norm around ``2 sqrt(dim)``
+    (Vershynin, arXiv:1011.3027, Thm 5.32); only the factorization proves it.
+    :meth:`exact` computes the SVD norm at most once, and the route then
+    reads ``"svd-exact"``.
+    """
+
+    def __init__(self, G: np.ndarray):
+        self._G = G
+        c = 2.0 * math.sqrt(G.shape[0]) + 3.0
+        if certify_norm_bound(G, c) is not None:
+            self.bound, self.route, self._exact = c, "cholesky", None
+        else:
+            self._exact = operator_norm(G)
+            self.bound, self.route = self._exact, "svd-fallback"
+
+    def exact(self) -> float:
+        if self._exact is None:
+            self._exact, self.route = operator_norm(self._G), "svd-exact"
+        return self._exact
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ from toeplab.calculus import (
     composition_residual,
     functional_calculus_residual,
     norm_bound_check,
-    parametrix_residual,
     trace_residual,
 )
 from toeplab.geometry import (
@@ -54,25 +53,6 @@ class TestComposition:
 
 
 class TestParametrix:
-    def test_exact_reciprocal_constant(self):
-        f = sphere_symbol({(0, 0, 0): 2.0})
-        inv = sphere_symbol({(0, 0, 0): 0.5})
-        curve = parametrix_residual(f, inv, 0.0, SPHERE, [10, 20])
-        assert curve.residuals == (0.0, 0.0)
-
-    def test_chebyshev_reciprocal_budget(self):
-        # degree-8 polynomial stand-in for 1/(2+s) on [-1, 1]
-        surrogate = chebyshev_surrogate(lambda s: 1.0 / (2.0 + s), 8)
-        f = sphere_symbol({(0, 0, 0): 2.0, (0, 0, 1): 1.0})
-        inv = sphere_symbol({(0, 0, j): surrogate.coefficients[j]
-                             for j in range(len(surrogate.coefficients))})
-        eta = surrogate.sup_error
-        assert eta < 1e-3
-        curve = parametrix_residual(f, inv, eta, SPHERE, [50, 100, 200])
-        for N, res in zip(curve.n_values, curve.residuals):
-            # sup|f| = 3 scales the surrogate error; O(1/N) calculus term
-            assert res <= 3.0 * eta + 5.0 / N
-
     def test_matches_dense_inverse_budget(self):
         surrogate = chebyshev_surrogate(lambda s: 1.0 / (2.0 + s), 8)
         f = sphere_symbol({(0, 0, 0): 2.0, (0, 0, 1): 1.0})
@@ -83,15 +63,6 @@ class TestParametrix:
         Tg = quantize_symbol(inv, N).entries
         direct = np.linalg.inv(Tf)
         assert operator_norm(direct - Tg) <= surrogate.sup_error + 5.0 / N
-
-    def test_rejects_sign_changing_symbol(self):
-        with pytest.raises(ValueError, match="bounded below"):
-            parametrix_residual(X3, X3, 0.1, SPHERE, [10])
-
-    def test_rejects_complex_symbol(self):
-        f = sphere_symbol({(1, 0, 0): 1j, (0, 0, 0): 2.0})
-        with pytest.raises(ValueError, match="real"):
-            parametrix_residual(f, f, 0.1, SPHERE, [10])
 
 
 class TestFunctionalCalculus:

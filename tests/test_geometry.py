@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from toeplab.geometry import (
     estimate_kappa,
-    evaluate_symbol,
     evaluate_symbol_grid,
     is_real_valued,
     liouville_quadrature,
@@ -97,20 +96,22 @@ class TestQuadrature:
 class TestEvaluation:
     def test_constant(self):
         f = torus_symbol({(0, 0): 1.0})
-        assert evaluate_symbol(f, (0.37, 0.91)) == pytest.approx(1.0)
+        assert evaluate_symbol_grid(f, [(0.37, 0.91)])[0] == pytest.approx(1.0)
 
     def test_crossed_cosines_at_origin(self):
         f = scottish_flag_symbol()
-        assert evaluate_symbol(f, (0.0, 0.0)) == pytest.approx(1.0 + 1.0j)
+        assert evaluate_symbol_grid(f, [(0.0, 0.0)])[0] == pytest.approx(1.0 + 1.0j)
 
     def test_x3_north_pole(self):
         f = sphere_symbol({(0, 0, 1): 1.0})
-        assert evaluate_symbol(f, (0.0, 0.0, 1.0)) == pytest.approx(1.0)
+        assert evaluate_symbol_grid(f, [(0.0, 0.0, 1.0)])[0] == pytest.approx(1.0)
 
     def test_off_manifold_rejected(self):
         f = sphere_symbol({(0, 0, 1): 1.0})
+        on = sample_points(SPHERE, 16, seed=3)
+        assert evaluate_symbol_grid(f, on).shape == (16,)
         with pytest.raises(ValueError, match="off the unit sphere"):
-            evaluate_symbol(f, (0.0, 0.0, 1.0 + 1e-6))
+            evaluate_symbol_grid(f, np.vstack([on, [(0.0, 0.0, 1.0 + 1e-6)]]))
 
     def test_principal_is_n_independent(self):
         f = sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0})
@@ -119,10 +120,10 @@ class TestEvaluation:
 
     def test_corrections_scale_with_n(self):
         f = sphere_symbol({(0, 0, 1): 1.0}, corrections=((1, {(0, 0, 0): 2.0}),))
-        p = (0.0, 0.0, 1.0)
-        assert evaluate_symbol(f, p, N=10) == pytest.approx(1.0 + 0.2)
-        assert evaluate_symbol(f, p, N=100) == pytest.approx(1.0 + 0.02)
-        assert evaluate_symbol(f, p) == pytest.approx(1.0)  # principal only
+        p = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
+        np.testing.assert_allclose(evaluate_symbol_grid(f, p, N=10), [1.0 + 0.2, -1.0 + 0.2])
+        np.testing.assert_allclose(evaluate_symbol_grid(f, p, N=100), [1.0 + 0.02, -1.0 + 0.02])
+        np.testing.assert_allclose(evaluate_symbol_grid(f, p), [1.0, -1.0])   # principal only
 
     def test_is_real_valued(self):
         assert is_real_valued(sphere_symbol({(0, 0, 1): 1.0}))

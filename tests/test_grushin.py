@@ -1,4 +1,5 @@
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from toeplab.geometry import (
     make_phase_space,
     scottish_flag_symbol,
     sphere_symbol,
+    torus_symbol,
 )
 from toeplab.grushin import (
     DIAGNOSTICS_CSV_HEADER,
@@ -23,8 +25,8 @@ from toeplab.grushin import (
     small_eigen_count_scan,
 )
 from toeplab.potential import limit_potential, log_abs_det
-from toeplab.quantize import quantize_sphere, quantize_torus
-from toeplab.randmat import operator_norm, sample_ginibre
+from toeplab.quantize import quantize_sphere, quantize_symbol, quantize_torus
+from toeplab.randmat import derive_seed, operator_norm, sample_ginibre
 
 SPHERE = make_phase_space("sphere")
 TORUS = make_phase_space("torus")
@@ -304,20 +306,25 @@ class TestFastRouteOracle:
 
     @pytest.mark.parametrize("T, probes, delta, seed", DRAWS, ids=["sphere", "torus"])
     def test_matches_slow_routes(self, T, probes, delta, seed):
-        banded = grushin_module._bidiagonal_grams(T.entries, 0.0) is not None
-        assert banded == (T.space.kind == "sphere")
-        self._check(T, probes, delta, seed, b1_exact=not banded)
+        assert grushin_module._banded_grams(T.entries, 0.0) is not None    # both presets are banded
+        self._check(T, probes, delta, seed, b1_exact=False)
 
     def test_dense_route_on_sphere_is_bit_identical(self, monkeypatch):
-        monkeypatch.setattr(grushin_module, "_bidiagonal_grams", lambda P, z: None)
+        monkeypatch.setattr(grushin_module, "_banded_grams", lambda P, z: None)
         self._check(*DRAWS[0], b1_exact=True)
 
     def test_condition_is_lapack_one_norm_estimate(self):
         T, probes, delta, seed = DRAWS[0]
         G = sample_ginibre(T.dim, seed)
         diag = b_diagnostics(T, probes[0], 0.25, delta, G)
-        _, _, _, system = _slow_split(T, probes[0], 0.25, delta, G)
-        exact = np.linalg.cond(system.matrix, 1)
+        # a 1-norm condition depends on the bases: take the matrix b_diagnostics factors
+        _, params, left, right_h, _ = grushin_module._small_subspaces(
+            T.entries, probes[0], T.N, 0.25)
+        A = params.n_small
+        M = np.zeros((T.dim + A, T.dim + A), dtype=complex)
+        M[:T.dim, :T.dim] = T.entries + delta * G.entries - probes[0] * np.eye(T.dim)
+        M[:T.dim, T.dim:], M[T.dim:, :T.dim] = left, right_h
+        exact = np.linalg.cond(M, 1)
         # the estimator is a lower bound, within a small factor in practice
         assert exact / 3.0 <= diag.condition <= exact * (1.0 + 1e-8)
 
@@ -383,8 +390,11 @@ class TestFactorizationCount:
         return counts
 
     def test_one_svd_and_one_lu_per_probe(self, monkeypatch):
-        # the torus band is not bidiagonal: one dense SVD
+        # a stray far entry leaves no band: one dense SVD
         T, probes, delta, seed = DRAWS[1]
+        entries = T.entries.copy()
+        entries[0, T.dim // 2] = 1e-3
+        T = replace(T, entries=entries)
         G = sample_ginibre(T.dim, seed)
         g_norm = operator_norm(G.entries)
         counts = self._count(monkeypatch)
@@ -393,16 +403,26 @@ class TestFactorizationCount:
         assert counts == {"svd": 1, "inv": 0, "cond": 0, "norm2": 0,
                           "slogdet": 2, "lu_factor": 1, "eig_banded": 0}
 
-    def test_bidiagonal_probe_takes_no_svd(self, monkeypatch):
-        # values, then the right and the left small subspaces
-        T, probes, delta, seed = DRAWS[0]
+    def _banded_probe_counts(self, monkeypatch, draw):
+        T, probes, delta, seed = DRAWS[draw]
         G = sample_ginibre(T.dim, seed)
         g_norm = operator_norm(G.entries)
         counts = self._count(monkeypatch)
         diag = b_diagnostics(T, probes[0], 0.25, delta, G, g_norm=g_norm)
         assert diag.n_small >= 1
-        assert counts == {"svd": 0, "inv": 0, "cond": 0, "norm2": 0,
-                          "slogdet": 2, "lu_factor": 1, "eig_banded": 3}
+        return counts
+
+    def test_bidiagonal_probe_takes_no_svd(self, monkeypatch):
+        # the values; both bases come from banded inverse iteration
+        assert self._banded_probe_counts(monkeypatch, 0) == {
+            "svd": 0, "inv": 0, "cond": 0, "norm2": 0, "slogdet": 2, "lu_factor": 1,
+            "eig_banded": 1}
+
+    def test_torus_probe_takes_no_svd(self, monkeypatch):
+        # the cyclic band, interleaved to a plain one
+        assert self._banded_probe_counts(monkeypatch, 1) == {
+            "svd": 0, "inv": 0, "cond": 0, "norm2": 0, "slogdet": 2, "lu_factor": 1,
+            "eig_banded": 1}
 
     def test_far_probe_shares_one_lu_between_routes(self, monkeypatch):
         T, probes, delta, seed = DRAWS[0]
@@ -417,66 +437,122 @@ class TestFactorizationCount:
         M = T.entries + delta * G.entries - probes[-1] * np.eye(T.dim)
         assert diag.log_det_bordered == pytest.approx(log_abs_det(M), abs=1e-10)
 
-    def test_run_takes_one_norm_per_perturbed_cell(self, monkeypatch, tmp_path):
+    @staticmethod
+    def _tiny_run(delta, out_dir, f=PROJECTION):
         from toeplab.geometry import symbol_to_record
         from toeplab.harness import ExperimentConfig, run
 
         cfg = ExperimentConfig.from_mapping(dict(
-            space="sphere", symbol=symbol_to_record(PROJECTION), n_values=[24, 32],
-            delta={"preset": "weyl"}, seeds=[0, 1], probe_grid={"nx": 3, "ny": 3},
+            space=f.kind, symbol=symbol_to_record(f), n_values=[24, 32],
+            delta=delta, seeds=[0, 1], probe_grid={"nx": 3, "ny": 3},
             radii={"count": 5, "max": 1.0}, grushin_probes=[[0.3, 0.2], [0.6, 0.0]],
             resolution=40, kappa_samples=10**4))
-        counts = self._count(monkeypatch)
-        record = run(cfg, out_dir=tmp_path, workers=1)
+        record = run(cfg, out_dir=out_dir, workers=1)
         assert not record.manifest["errors"]
-        assert counts["norm2"] == 4                     # 2 sizes x 2 seeds
+        return record
+
+    def test_run_takes_one_norm_per_perturbed_cell(self, monkeypatch, tmp_path):
+        # the one norm of a cell is the Cholesky certificate; no 2-norm is taken
+        counts = self._count(monkeypatch)
+        record = self._tiny_run({"power": 1.25}, tmp_path)
+        assert counts["norm2"] == 0
         assert counts["svd"] == 0 and counts["lu_factor"] == 8      # bidiagonal: banded route
         assert counts["inv"] == counts["cond"] == 0
+        routes = [c["health"]["g_norm_route"] for c in record.manifest["cells"].values()]
+        assert routes == ["cholesky"] * 4                # 2 sizes x 2 seeds
+
+    def test_torus_run_takes_no_svd_and_no_norm(self, monkeypatch, tmp_path):
+        counts = self._count(monkeypatch)
+        record = self._tiny_run({"power": 1.25}, tmp_path, scottish_flag_symbol())
+        assert counts["svd"] == counts["norm2"] == 0 and counts["lu_factor"] == 8
+        assert all(c["health"]["g_norm_route"] == "cholesky"
+                   for c in record.manifest["cells"].values())
+
+    def test_run_takes_the_exact_norm_only_where_the_bound_cannot_decide(
+            self, monkeypatch, tmp_path):
+        # at delta = 1/N the bound crosses the Neumann threshold in every cell
+        counts = self._count(monkeypatch)
+        record = self._tiny_run({"preset": "weyl"}, tmp_path)
+        assert counts["norm2"] == 4 and counts["svd"] == 0
+        for name, cell in record.manifest["cells"].items():
+            assert cell["health"]["g_norm_route"] == "svd-exact"
+            N = int(name[1:].split("_")[0])
+            G = sample_ginibre(N + 1, derive_seed(int(name.split("_s")[1]), "cell", N))
+            assert cell["health"]["g_norm_bound"] == 2.0 * np.sqrt(N + 1) + 3.0
+            T = quantize_sphere(PROJECTION, N)
+            rows = (tmp_path / cell["files"]["diagnostics"]["path"]).read_text().splitlines()
+            flags = [row.split(",")[-1] for row in rows[1:]]
+            exact = [b_diagnostics(T, z, 0.2, 1.0 / N, G, g_norm=operator_norm(G.entries))
+                     for z in (0.3 + 0.2j, 0.6)]
+            assert flags == [";".join(d.flags) for d in exact]
 
 
 LOWER = sphere_symbol({(1, 0, 0): 1.0, (0, 1, 0): 1j})          # x1 + i x2: lower bidiagonal
 TILTED = sphere_symbol({(1, 0, 0): 1.0, (0, 1, 0): 1j, (0, 0, 1): 0.5})   # with a diagonal
+X1 = sphere_symbol({(1, 0, 0): 1.0})                                    # tridiagonal
+# cyclic band 2: cos(4 pi xi) + i sin(2 pi x) + e^{2 pi i (x + xi)} / 4
+CYCLIC2 = torus_symbol({(0, 2): 0.5, (0, -2): 0.5, (1, 0): 0.5, (-1, 0): -0.5, (1, 1): 0.25})
+# cos(2 pi xi): a Hermitian circulant, so every singular value of P - z is exactly double
+DOUBLE = torus_symbol({(0, 1): 0.5, (0, -1): 0.5})
+BANDED = {"upper": PROJECTION, "lower": LOWER, "tilted": TILTED, "x1": X1,
+          "flag": scottish_flag_symbol(), "cyclic2": CYCLIC2, "double": DOUBLE}
+
+
+def _dense_gram_band(band):
+    """The Hermitian matrix held in lower band storage."""
+    gram = np.diag(band[0])
+    for d in range(1, band.shape[0]):
+        gram = gram + np.diag(band[d, :-d], -d)
+    return gram + np.tril(gram, -1).conj().T
 
 
 class TestBandedRoute:
-    """Route selection, and the bidiagonal route against the dense oracle."""
+    """Route selection, and the banded route against the dense oracle."""
 
-    @pytest.mark.parametrize("f", [PROJECTION, LOWER, TILTED], ids=["upper", "lower", "tilted"])
-    def test_bidiagonal_grams_match_dense(self, f):
-        P = quantize_sphere(f, 30).entries
+    @pytest.mark.parametrize("name", ["upper", "lower", "tilted", "x1", "flag", "cyclic2"])
+    def test_bidiagonal_grams_match_dense(self, name):
+        P = quantize_symbol(BANDED[name], 30).entries
         z = 0.2 - 0.1j
-        B = P - z * np.eye(31)
-        bands = grushin_module._bidiagonal_grams(P, z)
-        assert bands is not None
-        for band, dense in zip(bands, (B.conj().T @ B, B @ B.conj().T)):
-            gram = np.diag(band[0]) + np.diag(band[1, :-1], -1)
-            gram = gram + np.tril(gram, -1).conj().T
-            assert np.max(np.abs(gram - dense)) < 1e-14
+        right, left, perm = grushin_module._banded_grams(P, z)
+        assert (perm is None) == (BANDED[name].kind == "sphere")
+        order = np.arange(len(P)) if perm is None else perm
+        B = (P - z * np.eye(len(P)))[np.ix_(order, order)]
+        # B's band (interleaved on the torus) is 1, 1, 1, 2, 2, 4 wide on either side
+        width = {"upper": 1, "lower": 1, "tilted": 1, "x1": 2, "flag": 4, "cyclic2": 8}[name]
+        assert right.shape == left.shape == (width + 1, len(P))
+        for band, dense in ((right, B.conj().T @ B), (left, B @ B.conj().T)):
+            assert np.max(np.abs(_dense_gram_band(band) - dense)) < 1e-14
 
     def test_other_bands_take_the_dense_route(self):
         stray = quantize_sphere(PROJECTION, 30).entries.copy()
-        stray[0, -1] = 1e-3                                      # one far entry
-        for P in (quantize_sphere(sphere_symbol({(1, 0, 0): 1.0}), 30).entries,   # tridiagonal
-                  quantize_torus(scottish_flag_symbol(), 30).entries,
-                  stray):
-            assert grushin_module._bidiagonal_grams(P, 0.1) is None
+        stray[0, 15] = 1e-3                                      # one far entry
+        dense = sample_ginibre(31, 5).entries
+        for P in (stray, dense):
+            assert grushin_module._banded_grams(P, 0.1) is None
 
-    @pytest.mark.parametrize("f", [PROJECTION, LOWER, TILTED], ids=["upper", "lower", "tilted"])
-    def test_matches_dense_oracle(self, f):
-        T = quantize_sphere(f, 79)
-        delta, seed = 79.0 ** -1.5, 23
+    @pytest.mark.parametrize("name", list(BANDED))
+    def test_matches_dense_oracle(self, name):
+        T = quantize_symbol(BANDED[name], 79 if BANDED[name].kind == "sphere" else 80)
+        delta, seed = T.N ** -1.5, 23
         G = sample_ginibre(T.dim, seed)
-        grid = liouville_quadrature(SPHERE, 60)
+        grid = liouville_quadrature(T.space, 60)
         counts = []
-        for z in (0.3 + 0.2j, 0.0, 50.0):         # 0: an exactly zero value for the pure shifts
-            values, params, left, right_h = grushin_module._small_subspaces(T.entries, z, 79, 0.25)
+        for z in (0.3 + 0.2j, 0.0, 50.0):
+            values, params, left, right_h, residual = grushin_module._small_subspaces(
+                T.entries, z, T.N, 0.25)
             tr = singular_triples(T.entries, z)
             A = params.n_small
-            assert A == grushin_params(79, 0.25, tr).n_small
+            assert A == grushin_params(T.N, 0.25, tr).n_small
             assert np.max(np.abs(values**2 - tr.values**2)) <= 1e-13 * tr.values[-1] ** 2
+            if z == 0.0 and name in ("upper", "lower"):         # pure shifts: a kernel
+                assert tr.values[0] < 1e-14 and values[0] < 1e-7
+            if name == "double":
+                assert A % 2 == 0
+                assert np.max(np.abs(values[:A:2] - values[1:A:2]), initial=0.0) < 1e-7
             eye = np.eye(A)
             assert np.max(np.abs(left.conj().T @ left - eye), initial=0.0) < 1e-12
             assert np.max(np.abs(right_h @ right_h.conj().T - eye), initial=0.0) < 1e-12
+            assert residual < 1e-13
             if A:                                                # same subspaces as the SVD
                 for basis, ref in ((left, tr.left_vectors), (right_h.conj().T, tr.right_vectors)):
                     cosines = np.linalg.svd(ref[:, :A].conj().T @ basis, compute_uv=False)
@@ -485,12 +561,13 @@ class TestBandedRoute:
             diag = b_diagnostics(T, z, 0.25, delta, G, grid, seed=seed)
             A_slow, b2, b3, _ = _slow_split(T, z, 0.25, delta, G)
             b1 = float(np.sum(np.log(tr.values[A:]))) / T.dim - limit_potential(
-                T.symbol, SPHERE, z, grid)
+                T.symbol, T.space, z, grid)
             assert diag.n_small == A == A_slow
             assert diag.b1 == pytest.approx(b1, abs=1e-12)
             assert diag.b2 == pytest.approx(b2, abs=1e-12)
             assert diag.b3 == pytest.approx(b3, abs=1e-12)
             assert diag.schur_residual <= 1e-10
+            assert diag.subspace_residual == residual
             assert diag.cutoff_gap == pytest.approx(
                 np.min(np.abs(tr.values**2 - params.alpha)) / params.alpha, abs=1e-10)
             counts.append(A)

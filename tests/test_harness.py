@@ -24,6 +24,7 @@ from toeplab.harness import (
 )
 from toeplab.potential import LOGDET_CHECK_BOUND
 from toeplab.quantize import load_matrix, quantize_symbol
+from toeplab.randmat import derive_seed, operator_norm, sample_ginibre
 
 
 def tiny_config(**overrides):
@@ -419,7 +420,8 @@ class TestRun:
             assert set(health) == {"probes_dropped", "logdet_check_residual",
                                    "logdet_fallback", "max_abs_eig", "schur_residual_max",
                                    "bordered_condition_max", "grushin_flagged_probes",
-                                   "cutoff_gap_min"}
+                                   "cutoff_gap_min", "subspace_residual_max", "g_norm_bound",
+                                   "g_norm_route"}
             assert health["logdet_fallback"] is False
             assert 0.0 <= health["logdet_check_residual"] <= LOGDET_CHECK_BOUND
             rows = (out / cell["files"]["potential"]["path"]).read_text().splitlines()[1:]
@@ -441,6 +443,15 @@ class TestRun:
             assert health["cutoff_gap_min"] == pytest.approx(
                 np.min(np.abs(t**2 - alpha)) / alpha, abs=1e-12)
             assert int(diag[0][6]) == int(np.sum(t**2 <= alpha))
+            assert 0.0 <= health["subspace_residual_max"] <= 1e-13
+            # a certified bound, or the exact norm where the bound could not decide
+            seed = int(name.split("_s")[1])
+            exact = operator_norm(sample_ginibre(N + 1, derive_seed(seed, "cell", N)).entries)
+            assert health["g_norm_route"] in ("cholesky", "svd-fallback", "svd-exact")
+            if health["g_norm_route"] == "svd-fallback":
+                assert health["g_norm_bound"] == exact
+            else:
+                assert health["g_norm_bound"] == 2.0 * np.sqrt(N + 1) + 3.0 > exact
 
     def test_manifest_records_tool_version(self, done):
         _, record = done

@@ -155,3 +155,40 @@ class TestProbeGrid:
         probes = default_probe_grid(X3, SPHERE, nx=11, ny=11)
         assert len(probes) == 121
         assert probes.real.min() < -1.2 and probes.real.max() > 1.2
+
+
+class TestClosedFormSphere:
+    """Limit potential of the sphere projection preset against its closed form.
+
+    The push-forward of the normalized Liouville measure by ``f0 = i x1 + x2``
+    is radial with ``W(r) = 1 - sqrt(1 - r^2)``, so by Newton's theorem
+    ``U(z) = W(|z|) log|z| + ((1+a) log(1+a) - (1-a) log(1-a) - 2a) / 2``
+    with ``a = sqrt(1 - |z|^2)`` inside the unit disk and ``log|z|`` outside.
+    """
+
+    PROJECTION = sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0})
+    # rings inside, on and outside the image's rim, at angles off the axes
+    PROBES = np.concatenate([r * np.exp(1j * (np.arange(7) * 2 * np.pi / 7 + 0.1 + r))
+                             for r in (0.1, 0.35, 0.6, 0.85, 0.97, 1.0, 1.2, 2.0)])
+
+    @staticmethod
+    def _closed_form(z):
+        m = np.abs(z)
+        a = np.sqrt(np.clip(1.0 - m**2, 0.0, None))
+        inside = (1.0 - a) * np.log(m) + (
+            (1.0 + a) * np.log1p(a) - (1.0 - a) * np.log1p(-a) - 2.0 * a) / 2.0
+        return np.where(m <= 1.0, inside, np.log(m))
+
+    def _error(self, resolution):
+        grid = liouville_quadrature(SPHERE, resolution)
+        got = limit_potential_many(self.PROJECTION, SPHERE, self.PROBES, grid)
+        return np.abs(got - self._closed_form(self.PROBES))
+
+    def test_limit_potential_matches_closed_form(self):
+        error = self._error(200)
+        assert np.max(error) <= 5e-4 and np.median(error) <= 2e-5
+        outside = np.abs(self.PROBES) > 1.1                  # log|z|, by Newton's theorem
+        assert np.max(error[outside]) <= 1e-12
+
+    def test_limit_potential_converges_with_resolution(self):
+        assert np.max(self._error(400)) <= 0.6 * np.max(self._error(200))

@@ -3,11 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from toeplab.geometry import scottish_flag_symbol
+from toeplab.geometry import scottish_flag_symbol, sphere_symbol
+from toeplab.grushin import _small_subspaces, b_diagnostics
 from toeplab.harness import ConfigError, preset_config
-from toeplab.quantize import quantize_torus
+from toeplab.quantize import quantize_sphere, quantize_torus
 from toeplab.randmat import (
     TAIL_BOUND_CONSTANT,
+    NormBound,
+    certify_norm_bound,
     derive_seed,
     fit_tail_slope,
     noise_window,
@@ -128,6 +131,58 @@ class TestOperatorNorm:
         u *= 2.0 / np.linalg.norm(u)
         v *= 2.0 / np.linalg.norm(v)
         assert operator_norm(np.outer(u, v.conj())) == pytest.approx(4.0)
+
+
+class TestNormCertificate:
+    """The Cholesky-certified bound on ||G|| that the Grushin task's Neumann test uses."""
+
+    def test_fails_just_below_the_norm_and_holds_just_above(self):
+        G = sample_ginibre(200, 3).entries
+        exact = operator_norm(G)
+        assert certify_norm_bound(G, exact * (1.0 - 1e-9)) is None
+        assert certify_norm_bound(G, exact * (1.0 + 1e-6)) is not None
+
+    def test_large_rank_one_takes_the_svd_fallback(self):
+        rng = np.random.default_rng(4)
+        u = rng.normal(size=40) + 1j * rng.normal(size=40)
+        v = rng.normal(size=40) + 1j * rng.normal(size=40)
+        G = 100.0 * np.outer(u / np.linalg.norm(u), v.conj() / np.linalg.norm(v))
+        norm = NormBound(G)                              # 2 sqrt(40) + 3 < 100
+        assert norm.route == "svd-fallback"
+        assert norm.bound == norm.exact() == operator_norm(G)
+        assert norm.route == "svd-fallback"
+
+    def test_rounding_shift_is_negligible_at_dim_1001(self):
+        G = sample_ginibre(1001, derive_seed(0, "cell", 1000)).entries
+        c = 2.0 * np.sqrt(1001) + 3.0
+        shift = certify_norm_bound(G, c)
+        assert shift is not None and shift > 0.0
+        assert shift <= 1e-6 * (c * c - operator_norm(G) ** 2)
+
+    def test_nonfinite_noise_certifies_nothing(self):
+        G = sample_ginibre(20, 1).entries
+        G[3, 4] = np.nan
+        assert certify_norm_bound(G, 1e6) is None
+
+    def test_exact_norm_only_where_the_bound_cannot_decide(self):
+        T = quantize_sphere(sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0}), 79)
+        G = sample_ginibre(T.dim, 8)
+        z = 0.3 + 0.2j
+        values, params, _, _, _ = _small_subspaces(T.entries, z, T.N, 0.25, vectors=False)
+        reach = 1.0 / values[params.n_small] + 1.0          # ||bulk inverse|| + ||injection||
+        exact = operator_norm(G.entries)
+        bound = NormBound(G.entries).bound
+        assert exact < bound
+        crossing = 2.0 / (reach * (exact + bound))           # bound >= threshold > exact
+        for delta, route, flagged in ((0.5 / (reach * bound), "cholesky", False),
+                                      (crossing, "svd-exact", False),
+                                      (2.0 / (reach * exact), "svd-exact", True)):
+            norm = NormBound(G.entries)
+            lazy = b_diagnostics(T, z, 0.25, delta, G, g_norm=norm)
+            assert norm.route == route
+            # the flags, and every other field, of the exact norm
+            assert lazy == b_diagnostics(T, z, 0.25, delta, G, g_norm=exact)
+            assert any("Neumann" in w for w in lazy.flags) == flagged
 
 
 @pytest.fixture(scope="module")

@@ -108,3 +108,28 @@ class TestCsv:
         assert rows[0] == "re,im"
         assert rows[1] == "1.0,2.0"
         assert rows[2] == "-0.0,-0.5"
+
+
+class TestClosedFormSphere:
+    """Weyl prediction of the sphere projection preset against its closed form.
+
+    ``f0 = i x1 + x2`` has ``|f0|^2 = 1 - x3^2``, and ``x3`` is uniform under
+    the normalized Liouville measure, so ``mu{|f0| <= r} = 1 - sqrt(1 - r^2)``.
+    The disk indicators converge on the grid like O(1/resolution).
+    """
+
+    @staticmethod
+    def _error(resolution):
+        from toeplab.harness import preset_config
+
+        cfg = preset_config("sphere-figure3")
+        radii = cfg.radii_grid()
+        predicted = weyl_predict(cfg.symbol_spec(), SPHERE, radii,
+                                 liouville_quadrature(SPHERE, resolution))
+        return float(np.max(np.abs(predicted - (1.0 - np.sqrt(1.0 - radii**2)))))
+
+    def test_weyl_predict_matches_closed_form(self):
+        assert self._error(200) <= 0.01
+
+    def test_weyl_predict_converges_like_one_over_resolution(self):
+        assert 1.6 <= self._error(200) / self._error(400) <= 2.4
