@@ -25,6 +25,8 @@ iteration on ``(P - z)*(P - z)`` and ``(P - z)(P - z)*``; only input that
 is not banded takes a dense SVD.  The Neumann test takes ``||G||`` as a
 Cholesky-certified upper bound (:class:`~toeplab.randmat.NormBound`) and
 computes the exact norm only when the bound cannot rule the warning out.
+The corner block always comes from the one LU of the bordered matrix; a
+large condition estimate of that LU is flagged, not rerouted.
 ``assemble_grushin`` (the bordered matrix from the dense singular triples
 and its explicit ``inv``) is the one slow reference route, and
 ``schur_identity_residual`` checks the identity by comparing a ``slogdet``
@@ -42,12 +44,11 @@ from .potential import limit_potential, log_abs_det
 from .quantize import quantize_symbol
 from .randmat import NormBound, operator_norm
 
-#: ``b_diagnostics`` rejects the bordered LU above this condition estimate
-#: and takes the corner from the closed-form route with a Neumann correction.
-#: The branch is kept as recovery from an ill-conditioned bordered LU, not as
-#: a path real runs take: the worst LAPACK 1-norm estimate measured is 434
-#: on the benchmark workloads and 193 on the full-scale sphere figure (N =
-#: 2000).  ``TestFastRouteOracle`` forces it by lowering the guard.
+#: ``b_diagnostics`` flags a probe whose bordered-LU condition estimate exceeds
+#: this; the corner still comes from that LU.  Worst estimates measured: 434 on
+#: the benchmark workloads, 193 on the full-scale sphere figure (N = 2000).  On
+#: 118 forced near-singular probes above it, a closed-form corner with a Neumann
+#: correction was further from a 60-digit value than the LU corner on 102.
 CONDITION_GUARD = 1e12
 
 
@@ -68,22 +69,13 @@ class SingularTriples:
         return len(self.values)
 
 
-def _shifted_svd(P: np.ndarray, z: complex, source: str = ""):
-    """Full SVD ``U, s, Vh`` of ``P - z`` and the ascending order of ``s``."""
+def singular_triples(P: np.ndarray, z: complex) -> SingularTriples:
     shifted = np.array(P, dtype=complex)
     if shifted.ndim != 2 or shifted.shape[0] != shifted.shape[1]:
         raise ValueError("singular_triples requires a square matrix")
     shifted.flat[:: shifted.shape[0] + 1] -= complex(z)
-    try:
-        U, s, Vh = np.linalg.svd(shifted)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"singular value decomposition failed for {source or '<unnamed>'}: {exc}") from exc
-    return U, s, Vh, np.argsort(s)
-
-
-def singular_triples(P: np.ndarray, z: complex) -> SingularTriples:
-    U, s, Vh, order = _shifted_svd(P, z)
+    U, s, Vh = np.linalg.svd(shifted)
+    order = np.argsort(s)
     return SingularTriples(
         values=s[order],
         right_vectors=Vh.conj().T[:, order],
@@ -225,35 +217,31 @@ def _worst_residual(image: np.ndarray, basis: np.ndarray, theta: np.ndarray) -> 
     return float(np.max(np.linalg.norm(image - basis * theta, axis=0), initial=0.0))
 
 
-def _small_subspaces(P: np.ndarray, z: complex, N: int, rho: float,
-                     vectors: bool = True, source: str = ""):
+def _small_subspaces(P: np.ndarray, z: complex, N: int, rho: float):
     """Singular values of ``P - z``, the cutoff, and bases of its small singular subspaces.
 
     Returns ``(values, params, left, right_h, residual)``: the ascending
     singular values, :class:`GrushinParams` for ``(N, rho)``, the columns
     ``f_1..f_A``, the rows ``e_1*..e_A*`` and the worst residual
     ``||B*B v - lambda v||`` (``B = P - z``) over both bases, with ``B B*``
-    for the left one (the last three None with ``vectors=False``).  A banded
-    ``B`` (see :func:`_banded_grams`) takes the values from a banded Hermitian
-    eigensolve of ``B*B`` (LAPACK ``zhbevd``) and both bases from shifted
-    inverse iteration on ``B*B`` and ``B B*``; any other matrix takes a
-    dense SVD.  The two bases span the singular subspaces but are not paired
-    vector by vector, which changes no ``|det|`` of the split.
+    for the left one.  A banded ``B`` (see :func:`_banded_grams`) takes the
+    values from a banded Hermitian eigensolve of ``B*B`` (LAPACK ``zhbevd``)
+    and both bases from shifted inverse iteration on ``B*B`` and ``B B*``;
+    any other matrix takes :func:`singular_triples`.  The two banded bases
+    span the singular subspaces but are not paired vector by vector, which
+    changes no ``|det|`` of the split.
     """
     import scipy.linalg  # deferred: keeps ``import toeplab`` light
 
     grams = _banded_grams(P, z)
     if grams is None:
-        if not vectors:
-            values = np.sort(np.linalg.svd(P - complex(z) * np.eye(len(P)), compute_uv=False))
-            return values, _params_of_values(N, rho, values), None, None, None
-        U, s, Vh, order = _shifted_svd(P, z, source)
-        values = s[order]
+        triples = singular_triples(P, z)
+        values = triples.values
         params = _params_of_values(N, rho, values)
-        small = order[:params.n_small]
-        left, right = U[:, small], Vh[small].conj().T
+        A = params.n_small
+        left, right = triples.left_vectors[:, :A], triples.right_vectors[:, :A]
         B = P - complex(z) * np.eye(len(P))
-        squares = values[:params.n_small] ** 2
+        squares = values[:A] ** 2
         residual = max(_worst_residual(B.conj().T @ (B @ right), right, squares),
                        _worst_residual(B @ (B.conj().T @ left), left, squares))
         return values, params, left, right.conj().T, residual
@@ -262,8 +250,6 @@ def _small_subspaces(P: np.ndarray, z: complex, N: int, rho: float,
     squares = scipy.linalg.eig_banded(right_gram, lower=True, eigvals_only=True)
     values = np.sqrt(np.clip(squares, 0.0, None))
     params = _params_of_values(N, rho, values)
-    if not vectors:
-        return values, params, None, None, None
     A = params.n_small
     right, right_residual = _smallest_eigenvectors(right_gram, squares, A)
     left, left_residual = _smallest_eigenvectors(left_gram, squares, A)
@@ -519,8 +505,8 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G,
     SVD), otherwise one SVD of which only the values and the ``A`` smallest
     vector pairs are kept.
     ``P + delta G - z`` is built in the bordered matrix's top-left block, so
-    concurrent probes stay lean.  Above ``CONDITION_GUARD`` the corner comes
-    from the closed-form route, which recomputes the full dense triples.
+    concurrent probes stay lean.  A condition estimate above
+    ``CONDITION_GUARD`` adds a flag; the corner still comes from the LU.
     ``assemble_grushin`` (the bordered matrix and its explicit ``inv``) is
     the slow reference route for this path.
     """
@@ -532,8 +518,7 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G,
     flags = []
 
     # columns f_1..f_A, rows e_1*..e_A*
-    values, params, left, right_h, subspace_residual = _small_subspaces(
-        entries, z, T.N, rho, source=f"N={T.N}")
+    values, params, left, right_h, subspace_residual = _small_subspaces(entries, z, T.N, rho)
     A = params.n_small
     cutoff_gap = float(np.min(np.abs(values**2 - params.alpha))) / params.alpha
     if A == dim:
@@ -576,20 +561,14 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G,
     condition = 1.0 / rcond if rcond > 0.0 else float("inf")
     with np.errstate(divide="ignore"):
         log_bordered = float(np.sum(np.log(np.abs(np.diag(lu)))))
-    guarded = condition > CONDITION_GUARD
-    if guarded:
-        flags.append(f"condition estimate {condition:.3g} exceeds guard; using closed-form route")
+    if condition > CONDITION_GUARD:
+        flags.append(f"condition estimate {condition:.3g} exceeds {CONDITION_GUARD:.0e}")
     if A == 0:
         log_direct, log_corner = log_bordered, 0.0
     else:
-        if guarded:
-            closed = closed_form_inverse(singular_triples(entries, z), A)
-            corner = _closed_route_inverse(closed, delta, Gm, dim, A)[dim:, dim:]
-        else:
-            unit = np.zeros((dim + A, A), dtype=complex)
-            unit[dim:, :] = np.eye(A)
-            corner = scipy.linalg.lu_solve((lu, piv), unit)[dim:, :]
-        log_corner = log_abs_det(corner)
+        unit = np.zeros((dim + A, A), dtype=complex)
+        unit[dim:, :] = np.eye(A)
+        log_corner = log_abs_det(scipy.linalg.lu_solve((lu, piv), unit)[dim:, :])
     b2 = (log_bordered - log_free) / dim
     b3 = log_corner / dim
     if not np.isfinite(b2):
@@ -630,8 +609,7 @@ def small_eigen_count_scan(f: SymbolSpec, space: PhaseSpace, z: complex, rho: fl
     counts = []
     for N in n_values:
         N = int(N)
-        _, params, _, _, _ = _small_subspaces(
-            quantize_symbol(f, N).entries, z, N, rho, vectors=False)
+        _, params, _, _, _ = _small_subspaces(quantize_symbol(f, N).entries, z, N, rho)
         counts.append(params.n_small)
     ns = np.asarray([int(N) for N in n_values], dtype=float)
     cs = np.asarray(counts, dtype=float)

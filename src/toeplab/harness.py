@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -143,8 +144,7 @@ class ExperimentConfig:
         if "points" in self.probe_grid:
             return np.asarray([complex(re, im) for re, im in self.probe_grid["points"]])
         from .potential import default_probe_grid
-        return default_probe_grid(f, space, int(self.probe_grid.get("nx", 41)),
-                                  int(self.probe_grid.get("ny", 41)))
+        return default_probe_grid(f, space, int(self.probe_grid["nx"]), int(self.probe_grid["ny"]))
 
     def kappa_estimate(self) -> RegularityEstimate:
         """The sublevel-set exponent fit that :meth:`validate` uses without a ``kappa_hat``.
@@ -153,7 +153,7 @@ class ExperimentConfig:
         ``kappa`` verb of one configuration fit the same samples.
         """
         f = self.symbol_spec()
-        return estimate_kappa(f, _kappa_probes(f, self.space), max(self.kappa_samples, 10**4),
+        return estimate_kappa(f, _kappa_probes(f, self.space), self.kappa_samples,
                               np.logspace(-3, -1, 7), seed=derive_seed("kappa", self.config_hash()))
 
     def validate(self) -> dict:
@@ -174,8 +174,21 @@ class ExperimentConfig:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if float(self.radii.get("max", 1.0)) < 0.0:
             raise ConfigError(f"radii max must be nonnegative, got {self.radii}")
-        if int(self.radii.get("count", 50)) < 0:
-            raise ConfigError(f"radii count must be nonnegative, got {self.radii}")
+        if int(self.radii.get("count", 50)) < 1:
+            raise ConfigError(f"radii count must be positive, got {self.radii}")
+        for key, allowed in (("delta", {"preset", "power"}), ("radii", {"count", "max"}),
+                             ("probe_grid", {"nx", "ny", "points"})):
+            unknown = set(getattr(self, key)) - allowed
+            if unknown:
+                raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
+        if "points" not in self.probe_grid and not {"nx", "ny"} <= set(self.probe_grid):
+            raise ConfigError(f"probe_grid needs points or both nx and ny, got {self.probe_grid}")
+        for key, points in (("grushin_probes", self.grushin_probes),
+                            ("probe_grid points", self.probe_grid.get("points", []))):
+            if not all(_is_pair(p) for p in points):
+                raise ConfigError(f"every {key} entry must be an [re, im] pair, got {points}")
+        if int(self.kappa_samples) < 10**4:
+            raise ConfigError(f"kappa_samples must be >= 10**4, got {self.kappa_samples}")
         for N in self.n_values:
             lower, upper = noise_window(int(N), self.epsilon, self.c_exponent)
             delta = self.noise_size(int(N))
@@ -209,6 +222,11 @@ class ExperimentConfig:
                     f"N={N}: delta {delta:.3e} is below exp(-N^{c_paper:.3f}); "
                     "the kappa-derived window is empty at this size")
         return {"kappa_hat": float(kappa), "warnings": warnings}
+
+
+def _is_pair(point) -> bool:
+    return (isinstance(point, (list, tuple)) and len(point) == 2
+            and all(isinstance(x, numbers.Real) for x in point))
 
 
 def _kappa_probes(f, space_kind: str):
@@ -590,7 +608,7 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
     manifest = json.loads(manifest_path.read_text())
     criteria: dict = {}
 
-    mismatched, missing = [], []
+    mismatched, missing, intact = [], [], set()
     for name, cell in manifest["cells"].items():
         for kind, info in cell["files"].items():
             path = out / info["path"]
@@ -598,6 +616,8 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
                 missing.append(info["path"])
             elif _sha256_file(path) != info["sha256"]:
                 mismatched.append(info["path"])
+            else:
+                intact.add(info["path"])
     if mismatched:
         criteria["integrity"] = {"status": "fail", "detail": f"checksum mismatch: {mismatched}"}
     elif missing:
@@ -609,7 +629,7 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
                                "detail": f"failed cells: {failed}" if failed else "no failed cells"}
 
     if suite == "acceptance":
-        _verify_acceptance(out, manifest, criteria)
+        _verify_acceptance(out, manifest, intact, criteria)
     elif suite != "integrity":
         raise ValueError(f"unknown verification suite {suite!r}")
 
@@ -624,25 +644,25 @@ def _read_csv(path: Path) -> list:
     return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
 
-def _verify_acceptance(out: Path, manifest: dict, criteria: dict) -> None:
-    """Judge the acceptance criteria on the artifacts the manifest lists.
+def _verify_acceptance(out: Path, manifest: dict, intact: set, criteria: dict) -> None:
+    """Judge the acceptance criteria on the ``intact`` artifacts the manifest lists.
 
-    Files on disk that the manifest does not list (a failed cell's CSVs
-    left by an earlier run in the same directory) are never read.  A
-    criterion judged at the largest size is skipped, naming that size, when
-    no artifact of that size is listed.
+    Only listed artifacts whose checksum matched are read: not a failed
+    cell's CSVs left by an earlier run in the same directory, nor a file
+    edited after the run.  A criterion judged at the largest size is
+    skipped, naming that size, when no intact artifact of that size is left.
     """
     n_values = sorted(int(n) for n in manifest["config"]["n_values"])
     n_top = n_values[-1]
     seeds = manifest["config"]["seeds"]
 
     def tables(kind: str, N: int) -> list:
-        """Rows of each present ``kind`` artifact the manifest lists for size N."""
+        """Rows of each intact ``kind`` artifact the manifest lists for size N."""
         found = []
         for seed in seeds:
             cell = manifest["cells"].get(_cell_name(("perturbed", N, seed)), {})
             info = cell.get("files", {}).get(kind)
-            if info is not None and (out / info["path"]).exists():
+            if info is not None and info["path"] in intact:
                 found.append(_read_csv(out / info["path"]))
         return found
 

@@ -94,8 +94,29 @@ class TestConfig:
             tiny_config(radii={"count": 10, "max": -1.0}).validate()
 
     def test_negative_radii_count_rejected(self):
-        with pytest.raises(ConfigError, match="radii count"):
-            tiny_config(radii={"count": -1, "max": 1.0}).validate()
+        for count in (-1, 0):                   # no radius leaves verify nothing to judge
+            with pytest.raises(ConfigError, match="radii count"):
+                tiny_config(radii={"count": count, "max": 1.0}).validate()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"delta": {"preset": "weyl", "scale": 2.0}}, "unknown delta keys"),
+        ({"radii": {"count": 10, "max": 1.0, "min": 0.5}}, "unknown radii keys"),
+        ({"probe_grid": {"nx": 3, "nyy": 3}}, "unknown probe_grid keys"),
+        ({"probe_grid": {"nx": 3}}, "both nx and ny"),
+        ({"probe_grid": {}}, "both nx and ny"),
+        ({"grushin_probes": [[0.3]]}, "grushin_probes"),
+        ({"grushin_probes": [[0.3, 0.2], 0.6]}, "grushin_probes"),
+        ({"probe_grid": {"points": [[0.3, 0.2, 0.1]]}}, "points"),
+        ({"probe_grid": {"points": [["0.3", 0.2]]}}, "points"),
+        ({"kappa_samples": 5000}, "kappa_samples"),
+    ])
+    def test_what_run_would_reinterpret_rejected(self, overrides, message):
+        # run would silently read these otherwise, or fail inside a task
+        with pytest.raises(ConfigError, match=message):
+            tiny_config(**overrides).validate()
+
+    def test_explicit_probe_points_accepted(self):
+        tiny_config(probe_grid={"points": [[0.3, 0.2], (0, 1)]}).validate()
 
     def test_sizes_too_small_for_the_symbol_rejected(self):
         # run would fail in quantize_symbol during set-up, before any manifest
@@ -211,6 +232,21 @@ class TestRun:
         report = verify(clone, suite="integrity")
         assert not report.passed
         assert "mismatch" in report.criteria["integrity"]["detail"]
+
+    def test_edited_artifact_is_not_read(self, done, tmp_path):
+        out, _ = done
+        clone = tmp_path / "edited"
+        shutil.copytree(out, clone)
+        for seed in (0, 1):                     # every top-size counting curve loses its header
+            victim = clone / f"cdf_N48_s{seed}.csv"
+            victim.write_text(victim.read_text().replace("empirical", "emp", 1))
+        report = verify(clone)
+        assert not report.passed
+        assert report.criteria["integrity"]["status"] == "fail"
+        assert "cdf_N48_s0.csv" in report.criteria["integrity"]["detail"]
+        assert report.criteria["weyl_deviation"]["status"] == "skipped"
+        assert "N=48" in report.criteria["weyl_deviation"]["detail"]
+        assert report.criteria["potential_median"] == verify(out).criteria["potential_median"]
 
     def test_partial_run_enumerates_skips(self, done, tmp_path):
         out, _ = done

@@ -168,7 +168,7 @@ class TestNormCertificate:
         T = quantize_sphere(sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0}), 79)
         G = sample_ginibre(T.dim, 8)
         z = 0.3 + 0.2j
-        values, params, _, _, _ = _small_subspaces(T.entries, z, T.N, 0.25, vectors=False)
+        values, params, _, _, _ = _small_subspaces(T.entries, z, T.N, 0.25)
         reach = 1.0 / values[params.n_small] + 1.0          # ||bulk inverse|| + ||injection||
         exact = operator_norm(G.entries)
         bound = NormBound(G.entries).bound
