@@ -13,6 +13,13 @@ depend on the BLAS thread count.  The manifest additionally records
 wall-clock, tool version and the build (and is therefore not byte-stable
 itself).
 
+Tasks overlap only inside dense calls that release the GIL.  numpy's linalg
+gufuncs release it only above dimension 500, so the cell eigensolve
+(:func:`_eigvals`) calls numpy's ``zgeev`` through ``ctypes``, which
+releases it at every size and gives ``np.linalg.eigvals``'s bits.  numpy's
+``slogdet`` and scipy's f2py ``eig_banded``, ``zpotrf``, ``zgbtrf`` and
+``zgbtrs`` hold the GIL while they run.
+
 Per-cell randomness: the Ginibre stream of cell ``(N, seed)`` is keyed by
 ``derive_seed(seed, "cell", N)``, so cells are independent and reproducible
 in any execution order.
@@ -20,6 +27,7 @@ in any execution order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import numbers
@@ -438,7 +446,7 @@ def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
         M *= setup.deltas[N]
         M += T.entries
 
-    lam = np.linalg.eigvals(M)
+    lam = _eigvals(M)
     files = {"spectrum": _emit(setup.out, f"eig_{name}.csv", spectrum_csv_rows(lam))}
 
     emp = empirical_cdf_disks(lam, setup.radii)
@@ -498,21 +506,38 @@ _OPENBLAS_THREAD_SYMBOLS = (
 )
 
 
-def _openblas_thread_controls() -> list:
-    """``(get, set)`` thread-count functions of every OpenBLAS mapped into this process."""
+@functools.cache
+def _openblas_libraries() -> tuple:
+    """Every OpenBLAS that numpy and scipy map into this process, as ``ctypes`` libraries.
+
+    Scanned from ``/proc/self/maps`` once, on first use, after importing
+    ``scipy.linalg`` so that scipy's OpenBLAS is mapped too; empty where there
+    is no ``/proc`` (not Linux).
+    """
     import ctypes
+
+    import scipy.linalg  # noqa: F401
 
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and "/" in ln})
     except OSError:                             # no /proc: not Linux
-        return []
-    controls = []
+        return ()
+    libraries = []
     for path in paths:
         try:
-            lib = ctypes.CDLL(path)
+            libraries.append(ctypes.CDLL(path))
         except OSError:                         # e.g. a "(deleted)" mapping
             continue
+    return tuple(libraries)
+
+
+def _openblas_thread_controls() -> list:
+    """``(get, set)`` thread-count functions of every OpenBLAS mapped into this process."""
+    import ctypes
+
+    controls = []
+    for lib in _openblas_libraries():
         for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
             get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
             if get is not None and set_ is not None:
@@ -529,8 +554,6 @@ def _pinned_blas():
 
     Each library's thread count is restored on exit, also when the body raises.
     """
-    import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS, so it is pinned too)
-
     saved = [(set_, get()) for get, set_ in _openblas_thread_controls()]
     for set_, _ in saved:
         set_(1)
@@ -539,6 +562,57 @@ def _pinned_blas():
     finally:
         for set_, count in saved:
             set_(count)
+
+
+@functools.cache
+def _lapacke_zgeev():
+    """``LAPACKE_zgeev`` of numpy's OpenBLAS (the ILP64 scipy-openblas build), or None.
+
+    Only numpy's wheel ships the ``64_`` symbol names; scipy's LP64 build
+    exports ``scipy_LAPACKE_zgeev``, which is not looked for.
+    """
+    import ctypes
+
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    for lib in _openblas_libraries():
+        zgeev = getattr(lib, "scipy_LAPACKE_zgeev64_", None)
+        if zgeev is not None:
+            # (layout, jobvl, jobvr, n, a, lda, w, vl, ldvl, vr, ldvr) -> info
+            zgeev.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, ptr, i64,
+                              ptr, ptr, i64, ptr, i64]
+            zgeev.restype = i64
+            return zgeev
+    return None
+
+
+_LAPACK_COL_MAJOR = 102
+
+
+def _eigvals(M: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a square matrix: the bits of ``np.linalg.eigvals(M)``, without the GIL.
+
+    A complex128 ``M`` goes to the ``zgeev`` numpy calls (no eigenvectors,
+    from numpy's OpenBLAS) on the Fortran-ordered copy numpy makes, through
+    ``ctypes``, which releases the GIL for the whole call.  Other input, or
+    no loaded OpenBLAS exporting the routine, takes ``np.linalg.eigvals``.
+    Raises ``LinAlgError`` on an inf or nan entry and when the QR algorithm
+    does not converge, as numpy does.
+    """
+    zgeev = _lapacke_zgeev()
+    if zgeev is None or M.dtype != np.complex128 or M.ndim != 2 or M.shape[0] != M.shape[1]:
+        return np.linalg.eigvals(M)
+    if not np.isfinite(M).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    a = np.array(M, order="F")
+    n = a.shape[0]
+    w = np.empty(n, dtype=np.complex128)
+    info = zgeev(_LAPACK_COL_MAJOR, b"N", b"N", n, a.ctypes.data, max(n, 1),
+                 w.ctypes.data, None, 1, None, 1)
+    if info > 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    if info < 0:                                # a bad argument, or LAPACKE's workspace allocation failed
+        raise np.linalg.LinAlgError(f"LAPACKE_zgeev returned info {info}")
+    return w
 
 
 def _usable_cpus() -> int:
@@ -568,6 +642,7 @@ def _environment(pinned: bool, pool_size: int) -> dict:
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "blas_pinned": pinned,
         "blas_threads": 1 if pinned else None,
+        "eig_route": "numpy" if _lapacke_zgeev() is None else "lapacke",
         "pool_size": pool_size,
         "usable_cpus": _usable_cpus(),
         "peak_rss_mb": peak_rss_mb,

@@ -370,7 +370,7 @@ class TestRun:
         _, record = done
         env = record.manifest["environment"]
         assert set(env) == {"numpy", "scipy", "blas", "blas_pinned", "blas_threads",
-                            "pool_size", "usable_cpus", "peak_rss_mb"}
+                            "eig_route", "pool_size", "usable_cpus", "peak_rss_mb"}
         assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
         assert isinstance(env["blas"]["name"], str) and env["blas"]["name"]
         assert env["usable_cpus"] >= 1
@@ -379,6 +379,8 @@ class TestRun:
         else:
             assert env["blas_threads"] is None and env["pool_size"] == 1
         assert env["peak_rss_mb"] > 0.0
+        import toeplab.harness as hz
+        assert env["eig_route"] == ("numpy" if hz._lapacke_zgeev() is None else "lapacke")
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_csv_bits_independent_of_pool_size(self, done, tmp_path, monkeypatch, cpus):
@@ -397,6 +399,18 @@ class TestRun:
             sorted(p.name for p in out.glob("*.csv"))
         for path in sorted(out.glob("*.csv")):
             assert (tmp_path / "again" / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_csv_bits_independent_of_eig_route(self, done, tmp_path, monkeypatch):
+        import toeplab.harness as hz
+        out, _ = done
+        monkeypatch.setattr(hz, "_lapacke_zgeev", lambda: None)
+        record = run(tiny_config(), out_dir=tmp_path / "numpy-route", workers=2)
+        assert record.manifest["environment"]["eig_route"] == "numpy"
+        assert sorted(p.name for p in (tmp_path / "numpy-route").glob("*.csv")) == \
+            sorted(p.name for p in out.glob("*.csv"))
+        for path in sorted(out.glob("*.csv")):
+            assert (tmp_path / "numpy-route" / path.name).read_bytes() == path.read_bytes(), \
+                path.name
 
     def test_without_pinnable_blas_runs_serially(self, done, tmp_path, monkeypatch):
         import toeplab.harness as hz
@@ -494,6 +508,88 @@ class TestRun:
         import toeplab
         assert record.manifest["version"] == toeplab.__version__
         assert record.manifest["wall_clock_s"] > 0
+
+
+class TestEigensolve:
+    """The cell eigensolve against ``np.linalg.eigvals``, its oracle."""
+
+    @staticmethod
+    def _cell_matrix(preset: str, dim: int):
+        cfg = preset_config(preset)
+        f = cfg.symbol_spec()
+        N = dim - 1 if cfg.space == "sphere" else dim
+        T = quantize_symbol(f, N)
+        return T.entries + cfg.noise_size(N) * sample_ginibre(dim, derive_seed(0, "cell", N)).entries
+
+    @pytest.mark.parametrize("kind, dim",
+                             [("ginibre", d) for d in (1, 2, 31, 301, 497, 503, 601)]
+                             + [(p, d) for p in ("sphere-figure3", "scottish-flag-figure1")
+                                for d in (31, 301, 601)])
+    def test_bit_equal_to_numpy(self, kind, dim):
+        import toeplab.harness as hz
+        if kind == "ginibre":
+            M = sample_ginibre(dim, derive_seed(7, "eig", dim)).entries
+        else:
+            M = self._cell_matrix(kind, dim)
+        with hz._pinned_blas():
+            got, want = hz._eigvals(M), np.linalg.eigvals(M)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_nonfinite_entry_raises(self, bad):
+        import toeplab.harness as hz
+        M = sample_ginibre(31, 3).entries
+        M[4, 7] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            hz._eigvals(M)
+
+    def test_numpy_fallback_returns_the_same_array(self, monkeypatch):
+        import toeplab.harness as hz
+        M = self._cell_matrix("sphere-figure3", 301)
+        with hz._pinned_blas():
+            routed = hz._eigvals(M)
+            monkeypatch.setattr(hz, "_lapacke_zgeev", lambda: None)
+            fallback = hz._eigvals(M)
+        assert fallback.tobytes() == routed.tobytes()
+
+    def test_releases_the_gil(self):
+        """A spinning main thread keeps its pace while a dim-301 eigensolve runs beside it.
+
+        ``np.linalg.eigvals`` holds the GIL at this size: the spinner then
+        keeps about 8% of its rate during an equally long ``time.sleep``.
+        """
+        import threading
+        import time
+
+        import toeplab.harness as hz
+        if hz._usable_cpus() < 2:
+            pytest.skip("needs 2 usable CPUs")
+        if hz._lapacke_zgeev() is None:
+            pytest.skip("no OpenBLAS exports LAPACKE_zgeev here")
+        G = sample_ginibre(301, 5).entries
+
+        def spin_rate(work):
+            """Main-thread loop iterations per second while ``work`` runs in a thread."""
+            worker = threading.Thread(target=work)
+            count, t0 = 0, time.perf_counter()
+            worker.start()
+            while worker.is_alive():
+                count += 1
+            rate = count / (time.perf_counter() - t0)
+            worker.join(timeout=60.0)
+            assert not worker.is_alive()
+            return rate
+
+        ratios = []
+        with hz._pinned_blas():
+            for _ in range(3):
+                t0 = time.perf_counter()
+                eig_rate = spin_rate(lambda: hz._eigvals(G))
+                elapsed = time.perf_counter() - t0
+                ratios.append(eig_rate / spin_rate(lambda: time.sleep(elapsed)))
+                if ratios[-1] >= 0.3:
+                    return
+        pytest.fail(f"spinner kept only {ratios} of its sleeping rate")
 
 
 def _csv_values(path: Path) -> np.ndarray:
