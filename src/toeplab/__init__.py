@@ -32,7 +32,6 @@ from .quantize import (
     save_matrix,
 )
 from .randmat import (
-    GinibreSample,
     derive_seed,
     noise_window,
     operator_norm,

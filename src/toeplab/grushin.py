@@ -30,7 +30,8 @@ large condition estimate of that LU is flagged, not rerouted.
 ``assemble_grushin`` (the bordered matrix from the dense singular triples
 and its explicit ``inv``) is the one slow reference route, and
 ``schur_identity_residual`` checks the identity by comparing a ``slogdet``
-of ``P + delta*G - z`` against it.
+of ``P + delta*G - z`` against it.  ``G`` is a plain array; ``harness``
+writes the split's values, with the probe and cell labels, to ``diag_*.csv``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from .geometry import PhaseSpace, QuadratureGrid, SymbolSpec
 from .potential import limit_potential, log_abs_det
 from .quantize import quantize_symbol
-from .randmat import NormBound, operator_norm
+from .randmat import NormBound
 
 #: ``b_diagnostics`` flags a probe whose bordered-LU condition estimate exceeds
 #: this; the corner still comes from that LU.  Worst estimates measured: 434 on
@@ -343,20 +344,17 @@ def _bulk_norm(values: np.ndarray, A: int) -> float:
     return 1.0 / t if t > 0.0 else float("inf")
 
 
-def _neumann_warning(delta: float, g_norm, values: np.ndarray, A: int) -> str | None:
+def _neumann_warning(delta: float, g_norm: NormBound, values: np.ndarray, A: int) -> str | None:
     """Warning text when ``delta ||G|| (||bulk|| + ||injection||) >= 1``, else None.
 
-    ``values`` are the ascending singular values of ``P - z``.  ``g_norm`` is
-    ``||G||`` or a :class:`~toeplab.randmat.NormBound`, whose exact norm is
-    computed only when its certified bound cannot rule the warning out, so
-    the warning is the one the exact norm gives.
+    ``values`` are the ascending singular values of ``P - z``.  The exact
+    ``||G||`` is computed only when ``g_norm``'s certified bound cannot rule
+    the warning out, so the warning is the one the exact norm gives.
     """
     reach = _bulk_norm(values, A) + (1.0 if A else 0.0)
-    if isinstance(g_norm, NormBound):
-        if delta * g_norm.bound * reach < 1.0:
-            return None
-        g_norm = g_norm.exact()
-    neumann = delta * g_norm * reach
+    if delta * g_norm.bound * reach < 1.0:
+        return None
+    neumann = delta * g_norm.exact() * reach
     if neumann >= 1.0:
         return f"Neumann invertibility condition violated ({neumann:.3g} >= 1); inverting anyway"
     return None
@@ -366,8 +364,8 @@ def assemble_grushin(triples: SingularTriples, params: GrushinParams,
                      perturbation=None) -> GrushinSystem:
     """Build the bordered matrix and invert it with ``np.linalg.inv``.
 
-    ``perturbation`` is ``(delta, G)`` with ``G`` a matrix or a Ginibre
-    sample; omit it for the unperturbed system.  If the Neumann invertibility
+    ``perturbation`` is ``(delta, G)`` with ``G`` a matrix; omit it for the
+    unperturbed system.  If the Neumann invertibility
     condition ``delta ||G|| (||bulk|| + ||injection||) < 1`` fails, a warning
     is attached and the inversion is still attempted.  This is the slow
     reference route that ``b_diagnostics`` is tested against.
@@ -381,12 +379,12 @@ def assemble_grushin(triples: SingularTriples, params: GrushinParams,
     if perturbation is not None:
         delta, G = perturbation
         delta = float(delta)
-        Gm = G.entries if hasattr(G, "entries") else np.asarray(G, dtype=complex)
-        if Gm.shape != (dim, dim):
-            raise ValueError(f"perturbation shape {Gm.shape} does not match dim {dim}")
+        G = np.asarray(G, dtype=complex)
+        if G.shape != (dim, dim):
+            raise ValueError(f"perturbation shape {G.shape} does not match dim {dim}")
         if delta != 0.0:
-            shifted = shifted + delta * Gm
-            warning = _neumann_warning(delta, operator_norm(Gm), triples.values, A)
+            shifted = shifted + delta * G
+            warning = _neumann_warning(delta, NormBound(G), triples.values, A)
             if warning:
                 warnings.append(warning)
 
@@ -422,8 +420,7 @@ def schur_identity_residual(P: np.ndarray, z: complex, perturbation=None) -> flo
     shifted = P - complex(z) * np.eye(dim)
     if perturbation is not None:
         delta, G = perturbation
-        Gm = G.entries if hasattr(G, "entries") else np.asarray(G, dtype=complex)
-        shifted = shifted + float(delta) * Gm
+        shifted = shifted + float(delta) * np.asarray(G, dtype=complex)
 
     triples = singular_triples(P, z)
     try:
@@ -456,10 +453,6 @@ class SplitDiagnostics:
     b2: float
     b3: float
     n_small: int
-    z: complex
-    rho: float
-    delta: float
-    seed: int
     log_det_bordered: float
     log_det_corner: float
     schur_residual: float
@@ -468,30 +461,19 @@ class SplitDiagnostics:
     subspace_residual: float
     flags: tuple
 
-    def csv_row(self, N: int) -> str:
-        f = lambda x: repr(float(x))
-        return ",".join([
-            str(N), f(self.z.real), f(self.z.imag), f(self.rho), f(self.delta),
-            str(self.seed), str(self.n_small), f(self.b1), f(self.b2), f(self.b3),
-            f(self.schur_residual), ";".join(self.flags),
-        ])
 
-
-DIAGNOSTICS_CSV_HEADER = "N,z_re,z_im,rho,delta,seed,A,B1,B2,B3,schur_residual,flags"
-
-
-def b_diagnostics(T, z: complex, rho: float, delta: float, G,
-                  grid: QuadratureGrid | None = None, seed: int = -1,
-                  g_norm: float | None = None) -> SplitDiagnostics:
+def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray,
+                  grid: QuadratureGrid | None = None,
+                  g_norm: NormBound | None = None) -> SplitDiagnostics:
     """Compute the three-way split for a quantization matrix at one probe.
 
     ``T`` must be a ToeplitzMatrix (the classical side needs its symbol).
     The unperturbed bulk term uses ``log|det bordered| = sum_{i>A} log t_i``,
-    which is exact for the unperturbed system.  ``g_norm`` is ``||G||`` or a
-    :class:`~toeplab.randmat.NormBound`, whose exact norm is computed only
-    when its certified bound cannot rule out the Neumann warning; callers
-    probing one ``G`` at several ``z`` pass it once, otherwise ``||G||`` is
-    computed here.
+    which is exact for the unperturbed system.  ``g_norm`` is the
+    :class:`~toeplab.randmat.NormBound` of ``G``, whose exact norm is
+    computed only when its certified bound cannot rule out the Neumann
+    warning; callers probing one ``G`` at several ``z`` pass it once,
+    otherwise it is built here.
 
     Dense work per probe: one ``slogdet`` of ``P + delta G - z`` (Schur
     route one) and one LU of the bordered matrix, which gives
@@ -535,19 +517,18 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G,
     b1 = log_free / dim - classical
 
     delta = float(delta)
-    Gm = G.entries if hasattr(G, "entries") else np.asarray(G, dtype=complex)
-    if Gm.shape != (dim, dim):
-        raise ValueError(f"perturbation shape {Gm.shape} does not match dim {dim}")
+    G = np.asarray(G, dtype=complex)
+    if G.shape != (dim, dim):
+        raise ValueError(f"perturbation shape {G.shape} does not match dim {dim}")
     if delta != 0.0:
-        warning = _neumann_warning(
-            delta, operator_norm(Gm) if g_norm is None else g_norm, values, A)
+        warning = _neumann_warning(delta, NormBound(G) if g_norm is None else g_norm, values, A)
         if warning:
             flags.append(warning)
 
     # Fortran order lets lu_factor overwrite M instead of copying it
     M = np.empty((dim + A, dim + A), dtype=complex, order="F")
     shifted = M[:dim, :dim]
-    np.multiply(Gm, delta, out=shifted)
+    np.multiply(G, delta, out=shifted)
     shifted += entries
     shifted[np.diag_indices(dim)] -= complex(z)
     M[:dim, dim:] = left
@@ -582,8 +563,7 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G,
     else:
         residual = float("nan")
     return SplitDiagnostics(
-        b1=float(b1), b2=float(b2), b3=float(b3), n_small=A, z=complex(z),
-        rho=float(rho), delta=delta, seed=int(seed),
+        b1=float(b1), b2=float(b2), b3=float(b3), n_small=A,
         log_det_bordered=log_bordered, log_det_corner=float(log_corner),
         schur_residual=float(residual), condition=float(condition), cutoff_gap=cutoff_gap,
         subspace_residual=subspace_residual, flags=tuple(flags),

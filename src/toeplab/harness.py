@@ -53,11 +53,11 @@ from .geometry import (
     symbol_from_record,
     symbol_to_record,
 )
-from .grushin import DIAGNOSTICS_CSV_HEADER, b_diagnostics
+from .grushin import b_diagnostics
 from .potential import limit_potential_many, potential_from_spectrum
 from .quantize import ToeplitzMatrix, check_size, quantize_symbol
 from .randmat import NormBound, derive_seed, noise_window, sample_ginibre
-from .spectra import empirical_cdf_disks, spectrum_csv_rows, weyl_predict
+from .spectra import empirical_cdf_disks, weyl_predict
 
 
 class ConfigError(ValueError):
@@ -170,11 +170,25 @@ class ExperimentConfig:
             raise ConfigError("n_values must be a nonempty list")
         if not self.seeds:
             raise ConfigError("seeds must be a nonempty list")
+        # run reads these with int(), which would truncate a float or a bool silently
+        for key, values in (("n_values", self.n_values), ("seeds", self.seeds),
+                            ("unperturbed_sizes", self.unperturbed_sizes),
+                            ("resolution", [self.resolution]),
+                            ("kappa_samples", [self.kappa_samples]),
+                            ("radii count", [self.radii.get("count", 50)]),
+                            ("probe_grid nx, ny", [self.probe_grid[k] for k in ("nx", "ny")
+                                                   if k in self.probe_grid])):
+            if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values):
+                raise ConfigError(f"{key} must be integers, got {values}")
+        if any(seed < 0 for seed in self.seeds):    # -1 labels the unperturbed cells
+            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
+        if self.resolution < 2:
+            raise ConfigError(f"resolution must be >= 2, got {self.resolution}")
         for key in ("n_values", "seeds", "unperturbed_sizes"):
-            values = [int(v) for v in getattr(self, key)]
+            values = getattr(self, key)
             if len(set(values)) != len(values):
                 raise ConfigError(f"{key} has duplicate entries: {values}")
-        if any(int(N) < 2 for N in self.n_values):
+        if any(N < 2 for N in self.n_values):
             raise ConfigError(f"every size in n_values must be >= 2, got {self.n_values}")
         if not (0.0 < self.c_exponent < 1.0):
             raise ConfigError(f"c_exponent must lie in (0, 1), got {self.c_exponent}")
@@ -182,7 +196,7 @@ class ExperimentConfig:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if float(self.radii.get("max", 1.0)) < 0.0:
             raise ConfigError(f"radii max must be nonnegative, got {self.radii}")
-        if int(self.radii.get("count", 50)) < 1:
+        if self.radii.get("count", 50) < 1:
             raise ConfigError(f"radii count must be positive, got {self.radii}")
         for key, allowed in (("delta", {"preset", "power"}), ("radii", {"count", "max"}),
                              ("probe_grid", {"nx", "ny", "points"})):
@@ -195,11 +209,11 @@ class ExperimentConfig:
                             ("probe_grid points", self.probe_grid.get("points", []))):
             if not all(_is_pair(p) for p in points):
                 raise ConfigError(f"every {key} entry must be an [re, im] pair, got {points}")
-        if int(self.kappa_samples) < 10**4:
+        if self.kappa_samples < 10**4:
             raise ConfigError(f"kappa_samples must be >= 10**4, got {self.kappa_samples}")
         for N in self.n_values:
-            lower, upper = noise_window(int(N), self.epsilon, self.c_exponent)
-            delta = self.noise_size(int(N))
+            lower, upper = noise_window(N, self.epsilon, self.c_exponent)
+            delta = self.noise_size(N)
             if not (lower < delta < upper):
                 raise ConfigError(f"delta(N={N}) = {delta:.3e} outside admissible window "
                                   f"({lower:.3e}, {upper:.3e})")
@@ -210,7 +224,7 @@ class ExperimentConfig:
         for key in ("n_values", "unperturbed_sizes"):
             for N in getattr(self, key):
                 try:
-                    check_size(f, int(N))
+                    check_size(f, N)
                 except ValueError as exc:
                     raise ConfigError(f"{key}: {exc}") from None
         kappa = self.kappa_hat
@@ -224,7 +238,7 @@ class ExperimentConfig:
         c_paper = min(2.0 * self.rho * kappa, 1.0 - 2.0 * self.rho) - self.gamma
         warnings = []
         for N in self.n_values:
-            delta = self.noise_size(int(N))
+            delta = self.noise_size(N)
             if delta <= float(np.exp(-float(N) ** c_paper)):
                 warnings.append(
                     f"N={N}: delta {delta:.3e} is below exp(-N^{c_paper:.3f}); "
@@ -442,30 +456,28 @@ def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
     if kind == "unperturbed":
         M = T.entries
     else:
-        M = _cell_noise(T, seed).entries     # M = T + delta G, built over this task's G
+        M = _cell_noise(T, seed)             # M = T + delta G, built over this task's G
         M *= setup.deltas[N]
         M += T.entries
 
     lam = _eigvals(M)
-    files = {"spectrum": _emit(setup.out, f"eig_{name}.csv", spectrum_csv_rows(lam))}
-
-    emp = empirical_cdf_disks(lam, setup.radii)
-    rows = ["r,empirical,predicted"]
-    rows += [f"{float(r)!r},{float(e)!r},{float(p)!r}"
-             for r, e, p in zip(setup.radii, emp, setup.predicted)]
-    files["cdf"] = _emit(setup.out, f"cdf_{name}.csv", rows)
+    files = {
+        "spectrum": _emit(setup.out, f"eig_{name}.csv", "re,im",
+                          ((z.real, z.imag) for z in lam)),
+        "cdf": _emit(setup.out, f"cdf_{name}.csv", "r,empirical,predicted",
+                     zip(setup.radii, empirical_cdf_disks(lam, setup.radii), setup.predicted)),
+    }
     health = {"max_abs_eig": float(np.max(np.abs(lam)))}
     if setup.probes is None:
         return files, health
 
-    rows = ["z_re,z_im,N,seed,U_emp,U_lim,deviation"]
     seed_label = -1 if seed is None else seed
     u_emp, kept, potential_health = potential_from_spectrum(M, lam, setup.probes)
-    for z, ue, ul in zip(setup.probes[kept], u_emp[kept], setup.u_lim[kept]):
-        dev = abs(ue - ul) if np.isfinite(ue) else float("nan")
-        rows.append(f"{float(z.real)!r},{float(z.imag)!r},{N},{seed_label},"
-                    f"{float(ue)!r},{float(ul)!r},{float(dev)!r}")
-    files["potential"] = _emit(setup.out, f"pot_{name}.csv", rows)
+    rows = [(z.real, z.imag, N, seed_label, ue, ul,
+             abs(ue - ul) if np.isfinite(ue) else float("nan"))
+            for z, ue, ul in zip(setup.probes[kept], u_emp[kept], setup.u_lim[kept])]
+    files["potential"] = _emit(setup.out, f"pot_{name}.csv",
+                               "z_re,z_im,N,seed,U_emp,U_lim,deviation", rows)
     health.update(potential_health)
     return files, health
 
@@ -475,11 +487,15 @@ def _grushin_task(setup: _Setup, kind: str, N: int, seed: int):
     T = setup.matrices[N]
     delta = setup.deltas[N]
     G = _cell_noise(T, seed)
-    g_norm = NormBound(G.entries)           # certified; the exact norm only if a flag hinges on it
-    diags = [b_diagnostics(T, z, setup.rho, delta, G, setup.grid, seed=seed, g_norm=g_norm)
+    g_norm = NormBound(G)                   # certified; the exact norm only if a flag hinges on it
+    diags = [b_diagnostics(T, z, setup.rho, delta, G, setup.grid, g_norm=g_norm)
              for z in setup.grushin_probes]
-    rows = [DIAGNOSTICS_CSV_HEADER] + [diag.csv_row(N) for diag in diags]
-    files = {"diagnostics": _emit(setup.out, f"diag_{_cell_name((kind, N, seed))}.csv", rows)}
+    rows = [(N, z.real, z.imag, setup.rho, delta, seed, d.n_small, d.b1, d.b2, d.b3,
+             d.schur_residual, ";".join(d.flags))
+            for z, d in zip(setup.grushin_probes, diags)]
+    files = {"diagnostics": _emit(setup.out, f"diag_{_cell_name((kind, N, seed))}.csv",
+                                  "N,z_re,z_im,rho,delta,seed,A,B1,B2,B3,schur_residual,flags",
+                                  rows)}
     health = {
         # np.max, not max: a nan residual must surface, not vanish by order
         "schur_residual_max": float(np.max([d.schur_residual for d in diags], initial=0.0)),
@@ -654,10 +670,24 @@ def _cell_name(cell) -> str:
     return f"N{N}_unperturbed" if kind == "unperturbed" else f"N{N}_s{seed}"
 
 
-def _emit(out: Path, name: str, rows) -> Path:
+def _emit(out: Path, name: str, header: str, rows) -> Path:
+    """Write the CSV artifact ``name``: the ``header`` line, then one line per row tuple.
+
+    The one place that formats a field: a ``str`` as is, an integer as
+    ``str(x)``, any other number as ``repr(float(x))`` (reads back bit-exact).
+    """
+    lines = [header] + [",".join(map(_csv_field, row)) for row in rows]
     path = out / name
-    _atomic_write_text(path, "\n".join(rows) + "\n")
+    _atomic_write_text(path, "\n".join(lines) + "\n")
     return path
+
+
+def _csv_field(x) -> str:
+    if isinstance(x, str):
+        return x
+    if isinstance(x, numbers.Integral):
+        return str(x)
+    return repr(float(x))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ generator keyed by a 64-bit seed.  Complex Gaussian entries use the polar
 transform ``g = sqrt(-log(1 - u1)) * exp(2 pi i u2)`` on two uniform draws,
 giving mean 0 and E|g|^2 = 1 (real and imaginary parts each of variance 1/2).
 Derived seeds are SHA-256 hashes of the part list, so experiment cells get
-independent, reproducible streams on any platform.
+independent, reproducible streams on any platform.  The noise is a plain array.
 """
 
 from __future__ import annotations
@@ -30,15 +30,8 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
-@dataclass(frozen=True)
-class GinibreSample:
-    """An i.i.d. complex Gaussian matrix (entry variance 1)."""
-
-    entries: np.ndarray
-
-
-def sample_ginibre(dim: int, seed: int) -> GinibreSample:
-    """Draw a dim x dim matrix of i.i.d. complex Gaussians, deterministically."""
+def sample_ginibre(dim: int, seed: int) -> np.ndarray:
+    """Draw a dim x dim matrix of i.i.d. complex Gaussians (entry variance 1), deterministically."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
@@ -54,7 +47,7 @@ def sample_ginibre(dim: int, seed: int) -> GinibreSample:
     del u2
     np.exp(entries, out=entries)
     np.multiply(radius, entries, out=entries)
-    return GinibreSample(entries)
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +173,7 @@ def smin_tail_experiment(B: np.ndarray, delta: float, t_grid, trials: int,
     dim = B.shape[0]
     smin = np.empty(trials)
     for i in range(trials):
-        G = sample_ginibre(dim, derive_seed(seed, "tail", i)).entries
+        G = sample_ginibre(dim, derive_seed(seed, "tail", i))
         smin[i] = np.linalg.svd(B + delta * G, compute_uv=False)[-1]
     successes = np.array([(smin < delta * t).sum() for t in t_grid])
     return TailExperiment(t_grid, successes, successes / trials)

@@ -7,7 +7,8 @@ convention); the caller computes the eigenvalue array (``harness.run`` with
 it, releases the GIL at dimensions up to 500 too).  The classical side is
 the push-forward of the normalized Liouville measure by the principal
 symbol, integrated over the same disks on a quadrature grid.
-``match_eigenvalues`` compares two spectra as multisets.
+``match_eigenvalues`` compares two spectra as multisets.  All return plain
+values; ``harness`` writes them to ``eig_*.csv`` and ``cdf_*.csv``.
 """
 
 from __future__ import annotations
@@ -59,9 +60,3 @@ def match_eigenvalues(a, b) -> float:
         worst = max(worst, float(dist[j]))
         b.pop(j)
     return worst
-
-
-def spectrum_csv_rows(lam):
-    yield "re,im"
-    for z in lam:
-        yield f"{float(z.real)!r},{float(z.imag)!r}"

@@ -121,7 +121,7 @@ def test_criterion_03_reference_figure_scale():
     N = 2000
     T = quantize_sphere(PROJECTION, N)
     G = sample_ginibre(T.dim, 424242)
-    lam = np.linalg.eigvals(T.entries + (1.0 / N) * G.entries)
+    lam = np.linalg.eigvals(T.entries + (1.0 / N) * G)
     radii = np.linspace(0.0, 1.0, 50)
     closed = 1.0 - np.sqrt(np.clip(1.0 - radii**2, 0.0, None))
     emp = (np.abs(lam)[None, :] <= radii[:, None]).mean(axis=1)
@@ -154,7 +154,7 @@ def test_criterion_05_schur_identity_random_triples():
     worst = 0.0
     for trial in range(50):
         dim = int(rng.integers(10, 201))
-        P = sample_ginibre(dim, 3000 + trial).entries
+        P = sample_ginibre(dim, 3000 + trial)
         lam = np.linalg.eigvals(P)
         z = complex(lam[int(rng.integers(dim))]) + float(rng.uniform(1e-4, 1e-2))
         delta = float(rng.choice([0.0, 1e-3, 1e-2]))
@@ -173,7 +173,7 @@ def test_criterion_06_closed_form_inverse():
     checked = 0
     for trial in range(20):
         dim = int(rng.integers(8, 60))
-        P = sample_ginibre(dim, 500 + trial).entries
+        P = sample_ginibre(dim, 500 + trial)
         lam = np.linalg.eigvals(P)
         z = complex(lam[int(rng.integers(dim))]) + float(rng.uniform(1e-4, 0.05))
         triples = singular_triples(P, z)
@@ -202,7 +202,7 @@ def test_criterion_07_bulk_term_decay():
     for N in (100, 200):
         T = quantize_sphere(PROJECTION, N)
         G = sample_ginibre(T.dim, 7)
-        diag = b_diagnostics(T, 0.3 + 0.2j, 0.25, 1.0 / N, G, grid, seed=7)
+        diag = b_diagnostics(T, 0.3 + 0.2j, 0.25, 1.0 / N, G, grid)
         values[N] = abs(diag.b1)
     ok = values[200] < values[100] < 0.1
     detail = report(7, ok, f"|B1|: size 100 -> {values[100]:.5f}, size 200 -> {values[200]:.5f} "
@@ -276,7 +276,7 @@ def test_criterion_11_calculus_residuals():
 
 
 def test_criterion_12_gaussian_norm():
-    norms = np.array([operator_norm(sample_ginibre(256, s).entries) for s in range(20)])
+    norms = np.array([operator_norm(sample_ginibre(256, s)) for s in range(20)])
     scaled = norms / np.sqrt(256.0)
     ok = 1.85 <= scaled.mean() <= 2.15 and scaled.max() <= 3.0
     detail = report(12, ok, f"mean norm / sqrt(dim) = {scaled.mean():.4f} in [1.85, 2.15]; "

@@ -109,6 +109,16 @@ class TestConfig:
         ({"probe_grid": {"points": [[0.3, 0.2, 0.1]]}}, "points"),
         ({"probe_grid": {"points": [["0.3", 0.2]]}}, "points"),
         ({"kappa_samples": 5000}, "kappa_samples"),
+        # int() would truncate these, read True as seed 1, or fail inside run
+        ({"n_values": [24.9]}, "n_values"),
+        ({"unperturbed_sizes": [10.5]}, "unperturbed_sizes"),
+        ({"probe_grid": {"nx": 2.7, "ny": 3}}, "nx"),
+        ({"seeds": [True]}, "seeds"),
+        ({"seeds": [-1]}, "seeds"),                  # the seed label of unperturbed cells
+        ({"resolution": 40.5}, "resolution"),
+        ({"resolution": 1}, "resolution"),
+        ({"kappa_samples": 1e5}, "kappa_samples"),
+        ({"radii": {"count": 10.0, "max": 1.0}}, "radii count"),
     ])
     def test_what_run_would_reinterpret_rejected(self, overrides, message):
         # run would silently read these otherwise, or fail inside a task
@@ -199,6 +209,21 @@ class TestRun:
             "z_re,z_im,N,seed,U_emp,U_lim,deviation"
         assert (out / "diag_N24_s0.csv").read_text().splitlines()[0] == \
             "N,z_re,z_im,rho,delta,seed,A,B1,B2,B3,schur_residual,flags"
+
+    def test_emit_field_format(self, tmp_path):
+        # _emit formats every CSV field: str as is, an integer by str, other numbers by repr(float)
+        import toeplab.harness as hz
+        lam = np.array([1.0 + 2.0j, -0.5j])
+        flags = ";".join(("condition estimate 2e+12 exceeds 1e+12", "all-singular-values-small"))
+        rows = [(z.real, z.imag, np.int64(7), -1, np.float32(0.1), flags) for z in lam]
+        rows.append((float("nan"), -0.0, 0, np.int32(3), 1e-300, ""))
+        path = hz._emit(tmp_path, "t.csv", "re,im,N,seed,x,flags", rows)
+        assert path == tmp_path / "t.csv"
+        assert path.read_text() == (
+            "re,im,N,seed,x,flags\n"
+            f"1.0,2.0,7,-1,0.10000000149011612,{flags}\n"
+            f"-0.0,-0.5,7,-1,0.10000000149011612,{flags}\n"
+            "nan,-0.0,0,3,1e-300,\n")
 
     def test_deterministic_rerun(self, done, tmp_path):
         out, _ = done
@@ -340,7 +365,7 @@ class TestRun:
         def poisoned(dim, seed):
             G = real(dim, seed)
             if seed == hz.derive_seed(1, "cell", 24):
-                G.entries[0, 0] = np.nan
+                G[0, 0] = np.nan
             return G
 
         monkeypatch.setattr(hz, "sample_ginibre", poisoned)
@@ -352,10 +377,10 @@ class TestRun:
         import toeplab.harness as hz
         real = hz.b_diagnostics
 
-        def flaky(T, z, rho, delta, G, grid=None, seed=-1, g_norm=None):
-            if T.N == 24 and seed == 1:
+        def flaky(T, z, rho, delta, G, grid=None, g_norm=None):
+            if T.N == 24 and np.array_equal(G, hz._cell_noise(T, 1)):
                 raise RuntimeError("synthetic Grushin failure")
-            return real(T, z, rho, delta, G, grid, seed=seed, g_norm=g_norm)
+            return real(T, z, rho, delta, G, grid, g_norm=g_norm)
 
         monkeypatch.setattr(hz, "b_diagnostics", flaky)
         record = run(tiny_config(), out_dir=tmp_path / "flaky", workers=1)
@@ -438,11 +463,11 @@ class TestRun:
         real = hz.b_diagnostics
         inside = []
 
-        def recording(*args, **kwargs):
+        def recording(T, z, rho, delta, G, *args, **kwargs):
             inside.append([get() for get, _ in controls])
-            if kwargs.get("seed") == 1:
+            if np.array_equal(G, hz._cell_noise(T, 1)):
                 raise RuntimeError("synthetic Grushin failure")
-            return real(*args, **kwargs)
+            return real(T, z, rho, delta, G, *args, **kwargs)
 
         def broken():
             raise RuntimeError("synthetic pool failure")
@@ -496,7 +521,7 @@ class TestRun:
             assert 0.0 <= health["subspace_residual_max"] <= 1e-13
             # a certified bound, or the exact norm where the bound could not decide
             seed = int(name.split("_s")[1])
-            exact = operator_norm(sample_ginibre(N + 1, derive_seed(seed, "cell", N)).entries)
+            exact = operator_norm(sample_ginibre(N + 1, derive_seed(seed, "cell", N)))
             assert health["g_norm_route"] in ("cholesky", "svd-fallback", "svd-exact")
             if health["g_norm_route"] == "svd-fallback":
                 assert health["g_norm_bound"] == exact
@@ -519,7 +544,7 @@ class TestEigensolve:
         f = cfg.symbol_spec()
         N = dim - 1 if cfg.space == "sphere" else dim
         T = quantize_symbol(f, N)
-        return T.entries + cfg.noise_size(N) * sample_ginibre(dim, derive_seed(0, "cell", N)).entries
+        return T.entries + cfg.noise_size(N) * sample_ginibre(dim, derive_seed(0, "cell", N))
 
     @pytest.mark.parametrize("kind, dim",
                              [("ginibre", d) for d in (1, 2, 31, 301, 497, 503, 601)]
@@ -528,7 +553,7 @@ class TestEigensolve:
     def test_bit_equal_to_numpy(self, kind, dim):
         import toeplab.harness as hz
         if kind == "ginibre":
-            M = sample_ginibre(dim, derive_seed(7, "eig", dim)).entries
+            M = sample_ginibre(dim, derive_seed(7, "eig", dim))
         else:
             M = self._cell_matrix(kind, dim)
         with hz._pinned_blas():
@@ -538,7 +563,7 @@ class TestEigensolve:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_nonfinite_entry_raises(self, bad):
         import toeplab.harness as hz
-        M = sample_ginibre(31, 3).entries
+        M = sample_ginibre(31, 3)
         M[4, 7] = bad
         with pytest.raises(np.linalg.LinAlgError):
             hz._eigvals(M)
@@ -566,7 +591,7 @@ class TestEigensolve:
             pytest.skip("needs 2 usable CPUs")
         if hz._lapacke_zgeev() is None:
             pytest.skip("no OpenBLAS exports LAPACKE_zgeev here")
-        G = sample_ginibre(301, 5).entries
+        G = sample_ginibre(301, 5)
 
         def spin_rate(work):
             """Main-thread loop iterations per second while ``work`` runs in a thread."""

@@ -55,7 +55,7 @@ class TestPotentialFromSpectrum:
     ], ids=["sphere-perturbed", "torus-perturbed", "torus-unperturbed"])
     def test_matches_slogdet(self, f, N, delta):
         T = quantize_symbol(f, N)
-        M = T.entries + delta * sample_ginibre(T.dim, 3).entries
+        M = T.entries + delta * sample_ginibre(T.dim, 3)
         probes = default_probe_grid(f, T.space, 12, 12)
         values, kept, health = potential_from_spectrum(M, np.linalg.eigvals(M), probes)
         assert kept.all() and health["probes_dropped"] == 0
@@ -85,7 +85,7 @@ class TestPotentialFromSpectrum:
 
     def test_kept_mask_matches_per_probe_rule(self):
         T = quantize_sphere(sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0}), 40)
-        M = T.entries + sample_ginibre(41, 5).entries / 40
+        M = T.entries + sample_ginibre(41, 5) / 40
         lam = np.linalg.eigvals(M)
         probes = np.concatenate([
             [lam[0], lam[1] + 0.5e-4, lam[2] + 1e-4j, lam[3] - 2e-4, lam[4] + 0.99e-4j],

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toeplab.harness as harness_module
 from toeplab.geometry import (
     liouville_quadrature,
     make_phase_space,
@@ -14,7 +17,6 @@ from toeplab.randmat import operator_norm, sample_ginibre
 from toeplab.spectra import (
     empirical_cdf_disks,
     match_eigenvalues,
-    spectrum_csv_rows,
     weyl_predict,
 )
 
@@ -22,7 +24,7 @@ SPHERE = make_phase_space("sphere")
 
 
 def haar_unitary(dim, seed):
-    g = sample_ginibre(dim, seed).entries
+    g = sample_ginibre(dim, seed)
     q, r = np.linalg.qr(g)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
@@ -38,7 +40,7 @@ class TestEigenvalues:
         assert match_eigenvalues(np.linalg.eigvals(S), expected) < 1e-12
 
     def test_unitary_invariance(self):
-        M = sample_ginibre(30, 3).entries
+        M = sample_ginibre(30, 3)
         U = haar_unitary(30, 4)
         a = np.linalg.eigvals(M)
         b = np.linalg.eigvals(U.conj().T @ M @ U)
@@ -57,7 +59,7 @@ class TestCdfDisks:
     @settings(max_examples=50, deadline=None)
     def test_cdf_monotone(self, radii):
         radii = sorted(radii)
-        lam = sample_ginibre(12, 5).entries.ravel()[:12]
+        lam = sample_ginibre(12, 5).ravel()[:12]
         cdf = empirical_cdf_disks(lam, radii)
         assert np.all(np.diff(cdf) >= 0.0)
         assert np.all((cdf >= 0.0) & (cdf <= 1.0))
@@ -98,13 +100,18 @@ class TestSpectralSupport:
         bound = sup_abs(f, torus)
         for seed in range(5):
             G = sample_ginibre(64, seed)
-            lam = np.linalg.eigvals(T.entries + delta * G.entries)
-            assert np.max(np.abs(lam)) <= bound + delta * operator_norm(G.entries) + 1e-8
+            lam = np.linalg.eigvals(T.entries + delta * G)
+            assert np.max(np.abs(lam)) <= bound + delta * operator_norm(G) + 1e-8
 
 
 class TestCsv:
-    def test_rows(self):
-        rows = list(spectrum_csv_rows(np.array([1.0 + 2.0j, -0.5j])))
+    def test_rows(self, tmp_path):
+        # the eig_*.csv of a cell whose matrix has eigenvalues 1+2i and -0.5i
+        setup = SimpleNamespace(out=tmp_path, radii=np.array([1.0]), predicted=np.array([0.5]),
+                                probes=None,
+                                matrices={2: SimpleNamespace(entries=np.diag([1.0 + 2.0j, -0.5j]))})
+        files, _ = harness_module._spectrum_task(setup, "unperturbed", 2, None)
+        rows = files["spectrum"].read_text().splitlines()
         assert rows[0] == "re,im"
         assert rows[1] == "1.0,2.0"
         assert rows[2] == "-0.0,-0.5"
