@@ -26,7 +26,12 @@ is not banded takes a dense SVD.  The Neumann test takes ``||G||`` as a
 Cholesky-certified upper bound (:class:`~toeplab.randmat.NormBound`) and
 computes the exact norm only when the bound cannot rule the warning out.
 The corner block always comes from the one LU of the bordered matrix; a
-large condition estimate of that LU is flagged, not rerouted.
+large condition estimate of that LU is flagged, not rerouted.  Every
+LAPACK call of the fast route (the banded eigensolve, banded LU and solves,
+the bordered LU, its solve and condition estimate) goes through
+:mod:`toeplab._lapack`, numpy's OpenBLAS through ``ctypes``, which releases
+the GIL; the ``slogdet`` of route one is numpy's and holds it below
+dimension 500.
 ``assemble_grushin`` (the bordered matrix from the dense singular triples
 and its explicit ``inv``) is the one slow reference route, and
 ``schur_identity_residual`` checks the identity by comparing a ``slogdet``
@@ -40,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .geometry import PhaseSpace, QuadratureGrid, SymbolSpec
 from .potential import limit_potential, log_abs_det
 from .quantize import quantize_symbol
@@ -180,8 +186,6 @@ def _smallest_eigenvectors(band: np.ndarray, eigenvalues: np.ndarray, A: int):
     orthogonalization against the earlier clusters.  One Rayleigh-Ritz step
     closes.  Returns the basis and the worst residual ``||M v - theta v||``.
     """
-    import scipy.linalg.lapack as lapack  # deferred: keeps ``import toeplab`` light
-
     w, n = band.shape[0] - 1, band.shape[1]
     if A == 0:
         return np.empty((n, 0), dtype=complex), 0.0
@@ -194,15 +198,15 @@ def _smallest_eigenvectors(band: np.ndarray, eigenvalues: np.ndarray, A: int):
     rng = np.random.Generator(np.random.Philox(key=0))
     basis = np.empty((n, A), dtype=complex)
     for start, stop in zip(np.r_[0, ends], np.r_[ends, A]):
-        shifted = full.copy()
+        shifted = np.array(full, order="F")     # band_lu factors it in place
         shifted[2 * w] -= eigenvalues[start] - tol
-        lu, piv, _ = lapack.zgbtrf(shifted, w, w, overwrite_ab=True)
+        lu, piv = _lapack.band_lu(shifted, w, w)
         pivots = lu[2 * w]
         pivots[pivots == 0.0] = tol             # exactly singular: keep iterating
         block = rng.standard_normal((n, stop - start)).astype(complex)
         done = basis[:, :start]
         for _ in range(2):
-            block, _ = lapack.zgbtrs(lu, w, w, block, piv)
+            block = _lapack.band_solve(lu, piv, w, w, block)
             for _ in range(2):
                 block -= done @ (done.conj().T @ block)
             block = np.linalg.qr(block)[0]
@@ -232,8 +236,6 @@ def _small_subspaces(P: np.ndarray, z: complex, N: int, rho: float):
     span the singular subspaces but are not paired vector by vector, which
     changes no ``|det|`` of the split.
     """
-    import scipy.linalg  # deferred: keeps ``import toeplab`` light
-
     grams = _banded_grams(P, z)
     if grams is None:
         triples = singular_triples(P, z)
@@ -248,7 +250,7 @@ def _small_subspaces(P: np.ndarray, z: complex, N: int, rho: float):
         return values, params, left, right.conj().T, residual
 
     right_gram, left_gram, perm = grams
-    squares = scipy.linalg.eig_banded(right_gram, lower=True, eigvals_only=True)
+    squares = _lapack.eigvalsh_banded(right_gram)
     values = np.sqrt(np.clip(squares, 0.0, None))
     params = _params_of_values(N, rho, values)
     A = params.n_small
@@ -356,7 +358,7 @@ def _neumann_warning(delta: float, g_norm: NormBound, values: np.ndarray, A: int
         return None
     neumann = delta * g_norm.exact() * reach
     if neumann >= 1.0:
-        return f"Neumann invertibility condition violated ({neumann:.3g} >= 1); inverting anyway"
+        return f"Neumann invertibility condition violated ({neumann:.3g} >= 1): inverting anyway"
     return None
 
 
@@ -492,8 +494,6 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray,
     ``assemble_grushin`` (the bordered matrix and its explicit ``inv``) is
     the slow reference route for this path.
     """
-    import scipy.linalg  # deferred: keeps ``import toeplab`` light
-
     entries = T.entries
     space, f = T.space, T.symbol
     dim = entries.shape[0]
@@ -525,7 +525,7 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray,
         if warning:
             flags.append(warning)
 
-    # Fortran order lets lu_factor overwrite M instead of copying it
+    # Fortran order lets lu_factor factor M in place instead of copying it
     M = np.empty((dim + A, dim + A), dtype=complex, order="F")
     shifted = M[:dim, :dim]
     np.multiply(G, delta, out=shifted)
@@ -537,8 +537,8 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray,
     log_direct = log_abs_det(shifted) if A else None    # A = 0: the LU below is route one
 
     anorm = np.linalg.norm(M, 1)
-    lu, piv = scipy.linalg.lu_factor(M, overwrite_a=True)
-    rcond, _ = scipy.linalg.lapack.zgecon(lu, anorm, norm="1")
+    lu, piv = _lapack.lu_factor(M)
+    rcond = _lapack.rcond(lu, anorm)
     condition = 1.0 / rcond if rcond > 0.0 else float("inf")
     with np.errstate(divide="ignore"):
         log_bordered = float(np.sum(np.log(np.abs(np.diag(lu)))))
@@ -549,7 +549,7 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray,
     else:
         unit = np.zeros((dim + A, A), dtype=complex)
         unit[dim:, :] = np.eye(A)
-        log_corner = log_abs_det(scipy.linalg.lu_solve((lu, piv), unit)[dim:, :])
+        log_corner = log_abs_det(_lapack.lu_solve(lu, piv, unit)[dim:, :])
     b2 = (log_bordered - log_free) / dim
     b3 = log_corner / dim
     if not np.isfinite(b2):

@@ -6,19 +6,22 @@ stages (the ``spectrum``, ``potential`` and ``grushin`` CLI verbs), and
 persists plot-ready CSV tables plus a JSON manifest with per-artifact
 checksums and per-cell numerical health.  Cells run as tasks on a thread
 pool with OpenBLAS pinned to one thread, so identical configurations
-byte-reproduce every CSV on the same numpy/scipy/OpenBLAS build (and CPU
-instruction set, which OpenBLAS dispatches on) whatever the core count.
+byte-reproduce every CSV on the same build of numpy and its OpenBLAS (and
+CPU instruction set, which OpenBLAS dispatches on) whatever the core count.
 Without a pinnable OpenBLAS the cells run one at a time and the bits also
 depend on the BLAS thread count.  The manifest additionally records
 wall-clock, tool version and the build (and is therefore not byte-stable
 itself).
 
-Tasks overlap only inside dense calls that release the GIL.  numpy's linalg
-gufuncs release it only above dimension 500, so the cell eigensolve
-(:func:`_eigvals`) calls numpy's ``zgeev`` through ``ctypes``, which
-releases it at every size and gives ``np.linalg.eigvals``'s bits.  numpy's
-``slogdet`` and scipy's f2py ``eig_banded``, ``zpotrf``, ``zgbtrf`` and
-``zgbtrs`` hold the GIL while they run.
+Tasks overlap only inside dense calls that release the GIL.  Every LAPACK
+call of a run goes through :mod:`toeplab._lapack`, numpy's own OpenBLAS
+through ``ctypes``, which releases the GIL at every size and gives the bits
+of ``np.linalg.eigvals`` and of the ``scipy.linalg`` calls it replaces, so
+a run imports no scipy module.  Only numpy's ``slogdet`` (a linalg gufunc,
+which releases the GIL above dimension 500 only) still holds it.  Where
+numpy's OpenBLAS lacks those routines, they fall back to numpy and scipy
+(the manifest's ``lapack_route``), and the bits then also depend on
+scipy's build.
 
 Per-cell randomness: the Ginibre stream of cell ``(N, seed)`` is keyed by
 ``derive_seed(seed, "cell", N)``, so cells are independent and reproducible
@@ -27,8 +30,9 @@ in any execution order.
 
 from __future__ import annotations
 
-import functools
+import ctypes
 import hashlib
+import importlib.metadata
 import json
 import numbers
 import os
@@ -40,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _lapack
 from .geometry import (
     QuadratureGrid,
     RegularityEstimate,
@@ -460,7 +464,7 @@ def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
         M *= setup.deltas[N]
         M += T.entries
 
-    lam = _eigvals(M)
+    lam = _lapack.eigvals(M)
     files = {
         "spectrum": _emit(setup.out, f"eig_{name}.csv", "re,im",
                           ((z.real, z.imag) for z in lam)),
@@ -522,38 +526,19 @@ _OPENBLAS_THREAD_SYMBOLS = (
 )
 
 
-@functools.cache
-def _openblas_libraries() -> tuple:
-    """Every OpenBLAS that numpy and scipy map into this process, as ``ctypes`` libraries.
-
-    Scanned from ``/proc/self/maps`` once, on first use, after importing
-    ``scipy.linalg`` so that scipy's OpenBLAS is mapped too; empty where there
-    is no ``/proc`` (not Linux).
-    """
-    import ctypes
-
-    import scipy.linalg  # noqa: F401
-
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and "/" in ln})
-    except OSError:                             # no /proc: not Linux
-        return ()
-    libraries = []
-    for path in paths:
-        try:
-            libraries.append(ctypes.CDLL(path))
-        except OSError:                         # e.g. a "(deleted)" mapping
-            continue
-    return tuple(libraries)
-
-
 def _openblas_thread_controls() -> list:
-    """``(get, set)`` thread-count functions of every OpenBLAS mapped into this process."""
-    import ctypes
+    """``(get, set)`` thread-count functions of every OpenBLAS mapped into this process now.
+
+    Looked up afresh at each run, so an OpenBLAS mapped since the last run
+    (scipy's, once a caller imports it) is pinned too.  Without numpy's
+    LAPACKE the dense calls fall back to scipy, whose OpenBLAS is then
+    mapped first.
+    """
+    if _lapack.routines() is None:
+        import scipy.linalg  # noqa: F401
 
     controls = []
-    for lib in _openblas_libraries():
+    for lib in _lapack.openblas_libraries():
         for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
             get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
             if get is not None and set_ is not None:
@@ -580,57 +565,6 @@ def _pinned_blas():
             set_(count)
 
 
-@functools.cache
-def _lapacke_zgeev():
-    """``LAPACKE_zgeev`` of numpy's OpenBLAS (the ILP64 scipy-openblas build), or None.
-
-    Only numpy's wheel ships the ``64_`` symbol names; scipy's LP64 build
-    exports ``scipy_LAPACKE_zgeev``, which is not looked for.
-    """
-    import ctypes
-
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    for lib in _openblas_libraries():
-        zgeev = getattr(lib, "scipy_LAPACKE_zgeev64_", None)
-        if zgeev is not None:
-            # (layout, jobvl, jobvr, n, a, lda, w, vl, ldvl, vr, ldvr) -> info
-            zgeev.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, ptr, i64,
-                              ptr, ptr, i64, ptr, i64]
-            zgeev.restype = i64
-            return zgeev
-    return None
-
-
-_LAPACK_COL_MAJOR = 102
-
-
-def _eigvals(M: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a square matrix: the bits of ``np.linalg.eigvals(M)``, without the GIL.
-
-    A complex128 ``M`` goes to the ``zgeev`` numpy calls (no eigenvectors,
-    from numpy's OpenBLAS) on the Fortran-ordered copy numpy makes, through
-    ``ctypes``, which releases the GIL for the whole call.  Other input, or
-    no loaded OpenBLAS exporting the routine, takes ``np.linalg.eigvals``.
-    Raises ``LinAlgError`` on an inf or nan entry and when the QR algorithm
-    does not converge, as numpy does.
-    """
-    zgeev = _lapacke_zgeev()
-    if zgeev is None or M.dtype != np.complex128 or M.ndim != 2 or M.shape[0] != M.shape[1]:
-        return np.linalg.eigvals(M)
-    if not np.isfinite(M).all():
-        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    a = np.array(M, order="F")
-    n = a.shape[0]
-    w = np.empty(n, dtype=np.complex128)
-    info = zgeev(_LAPACK_COL_MAJOR, b"N", b"N", n, a.ctypes.data, max(n, 1),
-                 w.ctypes.data, None, 1, None, 1)
-    if info > 0:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    if info < 0:                                # a bad argument, or LAPACKE's workspace allocation failed
-        raise np.linalg.LinAlgError(f"LAPACKE_zgeev returned info {info}")
-    return w
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     try:
@@ -641,8 +575,6 @@ def _usable_cpus() -> int:
 
 def _environment(pinned: bool, pool_size: int) -> dict:
     """Build and execution record of a run (its CSV bits depend on the build)."""
-    import scipy
-
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):               # numpy < 1.25 has no dict mode
@@ -654,11 +586,11 @@ def _environment(pinned: bool, pool_size: int) -> dict:
         peak_rss_mb = None
     return {
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": importlib.metadata.version("scipy"),      # not imported by a run
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "blas_pinned": pinned,
         "blas_threads": 1 if pinned else None,
-        "eig_route": "numpy" if _lapacke_zgeev() is None else "lapacke",
+        "lapack_route": "fallback" if _lapack.routines() is None else "lapacke",
         "pool_size": pool_size,
         "usable_cpus": _usable_cpus(),
         "peak_rss_mb": peak_rss_mb,

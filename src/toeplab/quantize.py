@@ -30,10 +30,10 @@ coefficient ``N^-j``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .geometry import (
     SPHERE,
@@ -114,9 +114,57 @@ def quantize_torus(f: SymbolSpec, N: int) -> ToeplitzMatrix:
 # sphere
 # ---------------------------------------------------------------------------
 
-def _log_beta(j, M):
-    # log B(j+1, M+1-j) = log( j! (M-j)! / (M+1)! )
-    return gammaln(j + 1.0) + gammaln(M - j + 1.0) - gammaln(M + 2.0)
+# Cephes ``lgam`` coefficients: the asymptotic series (A) and the rational
+# approximation on [2, 3) (B over C, whose leading 1 is implicit).
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.93650340457716943945E-4,
+           -2.77777777730099687205E-3, 8.33333333333331927722E-2)
+_LGAM_B = (-1.37825152569120859100E3, -3.88016315134637840924E4, -3.31612992738871184744E5,
+           -1.16237097492762307383E6, -1.72173700820839662146E6, -8.53555664245765465627E5)
+_LGAM_C = (1.0, -3.51815701436523470549E2, -1.70642106651881159223E4, -2.20528590553854454839E5,
+           -1.13933444367982507207E6, -2.53252307177582951285E6, -2.01889141433532773231E6)
+
+
+def _horner(x: float, coefficients) -> float:
+    total = coefficients[0]
+    for c in coefficients[1:]:
+        total = total * x + c
+    return total
+
+
+def _log_gamma(x: float) -> float:
+    """``log Gamma(x)`` for ``x > 0``: Cephes ``lgam``, the bits of ``scipy.special.gammaln``."""
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:                     # Gamma(x) = z Gamma(u), u in [2, 3)
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x = x + (p - 2.0)
+        return math.log(z) + x * _horner(x, _LGAM_B) / _horner(x, _LGAM_C)
+    q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178     # + log sqrt(2 pi)
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _horner(p, _LGAM_A) / x
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """``log k!`` for ``k = 0..n``, one :func:`_log_gamma` per entry."""
+    return np.array([_log_gamma(k + 1.0) for k in range(n + 1)])
+
+
+def _log_beta(j, M, log_fact: np.ndarray):
+    # log B(j+1, M+1-j) = log( j! (M-j)! / (M+1)! ), from a _log_factorials table up to M+1
+    return log_fact[j] + log_fact[M - j] - log_fact[M + 1]
 
 
 def _monomial_zq(a: int, b: int, c: int) -> dict:
@@ -149,7 +197,8 @@ def quantize_sphere(f: SymbolSpec, N: int) -> ToeplitzMatrix:
     dim = N + 1
     T = np.zeros((dim, dim), dtype=complex)
     k = np.arange(dim)
-    log_norm = _log_beta(k, N)  # log ||z^k||^2 / (2 pi)
+    log_fact = _log_factorials(N + f.total_degree() + 1)
+    log_norm = _log_beta(k, N, log_fact)  # log ||z^k||^2 / (2 pi)
     for order, terms in [(0, f.terms)] + list(f.corrections):
         scale = float(N) ** (-order)
         for (a, b, c), coeff in terms.items():
@@ -158,7 +207,7 @@ def quantize_sphere(f: SymbolSpec, N: int) -> ToeplitzMatrix:
                 lo, hi = max(0, q - p), min(dim, dim + q - p)  # rows k+p-q in range
                 kk = np.arange(lo, hi)
                 ll = kk + p - q
-                vals = np.exp(_log_beta(kk + p, M) - 0.5 * (log_norm[kk] + log_norm[ll]))
+                vals = np.exp(_log_beta(kk + p, M, log_fact) - 0.5 * (log_norm[kk] + log_norm[ll]))
                 T[ll, kk] += scale * coeff * cpq * vals
     return ToeplitzMatrix(space, int(N), dim, T, f)
 
@@ -195,7 +244,7 @@ def sphere_entries_quadrature(f: SymbolSpec, N: int, resolution: int | None = No
     log_cos_half = 0.5 * np.log((1.0 + u) / 2.0)
     log_amp = (k[:, None] * log_sin_half[None, :]
                + (N - k)[:, None] * log_cos_half[None, :]
-               - 0.5 * (_log_beta(k, N)[:, None] + np.log(2.0 * np.pi)))
+               - 0.5 * (_log_beta(k, N, _log_factorials(N + 1))[:, None] + np.log(2.0 * np.pi)))
     amp = np.exp(log_amp)  # (dim, n_u)
 
     # phi integral: H[m, i] = (2 pi / n_phi) sum_j f(i, j) e^{-i m phi_j}

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
+
 #: Frozen constant for the smallest-singular-value tail bound
 #: P(s_min(B + delta G) < delta t) <= C * dim * t^2, checked on bins with at
 #: least 5 successes (below that the empirical estimate is Poisson noise).
@@ -93,8 +95,6 @@ def certify_norm_bound(G: np.ndarray, c: float) -> float | None:
     occur.  A factorization that fails (or a non-finite ``G``) proves nothing
     and returns None.
     """
-    import scipy.linalg  # deferred: keeps ``import toeplab`` light
-
     G = np.asarray(G, dtype=complex)
     dim = G.shape[0]
     u = np.finfo(float).eps / 2.0
@@ -117,8 +117,7 @@ def certify_norm_bound(G: np.ndarray, c: float) -> float | None:
     if not (np.isfinite(shift) and shift < c2):
         return None
     gram[np.diag_indices(dim)] = (c2 - shift) + diagonal
-    _, info = scipy.linalg.lapack.zpotrf(gram, lower=0, clean=0, overwrite_a=1)
-    return shift if info == 0 else None
+    return shift if _lapack.cholesky_upper(gram) == 0 else None
 
 
 class NormBound:

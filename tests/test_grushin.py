@@ -4,8 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg
 
+import toeplab._lapack as lapack_module
 import toeplab.grushin as grushin_module
 import toeplab.harness as harness_module
 from toeplab.geometry import (
@@ -425,8 +425,8 @@ class TestFactorizationCount:
             wrap(np.linalg, name, name)
         wrap(np.linalg, "norm", "norm2",
              lambda args, kwargs: (args[1] if len(args) > 1 else kwargs.get("ord")) in (2, -2))
-        wrap(scipy.linalg, "lu_factor", "lu_factor")
-        wrap(scipy.linalg, "eig_banded", "eig_banded")
+        wrap(lapack_module, "lu_factor", "lu_factor")
+        wrap(lapack_module, "eigvalsh_banded", "eig_banded")
         return counts
 
     def test_one_svd_and_one_lu_per_probe(self, monkeypatch):
@@ -528,9 +528,27 @@ class TestFactorizationCount:
                 values, params, _, _, _ = grushin_module._small_subspaces(T.entries, z, N, 0.2)
                 A = params.n_small
                 neumann = float(N) ** -1.0 * operator_norm(G) * (1.0 / values[A] + (1.0 if A else 0.0))
-                expected.append(f"Neumann invertibility condition violated ({neumann:.3g} >= 1); "
+                expected.append(f"Neumann invertibility condition violated ({neumann:.3g} >= 1): "
                                 "inverting anyway" if neumann >= 1.0 else "")
             assert flags == expected
+
+    def test_diag_flags_field_splits_into_the_probe_flags(self, tmp_path):
+        # at delta = 1/N every cell's probes carry the Neumann flag, whose text
+        # must not contain the ";" that joins a row's flags
+        record = self._tiny_run({"preset": "weyl"}, tmp_path)
+        flagged = 0
+        for name, cell in record.manifest["cells"].items():
+            N, seed = int(name[1:].split("_")[0]), int(name.split("_s")[1])
+            T = quantize_sphere(PROJECTION, N)
+            G = sample_ginibre(N + 1, derive_seed(seed, "cell", N))
+            rows = (tmp_path / cell["files"]["diagnostics"]["path"]).read_text().splitlines()
+            header = rows[0].split(",")
+            for row, z in zip(rows[1:], (0.3 + 0.2j, 0.6)):
+                field = dict(zip(header, row.split(",")))["flags"]
+                want = b_diagnostics(T, z, 0.2, float(N) ** -1.0, G).flags
+                assert (tuple(field.split(";")) if field else ()) == want
+                flagged += bool(want)
+        assert flagged >= 4
 
 
 LOWER = sphere_symbol({(1, 0, 0): 1.0, (0, 1, 0): 1j})          # x1 + i x2: lower bidiagonal

@@ -1,11 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import toeplab._lapack as _lapack
 from toeplab.cli import main as cli_main
 from toeplab.geometry import (
     scottish_flag_symbol,
@@ -395,7 +398,7 @@ class TestRun:
         _, record = done
         env = record.manifest["environment"]
         assert set(env) == {"numpy", "scipy", "blas", "blas_pinned", "blas_threads",
-                            "eig_route", "pool_size", "usable_cpus", "peak_rss_mb"}
+                            "lapack_route", "pool_size", "usable_cpus", "peak_rss_mb"}
         assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
         assert isinstance(env["blas"]["name"], str) and env["blas"]["name"]
         assert env["usable_cpus"] >= 1
@@ -404,8 +407,7 @@ class TestRun:
         else:
             assert env["blas_threads"] is None and env["pool_size"] == 1
         assert env["peak_rss_mb"] > 0.0
-        import toeplab.harness as hz
-        assert env["eig_route"] == ("numpy" if hz._lapacke_zgeev() is None else "lapacke")
+        assert env["lapack_route"] == ("fallback" if _lapack.routines() is None else "lapacke")
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_csv_bits_independent_of_pool_size(self, done, tmp_path, monkeypatch, cpus):
@@ -426,16 +428,39 @@ class TestRun:
             assert (tmp_path / "again" / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_csv_bits_independent_of_eig_route(self, done, tmp_path, monkeypatch):
-        import toeplab.harness as hz
+        # every dense call on its numpy or scipy.linalg fallback, as without LAPACKE
         out, _ = done
-        monkeypatch.setattr(hz, "_lapacke_zgeev", lambda: None)
-        record = run(tiny_config(), out_dir=tmp_path / "numpy-route", workers=2)
-        assert record.manifest["environment"]["eig_route"] == "numpy"
-        assert sorted(p.name for p in (tmp_path / "numpy-route").glob("*.csv")) == \
+        monkeypatch.setattr(_lapack, "routines", lambda: None)
+        record = run(tiny_config(), out_dir=tmp_path / "fallback", workers=2)
+        assert record.manifest["environment"]["lapack_route"] == "fallback"
+        assert sorted(p.name for p in (tmp_path / "fallback").glob("*.csv")) == \
             sorted(p.name for p in out.glob("*.csv"))
         for path in sorted(out.glob("*.csv")):
-            assert (tmp_path / "numpy-route" / path.name).read_bytes() == path.read_bytes(), \
+            assert (tmp_path / "fallback" / path.name).read_bytes() == path.read_bytes(), \
                 path.name
+
+    def test_run_loads_no_scipy_and_pins_it_once_imported(self, tmp_path):
+        import toeplab.harness as hz
+        if _lapack.routines() is None:
+            pytest.skip("without numpy's LAPACKE the run falls back to scipy")
+        script = ("import json, sys\n"
+                  "import toeplab\n"
+                  "from toeplab import harness\n"
+                  "config = harness.ExperimentConfig.from_mapping(json.loads(sys.argv[1]))\n"
+                  "record = harness.run(config, sys.argv[2])\n"
+                  "assert not record.manifest['errors'], record.manifest['errors']\n"
+                  "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+                  "import scipy.linalg\n"
+                  "print(len(harness._openblas_thread_controls()))\n")
+        src = str(Path(_lapack.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", script, json.dumps(tiny_config().to_mapping()),
+                                 str(tmp_path)], capture_output=True, text=True, env=env, timeout=300)
+        assert result.returncode == 0, result.stderr
+        modules, controls = result.stdout.splitlines()[-2:]
+        assert json.loads(modules) == []
+        # the next run's pinning scan sees scipy's OpenBLAS, as this process (scipy loaded) does
+        assert int(controls) == len(hz._openblas_thread_controls())
 
     def test_without_pinnable_blas_runs_serially(self, done, tmp_path, monkeypatch):
         import toeplab.harness as hz
@@ -557,61 +582,41 @@ class TestEigensolve:
         else:
             M = self._cell_matrix(kind, dim)
         with hz._pinned_blas():
-            got, want = hz._eigvals(M), np.linalg.eigvals(M)
+            got, want = _lapack.eigvals(M), np.linalg.eigvals(M)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_nonfinite_entry_raises(self, bad):
-        import toeplab.harness as hz
         M = sample_ginibre(31, 3)
         M[4, 7] = bad
         with pytest.raises(np.linalg.LinAlgError):
-            hz._eigvals(M)
+            _lapack.eigvals(M)
 
     def test_numpy_fallback_returns_the_same_array(self, monkeypatch):
         import toeplab.harness as hz
         M = self._cell_matrix("sphere-figure3", 301)
         with hz._pinned_blas():
-            routed = hz._eigvals(M)
-            monkeypatch.setattr(hz, "_lapacke_zgeev", lambda: None)
-            fallback = hz._eigvals(M)
+            routed = _lapack.eigvals(M)
+            monkeypatch.setattr(_lapack, "routines", lambda: None)
+            fallback = _lapack.eigvals(M)
         assert fallback.tobytes() == routed.tobytes()
 
-    def test_releases_the_gil(self):
+    def test_releases_the_gil(self, spin_ratio):
         """A spinning main thread keeps its pace while a dim-301 eigensolve runs beside it.
 
         ``np.linalg.eigvals`` holds the GIL at this size: the spinner then
         keeps about 8% of its rate during an equally long ``time.sleep``.
         """
-        import threading
-        import time
-
         import toeplab.harness as hz
         if hz._usable_cpus() < 2:
             pytest.skip("needs 2 usable CPUs")
-        if hz._lapacke_zgeev() is None:
+        if _lapack.routines() is None:
             pytest.skip("no OpenBLAS exports LAPACKE_zgeev here")
         G = sample_ginibre(301, 5)
-
-        def spin_rate(work):
-            """Main-thread loop iterations per second while ``work`` runs in a thread."""
-            worker = threading.Thread(target=work)
-            count, t0 = 0, time.perf_counter()
-            worker.start()
-            while worker.is_alive():
-                count += 1
-            rate = count / (time.perf_counter() - t0)
-            worker.join(timeout=60.0)
-            assert not worker.is_alive()
-            return rate
-
         ratios = []
         with hz._pinned_blas():
             for _ in range(3):
-                t0 = time.perf_counter()
-                eig_rate = spin_rate(lambda: hz._eigvals(G))
-                elapsed = time.perf_counter() - t0
-                ratios.append(eig_rate / spin_rate(lambda: time.sleep(elapsed)))
+                ratios.append(spin_ratio(lambda: _lapack.eigvals(G)))
                 if ratios[-1] >= 0.3:
                     return
         pytest.fail(f"spinner kept only {ratios} of its sleeping rate")

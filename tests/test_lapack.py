@@ -1,0 +1,147 @@
+"""The ``ctypes`` LAPACK binding against its oracles, ``scipy.linalg`` on the same matrices.
+
+Both OpenBLAS builds (numpy's and scipy's) are pinned to one thread, as in a
+run, so each routine must match its scipy counterpart bit for bit.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import toeplab._lapack as _lapack
+from toeplab.grushin import _banded_grams, _small_subspaces
+from toeplab.harness import _pinned_blas, _usable_cpus, preset_config
+from toeplab.quantize import quantize_symbol
+from toeplab.randmat import derive_seed, sample_ginibre
+
+pytestmark = pytest.mark.skipif(_lapack.routines() is None,
+                                reason="numpy's OpenBLAS exports no LAPACKE here")
+
+PRESETS = ("sphere-figure3", "scottish-flag-figure1")
+DIMS = (31, 301, 601)
+
+
+def _cell(preset: str, dim: int):
+    """The preset's quantization matrix of dimension ``dim`` and its perturbed cell matrix."""
+    cfg = preset_config(preset)
+    N = dim - 1 if cfg.space == "sphere" else dim
+    T = quantize_symbol(cfg.symbol_spec(), N)
+    return T, T.entries + cfg.noise_size(N) * sample_ginibre(dim, derive_seed(0, "cell", N))
+
+
+def _matrix(kind: str, dim: int) -> np.ndarray:
+    return sample_ginibre(dim, derive_seed(7, "lapack", dim)) if kind == "ginibre" else _cell(kind, dim)[1]
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(autouse=True)
+def pinned():
+    with _pinned_blas():
+        yield
+
+
+@pytest.mark.parametrize("kind", ("ginibre",) + PRESETS)
+@pytest.mark.parametrize("dim", DIMS)
+def test_lu_solve_and_rcond_bit_equal_to_scipy(kind, dim):
+    M = _matrix(kind, dim) - (0.3 + 0.2j) * np.eye(dim)
+    lu, piv = _lapack.lu_factor(np.array(M, order="F"))
+    want_lu, want_piv = scipy.linalg.lu_factor(M)
+    assert _same_bits(lu, want_lu) and np.array_equal(piv - 1, want_piv)   # LAPACK's 1-based pivots
+    unit = np.zeros((dim, 5), dtype=complex)
+    unit[-5:] = np.eye(5)
+    assert _same_bits(_lapack.lu_solve(lu, piv, unit), scipy.linalg.lu_solve((want_lu, want_piv), unit))
+    anorm = np.linalg.norm(M, 1)
+    assert _lapack.rcond(lu, anorm) == scipy.linalg.lapack.zgecon(want_lu, anorm, norm="1")[0]
+
+
+@pytest.mark.parametrize("kind", ("ginibre",) + PRESETS)
+@pytest.mark.parametrize("dim", DIMS)
+def test_cholesky_info_and_factor_equal_to_scipy(kind, dim):
+    M = _matrix(kind, dim)
+    gram = M.conj().T @ M
+    bound = np.linalg.norm(M, "fro") ** 2
+    for shifted, definite in ((bound * np.eye(dim) - gram, True), (gram - bound / dim * np.eye(dim), False)):
+        got, want = np.array(shifted, order="F"), np.array(shifted, order="F")
+        info = _lapack.cholesky_upper(got)
+        want_info = scipy.linalg.lapack.zpotrf(want, lower=0, clean=0, overwrite_a=1)[1]
+        assert info == want_info and (info == 0) == definite
+        assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("dim", DIMS)
+def test_banded_values_lu_and_solve_bit_equal_to_scipy(preset, dim):
+    T, _ = _cell(preset, dim)
+    band = _banded_grams(T.entries, 0.3 + 0.2j)[0]          # lower band storage of B*B
+    values = _lapack.eigvalsh_banded(band)
+    assert _same_bits(values, scipy.linalg.eig_banded(band, lower=True, eigvals_only=True))
+    w, n = band.shape[0] - 1, band.shape[1]
+    full = np.zeros((3 * w + 1, n), dtype=complex)           # general band storage, w fill rows
+    full[2 * w:] = band
+    for d in range(1, w + 1):
+        full[2 * w - d, d:] = band[d, :n - d].conj()
+    full[2 * w] -= values[0] * (1.0 - 1e-6)                  # nearly singular, as in inverse iteration
+    lu, piv = _lapack.band_lu(np.array(full, order="F"), w, w)
+    want_lu, want_piv, _ = scipy.linalg.lapack.zgbtrf(full, w, w)
+    assert _same_bits(lu, want_lu) and np.array_equal(piv - 1, want_piv)
+    block = np.random.default_rng(dim).standard_normal((n, 3)).astype(complex)
+    assert _same_bits(_lapack.band_solve(lu, piv, w, w, block),
+                      scipy.linalg.lapack.zgbtrs(want_lu, w, w, block, want_piv)[0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_input_raises_value_error_as_scipy_does(bad):
+    M = sample_ginibre(31, 3)
+    M[4, 7] = bad
+    with pytest.raises(ValueError):
+        scipy.linalg.lu_factor(M)
+    with pytest.raises(ValueError):
+        _lapack.lu_factor(np.array(M, order="F"))
+    band = np.ones((2, 31), dtype=complex)
+    band[1, 3] = bad
+    with pytest.raises(ValueError):
+        _lapack.eigvalsh_banded(band)
+
+
+def test_bordered_lu_releases_the_gil(spin_ratio):
+    """A spinning main thread keeps its pace beside the bordered LU of a dim-301 probe."""
+    if _usable_cpus() < 2:
+        pytest.skip("needs 2 usable CPUs")
+    T, M = _cell("sphere-figure3", 301)
+    _, params, left, right_h, _ = _small_subspaces(T.entries, 0.3 + 0.2j, T.N, 0.2)
+    A = params.n_small
+    bordered = np.zeros((301 + A, 301 + A), dtype=complex, order="F")
+    bordered[:301, :301] = M - (0.3 + 0.2j) * np.eye(301)
+    bordered[:301, 301:], bordered[301:, :301] = left, right_h
+    anorm = np.linalg.norm(bordered, 1)
+    unit = np.zeros((301 + A, A), dtype=complex)
+    unit[301:] = np.eye(A)
+
+    def work():
+        for _ in range(5):
+            lu, piv = _lapack.lu_factor(np.array(bordered, order="F"))
+            _lapack.rcond(lu, anorm)
+            _lapack.lu_solve(lu, piv, unit)
+
+    ratios = []
+    for _ in range(3):
+        ratios.append(spin_ratio(work))
+        if ratios[-1] >= 0.3:
+            return
+    pytest.fail(f"spinner kept only {ratios} of its sleeping rate")
+
+
+def test_foreign_factor_is_refused():
+    # a pointer is passed only for an array laid out as this module's factorization
+    M = _matrix("ginibre", 31)
+    lu, piv = _lapack.lu_factor(np.array(M, order="F"))
+    unit = np.eye(31, 2, dtype=complex)
+    for bad_lu, bad_piv in ((np.ascontiguousarray(lu), piv), (lu, piv.astype(np.int32)), (lu, piv[:-1])):
+        with pytest.raises(ValueError):
+            _lapack.lu_solve(bad_lu, bad_piv, unit)
+    with pytest.raises(ValueError):
+        _lapack.lu_solve(lu, piv, unit[:-1])

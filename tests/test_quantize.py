@@ -132,6 +132,30 @@ class TestSphere:
         assert np.max(np.abs(closed - quad)) < 1e-8
 
 
+class TestLogGamma:
+    """The Cephes ``lgam`` port against ``scipy.special.gammaln``, its oracle, bit for bit."""
+
+    def test_integers(self):
+        from scipy.special import gammaln
+
+        from toeplab.quantize import _log_factorials
+        # log k! = gammaln(k + 1) for k = 0..10^5, so every integer 1..10^5 + 1
+        got = _log_factorials(10**5)
+        assert got.tobytes() == gammaln(np.arange(1.0, 10**5 + 2)).tobytes()
+
+    def test_reals(self):
+        from scipy.special import gammaln
+
+        from toeplab.quantize import _log_gamma
+        rng = np.random.default_rng(11)
+        # every branch: the recurrences below 13, the series below 1000, the
+        # short series below 1e8 and the bare Stirling term above
+        x = np.concatenate([rng.uniform(0.0, 13.0, 4000), np.exp(rng.uniform(-30.0, 50.0, 6000))])
+        x = x[x > 0.0]
+        got = np.array([_log_gamma(float(v)) for v in x])
+        assert got.tobytes() == gammaln(x).tobytes()
+
+
 class TestInvariants:
     real_symbols = [
         sphere_symbol({(0, 0, 1): 1.0}),

@@ -182,7 +182,7 @@ class TestNormCertificate:
             assert norm.route == route
             # the flags of the exact norm, from the Neumann inequality itself
             neumann = delta * exact * reach
-            assert lazy.flags == ((f"Neumann invertibility condition violated ({neumann:.3g} >= 1); "
+            assert lazy.flags == ((f"Neumann invertibility condition violated ({neumann:.3g} >= 1): "
                                    "inverting anyway",) if neumann >= 1.0 else ())
             assert any("Neumann" in w for w in lazy.flags) == flagged
 
