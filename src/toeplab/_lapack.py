@@ -4,9 +4,9 @@ numpy's wheel bundles an ILP64 OpenBLAS (scipy-openblas) that exports
 LAPACKE as ``scipy_LAPACKE_<routine>64_``.  Each function here calls one of
 those routines, column-major with 64-bit integers, on the layout numpy's
 ``eigvals`` or the replaced ``scipy.linalg`` call passes, so it returns that
-call's bits on the same OpenBLAS build.  ``ctypes`` releases the GIL for the
-whole call, where numpy's linalg gufuncs below dimension 500 and scipy's
-f2py wrappers hold it, and no scipy module is loaded.
+call's bits on the same OpenBLAS build (:func:`lu_log_abs_det` gives ``slogdet``'s).
+``ctypes`` releases the GIL for the whole call, where numpy's linalg gufuncs
+below dimension 500 and scipy's f2py wrappers hold it; no scipy is loaded.
 
 Where numpy's OpenBLAS lacks any of the routines (:func:`routines` is None,
 e.g. numpy built on Accelerate), every function takes ``np.linalg.eigvals``
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 
 import numpy as np
 
@@ -169,6 +170,19 @@ def lu_factor(a: np.ndarray):
     piv = np.empty(n, dtype=np.int64)
     _call("zgetrf_work", n, n, lu.ctypes.data, max(n, 1), piv.ctypes.data)
     return lu, piv
+
+
+def lu_log_abs_det(lu: np.ndarray) -> float:
+    """log|det a| from :func:`lu_factor`'s ``lu``; -inf on a zero pivot.
+
+    ``slogdet``'s own loop, an in-order sum of scalar ``log|u_ii|``, so its bits.
+    """
+    total = 0.0
+    for pivot in np.diagonal(lu).tolist():
+        if pivot == 0:
+            return float("-inf")
+        total += math.log(abs(pivot))
+    return total
 
 
 def lu_solve(lu: np.ndarray, piv: np.ndarray, b) -> np.ndarray:

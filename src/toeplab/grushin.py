@@ -28,15 +28,15 @@ computes the exact norm only when the bound cannot rule the warning out.
 The corner block always comes from the one LU of the bordered matrix; a
 large condition estimate of that LU is flagged, not rerouted.  Every
 LAPACK call of the fast route (the banded eigensolve, banded LU and solves,
-the bordered LU, its solve and condition estimate) goes through
-:mod:`toeplab._lapack`, numpy's OpenBLAS through ``ctypes``, which releases
-the GIL; the ``slogdet`` of route one is numpy's and holds it below
-dimension 500.
+the LUs of both Schur routes, the solve and the condition estimate) goes
+through :mod:`toeplab._lapack`, numpy's OpenBLAS through ``ctypes``, which
+releases the GIL.
 ``assemble_grushin`` (the bordered matrix from the dense singular triples
 and its explicit ``inv``) is the one slow reference route, and
-``schur_identity_residual`` checks the identity by comparing a ``slogdet``
-of ``P + delta*G - z`` against it.  ``G`` is a plain array; ``harness``
-writes the split's values, with the probe and cell labels, to ``diag_*.csv``.
+``schur_identity_residual`` checks the identity by comparing the LU
+log-determinant of ``P + delta*G - z`` against it.  ``G`` is a plain array;
+``harness`` writes the split's values, with the probe and cell labels, to
+``diag_*.csv``.
 """
 
 from __future__ import annotations
@@ -412,7 +412,7 @@ def _closed_route_inverse(closed: InverseBlocks, delta: float, Gm, dim: int, A: 
 def schur_identity_residual(P: np.ndarray, z: complex, perturbation=None) -> float:
     """Residual of the determinant factorization, via independent routes.
 
-    Route one is ``slogdet`` of ``P + delta G - z`` built from ``P``; route
+    Route one is :func:`log_abs_det` of ``P + delta G - z`` built from ``P``; route
     two is ``log|det matrix| + log|det corner|`` of :func:`assemble_grushin`
     with ``rho = 1/4`` and ``N = dim``.  Returns ``nan`` (never an exception)
     when any determinant is singular.
@@ -477,11 +477,11 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray,
     warning; callers probing one ``G`` at several ``z`` pass it once,
     otherwise it is built here.
 
-    Dense work per probe: one ``slogdet`` of ``P + delta G - z`` (Schur
-    route one) and one LU of the bordered matrix, which gives
-    ``log|det bordered|``, the corner block (solving against the ``A`` unit
-    columns ``[0; I_A]``) and LAPACK's 1-norm condition estimate.  With
-    ``A = 0`` the bordered matrix is ``P + delta G - z`` itself, so its LU
+    Dense work per probe: one LU each of ``P + delta G - z`` (Schur route
+    one), of the bordered matrix, which gives ``log|det bordered|``, the
+    corner block (solving against ``[0; I_A]``) and LAPACK's 1-norm
+    condition estimate, and of the ``A x A`` corner; ``lu_log_abs_det``
+    sums each one's pivots.  With ``A = 0`` the bordered matrix is ``P + delta G - z`` itself, so its LU
     serves both routes and the residual is 0 by construction.  The singular
     values and the ``A``-dimensional small singular subspaces come from
     :func:`_small_subspaces`: a banded eigensolve and banded inverse
@@ -540,8 +540,7 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray,
     lu, piv = _lapack.lu_factor(M)
     rcond = _lapack.rcond(lu, anorm)
     condition = 1.0 / rcond if rcond > 0.0 else float("inf")
-    with np.errstate(divide="ignore"):
-        log_bordered = float(np.sum(np.log(np.abs(np.diag(lu)))))
+    log_bordered = _lapack.lu_log_abs_det(lu)
     if condition > CONDITION_GUARD:
         flags.append(f"condition estimate {condition:.3g} exceeds {CONDITION_GUARD:.0e}")
     if A == 0:

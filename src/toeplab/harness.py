@@ -16,10 +16,9 @@ itself).
 Tasks overlap only inside dense calls that release the GIL.  Every LAPACK
 call of a run goes through :mod:`toeplab._lapack`, numpy's own OpenBLAS
 through ``ctypes``, which releases the GIL at every size and gives the bits
-of ``np.linalg.eigvals`` and of the ``scipy.linalg`` calls it replaces, so
-a run imports no scipy module.  Only numpy's ``slogdet`` (a linalg gufunc,
-which releases the GIL above dimension 500 only) still holds it.  Where
-numpy's OpenBLAS lacks those routines, they fall back to numpy and scipy
+of ``np.linalg.eigvals``, ``np.linalg.slogdet`` and the ``scipy.linalg``
+calls it replaces, so a run imports no scipy module.  Where numpy's
+OpenBLAS lacks those routines, they fall back to numpy and scipy
 (the manifest's ``lapack_route``), and the bits then also depend on
 scipy's build.
 
@@ -207,8 +206,11 @@ class ExperimentConfig:
             unknown = set(getattr(self, key)) - allowed
             if unknown:
                 raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
-        if "points" not in self.probe_grid and not {"nx", "ny"} <= set(self.probe_grid):
-            raise ConfigError(f"probe_grid needs points or both nx and ny, got {self.probe_grid}")
+        # run reads one form of each and would ignore the other
+        for key, forms, wanted in (("delta", ({"preset"}, {"power"}), "a preset, a power"),
+                                   ("probe_grid", ({"points"}, {"nx", "ny"}), "points, both nx and ny")):
+            if set(getattr(self, key)) not in forms:
+                raise ConfigError(f"{key} must give exactly one of: {wanted}; got {getattr(self, key)}")
         for key, points in (("grushin_probes", self.grushin_probes),
                             ("probe_grid points", self.probe_grid.get("points", []))):
             if not all(_is_pair(p) for p in points):

@@ -6,7 +6,7 @@ volume-normalized integral of ``log|z - f0|``.  A run's potential stage
 evaluates both over the probe grid of every cell (``harness.run``).
 
 Over a probe grid the empirical potential is read off the cell's spectrum,
-``sum log|lambda_i - z| / dim``, with ``slogdet`` on a few probes as an
+``sum log|lambda_i - z| / dim``, with :func:`log_abs_det` on a few probes as an
 in-run cross-check (see :func:`potential_from_spectrum`).  The classical
 potential has one quadrature loop, :func:`limit_potential_many`;
 :func:`limit_potential` is that loop at one probe.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _lapack
 from .geometry import (
     PhaseSpace,
     QuadratureGrid,
@@ -27,22 +28,23 @@ from .geometry import (
 #: Probes closer than this to an eigenvalue are dropped from a realization.
 PROBE_EXCLUSION_RADIUS = 1e-4
 
-#: Largest gap between the eigenvalue and ``slogdet`` routes to the normalized
+#: Largest gap between the eigenvalue and LU routes to the normalized
 #: potential that a cell may show on its cross-check probes before every probe
-#: of the cell falls back to ``slogdet``.  Measured agreement is <= 4e-15 on
+#: of the cell falls back to the LU route.  Measured agreement is <= 4e-15 on
 #: perturbed cells and 3.5e-12 on the unperturbed N=50 torus cell; strongly
 #: non-normal matrices, whose computed eigenvalues are ill-conditioned, land
 #: far above it.
 LOGDET_CHECK_BOUND = 1e-9
 
 
-def log_abs_det(M: np.ndarray) -> float:
-    """log|det M| from a pivoted factorization; -inf when a pivot vanishes."""
-    M = np.asarray(M)
-    sign, value = np.linalg.slogdet(M)
-    if sign == 0:
-        return float("-inf")
-    return float(value)
+def log_abs_det(M: np.ndarray, z: complex = 0.0) -> float:
+    """log|det(M - z)| from one LU of one copy of M (``slogdet``'s bits); -inf on a zero pivot.
+
+    Raises ValueError on an inf or nan entry, where ``slogdet`` returns nan.
+    """
+    shifted = np.array(M, dtype=np.complex128, order="F")
+    shifted[np.diag_indices(len(shifted))] -= z
+    return _lapack.lu_log_abs_det(_lapack.lu_factor(shifted)[0])
 
 
 def potential_from_spectrum(M: np.ndarray, lam, probes):
@@ -53,12 +55,13 @@ def potential_from_spectrum(M: np.ndarray, lam, probes):
     probes at least :data:`PROBE_EXCLUSION_RADIUS` from every eigenvalue.
 
     The values are ``sum log|lambda_i - z| / dim`` over ``lam = eigvals(M)``.
-    ``slogdet(M - z)`` on the first, middle and last kept probe checks them;
-    if the two routes differ by more than :data:`LOGDET_CHECK_BOUND`,
-    every kept probe is recomputed with ``slogdet``, which may give -inf on
-    an exactly singular shift.  ``health`` records ``probes_dropped``, the
-    worst gap on the checked probes as ``logdet_check_residual`` (0 when no
-    probe is kept) and whether the cell took the ``logdet_fallback``.
+    :func:`log_abs_det` of ``M - z`` on the first, middle and last kept probe
+    checks them; if the two routes differ by more than
+    :data:`LOGDET_CHECK_BOUND`, every kept probe is recomputed by that LU
+    route, which may give -inf on an exactly singular shift.  ``health``
+    records ``probes_dropped``, the worst gap on the checked probes as
+    ``logdet_check_residual`` (0 when no probe is kept) and whether the cell
+    took the ``logdet_fallback``.
     """
     M = np.asarray(M)
     lam = np.asarray(lam)
@@ -70,18 +73,13 @@ def potential_from_spectrum(M: np.ndarray, lam, probes):
         values = np.log(dist, out=dist).sum(axis=1) / dim
     values[~kept] = np.nan
 
-    def via_slogdet(i):
-        shifted = M.copy()
-        shifted.flat[::dim + 1] -= probes[i]
-        return log_abs_det(shifted) / dim
-
     idx = np.flatnonzero(kept)
     checks = np.unique(idx[[0, len(idx) // 2, -1]]) if len(idx) else idx
-    residual = max((abs(via_slogdet(i) - values[i]) for i in checks), default=0.0)
+    residual = max((abs(log_abs_det(M, probes[i]) / dim - values[i]) for i in checks), default=0.0)
     fallback = not residual <= LOGDET_CHECK_BOUND
     if fallback:
         for i in idx:
-            values[i] = via_slogdet(i)
+            values[i] = log_abs_det(M, probes[i]) / dim
     health = {"probes_dropped": len(probes) - len(idx),
               "logdet_check_residual": float(residual), "logdet_fallback": fallback}
     return values, kept, health

@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 
@@ -11,7 +12,10 @@ def spin_ratio():
     The main thread's loop rate while ``work`` runs in a worker thread, over
     its rate during a ``time.sleep`` of the same length.  A call that holds
     the GIL leaves the spinner a few percent; one that releases it, most of
-    its rate on a second CPU.
+    its rate on a second CPU.  The interpreter's switch interval is 0.1 ms
+    while it measures: at the default 5 ms a holder of a few milliseconds
+    (``slogdet`` at dim 301 takes 3 ms) still left the spinner about half
+    its rate, between calls.
     """
     def spin_rate(work):
         """Main-thread loop iterations per second while ``work`` runs in a thread."""
@@ -26,9 +30,14 @@ def spin_ratio():
         return rate
 
     def ratio(work):
-        t0 = time.perf_counter()
-        busy = spin_rate(work)
-        elapsed = time.perf_counter() - t0
-        return busy / spin_rate(lambda: time.sleep(elapsed))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            t0 = time.perf_counter()
+            busy = spin_rate(work)
+            elapsed = time.perf_counter() - t0
+            return busy / spin_rate(lambda: time.sleep(elapsed))
+        finally:
+            sys.setswitchinterval(interval)
 
     return ratio

@@ -402,12 +402,17 @@ class TestFastRouteOracle:
 
 
 class TestFactorizationCount:
-    """The dense work of one probe; guards against repeated factorizations."""
+    """The dense work of one probe; guards against repeated factorizations.
+
+    Every log-determinant of a run is the pivot sum of one ``_lapack.lu_factor``,
+    so the LUs are counted by matrix size: a probe with ``A >= 1`` takes one
+    each of size ``dim`` (Schur route one), ``dim + A`` (the bordered matrix)
+    and ``A`` (the corner), a probe with ``A = 0`` the bordered LU alone.
+    """
 
     @staticmethod
     def _count(monkeypatch):
-        counts = {"svd": 0, "inv": 0, "cond": 0, "norm2": 0, "slogdet": 0, "lu_factor": 0,
-                  "eig_banded": 0}
+        counts = {"svd": 0, "inv": 0, "cond": 0, "norm2": 0, "lu_factor": [], "eig_banded": 0}
         lock = threading.Lock()                 # run() calls these from pool threads
 
         def wrap(mod, attr, key, counted=lambda args, kwargs: True):
@@ -416,12 +421,15 @@ class TestFactorizationCount:
             def counting(*args, **kwargs):
                 if counted(args, kwargs):
                     with lock:
-                        counts[key] += 1
+                        if key == "lu_factor":
+                            counts[key].append(args[0].shape[0])
+                        else:
+                            counts[key] += 1
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(mod, attr, counting)
 
-        for name in ("svd", "inv", "cond", "slogdet"):
+        for name in ("svd", "inv", "cond"):
             wrap(np.linalg, name, name)
         wrap(np.linalg, "norm", "norm2",
              lambda args, kwargs: (args[1] if len(args) > 1 else kwargs.get("ord")) in (2, -2))
@@ -429,7 +437,17 @@ class TestFactorizationCount:
         wrap(lapack_module, "eigvalsh_banded", "eig_banded")
         return counts
 
-    def test_one_svd_and_one_lu_per_probe(self, monkeypatch):
+    @staticmethod
+    def _probe_lus(dim: int, A: int) -> list:
+        """Sorted LU sizes of one probe: route one, the bordered matrix, the corner."""
+        return sorted([dim, dim + A, A]) if A else [dim]
+
+    def _assert_probe(self, counts, dim, A, **rest):
+        assert sorted(counts["lu_factor"]) == self._probe_lus(dim, A)
+        assert {k: v for k, v in counts.items() if k != "lu_factor"} == {
+            "inv": 0, "cond": 0, "norm2": 0, **rest}
+
+    def test_one_svd_and_three_lus_per_probe(self, monkeypatch):
         # a stray far entry leaves no band: one dense SVD
         T, probes, delta, seed = DRAWS[1]
         entries = T.entries.copy()
@@ -440,29 +458,24 @@ class TestFactorizationCount:
         counts = self._count(monkeypatch)
         diag = b_diagnostics(T, probes[0], 0.25, delta, G, g_norm=g_norm)
         assert diag.n_small >= 1
-        assert counts == {"svd": 1, "inv": 0, "cond": 0, "norm2": 0,
-                          "slogdet": 2, "lu_factor": 1, "eig_banded": 0}
+        self._assert_probe(counts, T.dim, diag.n_small, svd=1, eig_banded=0)
 
-    def _banded_probe_counts(self, monkeypatch, draw):
+    def _banded_probe(self, monkeypatch, draw):
         T, probes, delta, seed = DRAWS[draw]
         G = sample_ginibre(T.dim, seed)
         g_norm = NormBound(G)
         counts = self._count(monkeypatch)
         diag = b_diagnostics(T, probes[0], 0.25, delta, G, g_norm=g_norm)
         assert diag.n_small >= 1
-        return counts
+        self._assert_probe(counts, T.dim, diag.n_small, svd=0, eig_banded=1)
 
     def test_bidiagonal_probe_takes_no_svd(self, monkeypatch):
         # the values; both bases come from banded inverse iteration
-        assert self._banded_probe_counts(monkeypatch, 0) == {
-            "svd": 0, "inv": 0, "cond": 0, "norm2": 0, "slogdet": 2, "lu_factor": 1,
-            "eig_banded": 1}
+        self._banded_probe(monkeypatch, 0)
 
     def test_torus_probe_takes_no_svd(self, monkeypatch):
         # the cyclic band, interleaved to a plain one
-        assert self._banded_probe_counts(monkeypatch, 1) == {
-            "svd": 0, "inv": 0, "cond": 0, "norm2": 0, "slogdet": 2, "lu_factor": 1,
-            "eig_banded": 1}
+        self._banded_probe(monkeypatch, 1)
 
     def test_far_probe_shares_one_lu_between_routes(self, monkeypatch):
         T, probes, delta, seed = DRAWS[0]
@@ -471,8 +484,7 @@ class TestFactorizationCount:
         counts = self._count(monkeypatch)
         diag = b_diagnostics(T, probes[-1], 0.25, delta, G, g_norm=g_norm)
         assert diag.n_small == 0
-        assert counts == {"svd": 0, "inv": 0, "cond": 0, "norm2": 0,
-                          "slogdet": 0, "lu_factor": 1, "eig_banded": 1}
+        self._assert_probe(counts, T.dim, 0, svd=0, eig_banded=1)
         assert diag.schur_residual == 0.0
         M = T.entries + delta * G - probes[-1] * np.eye(T.dim)
         assert diag.log_det_bordered == pytest.approx(log_abs_det(M), abs=1e-10)
@@ -491,20 +503,39 @@ class TestFactorizationCount:
         assert not record.manifest["errors"]
         return record
 
+    @classmethod
+    def _run_lus(cls, record, out_dir, f=PROJECTION) -> list:
+        """Sorted LU sizes of a tiny run: each cell's potential cross-checks and Grushin probes."""
+        sizes = []
+        for name, cell in record.manifest["cells"].items():
+            N = int(name[1:].split("_")[0])
+            dim = N + 1 if f.kind == "sphere" else N
+            kept = 9 - cell["health"]["probes_dropped"]             # of the 3 x 3 probe grid
+            sizes += [dim] * (min(kept, 3) + (kept if cell["health"]["logdet_fallback"] else 0))
+            rows = (out_dir / cell["files"]["diagnostics"]["path"]).read_text().splitlines()
+            header = rows[0].split(",")
+            for row in rows[1:]:
+                sizes += cls._probe_lus(dim, int(dict(zip(header, row.split(",")))["A"]))
+        return sorted(sizes)
+
     def test_run_takes_one_norm_per_perturbed_cell(self, monkeypatch, tmp_path):
         # the one norm of a cell is the Cholesky certificate; no 2-norm is taken
         counts = self._count(monkeypatch)
         record = self._tiny_run({"power": 1.25}, tmp_path)
         assert counts["norm2"] == 0
-        assert counts["svd"] == 0 and counts["lu_factor"] == 8      # bidiagonal: banded route
+        assert counts["svd"] == 0                                   # bidiagonal: banded route
+        assert sorted(counts["lu_factor"]) == self._run_lus(record, tmp_path)
+        assert len(counts["lu_factor"]) > 3 * 4 + 8                 # some probe has A >= 1
         assert counts["inv"] == counts["cond"] == 0
         routes = [c["health"]["g_norm_route"] for c in record.manifest["cells"].values()]
         assert routes == ["cholesky"] * 4                # 2 sizes x 2 seeds
 
     def test_torus_run_takes_no_svd_and_no_norm(self, monkeypatch, tmp_path):
         counts = self._count(monkeypatch)
-        record = self._tiny_run({"power": 1.25}, tmp_path, scottish_flag_symbol())
-        assert counts["svd"] == counts["norm2"] == 0 and counts["lu_factor"] == 8
+        f = scottish_flag_symbol()
+        record = self._tiny_run({"power": 1.25}, tmp_path, f)
+        assert counts["svd"] == counts["norm2"] == 0
+        assert sorted(counts["lu_factor"]) == self._run_lus(record, tmp_path, f)
         assert all(c["health"]["g_norm_route"] == "cholesky"
                    for c in record.manifest["cells"].values())
 

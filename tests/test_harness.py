@@ -122,6 +122,11 @@ class TestConfig:
         ({"resolution": 1}, "resolution"),
         ({"kappa_samples": 1e5}, "kappa_samples"),
         ({"radii": {"count": 10.0, "max": 1.0}}, "radii count"),
+        # run would read the preset and the points, and ignore the power and nx, ny
+        ({"delta": {"preset": "weyl", "power": 0.3}}, "delta must give exactly one"),
+        ({"delta": {}}, "delta must give exactly one"),
+        ({"probe_grid": {"points": [[0.3, 0.2]], "nx": 3, "ny": 3}}, "probe_grid must give exactly one"),
+        ({"probe_grid": {"points": [[0.3, 0.2]], "ny": 3}}, "probe_grid must give exactly one"),
     ])
     def test_what_run_would_reinterpret_rejected(self, overrides, message):
         # run would silently read these otherwise, or fail inside a task

@@ -1,7 +1,8 @@
 """The ``ctypes`` LAPACK binding against its oracles, ``scipy.linalg`` on the same matrices.
 
 Both OpenBLAS builds (numpy's and scipy's) are pinned to one thread, as in a
-run, so each routine must match its scipy counterpart bit for bit.
+run, so each routine must match its scipy counterpart bit for bit, and the LU
+log-determinant ``np.linalg.slogdet``.
 """
 
 import numpy as np
@@ -10,7 +11,8 @@ import scipy.linalg
 
 import toeplab._lapack as _lapack
 from toeplab.grushin import _banded_grams, _small_subspaces
-from toeplab.harness import _pinned_blas, _usable_cpus, preset_config
+from toeplab.harness import _pinned_blas, _usable_cpus, preset_config, run
+from toeplab.potential import log_abs_det
 from toeplab.quantize import quantize_symbol
 from toeplab.randmat import derive_seed, sample_ginibre
 
@@ -133,6 +135,77 @@ def test_bordered_lu_releases_the_gil(spin_ratio):
         if ratios[-1] >= 0.3:
             return
     pytest.fail(f"spinner kept only {ratios} of its sleeping rate")
+
+
+@pytest.mark.parametrize("kind", ("ginibre",) + PRESETS)
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("z", (0.0, 0.3 + 0.2j))
+def test_log_abs_det_bit_equal_to_slogdet(kind, dim, z):
+    M = _matrix(kind, dim)
+    want = np.linalg.slogdet(M - z * np.eye(dim))[1]
+    assert _same_bits(np.float64(log_abs_det(M, z)), want)
+    if z == 0.0:
+        assert _same_bits(np.float64(log_abs_det(M)), want)
+
+
+@pytest.mark.filterwarnings("ignore:Diagonal number")    # scipy warns on a zero pivot
+@pytest.mark.parametrize("ctypes_route", (True, False))
+def test_log_abs_det_of_a_singular_matrix_is_minus_inf(ctypes_route, monkeypatch):
+    if not ctypes_route:
+        monkeypatch.setattr(_lapack, "routines", lambda: None)
+    M = sample_ginibre(31, 5)
+    M[:, 3] = 0.0                       # column 3 stays zero under elimination: u_33 = 0
+    assert np.linalg.slogdet(M)[0] == 0.0
+    assert log_abs_det(M) == float("-inf")
+    assert log_abs_det(M + 0.5 * np.eye(31), 0.5) == float("-inf")
+
+
+@pytest.mark.parametrize("ctypes_route", (True, False))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_log_abs_det_refuses_nonfinite_input(ctypes_route, bad, monkeypatch):
+    # slogdet returns nan here; the LU route raises, as lu_factor does
+    if not ctypes_route:
+        monkeypatch.setattr(_lapack, "routines", lambda: None)
+    M = sample_ginibre(31, 3)
+    M[4, 7] = bad
+    with pytest.raises(ValueError):
+        log_abs_det(M)
+
+
+def test_log_abs_det_releases_the_gil(spin_ratio):
+    """A spinning main thread keeps its pace beside the log-determinant of a dim-301 cell."""
+    if _usable_cpus() < 2:
+        pytest.skip("needs 2 usable CPUs")
+    _, M = _cell("sphere-figure3", 301)
+    shifted = M - (0.3 + 0.2j) * np.eye(301)
+
+    def work():
+        for _ in range(20):
+            log_abs_det(shifted)
+
+    ratios = []
+    for _ in range(3):
+        ratios.append(spin_ratio(work))
+        if ratios[-1] >= 0.3:
+            return
+    pytest.fail(f"spinner kept only {ratios} of its sleeping rate")
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_a_run_takes_no_dense_call_outside_this_module(preset, monkeypatch, tmp_path):
+    """A tiny run of each preset finishes with numpy's dense solvers and determinants refused."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run called numpy's slogdet, eigvals, inv or det")
+
+    for name in ("slogdet", "eigvals", "inv", "det"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    cfg = preset_config(preset)
+    cfg.n_values, cfg.seeds, cfg.probe_grid = [40], [0, 1], {"nx": 4, "ny": 4}
+    record = run(cfg, tmp_path)
+    assert not record.manifest["errors"]
+    cells = record.manifest["cells"].values()
+    assert sum("diagnostics" in c["files"] for c in cells) == 2
+    assert all("potential" in c["files"] for c in cells)
 
 
 def test_foreign_factor_is_refused():
