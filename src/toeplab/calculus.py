@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    PhaseSpace,
     SymbolSpec,
     is_real_valued,
     liouville_quadrature,
@@ -111,10 +110,10 @@ def functional_calculus_residual(f: SymbolSpec, chi: ScalarSurrogate, n_values) 
     return _fit_curve(n_values, residuals)
 
 
-def trace_residual(f: SymbolSpec, space: PhaseSpace, n_values) -> ResidualCurve:
+def trace_residual(f: SymbolSpec, n_values) -> ResidualCurve:
     """| tr T(f) - (N / 2 pi)^d * integral of f | per size (bounded for d=1)."""
-    grid = liouville_quadrature(space, space.quadrature_default)
-    d = space.complex_dimension
+    grid = liouville_quadrature(f.space, f.space.quadrature_default)
+    d = f.space.complex_dimension
     residuals = []
     for N in n_values:
         N = int(N)
@@ -125,14 +124,14 @@ def trace_residual(f: SymbolSpec, space: PhaseSpace, n_values) -> ResidualCurve:
     return _fit_curve(n_values, residuals)
 
 
-def norm_bound_check(f: SymbolSpec, space: PhaseSpace, n_values, tol: float = 1e-8):
+def norm_bound_check(f: SymbolSpec, n_values, tol: float = 1e-8):
     """Per-size (norm, sup|f|) table; raises if the bound is ever violated."""
     rows = []
     for N in n_values:
         N = int(N)
         T = quantize_symbol(f, N)
         norm = operator_norm(T.entries)
-        bound = sup_abs(f, space, N=N)
+        bound = sup_abs(f, N=N)
         rows.append((N, norm, bound))
         if norm > bound + tol:
             raise ValueError(f"norm bound violated at N={N}: ||T|| = {norm:.12g} > sup|f| = {bound:.12g}")

@@ -13,7 +13,9 @@ torus, ``N + 1`` on the sphere) up to a bounded error.
 Symbols are finite expansions: Fourier modes ``sum c[m,n] e^{2 pi i (m x + n xi)}``
 on the torus, polynomials ``sum c[a,b,c] x1^a x2^b x3^c`` on the sphere.  A
 symbol may carry lower-order corrections entering with weight ``N^-j``; the
-``N``-independent part is the principal part.
+``N``-independent part is the principal part.  A symbol names its phase
+space by its ``kind`` tag, and :attr:`SymbolSpec.space` is that space, so
+no function here or downstream takes a space beside a symbol.
 """
 
 from __future__ import annotations
@@ -63,6 +65,11 @@ class SymbolSpec:
     kind: str
     terms: dict = field(default_factory=dict)
     corrections: tuple = ()
+
+    @property
+    def space(self) -> PhaseSpace:
+        """The phase space that ``kind`` names."""
+        return make_phase_space(self.kind)
 
     def principal(self) -> "SymbolSpec":
         """The N-independent part of the expansion."""
@@ -125,10 +132,14 @@ def evaluate_symbol_grid(f: SymbolSpec, points: np.ndarray, N: int | None = None
     """Evaluate the symbol on an (n, 2) array of torus or (n, 3) array of sphere points.
 
     With ``N`` given, corrections enter with weight ``N^-j``; otherwise only
-    the principal part is evaluated.  Sphere points must satisfy |p|^2 = 1
-    within 1e-12, torus coordinates are taken mod 1.
+    the principal part is evaluated.  Points of the other space's shape raise
+    ValueError.  Sphere points must satisfy |p|^2 = 1 within 1e-12, torus
+    coordinates are taken mod 1.
     """
     pts = np.asarray(points, dtype=float)
+    arity = 2 if f.kind == TORUS else 3
+    if pts.ndim != 2 or pts.shape[1] != arity:
+        raise ValueError(f"a {f.kind} symbol takes (n, {arity}) points, got shape {pts.shape}")
     if f.kind == SPHERE:
         drift = np.abs(np.einsum("ij,ij->i", pts, pts) - 1.0)
         if np.any(drift > _OFF_MANIFOLD_TOL):
@@ -154,14 +165,14 @@ def _eval_terms(kind: str, terms: dict, pts: np.ndarray) -> np.ndarray:
 
 def is_real_valued(f: SymbolSpec, samples: int = 4096, seed: int = 0) -> bool:
     """Whether the principal symbol is real on a dense sample of the space."""
-    pts = sample_points(make_phase_space(f.kind), samples, seed)
+    pts = sample_points(f.space, samples, seed)
     vals = evaluate_symbol_grid(f.principal(), pts)
     return bool(np.max(np.abs(vals.imag)) < 1e-12)
 
 
-def sup_abs(f: SymbolSpec, space: PhaseSpace, resolution: int = 0, N: int | None = None) -> float:
-    """sup |f| over a dense quadrature sample grid."""
-    grid = liouville_quadrature(space, resolution or space.quadrature_default)
+def sup_abs(f: SymbolSpec, resolution: int = 0, N: int | None = None) -> float:
+    """sup |f| over a dense quadrature sample grid of the symbol's space."""
+    grid = liouville_quadrature(f.space, resolution or f.space.quadrature_default)
     return float(np.max(np.abs(evaluate_symbol_grid(f, grid.points, N))))
 
 
@@ -300,8 +311,7 @@ def estimate_kappa(f: SymbolSpec, z_grid, samples: int, t_grid, seed: int = 0) -
     t_grid = np.asarray(list(t_grid), dtype=float)
     if np.any(t_grid <= 0.0) or np.any(t_grid >= 1.0):
         raise ValueError("t_grid must lie in (0, 1)")
-    space = make_phase_space(f.kind)
-    pts = sample_points(space, int(samples), seed)
+    pts = sample_points(f.space, int(samples), seed)
     vals = evaluate_symbol_grid(f.principal(), pts)
 
     diagnostics = []

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
-from .geometry import PhaseSpace, QuadratureGrid, SymbolSpec
+from .geometry import QuadratureGrid, SymbolSpec
 from .potential import limit_potential, log_abs_det
 from .quantize import quantize_symbol
 from .randmat import NormBound
@@ -495,7 +495,6 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray,
     the slow reference route for this path.
     """
     entries = T.entries
-    space, f = T.space, T.symbol
     dim = entries.shape[0]
     flags = []
 
@@ -513,7 +512,7 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray,
     else:
         log_free = float(np.sum(np.log(tail))) if A < dim else 0.0
 
-    classical = limit_potential(f, space, z, grid)
+    classical = limit_potential(T.symbol, z, grid)
     b1 = log_free / dim - classical
 
     delta = float(delta)
@@ -578,8 +577,7 @@ class CountScan:
     fitted_exponent: float | None
 
 
-def small_eigen_count_scan(f: SymbolSpec, space: PhaseSpace, z: complex, rho: float,
-                           n_values) -> CountScan:
+def small_eigen_count_scan(f: SymbolSpec, z: complex, rho: float, n_values) -> CountScan:
     """Count singular values with t^2 <= N^(-2 rho) for each N and fit growth.
 
     The count takes :func:`b_diagnostics`' route to the singular values, so

@@ -33,6 +33,7 @@ import ctypes
 import hashlib
 import importlib.metadata
 import json
+import math
 import numbers
 import os
 import time
@@ -50,7 +51,7 @@ from .geometry import (
     estimate_kappa,
     evaluate_symbol_grid,
     liouville_quadrature,
-    make_phase_space,
+    sample_points,
     scottish_flag_symbol,
     sphere_symbol,
     symbol_from_record,
@@ -152,10 +153,14 @@ class ExperimentConfig:
         return np.linspace(0.0, float(self.radii.get("max", 1.0)), int(self.radii.get("count", 50)))
 
     def probe_points(self, f, space) -> np.ndarray:
+        """The potential probes of ``f``; ``space``, kept for callers such as the
+        benchmark's ``perfbench/run.py``, must be ``f.space`` (else ConfigError)."""
+        if space.kind != f.kind:
+            raise ConfigError(f"space {space.kind!r} is not the {f.kind!r} space of the symbol")
         if "points" in self.probe_grid:
             return np.asarray([complex(re, im) for re, im in self.probe_grid["points"]])
         from .potential import default_probe_grid
-        return default_probe_grid(f, space, int(self.probe_grid["nx"]), int(self.probe_grid["ny"]))
+        return default_probe_grid(f, int(self.probe_grid["nx"]), int(self.probe_grid["ny"]))
 
     def kappa_estimate(self) -> RegularityEstimate:
         """The sublevel-set exponent fit that :meth:`validate` uses without a ``kappa_hat``.
@@ -164,7 +169,7 @@ class ExperimentConfig:
         ``kappa`` verb of one configuration fit the same samples.
         """
         f = self.symbol_spec()
-        return estimate_kappa(f, _kappa_probes(f, self.space), self.kappa_samples,
+        return estimate_kappa(f, _kappa_probes(f), self.kappa_samples,
                               np.logspace(-3, -1, 7), seed=derive_seed("kappa", self.config_hash()))
 
     def validate(self) -> dict:
@@ -173,6 +178,9 @@ class ExperimentConfig:
             raise ConfigError("n_values must be a nonempty list")
         if not self.seeds:
             raise ConfigError("seeds must be a nonempty list")
+        for key in ("delta", "radii", "probe_grid"):
+            if not isinstance(getattr(self, key), dict):
+                raise ConfigError(f"{key} must be a JSON object, got {getattr(self, key)!r}")
         # run reads these with int(), which would truncate a float or a bool silently
         for key, values in (("n_values", self.n_values), ("seeds", self.seeds),
                             ("unperturbed_sizes", self.unperturbed_sizes),
@@ -183,6 +191,15 @@ class ExperimentConfig:
                                                    if k in self.probe_grid])):
             if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values):
                 raise ConfigError(f"{key} must be integers, got {values}")
+        # float() would read a string or a bool, and a nan passes every window check
+        for key, value in (("epsilon", self.epsilon), ("rho", self.rho), ("gamma", self.gamma),
+                           ("c_exponent", self.c_exponent), ("radii max", self.radii.get("max", 1.0)),
+                           ("delta power", self.delta.get("power", 1.0)),
+                           ("kappa_hat", 1.0 if self.kappa_hat is None else self.kappa_hat)):
+            if not _is_real(value):
+                raise ConfigError(f"{key} must be a finite real number, got {value!r}")
+        if self.kappa_hat is not None and not 0.0 < self.kappa_hat <= 1.0:
+            raise ConfigError(f"kappa_hat must lie in (0, 1], got {self.kappa_hat}")
         if any(seed < 0 for seed in self.seeds):    # -1 labels the unperturbed cells
             raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
         if self.resolution < 2:
@@ -252,22 +269,23 @@ class ExperimentConfig:
         return {"kappa_hat": float(kappa), "warnings": warnings}
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _is_pair(point) -> bool:
-    return (isinstance(point, (list, tuple)) and len(point) == 2
-            and all(isinstance(x, numbers.Real) for x in point))
+    return isinstance(point, (list, tuple)) and len(point) == 2 and all(map(_is_real, point))
 
 
-def _kappa_probes(f, space_kind: str):
+def _kappa_probes(f):
     # box probes for coverage plus image-value probes, which land where the
     # push-forward density concentrates (uniformity in z is the point)
-    space = make_phase_space(space_kind)
-    grid = liouville_quadrature(space, 64)
+    grid = liouville_quadrature(f.space, 64)
     vals = evaluate_symbol_grid(f.principal(), grid.points)
     re = np.linspace(vals.real.min(), vals.real.max(), 4)
     im = np.linspace(vals.imag.min(), vals.imag.max(), 4)
     probes = [complex(a, b) for a in re for b in im]
-    from .geometry import sample_points
-    probes += list(evaluate_symbol_grid(f.principal(), sample_points(space, 8, seed=1)))
+    probes += list(evaluate_symbol_grid(f.principal(), sample_points(f.space, 8, seed=1)))
     return probes
 
 
@@ -386,9 +404,8 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
 
     validation = config.validate()
     f = config.symbol_spec()
-    space = make_phase_space(config.space)
     radii = config.radii_grid()
-    grid = liouville_quadrature(space, config.resolution)
+    grid = liouville_quadrature(f.space, config.resolution)
 
     cells = [("unperturbed", int(N), None) for N in config.unperturbed_sizes]
     cells += [("perturbed", int(N), int(seed)) for N in config.n_values for seed in config.seeds]
@@ -396,17 +413,16 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     tasks += [(cell, _grushin_task) for cell in cells
               if "grushin" in stages and cell[0] == "perturbed"]
 
-    probes = config.probe_points(f, space) if "potential" in stages else None
+    probes = config.probe_points(f, f.space) if "potential" in stages else None
     setup = _Setup(
         out=out,
         matrices={N: quantize_symbol(f, N) for N in sorted({cell[1] for cell, _ in tasks})},
         deltas={int(N): config.noise_size(int(N)) for N in config.n_values},
         grid=grid,
         radii=radii,
-        predicted=(weyl_predict(f, space, radii, grid)
-                   if "spectrum" in stages else None),
+        predicted=weyl_predict(f, radii, grid) if "spectrum" in stages else None,
         probes=probes,
-        u_lim=None if probes is None else limit_potential_many(f, space, probes, grid),
+        u_lim=None if probes is None else limit_potential_many(f, probes, grid),
         grushin_probes=[complex(re, im) for re, im in config.grushin_probes],
         rho=config.rho,
     )
@@ -639,12 +655,20 @@ class VerifyReport:
 
 
 def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
-    """Check artifact integrity, that no cell failed, and the named criteria suite of a run."""
+    """Check artifact integrity, that no cell failed, and the named criteria suite of a run.
+
+    A missing or malformed manifest fails the ``integrity`` criterion.
+    """
     out = Path(run_dir)
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
-        return VerifyReport(False, {"integrity": {"status": "fail", "detail": "missing manifest"}})
-    manifest = json.loads(manifest_path.read_text())
+        return _integrity_failure("missing manifest")
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:                   # JSONDecodeError, UnicodeDecodeError
+        return _integrity_failure(f"malformed manifest: {exc}")
+    if not (isinstance(manifest, dict) and {"config", "cells", "errors"} <= set(manifest)):
+        return _integrity_failure("malformed manifest: it needs the keys config, cells and errors")
     criteria: dict = {}
 
     mismatched, missing, intact = [], [], set()
@@ -674,6 +698,10 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
 
     passed = all(c["status"] == "pass" for c in criteria.values() if c["status"] != "skipped")
     return VerifyReport(passed, criteria)
+
+
+def _integrity_failure(detail: str) -> VerifyReport:
+    return VerifyReport(False, {"integrity": {"status": "fail", "detail": detail}})
 
 
 def _read_csv(path: Path) -> list:

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import _lapack
 from .geometry import (
-    PhaseSpace,
     QuadratureGrid,
     SymbolSpec,
     evaluate_symbol_grid,
@@ -85,23 +84,21 @@ def potential_from_spectrum(M: np.ndarray, lam, probes):
     return values, kept, health
 
 
-def limit_potential(f: SymbolSpec, space: PhaseSpace, z: complex,
-                    grid: QuadratureGrid | None = None) -> float:
+def limit_potential(f: SymbolSpec, z: complex, grid: QuadratureGrid | None = None) -> float:
     """:func:`limit_potential_many` at the single probe ``z``."""
-    return float(limit_potential_many(f, space, [z], grid)[0])
+    return float(limit_potential_many(f, [z], grid)[0])
 
 
-def limit_potential_many(f: SymbolSpec, space: PhaseSpace, probes,
-                         grid: QuadratureGrid | None = None) -> np.ndarray:
+def limit_potential_many(f: SymbolSpec, probes, grid: QuadratureGrid | None = None) -> np.ndarray:
     """Volume-normalized quadrature of log|z - f0| at each probe ``z``.
 
-    Uses ``grid`` (by default the space's default-resolution grid).  A probe
-    that lands exactly on a node image is retried on the default resolution
-    plus 1, 2 and 3 (node positions shift with resolution) rather than
-    returning -inf.  Probes are done one at a time, so the working set is one
+    Uses ``grid`` on the symbol's space (by default its default-resolution
+    grid).  A probe that lands exactly on a node image is retried on the
+    default resolution plus 1, 2 and 3 (node positions shift with
+    resolution) rather than returning -inf.  Probes are done one at a time, so the working set is one
     grid-sized array however many probes there are.
     """
-    f0 = f.principal()
+    f0, space = f.principal(), f.space
     grids = [grid or liouville_quadrature(space, space.quadrature_default)]
     images = [evaluate_symbol_grid(f0, grids[0].points)]
     out = np.empty(len(probes))
@@ -119,9 +116,9 @@ def limit_potential_many(f: SymbolSpec, space: PhaseSpace, probes,
     return out
 
 
-def default_probe_grid(f: SymbolSpec, space: PhaseSpace, nx: int = 41, ny: int = 41) -> np.ndarray:
+def default_probe_grid(f: SymbolSpec, nx: int = 41, ny: int = 41) -> np.ndarray:
     """Probe grid on the symbol image's bounding box inflated by 50%."""
-    g = liouville_quadrature(space, space.quadrature_default)
+    g = liouville_quadrature(f.space, f.space.quadrature_default)
     vals = evaluate_symbol_grid(f.principal(), g.points)
     re0, re1 = float(vals.real.min()), float(vals.real.max())
     im0, im1 = float(vals.imag.min()), float(vals.imag.max())

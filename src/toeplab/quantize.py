@@ -40,7 +40,6 @@ from .geometry import (
     TORUS,
     PhaseSpace,
     SymbolSpec,
-    make_phase_space,
     symbol_from_record,
     symbol_to_record,
 )
@@ -50,13 +49,19 @@ _MATRIX_MAGIC = b"TOEPLABMAT1\n"
 
 @dataclass(frozen=True)
 class ToeplitzMatrix:
-    """A dense quantization matrix with its provenance."""
+    """A dense quantization matrix with its provenance; its symbol fixes its phase space."""
 
-    space: PhaseSpace
     N: int
-    dim: int
     entries: np.ndarray
     symbol: SymbolSpec
+
+    @property
+    def space(self) -> PhaseSpace:
+        return self.symbol.space
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
 
 
 def bergman_dimension(space: PhaseSpace, N: int) -> int:
@@ -98,7 +103,6 @@ def quantize_torus(f: SymbolSpec, N: int) -> ToeplitzMatrix:
     if f.kind != TORUS:
         raise ValueError("quantize_torus requires a torus symbol")
     check_size(f, N)
-    space = make_phase_space(TORUS)
     T = np.zeros((N, N), dtype=complex)
     diag = np.exp(2j * np.pi * np.arange(1, N + 1) / N)  # clock entries, k = 1..N
     cols = np.arange(N)
@@ -107,7 +111,7 @@ def quantize_torus(f: SymbolSpec, N: int) -> ToeplitzMatrix:
         for (m, n), c in terms.items():
             rows = (cols + n) % N  # shift part; clock part acts on the row index
             T[rows, cols] += scale * c * np.exp(-1j * np.pi * m * n / N) * diag[rows]**m
-    return ToeplitzMatrix(space, int(N), N, T, f)
+    return ToeplitzMatrix(int(N), T, f)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +197,6 @@ def quantize_sphere(f: SymbolSpec, N: int) -> ToeplitzMatrix:
     if f.kind != SPHERE:
         raise ValueError("quantize_sphere requires a sphere (polynomial) symbol")
     check_size(f, N)
-    space = make_phase_space(SPHERE)
     dim = N + 1
     T = np.zeros((dim, dim), dtype=complex)
     k = np.arange(dim)
@@ -209,7 +212,7 @@ def quantize_sphere(f: SymbolSpec, N: int) -> ToeplitzMatrix:
                 ll = kk + p - q
                 vals = np.exp(_log_beta(kk + p, M, log_fact) - 0.5 * (log_norm[kk] + log_norm[ll]))
                 T[ll, kk] += scale * coeff * cpq * vals
-    return ToeplitzMatrix(space, int(N), dim, T, f)
+    return ToeplitzMatrix(int(N), T, f)
 
 
 def sphere_entries_quadrature(f: SymbolSpec, N: int, resolution: int | None = None) -> np.ndarray:
@@ -283,7 +286,10 @@ def save_matrix(T: ToeplitzMatrix, path) -> None:
 
 
 def load_matrix(path) -> ToeplitzMatrix:
-    """Read a :func:`save_matrix` file; malformed files raise ValueError."""
+    """Read a :func:`save_matrix` file; malformed files raise ValueError.
+
+    So does a header whose ``kind``, ``N`` and ``dim`` disagree with its symbol record.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MATRIX_MAGIC))
         if magic != _MATRIX_MAGIC:
@@ -293,17 +299,19 @@ def load_matrix(path) -> ToeplitzMatrix:
     missing = {"kind", "N", "dim", "symbol"} - set(header)
     if missing:
         raise ValueError(f"{path}: header lacks {sorted(missing)}")
-    dim = int(header["dim"])
+    symbol = symbol_from_record(header["symbol"])
+    kind, N, dim = header["kind"], header["N"], int(header["dim"])
+    if kind != symbol.kind:
+        raise ValueError(f"{path}: header kind {kind!r} differs from its symbol's {symbol.kind!r}")
+    if not (isinstance(N, int) and not isinstance(N, bool) and N >= 1):
+        raise ValueError(f"{path}: header N {N!r} is not a positive integer")
+    law = bergman_dimension(symbol.space, N)
+    if dim != law:
+        raise ValueError(f"{path}: header dim {dim} is not the {kind} dimension {law} of N = {N}")
     expected = dim * dim * 16
     if len(raw) != expected:
         problem = "truncated payload" if len(raw) < expected else "trailing bytes after payload"
         raise ValueError(f"{path}: {problem}: header dim {dim} needs {expected} bytes, "
                          f"file holds {len(raw)}")
     entries = np.frombuffer(raw, dtype="<c16").reshape(dim, dim).copy()
-    return ToeplitzMatrix(
-        space=make_phase_space(header["kind"]),
-        N=int(header["N"]),
-        dim=dim,
-        entries=entries,
-        symbol=symbol_from_record(header["symbol"]),
-    )
+    return ToeplitzMatrix(N, entries, symbol)

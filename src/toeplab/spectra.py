@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import (
-    PhaseSpace,
     QuadratureGrid,
     SymbolSpec,
     evaluate_symbol_grid,
@@ -30,21 +29,20 @@ def empirical_cdf_disks(lam, radii) -> np.ndarray:
     return (moduli[None, :] <= np.asarray(radii, dtype=float)[:, None]).mean(axis=1)
 
 
-def weyl_predict(f: SymbolSpec, space: PhaseSpace, radii,
-                 grid: QuadratureGrid | None = None) -> np.ndarray:
+def weyl_predict(f: SymbolSpec, radii, grid: QuadratureGrid | None = None) -> np.ndarray:
     """Classical fraction mu{|f0| <= r} / vol for each radius.
 
-    Integrates the disk indicators on the Liouville ``grid`` (by default the
-    space's default-resolution grid).
+    Integrates the disk indicators on the Liouville ``grid`` of the symbol's
+    space (by default its default-resolution grid).
     """
-    grid = grid or liouville_quadrature(space, space.quadrature_default)
+    grid = grid or liouville_quadrature(f.space, f.space.quadrature_default)
     vals = evaluate_symbol_grid(f.principal(), grid.points)
     # cumulative weights over sorted moduli: exactly monotone in r
     dist = np.abs(vals)
     order = np.argsort(dist)
     cum = np.concatenate([[0.0], np.cumsum(grid.weights[order])])
     idx = np.searchsorted(dist[order], np.asarray(radii, dtype=float), side="right")
-    return cum[idx] / space.volume
+    return cum[idx] / f.space.volume
 
 
 def match_eigenvalues(a, b) -> float:

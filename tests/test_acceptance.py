@@ -227,7 +227,7 @@ def test_criterion_08_corner_term_negative(figure_run):
 def test_criterion_09_small_count_growth(figure_run):
     _, record = figure_run
     kappa_hat = record.manifest["kappa_hat"]
-    scan = small_eigen_count_scan(PROJECTION, SPHERE, 0.3 + 0.2j, 0.25,
+    scan = small_eigen_count_scan(PROJECTION, 0.3 + 0.2j, 0.25,
                                   [50, 100, 150, 200, 250, 300, 350, 400])
     bound = 1.0 - min(2 * 0.25 * kappa_hat, 1.0 - 2 * 0.25) + 0.15
     ok = scan.fitted_exponent is not None and scan.fitted_exponent <= bound
@@ -257,14 +257,14 @@ def test_criterion_11_calculus_residuals():
     ratios += [r for _, r in fc.halving_ratios()]
     ratios_ok = all(0.3 <= r <= 0.7 for r in ratios)
 
-    trace = trace_residual(sphere_symbol({(0, 0, 2): 1.0}), SPHERE, [50, 100, 200, 400])
+    trace = trace_residual(sphere_symbol({(0, 0, 2): 1.0}), [50, 100, 200, 400])
     trace_ok = max(trace.residuals) <= 1.0  # uniformly bounded (value is 1/3)
 
     norm_ok = True
     try:
-        norm_bound_check(sphere_symbol({(0, 0, 1): 1.0}), SPHERE, [50, 200, 500])
-        norm_bound_check(PROJECTION, SPHERE, [50, 200, 500])
-        norm_bound_check(scottish_flag_symbol(), TORUS, [8, 50, 200, 500])
+        norm_bound_check(sphere_symbol({(0, 0, 1): 1.0}), [50, 200, 500])
+        norm_bound_check(PROJECTION, [50, 200, 500])
+        norm_bound_check(scottish_flag_symbol(), [8, 50, 200, 500])
     except ValueError:
         norm_ok = False
 

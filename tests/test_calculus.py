@@ -9,7 +9,6 @@ from toeplab.calculus import (
     trace_residual,
 )
 from toeplab.geometry import (
-    make_phase_space,
     scottish_flag_symbol,
     sphere_symbol,
     torus_symbol,
@@ -17,8 +16,6 @@ from toeplab.geometry import (
 from toeplab.quantize import quantize_symbol
 from toeplab.randmat import operator_norm
 
-TORUS = make_phase_space("torus")
-SPHERE = make_phase_space("sphere")
 X3 = sphere_symbol({(0, 0, 1): 1.0})
 
 
@@ -96,34 +93,34 @@ class TestTrace:
     def test_constant_symbol_residuals(self):
         # dimension minus (N / 2 pi) * volume: exactly 1 on the sphere and
         # exactly 0 on the torus
-        sphere_curve = trace_residual(sphere_symbol({(0, 0, 0): 1.0}), SPHERE, [20, 50])
+        sphere_curve = trace_residual(sphere_symbol({(0, 0, 0): 1.0}), [20, 50])
         np.testing.assert_allclose(sphere_curve.residuals, [1.0, 1.0], atol=1e-9)
-        torus_curve = trace_residual(torus_symbol({(0, 0): 1.0}), TORUS, [20, 50])
+        torus_curve = trace_residual(torus_symbol({(0, 0): 1.0}), [20, 50])
         np.testing.assert_allclose(torus_curve.residuals, [0.0, 0.0], atol=1e-9)
 
     def test_height_symbol_vanishes(self):
         # both the trace and the integral vanish by antipodal symmetry
-        curve = trace_residual(X3, SPHERE, [20, 50, 100])
+        curve = trace_residual(X3, [20, 50, 100])
         assert max(curve.residuals) < 1e-9
 
     def test_height_squared_uniformly_bounded(self):
-        curve = trace_residual(sphere_symbol({(0, 0, 2): 1.0}), SPHERE, [50, 100, 200, 400])
+        curve = trace_residual(sphere_symbol({(0, 0, 2): 1.0}), [50, 100, 200, 400])
         np.testing.assert_allclose(curve.residuals, 1.0 / 3.0, atol=1e-6)
 
 
 class TestNormBound:
     def test_height_symbol_closed_form(self):
-        rows = norm_bound_check(X3, SPHERE, [10, 50, 200])
+        rows = norm_bound_check(X3, [10, 50, 200])
         for N, norm, bound in rows:
             assert norm == pytest.approx(N / (N + 2.0), abs=1e-12)
             assert norm <= bound + 1e-8
 
     def test_crossed_cosines(self):
-        rows = norm_bound_check(scottish_flag_symbol(), TORUS, [4, 8, 50, 128, 500])
+        rows = norm_bound_check(scottish_flag_symbol(), [4, 8, 50, 128, 500])
         for N, norm, bound in rows:
             assert bound == pytest.approx(np.sqrt(2.0), abs=1e-9)
             assert norm <= np.sqrt(2.0) + 1e-8
 
     def test_constant_norm_is_one(self):
-        rows = norm_bound_check(sphere_symbol({(0, 0, 0): 1.0}), SPHERE, [15])
+        rows = norm_bound_check(sphere_symbol({(0, 0, 0): 1.0}), [15])
         assert rows[0][1] == pytest.approx(1.0, abs=1e-12)

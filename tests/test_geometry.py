@@ -113,6 +113,14 @@ class TestEvaluation:
         with pytest.raises(ValueError, match="off the unit sphere"):
             evaluate_symbol_grid(f, np.vstack([on, [(0.0, 0.0, 1.0 + 1e-6)]]))
 
+    @pytest.mark.parametrize("f, other, message", [
+        (scottish_flag_symbol(), SPHERE, r"a torus symbol takes \(n, 2\) points, got shape \(8, 3\)"),
+        (sphere_symbol({(0, 0, 1): 1.0}), TORUS, r"a sphere symbol takes \(n, 3\) points, got shape \(8, 2\)"),
+    ], ids=["torus-symbol", "sphere-symbol"])
+    def test_points_of_the_other_space_rejected(self, f, other, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate_symbol_grid(f, liouville_quadrature(other, 4).points[:8])
+
     def test_principal_is_n_independent(self):
         f = sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0})
         p = sample_points(SPHERE, 16, seed=3)
@@ -132,8 +140,8 @@ class TestEvaluation:
         assert not is_real_valued(sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0}))
 
     def test_sup_abs(self):
-        assert sup_abs(scottish_flag_symbol(), TORUS) == pytest.approx(np.sqrt(2.0), abs=1e-9)
-        assert sup_abs(sphere_symbol({(0, 0, 1): 1.0}), SPHERE) == pytest.approx(1.0, abs=1e-3)
+        assert sup_abs(scottish_flag_symbol()) == pytest.approx(np.sqrt(2.0), abs=1e-9)
+        assert sup_abs(sphere_symbol({(0, 0, 1): 1.0})) == pytest.approx(1.0, abs=1e-3)
 
 
 class TestSymbolAlgebra:

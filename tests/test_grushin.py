@@ -30,7 +30,6 @@ from toeplab.quantize import quantize_sphere, quantize_symbol, quantize_torus
 from toeplab.randmat import NormBound, derive_seed, operator_norm, sample_ginibre
 
 SPHERE = make_phase_space("sphere")
-TORUS = make_phase_space("torus")
 PROJECTION = sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0})
 
 
@@ -210,7 +209,7 @@ class TestSplitDiagnostics:
         dim = T.dim
         lhs = diag.b1 + diag.b2 + diag.b3
         direct = log_abs_det(T.entries + (1.0 / 120) * G - (0.3 + 0.2j) * np.eye(dim))
-        rhs = direct / dim - limit_potential(T.symbol, SPHERE, 0.3 + 0.2j, grid)
+        rhs = direct / dim - limit_potential(T.symbol, 0.3 + 0.2j, grid)
         assert lhs == pytest.approx(rhs, abs=1e-6)
 
     def test_corner_term_negative(self, diag300):
@@ -295,7 +294,7 @@ class TestFastRouteOracle:
             A, b2, b3, system = _slow_split(T, z, 0.25, delta, G)
             tr = singular_triples(T.entries, z)
             b1 = float(np.sum(np.log(tr.values[A:]))) / T.dim - limit_potential(
-                T.symbol, T.space, z, grid)
+                T.symbol, z, grid)
             assert diag.n_small == A
             if b1_exact:
                 assert diag.b1 == b1
@@ -656,7 +655,7 @@ class TestBandedRoute:
             diag = b_diagnostics(T, z, 0.25, delta, G, grid)
             A_slow, b2, b3, _ = _slow_split(T, z, 0.25, delta, G)
             b1 = float(np.sum(np.log(tr.values[A:]))) / T.dim - limit_potential(
-                T.symbol, T.space, z, grid)
+                T.symbol, z, grid)
             assert diag.n_small == A == A_slow
             assert diag.b1 == pytest.approx(b1, abs=1e-12)
             assert diag.b2 == pytest.approx(b2, abs=1e-12)
@@ -671,23 +670,23 @@ class TestBandedRoute:
 
 class TestCountScan:
     def test_far_probe_all_zero(self):
-        scan = small_eigen_count_scan(PROJECTION, SPHERE, 50.0, 0.25, [30, 60, 90])
+        scan = small_eigen_count_scan(PROJECTION, 50.0, 0.25, [30, 60, 90])
         assert scan.counts == (0, 0, 0)
         assert scan.fitted_exponent is None
 
     def test_rejects_rho_outside_cutoff_window(self):
         # the scan counts with b_diagnostics' cutoff rule, rho in (0, 1/2) included
         with pytest.raises(ValueError, match="rho"):
-            small_eigen_count_scan(PROJECTION, SPHERE, 0.3 + 0.2j, 0.5, [30])
+            small_eigen_count_scan(PROJECTION, 0.3 + 0.2j, 0.5, [30])
 
     def test_two_sizes_fit_a_line(self):
         # two points determine the growth exponent exactly
-        scan = small_eigen_count_scan(PROJECTION, SPHERE, 0.3 + 0.2j, 0.25, [100, 200])
+        scan = small_eigen_count_scan(PROJECTION, 0.3 + 0.2j, 0.25, [100, 200])
         assert scan.counts == (5, 7)
         assert scan.fitted_exponent == pytest.approx(np.log(7 / 5) / np.log(2))
 
     def test_counts_grow_sublinearly(self):
-        scan = small_eigen_count_scan(PROJECTION, SPHERE, 0.3 + 0.2j, 0.25,
+        scan = small_eigen_count_scan(PROJECTION, 0.3 + 0.2j, 0.25,
                                       [50, 100, 200, 300])
         assert all(c >= 1 for c in scan.counts)
         assert scan.fitted_exponent is not None and scan.fitted_exponent < 1.0

@@ -11,6 +11,7 @@ import pytest
 import toeplab._lapack as _lapack
 from toeplab.cli import main as cli_main
 from toeplab.geometry import (
+    make_phase_space,
     scottish_flag_symbol,
     sphere_symbol,
     symbol_from_record,
@@ -127,6 +128,25 @@ class TestConfig:
         ({"delta": {}}, "delta must give exactly one"),
         ({"probe_grid": {"points": [[0.3, 0.2]], "nx": 3, "ny": 3}}, "probe_grid must give exactly one"),
         ({"probe_grid": {"points": [[0.3, 0.2]], "ny": 3}}, "probe_grid must give exactly one"),
+        # float() would read a string or a bool, and a nan passes every window check
+        ({"epsilon": "0.25"}, "epsilon must be a finite real"),
+        ({"rho": None}, "rho must be a finite real"),
+        ({"gamma": "0.04"}, "gamma must be a finite real"),
+        ({"c_exponent": True}, "c_exponent must be a finite real"),
+        ({"radii": {"count": 10, "max": float("nan")}}, "radii max must be a finite real"),
+        ({"radii": {"count": 10, "max": "1.0"}}, "radii max must be a finite real"),
+        ({"delta": {"power": "1"}}, "delta power must be a finite real"),
+        ({"delta": {"power": True}}, "delta power must be a finite real"),
+        ({"kappa_hat": float("nan")}, "kappa_hat must be a finite real"),
+        ({"kappa_hat": 5.0}, r"kappa_hat must lie in \(0, 1\]"),
+        ({"kappa_hat": 0.0}, r"kappa_hat must lie in \(0, 1\]"),
+        # run would lose the whole cell to a non-finite probe after set-up
+        ({"grushin_probes": [[float("nan"), 0.0]]}, "grushin_probes"),
+        ({"probe_grid": {"points": [[float("inf"), 0.0]]}}, "points"),
+        ({"grushin_probes": [[True, False]]}, "grushin_probes"),
+        # validate reads keys of these, and "weyl" would read as the keys w, e, y, l
+        ({"delta": "weyl"}, "delta must be a JSON object"),
+        ({"radii": 5}, "radii must be a JSON object"),
     ])
     def test_what_run_would_reinterpret_rejected(self, overrides, message):
         # run would silently read these otherwise, or fail inside a task
@@ -153,6 +173,13 @@ class TestConfig:
         cfg = tiny_config(space="torus")
         with pytest.raises(ConfigError, match="does not match"):
             cfg.validate()
+
+    def test_probe_points_reject_another_space(self):
+        cfg = tiny_config()
+        f = cfg.symbol_spec()
+        assert len(cfg.probe_points(f, make_phase_space("sphere"))) == 16
+        with pytest.raises(ConfigError, match="space 'torus' is not the 'sphere' space of the symbol"):
+            cfg.probe_points(f, make_phase_space("torus"))
 
     def test_validation_passes_and_estimates_kappa(self):
         out = tiny_config().validate()
@@ -344,6 +371,21 @@ class TestRun:
                 for ln in (stale / f"diag_N24_s{seed}.csv").read_text().splitlines()[1:]]
         with_small = sum(1 for r in rows if int(r[6]) >= 1)
         assert criteria["b3_negative"]["detail"].startswith(f"{with_small}/{with_small} ")
+
+    @pytest.mark.parametrize("text, detail", [
+        ('{"tool": "toeplab", "cells": {', "malformed manifest: Expecting"),
+        ('{"cells": {}}', "malformed manifest: it needs the keys config, cells and errors"),
+    ], ids=["truncated", "no-errors-key"])
+    def test_verify_reports_a_malformed_manifest(self, tmp_path, capsys, text, detail):
+        (tmp_path / "manifest.json").write_text(text)
+        for suite in ("acceptance", "integrity"):
+            report = verify(tmp_path, suite=suite)
+            assert not report.passed
+            assert report.criteria["integrity"]["status"] == "fail"
+            assert report.criteria["integrity"]["detail"].startswith(detail)
+            capsys.readouterr()
+            assert cli_main(["verify", str(tmp_path), "--suite", suite]) == 1
+            assert json.loads(capsys.readouterr().out) == json.loads(report.to_json())
 
     def test_unknown_or_incomplete_stages_rejected(self, tmp_path):
         for stages in (("potential",), ("spectrum", "timings")):

@@ -56,7 +56,7 @@ class TestPotentialFromSpectrum:
     def test_matches_slogdet(self, f, N, delta):
         T = quantize_symbol(f, N)
         M = T.entries + delta * sample_ginibre(T.dim, 3)
-        probes = default_probe_grid(f, T.space, 12, 12)
+        probes = default_probe_grid(f, 12, 12)
         values, kept, health = potential_from_spectrum(M, np.linalg.eigvals(M), probes)
         assert kept.all() and health["probes_dropped"] == 0
         assert not health["logdet_fallback"]
@@ -89,7 +89,7 @@ class TestPotentialFromSpectrum:
         lam = np.linalg.eigvals(M)
         probes = np.concatenate([
             [lam[0], lam[1] + 0.5e-4, lam[2] + 1e-4j, lam[3] - 2e-4, lam[4] + 0.99e-4j],
-            default_probe_grid(T.symbol, SPHERE, 6, 6),
+            default_probe_grid(T.symbol, 6, 6),
         ])
         _, kept, health = potential_from_spectrum(M, lam, probes)
         expected = [not (np.min(np.abs(lam - z)) < PROBE_EXCLUSION_RADIUS) for z in probes]
@@ -101,21 +101,21 @@ class TestLimitPotential:
     def test_height_symbol_outside(self):
         # push-forward of x3 is uniform on [-1, 1]; closed form at z = 2 is
         # (1/2) * integral_1^3 log(u) du = (3 log 3 - 2) / 2
-        val = limit_potential(X3, SPHERE, 2.0)
+        val = limit_potential(X3, 2.0)
         assert val == pytest.approx((3 * np.log(3.0) - 2.0) / 2.0, abs=1e-9)
 
     def test_constant_symbol(self):
         f = sphere_symbol({(0, 0, 0): 0.5j})
         z = 1.0 + 1.0j
-        assert limit_potential(f, SPHERE, z) == pytest.approx(np.log(abs(z - 0.5j)), abs=1e-12)
+        assert limit_potential(f, z) == pytest.approx(np.log(abs(z - 0.5j)), abs=1e-12)
 
     def test_height_symbol_at_zero(self):
         # integrable log singularity at an interior point of the range:
         # closed form integral_0^1 log(s) ds = -1; nodes avoid the singular
         # point so accuracy is quadrature-limited, not infinite
-        val = limit_potential(X3, SPHERE, 0.0)
+        val = limit_potential(X3, 0.0)
         assert val == pytest.approx(-1.0, abs=1e-2)
-        hi = limit_potential(X3, SPHERE, 0.0, liouville_quadrature(SPHERE, 2000))
+        hi = limit_potential(X3, 0.0, liouville_quadrature(SPHERE, 2000))
         assert abs(hi - (-1.0)) < abs(val - (-1.0))
 
     def test_probe_on_node_image_refines(self):
@@ -123,7 +123,7 @@ class TestLimitPotential:
         # refinement path
         grid = liouville_quadrature(SPHERE, 50)
         z = complex(grid.points[17, 2])
-        val = limit_potential(X3, SPHERE, z, grid)
+        val = limit_potential(X3, z, grid)
         assert np.isfinite(val)
 
     def test_node_hit_among_ordinary_probes(self):
@@ -132,7 +132,7 @@ class TestLimitPotential:
         grid = liouville_quadrature(SPHERE, 50)
         hit = complex(grid.points[17, 2])
         probes = [2.0 + 0.5j, hit, -0.3 + 0.7j]
-        u = limit_potential_many(X3, SPHERE, probes, grid)
+        u = limit_potential_many(X3, probes, grid)
         images = evaluate_symbol_grid(X3, grid.points)
         for i in (0, 2):
             plain = np.dot(grid.weights, np.log(np.abs(probes[i] - images))) / SPHERE.volume
@@ -145,14 +145,14 @@ class TestLimitPotential:
         h = 0.05
         z0 = 2.5 + 0.7j
         stencil = [z0, z0 + h, z0 - h, z0 + 1j * h, z0 - 1j * h]
-        u = limit_potential_many(X3, SPHERE, stencil)
+        u = limit_potential_many(X3, stencil)
         laplacian = (u[1] + u[2] + u[3] + u[4] - 4 * u[0]) / h**2
         assert abs(laplacian) < 5e-5  # h^2-order stencil error
 
 
 class TestProbeGrid:
     def test_default_probe_grid_inflates_image_box(self):
-        probes = default_probe_grid(X3, SPHERE, nx=11, ny=11)
+        probes = default_probe_grid(X3, nx=11, ny=11)
         assert len(probes) == 121
         assert probes.real.min() < -1.2 and probes.real.max() > 1.2
 
@@ -181,7 +181,7 @@ class TestClosedFormSphere:
 
     def _error(self, resolution):
         grid = liouville_quadrature(SPHERE, resolution)
-        got = limit_potential_many(self.PROJECTION, SPHERE, self.PROBES, grid)
+        got = limit_potential_many(self.PROJECTION, self.PROBES, grid)
         return np.abs(got - self._closed_form(self.PROBES))
 
     def test_limit_potential_matches_closed_form(self):

@@ -201,7 +201,8 @@ class TestInvariants:
     ])
     def test_norm_bound(self, f, space):
         from toeplab.geometry import sup_abs
-        bound = sup_abs(f, space)
+        assert f.space == space
+        bound = sup_abs(f)
         for N in [4, 16, 64, 256, 500]:
             assert operator_norm(quantize_symbol(f, N).entries) <= bound + 1e-8
 
@@ -254,6 +255,20 @@ class TestPersistence:
         _, header, _ = self._parts(tmp_path, 17)
         self._write(path, header, payload)
         with pytest.raises(ValueError, match=r"m16\.tmat: .*header dim 18 needs 5184 bytes, file holds 4624"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("kind", "torus", r"header kind 'torus' differs from its symbol's 'sphere'"),
+        ("N", 20, r"header dim 17 is not the sphere dimension 21 of N = 20"),
+        ("N", 0, r"header N 0 is not a positive integer"),
+        ("N", "16", r"header N '16' is not a positive integer"),
+        ("N", 16.0, r"header N 16\.0 is not a positive integer"),
+    ], ids=["kind", "N-off-dim", "N-zero", "N-string", "N-float"])
+    def test_header_disagrees_with_itself(self, tmp_path, key, value, message):
+        path, header, payload = self._parts(tmp_path)
+        header[key] = value
+        self._write(path, header, payload)
+        with pytest.raises(ValueError, match=rf"m16\.tmat: {message}"):
             load_matrix(path)
 
     def test_trailing_bytes(self, tmp_path):

@@ -71,22 +71,21 @@ class TestWeylPredict:
         # indicator integration is first order in the grid resolution
         f = sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0})
         radii = np.linspace(0.05, 0.95, 19)
-        pred = weyl_predict(f, SPHERE, radii)
+        pred = weyl_predict(f, radii)
         closed = 1.0 - np.sqrt(1.0 - radii**2)
         np.testing.assert_allclose(pred, closed, atol=8e-3)
-        fine = weyl_predict(f, SPHERE, radii, liouville_quadrature(SPHERE, 800))
+        fine = weyl_predict(f, radii, liouville_quadrature(SPHERE, 800))
         assert np.max(np.abs(fine - closed)) < np.max(np.abs(pred - closed))
 
     def test_constant_symbol_steps_at_its_modulus(self):
         # |0.6 + 0.8i| = 1: all of the mass enters between r = 0.99 and r = 1.01
         f = sphere_symbol({(0, 0, 0): 0.6 + 0.8j})
-        pred = weyl_predict(f, SPHERE, [0.0, 0.99, 1.01, 2.0])
+        pred = weyl_predict(f, [0.0, 0.99, 1.01, 2.0])
         np.testing.assert_allclose(pred, [0.0, 0.0, 1.0, 1.0])
 
     def test_monotone_in_nested_disks(self):
         f = scottish_flag_symbol()
-        torus = make_phase_space("torus")
-        pred = weyl_predict(f, torus, np.linspace(0, 2, 21))
+        pred = weyl_predict(f, np.linspace(0, 2, 21))
         assert np.all(np.diff(pred) >= 0.0)
         assert np.all((pred >= 0.0) & (pred <= 1.0))
 
@@ -94,10 +93,9 @@ class TestWeylPredict:
 class TestSpectralSupport:
     def test_perturbed_spectrum_inside_norm_bound(self):
         f = scottish_flag_symbol()
-        torus = make_phase_space("torus")
         T = quantize_torus(f, 64)
         delta = 1e-3
-        bound = sup_abs(f, torus)
+        bound = sup_abs(f)
         for seed in range(5):
             G = sample_ginibre(64, seed)
             lam = np.linalg.eigvals(T.entries + delta * G)
@@ -131,7 +129,7 @@ class TestClosedFormSphere:
 
         cfg = preset_config("sphere-figure3")
         radii = cfg.radii_grid()
-        predicted = weyl_predict(cfg.symbol_spec(), SPHERE, radii,
+        predicted = weyl_predict(cfg.symbol_spec(), radii,
                                  liouville_quadrature(SPHERE, resolution))
         return float(np.max(np.abs(predicted - (1.0 - np.sqrt(1.0 - radii**2)))))
 
