@@ -31,12 +31,12 @@ LAPACK call of the fast route (the banded eigensolve, banded LU and solves,
 the LUs of both Schur routes, the solve and the condition estimate) goes
 through :mod:`toeplab._lapack`, numpy's OpenBLAS through ``ctypes``, which
 releases the GIL.
-``assemble_grushin`` (the bordered matrix from the dense singular triples
-and its explicit ``inv``) is the one slow reference route, and
-``schur_identity_residual`` checks the identity by comparing the LU
-log-determinant of ``P + delta*G - z`` against it.  ``G`` is a plain array;
-``harness`` writes the split's values, with the probe and cell labels, to
-``diag_*.csv``.
+Both slow reference routes return a :class:`GrushinSystem` from the dense
+singular triples: ``closed_form_inverse`` writes the unperturbed inverse in
+closed form, ``assemble_grushin`` inverts the bordered matrix with
+``np.linalg.inv``; ``schur_identity_residual`` checks the identity against
+the latter.  ``G`` is a plain array; ``harness`` writes the split's values,
+with the probe and cell labels, to ``diag_*.csv``.
 """
 
 from __future__ import annotations
@@ -57,6 +57,9 @@ from .randmat import NormBound
 #: 118 forced near-singular probes above it, a closed-form corner with a Neumann
 #: correction was further from a 60-digit value than the LU corner on 102.
 CONDITION_GUARD = 1e12
+
+#: The warning of a vanishing singular value above the cutoff.
+SINGULAR_TAIL = "zero-singular-value-above-cutoff"
 
 
 @dataclass(frozen=True)
@@ -263,49 +266,13 @@ def _small_subspaces(P: np.ndarray, z: complex, N: int, rho: float):
 
 
 @dataclass(frozen=True)
-class InverseBlocks:
-    """The four inverse blocks of the unperturbed bordered system.
+class GrushinSystem:
+    """A bordered system: its matrix, its inverse and the inverse's four blocks.
 
     ``bulk_inverse`` inverts P - z on the complement of the small singular
-    directions, ``right_injection``/``left_projection`` are the isometric
-    couplings, and ``corner`` is minus the diagonal of small singular values.
-    ``singular_tail`` flags a vanishing singular value above the cutoff, in
-    which case the bulk block is omitted (zero) and norms are infinite.
+    directions, ``right_injection``/``left_projection`` are the couplings,
+    and ``corner`` is the A x A block, ``-diag(t_1..t_A)`` when unperturbed.
     """
-
-    bulk_inverse: np.ndarray
-    right_injection: np.ndarray
-    left_projection: np.ndarray
-    corner: np.ndarray
-    singular_tail: bool
-
-
-def closed_form_inverse(triples: SingularTriples, n_small: int) -> InverseBlocks:
-    dim = triples.dim
-    A = int(n_small)
-    if not (0 <= A <= dim):
-        raise ValueError(f"n_small must lie in [0, {dim}]")
-    t = triples.values
-    e = triples.right_vectors
-    f = triples.left_vectors
-    tail = t[A:]
-    singular_tail = bool(np.any(tail == 0.0))
-    if A < dim and not singular_tail:
-        bulk = (e[:, A:] / tail[None, :]) @ f[:, A:].conj().T
-    else:
-        bulk = np.zeros((dim, dim), dtype=complex)
-    return InverseBlocks(
-        bulk_inverse=bulk,
-        right_injection=e[:, :A].copy(),
-        left_projection=f[:, :A].conj().T.copy(),
-        corner=-np.diag(t[:A]).astype(complex),
-        singular_tail=singular_tail,
-    )
-
-
-@dataclass(frozen=True)
-class GrushinSystem:
-    """An assembled bordered system with its inverse blocks."""
 
     matrix: np.ndarray
     inverse: np.ndarray
@@ -329,13 +296,37 @@ class GrushinSystem:
         return self.inverse[self.dim:, self.dim:]
 
 
-def _bordered_matrix(shifted: np.ndarray, triples: SingularTriples, A: int) -> np.ndarray:
-    dim = shifted.shape[0]
+def _bordered_matrix(triples: SingularTriples, A: int) -> np.ndarray:
+    """The unperturbed bordered matrix, with P - z rebuilt from the triples as ``U diag(t) V*``."""
+    dim = triples.dim
     M = np.zeros((dim + A, dim + A), dtype=complex)
-    M[:dim, :dim] = shifted
+    M[:dim, :dim] = (triples.left_vectors * triples.values[None, :]) @ triples.right_vectors.conj().T
     M[:dim, dim:] = triples.left_vectors[:, :A]
     M[dim:, :dim] = triples.right_vectors[:, :A].conj().T
     return M
+
+
+def closed_form_inverse(triples: SingularTriples, n_small: int) -> GrushinSystem:
+    """The unperturbed bordered system, inverted in closed form from the triples.
+
+    The bulk block is ``sum_{i>A} t_i^-1 e_i f_i*``.  A vanishing singular
+    value above the cutoff leaves it zero and adds the warning
+    ``zero-singular-value-above-cutoff``.
+    """
+    dim = triples.dim
+    A = int(n_small)
+    if not (0 <= A <= dim):
+        raise ValueError(f"n_small must lie in [0, {dim}]")
+    t, e, f = triples.values, triples.right_vectors, triples.left_vectors
+    tail = t[A:]
+    warnings = (SINGULAR_TAIL,) if np.any(tail == 0.0) else ()
+    inverse = np.zeros((dim + A, dim + A), dtype=complex)
+    if A < dim and not warnings:
+        inverse[:dim, :dim] = (e[:, A:] / tail[None, :]) @ f[:, A:].conj().T
+    inverse[:dim, dim:] = e[:, :A]
+    inverse[dim:, :dim] = f[:, :A].conj().T
+    inverse[dim:, dim:] = -np.diag(t[:A])
+    return GrushinSystem(_bordered_matrix(triples, A), inverse, dim, warnings)
 
 
 def _bulk_norm(values: np.ndarray, A: int) -> float:
@@ -364,7 +355,7 @@ def _neumann_warning(delta: float, g_norm: NormBound, values: np.ndarray, A: int
 
 def assemble_grushin(triples: SingularTriples, params: GrushinParams,
                      perturbation=None) -> GrushinSystem:
-    """Build the bordered matrix and invert it with ``np.linalg.inv``.
+    """The bordered system from the triples, inverted with ``np.linalg.inv``.
 
     ``perturbation`` is ``(delta, G)`` with ``G`` a matrix; omit it for the
     unperturbed system.  If the Neumann invertibility
@@ -376,8 +367,8 @@ def assemble_grushin(triples: SingularTriples, params: GrushinParams,
     A = params.n_small
     warnings = []
 
-    # reconstruct P - z from the triples so callers need not carry P around
-    shifted = (triples.left_vectors * triples.values[None, :]) @ triples.right_vectors.conj().T
+    # P - z comes from the triples, so callers need not carry P around
+    M = _bordered_matrix(triples, A)
     if perturbation is not None:
         delta, G = perturbation
         delta = float(delta)
@@ -385,28 +376,20 @@ def assemble_grushin(triples: SingularTriples, params: GrushinParams,
         if G.shape != (dim, dim):
             raise ValueError(f"perturbation shape {G.shape} does not match dim {dim}")
         if delta != 0.0:
-            shifted = shifted + delta * G
+            M[:dim, :dim] += delta * G
             warning = _neumann_warning(delta, NormBound(G), triples.values, A)
             if warning:
                 warnings.append(warning)
-
-    M = _bordered_matrix(shifted, triples, A)
     return GrushinSystem(M, np.linalg.inv(M), dim, tuple(warnings))
 
 
-def _closed_route_inverse(closed: InverseBlocks, delta: float, Gm, dim: int, A: int) -> np.ndarray:
-    E0 = np.zeros((dim + A, dim + A), dtype=complex)
-    E0[:dim, :dim] = closed.bulk_inverse
-    E0[:dim, dim:] = closed.right_injection
-    E0[dim:, :dim] = closed.left_projection
-    E0[dim:, dim:] = closed.corner
-    if delta == 0.0 or Gm is None:
-        return E0
+def _closed_route_inverse(closed: GrushinSystem, delta: float, G: np.ndarray) -> np.ndarray:
+    """The perturbed bordered inverse ``E0 (I + K)^-1`` from the closed form ``E0``."""
+    E0 = closed.inverse
     # bordered_perturbed @ E0 = I + K with K supported on the first block row
-    K = np.zeros((dim + A, dim + A), dtype=complex)
-    K[:dim, :dim] = delta * (Gm @ closed.bulk_inverse)
-    K[:dim, dim:] = delta * (Gm @ closed.right_injection)
-    return E0 @ np.linalg.inv(np.eye(dim + A) + K)
+    K = np.zeros_like(E0)
+    K[:closed.dim] = delta * (G @ E0[:closed.dim])
+    return E0 @ np.linalg.inv(np.eye(len(E0)) + K)
 
 
 def schur_identity_residual(P: np.ndarray, z: complex, perturbation=None) -> float:
@@ -507,7 +490,7 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray,
 
     tail = values[A:]
     if np.any(tail == 0.0):
-        flags.append("zero-singular-value-above-cutoff")
+        flags.append(SINGULAR_TAIL)
         log_free = float("-inf")
     else:
         log_free = float(np.sum(np.log(tail))) if A < dim else 0.0

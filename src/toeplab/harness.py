@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import importlib.metadata
 import json
 import math
 import numbers
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -174,13 +174,20 @@ class ExperimentConfig:
 
     def validate(self) -> dict:
         """Hard-check the parameters; returns {kappa_hat, warnings}."""
+        for key in ("delta", "radii", "probe_grid"):
+            if not isinstance(getattr(self, key), dict):
+                raise ConfigError(f"{key} must be a JSON object, got {getattr(self, key)!r}")
+        # run iterates these; a string would iterate by characters
+        for key, values in (("n_values", self.n_values), ("seeds", self.seeds),
+                            ("unperturbed_sizes", self.unperturbed_sizes),
+                            ("grushin_probes", self.grushin_probes),
+                            ("probe_grid points", self.probe_grid.get("points", []))):
+            if not isinstance(values, (list, tuple)):
+                raise ConfigError(f"{key} must be a list, got {values!r}")
         if not self.n_values:
             raise ConfigError("n_values must be a nonempty list")
         if not self.seeds:
             raise ConfigError("seeds must be a nonempty list")
-        for key in ("delta", "radii", "probe_grid"):
-            if not isinstance(getattr(self, key), dict):
-                raise ConfigError(f"{key} must be a JSON object, got {getattr(self, key)!r}")
         # run reads these with int(), which would truncate a float or a bool silently
         for key, values in (("n_values", self.n_values), ("seeds", self.seeds),
                             ("unperturbed_sizes", self.unperturbed_sizes),
@@ -189,7 +196,7 @@ class ExperimentConfig:
                             ("radii count", [self.radii.get("count", 50)]),
                             ("probe_grid nx, ny", [self.probe_grid[k] for k in ("nx", "ny")
                                                    if k in self.probe_grid])):
-            if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values):
+            if not all(map(_is_integer, values)):
                 raise ConfigError(f"{key} must be integers, got {values}")
         # float() would read a string or a bool, and a nan passes every window check
         for key, value in (("epsilon", self.epsilon), ("rho", self.rho), ("gamma", self.gamma),
@@ -267,6 +274,10 @@ class ExperimentConfig:
                     f"N={N}: delta {delta:.3e} is below exp(-N^{c_paper:.3f}); "
                     "the kappa-derived window is empty at this size")
         return {"kappa_hat": float(kappa), "warnings": warnings}
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _is_real(x) -> bool:
@@ -604,7 +615,8 @@ def _environment(pinned: bool, pool_size: int) -> dict:
         peak_rss_mb = None
     return {
         "numpy": np.__version__,
-        "scipy": importlib.metadata.version("scipy"),      # not imported by a run
+        # only the fallback route loads scipy, and only then do the bits depend on it
+        "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "blas_pinned": pinned,
         "blas_threads": 1 if pinned else None,
@@ -657,7 +669,9 @@ class VerifyReport:
 def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
     """Check artifact integrity, that no cell failed, and the named criteria suite of a run.
 
-    A missing or malformed manifest fails the ``integrity`` criterion.
+    A missing or malformed manifest fails the ``integrity`` criterion, and
+    so does a perturbed cell of the configuration that the manifest lists
+    neither among its cells nor among its errors.
     """
     out = Path(run_dir)
     manifest_path = out / "manifest.json"
@@ -667,9 +681,13 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
         manifest = json.loads(manifest_path.read_text())
     except ValueError as exc:                   # JSONDecodeError, UnicodeDecodeError
         return _integrity_failure(f"malformed manifest: {exc}")
-    if not (isinstance(manifest, dict) and {"config", "cells", "errors"} <= set(manifest)):
-        return _integrity_failure("malformed manifest: it needs the keys config, cells and errors")
+    problem = _manifest_problem(manifest)
+    if problem:
+        return _integrity_failure(f"malformed manifest: {problem}")
     criteria: dict = {}
+    config = manifest["config"]
+    absent = sorted({_cell_name(("perturbed", N, seed)) for N in config["n_values"]
+                     for seed in config["seeds"]} - set(manifest["cells"]) - set(manifest["errors"]))
 
     mismatched, missing, intact = [], [], set()
     for name, cell in manifest["cells"].items():
@@ -685,6 +703,9 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
         criteria["integrity"] = {"status": "fail", "detail": f"checksum mismatch: {mismatched}"}
     elif missing:
         criteria["integrity"] = {"status": "fail", "detail": f"missing artifacts: {missing}"}
+    elif absent:
+        criteria["integrity"] = {"status": "fail",
+                                 "detail": f"cells neither run nor failed: {absent}"}
     else:
         criteria["integrity"] = {"status": "pass", "detail": f"{len(manifest['cells'])} cells intact"}
     failed = sorted(manifest["errors"])
@@ -702,6 +723,34 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
 
 def _integrity_failure(detail: str) -> VerifyReport:
     return VerifyReport(False, {"integrity": {"status": "fail", "detail": detail}})
+
+
+def _manifest_problem(manifest) -> str | None:
+    """What keeps :func:`verify` from reading a parsed manifest, or None.
+
+    An artifact path must be a bare file name, as ``run`` writes it, so that
+    ``verify`` opens no file outside the run directory.
+    """
+    keys = ("config", "cells", "errors")
+    if not (isinstance(manifest, dict) and set(keys) <= set(manifest)):
+        return "it needs the keys config, cells and errors"
+    if not all(isinstance(manifest[key], dict) for key in keys):
+        return "config, cells and errors must be JSON objects"
+    for key in ("n_values", "seeds"):
+        values = manifest["config"].get(key)
+        if not (isinstance(values, list) and values and all(map(_is_integer, values))):
+            return f"config {key} must be a nonempty list of integers, got {values!r}"
+    for name, cell in manifest["cells"].items():
+        files = cell.get("files") if isinstance(cell, dict) else None
+        if not isinstance(files, dict):
+            return f"cell {name} needs a files object"
+        for kind, info in files.items():
+            if not (isinstance(info, dict) and isinstance(info.get("path"), str)
+                    and isinstance(info.get("sha256"), str)):
+                return f"cell {name} {kind} artifact needs a path and a sha256"
+            if info["path"] in ("", "..") or Path(info["path"]).name != info["path"]:
+                return f"cell {name} {kind} artifact path {info['path']!r} is not a bare file name"
+    return None
 
 
 def _read_csv(path: Path) -> list:

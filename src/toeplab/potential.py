@@ -116,7 +116,7 @@ def limit_potential_many(f: SymbolSpec, probes, grid: QuadratureGrid | None = No
     return out
 
 
-def default_probe_grid(f: SymbolSpec, nx: int = 41, ny: int = 41) -> np.ndarray:
+def default_probe_grid(f: SymbolSpec, nx: int, ny: int) -> np.ndarray:
     """Probe grid on the symbol image's bounding box inflated by 50%."""
     g = liouville_quadrature(f.space, f.space.quadrature_default)
     vals = evaluate_symbol_grid(f.principal(), g.points)

@@ -294,17 +294,28 @@ def load_matrix(path) -> ToeplitzMatrix:
         magic = fh.read(len(_MATRIX_MAGIC))
         if magic != _MATRIX_MAGIC:
             raise ValueError(f"{path}: not a toeplab matrix file")
-        header = json.loads(fh.readline().decode("utf-8"))
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError as exc:               # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{path}: header is not JSON: {exc}") from None
         raw = fh.read()
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
     missing = {"kind", "N", "dim", "symbol"} - set(header)
     if missing:
         raise ValueError(f"{path}: header lacks {sorted(missing)}")
-    symbol = symbol_from_record(header["symbol"])
-    kind, N, dim = header["kind"], header["N"], int(header["dim"])
+    if not isinstance(header["symbol"], str):
+        raise ValueError(f"{path}: header symbol {header['symbol']!r} is not a symbol record")
+    try:
+        symbol = symbol_from_record(header["symbol"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: header symbol: {exc}") from None
+    kind, N, dim = header["kind"], header["N"], header["dim"]
     if kind != symbol.kind:
         raise ValueError(f"{path}: header kind {kind!r} differs from its symbol's {symbol.kind!r}")
-    if not (isinstance(N, int) and not isinstance(N, bool) and N >= 1):
-        raise ValueError(f"{path}: header N {N!r} is not a positive integer")
+    for key, value in (("N", N), ("dim", dim)):
+        if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
+            raise ValueError(f"{path}: header {key} {value!r} is not a positive integer")
     law = bergman_dimension(symbol.space, N)
     if dim != law:
         raise ValueError(f"{path}: header dim {dim} is not the {kind} dimension {law} of N = {N}")

@@ -135,7 +135,7 @@ class TestClosedFormInverse:
     def test_singular_tail_flag(self):
         tr = singular_triples(np.diag([0.0, 2.0]), 0.0)
         blocks = closed_form_inverse(tr, 0)  # zero singular value above cutoff
-        assert blocks.singular_tail
+        assert blocks.warnings == ("zero-singular-value-above-cutoff",)
         np.testing.assert_array_equal(blocks.bulk_inverse, 0.0)
 
     def test_neumann_warning_on_singular_tail(self):
@@ -143,7 +143,7 @@ class TestClosedFormInverse:
         # any nonzero perturbation violates the Neumann condition
         tr = singular_triples(np.diag([0.0, 2.0]), 0.0)
         p = GrushinParams(rho=0.25, alpha=0.1, n_small=0)
-        assert closed_form_inverse(tr, 0).singular_tail
+        assert closed_form_inverse(tr, 0).warnings == ("zero-singular-value-above-cutoff",)
         system = assemble_grushin(tr, p, (1e-3, sample_ginibre(2, 19)))
         assert any("Neumann" in w for w in system.warnings)
 
@@ -161,7 +161,7 @@ class TestClosedFormInverse:
         G = sample_ginibre(15, 18)
         system = assemble_grushin(tr, p, (1e-3, G))
         closed = closed_form_inverse(tr, p.n_small)
-        alt = _closed_route_inverse(closed, 1e-3, G, 15, p.n_small)
+        alt = _closed_route_inverse(closed, 1e-3, G)
         assert np.max(np.abs(alt - system.inverse)) < 1e-9
 
 

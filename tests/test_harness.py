@@ -147,6 +147,13 @@ class TestConfig:
         # validate reads keys of these, and "weyl" would read as the keys w, e, y, l
         ({"delta": "weyl"}, "delta must be a JSON object"),
         ({"radii": 5}, "radii must be a JSON object"),
+        # run iterates these lists, and a string would read as its characters
+        ({"n_values": 24}, "n_values must be a list"),
+        ({"n_values": "300"}, "n_values must be a list"),
+        ({"seeds": 3}, "seeds must be a list"),
+        ({"unperturbed_sizes": 5}, "unperturbed_sizes must be a list"),
+        ({"grushin_probes": 0.3}, "grushin_probes must be a list"),
+        ({"probe_grid": {"points": 5}}, "probe_grid points must be a list"),
     ])
     def test_what_run_would_reinterpret_rejected(self, overrides, message):
         # run would silently read these otherwise, or fail inside a task
@@ -375,7 +382,37 @@ class TestRun:
     @pytest.mark.parametrize("text, detail", [
         ('{"tool": "toeplab", "cells": {', "malformed manifest: Expecting"),
         ('{"cells": {}}', "malformed manifest: it needs the keys config, cells and errors"),
-    ], ids=["truncated", "no-errors-key"])
+        ('{"config": {}, "cells": {}, "errors": {}}', "malformed manifest: config n_values must be"),
+        ('{"config": {"n_values": [], "seeds": [0]}, "cells": {}, "errors": {}}',
+         "malformed manifest: config n_values must be a nonempty list of integers, got []"),
+        ('{"config": {"n_values": [10], "seeds": ["0"]}, "cells": {}, "errors": {}}',
+         "malformed manifest: config seeds must be"),
+        ('{"config": [], "cells": {}, "errors": {}}',
+         "malformed manifest: config, cells and errors must be JSON objects"),
+        ('{"config": {"n_values": [10], "seeds": [0]}, "cells": [], "errors": {}}',
+         "malformed manifest: config, cells and errors must be JSON objects"),
+        ('{"config": {"n_values": [10], "seeds": [0]}, "cells": {"N10_s0": {"files": []}}, "errors": {}}',
+         "malformed manifest: cell N10_s0 needs a files object"),
+        ('{"config": {"n_values": [10], "seeds": [0]}, "cells": {"N10_s0": {}}, "errors": {}}',
+         "malformed manifest: cell N10_s0 needs a files object"),
+        ('{"config": {"n_values": [10], "seeds": [0]}, "cells": {"N10_s0": {"files": {"cdf": '
+         '{"path": "cdf_N10_s0.csv"}}}}, "errors": {}}',
+         "malformed manifest: cell N10_s0 cdf artifact needs a path and a sha256"),
+        # run writes bare file names; verify must not hash a file outside the run directory
+        ('{"config": {"n_values": [10], "seeds": [0]}, "cells": {"N10_s0": {"files": {"cdf": '
+         '{"path": "/etc/hostname", "sha256": "0"}}}}, "errors": {}}',
+         "malformed manifest: cell N10_s0 cdf artifact path '/etc/hostname' is not a bare file name"),
+        ('{"config": {"n_values": [10], "seeds": [0]}, "cells": {"N10_s0": {"files": {"cdf": '
+         '{"path": "../../etc/passwd", "sha256": "0"}}}}, "errors": {}}',
+         "malformed manifest: cell N10_s0 cdf artifact path '../../etc/passwd' is not a bare"),
+        ('{"config": {"n_values": [10], "seeds": [0]}, "cells": {"N10_s0": {"files": {"cdf": '
+         '{"path": "..", "sha256": "0"}}}}, "errors": {}}',
+         "malformed manifest: cell N10_s0 cdf artifact path '..' is not a bare"),
+        ('{"config": {"n_values": [10], "seeds": [0, 1]}, "cells": {}, "errors": {"N10_s1": "x"}}',
+         "cells neither run nor failed: ['N10_s0']"),
+    ], ids=["truncated", "no-errors-key", "no-n_values", "empty-n_values", "string-seed",
+            "config-list", "cells-list", "files-list", "no-files", "no-sha256",
+            "absolute-path", "parent-path", "dot-dot", "cell-absent"])
     def test_verify_reports_a_malformed_manifest(self, tmp_path, capsys, text, detail):
         (tmp_path / "manifest.json").write_text(text)
         for suite in ("acceptance", "integrity"):
@@ -497,6 +534,7 @@ class TestRun:
                   "record = harness.run(config, sys.argv[2])\n"
                   "assert not record.manifest['errors'], record.manifest['errors']\n"
                   "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+                  "print(json.dumps(record.manifest['environment']['scipy']))\n"
                   "import scipy.linalg\n"
                   "print(len(harness._openblas_thread_controls()))\n")
         src = str(Path(_lapack.__file__).parents[1])
@@ -504,8 +542,9 @@ class TestRun:
         result = subprocess.run([sys.executable, "-c", script, json.dumps(tiny_config().to_mapping()),
                                  str(tmp_path)], capture_output=True, text=True, env=env, timeout=300)
         assert result.returncode == 0, result.stderr
-        modules, controls = result.stdout.splitlines()[-2:]
+        modules, scipy_version, controls = result.stdout.splitlines()[-3:]
         assert json.loads(modules) == []
+        assert json.loads(scipy_version) is None        # no scipy in the process, so none in the bits
         # the next run's pinning scan sees scipy's OpenBLAS, as this process (scipy loaded) does
         assert int(controls) == len(hz._openblas_thread_controls())
 

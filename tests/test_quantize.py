@@ -263,7 +263,13 @@ class TestPersistence:
         ("N", 0, r"header N 0 is not a positive integer"),
         ("N", "16", r"header N '16' is not a positive integer"),
         ("N", 16.0, r"header N 16\.0 is not a positive integer"),
-    ], ids=["kind", "N-off-dim", "N-zero", "N-string", "N-float"])
+        ("symbol", 5, r"header symbol 5 is not a symbol record"),
+        ("symbol", "sphere\n0 1 0", r"header symbol: malformed symbol record line: '0 1 0'"),
+        ("symbol", "disk\n0 1 0 0 1 0", r"header symbol: unknown symbol kind tag 'disk'"),
+        ("dim", "x", r"header dim 'x' is not a positive integer"),
+        ("dim", 17.0, r"header dim 17\.0 is not a positive integer"),
+    ], ids=["kind", "N-off-dim", "N-zero", "N-string", "N-float",
+            "symbol-number", "symbol-line", "symbol-kind", "dim-string", "dim-float"])
     def test_header_disagrees_with_itself(self, tmp_path, key, value, message):
         path, header, payload = self._parts(tmp_path)
         header[key] = value
@@ -275,6 +281,17 @@ class TestPersistence:
         path, header, payload = self._parts(tmp_path)
         self._write(path, header, payload + bytes(16))
         with pytest.raises(ValueError, match=r"m16\.tmat: trailing bytes .*needs 4624 bytes, file holds 4640"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("header, message", [
+        (b"{\"kind\": ", r"header is not JSON: "),
+        (b"\xff\xfe", r"header is not JSON: "),
+        (b"[1, 2]", r"header is not a JSON object"),
+    ], ids=["truncated-json", "not-utf8", "json-list"])
+    def test_header_that_is_not_a_json_object_names_the_file(self, tmp_path, header, message):
+        path, _, payload = self._parts(tmp_path)
+        path.write_bytes(b"TOEPLABMAT1\n" + header + b"\n" + payload)
+        with pytest.raises(ValueError, match=rf"m16\.tmat: {message}"):
             load_matrix(path)
 
     @pytest.mark.parametrize("key", ["kind", "N", "dim", "symbol"])
