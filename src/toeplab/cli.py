@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .harness import STAGES, ExperimentConfig, preset_config, run as run_experiment, verify as verify_run
+from .harness import STAGES, ConfigError, ExperimentConfig, preset_config, run as run_experiment, verify as verify_run
 from .quantize import quantize_symbol, save_matrix
 
 #: The stages each run-type verb computes (see ``harness.run``).
@@ -68,6 +68,14 @@ def main(argv=None) -> int:
         print(report.to_json())
         return 0 if report.passed else 1
 
+    try:
+        return _run_verb(args)
+    except ConfigError as exc:                  # a config that fails to load or validate
+        print(f"toeplab: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run_verb(args) -> int:
     cfg = _load_config(args)
     if args.verb in VERB_STAGES:
         record = run_experiment(cfg, stages=VERB_STAGES[args.verb])

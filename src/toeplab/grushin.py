@@ -15,28 +15,29 @@ whose inverse blocks are explicit at ``delta = 0``: the bulk inverse
 which splits the normalized log-determinant into a bulk part (b1), a
 perturbation shift (b2) and a small-singular-value part (b3).
 
-``b_diagnostics`` is the fast route to the split.  Every matrix that a run
-quantizes is banded: a sphere symbol of degree d gives band d, and a torus
-symbol of largest mode m a cyclic band m, which the interleaving
-``0, n-1, 1, n-2, ...`` turns into a plain band 2m.  For a banded
-``P - z`` the singular values come from a banded Hermitian eigensolve of
-``(P - z)*(P - z)``, and the small singular subspaces from shifted inverse
-iteration on ``(P - z)*(P - z)`` and ``(P - z)(P - z)*``; only input that
-is not banded takes a dense SVD.  The Neumann test takes ``||G||`` as a
-Cholesky-certified upper bound (:class:`~toeplab.randmat.NormBound`) and
-computes the exact norm only when the bound cannot rule the warning out.
-The corner block always comes from the one LU of the bordered matrix; a
-large condition estimate of that LU is flagged, not rerouted.  Every
-LAPACK call of the fast route (the banded eigensolve, banded LU and solves,
-the LUs of both Schur routes, the solve and the condition estimate) goes
-through :mod:`toeplab._lapack`, numpy's OpenBLAS through ``ctypes``, which
-releases the GIL.
+``b_diagnostics`` is the fast route to the split.  It takes every ``P - z``
+as a band matrix, in its plain order or the interleaving
+``0, n-1, 1, n-2, ...``, whichever band is narrower: a sphere symbol of
+degree d gives band d, and a torus symbol of largest mode m a cyclic band
+m, which the interleaving turns into a plain band 2m.  The singular values
+come from a banded Hermitian eigensolve of ``(P - z)*(P - z)``, and the
+small singular subspaces from shifted inverse iteration on
+``(P - z)*(P - z)`` and ``(P - z)(P - z)*``; there is no dense SVD.  The
+Neumann test takes ``||G||`` as a Cholesky-certified upper bound
+(:class:`~toeplab.randmat.NormBound`) and computes the exact norm only when
+the bound cannot rule the warning out.  The corner block always comes from
+the one LU of the bordered matrix; a large condition estimate of that LU is
+flagged, not rerouted.  Every LAPACK call of the fast route (the banded
+eigensolve, banded LU and solves, the LUs of both Schur routes, the solve
+and the condition estimate) goes through :mod:`toeplab._lapack`, numpy's
+OpenBLAS through ``ctypes``, which releases the GIL.
 Both slow reference routes return a :class:`GrushinSystem` from the dense
-singular triples: ``closed_form_inverse`` writes the unperturbed inverse in
-closed form, ``assemble_grushin`` inverts the bordered matrix with
-``np.linalg.inv``; ``schur_identity_residual`` checks the identity against
-the latter.  ``G`` is a plain array; ``harness`` writes the split's values,
-with the probe and cell labels, to ``diag_*.csv``.
+singular triples of :func:`singular_triples`: ``closed_form_inverse``
+writes the unperturbed inverse in closed form, ``assemble_grushin`` inverts
+the bordered matrix with ``np.linalg.inv``; ``schur_identity_residual``
+checks the identity against the latter.  ``G`` is a plain array;
+``harness`` writes the split's values, with the probe and cell labels, to
+``diag_*.csv``.
 """
 
 from __future__ import annotations
@@ -115,31 +116,30 @@ def _params_of_values(N: int, rho: float, values: np.ndarray) -> GrushinParams:
 
 
 def _banded_grams(P: np.ndarray, z: complex):
-    """Lower band storage of ``B*B`` and ``B B*`` for a banded ``B = P - z``, else None.
+    """Lower band storage of ``B*B`` and ``B B*`` for ``B = P - z``.
 
     Returns ``(right, left, perm)``: the two Gram bands of ``B`` with rows and
-    columns taken in the order ``perm``, which is None for a plain band.  A
-    cyclic band of width m (the torus quantizes a trigonometric polynomial
-    of largest mode m to one) becomes a plain band of width 2m under the
-    interleaving ``0, n-1, 1, n-2, ...``.  Bands wider than ``dim/4`` return
-    None: the banded work no longer pays there.
+    columns taken in the order ``perm``.  ``perm`` is the interleaving
+    ``0, n-1, 1, n-2, ...`` when it gives a narrower band than the plain
+    order, else None: a cyclic band of width m (the torus quantizes a
+    trigonometric polynomial of largest mode m to one) becomes a plain band
+    of width 2m under it.  Every matrix has a band (a dense one reaches
+    ``n - 1`` diagonals each way), and the Gram bands keep at most ``n - 1``
+    subdiagonals.
     """
     n = P.shape[0]
-    widest = n // 4
-    if np.count_nonzero(P) > n * (2 * widest + 1):
-        return None
     rows, cols = np.nonzero(P)
     entries = P[rows, cols]
-    perm = None
-    if np.max(np.abs(cols - rows), initial=0) > widest:
-        perm = np.empty(n, dtype=np.intp)
-        perm[0::2] = np.arange((n + 1) // 2)
-        perm[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
-        position = np.empty(n, dtype=np.intp)
-        position[perm] = np.arange(n)
+    perm = np.empty(n, dtype=np.intp)
+    perm[0::2] = np.arange((n + 1) // 2)
+    perm[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+    position = np.empty(n, dtype=np.intp)
+    position[perm] = np.arange(n)
+    # lo + hi, the band's width, is the spread of the offsets col - row and 0
+    if np.ptp(np.r_[0, position[cols] - position[rows]]) < np.ptp(np.r_[0, cols - rows]):
         rows, cols = position[rows], position[cols]
-        if np.max(np.abs(cols - rows), initial=0) > widest:
-            return None
+    else:
+        perm = None
     offsets = cols - rows
     lo, hi = max(0, -int(np.min(offsets, initial=0))), max(0, int(np.max(offsets, initial=0)))
     # diagonals, row-indexed: diags[lo + k, r] = B[r, r + k], and the same for B*
@@ -155,8 +155,9 @@ def _banded_grams(P: np.ndarray, z: complex):
 def _gram_band(diags: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Lower band storage ``band[d, c] = (B*B)[c + d, c]`` from the diagonals of ``B``."""
     n = diags.shape[1]
-    band = np.zeros((lo + hi + 1, n), dtype=complex)
-    for d in range(lo + hi + 1):
+    width = min(lo + hi, n - 1)                 # (B*B)[c + d, c] needs c + d < n
+    band = np.zeros((width + 1, n), dtype=complex)
+    for d in range(width + 1):
         for k in range(-lo, hi - d + 1):        # B[r, r+k] and B[r, r+k+d] share row r
             r0, r1 = max(0, -k), min(n, n - k)
             column = diags[lo + k, r0:r1]
@@ -217,12 +218,7 @@ def _smallest_eigenvectors(band: np.ndarray, eigenvalues: np.ndarray, A: int):
     image = _band_matvec(band, basis)
     theta, rotation = np.linalg.eigh(basis.conj().T @ image)
     basis = basis @ rotation
-    return basis, _worst_residual(image @ rotation, basis, theta)
-
-
-def _worst_residual(image: np.ndarray, basis: np.ndarray, theta: np.ndarray) -> float:
-    """``max_i ||image_i - theta_i basis_i||`` over the columns; 0 for no columns."""
-    return float(np.max(np.linalg.norm(image - basis * theta, axis=0), initial=0.0))
+    return basis, float(np.max(np.linalg.norm(image @ rotation - basis * theta, axis=0)))
 
 
 def _small_subspaces(P: np.ndarray, z: complex, N: int, rho: float):
@@ -232,27 +228,13 @@ def _small_subspaces(P: np.ndarray, z: complex, N: int, rho: float):
     singular values, :class:`GrushinParams` for ``(N, rho)``, the columns
     ``f_1..f_A``, the rows ``e_1*..e_A*`` and the worst residual
     ``||B*B v - lambda v||`` (``B = P - z``) over both bases, with ``B B*``
-    for the left one.  A banded ``B`` (see :func:`_banded_grams`) takes the
-    values from a banded Hermitian eigensolve of ``B*B`` (LAPACK ``zhbevd``)
-    and both bases from shifted inverse iteration on ``B*B`` and ``B B*``;
-    any other matrix takes :func:`singular_triples`.  The two banded bases
-    span the singular subspaces but are not paired vector by vector, which
-    changes no ``|det|`` of the split.
+    for the left one.  The values come from a banded Hermitian eigensolve of
+    ``B*B`` (LAPACK ``zhbevd``) on the band of :func:`_banded_grams`, and
+    both bases from shifted inverse iteration on ``B*B`` and ``B B*``.  The
+    two bases span the singular subspaces but are not paired vector by
+    vector, which changes no ``|det|`` of the split.
     """
-    grams = _banded_grams(P, z)
-    if grams is None:
-        triples = singular_triples(P, z)
-        values = triples.values
-        params = _params_of_values(N, rho, values)
-        A = params.n_small
-        left, right = triples.left_vectors[:, :A], triples.right_vectors[:, :A]
-        B = P - complex(z) * np.eye(len(P))
-        squares = values[:A] ** 2
-        residual = max(_worst_residual(B.conj().T @ (B @ right), right, squares),
-                       _worst_residual(B @ (B.conj().T @ left), left, squares))
-        return values, params, left, right.conj().T, residual
-
-    right_gram, left_gram, perm = grams
+    right_gram, left_gram, perm = _banded_grams(P, z)
     squares = _lapack.eigvalsh_banded(right_gram)
     values = np.sqrt(np.clip(squares, 0.0, None))
     params = _params_of_values(N, rho, values)
@@ -468,9 +450,7 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray,
     serves both routes and the residual is 0 by construction.  The singular
     values and the ``A``-dimensional small singular subspaces come from
     :func:`_small_subspaces`: a banded eigensolve and banded inverse
-    iteration when ``P - z`` is banded, plainly or cyclically (no dense
-    SVD), otherwise one SVD of which only the values and the ``A`` smallest
-    vector pairs are kept.
+    iteration, with no dense SVD.
     ``P + delta G - z`` is built in the bordered matrix's top-left block, so
     concurrent probes stay lean.  A condition estimate above
     ``CONDITION_GUARD`` adds a flag; the corner still comes from the LU.

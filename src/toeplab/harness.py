@@ -92,6 +92,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"a configuration must be a JSON object, got {data!r}")
         unknown = set(data) - {fld.name for fld in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
@@ -102,8 +104,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_mapping(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:    # ValueError: JSONDecodeError, UnicodeDecodeError
+            raise ConfigError(f"cannot read configuration {path}: {exc}") from None
+        return cls.from_mapping(data)
 
     def to_mapping(self) -> dict:
         return {
@@ -225,6 +231,8 @@ class ExperimentConfig:
             raise ConfigError(f"radii max must be nonnegative, got {self.radii}")
         if self.radii.get("count", 50) < 1:
             raise ConfigError(f"radii count must be positive, got {self.radii}")
+        if any(self.probe_grid.get(k, 1) < 1 for k in ("nx", "ny")):
+            raise ConfigError(f"probe_grid nx and ny must be >= 1, got {self.probe_grid}")
         for key, allowed in (("delta", {"preset", "power"}), ("radii", {"count", "max"}),
                              ("probe_grid", {"nx", "ny", "points"})):
             unknown = set(getattr(self, key)) - allowed
@@ -410,10 +418,9 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
         raise ValueError(f"stages must be a subset of {STAGES}, with 'potential' only "
                          f"beside 'spectrum'; got {sorted(stages)}")
     t_start = time.time()
+    validation = config.validate()             # a rejected config leaves no directory behind
     out = Path(out_dir or config.out_dir or "runs")
     out.mkdir(parents=True, exist_ok=True)
-
-    validation = config.validate()
     f = config.symbol_spec()
     radii = config.radii_grid()
     grid = liouville_quadrature(f.space, config.resolution)

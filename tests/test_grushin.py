@@ -283,9 +283,8 @@ class TestFastRouteOracle:
     """b_diagnostics against the slow oracles assemble_grushin / slogdet."""
 
     @staticmethod
-    def _check(T, probes, delta, seed, b1_exact):
-        # the dense route shares the oracle's SVD, so B1 is bit-identical there;
-        # the banded route's values agree to rounding
+    def _check(T, probes, delta, seed):
+        # the banded route's values agree with the oracle's SVD to rounding
         G = sample_ginibre(T.dim, seed)
         grid = liouville_quadrature(T.space, 60)
         counts = []
@@ -296,10 +295,7 @@ class TestFastRouteOracle:
             b1 = float(np.sum(np.log(tr.values[A:]))) / T.dim - limit_potential(
                 T.symbol, z, grid)
             assert diag.n_small == A
-            if b1_exact:
-                assert diag.b1 == b1
-            else:
-                assert diag.b1 == pytest.approx(b1, abs=1e-12)
+            assert diag.b1 == pytest.approx(b1, abs=1e-12)
             assert diag.b2 == pytest.approx(b2, abs=1e-10)
             assert diag.b3 == pytest.approx(b3, abs=1e-10)
             assert diag.schur_residual <= 1e-8
@@ -310,12 +306,7 @@ class TestFastRouteOracle:
 
     @pytest.mark.parametrize("T, probes, delta, seed", DRAWS, ids=["sphere", "torus"])
     def test_matches_slow_routes(self, T, probes, delta, seed):
-        assert grushin_module._banded_grams(T.entries, 0.0) is not None    # both presets are banded
-        self._check(T, probes, delta, seed, b1_exact=False)
-
-    def test_dense_route_on_sphere_is_bit_identical(self, monkeypatch):
-        monkeypatch.setattr(grushin_module, "_banded_grams", lambda P, z: None)
-        self._check(*DRAWS[0], b1_exact=True)
+        self._check(T, probes, delta, seed)
 
     def test_condition_is_lapack_one_norm_estimate(self):
         T, probes, delta, seed = DRAWS[0]
@@ -446,8 +437,8 @@ class TestFactorizationCount:
         assert {k: v for k, v in counts.items() if k != "lu_factor"} == {
             "inv": 0, "cond": 0, "norm2": 0, **rest}
 
-    def test_one_svd_and_three_lus_per_probe(self, monkeypatch):
-        # a stray far entry leaves no band: one dense SVD
+    def test_stray_entry_probe_takes_no_svd_and_three_lus(self, monkeypatch):
+        # a stray far entry widens the band; still no dense SVD
         T, probes, delta, seed = DRAWS[1]
         entries = T.entries.copy()
         entries[0, T.dim // 2] = 1e-3
@@ -457,7 +448,7 @@ class TestFactorizationCount:
         counts = self._count(monkeypatch)
         diag = b_diagnostics(T, probes[0], 0.25, delta, G, g_norm=g_norm)
         assert diag.n_small >= 1
-        self._assert_probe(counts, T.dim, diag.n_small, svd=1, eig_banded=0)
+        self._assert_probe(counts, T.dim, diag.n_small, svd=0, eig_banded=1)
 
     def _banded_probe(self, monkeypatch, draw):
         T, probes, delta, seed = DRAWS[draw]
@@ -601,7 +592,7 @@ def _dense_gram_band(band):
 
 
 class TestBandedRoute:
-    """Route selection, and the banded route against the dense oracle."""
+    """Band selection, and the banded route against the dense oracle."""
 
     @pytest.mark.parametrize("name", ["upper", "lower", "tilted", "x1", "flag", "cyclic2"])
     def test_bidiagonal_grams_match_dense(self, name):
@@ -617,12 +608,35 @@ class TestBandedRoute:
         for band, dense in ((right, B.conj().T @ B), (left, B @ B.conj().T)):
             assert np.max(np.abs(_dense_gram_band(band) - dense)) < 1e-14
 
-    def test_other_bands_take_the_dense_route(self):
+    @staticmethod
+    def _check_subspaces(P, z, N):
+        """``_small_subspaces`` of ``P - z`` against the SVD; returns it and the triples."""
+        small = grushin_module._small_subspaces(P, z, N, 0.25)
+        values, params, left, right_h, residual = small
+        tr = singular_triples(P, z)
+        A = params.n_small
+        assert A == grushin_params(N, 0.25, tr).n_small
+        assert np.max(np.abs(values**2 - tr.values**2)) <= 1e-13 * tr.values[-1] ** 2
+        eye = np.eye(A)
+        assert np.max(np.abs(left.conj().T @ left - eye), initial=0.0) < 1e-12
+        assert np.max(np.abs(right_h @ right_h.conj().T - eye), initial=0.0) < 1e-12
+        assert residual < 1e-13
+        if A:                                                    # same subspaces as the SVD
+            for basis, ref in ((left, tr.left_vectors), (right_h.conj().T, tr.right_vectors)):
+                cosines = np.linalg.svd(ref[:, :A].conj().T @ basis, compute_uv=False)
+                assert cosines.min() > 1.0 - 1e-12
+        return small, tr
+
+    def test_stray_and_dense_matrices_get_bands(self):
         stray = quantize_sphere(PROJECTION, 30).entries.copy()
         stray[0, 15] = 1e-3                                      # one far entry
         dense = sample_ginibre(31, 5)
-        for P in (stray, dense):
-            assert grushin_module._banded_grams(P, 0.1) is None
+        # the far entry widens the upper bidiagonal to 15; a dense matrix hits the cap n - 1
+        for P, width in ((stray, 15), (dense, 30)):
+            right, left, perm = grushin_module._banded_grams(P, 0.1)
+            assert perm is None and right.shape == left.shape == (width + 1, 31)
+            (_, params, _, _, _), _ = self._check_subspaces(P, 0.1, 30)
+            assert params.n_small >= 1
 
     @pytest.mark.parametrize("name", list(BANDED))
     def test_matches_dense_oracle(self, name):
@@ -632,25 +646,13 @@ class TestBandedRoute:
         grid = liouville_quadrature(T.space, 60)
         counts = []
         for z in (0.3 + 0.2j, 0.0, 50.0):
-            values, params, left, right_h, residual = grushin_module._small_subspaces(
-                T.entries, z, T.N, 0.25)
-            tr = singular_triples(T.entries, z)
+            (values, params, _, _, residual), tr = self._check_subspaces(T.entries, z, T.N)
             A = params.n_small
-            assert A == grushin_params(T.N, 0.25, tr).n_small
-            assert np.max(np.abs(values**2 - tr.values**2)) <= 1e-13 * tr.values[-1] ** 2
             if z == 0.0 and name in ("upper", "lower"):         # pure shifts: a kernel
                 assert tr.values[0] < 1e-14 and values[0] < 1e-7
             if name == "double":
                 assert A % 2 == 0
                 assert np.max(np.abs(values[:A:2] - values[1:A:2]), initial=0.0) < 1e-7
-            eye = np.eye(A)
-            assert np.max(np.abs(left.conj().T @ left - eye), initial=0.0) < 1e-12
-            assert np.max(np.abs(right_h @ right_h.conj().T - eye), initial=0.0) < 1e-12
-            assert residual < 1e-13
-            if A:                                                # same subspaces as the SVD
-                for basis, ref in ((left, tr.left_vectors), (right_h.conj().T, tr.right_vectors)):
-                    cosines = np.linalg.svd(ref[:, :A].conj().T @ basis, compute_uv=False)
-                    assert cosines.min() > 1.0 - 1e-12
 
             diag = b_diagnostics(T, z, 0.25, delta, G, grid)
             A_slow, b2, b3, _ = _slow_split(T, z, 0.25, delta, G)

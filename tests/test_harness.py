@@ -154,11 +154,30 @@ class TestConfig:
         ({"unperturbed_sizes": 5}, "unperturbed_sizes must be a list"),
         ({"grushin_probes": 0.3}, "grushin_probes must be a list"),
         ({"probe_grid": {"points": 5}}, "probe_grid points must be a list"),
+        # np.linspace would fail in set-up, before any manifest; nx = 0 would run no probes
+        ({"probe_grid": {"nx": -1, "ny": 4}}, "probe_grid nx and ny must be >= 1"),
+        ({"probe_grid": {"nx": 0, "ny": 4}}, "probe_grid nx and ny must be >= 1"),
     ])
     def test_what_run_would_reinterpret_rejected(self, overrides, message):
         # run would silently read these otherwise, or fail inside a task
         with pytest.raises(ConfigError, match=message):
             tiny_config(**overrides).validate()
+
+    @pytest.mark.parametrize("data", [5, None, "abc", [["space", "sphere"]]])
+    def test_config_that_is_not_an_object_rejected(self, data, tmp_path):
+        with pytest.raises(ConfigError, match="a configuration must be a JSON object"):
+            ExperimentConfig.from_mapping(data)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="a configuration must be a JSON object"):
+            ExperimentConfig.from_json(path)
+
+    def test_unreadable_config_file_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"space": ')
+        for target in (path, tmp_path / "absent.json"):
+            with pytest.raises(ConfigError, match="cannot read configuration"):
+                ExperimentConfig.from_json(target)
 
     def test_explicit_probe_points_accepted(self):
         tiny_config(probe_grid={"points": [[0.3, 0.2], (0, 1)]}).validate()
@@ -780,6 +799,24 @@ class TestCli:
         kappa = json.loads(capsys.readouterr().out)["kappa"]
         record = run(ExperimentConfig.from_json(cfg), out_dir=tmp_path / "out", stages=("spectrum",))
         assert kappa == record.manifest["kappa_hat"]
+
+    def test_config_errors_exit_2_with_one_line(self, tmp_path, capsys):
+        # a sphere symbol in the torus space, a config that is not an object, no file at all
+        mismatched = self._write_config(tmp_path, space="torus")
+        not_object = tmp_path / "five.json"
+        not_object.write_text("5")
+        for verb, path, message in (
+                ("run", mismatched, "symbol kind 'sphere' does not match space 'torus'"),
+                ("quantize", mismatched, "symbol kind 'sphere' does not match space 'torus'"),
+                ("kappa", not_object, "a configuration must be a JSON object"),
+                ("grushin", tmp_path / "absent.json", "cannot read configuration")):
+            out = tmp_path / f"out_{verb}"
+            assert cli_main([verb, "--config", str(path), "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("toeplab: ") and message in captured.err
+            assert captured.err.count("\n") == 1, captured.err
+            assert not out.exists()
 
     def test_requires_config_or_preset(self):
         with pytest.raises(SystemExit):

@@ -193,11 +193,11 @@ def test_log_abs_det_releases_the_gil(spin_ratio):
 
 @pytest.mark.parametrize("preset", PRESETS)
 def test_a_run_takes_no_dense_call_outside_this_module(preset, monkeypatch, tmp_path):
-    """A tiny run of each preset finishes with numpy's dense solvers and determinants refused."""
+    """A tiny run of each preset finishes with numpy's dense solvers, determinants and SVD refused."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a run called numpy's slogdet, eigvals, inv or det")
+        raise AssertionError("a run called numpy's slogdet, eigvals, inv, det or svd")
 
-    for name in ("slogdet", "eigvals", "inv", "det"):
+    for name in ("slogdet", "eigvals", "inv", "det", "svd"):
         monkeypatch.setattr(np.linalg, name, refuse)
     cfg = preset_config(preset)
     cfg.n_values, cfg.seeds, cfg.probe_grid = [40], [0, 1], {"nx": 4, "ny": 4}
