@@ -25,11 +25,9 @@ from .geometry import (
 from .quantize import (
     ToeplitzMatrix,
     bergman_dimension,
-    load_matrix,
     quantize_sphere,
     quantize_symbol,
     quantize_torus,
-    save_matrix,
 )
 from .randmat import (
     derive_seed,

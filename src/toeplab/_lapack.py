@@ -3,14 +3,15 @@
 numpy's wheel bundles an ILP64 OpenBLAS (scipy-openblas) that exports
 LAPACKE as ``scipy_LAPACKE_<routine>64_``.  Each function here calls one of
 those routines, column-major with 64-bit integers, on the layout numpy's
-``eigvals`` or the replaced ``scipy.linalg`` call passes, so it returns that
-call's bits on the same OpenBLAS build (:func:`lu_log_abs_det` gives ``slogdet``'s).
+``eigvals`` or ``svd`` or the replaced ``scipy.linalg`` call passes, so it
+returns that call's bits on the same OpenBLAS build (:func:`lu_log_abs_det`
+gives ``slogdet``'s).
 ``ctypes`` releases the GIL for the whole call, where numpy's linalg gufuncs
 below dimension 500 and scipy's f2py wrappers hold it; no scipy is loaded.
 
 Where numpy's OpenBLAS lacks any of the routines (:func:`routines` is None,
-e.g. numpy built on Accelerate), every function takes ``np.linalg.eigvals``
-or the ``scipy.linalg`` call it replaces instead.  The pivots of the two
+e.g. numpy built on Accelerate), every function takes the numpy or
+``scipy.linalg`` call it replaces instead.  The pivots of the two
 routes differ in base (LAPACK's 1-based here, scipy's 0-based), so a
 factorization is only ever passed to the solve of its own route.
 """
@@ -34,6 +35,8 @@ _I, _P, _C = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
 _SIGNATURES = {
     # jobvl jobvr n a lda w vl ldvl vr ldvr
     "zgeev": (_C, _C, _I, _P, _I, _P, _P, _I, _P, _I),
+    # jobz m n a lda s u ldu vt ldvt
+    "zgesdd": (_C, _I, _I, _P, _I, _P, _P, _I, _P, _I),
     # m n a lda ipiv
     "zgetrf_work": (_I, _I, _P, _I, _P),
     # trans n nrhs a lda ipiv b ldb
@@ -152,6 +155,25 @@ def eigvals(M: np.ndarray) -> np.ndarray:
     if _call("zgeev", b"N", b"N", n, a.ctypes.data, max(n, 1), w.ctypes.data, None, 1, None, 1):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return w
+
+
+def singular_values(M: np.ndarray) -> np.ndarray:
+    """Descending singular values: the bits of ``np.linalg.svd(M, compute_uv=False)``, without the GIL.
+
+    A 2-D complex128 ``M`` goes to the ``zgesdd`` numpy calls (no singular
+    vectors) on a Fortran-ordered copy; other input takes ``np.linalg.svd``.
+    Raises ValueError on an inf or nan entry, ``LinAlgError`` when the
+    solver does not converge.
+    """
+    if routines() is None or M.dtype != np.complex128 or M.ndim != 2:
+        return np.linalg.svd(M, compute_uv=False)
+    _require_finite(M)
+    a = np.array(M, order="F")
+    m, n = a.shape
+    s = np.empty(min(m, n))
+    if _call("zgesdd", b"N", m, n, a.ctypes.data, max(m, 1), s.ctypes.data, None, 1, None, 1):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return s
 
 
 def lu_factor(a: np.ndarray):

@@ -3,10 +3,12 @@
 Verbs: quantize, spectrum, potential, grushin, run, verify, kappa.  Every
 verb but verify takes a configuration (``--config FILE`` or ``--preset
 NAME``) plus the shared flags ``--seed`` and ``--out``.  ``run`` computes
-every stage of every cell; ``spectrum``, ``potential`` and ``grushin`` are
-``run`` restricted to the stages :data:`VERB_STAGES` names, so they write
-the same per-cell CSVs and a manifest.  Outputs are CSV tables and JSON
-manifests; there is no interactive mode.
+every cell stage of every cell; ``quantize``, ``spectrum``, ``potential``
+and ``grushin`` are ``run`` restricted to the stages :data:`VERB_STAGES`
+names, so each validates its configuration and writes a manifest beside its
+artifacts: the per-cell CSVs of ``run``, or for ``quantize`` one
+``mat_N{N}.npy`` matrix per size.  Outputs are CSV tables, ``.npy`` arrays
+and JSON manifests; there is no interactive mode.
 """
 
 from __future__ import annotations
@@ -14,15 +16,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import __version__
 from .harness import STAGES, ConfigError, ExperimentConfig, preset_config, run as run_experiment, verify as verify_run
-from .quantize import quantize_symbol, save_matrix
 
 #: The stages each run-type verb computes (see ``harness.run``).
 VERB_STAGES = {
     "run": STAGES,
+    "quantize": ("matrix",),
     "spectrum": ("spectrum",),
     "potential": ("spectrum", "potential"),
     "grushin": ("grushin",),
@@ -83,17 +84,6 @@ def _run_verb(args) -> int:
                           "cells": len(record.manifest["cells"]),
                           "errors": record.manifest["errors"]}, indent=2))
         return 0 if not record.manifest["errors"] else 1
-
-    if args.verb == "quantize":
-        f = cfg.symbol_spec()
-        out = Path(cfg.out_dir or "runs")
-        out.mkdir(parents=True, exist_ok=True)
-        for N in cfg.n_values:
-            T = quantize_symbol(f, int(N))
-            path = out / f"matrix_N{int(N)}.tmat"
-            save_matrix(T, path)
-            print(path)
-        return 0
 
     if args.verb == "kappa":
         est = cfg.kappa_estimate()

@@ -4,10 +4,12 @@ A run executes quantize -> perturb -> spectra / potential / diagnostics for
 every (size, seed) cell of a validated configuration, or a subset of those
 stages (the ``spectrum``, ``potential`` and ``grushin`` CLI verbs), and
 persists plot-ready CSV tables plus a JSON manifest with per-artifact
-checksums and per-cell numerical health.  Cells run as tasks on a thread
-pool with OpenBLAS pinned to one thread, so identical configurations
-byte-reproduce every CSV on the same build of numpy and its OpenBLAS (and
-CPU instruction set, which OpenBLAS dispatches on) whatever the core count.
+checksums and per-cell numerical health.  The ``matrix`` stage (the
+``quantize`` verb) persists each size's quantization matrix as ``.npy``.
+Cells run as tasks on a thread pool with OpenBLAS pinned to one thread, so
+identical configurations byte-reproduce every CSV on the same build of
+numpy and its OpenBLAS (and CPU instruction set, which OpenBLAS dispatches
+on) whatever the core count.
 Without a pinnable OpenBLAS the cells run one at a time and the bits also
 depend on the BLAS thread count.  The manifest additionally records
 wall-clock, tool version and the build (and is therefore not byte-stable
@@ -150,7 +152,12 @@ class ExperimentConfig:
         return float(N) ** -p
 
     def symbol_spec(self):
-        f = symbol_from_record(self.symbol)
+        if not isinstance(self.symbol, str):
+            raise ConfigError(f"symbol must be a symbol record string, got {self.symbol!r}")
+        try:
+            f = symbol_from_record(self.symbol)
+        except ValueError as exc:
+            raise ConfigError(f"symbol: {exc}") from None
         if f.kind != self.space:
             raise ConfigError(f"symbol kind {f.kind!r} does not match space {self.space!r}")
         return f
@@ -368,15 +375,21 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write(path: Path, write) -> Path:
+    """Call ``write`` on a binary file at a temporary sibling of ``path``, then rename it to ``path``."""
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "wb") as fh:
+        write(fh)
     os.replace(tmp, path)
+    return path
 
 
-#: The stages a run computes per cell.  ``potential`` reads the spectrum
-#: task's matrix and eigenvalues, so it needs ``spectrum``.
+#: The stages a run computes per cell by default.  ``potential`` reads the
+#: spectrum task's matrix and eigenvalues, so it needs ``spectrum``.  One
+#: more stage, ``matrix``, writes each size's quantization matrix; only the
+#: ``quantize`` verb selects it.
 STAGES = ("spectrum", "potential", "grushin")
+_ALL_STAGES = (*STAGES, "matrix")
 
 
 @dataclass(frozen=True)
@@ -398,9 +411,11 @@ class _Setup:
 def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> RunRecord:
     """Run the selected stages of every (size, seed) cell; persist artifacts atomically.
 
-    ``stages`` is a subset of :data:`STAGES`.  The spectrum stage of a cell
-    is one task (eigenvalues and disk counts, plus the potential when that
-    stage is selected); the Grushin stage of a perturbed cell is a second
+    ``stages`` is a subset of :data:`STAGES` and ``matrix``.  The matrix
+    stage writes ``mat_N{N}.npy`` for every size of ``n_values`` and
+    ``unperturbed_sizes`` and lists them under the manifest's ``matrices``.
+    The spectrum stage of a cell is one task (eigenvalues and disk counts,
+    plus the potential when that stage is selected); the Grushin stage of a perturbed cell is a second
     task (a certified bound on ``||G||`` once, then the split at each
     Grushin probe).  Each task draws its own copy of the cell's noise, so no
     per-cell matrix exists outside a running task.  All tasks share one thread pool with one thread
@@ -414,8 +429,8 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     disturbs sibling cells.
     """
     stages = set(stages)
-    if not stages <= set(STAGES) or ("potential" in stages and "spectrum" not in stages):
-        raise ValueError(f"stages must be a subset of {STAGES}, with 'potential' only "
+    if not stages <= set(_ALL_STAGES) or ("potential" in stages and "spectrum" not in stages):
+        raise ValueError(f"stages must be a subset of {_ALL_STAGES}, with 'potential' only "
                          f"beside 'spectrum'; got {sorted(stages)}")
     t_start = time.time()
     validation = config.validate()             # a rejected config leaves no directory behind
@@ -431,10 +446,13 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     tasks += [(cell, _grushin_task) for cell in cells
               if "grushin" in stages and cell[0] == "perturbed"]
 
+    sizes = {cell[1] for cell, _ in tasks}
+    if "matrix" in stages:
+        sizes.update(cell[1] for cell in cells)
     probes = config.probe_points(f, f.space) if "potential" in stages else None
     setup = _Setup(
         out=out,
-        matrices={N: quantize_symbol(f, N) for N in sorted({cell[1] for cell, _ in tasks})},
+        matrices={N: quantize_symbol(f, N) for N in sorted(sizes)},
         deltas={int(N): config.noise_size(int(N)) for N in config.n_values},
         grid=grid,
         radii=radii,
@@ -461,6 +479,12 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
                 cell_files.setdefault(name, {}).update(task_files)
                 cell_health.setdefault(name, {}).update(task_health)
     errors = {name: "; ".join(dict.fromkeys(msgs)) for name, msgs in failures.items()}
+    matrices = {}
+    if "matrix" in stages:
+        for N, T in setup.matrices.items():
+            path = _atomic_write(out / f"mat_N{N}.npy",
+                                 lambda fh: np.save(fh, T.entries, allow_pickle=False))
+            matrices[f"N{N}"] = _artifact_record(path)
 
     manifest = {
         "tool": "toeplab",
@@ -471,17 +495,23 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
         "warnings": validation["warnings"],
         "wall_clock_s": time.time() - t_start,
         "environment": _environment(pinned, pool_size),
+        "stages": [stage for stage in _ALL_STAGES if stage in stages],
         "cells": {
-            name: {"files": {k: {"path": str(p.name), "sha256": _sha256_file(p)}
-                             for k, p in cell_files[name].items()},
+            name: {"files": {k: _artifact_record(p) for k, p in cell_files[name].items()},
                    "health": cell_health[name]}
             for name in sorted(cell_files) if name not in errors
         },
+        "matrices": matrices,
         "errors": errors,
     }
     manifest_path = out / "manifest.json"
-    _atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True))
+    text = json.dumps(manifest, indent=2, sort_keys=True)
+    _atomic_write(manifest_path, lambda fh: fh.write(text.encode()))
     return RunRecord(str(out), manifest["config_hash"], manifest, str(manifest_path))
+
+
+def _artifact_record(path: Path) -> dict:
+    return {"path": path.name, "sha256": _sha256_file(path)}
 
 
 def _cell_noise(T: ToeplitzMatrix, seed: int):
@@ -646,9 +676,8 @@ def _emit(out: Path, name: str, header: str, rows) -> Path:
     ``str(x)``, any other number as ``repr(float(x))`` (reads back bit-exact).
     """
     lines = [header] + [",".join(map(_csv_field, row)) for row in rows]
-    path = out / name
-    _atomic_write_text(path, "\n".join(lines) + "\n")
-    return path
+    text = "\n".join(lines) + "\n"
+    return _atomic_write(out / name, lambda fh: fh.write(text.encode()))
 
 
 def _csv_field(x) -> str:
@@ -693,19 +722,20 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
         return _integrity_failure(f"malformed manifest: {problem}")
     criteria: dict = {}
     config = manifest["config"]
-    absent = sorted({_cell_name(("perturbed", N, seed)) for N in config["n_values"]
-                     for seed in config["seeds"]} - set(manifest["cells"]) - set(manifest["errors"]))
+    absent = []
+    if set(manifest.get("stages", STAGES)) & set(STAGES):
+        absent = sorted({_cell_name(("perturbed", N, seed)) for N in config["n_values"]
+                         for seed in config["seeds"]} - set(manifest["cells"]) - set(manifest["errors"]))
 
     mismatched, missing, intact = [], [], set()
-    for name, cell in manifest["cells"].items():
-        for kind, info in cell["files"].items():
-            path = out / info["path"]
-            if not path.exists():
-                missing.append(info["path"])
-            elif _sha256_file(path) != info["sha256"]:
-                mismatched.append(info["path"])
-            else:
-                intact.add(info["path"])
+    for _, info in _artifacts(manifest):
+        path = out / info["path"]
+        if not path.exists():
+            missing.append(info["path"])
+        elif _sha256_file(path) != info["sha256"]:
+            mismatched.append(info["path"])
+        else:
+            intact.add(info["path"])
     if mismatched:
         criteria["integrity"] = {"status": "fail", "detail": f"checksum mismatch: {mismatched}"}
     elif missing:
@@ -714,7 +744,8 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
         criteria["integrity"] = {"status": "fail",
                                  "detail": f"cells neither run nor failed: {absent}"}
     else:
-        criteria["integrity"] = {"status": "pass", "detail": f"{len(manifest['cells'])} cells intact"}
+        criteria["integrity"] = {"status": "pass", "detail": f"{len(manifest['cells'])} cells and "
+                                 f"{len(manifest.get('matrices', {}))} matrices intact"}
     failed = sorted(manifest["errors"])
     criteria["cell_errors"] = {"status": "fail" if failed else "pass",
                                "detail": f"failed cells: {failed}" if failed else "no failed cells"}
@@ -736,13 +767,20 @@ def _manifest_problem(manifest) -> str | None:
     """What keeps :func:`verify` from reading a parsed manifest, or None.
 
     An artifact path must be a bare file name, as ``run`` writes it, so that
-    ``verify`` opens no file outside the run directory.
+    ``verify`` opens no file outside the run directory.  A manifest written
+    before runs recorded ``stages`` and ``matrices`` reads as one without
+    matrices whose stages were the default :data:`STAGES`.
     """
     keys = ("config", "cells", "errors")
     if not (isinstance(manifest, dict) and set(keys) <= set(manifest)):
         return "it needs the keys config, cells and errors"
     if not all(isinstance(manifest[key], dict) for key in keys):
         return "config, cells and errors must be JSON objects"
+    if not isinstance(manifest.get("matrices", {}), dict):
+        return "matrices must be a JSON object"
+    stages = manifest.get("stages", [])
+    if not (isinstance(stages, list) and all(isinstance(stage, str) for stage in stages)):
+        return f"stages must be a list of stage names, got {stages!r}"
     for key in ("n_values", "seeds"):
         values = manifest["config"].get(key)
         if not (isinstance(values, list) and values and all(map(_is_integer, values))):
@@ -751,13 +789,22 @@ def _manifest_problem(manifest) -> str | None:
         files = cell.get("files") if isinstance(cell, dict) else None
         if not isinstance(files, dict):
             return f"cell {name} needs a files object"
-        for kind, info in files.items():
-            if not (isinstance(info, dict) and isinstance(info.get("path"), str)
-                    and isinstance(info.get("sha256"), str)):
-                return f"cell {name} {kind} artifact needs a path and a sha256"
-            if info["path"] in ("", "..") or Path(info["path"]).name != info["path"]:
-                return f"cell {name} {kind} artifact path {info['path']!r} is not a bare file name"
+    for label, info in _artifacts(manifest):
+        if not (isinstance(info, dict) and isinstance(info.get("path"), str)
+                and isinstance(info.get("sha256"), str)):
+            return f"{label} artifact needs a path and a sha256"
+        if info["path"] in ("", "..") or Path(info["path"]).name != info["path"]:
+            return f"{label} artifact path {info['path']!r} is not a bare file name"
     return None
+
+
+def _artifacts(manifest: dict):
+    """``(label, {path, sha256})`` of every artifact a manifest lists: cell files, then matrices."""
+    for name, cell in manifest["cells"].items():
+        for kind, info in cell["files"].items():
+            yield f"cell {name} {kind}", info
+    for name, info in manifest.get("matrices", {}).items():
+        yield f"matrix {name}", info
 
 
 def _read_csv(path: Path) -> list:
@@ -802,11 +849,13 @@ def _verify_acceptance(out: Path, manifest: dict, intact: set, criteria: dict) -
         }
 
     medians = {}
+    dropped = 0
     for N in n_values:
         vals = [float(r["deviation"]) for rows in tables("potential", N) for r in rows]
-        vals = [v for v in vals if np.isfinite(v)]
-        if vals:
-            medians[N] = float(np.median(vals))
+        finite = [v for v in vals if np.isfinite(v)]
+        dropped += len(vals) - len(finite)
+        if finite:
+            medians[N] = float(np.median(finite))
     if n_top not in medians:
         criteria["potential_median"] = {"status": "skipped",
                                         "detail": f"no potential artifact at N={n_top}"}
@@ -814,12 +863,14 @@ def _verify_acceptance(out: Path, manifest: dict, intact: set, criteria: dict) -
         ok = medians[n_top] <= 0.05 and (len(medians) < 2 or medians[n_top] < medians[min(medians)])
         criteria["potential_median"] = {
             "status": "pass" if ok else "fail",
-            "detail": f"medians by size: { {k: round(v, 6) for k, v in medians.items()} }",
+            "detail": f"medians by size: { {k: round(v, 6) for k, v in medians.items()} }; "
+                      f"{dropped} non-finite deviations dropped",
         }
 
     b3_rows = 0
     b3_bad = 0
     schur_worst = 0.0
+    nonfinite = []                      # per non-finite residual: whether a singular- flag explains it
     sizes = []
     for N in n_values:
         diags = tables("diagnostics", N)
@@ -833,6 +884,8 @@ def _verify_acceptance(out: Path, manifest: dict, intact: set, criteria: dict) -
                     b3_bad += 1
             if np.isfinite(schur):
                 schur_worst = max(schur_worst, schur)
+            else:
+                nonfinite.append(any(flag.startswith("singular-") for flag in r["flags"].split(";")))
     if not sizes:
         criteria["b3_negative"] = {"status": "skipped", "detail": "no diagnostics artifacts"}
         criteria["schur_residual"] = {"status": "skipped", "detail": "no diagnostics artifacts"}
@@ -843,6 +896,8 @@ def _verify_acceptance(out: Path, manifest: dict, intact: set, criteria: dict) -
                       f"(sizes {sizes})",
         }
         criteria["schur_residual"] = {
-            "status": "pass" if schur_worst <= 1e-6 else "fail",
-            "detail": f"worst residual {schur_worst:.3e} (tolerance 1e-6, sizes {sizes})",
+            "status": "pass" if schur_worst <= 1e-6 and all(nonfinite) else "fail",
+            "detail": f"worst finite residual {schur_worst:.3e} (tolerance 1e-6, sizes {sizes}); "
+                      f"{len(nonfinite)} non-finite, {nonfinite.count(False)} of them "
+                      "without a singular- flag",
         }

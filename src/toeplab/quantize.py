@@ -29,22 +29,12 @@ coefficient ``N^-j``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    SPHERE,
-    TORUS,
-    PhaseSpace,
-    SymbolSpec,
-    symbol_from_record,
-    symbol_to_record,
-)
-
-_MATRIX_MAGIC = b"TOEPLABMAT1\n"
+from .geometry import SPHERE, TORUS, PhaseSpace, SymbolSpec
 
 
 @dataclass(frozen=True)
@@ -264,65 +254,3 @@ def sphere_entries_quadrature(f: SymbolSpec, N: int, resolution: int | None = No
         T[l, :] = (rowamp[:, None] * Hcols * amp.T).sum(axis=0)
     return T
 
-
-# ---------------------------------------------------------------------------
-# persistence (bit-exact round trip)
-# ---------------------------------------------------------------------------
-
-def save_matrix(T: ToeplitzMatrix, path) -> None:
-    """Write magic + JSON header + row-major little-endian complex128 payload."""
-    header = {
-        "kind": T.space.kind,
-        "N": T.N,
-        "dim": T.dim,
-        "symbol": symbol_to_record(T.symbol),
-    }
-    payload = np.ascontiguousarray(T.entries, dtype="<c16").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(_MATRIX_MAGIC)
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(payload)
-
-
-def load_matrix(path) -> ToeplitzMatrix:
-    """Read a :func:`save_matrix` file; malformed files raise ValueError.
-
-    So does a header whose ``kind``, ``N`` and ``dim`` disagree with its symbol record.
-    """
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MATRIX_MAGIC))
-        if magic != _MATRIX_MAGIC:
-            raise ValueError(f"{path}: not a toeplab matrix file")
-        try:
-            header = json.loads(fh.readline().decode("utf-8"))
-        except ValueError as exc:               # JSONDecodeError, UnicodeDecodeError
-            raise ValueError(f"{path}: header is not JSON: {exc}") from None
-        raw = fh.read()
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: header is not a JSON object")
-    missing = {"kind", "N", "dim", "symbol"} - set(header)
-    if missing:
-        raise ValueError(f"{path}: header lacks {sorted(missing)}")
-    if not isinstance(header["symbol"], str):
-        raise ValueError(f"{path}: header symbol {header['symbol']!r} is not a symbol record")
-    try:
-        symbol = symbol_from_record(header["symbol"])
-    except ValueError as exc:
-        raise ValueError(f"{path}: header symbol: {exc}") from None
-    kind, N, dim = header["kind"], header["N"], header["dim"]
-    if kind != symbol.kind:
-        raise ValueError(f"{path}: header kind {kind!r} differs from its symbol's {symbol.kind!r}")
-    for key, value in (("N", N), ("dim", dim)):
-        if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
-            raise ValueError(f"{path}: header {key} {value!r} is not a positive integer")
-    law = bergman_dimension(symbol.space, N)
-    if dim != law:
-        raise ValueError(f"{path}: header dim {dim} is not the {kind} dimension {law} of N = {N}")
-    expected = dim * dim * 16
-    if len(raw) != expected:
-        problem = "truncated payload" if len(raw) < expected else "trailing bytes after payload"
-        raise ValueError(f"{path}: {problem}: header dim {dim} needs {expected} bytes, "
-                         f"file holds {len(raw)}")
-    entries = np.frombuffer(raw, dtype="<c16").reshape(dim, dim).copy()
-    return ToeplitzMatrix(N, entries, symbol)

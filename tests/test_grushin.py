@@ -423,6 +423,7 @@ class TestFactorizationCount:
             wrap(np.linalg, name, name)
         wrap(np.linalg, "norm", "norm2",
              lambda args, kwargs: (args[1] if len(args) > 1 else kwargs.get("ord")) in (2, -2))
+        wrap(lapack_module, "singular_values", "norm2")     # operator_norm's SVD
         wrap(lapack_module, "lu_factor", "lu_factor")
         wrap(lapack_module, "eigvalsh_banded", "eig_banded")
         return counts

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -27,7 +28,7 @@ from toeplab.harness import (
     verify,
 )
 from toeplab.potential import LOGDET_CHECK_BOUND
-from toeplab.quantize import load_matrix, quantize_symbol
+from toeplab.quantize import quantize_symbol
 from toeplab.randmat import derive_seed, operator_norm, sample_ginibre
 
 
@@ -351,6 +352,51 @@ class TestRun:
         assert report.criteria["b3_negative"]["status"] in ("pass", "fail")
 
     @staticmethod
+    def _edit_rows(out, kind, edit, cells=None):
+        """Rewrite every data row of the listed ``kind`` artifacts (of ``cells``, default all) by
+        ``edit`` and record the new checksums; returns the number of rows edited."""
+        manifest = json.loads((out / "manifest.json").read_text())
+        rows = 0
+        for name in cells or manifest["cells"]:
+            info = manifest["cells"][name]["files"][kind]
+            path = out / info["path"]
+            header, *lines = path.read_text().splitlines()
+            path.write_text("\n".join([header] + [edit(ln) for ln in lines]) + "\n")
+            info["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+            rows += len(lines)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        return rows
+
+    def test_nonfinite_schur_residuals_fail_unless_flagged_singular(self, done, tmp_path):
+        out, _ = done
+        clone = tmp_path / "nan"
+        shutil.copytree(out, clone)
+        rows = self._edit_rows(clone, "diagnostics",                # column 10: schur_residual
+                               lambda ln: ",".join(ln.split(",")[:10] + ["nan"] + ln.split(",")[11:]))
+        criterion = verify(clone).criteria["schur_residual"]
+        assert criterion["status"] == "fail"
+        assert criterion["detail"].startswith("worst finite residual 0.000e+00")
+        assert criterion["detail"].endswith(f"; {rows} non-finite, {rows} of them without a singular- flag")
+        assert verify(clone, suite="integrity").passed
+
+        # a residual the split flags as singular explains itself
+        self._edit_rows(clone, "diagnostics", lambda ln: ln.rsplit(",", 1)[0] + ",singular-corner-determinant")
+        criterion = verify(clone).criteria["schur_residual"]
+        assert criterion["status"] == "pass"
+        assert criterion["detail"].endswith(f"; {rows} non-finite, 0 of them without a singular- flag")
+
+    def test_potential_median_counts_dropped_deviations(self, done, tmp_path):
+        out, _ = done
+        assert verify(out).criteria["potential_median"]["detail"].endswith(
+            "; 0 non-finite deviations dropped")
+        clone = tmp_path / "nan"
+        shutil.copytree(out, clone)
+        rows = self._edit_rows(clone, "potential", lambda ln: ln.rsplit(",", 1)[0] + ",nan", ["N24_s0"])
+        assert rows > 0
+        assert verify(clone).criteria["potential_median"]["detail"].endswith(
+            f"; {rows} non-finite deviations dropped")
+
+    @staticmethod
     def _run_failing_top_size(out, monkeypatch):
         """Run tiny_config into ``out`` with every N = 48 cell failing; verify it."""
         import toeplab.harness as hz
@@ -429,9 +475,27 @@ class TestRun:
          "malformed manifest: cell N10_s0 cdf artifact path '..' is not a bare"),
         ('{"config": {"n_values": [10], "seeds": [0, 1]}, "cells": {}, "errors": {"N10_s1": "x"}}',
          "cells neither run nor failed: ['N10_s0']"),
+        ('{"config": {"n_values": [10], "seeds": [0]}, "stages": ["grushin", "matrix"], "cells": {}, '
+         '"matrices": {}, "errors": {}}',
+         "cells neither run nor failed: ['N10_s0']"),
+        ('{"config": {"n_values": [10], "seeds": [0]}, "cells": {}, "matrices": [], "errors": {}}',
+         "malformed manifest: matrices must be a JSON object"),
+        ('{"config": {"n_values": [10], "seeds": [0]}, "stages": "matrix", "cells": {}, "errors": {}}',
+         "malformed manifest: stages must be a list of stage names, got 'matrix'"),
+        ('{"config": {"n_values": [10], "seeds": [0]}, "stages": ["matrix"], "cells": {}, '
+         '"matrices": {"N10": {"path": "mat_N10.npy"}}, "errors": {}}',
+         "malformed manifest: matrix N10 artifact needs a path and a sha256"),
+        ('{"config": {"n_values": [10], "seeds": [0]}, "stages": ["matrix"], "cells": {}, '
+         '"matrices": {"N10": {"path": "../mat_N10.npy", "sha256": "0"}}, "errors": {}}',
+         "malformed manifest: matrix N10 artifact path '../mat_N10.npy' is not a bare file name"),
+        ('{"config": {"n_values": [10], "seeds": [0]}, "stages": ["matrix"], "cells": {}, '
+         '"matrices": {"N10": {"path": "mat_N10.npy", "sha256": "0"}}, "errors": {}}',
+         "missing artifacts: ['mat_N10.npy']"),
     ], ids=["truncated", "no-errors-key", "no-n_values", "empty-n_values", "string-seed",
             "config-list", "cells-list", "files-list", "no-files", "no-sha256",
-            "absolute-path", "parent-path", "dot-dot", "cell-absent"])
+            "absolute-path", "parent-path", "dot-dot", "cell-absent", "cell-absent-beside-matrix",
+            "matrices-list", "stages-string", "matrix-no-sha256", "matrix-parent-path",
+            "matrix-missing"])
     def test_verify_reports_a_malformed_manifest(self, tmp_path, capsys, text, detail):
         (tmp_path / "manifest.json").write_text(text)
         for suite in ("acceptance", "integrity"):
@@ -750,13 +814,36 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
 
-    def test_quantize_verb(self, tmp_path, capsys):
+    def test_quantize_verb(self, tmp_path):
+        # one .npy per size of n_values and unperturbed_sizes, bit for bit the quantization
+        cfg = self._write_config(tmp_path, unperturbed_sizes=[10])
+        out = tmp_path / "mats"
+        assert cli_main(["quantize", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "mat_N10.npy", "mat_N16.npy"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stages"] == ["matrix"] and manifest["cells"] == {}
+        assert sorted(manifest["matrices"]) == ["N10", "N16"]
+        f = symbol_from_record(manifest["config"]["symbol"])
+        for N in (10, 16):
+            entries = np.load(out / f"mat_N{N}.npy", allow_pickle=False)
+            expected = quantize_symbol(f, N).entries
+            assert entries.dtype == expected.dtype and entries.shape == expected.shape
+            assert entries.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("damage", ["truncate", "edit"])
+    def test_damaged_matrix_fails_integrity(self, tmp_path, capsys, damage):
         cfg = self._write_config(tmp_path)
         out = tmp_path / "mats"
         assert cli_main(["quantize", "--config", str(cfg), "--out", str(out)]) == 0
-        path = Path(capsys.readouterr().out.strip().splitlines()[-1])
-        T = load_matrix(path)
-        assert T.N == 16 and T.dim == 17
+        victim = out / "mat_N16.npy"
+        data = victim.read_bytes()
+        victim.write_bytes(data[:-100] if damage == "truncate" else data[:-1] + bytes([data[-1] ^ 1]))
+        report = verify(out, suite="integrity")
+        assert not report.passed
+        assert report.criteria["integrity"]["detail"] == "checksum mismatch: ['mat_N16.npy']"
+        victim.unlink()
+        assert verify(out, suite="integrity").criteria["integrity"]["detail"] == \
+            "missing artifacts: ['mat_N16.npy']"
 
     def test_spectrum_verb(self, tmp_path):
         cfg = self._write_config(tmp_path)
@@ -776,13 +863,17 @@ class TestCli:
                           "eig_N10_unperturbed.csv", "eig_N16_s0.csv",
                           "pot_N10_unperturbed.csv", "pot_N16_s0.csv"],
             "grushin": ["diag_N16_s0.csv"],
+            "quantize": ["mat_N10.npy", "mat_N16.npy"],
         }
+        assert sorted(p.name for p in (tmp_path / "run").iterdir() if p.suffix != ".csv") == \
+            ["manifest.json"]
         for verb, names in expected.items():
             out = tmp_path / verb
             assert cli_main([verb, "--config", str(cfg), "--out", str(out)]) == 0
-            assert sorted(p.name for p in out.glob("*.csv")) == names, verb
+            assert sorted(p.name for p in out.iterdir()) == sorted(names + ["manifest.json"]), verb
             for name in names:
-                assert (out / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+                if verb != "quantize":
+                    assert (out / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
             capsys.readouterr()
             assert cli_main(["verify", str(out), "--suite", "integrity"]) == 0, verb
             assert json.loads(capsys.readouterr().out)["passed"] is True
@@ -801,16 +892,33 @@ class TestCli:
         assert kappa == record.manifest["kappa_hat"]
 
     def test_config_errors_exit_2_with_one_line(self, tmp_path, capsys):
-        # a sphere symbol in the torus space, a config that is not an object, no file at all
+        # a sphere symbol in the torus space, a config that is not an object, no file at all,
+        # a symbol that is not a record, sizes that are not integers
+        base = json.loads(self._write_config(tmp_path).read_text())
         mismatched = self._write_config(tmp_path, space="torus")
         not_object = tmp_path / "five.json"
         not_object.write_text("5")
-        for verb, path, message in (
-                ("run", mismatched, "symbol kind 'sphere' does not match space 'torus'"),
-                ("quantize", mismatched, "symbol kind 'sphere' does not match space 'torus'"),
-                ("kappa", not_object, "a configuration must be a JSON object"),
-                ("grushin", tmp_path / "absent.json", "cannot read configuration")):
-            out = tmp_path / f"out_{verb}"
+
+        def edited(name, **values):
+            data = dict(base, **values)
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(data))
+            return path
+
+        cases = [
+            ("run", mismatched, "symbol kind 'sphere' does not match space 'torus'"),
+            ("quantize", mismatched, "symbol kind 'sphere' does not match space 'torus'"),
+            ("kappa", not_object, "a configuration must be a JSON object"),
+            ("grushin", tmp_path / "absent.json", "cannot read configuration"),
+            ("run", edited("null", symbol=None), "symbol must be a symbol record string, got None"),
+            ("quantize", edited("number", symbol=5), "symbol must be a symbol record string, got 5"),
+            ("spectrum", edited("tag", symbol="x"), "symbol: unknown symbol kind tag 'x'"),
+            ("kappa", edited("empty", symbol=""), "symbol: empty symbol record"),
+            ("quantize", edited("sizes", n_values=[30.7, True]),
+             "n_values must be integers, got [30.7, True]"),
+        ]
+        for i, (verb, path, message) in enumerate(cases):
+            out = tmp_path / f"out_{i}"
             assert cli_main([verb, "--config", str(path), "--out", str(out)]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""

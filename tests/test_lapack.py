@@ -1,8 +1,9 @@
 """The ``ctypes`` LAPACK binding against its oracles, ``scipy.linalg`` on the same matrices.
 
 Both OpenBLAS builds (numpy's and scipy's) are pinned to one thread, as in a
-run, so each routine must match its scipy counterpart bit for bit, and the LU
-log-determinant ``np.linalg.slogdet``.
+run, so each routine must match its scipy counterpart bit for bit, the LU
+log-determinant ``np.linalg.slogdet`` and the singular values
+``np.linalg.svd``.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from toeplab.grushin import _banded_grams, _small_subspaces
 from toeplab.harness import _pinned_blas, _usable_cpus, preset_config, run
 from toeplab.potential import log_abs_det
 from toeplab.quantize import quantize_symbol
-from toeplab.randmat import derive_seed, sample_ginibre
+from toeplab.randmat import derive_seed, operator_norm, sample_ginibre
 
 pytestmark = pytest.mark.skipif(_lapack.routines() is None,
                                 reason="numpy's OpenBLAS exports no LAPACKE here")
@@ -58,6 +59,17 @@ def test_lu_solve_and_rcond_bit_equal_to_scipy(kind, dim):
     assert _same_bits(_lapack.lu_solve(lu, piv, unit), scipy.linalg.lu_solve((want_lu, want_piv), unit))
     anorm = np.linalg.norm(M, 1)
     assert _lapack.rcond(lu, anorm) == scipy.linalg.lapack.zgecon(want_lu, anorm, norm="1")[0]
+
+
+@pytest.mark.parametrize("kind", ("ginibre",) + PRESETS)
+@pytest.mark.parametrize("dim", DIMS)
+def test_singular_values_bit_equal_to_numpy(kind, dim):
+    M = _matrix(kind, dim)
+    for block in (M, M[:, : dim // 3], M[: dim // 3]):
+        assert _same_bits(_lapack.singular_values(block), np.linalg.svd(block, compute_uv=False))
+    assert operator_norm(M) == np.linalg.norm(M, 2)
+    with pytest.raises(ValueError):
+        _lapack.singular_values(np.where(np.eye(dim) > 0, np.inf, M))
 
 
 @pytest.mark.parametrize("kind", ("ginibre",) + PRESETS)
@@ -193,12 +205,24 @@ def test_log_abs_det_releases_the_gil(spin_ratio):
 
 @pytest.mark.parametrize("preset", PRESETS)
 def test_a_run_takes_no_dense_call_outside_this_module(preset, monkeypatch, tmp_path):
-    """A tiny run of each preset finishes with numpy's dense solvers, determinants and SVD refused."""
+    """A tiny run of each preset finishes with numpy's dense solvers, determinants and SVD refused.
+
+    ``np.linalg.norm`` reaches the SVD through numpy's internals for the
+    orders 2, -2 and ``'nuc'``, so those are refused too; other orders pass.
+    """
     def refuse(*args, **kwargs):
-        raise AssertionError("a run called numpy's slogdet, eigvals, inv, det or svd")
+        raise AssertionError("a run called numpy's slogdet, eigvals, inv, det, svd or an SVD norm")
+
+    real_norm = np.linalg.norm
+
+    def norm(x, ord=None, *args, **kwargs):
+        if ord in (2, -2, "nuc"):
+            refuse()
+        return real_norm(x, ord, *args, **kwargs)
 
     for name in ("slogdet", "eigvals", "inv", "det", "svd"):
         monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np.linalg, "norm", norm)
     cfg = preset_config(preset)
     cfg.n_values, cfg.seeds, cfg.probe_grid = [40], [0, 1], {"nx": 4, "ny": 4}
     record = run(cfg, tmp_path)

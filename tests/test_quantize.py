@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -12,11 +10,9 @@ from toeplab.geometry import (
 )
 from toeplab.quantize import (
     bergman_dimension,
-    load_matrix,
     quantize_sphere,
     quantize_symbol,
     quantize_torus,
-    save_matrix,
     sphere_entries_quadrature,
 )
 from toeplab.randmat import operator_norm
@@ -212,92 +208,3 @@ class TestInvariants:
         T = quantize_symbol(f, N)
         assert np.trace(T.entries) == T.dim
 
-
-class TestPersistence:
-    def test_round_trip_bit_exact(self, tmp_path):
-        f = sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0}, corrections=((1, {(0, 0, 0): 0.5}),))
-        T = quantize_sphere(f, 23)
-        path = tmp_path / "m.tmat"
-        save_matrix(T, path)
-        loaded = load_matrix(path)
-        assert loaded.entries.tobytes() == T.entries.tobytes()
-        assert loaded.N == T.N and loaded.dim == T.dim
-        assert loaded.space.kind == T.space.kind
-        assert loaded.symbol == T.symbol
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.tmat"
-        path.write_bytes(b"not a matrix file")
-        with pytest.raises(ValueError, match="not a toeplab matrix"):
-            load_matrix(path)
-
-    @staticmethod
-    def _parts(tmp_path, N=16):
-        """(path, header fields, payload) of a freshly saved sphere matrix."""
-        path = tmp_path / f"m{N}.tmat"
-        save_matrix(quantize_sphere(sphere_symbol({(1, 0, 0): 1j}), N), path)
-        _, header, payload = path.read_bytes().split(b"\n", 2)
-        return path, json.loads(header), payload
-
-    @staticmethod
-    def _write(path, header, payload):
-        path.write_bytes(b"TOEPLABMAT1\n" + json.dumps(header).encode() + b"\n" + payload)
-
-    def test_truncated_payload(self, tmp_path):
-        path, header, payload = self._parts(tmp_path)
-        self._write(path, header, payload[:-100])
-        with pytest.raises(ValueError, match=r"m16\.tmat: truncated payload: .*needs 4624 bytes, file holds 4524"):
-            load_matrix(path)
-
-    def test_payload_size_disagrees_with_header_dim(self, tmp_path):
-        # header of the N=17 matrix (dim 18) in front of the N=16 payload (dim 17)
-        path, _, payload = self._parts(tmp_path, 16)
-        _, header, _ = self._parts(tmp_path, 17)
-        self._write(path, header, payload)
-        with pytest.raises(ValueError, match=r"m16\.tmat: .*header dim 18 needs 5184 bytes, file holds 4624"):
-            load_matrix(path)
-
-    @pytest.mark.parametrize("key, value, message", [
-        ("kind", "torus", r"header kind 'torus' differs from its symbol's 'sphere'"),
-        ("N", 20, r"header dim 17 is not the sphere dimension 21 of N = 20"),
-        ("N", 0, r"header N 0 is not a positive integer"),
-        ("N", "16", r"header N '16' is not a positive integer"),
-        ("N", 16.0, r"header N 16\.0 is not a positive integer"),
-        ("symbol", 5, r"header symbol 5 is not a symbol record"),
-        ("symbol", "sphere\n0 1 0", r"header symbol: malformed symbol record line: '0 1 0'"),
-        ("symbol", "disk\n0 1 0 0 1 0", r"header symbol: unknown symbol kind tag 'disk'"),
-        ("dim", "x", r"header dim 'x' is not a positive integer"),
-        ("dim", 17.0, r"header dim 17\.0 is not a positive integer"),
-    ], ids=["kind", "N-off-dim", "N-zero", "N-string", "N-float",
-            "symbol-number", "symbol-line", "symbol-kind", "dim-string", "dim-float"])
-    def test_header_disagrees_with_itself(self, tmp_path, key, value, message):
-        path, header, payload = self._parts(tmp_path)
-        header[key] = value
-        self._write(path, header, payload)
-        with pytest.raises(ValueError, match=rf"m16\.tmat: {message}"):
-            load_matrix(path)
-
-    def test_trailing_bytes(self, tmp_path):
-        path, header, payload = self._parts(tmp_path)
-        self._write(path, header, payload + bytes(16))
-        with pytest.raises(ValueError, match=r"m16\.tmat: trailing bytes .*needs 4624 bytes, file holds 4640"):
-            load_matrix(path)
-
-    @pytest.mark.parametrize("header, message", [
-        (b"{\"kind\": ", r"header is not JSON: "),
-        (b"\xff\xfe", r"header is not JSON: "),
-        (b"[1, 2]", r"header is not a JSON object"),
-    ], ids=["truncated-json", "not-utf8", "json-list"])
-    def test_header_that_is_not_a_json_object_names_the_file(self, tmp_path, header, message):
-        path, _, payload = self._parts(tmp_path)
-        path.write_bytes(b"TOEPLABMAT1\n" + header + b"\n" + payload)
-        with pytest.raises(ValueError, match=rf"m16\.tmat: {message}"):
-            load_matrix(path)
-
-    @pytest.mark.parametrize("key", ["kind", "N", "dim", "symbol"])
-    def test_header_missing_key(self, tmp_path, key):
-        path, header, payload = self._parts(tmp_path)
-        del header[key]
-        self._write(path, header, payload)
-        with pytest.raises(ValueError, match=rf"m16\.tmat: header lacks \['{key}'\]"):
-            load_matrix(path)
