@@ -9,6 +9,11 @@ gives ``slogdet``'s).
 ``ctypes`` releases the GIL for the whole call, where numpy's linalg gufuncs
 below dimension 500 and scipy's f2py wrappers hold it; no scipy is loaded.
 
+The cell eigensolve, :func:`hessenberg_eigvals`, is ``zgeev`` taken apart:
+``zgebal``, ``zgehrd`` and ``zhseqr`` called one by one on ``zgeev``'s own
+workspace, which returns ``np.linalg.eigvals``'s bits and keeps the balanced
+Hessenberg form that the potential's log-determinants are taken from.
+
 Where numpy's OpenBLAS lacks any of the routines (:func:`routines` is None,
 e.g. numpy built on Accelerate), every function takes the numpy or
 ``scipy.linalg`` call it replaces instead.  The pivots of the two
@@ -30,11 +35,18 @@ _I, _P, _C = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
 #: Argument types after LAPACKE's leading ``int matrix_layout``, per routine.
 #: A ``_work`` routine skips LAPACKE's NaN scan of its input (a full pass over
 #: a dense matrix, about a millisecond per call at dimension 640); the input
-#: is checked finite, or finite by construction, before it.  ``zgeev`` and
-#: ``zhbevd`` keep LAPACKE's workspace query, against which that scan is small.
+#: is checked finite, or finite by construction, before it.  ``zhbevd`` keeps
+#: LAPACKE's workspace query, against which that scan is small; ``zgeev_work``
+#: is called only for its workspace query.
 _SIGNATURES = {
-    # jobvl jobvr n a lda w vl ldvl vr ldvr
-    "zgeev": (_C, _C, _I, _P, _I, _P, _P, _I, _P, _I),
+    # jobvl jobvr n a lda w vl ldvl vr ldvr work lwork rwork
+    "zgeev_work": (_C, _C, _I, _P, _I, _P, _P, _I, _P, _I, _P, _I, _P),
+    # job n a lda ilo ihi scale
+    "zgebal_work": (_C, _I, _P, _I, _P, _P, _P),
+    # n ilo ihi a lda tau work lwork
+    "zgehrd_work": (_I, _I, _I, _P, _I, _P, _P, _I),
+    # job compz n ilo ihi h ldh w z ldz work lwork
+    "zhseqr_work": (_C, _C, _I, _I, _I, _P, _I, _P, _P, _I, _P, _I),
     # jobz m n a lda s u ldu vt ldvt
     "zgesdd": (_C, _I, _I, _P, _I, _P, _P, _I, _P, _I),
     # m n a lda ipiv
@@ -96,8 +108,8 @@ def _call(name: str, *args) -> int:
     """Call LAPACKE ``name`` column-major; returns LAPACK's ``info`` when it is not negative.
 
     A negative ``info`` (an illegal argument, a NaN that the input scan of
-    ``zgeev`` or ``zhbevd`` found, or -1010 when LAPACKE could not allocate
-    their workspace) raises ValueError, as scipy does for an illegal argument.
+    ``zhbevd`` found, or -1010 when LAPACKE could not allocate its
+    workspace) raises ValueError, as scipy does for an illegal argument.
     """
     info = routines()[name](_COL_MAJOR, *args)
     if info < 0:
@@ -137,24 +149,65 @@ def _rhs(b, n: int) -> np.ndarray:
     return x
 
 
-def eigvals(M: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a square matrix: the bits of ``np.linalg.eigvals(M)``, without the GIL.
+def hessenberg_eigvals(a: np.ndarray):
+    """Eigenvalues of a square matrix, reducing it in place, and its balanced Hessenberg form.
 
-    A complex128 ``M`` goes to the ``zgeev`` numpy calls (no eigenvectors) on
-    the Fortran-ordered copy numpy makes.  Other input takes
-    ``np.linalg.eigvals``.  Raises ``LinAlgError`` on an inf or nan entry and
-    when the QR algorithm does not converge, as numpy does.
+    ``a`` is a Fortran-ordered complex128 array, overwritten.  ``zgeev`` with
+    no vectors is ``zgebal('B')``, ``zgehrd`` and ``zhseqr('E', 'N')``, here
+    called one by one on ``zgeev``'s queried workspace, so the eigenvalues
+    are ``np.linalg.eigvals``'s bits (for a largest entry between about
+    1e-138 and 1e138, which ``zgeev`` does not rescale).  Before ``zhseqr``
+    overwrites ``H``, its nonzero part is copied by rows: ``rows[i]`` is row
+    ``i`` from column ``max(i - 1, 0)``, views of one buffer of about
+    ``n^2 / 2`` entries, and ``det(a - z) = det(H - z)``.  Returns
+    ``(eigenvalues, rows)``.  Without these routines the eigenvalues are
+    ``np.linalg.eigvals(a)`` and ``H`` comes from scipy's ``zgebal`` and
+    ``zgehrd`` (scipy wraps no ``zhseqr``).  Raises ``LinAlgError`` on an inf
+    or nan entry and when the QR algorithm does not converge, as numpy does.
     """
-    if routines() is None or M.dtype != np.complex128 or M.ndim != 2 or M.shape[0] != M.shape[1]:
-        return np.linalg.eigvals(M)
-    if not np.isfinite(M).all():
+    if a.dtype != np.complex128 or not a.flags.f_contiguous:
+        raise ValueError("hessenberg_eigvals reduces a Fortran-ordered complex128 array in place")
+    n = _square(a)
+    if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    a = np.array(M, order="F")
-    n = a.shape[0]
+    if routines() is None:
+        w = np.linalg.eigvals(a)
+        lapack = _scipy_linalg().lapack
+        a, lo, hi, _, _ = lapack.zgebal(a, scale=1, permute=1, overwrite_a=1)
+        a, _, _ = lapack.zgehrd(a, lo=lo, hi=hi, overwrite_a=1)
+        return w, _hessenberg_rows(a)
+    lda = max(n, 1)
+    query = np.zeros(1, dtype=np.complex128)
+    _call("zgeev_work", b"N", b"N", n, a.ctypes.data, lda, None, None, 1, None, 1,
+          query.ctypes.data, -1, None)
+    lwork = int(query[0].real)                  # LAPACKE's own reading of the query
+    bounds, scale = np.zeros(2, dtype=np.int64), np.empty(n)
+    _call("zgebal_work", b"B", n, a.ctypes.data, lda, bounds[:1].ctypes.data,
+          bounds[1:].ctypes.data, scale.ctypes.data)
+    work = np.empty(max(lwork, n + 1), dtype=np.complex128)
+    ilo, ihi = (int(b) for b in bounds)
+    _call("zgehrd_work", n, ilo, ihi, a.ctypes.data, lda, work.ctypes.data,
+          work[n:].ctypes.data, lwork - n)
+    rows = _hessenberg_rows(a)
     w = np.empty(n, dtype=np.complex128)
-    if _call("zgeev", b"N", b"N", n, a.ctypes.data, max(n, 1), w.ctypes.data, None, 1, None, 1):
+    if _call("zhseqr_work", b"E", b"N", n, ilo, ihi, a.ctypes.data, lda, w.ctypes.data,
+             None, 1, work.ctypes.data, lwork):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return w
+    return w, rows
+
+
+def _hessenberg_rows(h: np.ndarray) -> tuple:
+    """Rows of the upper Hessenberg part of ``h``, each from column ``max(i - 1, 0)``, in one buffer."""
+    n = h.shape[0]
+    starts = [max(i - 1, 0) for i in range(n)]
+    packed = np.empty(sum(n - s for s in starts), dtype=np.complex128)
+    rows, offset = [], 0
+    for i, s in enumerate(starts):
+        row = packed[offset:offset + n - s]
+        row[:] = h[i, s:]
+        rows.append(row)
+        offset += n - s
+    return tuple(rows)
 
 
 def singular_values(M: np.ndarray) -> np.ndarray:

@@ -451,9 +451,13 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray,
     values and the ``A``-dimensional small singular subspaces come from
     :func:`_small_subspaces`: a banded eigensolve and banded inverse
     iteration, with no dense SVD.
-    ``P + delta G - z`` is built in the bordered matrix's top-left block, so
-    concurrent probes stay lean.  A condition estimate above
-    ``CONDITION_GUARD`` adds a flag; the corner still comes from the LU.
+    Every dense matrix is factored where it is built, and one at a time:
+    route one's ``P + delta G - z`` in its own Fortran buffer, freed before
+    the bordered matrix exists, then the bordered matrix, whose 1-norm is
+    summed over column blocks.  So a probe holds one ``(dim + A)^2`` matrix
+    and O(dim A) beside ``G`` and ``T``, which it leaves unchanged.  A
+    condition estimate above ``CONDITION_GUARD`` adds a flag; the corner
+    still comes from the LU.
     ``assemble_grushin`` (the bordered matrix and its explicit ``inv``) is
     the slow reference route for this path.
     """
@@ -487,18 +491,25 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray,
         if warning:
             flags.append(warning)
 
-    # Fortran order lets lu_factor factor M in place instead of copying it
+    def shifted(out):                       # P + delta G - z, written into out
+        np.multiply(G, delta, out=out)
+        out += entries
+        out[np.diag_indices(dim)] -= complex(z)
+        return out
+
+    # Fortran order lets lu_factor factor each matrix in place instead of copying it
+    if A:                                   # A = 0: the bordered LU below is route one
+        route_one = shifted(np.empty((dim, dim), dtype=complex, order="F"))
+        log_direct = _lapack.lu_log_abs_det(_lapack.lu_factor(route_one)[0])
+        del route_one
     M = np.empty((dim + A, dim + A), dtype=complex, order="F")
-    shifted = M[:dim, :dim]
-    np.multiply(G, delta, out=shifted)
-    shifted += entries
-    shifted[np.diag_indices(dim)] -= complex(z)
+    shifted(M[:dim, :dim])
     M[:dim, dim:] = left
     M[dim:, :dim] = right_h
     M[dim:, dim:] = 0.0
-    log_direct = log_abs_det(shifted) if A else None    # A = 0: the LU below is route one
 
-    anorm = np.linalg.norm(M, 1)
+    # np.linalg.norm(M, 1)'s bits, without its (dim + A)^2 temporary of |M|
+    anorm = max(float(np.abs(M[:, j:j + 64]).sum(axis=0).max()) for j in range(0, dim + A, 64))
     lu, piv = _lapack.lu_factor(M)
     rcond = _lapack.rcond(lu, anorm)
     condition = 1.0 / rcond if rcond > 0.0 else float("inf")

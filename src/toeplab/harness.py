@@ -515,7 +515,7 @@ def _artifact_record(path: Path) -> dict:
 
 
 def _cell_noise(T: ToeplitzMatrix, seed: int):
-    """The cell's Ginibre matrix; every task of the cell draws the same one."""
+    """The cell's Ginibre matrix, in Fortran order; every task of the cell draws the same one."""
     return sample_ginibre(T.dim, derive_seed(seed, "cell", T.N))
 
 
@@ -524,13 +524,14 @@ def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
     T = setup.matrices[N]
     name = _cell_name((kind, N, seed))
     if kind == "unperturbed":
-        M = T.entries
+        M = np.array(T.entries, order="F")   # reduced in place below; T is shared by every task
     else:
         M = _cell_noise(T, seed)             # M = T + delta G, built over this task's G
         M *= setup.deltas[N]
         M += T.entries
 
-    lam = _lapack.eigvals(M)
+    lam, hessenberg = _lapack.hessenberg_eigvals(M)
+    del M                                   # overwritten; H's nonzero part is kept
     files = {
         "spectrum": _emit(setup.out, f"eig_{name}.csv", "re,im",
                           ((z.real, z.imag) for z in lam)),
@@ -542,7 +543,7 @@ def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
         return files, health
 
     seed_label = -1 if seed is None else seed
-    u_emp, kept, potential_health = potential_from_spectrum(M, lam, setup.probes)
+    u_emp, kept, potential_health = potential_from_spectrum(hessenberg, lam, setup.probes)
     rows = [(z.real, z.imag, N, seed_label, ue, ul,
              abs(ue - ul) if np.isfinite(ue) else float("nan"))
             for z, ue, ul in zip(setup.probes[kept], u_emp[kept], setup.u_lim[kept])]

@@ -6,9 +6,13 @@ volume-normalized integral of ``log|z - f0|``.  A run's potential stage
 evaluates both over the probe grid of every cell (``harness.run``).
 
 Over a probe grid the empirical potential is read off the cell's spectrum,
-``sum log|lambda_i - z| / dim``, with :func:`log_abs_det` on a few probes as an
-in-run cross-check (see :func:`potential_from_spectrum`).  The classical
-potential has one quadrature loop, :func:`limit_potential_many`;
+``sum log|lambda_i - z| / dim``, with a few probes cross-checked by the LU
+route: one partial-pivot LU of the balanced Hessenberg form ``H`` that the
+cell eigensolve leaves behind (``det(M - z) = det(H - z)``), O(dim^2) per
+probe (see :func:`potential_from_spectrum`).  A run takes no dense LU of
+``M - z``; :func:`log_abs_det` (one dense LU, ``slogdet``'s bits) serves the
+Grushin split and is the test oracle of the Hessenberg route.  The
+classical potential has one quadrature loop, :func:`limit_potential_many`;
 :func:`limit_potential` is that loop at one probe.
 """
 
@@ -27,12 +31,12 @@ from .geometry import (
 #: Probes closer than this to an eigenvalue are dropped from a realization.
 PROBE_EXCLUSION_RADIUS = 1e-4
 
-#: Largest gap between the eigenvalue and LU routes to the normalized
-#: potential that a cell may show on its cross-check probes before every probe
-#: of the cell falls back to the LU route.  Measured agreement is <= 4e-15 on
-#: perturbed cells and 3.5e-12 on the unperturbed N=50 torus cell; strongly
-#: non-normal matrices, whose computed eigenvalues are ill-conditioned, land
-#: far above it.
+#: Largest gap between the eigenvalue and Hessenberg-LU routes to the
+#: normalized potential that a cell may show on its cross-check probes before
+#: every probe of the cell falls back to the Hessenberg-LU route.  Measured
+#: agreement is <= 4e-15 on perturbed cells and 1.4e-12 on the unperturbed
+#: N=50 torus cell; strongly non-normal matrices, whose computed eigenvalues
+#: are ill-conditioned, land far above it.
 LOGDET_CHECK_BOUND = 1e-9
 
 
@@ -46,26 +50,64 @@ def log_abs_det(M: np.ndarray, z: complex = 0.0) -> float:
     return _lapack.lu_log_abs_det(_lapack.lu_factor(shifted)[0])
 
 
-def potential_from_spectrum(M: np.ndarray, lam, probes):
+def hessenberg_log_abs_dets(rows, probes) -> np.ndarray:
+    """log|det(H - z)| at each probe ``z``; -inf on a zero pivot.
+
+    ``H`` is upper Hessenberg, given by ``rows`` as
+    :func:`~toeplab._lapack.hessenberg_eigvals` packs it (row ``i`` from
+    column ``max(i - 1, 0)``).  One LU with partial pivoting serves every
+    probe at once: at step ``k`` only row ``k + 1`` has an entry in column
+    ``k``, so the two candidate rows are the working row and row ``k + 1`` of
+    ``H - z``.  The pivot's magnitude joins the sum, the other row less its
+    multiple of the pivot row becomes the next working row, and the U rows
+    are never stored: O(dim^2) work and O(dim) memory per probe.
+    """
+    probes = np.asarray(probes, dtype=complex)
+    n = len(rows)
+    if not len(probes):
+        return np.zeros(0)
+    work = np.tile(rows[0], (len(probes), 1))              # the working row, from column k
+    work[:, 0] -= probes
+    total = np.zeros(len(probes))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n - 1):
+            below = np.tile(rows[k + 1][1:], (len(probes), 1))   # row k + 1 from column k + 1
+            below[:, 0] -= probes
+            lead, sub = work[:, 0], rows[k + 1][0]
+            swap = abs(sub) > np.abs(lead)
+            pivot = np.where(swap, sub, lead)
+            multiplier = np.where(pivot == 0, 0, np.where(swap, lead, sub) / pivot)
+            total += np.log(np.abs(pivot))
+            swap = swap[:, None]
+            work = (np.where(swap, work[:, 1:], below)
+                    - multiplier[:, None] * np.where(swap, below, work[:, 1:]))
+        total += np.log(np.abs(work[:, 0]))
+    return total
+
+
+def potential_from_spectrum(rows, lam, probes):
     """Normalized ``log|det(M - z)| / dim`` over probes from the spectrum of M.
 
+    ``rows`` is the balanced Hessenberg form of ``M`` and ``lam`` its
+    eigenvalues, both from :func:`~toeplab._lapack.hessenberg_eigvals`.
     Returns ``(values, kept, health)``: ``values[i]`` is the potential at
     ``probes[i]`` (nan where the probe is dropped) and ``kept`` the mask of
     probes at least :data:`PROBE_EXCLUSION_RADIUS` from every eigenvalue.
 
-    The values are ``sum log|lambda_i - z| / dim`` over ``lam = eigvals(M)``.
-    :func:`log_abs_det` of ``M - z`` on the first, middle and last kept probe
+    The values are ``sum log|lambda_i - z| / dim``.
+    :func:`hessenberg_log_abs_dets` on the first, middle and last kept probe
     checks them; if the two routes differ by more than
     :data:`LOGDET_CHECK_BOUND`, every kept probe is recomputed by that LU
-    route, which may give -inf on an exactly singular shift.  ``health``
-    records ``probes_dropped``, the worst gap on the checked probes as
-    ``logdet_check_residual`` (0 when no probe is kept) and whether the cell
-    took the ``logdet_fallback``.
+    route, which may give -inf on an exactly singular shift.  The check
+    shares the balancing and the Hessenberg reduction with the eigenvalues;
+    it tests the QR stage and the log-sum, where an ill-conditioned spectrum
+    shows.  ``health`` records ``probes_dropped``, the worst gap on the
+    checked probes as ``logdet_check_residual`` (0 when no probe is kept)
+    and whether the cell took the ``logdet_fallback``.
     """
-    M = np.asarray(M)
     lam = np.asarray(lam)
     probes = np.asarray(probes, dtype=complex)
-    dim = M.shape[0]
+    dim = len(rows)
     dist = np.abs(probes[:, None] - lam[None, :])
     kept = dist.min(axis=1) >= PROBE_EXCLUSION_RADIUS
     with np.errstate(divide="ignore"):
@@ -74,13 +116,13 @@ def potential_from_spectrum(M: np.ndarray, lam, probes):
 
     idx = np.flatnonzero(kept)
     checks = np.unique(idx[[0, len(idx) // 2, -1]]) if len(idx) else idx
-    residual = max((abs(log_abs_det(M, probes[i]) / dim - values[i]) for i in checks), default=0.0)
+    gaps = np.abs(hessenberg_log_abs_dets(rows, probes[checks]) / dim - values[checks])
+    residual = float(np.max(gaps, initial=0.0))
     fallback = not residual <= LOGDET_CHECK_BOUND
     if fallback:
-        for i in idx:
-            values[i] = log_abs_det(M, probes[i]) / dim
+        values[idx] = hessenberg_log_abs_dets(rows, probes[idx]) / dim
     health = {"probes_dropped": len(probes) - len(idx),
-              "logdet_check_residual": float(residual), "logdet_fallback": fallback}
+              "logdet_check_residual": residual, "logdet_fallback": fallback}
     return values, kept, health
 
 

@@ -33,22 +33,29 @@ def derive_seed(*parts) -> int:
 
 
 def sample_ginibre(dim: int, seed: int) -> np.ndarray:
-    """Draw a dim x dim matrix of i.i.d. complex Gaussians (entry variance 1), deterministically."""
+    """Draw a dim x dim matrix of i.i.d. complex Gaussians (entry variance 1), deterministically.
+
+    The matrix is Fortran-ordered, so LAPACK can factor it, or ``T + delta G``
+    formed over it, in place.  Its entries are those of
+    ``sqrt(-log1p(-u1)) * exp(2j pi u2)`` for two row-major ``dim x dim``
+    uniform draws, bit for bit.
+    """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    u1 = rng.random((dim, dim))
-    u2 = rng.random((dim, dim))
-    # sqrt(-log1p(-u1)) * exp(2j pi u2), evaluated in place: same bits, and
-    # no dim x dim temporaries beyond the two uniforms and the result
-    radius = np.negative(u1, out=u1)
+    # evaluated in place, with u2 drawn in blocks of rows straight into the
+    # result: same bits, and no dim x dim array beyond u1 and the result
+    radius = rng.random((dim, dim))
+    np.negative(radius, out=radius)
     np.log1p(radius, out=radius)
     np.negative(radius, out=radius)
     np.sqrt(radius, out=radius)
-    entries = np.multiply(2j * np.pi, u2)
-    del u2
-    np.exp(entries, out=entries)
-    np.multiply(radius, entries, out=entries)
+    entries = np.empty((dim, dim), dtype=complex, order="F")
+    for i0 in range(0, dim, 32):
+        block = entries[i0:i0 + 32]
+        np.multiply(2j * np.pi, rng.random(block.shape), out=block)
+        np.exp(block, out=block)
+        np.multiply(radius[i0:i0 + 32], block, out=block)
     return entries
 
 

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import toeplab._lapack as _lapack
 from toeplab.cli import main as cli_main
 from toeplab.geometry import (
+    liouville_quadrature,
     make_phase_space,
     scottish_flag_symbol,
     sphere_symbol,
@@ -560,13 +562,21 @@ class TestRun:
         for cell in record.manifest["cells"].values():
             assert set(cell["files"]) == {"spectrum", "cdf", "potential", "diagnostics"}
 
-    def test_manifest_records_environment(self, done):
+    def test_manifest_records_environment(self, done, monkeypatch):
         import scipy
+
+        import toeplab.harness as hz
         _, record = done
         env = record.manifest["environment"]
         assert set(env) == {"numpy", "scipy", "blas", "blas_pinned", "blas_threads",
                             "lapack_route", "pool_size", "usable_cpus", "peak_rss_mb"}
-        assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+        assert env["numpy"] == np.__version__
+        # scipy's version when a module of the process has loaded it, else null;
+        # whether one had when ``done`` ran depends on the order of the tests
+        assert env["scipy"] in (None, scipy.__version__)
+        assert hz._environment(False, 1)["scipy"] == scipy.__version__
+        monkeypatch.delitem(sys.modules, "scipy")
+        assert hz._environment(False, 1)["scipy"] is None
         assert isinstance(env["blas"]["name"], str) and env["blas"]["name"]
         assert env["usable_cpus"] >= 1
         if env["blas_pinned"]:
@@ -730,7 +740,7 @@ class TestRun:
 
 
 class TestEigensolve:
-    """The cell eigensolve against ``np.linalg.eigvals``, its oracle."""
+    """The cell eigensolve, ``zgeev`` taken apart, against ``np.linalg.eigvals``, its oracle."""
 
     @staticmethod
     def _cell_matrix(preset: str, dim: int):
@@ -739,6 +749,10 @@ class TestEigensolve:
         N = dim - 1 if cfg.space == "sphere" else dim
         T = quantize_symbol(f, N)
         return T.entries + cfg.noise_size(N) * sample_ginibre(dim, derive_seed(0, "cell", N))
+
+    @staticmethod
+    def _reduce(M):
+        return _lapack.hessenberg_eigvals(np.array(M, order="F"))
 
     @pytest.mark.parametrize("kind, dim",
                              [("ginibre", d) for d in (1, 2, 31, 301, 497, 503, 601)]
@@ -751,24 +765,37 @@ class TestEigensolve:
         else:
             M = self._cell_matrix(kind, dim)
         with hz._pinned_blas():
-            got, want = _lapack.eigvals(M), np.linalg.eigvals(M)
+            (got, rows), want = self._reduce(M), np.linalg.eigvals(M)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert [len(r) for r in rows] == [dim - max(i - 1, 0) for i in range(dim)]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_nonfinite_entry_raises(self, bad):
         M = sample_ginibre(31, 3)
         M[4, 7] = bad
         with pytest.raises(np.linalg.LinAlgError):
-            _lapack.eigvals(M)
+            self._reduce(M)
+
+    def test_reduces_only_a_fortran_complex_array_in_place(self):
+        M = sample_ginibre(31, 3)
+        for bad in (np.ascontiguousarray(M), np.asfortranarray(M.real)):
+            with pytest.raises(ValueError):
+                _lapack.hessenberg_eigvals(bad)
 
     def test_numpy_fallback_returns_the_same_array(self, monkeypatch):
         import toeplab.harness as hz
+        from toeplab.potential import hessenberg_log_abs_dets
         M = self._cell_matrix("sphere-figure3", 301)
+        probes = [0.3 + 0.2j, -0.5, 1.5j]
         with hz._pinned_blas():
-            routed = _lapack.eigvals(M)
+            routed, routed_rows = self._reduce(M)
             monkeypatch.setattr(_lapack, "routines", lambda: None)
-            fallback = _lapack.eigvals(M)
+            fallback, fallback_rows = self._reduce(M)
         assert fallback.tobytes() == routed.tobytes()
+        # scipy balances and reduces without numpy's zgeev workspace: same
+        # determinants, not the same bits
+        np.testing.assert_allclose(hessenberg_log_abs_dets(fallback_rows, probes),
+                                   hessenberg_log_abs_dets(routed_rows, probes), rtol=0, atol=1e-11)
 
     def test_releases_the_gil(self, spin_ratio):
         """A spinning main thread keeps its pace while a dim-301 eigensolve runs beside it.
@@ -785,10 +812,60 @@ class TestEigensolve:
         ratios = []
         with hz._pinned_blas():
             for _ in range(3):
-                ratios.append(spin_ratio(lambda: _lapack.eigvals(G)))
+                ratios.append(spin_ratio(lambda: self._reduce(G)))
                 if ratios[-1] >= 0.3:
                     return
         pytest.fail(f"spinner kept only {ratios} of its sleeping rate")
+
+
+class TestCellMemory:
+    """The spectrum task factors its cell matrix in place and keeps the shared ones."""
+
+    @pytest.mark.skipif(_lapack.routines() is None, reason="the numpy fallback copies M")
+    def test_spectrum_task_peaks_at_one_and_a_half_cell_matrices(self, tmp_path):
+        import toeplab.harness as hz
+        from toeplab.potential import limit_potential_many
+        cfg = preset_config("sphere-figure3")
+        f = cfg.symbol_spec()
+        N, dim = 399, 400
+        grid = liouville_quadrature(f.space, 40)
+        probes = cfg.probe_points(f, f.space)
+        setup = hz._Setup(out=tmp_path, matrices={N: quantize_symbol(f, N)},
+                          deltas={N: cfg.noise_size(N)}, grid=grid, radii=cfg.radii_grid(),
+                          predicted=np.zeros(len(cfg.radii_grid())), probes=probes,
+                          u_lim=limit_potential_many(f, probes, grid), grushin_probes=[],
+                          rho=cfg.rho)
+        with hz._pinned_blas():
+            hz._spectrum_task(setup, "perturbed", N, 0)             # warm-up
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                _, health = hz._spectrum_task(setup, "perturbed", N, 0)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        assert not health["logdet_fallback"] and len(probes) == 144
+        # M (drawn, formed and reduced in one buffer), H's rows (dim^2 / 2)
+        # and |probe - lambda| (dim x probes); a second dim^2 array does not fit
+        assert peak <= 16 * (1.5 * dim * dim + dim * len(probes))
+
+    def test_run_leaves_the_shared_matrices_unchanged(self, tmp_path, monkeypatch):
+        import toeplab.harness as hz
+        built = []
+
+        def quantize(f, N):
+            T = quantize_symbol(f, N)
+            built.append((T, T.entries.copy()))
+            return T
+
+        monkeypatch.setattr(hz, "quantize_symbol", quantize)
+        # N = 24 is both an unperturbed cell and two perturbed cells' matrix
+        record = run(tiny_config(unperturbed_sizes=[24, 30]), out_dir=tmp_path)
+        assert not record.manifest["errors"]
+        assert "N24_unperturbed" in record.manifest["cells"]
+        assert sorted(T.N for T, _ in built) == [24, 30, 48]
+        for T, before in built:
+            assert T.entries.tobytes() == before.tobytes()
 
 
 def _csv_values(path: Path) -> np.ndarray:

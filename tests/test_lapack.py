@@ -6,16 +6,19 @@ log-determinant ``np.linalg.slogdet`` and the singular values
 ``np.linalg.svd``.
 """
 
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import toeplab._lapack as _lapack
-from toeplab.grushin import _banded_grams, _small_subspaces
+from toeplab.grushin import _banded_grams, _small_subspaces, b_diagnostics
 from toeplab.harness import _pinned_blas, _usable_cpus, preset_config, run
 from toeplab.potential import log_abs_det
 from toeplab.quantize import quantize_symbol
-from toeplab.randmat import derive_seed, operator_norm, sample_ginibre
+from toeplab.randmat import NormBound, derive_seed, operator_norm, sample_ginibre
 
 pytestmark = pytest.mark.skipif(_lapack.routines() is None,
                                 reason="numpy's OpenBLAS exports no LAPACKE here")
@@ -242,3 +245,49 @@ def test_foreign_factor_is_refused():
             _lapack.lu_solve(bad_lu, bad_piv, unit)
     with pytest.raises(ValueError):
         _lapack.lu_solve(lu, piv, unit[:-1])
+
+
+def _count_calls(monkeypatch) -> list:
+    """``(routine, order)`` of every LAPACKE call from now on, from any thread.
+
+    The order is the routine's first integer argument (``m``, ``n`` or a band's ``n``).
+    """
+    calls, lock, real = [], threading.Lock(), _lapack._call
+
+    def counting(name, *args):
+        with lock:
+            calls.append((name, next(a for a in args if isinstance(a, int))))
+        return real(name, *args)
+
+    monkeypatch.setattr(_lapack, "_call", counting)
+    return calls
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_a_spectrum_cell_takes_one_hessenberg_split_and_no_lu(preset, monkeypatch, tmp_path):
+    # zgeev's workspace query, then its three stages; the potential's
+    # log-determinants come from the Hessenberg form, so no zgetrf
+    cfg = preset_config(preset)
+    cfg.n_values, cfg.seeds, cfg.unperturbed_sizes = [40], [0, 1], [30]
+    calls = _count_calls(monkeypatch)
+    record = run(cfg, tmp_path, stages=("spectrum", "potential"))
+    assert not record.manifest["errors"] and len(record.manifest["cells"]) == 3
+    dims = [d + (cfg.space == "sphere") for d in (40, 40, 30)]
+    split = ("zgeev_work", "zgebal_work", "zgehrd_work", "zhseqr_work")
+    assert Counter(calls) == Counter((name, dim) for dim in dims for name in split)
+
+
+def test_a_grushin_probe_takes_one_lu_per_dense_matrix(monkeypatch):
+    # A >= 1: Schur route one (dim), the bordered matrix (dim + A), the corner (A)
+    cfg = preset_config("sphere-figure3")
+    T = quantize_symbol(cfg.symbol_spec(), 120)
+    G = sample_ginibre(T.dim, derive_seed(0, "cell", 120))
+    g_norm = NormBound(G)
+    calls = _count_calls(monkeypatch)
+    diag = b_diagnostics(T, 0.3 + 0.2j, cfg.rho, cfg.noise_size(120), G, g_norm=g_norm)
+    A = diag.n_small
+    assert A >= 1
+    lus = sorted(n for name, n in calls if name == "zgetrf_work")
+    assert lus == sorted([T.dim, T.dim + A, A])
+    assert {name for name, _ in calls} == {"zhbevd", "zgbtrf_work", "zgbtrs_work", "zgetrf_work",
+                                           "zgetrs_work", "zgecon_work"}

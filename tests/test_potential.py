@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import toeplab._lapack as _lapack
 from toeplab.geometry import (
     evaluate_symbol_grid,
     liouville_quadrature,
@@ -12,6 +13,7 @@ from toeplab.potential import (
     LOGDET_CHECK_BOUND,
     PROBE_EXCLUSION_RADIUS,
     default_probe_grid,
+    hessenberg_log_abs_dets,
     limit_potential,
     limit_potential_many,
     log_abs_det,
@@ -28,6 +30,11 @@ def slogdet_route(M, probes):
     """The per-probe LU oracle: log|det(M - z)| / dim by slogdet."""
     dim = M.shape[0]
     return np.array([log_abs_det(M - z * np.eye(dim)) / dim for z in probes])
+
+
+def spectrum(M):
+    """The eigenvalues and Hessenberg rows of M, as a run's spectrum task takes them."""
+    return _lapack.hessenberg_eigvals(np.array(M, dtype=complex, order="F"))
 
 
 class TestLogAbsDet:
@@ -57,7 +64,8 @@ class TestPotentialFromSpectrum:
         T = quantize_symbol(f, N)
         M = T.entries + delta * sample_ginibre(T.dim, 3)
         probes = default_probe_grid(f, 12, 12)
-        values, kept, health = potential_from_spectrum(M, np.linalg.eigvals(M), probes)
+        lam, rows = spectrum(M)
+        values, kept, health = potential_from_spectrum(rows, lam, probes)
         assert kept.all() and health["probes_dropped"] == 0
         assert not health["logdet_fallback"]
         assert health["logdet_check_residual"] <= self.ROUTE_TOL
@@ -72,29 +80,64 @@ class TestPotentialFromSpectrum:
         M = np.diag(np.ones(n - 1), 1).astype(complex)
         M[n - 1, 0] = corner
         probes = np.array([0.1, 0.01 + 0.005j, -0.03j])
-        lam = np.linalg.eigvals(M)
+        lam, rows = spectrum(M)
         exact = np.log(np.abs(probes**n - corner)) / n  # det(z - M) = z^n - corner
         eig_route = np.array([np.mean(np.log(np.abs(lam - z))) for z in probes])
         assert np.max(np.abs(eig_route - exact)) > 0.1
-        values, kept, health = potential_from_spectrum(M, lam, probes)
+        values, kept, health = potential_from_spectrum(rows, lam, probes)
         assert kept.all()
         assert health["logdet_fallback"]
         assert health["logdet_check_residual"] > LOGDET_CHECK_BOUND
-        np.testing.assert_array_equal(values, slogdet_route(M, probes))
+        np.testing.assert_allclose(values, slogdet_route(M, probes), rtol=0, atol=1e-14)
         np.testing.assert_allclose(values, exact, rtol=0, atol=1e-12)
 
     def test_kept_mask_matches_per_probe_rule(self):
         T = quantize_sphere(sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0}), 40)
         M = T.entries + sample_ginibre(41, 5) / 40
-        lam = np.linalg.eigvals(M)
+        lam, rows = spectrum(M)
         probes = np.concatenate([
             [lam[0], lam[1] + 0.5e-4, lam[2] + 1e-4j, lam[3] - 2e-4, lam[4] + 0.99e-4j],
             default_probe_grid(T.symbol, 6, 6),
         ])
-        _, kept, health = potential_from_spectrum(M, lam, probes)
+        _, kept, health = potential_from_spectrum(rows, lam, probes)
         expected = [not (np.min(np.abs(lam - z)) < PROBE_EXCLUSION_RADIUS) for z in probes]
         assert kept.tolist() == expected
         assert health["probes_dropped"] == expected.count(False) >= 3
+
+
+class TestHessenbergLogAbsDets:
+    """The O(dim^2) LU of ``H - z`` against :func:`log_abs_det` of ``M - z``, its oracle."""
+
+    # the unperturbed torus matrix is the non-normal one: 4.2e-14 measured there
+    @pytest.mark.parametrize("f, N, delta, tol", [
+        (sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0}), 120, 1.0 / 120, 1e-14),
+        (scottish_flag_symbol(), 120, 1.0 / 120, 1e-14),
+        (scottish_flag_symbol(), 50, 0.0, 1e-12),
+    ], ids=["sphere-perturbed", "torus-perturbed", "torus-unperturbed"])
+    def test_matches_the_dense_lu(self, f, N, delta, tol):
+        T = quantize_symbol(f, N)
+        M = T.entries + delta * sample_ginibre(T.dim, 8)
+        # not z = 0, where the unperturbed torus matrix has condition number 1e16
+        probes = np.concatenate([default_probe_grid(f, 4, 4), [0.3 + 0.2j]])
+        _, rows = spectrum(M)
+        got = hessenberg_log_abs_dets(rows, probes) / T.dim
+        np.testing.assert_allclose(got, slogdet_route(M, probes), rtol=0, atol=tol)
+
+    def test_each_probe_as_if_alone(self):
+        # one factorization for all probes, with its own pivots per probe
+        M = sample_ginibre(60, 4)
+        _, rows = spectrum(M)
+        probes = np.array([0.5, -1.0 + 2.0j, 3.0j, 0.0])
+        together = hessenberg_log_abs_dets(rows, probes)
+        alone = [hessenberg_log_abs_dets(rows, [z])[0] for z in probes]
+        assert together.tolist() == alone
+        assert hessenberg_log_abs_dets(rows, []).shape == (0,)
+
+    def test_exact_eigenvalue_gives_minus_infinity(self):
+        _, rows = spectrum(np.diag([1.0, 2.0, 3.0]) + np.diag([1.0, 1.0], 1))
+        got = hessenberg_log_abs_dets(rows, [2.0, 0.0, 5.0])
+        assert got[0] == -np.inf
+        np.testing.assert_allclose(got[1:], [np.log(6.0), np.log(24.0)], rtol=1e-15)
 
 
 class TestLimitPotential:

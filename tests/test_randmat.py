@@ -33,6 +33,16 @@ class TestGinibre:
         u1, u2 = rng.random((40, 40)), rng.random((40, 40))
         reference = np.sqrt(-np.log1p(-u1)) * np.exp(2j * np.pi * u2)
         got = sample_ginibre(40, 77)
+        assert got.flags.f_contiguous                  # so LAPACK factors it in place
+        assert np.array_equal(np.ascontiguousarray(got).view(np.uint64), reference.view(np.uint64))
+
+    @pytest.mark.parametrize("dim", [1, 31, 32, 33, 97])
+    def test_row_blocks_keep_the_reference_bits(self, dim):
+        # the second uniform draw is taken in blocks of 32 rows
+        rng = np.random.Generator(np.random.Philox(key=dim))
+        u1, u2 = rng.random((dim, dim)), rng.random((dim, dim))
+        reference = np.sqrt(-np.log1p(-u1)) * np.exp(2j * np.pi * u2)
+        got = np.ascontiguousarray(sample_ginibre(dim, dim))
         assert np.array_equal(got.view(np.uint64), reference.view(np.uint64))
 
     def test_moments_at_256(self):
