@@ -86,6 +86,7 @@ def _run_verb(args) -> int:
         return 0 if not record.manifest["errors"] else 1
 
     if args.verb == "kappa":
+        cfg.check_keys()                        # not validate: its gamma cap needs the kappa fitted here
         est = cfg.kappa_estimate()
         print(json.dumps({
             "kappa": est.kappa,

@@ -31,6 +31,7 @@ in any execution order.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import hashlib
 import json
@@ -41,13 +42,16 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, _lapack
 from .geometry import (
+    SPHERE,
+    TORUS,
     QuadratureGrid,
     RegularityEstimate,
     estimate_kappa,
@@ -70,36 +74,152 @@ class ConfigError(ValueError):
     """An experiment configuration failed validation."""
 
 
-@dataclass
-class ExperimentConfig:
-    """A validated experiment description (see README for the JSON schema)."""
+_REQUIRED = object()                    # the default of a key that a configuration must give
 
-    space: str
-    symbol: str                      # symbol record text
-    n_values: list
-    delta: dict                      # {"preset": "default"|"weyl"} or {"power": p}
-    epsilon: float = 0.25
-    rho: float = 0.2
-    gamma: float = 0.04
-    c_exponent: float = 0.5
-    seeds: list = field(default_factory=lambda: [0])
-    probe_grid: dict = field(default_factory=lambda: {"nx": 12, "ny": 12})
-    radii: dict = field(default_factory=lambda: {"count": 50, "max": 1.0})
-    grushin_probes: list = field(default_factory=lambda: [[0.3, 0.2]])
-    unperturbed_sizes: list = field(default_factory=list)
-    resolution: int = 200
-    kappa_hat: float | None = None
-    kappa_samples: int = 10**5
-    out_dir: str | None = None
+
+@dataclass(frozen=True)
+class _Key:
+    """One configuration key: its kind, bounds, default and meaning.
+
+    Every number of the value (itself, each list entry, each pair coordinate)
+    lies in the interval ``bounds``; a key whose default is null may be null.
+    An object with ``forms`` gives exactly one of those sets of its sub-keys;
+    one without reads an omitted sub-key from its default.
+    """
+
+    kind: str                           # a key of _KINDS
+    doc: str
+    default: object = _REQUIRED
+    bounds: str | None = None
+    choices: tuple = ()
+    nonempty: bool = False
+    keys: dict | None = None
+    forms: tuple = ()
+
+
+#: The Grushin split squares |z| (``_gram_band``), which overflows above sqrt(float max) = 1.3e154.
+_PROBE_BOUNDS = "[-1e150, 1e150]"
+
+#: Every configuration key in field order, required ones first: the one statement of its kind,
+#: bounds and default, read by the fields, ``from_mapping``, ``to_mapping`` and ``check_keys``.
+CONFIG_KEYS = {
+    "space": _Key("string", "phase space of the symbol", choices=(TORUS, SPHERE)),
+    "symbol": _Key("record", "symbol record text (geometry.symbol_to_record)"),
+    "n_values": _Key("integers", "sizes of the perturbed cells", bounds="[2, inf)", nonempty=True),
+    "delta": _Key("object", "noise size delta(N) = N^-p", forms=(("preset",), ("power",)), keys={
+        "preset": _Key("string", '"default": p = 1/2 + 2 epsilon; "weyl": p = 1', choices=("default", "weyl")),
+        "power": _Key("real", "p itself; a negative one would overflow N^-p", bounds="[0, inf)"),
+    }),
+    "epsilon": _Key("real", "admissibility window exponent", 0.25, bounds="(0, inf)"),
+    "rho": _Key("real", "cutoff exponent", 0.2, bounds="(0, 0.5)"),
+    "gamma": _Key("real", "target rate", 0.04, bounds="(0, inf)"),
+    "c_exponent": _Key("real", "lower noise window edge exp(-N^c)", 0.5, bounds="(0, 1)"),
+    "seeds": _Key("integers", "noise seeds (-1 labels unperturbed cells)", [0], bounds="[0, inf)", nonempty=True),
+    "probe_grid": _Key("object", "potential probes", {"nx": 12, "ny": 12}, forms=(("points",), ("nx", "ny")), keys={
+        "points": _Key("pairs", "explicit probes", bounds=_PROBE_BOUNDS),
+        "nx": _Key("integer", "grid columns over the symbol image's box", bounds="[1, inf)"),
+        "ny": _Key("integer", "grid rows", bounds="[1, inf)"),
+    }),
+    "radii": _Key("object", "disks |z| <= r, r in linspace(0, max, count)", {"count": 50, "max": 1.0}, keys={
+        "count": _Key("integer", "number of radii", bounds="[1, inf)"),
+        "max": _Key("real", "largest radius", bounds="[0, inf)"),
+    }),
+    "grushin_probes": _Key("pairs", "points z of the Grushin split", [[0.3, 0.2]], bounds=_PROBE_BOUNDS),
+    "unperturbed_sizes": _Key("integers", "sizes run without noise", [], bounds="[2, inf)"),
+    "resolution": _Key("integer", "quadrature resolution", 200, bounds="[2, inf)"),
+    "kappa_hat": _Key("real", "regularity exponent; estimated when null", None, bounds="(0, 1]"),
+    "kappa_samples": _Key("integer", "samples of the kappa fit", 10**5, bounds="[10000, inf)"),
+    "out_dir": _Key("string", "output directory", None),
+}
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+#: kind -> (test of a value, what a value must be); strict wherever ``run``
+#: would reinterpret a value (README, *Configuration schema*).
+_KINDS = {
+    "integer": (_is_integer, "an integer"),
+    "real": (_is_real, "a finite real number"),
+    "string": (lambda x: isinstance(x, str), "a string"),
+    "record": (lambda x: isinstance(x, str), "a symbol record string"),
+    "object": (lambda x: isinstance(x, dict), "a JSON object"),
+    "integers": (lambda x: isinstance(x, (list, tuple)), "a list"),
+    "pairs": (lambda x: isinstance(x, (list, tuple)), "a list"),
+}
+
+#: list kind -> (test of an entry, what the entries must be)
+_ENTRIES = {"integers": (_is_integer, "integers"),
+            "pairs": (lambda x: isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_is_real, x)),
+                      "[re, im] pairs of finite numbers")}
+
+
+def _within(bounds: str, x) -> bool:
+    """Whether the number ``x`` lies in the interval ``bounds``, such as ``"(0, 1]"``."""
+    low, high = (float(end) for end in bounds[1:-1].split(","))
+    return (low < x if bounds[0] == "(" else low <= x) and (x < high if bounds[-1] == ")" else x <= high)
+
+
+def _check(name: str, key: _Key, value) -> None:
+    """Raise ConfigError unless ``value`` has ``key``'s kind, entries, form and bounds."""
+    if value is None and key.default is None:
+        return
+    is_kind, kind_text = _KINDS[key.kind]
+    if not is_kind(value):
+        raise ConfigError(f"{name} must be {kind_text}{' or null' if key.default is None else ''}, "
+                          f"got {value!r}")
+    if key.choices and value not in key.choices:
+        raise ConfigError(f"{name} must be one of {list(key.choices)}, got {value!r}")
+    bounded = [value]
+    if key.kind in _ENTRIES:
+        is_entry, entries_text = _ENTRIES[key.kind]
+        if key.nonempty and not value:
+            raise ConfigError(f"{name} must be a nonempty list of {entries_text}, got {value!r}")
+        if not all(map(is_entry, value)):
+            raise ConfigError(f"{name} must be {entries_text}, got {value}")
+        if key.kind == "integers" and len(set(value)) != len(value):    # a cell would run twice
+            raise ConfigError(f"{name} has duplicate entries: {value}")
+        bounded = value if key.kind == "integers" else [x for pair in value for x in pair]
+    if key.kind == "object":
+        if set(value) - set(key.keys):
+            raise ConfigError(f"unknown {name} keys: {sorted(set(value) - set(key.keys))}")
+        if key.forms and set(value) not in [set(form) for form in key.forms]:   # run reads one form
+            wanted = ", ".join(form[0] if len(form) == 1 else "both " + " and ".join(form)
+                               for form in key.forms)
+            raise ConfigError(f"{name} must give exactly one of: {wanted}; got {value}")
+        for sub, sub_value in value.items():
+            _check(f"{name} {sub}", key.keys[sub], sub_value)
+    if key.bounds and not all(_within(key.bounds, x) for x in bounded):
+        raise ConfigError(f"{name} must lie in {key.bounds}, got {value}")
+
+
+def _table_fields(cls):
+    """Class decorator: a dataclass with one field per key of CONFIG_KEYS, in order, with its default."""
+    cls.__annotations__ = dict.fromkeys(CONFIG_KEYS, "typing.Any")
+    for name, key in CONFIG_KEYS.items():
+        if key.default is not _REQUIRED:        # each config gets its own copy of a list or dict
+            setattr(cls, name, field(default_factory=partial(copy.deepcopy, key.default))
+                    if isinstance(key.default, (list, dict)) else key.default)
+    return dataclass(cls)
+
+
+@_table_fields
+class ExperimentConfig:
+    """An experiment description: one field per key of :data:`CONFIG_KEYS` (see README)."""
 
     @classmethod
     def from_mapping(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError(f"a configuration must be a JSON object, got {data!r}")
-        unknown = set(data) - {fld.name for fld in fields(cls)}
+        unknown = set(data) - set(CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-        missing = {"space", "symbol", "n_values", "delta"} - set(data)
+        missing = {name for name, key in CONFIG_KEYS.items() if key.default is _REQUIRED} - set(data)
         if missing:
             raise ConfigError(f"missing configuration keys: {sorted(missing)}")
         return cls(**data)
@@ -114,18 +234,15 @@ class ExperimentConfig:
         return cls.from_mapping(data)
 
     def to_mapping(self) -> dict:
-        return {
-            "space": self.space, "symbol": self.symbol,
-            "n_values": [int(n) for n in self.n_values],
-            "unperturbed_sizes": [int(n) for n in self.unperturbed_sizes],
-            "delta": self.delta, "epsilon": self.epsilon, "rho": self.rho,
-            "gamma": self.gamma, "c_exponent": self.c_exponent,
-            "seeds": [int(s) for s in self.seeds],
-            "probe_grid": self.probe_grid, "radii": self.radii,
-            "grushin_probes": self.grushin_probes, "resolution": int(self.resolution),
-            "kappa_hat": self.kappa_hat, "kappa_samples": int(self.kappa_samples),
-            "out_dir": self.out_dir,
-        }
+        mapping = {}
+        for name, key in CONFIG_KEYS.items():
+            value = getattr(self, name)
+            if key.kind == "integer":           # int(): a numpy integer is not JSON
+                value = int(value)
+            elif key.kind == "integers":
+                value = [int(x) for x in value]
+            mapping[name] = value
+        return mapping
 
     def canonical_json(self) -> str:
         payload = self.to_mapping()
@@ -137,23 +254,13 @@ class ExperimentConfig:
 
     def noise_size(self, N: int) -> float:
         """delta(N) = N^-p: p = 1/2 + 2 epsilon for "default", 1 for "weyl", or the given power."""
-        if "preset" in self.delta:
-            name = self.delta["preset"]
-            if name == "default":
-                p = 0.5 + 2.0 * self.epsilon
-            elif name == "weyl":
-                p = 1.0
-            else:
-                raise ConfigError(f"unknown delta preset {name!r}")
-        elif "power" in self.delta:
+        if "power" in self.delta:
             p = float(self.delta["power"])
         else:
-            raise ConfigError(f"delta rule must give a preset or a power, got {self.delta}")
+            p = {"default": 0.5 + 2.0 * self.epsilon, "weyl": 1.0}[self.delta["preset"]]
         return float(N) ** -p
 
     def symbol_spec(self):
-        if not isinstance(self.symbol, str):
-            raise ConfigError(f"symbol must be a symbol record string, got {self.symbol!r}")
         try:
             f = symbol_from_record(self.symbol)
         except ValueError as exc:
@@ -163,7 +270,8 @@ class ExperimentConfig:
         return f
 
     def radii_grid(self) -> np.ndarray:
-        return np.linspace(0.0, float(self.radii.get("max", 1.0)), int(self.radii.get("count", 50)))
+        radii = {**CONFIG_KEYS["radii"].default, **self.radii}
+        return np.linspace(0.0, float(radii["max"]), int(radii["count"]))
 
     def probe_points(self, f, space) -> np.ndarray:
         """The potential probes of ``f``; ``space``, kept for callers such as the
@@ -185,86 +293,22 @@ class ExperimentConfig:
         return estimate_kappa(f, _kappa_probes(f), self.kappa_samples,
                               np.logspace(-3, -1, 7), seed=derive_seed("kappa", self.config_hash()))
 
+    def check_keys(self) -> None:
+        """Check each key on its own against :data:`CONFIG_KEYS`; raises ConfigError."""
+        for name, key in CONFIG_KEYS.items():
+            _check(name, key, getattr(self, name))
+
     def validate(self) -> dict:
-        """Hard-check the parameters; returns {kappa_hat, warnings}."""
-        for key in ("delta", "radii", "probe_grid"):
-            if not isinstance(getattr(self, key), dict):
-                raise ConfigError(f"{key} must be a JSON object, got {getattr(self, key)!r}")
-        # run iterates these; a string would iterate by characters
-        for key, values in (("n_values", self.n_values), ("seeds", self.seeds),
-                            ("unperturbed_sizes", self.unperturbed_sizes),
-                            ("grushin_probes", self.grushin_probes),
-                            ("probe_grid points", self.probe_grid.get("points", []))):
-            if not isinstance(values, (list, tuple)):
-                raise ConfigError(f"{key} must be a list, got {values!r}")
-        if not self.n_values:
-            raise ConfigError("n_values must be a nonempty list")
-        if not self.seeds:
-            raise ConfigError("seeds must be a nonempty list")
-        # run reads these with int(), which would truncate a float or a bool silently
-        for key, values in (("n_values", self.n_values), ("seeds", self.seeds),
-                            ("unperturbed_sizes", self.unperturbed_sizes),
-                            ("resolution", [self.resolution]),
-                            ("kappa_samples", [self.kappa_samples]),
-                            ("radii count", [self.radii.get("count", 50)]),
-                            ("probe_grid nx, ny", [self.probe_grid[k] for k in ("nx", "ny")
-                                                   if k in self.probe_grid])):
-            if not all(map(_is_integer, values)):
-                raise ConfigError(f"{key} must be integers, got {values}")
-        # float() would read a string or a bool, and a nan passes every window check
-        for key, value in (("epsilon", self.epsilon), ("rho", self.rho), ("gamma", self.gamma),
-                           ("c_exponent", self.c_exponent), ("radii max", self.radii.get("max", 1.0)),
-                           ("delta power", self.delta.get("power", 1.0)),
-                           ("kappa_hat", 1.0 if self.kappa_hat is None else self.kappa_hat)):
-            if not _is_real(value):
-                raise ConfigError(f"{key} must be a finite real number, got {value!r}")
-        if self.kappa_hat is not None and not 0.0 < self.kappa_hat <= 1.0:
-            raise ConfigError(f"kappa_hat must lie in (0, 1], got {self.kappa_hat}")
-        if any(seed < 0 for seed in self.seeds):    # -1 labels the unperturbed cells
-            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
-        if self.resolution < 2:
-            raise ConfigError(f"resolution must be >= 2, got {self.resolution}")
-        for key in ("n_values", "seeds", "unperturbed_sizes"):
-            values = getattr(self, key)
-            if len(set(values)) != len(values):
-                raise ConfigError(f"{key} has duplicate entries: {values}")
-        if any(N < 2 for N in self.n_values):
-            raise ConfigError(f"every size in n_values must be >= 2, got {self.n_values}")
-        if not (0.0 < self.c_exponent < 1.0):
-            raise ConfigError(f"c_exponent must lie in (0, 1), got {self.c_exponent}")
-        if self.epsilon <= 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if float(self.radii.get("max", 1.0)) < 0.0:
-            raise ConfigError(f"radii max must be nonnegative, got {self.radii}")
-        if self.radii.get("count", 50) < 1:
-            raise ConfigError(f"radii count must be positive, got {self.radii}")
-        if any(self.probe_grid.get(k, 1) < 1 for k in ("nx", "ny")):
-            raise ConfigError(f"probe_grid nx and ny must be >= 1, got {self.probe_grid}")
-        for key, allowed in (("delta", {"preset", "power"}), ("radii", {"count", "max"}),
-                             ("probe_grid", {"nx", "ny", "points"})):
-            unknown = set(getattr(self, key)) - allowed
-            if unknown:
-                raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
-        # run reads one form of each and would ignore the other
-        for key, forms, wanted in (("delta", ({"preset"}, {"power"}), "a preset, a power"),
-                                   ("probe_grid", ({"points"}, {"nx", "ny"}), "points, both nx and ny")):
-            if set(getattr(self, key)) not in forms:
-                raise ConfigError(f"{key} must give exactly one of: {wanted}; got {getattr(self, key)}")
-        for key, points in (("grushin_probes", self.grushin_probes),
-                            ("probe_grid points", self.probe_grid.get("points", []))):
-            if not all(_is_pair(p) for p in points):
-                raise ConfigError(f"every {key} entry must be an [re, im] pair, got {points}")
-        if self.kappa_samples < 10**4:
-            raise ConfigError(f"kappa_samples must be >= 10**4, got {self.kappa_samples}")
+        """Hard-check each key, then the rules between keys; returns {kappa_hat, warnings}."""
+        self.check_keys()
         for N in self.n_values:
             lower, upper = noise_window(N, self.epsilon, self.c_exponent)
             delta = self.noise_size(N)
             if not (lower < delta < upper):
                 raise ConfigError(f"delta(N={N}) = {delta:.3e} outside admissible window "
                                   f"({lower:.3e}, {upper:.3e})")
-        if not (0.0 < self.rho < min(0.5, self.epsilon)):
-            raise ConfigError(
-                f"rho={self.rho} outside (0, min(1/2, epsilon)) = (0, {min(0.5, self.epsilon)})")
+        if not self.rho < min(0.5, self.epsilon):
+            raise ConfigError(f"rho={self.rho} outside (0, min(1/2, epsilon)) = (0, {min(0.5, self.epsilon)})")
         f = self.symbol_spec()          # rejects a symbol of another space
         for key in ("n_values", "unperturbed_sizes"):
             for N in getattr(self, key):
@@ -276,7 +320,7 @@ class ExperimentConfig:
         if kappa is None:
             kappa = self.kappa_estimate().kappa
         gamma_cap = min(self.epsilon - self.rho, 2.0 * self.rho * kappa, 1.0 - 2.0 * self.rho)
-        if not (0.0 < self.gamma < gamma_cap):
+        if not self.gamma < gamma_cap:
             raise ConfigError(
                 f"gamma={self.gamma} outside (0, min(eps-rho, 2 rho kappa, 1-2 rho)) = (0, {gamma_cap:g})")
         # the kappa-dependent window can be empty at finite N; flag it
@@ -289,18 +333,6 @@ class ExperimentConfig:
                     f"N={N}: delta {delta:.3e} is below exp(-N^{c_paper:.3f}); "
                     "the kappa-derived window is empty at this size")
         return {"kappa_hat": float(kappa), "warnings": warnings}
-
-
-def _is_integer(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def _is_pair(point) -> bool:
-    return isinstance(point, (list, tuple)) and len(point) == 2 and all(map(_is_real, point))
 
 
 def _kappa_probes(f):
@@ -328,9 +360,7 @@ def preset_config(name: str, full_scale: bool = False) -> ExperimentConfig:
             n_values=[1000 if full_scale else 300],
             unperturbed_sizes=[50],
             delta={"preset": "weyl"},
-            seeds=[0],
             radii={"count": 50, "max": 2.0},
-            grushin_probes=[[0.3, 0.2]],
         )
     if name == "sphere-figure3":
         return ExperimentConfig(
@@ -339,8 +369,6 @@ def preset_config(name: str, full_scale: bool = False) -> ExperimentConfig:
             n_values=[2000 if full_scale else 300],
             delta={"preset": "weyl"},
             seeds=[0, 1, 2, 3, 4],
-            radii={"count": 50, "max": 1.0},
-            grushin_probes=[[0.3, 0.2]],
         )
     raise ConfigError(f"unknown preset {name!r}")
 
@@ -349,7 +377,6 @@ def acceptance_config() -> ExperimentConfig:
     """The configuration shared by the Weyl-law / potential / sign criteria."""
     cfg = preset_config("sphere-figure3")
     cfg.n_values = [100, 300]
-    cfg.probe_grid = {"nx": 12, "ny": 12}
     return cfg
 
 
@@ -782,10 +809,11 @@ def _manifest_problem(manifest) -> str | None:
     stages = manifest.get("stages", [])
     if not (isinstance(stages, list) and all(isinstance(stage, str) for stage in stages)):
         return f"stages must be a list of stage names, got {stages!r}"
-    for key in ("n_values", "seeds"):
-        values = manifest["config"].get(key)
-        if not (isinstance(values, list) and values and all(map(_is_integer, values))):
-            return f"config {key} must be a nonempty list of integers, got {values!r}"
+    for name in ("n_values", "seeds"):
+        try:
+            _check(name, CONFIG_KEYS[name], manifest["config"].get(name))
+        except ConfigError as exc:
+            return f"config {exc}"
     for name, cell in manifest["cells"].items():
         files = cell.get("files") if isinstance(cell, dict) else None
         if not isinstance(files, dict):

@@ -158,8 +158,18 @@ class TestConfig:
         ({"grushin_probes": 0.3}, "grushin_probes must be a list"),
         ({"probe_grid": {"points": 5}}, "probe_grid points must be a list"),
         # np.linspace would fail in set-up, before any manifest; nx = 0 would run no probes
-        ({"probe_grid": {"nx": -1, "ny": 4}}, "probe_grid nx and ny must be >= 1"),
-        ({"probe_grid": {"nx": 0, "ny": 4}}, "probe_grid nx and ny must be >= 1"),
+        ({"probe_grid": {"nx": -1, "ny": 4}}, "probe_grid nx must lie in"),
+        ({"probe_grid": {"nx": 0, "ny": 4}}, "probe_grid nx must lie in"),
+        ({"probe_grid": {"nx": 4, "ny": 0}}, "probe_grid ny must lie in"),
+        # the Grushin split squares |z|, which overflows to inf above 1.3e154
+        ({"grushin_probes": [[1e200, 0.0]]}, r"grushin_probes must lie in \[-1e150, 1e150\]"),
+        ({"probe_grid": {"points": [[0.0, -1e200]]}}, r"probe_grid points must lie in \[-1e150, 1e150\]"),
+        # N^-p would overflow (OverflowError); noise_size reads no other preset
+        ({"delta": {"power": -300.0}}, "delta power must lie in"),
+        ({"delta": {"preset": "uniform"}}, "delta preset must be one of"),
+        ({"space": "plane"}, "space must be one of"),
+        # run would fail in Path(out_dir) after validating
+        ({"out_dir": 5}, "out_dir must be a string or null"),
     ])
     def test_what_run_would_reinterpret_rejected(self, overrides, message):
         # run would silently read these otherwise, or fail inside a task
@@ -968,7 +978,7 @@ class TestCli:
         record = run(ExperimentConfig.from_json(cfg), out_dir=tmp_path / "out", stages=("spectrum",))
         assert kappa == record.manifest["kappa_hat"]
 
-    def test_config_errors_exit_2_with_one_line(self, tmp_path, capsys):
+    def test_config_errors_exit_2_with_one_line(self, tmp_path, capsys, monkeypatch):
         # a sphere symbol in the torus space, a config that is not an object, no file at all,
         # a symbol that is not a record, sizes that are not integers
         base = json.loads(self._write_config(tmp_path).read_text())
@@ -993,6 +1003,13 @@ class TestCli:
             ("kappa", edited("empty", symbol=""), "symbol: empty symbol record"),
             ("quantize", edited("sizes", n_values=[30.7, True]),
              "n_values must be integers, got [30.7, True]"),
+            # the kappa verb checks each key; its gamma cap is what the verb computes
+            ("kappa", edited("samples", kappa_samples="abc"), "kappa_samples must be an integer, got 'abc'"),
+            ("kappa", edited("few", kappa_samples=5000), "kappa_samples must lie in [10000, inf), got 5000"),
+            ("kappa", edited("string", n_values="x"), "n_values must be a list, got 'x'"),
+            ("kappa", edited("seeds", seeds=[0.5]), "seeds must be integers, got [0.5]"),
+            ("kappa", edited("rho", rho=0.9), "rho must lie in (0, 0.5), got 0.9"),
+            ("kappa", edited("delta", delta="weyl"), "delta must be a JSON object, got 'weyl'"),
         ]
         for i, (verb, path, message) in enumerate(cases):
             out = tmp_path / f"out_{i}"
@@ -1002,6 +1019,15 @@ class TestCli:
             assert captured.err.startswith("toeplab: ") and message in captured.err
             assert captured.err.count("\n") == 1, captured.err
             assert not out.exists()
+
+        # without --out, out_dir names the output directory (default runs/)
+        monkeypatch.chdir(tmp_path)
+        for i, value in enumerate([5, True, {"a": 1}, ["x"]]):
+            assert cli_main(["spectrum", "--config", str(edited(f"out_dir_{i}", out_dir=value))]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"toeplab: out_dir must be a string or null, got {value!r}\n"
+            assert not (tmp_path / "runs").exists()
 
     def test_requires_config_or_preset(self):
         with pytest.raises(SystemExit):
