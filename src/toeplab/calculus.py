@@ -60,9 +60,9 @@ def composition_residual(f: SymbolSpec, g: SymbolSpec, n_values) -> ResidualCurv
     fg = symbol_product(f, g)
     residuals = []
     for N in n_values:
-        Tf = quantize_symbol(f, int(N)).entries
-        Tg = quantize_symbol(g, int(N)).entries
-        Tfg = quantize_symbol(fg, int(N)).entries
+        Tf = quantize_symbol(f, int(N)).dense()
+        Tg = quantize_symbol(g, int(N)).dense()
+        Tfg = quantize_symbol(fg, int(N)).dense()
         residuals.append(operator_norm(Tf @ Tg - Tfg))
     return _fit_curve(n_values, residuals)
 
@@ -100,12 +100,12 @@ def functional_calculus_residual(f: SymbolSpec, chi: ScalarSurrogate, n_values) 
     chi_of_f = polynomial_of_symbol(chi.coefficients, f)
     residuals = []
     for N in n_values:
-        T = quantize_symbol(f, int(N)).entries
+        T = quantize_symbol(f, int(N)).dense()
         if not np.allclose(T, T.conj().T, atol=1e-12, rtol=0.0):
             raise ValueError(f"quantization at N={N} is not Hermitian")
         w, V = np.linalg.eigh(T)
         chi_T = (V * np.asarray([chi.fn(x) for x in w])) @ V.conj().T
-        T_chi = quantize_symbol(chi_of_f, int(N)).entries
+        T_chi = quantize_symbol(chi_of_f, int(N)).dense()
         residuals.append(operator_norm(chi_T - T_chi))
     return _fit_curve(n_values, residuals)
 
@@ -120,7 +120,7 @@ def trace_residual(f: SymbolSpec, n_values) -> ResidualCurve:
         T = quantize_symbol(f, N)
         integral = complex(np.dot(grid.weights, evaluate_symbol_grid(f, grid.points, N)))
         predicted = (N / (2.0 * np.pi)) ** d * integral
-        residuals.append(abs(complex(np.trace(T.entries)) - predicted))
+        residuals.append(abs(complex(np.trace(T.dense())) - predicted))
     return _fit_curve(n_values, residuals)
 
 
@@ -130,7 +130,7 @@ def norm_bound_check(f: SymbolSpec, n_values, tol: float = 1e-8):
     for N in n_values:
         N = int(N)
         T = quantize_symbol(f, N)
-        norm = operator_norm(T.entries)
+        norm = operator_norm(T.dense())
         bound = sup_abs(f, N=N)
         rows.append((N, norm, bound))
         if norm > bound + tol:

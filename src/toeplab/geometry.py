@@ -20,6 +20,7 @@ no function here or downstream takes a space beside a symbol.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -376,6 +377,8 @@ def symbol_from_record(record: str) -> SymbolSpec:
         order = int(parts[0])
         exps = tuple(int(p) for p in parts[1:1 + arity])
         c = complex(float(parts[1 + arity]), float(parts[2 + arity]))
+        if not cmath.isfinite(c):                # a nan or inf would poison every quantity of a run
+            raise ValueError(f"non-finite coefficient in symbol record line: {ln!r}")
         dst = orders.setdefault(order, {})
         dst[exps] = dst.get(exps, 0.0 + 0.0j) + c
     terms = orders.pop(0)

@@ -16,13 +16,15 @@ which splits the normalized log-determinant into a bulk part (b1), a
 perturbation shift (b2) and a small-singular-value part (b3).
 
 ``b_diagnostics`` is the fast route to the split.  It takes every ``P - z``
-as a band matrix, in its plain order or the interleaving
-``0, n-1, 1, n-2, ...``, whichever band is narrower: a sphere symbol of
-degree d gives band d, and a torus symbol of largest mode m a cyclic band
-m, which the interleaving turns into a plain band 2m.  The singular values
-come from a banded Hermitian eigensolve of ``(P - z)*(P - z)``, and the
-small singular subspaces from shifted inverse iteration on
-``(P - z)*(P - z)`` and ``(P - z)(P - z)*``; there is no dense SVD.  The
+as a band matrix, from the diagonals the quantization matrix holds, in the
+order of its :attr:`~toeplab.quantize.ToeplitzMatrix.band`: the plain one
+or the interleaving ``0, n-1, 1, n-2, ...``, whichever band is narrower.
+A sphere symbol of degree d gives band d, and a torus symbol of largest
+mode m a cyclic band m, which the interleaving turns into a plain band 2m.
+The singular values come from a banded Hermitian eigensolve of
+``(P - z)*(P - z)``, and the small singular subspaces from shifted inverse
+iteration on ``(P - z)*(P - z)`` and ``(P - z)(P - z)*``; there is no
+dense SVD.  The
 Neumann test takes ``||G||`` as a Cholesky-certified upper bound
 (:class:`~toeplab.randmat.NormBound`) and computes the exact norm only when
 the bound cannot rule the warning out.  The corner block always comes from
@@ -49,7 +51,7 @@ import numpy as np
 from . import _lapack
 from .geometry import QuadratureGrid, SymbolSpec
 from .potential import limit_potential, log_abs_det
-from .quantize import quantize_symbol
+from .quantize import ToeplitzMatrix, quantize_symbol
 from .randmat import NormBound
 
 #: ``b_diagnostics`` flags a probe whose bordered-LU condition estimate exceeds
@@ -115,41 +117,26 @@ def _params_of_values(N: int, rho: float, values: np.ndarray) -> GrushinParams:
     return GrushinParams(rho=float(rho), alpha=alpha, n_small=n_small)
 
 
-def _banded_grams(P: np.ndarray, z: complex):
-    """Lower band storage of ``B*B`` and ``B B*`` for ``B = P - z``.
+def _banded_grams(T: ToeplitzMatrix, z: complex):
+    """Lower band storage of ``B*B`` and ``B B*`` for ``B = T - z``.
 
     Returns ``(right, left, perm)``: the two Gram bands of ``B`` with rows and
-    columns taken in the order ``perm``.  ``perm`` is the interleaving
-    ``0, n-1, 1, n-2, ...`` when it gives a narrower band than the plain
-    order, else None: a cyclic band of width m (the torus quantizes a
-    trigonometric polynomial of largest mode m to one) becomes a plain band
-    of width 2m under it.  Every matrix has a band (a dense one reaches
+    columns taken in the order of ``T.band`` (``perm`` is its interleaving, or
+    None for the plain order).  Every matrix has a band (a dense one reaches
     ``n - 1`` diagonals each way), and the Gram bands keep at most ``n - 1``
     subdiagonals.
     """
-    n = P.shape[0]
-    rows, cols = np.nonzero(P)
-    entries = P[rows, cols]
-    perm = np.empty(n, dtype=np.intp)
-    perm[0::2] = np.arange((n + 1) // 2)
-    perm[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
-    position = np.empty(n, dtype=np.intp)
-    position[perm] = np.arange(n)
-    # lo + hi, the band's width, is the spread of the offsets col - row and 0
-    if np.ptp(np.r_[0, position[cols] - position[rows]]) < np.ptp(np.r_[0, cols - rows]):
-        rows, cols = position[rows], position[cols]
-    else:
-        perm = None
+    band, n = T.band, T.dim
+    lo, hi, rows, cols = band.lo, band.hi, band.rows, band.cols
     offsets = cols - rows
-    lo, hi = max(0, -int(np.min(offsets, initial=0))), max(0, int(np.max(offsets, initial=0)))
     # diagonals, row-indexed: diags[lo + k, r] = B[r, r + k], and the same for B*
     diags = np.zeros((lo + hi + 1, n), dtype=complex)
-    diags[lo + offsets, rows] = entries
+    diags[lo + offsets, rows] = band.values
     diags[lo] -= complex(z)
     adjoint = np.zeros_like(diags)
-    adjoint[hi - offsets, cols] = entries.conj()
+    adjoint[hi - offsets, cols] = band.values.conj()
     adjoint[hi] -= complex(z).conjugate()
-    return _gram_band(diags, lo, hi), _gram_band(adjoint, hi, lo), perm
+    return _gram_band(diags, lo, hi), _gram_band(adjoint, hi, lo), band.perm
 
 
 def _gram_band(diags: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -221,23 +208,23 @@ def _smallest_eigenvectors(band: np.ndarray, eigenvalues: np.ndarray, A: int):
     return basis, float(np.max(np.linalg.norm(image @ rotation - basis * theta, axis=0)))
 
 
-def _small_subspaces(P: np.ndarray, z: complex, N: int, rho: float):
-    """Singular values of ``P - z``, the cutoff, and bases of its small singular subspaces.
+def _small_subspaces(T: ToeplitzMatrix, z: complex, rho: float):
+    """Singular values of ``T - z``, the cutoff, and bases of its small singular subspaces.
 
     Returns ``(values, params, left, right_h, residual)``: the ascending
-    singular values, :class:`GrushinParams` for ``(N, rho)``, the columns
+    singular values, :class:`GrushinParams` for ``(T.N, rho)``, the columns
     ``f_1..f_A``, the rows ``e_1*..e_A*`` and the worst residual
-    ``||B*B v - lambda v||`` (``B = P - z``) over both bases, with ``B B*``
+    ``||B*B v - lambda v||`` (``B = T - z``) over both bases, with ``B B*``
     for the left one.  The values come from a banded Hermitian eigensolve of
     ``B*B`` (LAPACK ``zhbevd``) on the band of :func:`_banded_grams`, and
     both bases from shifted inverse iteration on ``B*B`` and ``B B*``.  The
     two bases span the singular subspaces but are not paired vector by
     vector, which changes no ``|det|`` of the split.
     """
-    right_gram, left_gram, perm = _banded_grams(P, z)
+    right_gram, left_gram, perm = _banded_grams(T, z)
     squares = _lapack.eigvalsh_banded(right_gram)
     values = np.sqrt(np.clip(squares, 0.0, None))
-    params = _params_of_values(N, rho, values)
+    params = _params_of_values(T.N, rho, values)
     A = params.n_small
     right, right_residual = _smallest_eigenvectors(right_gram, squares, A)
     left, left_residual = _smallest_eigenvectors(left_gram, squares, A)
@@ -454,19 +441,19 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray,
     Every dense matrix is factored where it is built, and one at a time:
     route one's ``P + delta G - z`` in its own Fortran buffer, freed before
     the bordered matrix exists, then the bordered matrix, whose 1-norm is
-    summed over column blocks.  So a probe holds one ``(dim + A)^2`` matrix
-    and O(dim A) beside ``G`` and ``T``, which it leaves unchanged.  A
+    summed over column blocks.  Both take ``P`` from its diagonals, so a
+    probe holds one ``(dim + A)^2`` matrix and O(dim A) beside ``G`` and the
+    diagonals of ``T``, which it leaves unchanged.  A
     condition estimate above ``CONDITION_GUARD`` adds a flag; the corner
     still comes from the LU.
     ``assemble_grushin`` (the bordered matrix and its explicit ``inv``) is
     the slow reference route for this path.
     """
-    entries = T.entries
-    dim = entries.shape[0]
+    dim = T.dim
     flags = []
 
     # columns f_1..f_A, rows e_1*..e_A*
-    values, params, left, right_h, subspace_residual = _small_subspaces(entries, z, T.N, rho)
+    values, params, left, right_h, subspace_residual = _small_subspaces(T, z, rho)
     A = params.n_small
     cutoff_gap = float(np.min(np.abs(values**2 - params.alpha))) / params.alpha
     if A == dim:
@@ -493,7 +480,7 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray,
 
     def shifted(out):                       # P + delta G - z, written into out
         np.multiply(G, delta, out=out)
-        out += entries
+        T.add_to(out)                       # P's diagonals, not a dense dim^2 add
         out[np.diag_indices(dim)] -= complex(z)
         return out
 
@@ -560,7 +547,7 @@ def small_eigen_count_scan(f: SymbolSpec, z: complex, rho: float, n_values) -> C
     counts = []
     for N in n_values:
         N = int(N)
-        _, params, _, _, _ = _small_subspaces(quantize_symbol(f, N).entries, z, N, rho)
+        _, params, _, _, _ = _small_subspaces(quantize_symbol(f, N), z, rho)
         counts.append(params.n_small)
     ns = np.asarray([int(N) for N in n_values], dtype=float)
     cs = np.asarray(counts, dtype=float)

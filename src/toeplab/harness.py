@@ -173,6 +173,8 @@ def _check(name: str, key: _Key, value) -> None:
     if not is_kind(value):
         raise ConfigError(f"{name} must be {kind_text}{' or null' if key.default is None else ''}, "
                           f"got {value!r}")
+    if isinstance(value, str) and "\0" in value:     # no path, record or name holds one
+        raise ConfigError(f"{name} must not hold a NUL byte, got {value!r}")
     if key.choices and value not in key.choices:
         raise ConfigError(f"{name} must be one of {list(key.choices)}, got {value!r}")
     bounded = [value]
@@ -290,8 +292,12 @@ class ExperimentConfig:
         ``kappa`` verb of one configuration fit the same samples.
         """
         f = self.symbol_spec()
-        return estimate_kappa(f, _kappa_probes(f), self.kappa_samples,
-                              np.logspace(-3, -1, 7), seed=derive_seed("kappa", self.config_hash()))
+        try:
+            return estimate_kappa(f, _kappa_probes(f), self.kappa_samples,
+                                  np.logspace(-3, -1, 7), seed=derive_seed("kappa", self.config_hash()))
+        except ValueError as exc:               # a constant symbol has no sublevel sets to fit
+            raise ConfigError(f"kappa_hat is null and the kappa fit failed ({exc}); "
+                              "give kappa_hat in the configuration") from None
 
     def check_keys(self) -> None:
         """Check each key on its own against :data:`CONFIG_KEYS`; raises ConfigError."""
@@ -509,8 +515,8 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     matrices = {}
     if "matrix" in stages:
         for N, T in setup.matrices.items():
-            path = _atomic_write(out / f"mat_N{N}.npy",
-                                 lambda fh: np.save(fh, T.entries, allow_pickle=False))
+            path = _atomic_write(out / f"mat_N{N}.npy",    # one dense matrix at a time
+                                 lambda fh: np.save(fh, T.dense(), allow_pickle=False))
             matrices[f"N{N}"] = _artifact_record(path)
 
     manifest = {
@@ -521,7 +527,10 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
         "kappa_hat": validation["kappa_hat"],
         "warnings": validation["warnings"],
         "wall_clock_s": time.time() - t_start,
-        "environment": _environment(pinned, pool_size),
+        "environment": {**_environment(pinned, pool_size), "bands": {
+            f"N{N}": {"diagonals": len(T.diagonals), "lo": T.band.lo, "hi": T.band.hi,
+                      "interleaved": T.band.perm is not None}
+            for N, T in setup.matrices.items()}},
         "stages": [stage for stage in _ALL_STAGES if stage in stages],
         "cells": {
             name: {"files": {k: _artifact_record(p) for k, p in cell_files[name].items()},
@@ -550,12 +559,13 @@ def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
     """Spectrum stage of one cell, plus its potential when that stage is selected."""
     T = setup.matrices[N]
     name = _cell_name((kind, N, seed))
+    # M is reduced in place below; T, shared by every task, lends only its diagonals
     if kind == "unperturbed":
-        M = np.array(T.entries, order="F")   # reduced in place below; T is shared by every task
+        M = T.copy_to(np.zeros((T.dim, T.dim), dtype=complex, order="F"))
     else:
         M = _cell_noise(T, seed)             # M = T + delta G, built over this task's G
         M *= setup.deltas[N]
-        M += T.entries
+        T.add_to(M)
 
     lam, hessenberg = _lapack.hessenberg_eigvals(M)
     del M                                   # overwritten; H's nonzero part is kept

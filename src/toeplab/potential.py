@@ -9,9 +9,11 @@ Over a probe grid the empirical potential is read off the cell's spectrum,
 ``sum log|lambda_i - z| / dim``, with a few probes cross-checked by the LU
 route: one partial-pivot LU of the balanced Hessenberg form ``H`` that the
 cell eigensolve leaves behind (``det(M - z) = det(H - z)``), O(dim^2) per
-probe (see :func:`potential_from_spectrum`).  A run takes no dense LU of
-``M - z``; :func:`log_abs_det` (one dense LU, ``slogdet``'s bits) serves the
-Grushin split and is the test oracle of the Hessenberg route.  The
+probe (see :func:`potential_from_spectrum`).  The potential stage takes no
+dense LU of ``M - z``.  :func:`log_abs_det` (one dense LU, ``slogdet``'s
+bits) is the test oracle of the Hessenberg route and serves the Grushin
+split, whose route one is a dense LU of ``M - z`` at every probe with
+``A >= 1`` (``grushin.b_diagnostics``).  The
 classical potential has one quadrature loop, :func:`limit_potential_many`;
 :func:`limit_potential` is that loop at one probe.
 """

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,12 +39,39 @@ from .geometry import SPHERE, TORUS, PhaseSpace, SymbolSpec
 
 
 @dataclass(frozen=True)
+class Band:
+    """A matrix's nonzero entries, in the row and column order of its narrower band.
+
+    ``perm`` is the interleaving ``0, n-1, 1, n-2, ...`` when it gives a
+    narrower band than the plain order, else None: a cyclic band of width m
+    (the torus quantizes a trigonometric polynomial of largest mode m to one)
+    becomes a plain band of width 2m under it.  ``rows`` and ``cols`` are the
+    entries' positions in that order, and the band spans ``lo`` subdiagonals
+    and ``hi`` superdiagonals, the main diagonal always included.
+    """
+
+    lo: int
+    hi: int
+    perm: np.ndarray | None
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
+@dataclass(frozen=True)
 class ToeplitzMatrix:
-    """A dense quantization matrix with its provenance; its symbol fixes its phase space."""
+    """A quantization matrix held as its nonzero diagonals; its symbol fixes its phase space.
+
+    ``diagonals`` maps a shift ``s`` to the entries ``T[c + s, c]`` over the
+    columns ``c`` where ``0 <= c + s < dim`` (sphere), or ``T[(c + s) mod N,
+    c]`` over every column (torus: the cyclic shifts of the clock and shift
+    rule), and holds only diagonals with a nonzero entry.  :meth:`dense`
+    builds the matrix itself.
+    """
 
     N: int
-    entries: np.ndarray
     symbol: SymbolSpec
+    diagonals: dict
 
     @property
     def space(self) -> PhaseSpace:
@@ -51,7 +79,55 @@ class ToeplitzMatrix:
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return bergman_dimension(self.space, self.N)
+
+    def coordinates(self, shift: int):
+        """Row and column indices of the diagonal ``shift``, in the order of its entries."""
+        dim = self.dim
+        if self.symbol.kind == TORUS:
+            cols = np.arange(dim)
+            return (cols + shift) % dim, cols
+        cols = np.arange(max(0, -shift), min(dim, dim - shift))
+        return cols + shift, cols
+
+    def add_to(self, out: np.ndarray) -> np.ndarray:
+        """``out += T``, diagonal by diagonal, for a ``dim x dim`` array (or view) ``out``."""
+        for shift, values in self.diagonals.items():
+            out[self.coordinates(shift)] += values
+        return out
+
+    def copy_to(self, out: np.ndarray) -> np.ndarray:
+        """Write the stored entries into ``out``, leaving its other entries as they are."""
+        for shift, values in self.diagonals.items():
+            out[self.coordinates(shift)] = values
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The ``dim x dim`` matrix; of a run, only the ``matrix`` stage builds it."""
+        return self.copy_to(np.zeros((self.dim, self.dim), dtype=complex))
+
+    @cached_property
+    def band(self) -> Band:
+        """The nonzero entries in the order of the narrower band (see :class:`Band`)."""
+        n = self.dim
+        index = [self.coordinates(shift) for shift in self.diagonals] or [(np.empty(0, np.intp),) * 2]
+        rows, cols = np.concatenate([r for r, _ in index]), np.concatenate([c for _, c in index])
+        values = np.concatenate([*self.diagonals.values(), np.empty(0, dtype=complex)])
+        nonzero = values != 0
+        rows, cols, values = rows[nonzero], cols[nonzero], values[nonzero]
+        perm = np.empty(n, dtype=np.intp)
+        perm[0::2] = np.arange((n + 1) // 2)
+        perm[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+        position = np.empty(n, dtype=np.intp)
+        position[perm] = np.arange(n)
+        # lo + hi, the band's width, is the spread of the offsets col - row and 0
+        if np.ptp(np.r_[0, position[cols] - position[rows]]) < np.ptp(np.r_[0, cols - rows]):
+            rows, cols = position[rows], position[cols]
+        else:
+            perm = None
+        offsets = cols - rows
+        lo, hi = max(0, -int(np.min(offsets, initial=0))), max(0, int(np.max(offsets, initial=0)))
+        return Band(lo, hi, perm, rows, cols, values)
 
 
 def bergman_dimension(space: PhaseSpace, N: int) -> int:
@@ -93,15 +169,26 @@ def quantize_torus(f: SymbolSpec, N: int) -> ToeplitzMatrix:
     if f.kind != TORUS:
         raise ValueError("quantize_torus requires a torus symbol")
     check_size(f, N)
-    T = np.zeros((N, N), dtype=complex)
+    diagonals: dict = {}
     diag = np.exp(2j * np.pi * np.arange(1, N + 1) / N)  # clock entries, k = 1..N
     cols = np.arange(N)
     for order, terms in [(0, f.terms)] + list(f.corrections):
         scale = float(N) ** (-order)
         for (m, n), c in terms.items():
             rows = (cols + n) % N  # shift part; clock part acts on the row index
-            T[rows, cols] += scale * c * np.exp(-1j * np.pi * m * n / N) * diag[rows]**m
-    return ToeplitzMatrix(int(N), T, f)
+            diagonal = diagonals.setdefault(n % N, np.zeros(N, dtype=complex))
+            diagonal += scale * c * np.exp(-1j * np.pi * m * n / N) * diag[rows]**m
+    return _toeplitz(N, f, diagonals)
+
+
+def _toeplitz(N: int, f: SymbolSpec, diagonals: dict) -> ToeplitzMatrix:
+    """The matrix of the diagonals that hold a nonzero entry, in ascending shift order.
+
+    A diagonal can cancel exactly: ``i x1 + x2`` on the sphere puts ``i v - i v``
+    on its superdiagonal, and a run must see a band of 1, not 2.
+    """
+    kept = {shift: diagonals[shift] for shift in sorted(diagonals) if np.any(diagonals[shift])}
+    return ToeplitzMatrix(int(N), f, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +275,7 @@ def quantize_sphere(f: SymbolSpec, N: int) -> ToeplitzMatrix:
         raise ValueError("quantize_sphere requires a sphere (polynomial) symbol")
     check_size(f, N)
     dim = N + 1
-    T = np.zeros((dim, dim), dtype=complex)
+    diagonals: dict = {}
     k = np.arange(dim)
     log_fact = _log_factorials(N + f.total_degree() + 1)
     log_norm = _log_beta(k, N, log_fact)  # log ||z^k||^2 / (2 pi)
@@ -201,8 +288,9 @@ def quantize_sphere(f: SymbolSpec, N: int) -> ToeplitzMatrix:
                 kk = np.arange(lo, hi)
                 ll = kk + p - q
                 vals = np.exp(_log_beta(kk + p, M, log_fact) - 0.5 * (log_norm[kk] + log_norm[ll]))
-                T[ll, kk] += scale * coeff * cpq * vals
-    return ToeplitzMatrix(int(N), T, f)
+                diagonal = diagonals.setdefault(p - q, np.zeros(hi - lo, dtype=complex))
+                diagonal += scale * coeff * cpq * vals
+    return _toeplitz(N, f, diagonals)
 
 
 def sphere_entries_quadrature(f: SymbolSpec, N: int, resolution: int | None = None) -> np.ndarray:

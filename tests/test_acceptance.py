@@ -75,7 +75,7 @@ def read_csv(path):
 def test_criterion_01_crossed_cosines_matrix():
     worst = 0.0
     for N in (8, 50):
-        T = quantize_torus(scottish_flag_symbol(), N).entries
+        T = quantize_torus(scottish_flag_symbol(), N).dense()
         expected = np.diag(np.cos(2 * np.pi * np.arange(1, N + 1) / N)).astype(complex)
         idx = np.arange(N - 1)
         expected[idx, idx + 1] = 0.5j
@@ -121,7 +121,7 @@ def test_criterion_03_reference_figure_scale():
     N = 2000
     T = quantize_sphere(PROJECTION, N)
     G = sample_ginibre(T.dim, 424242)
-    lam = np.linalg.eigvals(T.entries + (1.0 / N) * G)
+    lam = np.linalg.eigvals(T.dense() + (1.0 / N) * G)
     radii = np.linspace(0.0, 1.0, 50)
     closed = 1.0 - np.sqrt(np.clip(1.0 - radii**2, 0.0, None))
     emp = (np.abs(lam)[None, :] <= radii[:, None]).mean(axis=1)

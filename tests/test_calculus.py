@@ -56,8 +56,8 @@ class TestParametrix:
         inv = sphere_symbol({(0, 0, j): surrogate.coefficients[j]
                              for j in range(len(surrogate.coefficients))})
         N = 100
-        Tf = quantize_symbol(f, N).entries
-        Tg = quantize_symbol(inv, N).entries
+        Tf = quantize_symbol(f, N).dense()
+        Tg = quantize_symbol(inv, N).dense()
         direct = np.linalg.inv(Tf)
         assert operator_norm(direct - Tg) <= surrogate.sup_error + 5.0 / N
 

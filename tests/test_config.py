@@ -142,6 +142,35 @@ def _cwd(path):
         os.chdir(previous)
 
 
+def _assert_one_line_rejection(data: dict, verb: str = "run") -> str:
+    """``toeplab VERB --config`` on ``data`` exits 2 with one line and writes nothing; returns the line."""
+    # no --out, which would replace a drawn out_dir; a run would write to runs/
+    with tempfile.TemporaryDirectory() as tmp, _cwd(tmp):
+        Path("cfg.json").write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main([verb, "--config", "cfg.json"])
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("toeplab: ") and err.getvalue().count("\n") == 1
+        assert sorted(p.name for p in Path(".").iterdir()) == ["cfg.json"]
+        return err.getvalue()
+
+
+@pytest.mark.parametrize("verb, change, message", [
+    ("run", {"symbol": "sphere\n0 1 0 0 nan 0.0\n"}, "non-finite coefficient"),
+    ("run", {"symbol": "sphere\n0 1 0 0 1.0 inf\n"}, "non-finite coefficient"),
+    ("kappa", {"symbol": "sphere\n0 1 0 0 nan 0.0\n"}, "non-finite coefficient"),
+    ("run", {"symbol": "sphere\n0 0 0 0 1.0 0.0\n"}, "give kappa_hat"),
+    ("kappa", {"symbol": "sphere\n0 0 0 0 1.0 0.0\n"}, "give kappa_hat"),
+    ("run", {"out_dir": "ru\0ns"}, "out_dir must not hold a NUL byte"),
+], ids=["nan-coefficient", "inf-coefficient", "kappa-nan-coefficient", "constant-symbol",
+        "kappa-constant-symbol", "nul-out-dir"])
+def test_sphere_preset_rejections_are_one_line(verb, change, message):
+    # each exited 1 with a ValueError traceback before these checks (kappa_hat is null here)
+    data = {**preset_config("sphere-figure3").to_mapping(), **change}
+    assert message in _assert_one_line_rejection(data, verb)
+
+
 @pytest.mark.parametrize("path", PATHS, ids=" ".join)
 def test_boundary_rejects_with_config_error_or_runs_cleanly(path):
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -152,15 +181,7 @@ def test_boundary_rejects_with_config_error_or_runs_cleanly(path):
             config = ExperimentConfig.from_mapping(data)
             config.validate()
         except ConfigError:
-            # no --out, which would replace a drawn out_dir; a run would write to runs/
-            with tempfile.TemporaryDirectory() as tmp, _cwd(tmp):
-                Path("cfg.json").write_text(json.dumps(data))
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli_main(["run", "--config", "cfg.json"])
-                assert code == 2 and out.getvalue() == ""
-                assert err.getvalue().startswith("toeplab: ") and err.getvalue().count("\n") == 1
-                assert sorted(p.name for p in Path(".").iterdir()) == ["cfg.json"]
+            _assert_one_line_rejection(data)
             return
         with tempfile.TemporaryDirectory() as tmp:
             record = run(config, out_dir=tmp)

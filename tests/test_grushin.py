@@ -1,6 +1,5 @@
 import threading
 import tracemalloc
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +26,7 @@ from toeplab.grushin import (
     small_eigen_count_scan,
 )
 from toeplab.potential import limit_potential, log_abs_det
-from toeplab.quantize import quantize_sphere, quantize_symbol, quantize_torus
+from toeplab.quantize import ToeplitzMatrix, quantize_sphere, quantize_symbol, quantize_torus
 from toeplab.randmat import NormBound, derive_seed, operator_norm, sample_ginibre
 
 SPHERE = make_phase_space("sphere")
@@ -209,7 +208,7 @@ class TestSplitDiagnostics:
         T, diag, G, grid = diag300
         dim = T.dim
         lhs = diag.b1 + diag.b2 + diag.b3
-        direct = log_abs_det(T.entries + (1.0 / 120) * G - (0.3 + 0.2j) * np.eye(dim))
+        direct = log_abs_det(T.dense() + (1.0 / 120) * G - (0.3 + 0.2j) * np.eye(dim))
         rhs = direct / dim - limit_potential(T.symbol, 0.3 + 0.2j, grid)
         assert lhs == pytest.approx(rhs, abs=1e-6)
 
@@ -256,7 +255,7 @@ class TestSplitDiagnostics:
 def _slow_split(T, z, rho, delta, G):
     """(A, B2, B3) through assemble_grushin and slogdet of its blocks."""
     dim = T.dim
-    tr = singular_triples(T.entries, z)
+    tr = singular_triples(T.dense(), z)
     params = grushin_params(T.N, rho, tr)
     A = params.n_small
     system = assemble_grushin(tr, params, (delta, G))
@@ -269,7 +268,7 @@ def _draws():
     """Perturbed sphere and torus draws with probes on and off the spectrum."""
     sphere = quantize_sphere(PROJECTION, 79)                     # dim 80
     torus = quantize_torus(scottish_flag_symbol(), 60)           # dim 60
-    lam = np.linalg.eigvals(torus.entries)
+    lam = np.linalg.eigvals(torus.dense())
     torus_probes = [complex(lam[k]) + 1e-3 for k in (0, 17, 41)]
     return [
         (sphere, [0.3 + 0.2j, 0.6, 0.8j, 0.0, 50.0], 79.0 ** -1.5, 21),
@@ -292,7 +291,7 @@ class TestFastRouteOracle:
         for z in probes:
             diag = b_diagnostics(T, z, 0.25, delta, G, grid)
             A, b2, b3, system = _slow_split(T, z, 0.25, delta, G)
-            tr = singular_triples(T.entries, z)
+            tr = singular_triples(T.dense(), z)
             b1 = float(np.sum(np.log(tr.values[A:]))) / T.dim - limit_potential(
                 T.symbol, z, grid)
             assert diag.n_small == A
@@ -314,11 +313,10 @@ class TestFastRouteOracle:
         G = sample_ginibre(T.dim, seed)
         diag = b_diagnostics(T, probes[0], 0.25, delta, G)
         # a 1-norm condition depends on the bases: take the matrix b_diagnostics factors
-        _, params, left, right_h, _ = grushin_module._small_subspaces(
-            T.entries, probes[0], T.N, 0.25)
+        _, params, left, right_h, _ = grushin_module._small_subspaces(T, probes[0], 0.25)
         A = params.n_small
         M = np.zeros((T.dim + A, T.dim + A), dtype=complex)
-        M[:T.dim, :T.dim] = T.entries + delta * G - probes[0] * np.eye(T.dim)
+        M[:T.dim, :T.dim] = T.dense() + delta * G - probes[0] * np.eye(T.dim)
         M[:T.dim, T.dim:], M[T.dim:, :T.dim] = left, right_h
         exact = np.linalg.cond(M, 1)
         # the estimator is a lower bound, within a small factor in practice
@@ -343,9 +341,9 @@ class TestFastRouteOracle:
         import mpmath
         T, z, rho = quantize_sphere(PROJECTION, 15), 0.6, 0.25
         dim = T.dim
-        _, params, left, right_h, _ = grushin_module._small_subspaces(T.entries, z, T.N, rho)
+        _, params, left, right_h, _ = grushin_module._small_subspaces(T, z, rho)
         A = params.n_small
-        bulk = closed_form_inverse(singular_triples(T.entries, z), A).bulk_inverse
+        bulk = closed_form_inverse(singular_triples(T.dense(), z), A).bulk_inverse
         G = sample_ginibre(dim, 0)
         mu = max(np.linalg.eigvals(G @ bulk), key=abs)
         G = (-abs(mu) / mu) * G
@@ -358,7 +356,7 @@ class TestFastRouteOracle:
         M = np.zeros((dim + A, dim + A), dtype=complex)
         shifted = M[:dim, :dim]
         np.multiply(G, delta, out=shifted)
-        shifted += T.entries
+        T.add_to(shifted)
         shifted[np.diag_indices(dim)] -= complex(z)
         M[:dim, dim:], M[dim:, :dim] = left, right_h
 
@@ -444,9 +442,9 @@ class TestFactorizationCount:
     def test_stray_entry_probe_takes_no_svd_and_three_lus(self, monkeypatch):
         # a stray far entry widens the band; still no dense SVD
         T, probes, delta, seed = DRAWS[1]
-        entries = T.entries.copy()
+        entries = T.dense()
         entries[0, T.dim // 2] = 1e-3
-        T = replace(T, entries=entries)
+        T = _with_entries(T, entries)
         G = sample_ginibre(T.dim, seed)
         g_norm = NormBound(G)
         counts = self._count(monkeypatch)
@@ -480,7 +478,7 @@ class TestFactorizationCount:
         assert diag.n_small == 0
         self._assert_probe(counts, T.dim, 0, svd=0, eig_banded=1)
         assert diag.schur_residual == 0.0
-        M = T.entries + delta * G - probes[-1] * np.eye(T.dim)
+        M = T.dense() + delta * G - probes[-1] * np.eye(T.dim)
         assert diag.log_det_bordered == pytest.approx(log_abs_det(M), abs=1e-10)
 
     @staticmethod
@@ -548,7 +546,7 @@ class TestFactorizationCount:
             # the flags of the exact norm, from the Neumann inequality itself
             expected = []
             for z in (0.3 + 0.2j, 0.6):
-                values, params, _, _, _ = grushin_module._small_subspaces(T.entries, z, N, 0.2)
+                values, params, _, _, _ = grushin_module._small_subspaces(T, z, 0.2)
                 A = params.n_small
                 neumann = float(N) ** -1.0 * operator_norm(G) * (1.0 / values[A] + (1.0 if A else 0.0))
                 expected.append(f"Neumann invertibility condition violated ({neumann:.3g} >= 1): "
@@ -585,6 +583,13 @@ BANDED = {"upper": PROJECTION, "lower": LOWER, "tilted": TILTED, "x1": X1,
           "flag": scottish_flag_symbol(), "cyclic2": CYCLIC2, "double": DOUBLE}
 
 
+def _with_entries(T, entries):
+    """The quantization matrix of ``T``'s symbol and size holding the dense ``entries``."""
+    shifts = range(T.dim) if T.symbol.kind == "torus" else range(1 - T.dim, T.dim)
+    diagonals = {s: entries[T.coordinates(s)] for s in shifts}
+    return ToeplitzMatrix(T.N, T.symbol, {s: v for s, v in diagonals.items() if np.any(v)})
+
+
 def _dense_gram_band(band):
     """The Hermitian matrix held in lower band storage."""
     gram = np.diag(band[0])
@@ -598,9 +603,9 @@ class TestBandedRoute:
 
     @pytest.mark.parametrize("name", ["upper", "lower", "tilted", "x1", "flag", "cyclic2"])
     def test_bidiagonal_grams_match_dense(self, name):
-        P = quantize_symbol(BANDED[name], 30).entries
-        z = 0.2 - 0.1j
-        right, left, perm = grushin_module._banded_grams(P, z)
+        T = quantize_symbol(BANDED[name], 30)
+        P, z = T.dense(), 0.2 - 0.1j
+        right, left, perm = grushin_module._banded_grams(T, z)
         assert (perm is None) == (BANDED[name].kind == "sphere")
         order = np.arange(len(P)) if perm is None else perm
         B = (P - z * np.eye(len(P)))[np.ix_(order, order)]
@@ -611,13 +616,13 @@ class TestBandedRoute:
             assert np.max(np.abs(_dense_gram_band(band) - dense)) < 1e-14
 
     @staticmethod
-    def _check_subspaces(P, z, N):
-        """``_small_subspaces`` of ``P - z`` against the SVD; returns it and the triples."""
-        small = grushin_module._small_subspaces(P, z, N, 0.25)
+    def _check_subspaces(T, z):
+        """``_small_subspaces`` of ``T - z`` against the SVD; returns it and the triples."""
+        small = grushin_module._small_subspaces(T, z, 0.25)
         values, params, left, right_h, residual = small
-        tr = singular_triples(P, z)
+        tr = singular_triples(T.dense(), z)
         A = params.n_small
-        assert A == grushin_params(N, 0.25, tr).n_small
+        assert A == grushin_params(T.N, 0.25, tr).n_small
         assert np.max(np.abs(values**2 - tr.values**2)) <= 1e-13 * tr.values[-1] ** 2
         eye = np.eye(A)
         assert np.max(np.abs(left.conj().T @ left - eye), initial=0.0) < 1e-12
@@ -630,14 +635,15 @@ class TestBandedRoute:
         return small, tr
 
     def test_stray_and_dense_matrices_get_bands(self):
-        stray = quantize_sphere(PROJECTION, 30).entries.copy()
+        T = quantize_sphere(PROJECTION, 30)
+        stray = T.dense()
         stray[0, 15] = 1e-3                                      # one far entry
         dense = sample_ginibre(31, 5)
         # the far entry widens the upper bidiagonal to 15; a dense matrix hits the cap n - 1
         for P, width in ((stray, 15), (dense, 30)):
-            right, left, perm = grushin_module._banded_grams(P, 0.1)
+            right, left, perm = grushin_module._banded_grams(_with_entries(T, P), 0.1)
             assert perm is None and right.shape == left.shape == (width + 1, 31)
-            (_, params, _, _, _), _ = self._check_subspaces(P, 0.1, 30)
+            (_, params, _, _, _), _ = self._check_subspaces(_with_entries(T, P), 0.1)
             assert params.n_small >= 1
 
     @pytest.mark.parametrize("name", list(BANDED))
@@ -648,7 +654,7 @@ class TestBandedRoute:
         grid = liouville_quadrature(T.space, 60)
         counts = []
         for z in (0.3 + 0.2j, 0.0, 50.0):
-            (values, params, _, _, residual), tr = self._check_subspaces(T.entries, z, T.N)
+            (values, params, _, _, residual), tr = self._check_subspaces(T, z)
             A = params.n_small
             if z == 0.0 and name in ("upper", "lower"):         # pure shifts: a kernel
                 assert tr.values[0] < 1e-14 and values[0] < 1e-7
@@ -730,8 +736,8 @@ class TestProbeMemory:
 
     def test_inputs_stay_unchanged(self):
         T, z, G, g_norm, grid = self._probe(dim=120)
-        entries, noise = T.entries.copy(), G.copy()
+        entries, noise = T.dense(), G.copy()
         for delta in (0.0, T.N ** -1.25):
             b_diagnostics(T, z, 0.25, delta, G, grid, g_norm=g_norm)
-            assert T.entries.tobytes() == entries.tobytes()
+            assert T.dense().tobytes() == entries.tobytes()
             assert G.tobytes() == noise.tobytes()

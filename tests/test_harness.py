@@ -30,7 +30,7 @@ from toeplab.harness import (
     verify,
 )
 from toeplab.potential import LOGDET_CHECK_BOUND
-from toeplab.quantize import quantize_symbol
+from toeplab.quantize import ToeplitzMatrix, quantize_symbol
 from toeplab.randmat import derive_seed, operator_norm, sample_ginibre
 
 
@@ -579,7 +579,10 @@ class TestRun:
         _, record = done
         env = record.manifest["environment"]
         assert set(env) == {"numpy", "scipy", "blas", "blas_pinned", "blas_threads",
-                            "lapack_route", "pool_size", "usable_cpus", "peak_rss_mb"}
+                            "lapack_route", "pool_size", "usable_cpus", "peak_rss_mb", "bands"}
+        # the projection symbol i x1 + x2 is a weighted shift: one superdiagonal, plain order
+        assert env["bands"] == {f"N{N}": {"diagonals": 1, "lo": 0, "hi": 1, "interleaved": False}
+                                for N in (24, 48)}
         assert env["numpy"] == np.__version__
         # scipy's version when a module of the process has loaded it, else null;
         # whether one had when ``done`` ran depends on the order of the tests
@@ -726,7 +729,7 @@ class TestRun:
             assert health["grushin_flagged_probes"] == sum(1 for r in diag if r[11])
             # the gap of the one Grushin probe, from the dense singular values
             N, z = int(diag[0][0]), complex(float(diag[0][1]), float(diag[0][2]))
-            t = np.linalg.svd(quantize_symbol(symbol_from_record(tiny_config().symbol), N).entries
+            t = np.linalg.svd(quantize_symbol(symbol_from_record(tiny_config().symbol), N).dense()
                               - z * np.eye(N + 1), compute_uv=False)
             alpha = N ** (-2.0 * float(diag[0][3]))
             assert health["cutoff_gap_min"] == pytest.approx(
@@ -758,7 +761,7 @@ class TestEigensolve:
         f = cfg.symbol_spec()
         N = dim - 1 if cfg.space == "sphere" else dim
         T = quantize_symbol(f, N)
-        return T.entries + cfg.noise_size(N) * sample_ginibre(dim, derive_seed(0, "cell", N))
+        return T.dense() + cfg.noise_size(N) * sample_ginibre(dim, derive_seed(0, "cell", N))
 
     @staticmethod
     def _reduce(M):
@@ -865,7 +868,7 @@ class TestCellMemory:
 
         def quantize(f, N):
             T = quantize_symbol(f, N)
-            built.append((T, T.entries.copy()))
+            built.append((T, T.dense().copy()))
             return T
 
         monkeypatch.setattr(hz, "quantize_symbol", quantize)
@@ -875,7 +878,35 @@ class TestCellMemory:
         assert "N24_unperturbed" in record.manifest["cells"]
         assert sorted(T.N for T, _ in built) == [24, 30, 48]
         for T, before in built:
-            assert T.entries.tobytes() == before.tobytes()
+            assert T.dense().tobytes() == before.tobytes()
+
+
+def _grushin_scan_config() -> ExperimentConfig:
+    """One N = 600 sphere cell with a Grushin probe ladder from A = 46 down to A = 0."""
+    cfg = preset_config("sphere-figure3")
+    cfg.n_values, cfg.seeds = [600], [1]
+    cfg.probe_grid = {"points": [[0.5, 0.1], [-0.4, 0.3], [0.1, -0.6], [1.5, 1.5]]}
+    cfg.grushin_probes = [[0.0, 0.0], [0.3, 0.2], [0.6, 0.0], [0.0, 0.8], [0.9, 0.0],
+                          [0.97, 0.0], [1.2, 0.0], [0.0, 1.5]]
+    return cfg
+
+
+class TestNoDenseQuantization:
+    """A run reads each quantization matrix from its diagonals; only the matrix stage builds it."""
+
+    @pytest.mark.parametrize("make", [lambda: preset_config("sphere-figure3"),
+                                      lambda: preset_config("scottish-flag-figure1"),
+                                      _grushin_scan_config],
+                             ids=["sphere-desk", "flag-desk", "grushin-scan"])
+    def test_default_stages_never_build_dense_t(self, make, tmp_path, monkeypatch):
+        def refuse(T):
+            raise AssertionError(f"dense T built at N={T.N}")
+
+        monkeypatch.setattr(ToeplitzMatrix, "dense", refuse)
+        cfg = make()
+        record = run(cfg, out_dir=tmp_path)
+        assert record.manifest["errors"] == {}
+        assert len(record.manifest["cells"]) == len(cfg.unperturbed_sizes) + len(cfg.n_values) * len(cfg.seeds)
 
 
 def _csv_values(path: Path) -> np.ndarray:
@@ -913,7 +944,7 @@ class TestCli:
         f = symbol_from_record(manifest["config"]["symbol"])
         for N in (10, 16):
             entries = np.load(out / f"mat_N{N}.npy", allow_pickle=False)
-            expected = quantize_symbol(f, N).entries
+            expected = quantize_symbol(f, N).dense()
             assert entries.dtype == expected.dtype and entries.shape == expected.shape
             assert entries.tobytes() == expected.tobytes()
 

@@ -32,7 +32,7 @@ def _cell(preset: str, dim: int):
     cfg = preset_config(preset)
     N = dim - 1 if cfg.space == "sphere" else dim
     T = quantize_symbol(cfg.symbol_spec(), N)
-    return T, T.entries + cfg.noise_size(N) * sample_ginibre(dim, derive_seed(0, "cell", N))
+    return T, T.dense() + cfg.noise_size(N) * sample_ginibre(dim, derive_seed(0, "cell", N))
 
 
 def _matrix(kind: str, dim: int) -> np.ndarray:
@@ -93,7 +93,7 @@ def test_cholesky_info_and_factor_equal_to_scipy(kind, dim):
 @pytest.mark.parametrize("dim", DIMS)
 def test_banded_values_lu_and_solve_bit_equal_to_scipy(preset, dim):
     T, _ = _cell(preset, dim)
-    band = _banded_grams(T.entries, 0.3 + 0.2j)[0]          # lower band storage of B*B
+    band = _banded_grams(T, 0.3 + 0.2j)[0]          # lower band storage of B*B
     values = _lapack.eigvalsh_banded(band)
     assert _same_bits(values, scipy.linalg.eig_banded(band, lower=True, eigvals_only=True))
     w, n = band.shape[0] - 1, band.shape[1]
@@ -129,7 +129,7 @@ def test_bordered_lu_releases_the_gil(spin_ratio):
     if _usable_cpus() < 2:
         pytest.skip("needs 2 usable CPUs")
     T, M = _cell("sphere-figure3", 301)
-    _, params, left, right_h, _ = _small_subspaces(T.entries, 0.3 + 0.2j, T.N, 0.2)
+    _, params, left, right_h, _ = _small_subspaces(T, 0.3 + 0.2j, 0.2)
     A = params.n_small
     bordered = np.zeros((301 + A, 301 + A), dtype=complex, order="F")
     bordered[:301, :301] = M - (0.3 + 0.2j) * np.eye(301)

@@ -62,7 +62,7 @@ class TestPotentialFromSpectrum:
     ], ids=["sphere-perturbed", "torus-perturbed", "torus-unperturbed"])
     def test_matches_slogdet(self, f, N, delta):
         T = quantize_symbol(f, N)
-        M = T.entries + delta * sample_ginibre(T.dim, 3)
+        M = T.dense() + delta * sample_ginibre(T.dim, 3)
         probes = default_probe_grid(f, 12, 12)
         lam, rows = spectrum(M)
         values, kept, health = potential_from_spectrum(rows, lam, probes)
@@ -93,7 +93,7 @@ class TestPotentialFromSpectrum:
 
     def test_kept_mask_matches_per_probe_rule(self):
         T = quantize_sphere(sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0}), 40)
-        M = T.entries + sample_ginibre(41, 5) / 40
+        M = T.dense() + sample_ginibre(41, 5) / 40
         lam, rows = spectrum(M)
         probes = np.concatenate([
             [lam[0], lam[1] + 0.5e-4, lam[2] + 1e-4j, lam[3] - 2e-4, lam[4] + 0.99e-4j],
@@ -116,7 +116,7 @@ class TestHessenbergLogAbsDets:
     ], ids=["sphere-perturbed", "torus-perturbed", "torus-unperturbed"])
     def test_matches_the_dense_lu(self, f, N, delta, tol):
         T = quantize_symbol(f, N)
-        M = T.entries + delta * sample_ginibre(T.dim, 8)
+        M = T.dense() + delta * sample_ginibre(T.dim, 8)
         # not z = 0, where the unperturbed torus matrix has condition number 1e16
         probes = np.concatenate([default_probe_grid(f, 4, 4), [0.3 + 0.2j]])
         _, rows = spectrum(M)

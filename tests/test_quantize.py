@@ -41,7 +41,7 @@ class TestDimension:
 
     def test_torus_matches_matrix_size(self):
         assert bergman_dimension(TORUS, 50) == 50
-        assert quantize_torus(scottish_flag_symbol(), 50).entries.shape == (50, 50)
+        assert quantize_torus(scottish_flag_symbol(), 50).dense().shape == (50, 50)
 
     @pytest.mark.parametrize("space", [TORUS, SPHERE])
     def test_calibration(self, space):
@@ -59,11 +59,11 @@ class TestTorus:
     @pytest.mark.parametrize("N", [8, 50])
     def test_crossed_cosines_matrix(self, N):
         T = quantize_torus(scottish_flag_symbol(), N)
-        np.testing.assert_allclose(T.entries, crossed_cosines_matrix(N), atol=1e-12)
+        np.testing.assert_allclose(T.dense(), crossed_cosines_matrix(N), atol=1e-12)
 
     def test_constant_is_identity(self):
         T = quantize_torus(torus_symbol({(0, 0): 1.0}), 12)
-        np.testing.assert_array_equal(T.entries, np.eye(12))
+        np.testing.assert_array_equal(T.dense(), np.eye(12))
 
     def test_single_mode_is_clock(self):
         # oracle: splitting the cosine case into exponentials, the (1, 0)
@@ -71,7 +71,7 @@ class TestTorus:
         N = 16
         T = quantize_torus(torus_symbol({(1, 0): 1.0}), N)
         np.testing.assert_allclose(
-            T.entries, np.diag(np.exp(2j * np.pi * np.arange(1, N + 1) / N)), atol=1e-14)
+            T.dense(), np.diag(np.exp(2j * np.pi * np.arange(1, N + 1) / N)), atol=1e-14)
 
     def test_mode_too_large_names_offender(self):
         f = torus_symbol({(1, 0): 1.0, (0, 7): 2.0})
@@ -87,7 +87,7 @@ class TestTorus:
         N = 10
         T = quantize_torus(f, N)
         clock = np.diag(np.exp(2j * np.pi * np.arange(1, N + 1) / N))
-        np.testing.assert_allclose(T.entries, np.eye(N) + clock / N, atol=1e-15)
+        np.testing.assert_allclose(T.dense(), np.eye(N) + clock / N, atol=1e-15)
 
 
 class TestSphere:
@@ -95,16 +95,16 @@ class TestSphere:
         N = 10
         T = quantize_sphere(sphere_symbol({(0, 0, 1): 1.0}), N)
         k = np.arange(N + 1)
-        np.testing.assert_allclose(T.entries, np.diag((N - 2 * k) / (N + 2)), atol=1e-14)
+        np.testing.assert_allclose(T.dense(), np.diag((N - 2 * k) / (N + 2)), atol=1e-14)
 
     def test_constant_is_identity(self):
         T = quantize_sphere(sphere_symbol({(0, 0, 0): 1.0}), 7)
-        np.testing.assert_allclose(T.entries, np.eye(8), atol=1e-15)
+        np.testing.assert_allclose(T.dense(), np.eye(8), atol=1e-15)
 
     def test_x1_small_case(self):
         T = quantize_sphere(sphere_symbol({(1, 0, 0): 1.0}), 2)
-        assert T.entries[0, 1] == pytest.approx(np.sqrt(2.0) / 4.0, abs=1e-14)
-        assert T.entries[2, 0] == pytest.approx(0.0, abs=1e-15)
+        assert T.dense()[0, 1] == pytest.approx(np.sqrt(2.0) / 4.0, abs=1e-14)
+        assert T.dense()[2, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_degree_overflow(self):
         with pytest.raises(ValueError, match="degree"):
@@ -123,9 +123,87 @@ class TestSphere:
     ])
     def test_closed_form_matches_quadrature(self, terms, N):
         f = sphere_symbol(terms)
-        closed = quantize_sphere(f, N).entries
+        closed = quantize_sphere(f, N).dense()
         quad = sphere_entries_quadrature(f, N)
         assert np.max(np.abs(closed - quad)) < 1e-8
+
+
+def _dense_torus(f, N):
+    """The dense torus builder that the diagonal storage replaced, kept as its oracle."""
+    T = np.zeros((N, N), dtype=complex)
+    diag = np.exp(2j * np.pi * np.arange(1, N + 1) / N)
+    cols = np.arange(N)
+    for order, terms in [(0, f.terms)] + list(f.corrections):
+        scale = float(N) ** (-order)
+        for (m, n), c in terms.items():
+            rows = (cols + n) % N
+            T[rows, cols] += scale * c * np.exp(-1j * np.pi * m * n / N) * diag[rows]**m
+    return T
+
+
+def _dense_sphere(f, N):
+    """The dense sphere builder that the diagonal storage replaced, kept as its oracle."""
+    from toeplab.quantize import _log_beta, _log_factorials, _monomial_zq
+    dim = N + 1
+    T = np.zeros((dim, dim), dtype=complex)
+    k = np.arange(dim)
+    log_fact = _log_factorials(N + f.total_degree() + 1)
+    log_norm = _log_beta(k, N, log_fact)
+    for order, terms in [(0, f.terms)] + list(f.corrections):
+        scale = float(N) ** (-order)
+        for (a, b, c), coeff in terms.items():
+            M = N + a + b + c
+            for (p, q), cpq in _monomial_zq(a, b, c).items():
+                lo, hi = max(0, q - p), min(dim, dim + q - p)
+                kk = np.arange(lo, hi)
+                ll = kk + p - q
+                vals = np.exp(_log_beta(kk + p, M, log_fact) - 0.5 * (log_norm[kk] + log_norm[ll]))
+                T[ll, kk] += scale * coeff * cpq * vals
+    return T
+
+
+# mixed modes sharing shifts, with two correction orders; largest mode 3, so N = 7 is the limit
+MIXED_TORUS = torus_symbol({(1, 2): 0.3 - 0.1j, (-2, 1): 0.7, (0, 3): 1j, (2, -3): -0.4, (0, 0): 2.0},
+                           corrections=((1, {(1, 1): 0.5, (-3, 0): 0.2j, (0, 2): 0.25}),
+                                        (2, {(0, 0): 1.0, (1, 2): 0.1})))
+# degree 3 with a correction, so N = 6 is the limit; i x1 + x2 cancels its superdiagonal exactly
+MIXED_SPHERE = sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0, (1, 1, 1): 0.3, (0, 0, 2): -0.5},
+                             corrections=((1, {(2, 0, 0): 0.1j, (0, 0, 1): 1.0}),))
+
+
+class TestDiagonalStorage:
+    """``dense()`` of the stored diagonals against the dense builders, bit for bit."""
+
+    @pytest.mark.parametrize("f, N", [
+        (MIXED_TORUS, 7), (MIXED_TORUS, 8), (MIXED_TORUS, 40), (MIXED_TORUS, 41),
+        (scottish_flag_symbol(), 3), (scottish_flag_symbol(), 50),
+        (MIXED_SPHERE, 6), (MIXED_SPHERE, 7), (MIXED_SPHERE, 40), (MIXED_SPHERE, 41),
+        (sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0}), 2),
+        (sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0}), 51),
+    ], ids=["torus-7-limit", "torus-8", "torus-40", "torus-41", "flag-3-limit", "flag-50",
+            "sphere-6-limit", "sphere-7", "sphere-40", "sphere-41", "projection-2-limit",
+            "projection-51"])
+    def test_dense_matches_the_dense_builder(self, f, N):
+        T = quantize_symbol(f, N)
+        expected = (_dense_torus if f.kind == "torus" else _dense_sphere)(f, N)
+        dense = T.dense()
+        assert dense.dtype == expected.dtype and dense.shape == expected.shape
+        assert dense.flags.c_contiguous and dense.tobytes() == expected.tobytes()
+        # exactly the diagonals holding a nonzero entry, in ascending shift order
+        rows, cols = np.nonzero(expected)
+        shifts = (rows - cols) % N if f.kind == "torus" else rows - cols
+        assert list(T.diagonals) == sorted(set(shifts.tolist()))
+        # the band holds the same nonzero entries, at their positions in its order
+        band = T.band
+        position = np.arange(T.dim) if band.perm is None else np.argsort(band.perm)
+        assert sorted(zip(band.rows.tolist(), band.cols.tolist(), band.values.tolist())) == sorted(
+            zip(position[rows].tolist(), position[cols].tolist(), expected[rows, cols].tolist()))
+
+    def test_add_to_adds_only_the_stored_entries(self):
+        T = quantize_symbol(MIXED_TORUS, 9)
+        out = np.full((9, 9), 0.5 - 0.25j)
+        assert T.add_to(out) is out
+        assert out.tobytes() == (np.full((9, 9), 0.5 - 0.25j) + T.dense()).tobytes()
 
 
 class TestLogGamma:
@@ -167,12 +245,12 @@ class TestInvariants:
 
     @pytest.mark.parametrize("f", real_symbols)
     def test_real_symbols_hermitian(self, f):
-        T = quantize_symbol(f, 20).entries
+        T = quantize_symbol(f, 20).dense()
         assert np.max(np.abs(T - T.conj().T)) < 1e-12
 
     @pytest.mark.parametrize("f", complex_symbols)
     def test_complex_symbols_not_hermitian(self, f):
-        T = quantize_symbol(f, 20).entries
+        T = quantize_symbol(f, 20).dense()
         assert np.max(np.abs(T - T.conj().T)) > 1e-6
 
     @pytest.mark.parametrize("kind", ["torus", "sphere"])
@@ -185,8 +263,8 @@ class TestInvariants:
             f = sphere_symbol({(1, 0, 0): 1.0, (0, 0, 2): 0.25j})
             g = sphere_symbol({(0, 1, 1): 0.5, (0, 0, 0): 1.0})
         a, b = 2.0, -0.5
-        lhs = quantize_symbol(symbol_sum(f, g, a, b), 16).entries
-        rhs = a * quantize_symbol(f, 16).entries + b * quantize_symbol(g, 16).entries
+        lhs = quantize_symbol(symbol_sum(f, g, a, b), 16).dense()
+        rhs = a * quantize_symbol(f, 16).dense() + b * quantize_symbol(g, 16).dense()
         np.testing.assert_array_equal(lhs, rhs)
 
     @pytest.mark.parametrize("f,space", [
@@ -200,11 +278,11 @@ class TestInvariants:
         assert f.space == space
         bound = sup_abs(f)
         for N in [4, 16, 64, 256, 500]:
-            assert operator_norm(quantize_symbol(f, N).entries) <= bound + 1e-8
+            assert operator_norm(quantize_symbol(f, N).dense()) <= bound + 1e-8
 
     @pytest.mark.parametrize("kind,N", [("torus", 15), ("sphere", 15)])
     def test_trace_of_identity(self, kind, N):
         f = torus_symbol({(0, 0): 1.0}) if kind == "torus" else sphere_symbol({(0, 0, 0): 1.0})
         T = quantize_symbol(f, N)
-        assert np.trace(T.entries) == T.dim
+        assert np.trace(T.dense()) == T.dim
 

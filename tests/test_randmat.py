@@ -178,7 +178,7 @@ class TestNormCertificate:
         T = quantize_sphere(sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0}), 79)
         G = sample_ginibre(T.dim, 8)
         z = 0.3 + 0.2j
-        values, params, _, _, _ = _small_subspaces(T.entries, z, T.N, 0.25)
+        values, params, _, _, _ = _small_subspaces(T, z, 0.25)
         reach = 1.0 / values[params.n_small] + 1.0          # ||bulk inverse|| + ||injection||
         exact = operator_norm(G)
         bound = NormBound(G).bound
@@ -229,7 +229,7 @@ class TestSminTail:
 
     def test_structured_matrix_bound(self):
         # conservative constant-5 bound for a structured center matrix
-        B = quantize_torus(scottish_flag_symbol(), 64).entries
+        B = quantize_torus(scottish_flag_symbol(), 64).dense()
         t_grid = np.logspace(-3, -1, 10)
         res = smin_tail_experiment(B, 1e-3, t_grid, trials=200, seed=11)
         assert np.all(res.p_hat <= 5.0 * 64 * t_grid**2 + 1e-12)

@@ -11,8 +11,9 @@ from toeplab.geometry import (
     scottish_flag_symbol,
     sphere_symbol,
     sup_abs,
+    torus_symbol,
 )
-from toeplab.quantize import quantize_torus
+from toeplab.quantize import ToeplitzMatrix, quantize_torus
 from toeplab.randmat import operator_norm, sample_ginibre
 from toeplab.spectra import (
     empirical_cdf_disks,
@@ -98,7 +99,7 @@ class TestSpectralSupport:
         bound = sup_abs(f)
         for seed in range(5):
             G = sample_ginibre(64, seed)
-            lam = np.linalg.eigvals(T.entries + delta * G)
+            lam = np.linalg.eigvals(T.dense() + delta * G)
             assert np.max(np.abs(lam)) <= bound + delta * operator_norm(G) + 1e-8
 
 
@@ -107,7 +108,8 @@ class TestCsv:
         # the eig_*.csv of a cell whose matrix has eigenvalues 1+2i and -0.5i
         setup = SimpleNamespace(out=tmp_path, radii=np.array([1.0]), predicted=np.array([0.5]),
                                 probes=None,
-                                matrices={2: SimpleNamespace(entries=np.diag([1.0 + 2.0j, -0.5j]))})
+                                matrices={2: ToeplitzMatrix(2, torus_symbol({(0, 0): 1.0}),
+                                                            {0: np.array([1.0 + 2.0j, -0.5j])})})
         files, _ = harness_module._spectrum_task(setup, "unperturbed", 2, None)
         rows = files["spectrum"].read_text().splitlines()
         assert rows[0] == "re,im"
