@@ -361,6 +361,11 @@ def symbol_to_record(f: SymbolSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Largest real or imaginary part of a record's coefficient: the Grushin split squares
+#: the matrix entries (``grushin._gram_band``), which overflows above sqrt(float max) = 1.3e154.
+_COEFFICIENT_MAX = 1e150
+
+
 def symbol_from_record(record: str) -> SymbolSpec:
     lines = [ln for ln in record.strip().splitlines() if ln.strip()]
     if not lines:
@@ -381,6 +386,8 @@ def symbol_from_record(record: str) -> SymbolSpec:
             raise ValueError(f"non-finite coefficient in symbol record line: {ln!r}")
         dst = orders.setdefault(order, {})
         dst[exps] = dst.get(exps, 0.0 + 0.0j) + c
+        if max(abs(dst[exps].real), abs(dst[exps].imag)) > _COEFFICIENT_MAX:
+            raise ValueError(f"coefficient outside [-1e150, 1e150] in symbol record line: {ln!r}")
     terms = orders.pop(0)
     corr = tuple((j, t) for j, t in sorted(orders.items()) if t)
     maker = torus_symbol if kind == TORUS else sphere_symbol

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import copy
 import ctypes
+import functools
 import hashlib
 import json
 import math
@@ -495,6 +496,7 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
         grushin_probes=[complex(re, im) for re, im in config.grushin_probes],
         rho=config.rho,
     )
+    _release_heap()                             # the kappa fit's and quadrature's temporaries
 
     cell_files: dict = {}
     cell_health: dict = {}
@@ -502,7 +504,8 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     with _pinned_blas() as pinned:
         pool_size = _usable_cpus() if pinned else 1
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            futures = [(_cell_name(cell), pool.submit(task, setup, *cell)) for cell, task in tasks]
+            futures = [(_cell_name(cell), pool.submit(_releasing, task, setup, *cell))
+                       for cell, task in tasks]
             for name, fut in futures:
                 try:
                     task_files, task_health = fut.result()
@@ -669,6 +672,41 @@ def _pinned_blas():
             set_(count)
 
 
+@functools.cache
+def _malloc_trim():
+    """glibc's ``malloc_trim`` from this process's C library, or None where it has none (musl, macOS).
+
+    Looked up at the first call, not at import.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):    # TypeError: no CDLL(None) on Windows
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def _release_heap() -> None:
+    """Return the heap pages that ``free`` left resident to the OS, where ``malloc_trim`` exists.
+
+    glibc keeps what a thread frees resident in that thread's arena, for
+    the arena's next allocation, so the dim^2 arrays a pool task freed
+    would count in the run's peak beside the next task's.  Called only at a
+    run's phase boundaries: after set-up and as each pool task ends.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
+def _releasing(task, *args):
+    """Run one pool task, then release the heap it freed, also when it raises."""
+    try:
+        return task(*args)
+    finally:
+        _release_heap()
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     try:
@@ -699,6 +737,7 @@ def _environment(pinned: bool, pool_size: int) -> dict:
         "pool_size": pool_size,
         "usable_cpus": _usable_cpus(),
         "peak_rss_mb": peak_rss_mb,
+        "heap_release": None if _malloc_trim() is None else "malloc_trim",
     }
 
 

@@ -142,6 +142,11 @@ def _cwd(path):
         os.chdir(previous)
 
 
+def _scaled_sphere_record(scale: float) -> str:
+    """The sphere preset's symbol ``i x1 + x2``, times ``scale``."""
+    return symbol_to_record(sphere_symbol({(1, 0, 0): 1j * scale, (0, 1, 0): scale}))
+
+
 def _assert_one_line_rejection(data: dict, verb: str = "run") -> str:
     """``toeplab VERB --config`` on ``data`` exits 2 with one line and writes nothing; returns the line."""
     # no --out, which would replace a drawn out_dir; a run would write to runs/
@@ -163,12 +168,28 @@ def _assert_one_line_rejection(data: dict, verb: str = "run") -> str:
     ("run", {"symbol": "sphere\n0 0 0 0 1.0 0.0\n"}, "give kappa_hat"),
     ("kappa", {"symbol": "sphere\n0 0 0 0 1.0 0.0\n"}, "give kappa_hat"),
     ("run", {"out_dir": "ru\0ns"}, "out_dir must not hold a NUL byte"),
+    # the Grushin split squares the entries; a run lost its cell to inf there
+    ("run", {"symbol": _scaled_sphere_record(1e160)}, "coefficient outside [-1e150, 1e150]"),
+    ("run", {"symbol": "sphere\n0 1 0 0 0.0 -2e150\n"}, "coefficient outside [-1e150, 1e150]"),
+    ("run", {"symbol": "sphere\n0 1 0 0 1e150 0.0\n0 1 0 0 1e150 0.0\n"},
+     "coefficient outside [-1e150, 1e150]"),
+    ("kappa", {"symbol": _scaled_sphere_record(1e160)}, "coefficient outside [-1e150, 1e150]"),
 ], ids=["nan-coefficient", "inf-coefficient", "kappa-nan-coefficient", "constant-symbol",
-        "kappa-constant-symbol", "nul-out-dir"])
+        "kappa-constant-symbol", "nul-out-dir", "huge-coefficient", "huge-imaginary-part",
+        "huge-summed-coefficient", "kappa-huge-coefficient"])
 def test_sphere_preset_rejections_are_one_line(verb, change, message):
-    # each exited 1 with a ValueError traceback before these checks (kappa_hat is null here)
+    # each exited 1 with a ValueError traceback before these checks (kappa_hat is null here),
+    # or, a huge coefficient, lost its cell inside the run
     data = {**preset_config("sphere-figure3").to_mapping(), **change}
     assert message in _assert_one_line_rejection(data, verb)
+
+
+@pytest.mark.parametrize("scale", [1e50, 1e100, 1e150])
+def test_large_coefficients_within_the_bound_run_cleanly(scale, tmp_path):
+    data = {**_base(), "symbol": _scaled_sphere_record(scale)}
+    record = run(ExperimentConfig.from_mapping(data), out_dir=tmp_path)
+    assert record.manifest["errors"] == {}
+    assert record.manifest["cells"]
 
 
 @pytest.mark.parametrize("path", PATHS, ids=" ".join)

@@ -579,7 +579,8 @@ class TestRun:
         _, record = done
         env = record.manifest["environment"]
         assert set(env) == {"numpy", "scipy", "blas", "blas_pinned", "blas_threads",
-                            "lapack_route", "pool_size", "usable_cpus", "peak_rss_mb", "bands"}
+                            "lapack_route", "pool_size", "usable_cpus", "peak_rss_mb", "heap_release",
+                            "bands"}
         # the projection symbol i x1 + x2 is a weighted shift: one superdiagonal, plain order
         assert env["bands"] == {f"N{N}": {"diagonals": 1, "lo": 0, "hi": 1, "interleaved": False}
                                 for N in (24, 48)}
@@ -597,6 +598,7 @@ class TestRun:
         else:
             assert env["blas_threads"] is None and env["pool_size"] == 1
         assert env["peak_rss_mb"] > 0.0
+        assert env["heap_release"] == (None if hz._malloc_trim() is None else "malloc_trim")
         assert env["lapack_route"] == ("fallback" if _lapack.routines() is None else "lapacke")
 
     @pytest.mark.parametrize("cpus", [1, 3])
@@ -879,6 +881,85 @@ class TestCellMemory:
         assert sorted(T.N for T, _ in built) == [24, 30, 48]
         for T, before in built:
             assert T.dense().tobytes() == before.tobytes()
+
+
+def _desk_config(preset: str) -> ExperimentConfig:
+    """A desk preset at tiny sizes, with every cell kind it has."""
+    cfg = preset_config(preset)
+    cfg.n_values, cfg.seeds = [24, 48], [0, 1]
+    cfg.unperturbed_sizes = [16] if cfg.unperturbed_sizes else []
+    return cfg
+
+
+class TestHeapRelease:
+    """A run returns freed heap to the OS after set-up and as each pool task ends, and nowhere else."""
+
+    @pytest.mark.parametrize("preset", ["sphere-figure3", "scottish-flag-figure1"])
+    def test_csv_bits_independent_of_the_release(self, preset, tmp_path, monkeypatch):
+        import toeplab.harness as hz
+        released = run(_desk_config(preset), out_dir=tmp_path / "released")
+        monkeypatch.setattr(hz, "_release_heap", lambda: None)
+        kept = run(_desk_config(preset), out_dir=tmp_path / "kept")
+        assert released.manifest["errors"] == kept.manifest["errors"] == {}
+        names = sorted(p.name for p in (tmp_path / "released").glob("*.csv"))
+        assert names == sorted(p.name for p in (tmp_path / "kept").glob("*.csv"))
+        assert len(names) == sum(len(cell["files"]) for cell in released.manifest["cells"].values())
+        for name in names:
+            assert (tmp_path / "released" / name).read_bytes() == (tmp_path / "kept" / name).read_bytes(), name
+
+    def test_released_after_setup_and_as_each_task_ends_also_a_raising_one(self, tmp_path, monkeypatch):
+        import toeplab.harness as hz
+        events = []
+        real = hz.sample_ginibre
+
+        def drawing(dim, seed):                 # once per task: each task draws its cell's noise
+            events.append("draw")
+            if seed == hz.derive_seed(1, "cell", 24):
+                raise RuntimeError("synthetic cell failure")
+            return real(dim, seed)
+
+        monkeypatch.setattr(hz, "sample_ginibre", drawing)
+        monkeypatch.setattr(hz, "_malloc_trim", lambda: lambda pad: events.append(("release", pad)))
+        record = run(tiny_config(), out_dir=tmp_path)
+        assert set(record.manifest["errors"]) == {"N24_s1"}      # both of its tasks raised
+        assert record.manifest["environment"]["heap_release"] == "malloc_trim"
+        # 4 cells of 2 tasks: one release before any task, then one as each task ends
+        assert events[0] == ("release", 0) and events[-1] == ("release", 0)
+        assert events.count("draw") == 8 and events.count(("release", 0)) == 1 + 8
+
+    def test_runs_without_malloc_trim(self, tmp_path, monkeypatch):
+        import toeplab.harness as hz
+        monkeypatch.setattr(hz, "_malloc_trim", lambda: None)   # musl, macOS
+        record = run(tiny_config(), out_dir=tmp_path)
+        assert record.manifest["errors"] == {} and len(record.manifest["cells"]) == 4
+        assert record.manifest["environment"]["heap_release"] is None
+
+    def test_peak_memory_does_not_grow_with_the_cell_count(self, tmp_path):
+        # a fresh interpreter per run, since the peak is the process's; a pool of one
+        # thread, since on a pool of two the peak depends on which tasks happen to
+        # overlap (a 2-seed run read 54.5-59.2 MiB), and more CPUs would let the
+        # 12 seeds fill more of a larger pool than the 2 do
+        script = ("import json, sys\n"
+                  "from toeplab import harness\n"
+                  "assert harness._malloc_trim.cache_info().currsize == 0    # not looked up at import\n"
+                  "harness._usable_cpus = lambda: 1\n"
+                  "config = harness.preset_config('sphere-figure3')\n"
+                  "config.kappa_hat, config.seeds = 0.9, list(range(int(sys.argv[1])))\n"
+                  "record = harness.run(config, sys.argv[2])\n"
+                  "assert not record.manifest['errors'], record.manifest['errors']\n"
+                  "print(json.dumps(record.manifest['environment']['peak_rss_mb']))\n")
+        src = str(Path(_lapack.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        peaks = []
+        for seeds in (2, 12):
+            result = subprocess.run([sys.executable, "-c", script, str(seeds), str(tmp_path / str(seeds))],
+                                    capture_output=True, text=True, env=env, timeout=300)
+            assert result.returncode == 0, result.stderr
+            peaks.append(json.loads(result.stdout.splitlines()[-1]))
+        if peaks[0] is None:
+            pytest.skip("no peak resident memory on this system")
+        # one N = 300 cell matrix is 1.4 MiB: ten more cells kept would add 14
+        assert abs(peaks[1] - peaks[0]) <= 4.0, peaks
 
 
 def _grushin_scan_config() -> ExperimentConfig:
