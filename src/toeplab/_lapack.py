@@ -8,17 +8,14 @@ returns that call's bits on the same OpenBLAS build (:func:`lu_log_abs_det`
 gives ``slogdet``'s).
 ``ctypes`` releases the GIL for the whole call, where numpy's linalg gufuncs
 below dimension 500 and scipy's f2py wrappers hold it; no scipy is loaded.
+That OpenBLAS, with LAPACKE and its thread-count controls, is the one
+supported build: without it every call here raises
+:class:`UnsupportedBuildError`.
 
 The cell eigensolve, :func:`hessenberg_eigvals`, is ``zgeev`` taken apart:
 ``zgebal``, ``zgehrd`` and ``zhseqr`` called one by one on ``zgeev``'s own
 workspace, which returns ``np.linalg.eigvals``'s bits and keeps the balanced
 Hessenberg form that the potential's log-determinants are taken from.
-
-Where numpy's OpenBLAS lacks any of the routines (:func:`routines` is None,
-e.g. numpy built on Accelerate), every function takes the numpy or
-``scipy.linalg`` call it replaces instead.  The pivots of the two
-routes differ in base (LAPACK's 1-based here, scipy's 0-based), so a
-factorization is only ever passed to the solve of its own route.
 """
 
 from __future__ import annotations
@@ -87,21 +84,43 @@ def openblas_libraries() -> tuple:
     return tuple(libraries)
 
 
+#: The thread-count controls that the OpenBLAS of the routines must also export.
+THREAD_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
+
+
+class UnsupportedBuildError(RuntimeError):
+    """numpy's OpenBLAS does not export the LAPACKE routines and thread controls a run needs."""
+
+    def __init__(self):
+        super().__init__("numpy's OpenBLAS LAPACKE is required: this numpy's OpenBLAS exports no "
+                         "scipy_LAPACKE_*64_ routines with scipy_openblas_*_num_threads64_ "
+                         "(Linux numpy wheels bundling scipy-openblas64 do)")
+
+
 @functools.cache
 def routines() -> dict | None:
     """The LAPACKE routines of :data:`_SIGNATURES` from one loaded OpenBLAS, or None.
 
-    Only numpy's ILP64 build exports the ``64_`` names; scipy's LP64 build is
-    not looked for.  numpy maps its OpenBLAS on import, so one lookup serves
-    the process.
+    The library must export :data:`THREAD_SYMBOLS` too.  Only numpy's ILP64
+    build exports the ``64_`` names; scipy's LP64 build is not looked for.
+    numpy maps its OpenBLAS on import, so one lookup serves the process.
     """
     for lib in openblas_libraries():
         found = {name: getattr(lib, f"scipy_LAPACKE_{name}64_", None) for name in _SIGNATURES}
-        if all(fn is not None for fn in found.values()):
+        if all(fn is not None for fn in found.values()) and all(
+                hasattr(lib, symbol) for symbol in THREAD_SYMBOLS):
             for name, fn in found.items():
                 fn.argtypes, fn.restype = [ctypes.c_int, *_SIGNATURES[name]], _I
             return found
     return None
+
+
+def require() -> dict:
+    """:func:`routines`, or :class:`UnsupportedBuildError` where this numpy's OpenBLAS lacks them."""
+    found = routines()
+    if found is None:
+        raise UnsupportedBuildError()
+    return found
 
 
 def _call(name: str, *args) -> int:
@@ -111,15 +130,10 @@ def _call(name: str, *args) -> int:
     ``zhbevd`` found, or -1010 when LAPACKE could not allocate its
     workspace) raises ValueError, as scipy does for an illegal argument.
     """
-    info = routines()[name](_COL_MAJOR, *args)
+    info = require()[name](_COL_MAJOR, *args)
     if info < 0:
         raise ValueError(f"LAPACKE_{name} returned info {info}")
     return info
-
-
-def _scipy_linalg():
-    import scipy.linalg  # the fallback route only
-    return scipy.linalg
 
 
 def _require_finite(a: np.ndarray) -> None:
@@ -160,9 +174,7 @@ def hessenberg_eigvals(a: np.ndarray):
     overwrites ``H``, its nonzero part is copied by rows: ``rows[i]`` is row
     ``i`` from column ``max(i - 1, 0)``, views of one buffer of about
     ``n^2 / 2`` entries, and ``det(a - z) = det(H - z)``.  Returns
-    ``(eigenvalues, rows)``.  Without these routines the eigenvalues are
-    ``np.linalg.eigvals(a)`` and ``H`` comes from scipy's ``zgebal`` and
-    ``zgehrd`` (scipy wraps no ``zhseqr``).  Raises ``LinAlgError`` on an inf
+    ``(eigenvalues, rows)``.  Raises ``LinAlgError`` on an inf
     or nan entry and when the QR algorithm does not converge, as numpy does.
     """
     if a.dtype != np.complex128 or not a.flags.f_contiguous:
@@ -170,12 +182,6 @@ def hessenberg_eigvals(a: np.ndarray):
     n = _square(a)
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    if routines() is None:
-        w = np.linalg.eigvals(a)
-        lapack = _scipy_linalg().lapack
-        a, lo, hi, _, _ = lapack.zgebal(a, scale=1, permute=1, overwrite_a=1)
-        a, _, _ = lapack.zgehrd(a, lo=lo, hi=hi, overwrite_a=1)
-        return w, _hessenberg_rows(a)
     lda = max(n, 1)
     query = np.zeros(1, dtype=np.complex128)
     _call("zgeev_work", b"N", b"N", n, a.ctypes.data, lda, None, None, 1, None, 1,
@@ -218,7 +224,7 @@ def singular_values(M: np.ndarray) -> np.ndarray:
     Raises ValueError on an inf or nan entry, ``LinAlgError`` when the
     solver does not converge.
     """
-    if routines() is None or M.dtype != np.complex128 or M.ndim != 2:
+    if M.dtype != np.complex128 or M.ndim != 2:
         return np.linalg.svd(M, compute_uv=False)
     _require_finite(M)
     a = np.array(M, order="F")
@@ -237,8 +243,6 @@ def lu_factor(a: np.ndarray):
     ValueError on an inf or nan entry; an exactly singular ``a`` leaves a zero
     on the diagonal of ``lu`` (scipy also warns).
     """
-    if routines() is None:
-        return _scipy_linalg().lu_factor(a, overwrite_a=True)
     _require_finite(a)
     lu = np.asfortranarray(a, dtype=np.complex128)
     n = _square(lu)
@@ -262,8 +266,6 @@ def lu_log_abs_det(lu: np.ndarray) -> float:
 
 def lu_solve(lu: np.ndarray, piv: np.ndarray, b) -> np.ndarray:
     """``a^-1 b`` (``zgetrs``) from :func:`lu_factor`'s ``(lu, piv)``; ``b`` (2-D) is kept."""
-    if routines() is None:
-        return _scipy_linalg().lu_solve((lu, piv), b)
     n = _factor(lu, piv)
     x = _rhs(b, n)
     _call("zgetrs_work", b"N", n, x.shape[1], lu.ctypes.data, max(lu.shape[0], 1),
@@ -276,8 +278,6 @@ def rcond(lu: np.ndarray, anorm: float) -> float:
 
     ``anorm`` is the 1-norm of the factored matrix.
     """
-    if routines() is None:
-        return float(_scipy_linalg().lapack.zgecon(lu, anorm, norm="1")[0])
     n = _factor(lu)
     out, work, rwork = np.zeros(1), np.empty(2 * n, dtype=np.complex128), np.empty(2 * n)
     _call("zgecon_work", b"1", n, lu.ctypes.data, max(lu.shape[0], 1), anorm, out.ctypes.data,
@@ -293,8 +293,6 @@ def cholesky_upper(a: np.ndarray) -> int:
     """
     if a.dtype != np.complex128 or not a.flags.f_contiguous:
         raise ValueError("cholesky_upper factors a Fortran-ordered complex128 array in place")
-    if routines() is None:
-        return int(_scipy_linalg().lapack.zpotrf(a, lower=0, clean=0, overwrite_a=1)[1])
     n = _square(a)
     return _call("zpotrf_work", b"U", n, a.ctypes.data, max(n, 1))
 
@@ -306,8 +304,6 @@ def eigvalsh_banded(band: np.ndarray) -> np.ndarray:
     ValueError on an inf or nan entry, ``LinAlgError`` when the solver does
     not converge.
     """
-    if routines() is None:
-        return _scipy_linalg().eig_banded(band, lower=True, eigvals_only=True)
     _require_finite(band)
     ab = np.array(band, dtype=np.complex128, order="F")
     if ab.ndim != 2:
@@ -327,9 +323,6 @@ def band_lu(ab: np.ndarray, kl: int, ku: int):
     ``(lu, piv)`` for :func:`band_solve`; an exactly zero pivot stays on row
     ``kl + ku`` of ``lu``.
     """
-    if routines() is None:
-        lu, piv, _ = _scipy_linalg().lapack.zgbtrf(ab, kl, ku, overwrite_ab=True)
-        return lu, piv
     lu = np.asfortranarray(ab, dtype=np.complex128)
     if lu.ndim != 2 or lu.shape[0] != 2 * kl + ku + 1:
         raise ValueError(f"band storage of shape {lu.shape} does not have 2 kl + ku + 1 rows")
@@ -341,8 +334,6 @@ def band_lu(ab: np.ndarray, kl: int, ku: int):
 
 def band_solve(lu: np.ndarray, piv: np.ndarray, kl: int, ku: int, b) -> np.ndarray:
     """``a^-1 b`` (``zgbtrs``) from :func:`band_lu`'s ``(lu, piv)``; ``b`` (2-D) is kept."""
-    if routines() is None:
-        return _scipy_linalg().lapack.zgbtrs(lu, kl, ku, b, piv)[0]
     n = _factor(lu, piv)
     x = _rhs(b, n)
     _call("zgbtrs_work", b"N", n, kl, ku, x.shape[1], lu.ctypes.data, lu.shape[0], piv.ctypes.data,

@@ -18,6 +18,7 @@ import json
 import sys
 
 from . import __version__
+from ._lapack import UnsupportedBuildError
 from .harness import STAGES, ConfigError, ExperimentConfig, preset_config, run as run_experiment, verify as verify_run
 
 #: The stages each run-type verb computes (see ``harness.run``).
@@ -71,7 +72,7 @@ def main(argv=None) -> int:
 
     try:
         return _run_verb(args)
-    except ConfigError as exc:                  # a config that fails to load or validate
+    except (ConfigError, UnsupportedBuildError) as exc:    # a rejected config or numpy build
         print(f"toeplab: {exc}", file=sys.stderr)
         return 2
 

@@ -9,9 +9,7 @@ checksums and per-cell numerical health.  The ``matrix`` stage (the
 Cells run as tasks on a thread pool with OpenBLAS pinned to one thread, so
 identical configurations byte-reproduce every CSV on the same build of
 numpy and its OpenBLAS (and CPU instruction set, which OpenBLAS dispatches
-on) whatever the core count.
-Without a pinnable OpenBLAS the cells run one at a time and the bits also
-depend on the BLAS thread count.  The manifest additionally records
+on) whatever the core count.  The manifest additionally records
 wall-clock, tool version and the build (and is therefore not byte-stable
 itself).
 
@@ -19,10 +17,8 @@ Tasks overlap only inside dense calls that release the GIL.  Every LAPACK
 call of a run goes through :mod:`toeplab._lapack`, numpy's own OpenBLAS
 through ``ctypes``, which releases the GIL at every size and gives the bits
 of ``np.linalg.eigvals``, ``np.linalg.slogdet`` and the ``scipy.linalg``
-calls it replaces, so a run imports no scipy module.  Where numpy's
-OpenBLAS lacks those routines, they fall back to numpy and scipy
-(the manifest's ``lapack_route``), and the bits then also depend on
-scipy's build.
+calls it replaces, so a run imports no scipy module.  A numpy whose
+OpenBLAS lacks those routines is refused before a run starts.
 
 Per-cell randomness: the Ginibre stream of cell ``(N, seed)`` is keyed by
 ``derive_seed(seed, "cell", N)``, so cells are independent and reproducible
@@ -39,7 +35,7 @@ import json
 import math
 import numbers
 import os
-import sys
+import resource
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -454,14 +450,15 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     Grushin probe).  Each task draws its own copy of the cell's noise, so no
     per-cell matrix exists outside a running task.  All tasks share one thread pool with one thread
     per usable CPU while every loaded OpenBLAS is pinned to one thread
-    (restored afterwards); without a pinnable OpenBLAS the tasks run one at
-    a time and BLAS keeps its own threads.  ``workers`` is ignored; it is
+    (restored afterwards).  ``workers`` is ignored; it is
     kept so that callers passing it positionally, such as the benchmark's
     ``perfbench/child.py``, keep working.
 
     A failing task records its cell's error in the manifest and never
-    disturbs sibling cells.
+    disturbs sibling cells.  A numpy without its OpenBLAS LAPACKE raises
+    :class:`~toeplab._lapack.UnsupportedBuildError` before anything else.
     """
+    _lapack.require()
     stages = set(stages)
     if not stages <= set(_ALL_STAGES) or ("potential" in stages and "spectrum" not in stages):
         raise ValueError(f"stages must be a subset of {_ALL_STAGES}, with 'potential' only "
@@ -501,19 +498,18 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     cell_files: dict = {}
     cell_health: dict = {}
     failures: dict = {}
-    with _pinned_blas() as pinned:
-        pool_size = _usable_cpus() if pinned else 1
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            futures = [(_cell_name(cell), pool.submit(_releasing, task, setup, *cell))
-                       for cell, task in tasks]
-            for name, fut in futures:
-                try:
-                    task_files, task_health = fut.result()
-                except Exception as exc:  # crash isolation per task
-                    failures.setdefault(name, []).append(f"{type(exc).__name__}: {exc}")
-                    continue
-                cell_files.setdefault(name, {}).update(task_files)
-                cell_health.setdefault(name, {}).update(task_health)
+    pool_size = _usable_cpus()
+    with _pinned_blas(), ThreadPoolExecutor(max_workers=pool_size) as pool:
+        futures = [(_cell_name(cell), pool.submit(_releasing, task, setup, *cell))
+                   for cell, task in tasks]
+        for name, fut in futures:
+            try:
+                task_files, task_health = fut.result()
+            except Exception as exc:  # crash isolation per task
+                failures.setdefault(name, []).append(f"{type(exc).__name__}: {exc}")
+                continue
+            cell_files.setdefault(name, {}).update(task_files)
+            cell_health.setdefault(name, {}).update(task_health)
     errors = {name: "; ".join(dict.fromkeys(msgs)) for name, msgs in failures.items()}
     matrices = {}
     if "matrix" in stages:
@@ -530,23 +526,34 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
         "kappa_hat": validation["kappa_hat"],
         "warnings": validation["warnings"],
         "wall_clock_s": time.time() - t_start,
-        "environment": {**_environment(pinned, pool_size), "bands": {
+        "environment": {**_environment(pool_size), "bands": {
             f"N{N}": {"diagonals": len(T.diagonals), "lo": T.band.lo, "hi": T.band.hi,
                       "interleaved": T.band.perm is not None}
             for N, T in setup.matrices.items()}},
         "stages": [stage for stage in _ALL_STAGES if stage in stages],
         "cells": {
             name: {"files": {k: _artifact_record(p) for k, p in cell_files[name].items()},
-                   "health": cell_health[name]}
+                   "health": _strict_health(cell_health[name])}
             for name in sorted(cell_files) if name not in errors
         },
         "matrices": matrices,
         "errors": errors,
     }
     manifest_path = out / "manifest.json"
-    text = json.dumps(manifest, indent=2, sort_keys=True)
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
     _atomic_write(manifest_path, lambda fh: fh.write(text.encode()))
     return RunRecord(str(out), manifest["config_hash"], manifest, str(manifest_path))
+
+
+def _strict_health(health: dict) -> dict:
+    """``health`` with each inf or nan value as None, its key listed under ``nonfinite``.
+
+    Strict JSON has no inf or nan, so the manifest records which values were.
+    """
+    nonfinite = sorted(k for k, v in health.items() if isinstance(v, float) and not math.isfinite(v))
+    if not nonfinite:
+        return health
+    return {**health, **dict.fromkeys(nonfinite), "nonfinite": nonfinite}
 
 
 def _artifact_record(path: Path) -> dict:
@@ -625,10 +632,9 @@ def _grushin_task(setup: _Setup, kind: str, N: int, seed: int):
 # ---------------------------------------------------------------------------
 
 #: (get, set) thread-count symbols of the scipy-openblas builds that the
-#: numpy (ILP64) and scipy (LP64) wheels ship.  Other BLAS builds are left
-#: alone, and the run is then serial.
+#: numpy (ILP64) and scipy (LP64) wheels ship.
 _OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    _lapack.THREAD_SYMBOLS,
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
 )
 
@@ -637,13 +643,8 @@ def _openblas_thread_controls() -> list:
     """``(get, set)`` thread-count functions of every OpenBLAS mapped into this process now.
 
     Looked up afresh at each run, so an OpenBLAS mapped since the last run
-    (scipy's, once a caller imports it) is pinned too.  Without numpy's
-    LAPACKE the dense calls fall back to scipy, whose OpenBLAS is then
-    mapped first.
+    (scipy's, once a caller imports it) is pinned too.
     """
-    if _lapack.routines() is None:
-        import scipy.linalg  # noqa: F401
-
     controls = []
     for lib in _lapack.openblas_libraries():
         for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
@@ -658,7 +659,7 @@ def _openblas_thread_controls() -> list:
 
 @contextmanager
 def _pinned_blas():
-    """Pin every loaded OpenBLAS to one thread; yields whether any was found.
+    """Pin every loaded OpenBLAS to one thread.
 
     Each library's thread count is restored on exit, also when the body raises.
     """
@@ -666,7 +667,7 @@ def _pinned_blas():
     for set_, _ in saved:
         set_(1)
     try:
-        yield bool(saved)
+        yield
     finally:
         for set_, count in saved:
             set_(count)
@@ -709,34 +710,19 @@ def _releasing(task, *args):
 
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:                      # not on Linux
-        return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
 
 
-def _environment(pinned: bool, pool_size: int) -> dict:
+def _environment(pool_size: int) -> dict:
     """Build and execution record of a run (its CSV bits depend on the build)."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):               # numpy < 1.25 has no dict mode
-        blas = {}
-    try:
-        import resource
-        peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
-    except ImportError:                         # not on a POSIX system
-        peak_rss_mb = None
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
-        # only the fallback route loads scipy, and only then do the bits depend on it
-        "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
-        "blas_pinned": pinned,
-        "blas_threads": 1 if pinned else None,
-        "lapack_route": "fallback" if _lapack.routines() is None else "lapacke",
+        "blas_threads": 1,
         "pool_size": pool_size,
         "usable_cpus": _usable_cpus(),
-        "peak_rss_mb": peak_rss_mb,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,  # KiB on Linux
         "heap_release": None if _malloc_trim() is None else "malloc_trim",
     }
 
@@ -782,8 +768,9 @@ class VerifyReport:
 def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
     """Check artifact integrity, that no cell failed, and the named criteria suite of a run.
 
-    A missing or malformed manifest fails the ``integrity`` criterion, and
-    so does a perturbed cell of the configuration that the manifest lists
+    A missing or malformed manifest fails the ``integrity`` criterion (a
+    ``NaN`` or ``Infinity`` in it too: ``run`` writes strict JSON), and so
+    does a perturbed cell of the configuration that the manifest lists
     neither among its cells nor among its errors.
     """
     out = Path(run_dir)
@@ -791,8 +778,8 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
     if not manifest_path.exists():
         return _integrity_failure("missing manifest")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except ValueError as exc:                   # JSONDecodeError, UnicodeDecodeError
+        manifest = json.loads(manifest_path.read_text(), parse_constant=_refuse_constant)
+    except ValueError as exc:                   # JSONDecodeError, UnicodeDecodeError, NaN
         return _integrity_failure(f"malformed manifest: {exc}")
     problem = _manifest_problem(manifest)
     if problem:
@@ -834,6 +821,10 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
 
     passed = all(c["status"] == "pass" for c in criteria.values() if c["status"] != "skipped")
     return VerifyReport(passed, criteria)
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
 
 
 def _integrity_failure(detail: str) -> VerifyReport:

@@ -190,6 +190,16 @@ def test_large_coefficients_within_the_bound_run_cleanly(scale, tmp_path):
     record = run(ExperimentConfig.from_mapping(data), out_dir=tmp_path)
     assert record.manifest["errors"] == {}
     assert record.manifest["cells"]
+    # the manifest is strict JSON: a health value that overflowed (the subspace
+    # residual from scale 1e100 on) is null and named under the cell's nonfinite
+    manifest = json.loads(Path(record.manifest_path).read_text(), parse_constant=_refuse_constant)
+    for cell in manifest["cells"].values():
+        nonfinite = cell["health"].get("nonfinite", [])
+        assert all(cell["health"][key] is None for key in nonfinite)
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} in a manifest that should be strict JSON")
 
 
 @pytest.mark.parametrize("path", PATHS, ids=" ".join)

@@ -31,7 +31,7 @@ def haar_unitary(dim, seed):
 
 
 class TestEigenvalues:
-    """``match_eigenvalues`` on spectra from ``np.linalg.eigvals``, as a run computes them."""
+    """``match_eigenvalues`` on ``np.linalg.eigvals`` spectra, the bits a run's ``zgeev`` stages give."""
 
     def test_cyclic_shift_roots_of_unity(self):
         S = np.zeros((4, 4))
