@@ -44,13 +44,14 @@ checks the identity against the latter.  ``G`` is a plain array;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _lapack
-from .geometry import QuadratureGrid, SymbolSpec
-from .potential import limit_potential, log_abs_det
+from .geometry import SymbolSpec
+from .potential import log_abs_det
 from .quantize import ToeplitzMatrix, quantize_symbol
 from .randmat import NormBound
 
@@ -118,13 +119,16 @@ def _params_of_values(N: int, rho: float, values: np.ndarray) -> GrushinParams:
 
 
 def _banded_grams(T: ToeplitzMatrix, z: complex):
-    """Lower band storage of ``B*B`` and ``B B*`` for ``B = T - z``.
+    """Lower band storage of ``B*B`` and ``B B*`` for ``B = 2^-e (T - z)``.
 
-    Returns ``(right, left, perm)``: the two Gram bands of ``B`` with rows and
-    columns taken in the order of ``T.band`` (``perm`` is its interleaving, or
-    None for the plain order).  Every matrix has a band (a dense one reaches
-    ``n - 1`` diagonals each way), and the Gram bands keep at most ``n - 1``
-    subdiagonals.
+    Returns ``(right, left, perm, e)``: the two Gram bands of ``B`` with rows
+    and columns taken in the order of ``T.band`` (``perm`` is its
+    interleaving, or None for the plain order), and the exponent ``e`` that
+    puts the largest entry of ``B`` in ``[1/2, 1)`` (0 for ``T = z``), so
+    that squaring the entries neither overflows nor underflows; a power of
+    two scales every value exactly in between.  Every matrix has a band (a
+    dense one reaches ``n - 1`` diagonals each way), and the Gram bands keep
+    at most ``n - 1`` subdiagonals.
     """
     band, n = T.band, T.dim
     lo, hi, rows, cols = band.lo, band.hi, band.rows, band.cols
@@ -136,7 +140,9 @@ def _banded_grams(T: ToeplitzMatrix, z: complex):
     adjoint = np.zeros_like(diags)
     adjoint[hi - offsets, cols] = band.values.conj()
     adjoint[hi] -= complex(z).conjugate()
-    return _gram_band(diags, lo, hi), _gram_band(adjoint, hi, lo), band.perm
+    e = math.frexp(float(np.max(np.abs(diags), initial=0.0)))[1]
+    diags, adjoint = (np.ldexp(x.view(float), -e).view(complex) for x in (diags, adjoint))
+    return _gram_band(diags, lo, hi), _gram_band(adjoint, hi, lo), band.perm, e
 
 
 def _gram_band(diags: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -175,12 +181,14 @@ def _smallest_eigenvectors(band: np.ndarray, eigenvalues: np.ndarray, A: int):
     below the cluster (so an exact zero eigenvalue keeps ``M - sigma``
     nonsingular) and two solves from a fixed start block, each followed by
     orthogonalization against the earlier clusters.  One Rayleigh-Ritz step
-    closes.  Returns the basis and the worst residual ``||M v - theta v||``.
+    closes.  Returns the basis and the worst residual ``||M v - theta v||``
+    relative to ``M``'s largest eigenvalue.
     """
     w, n = band.shape[0] - 1, band.shape[1]
     if A == 0:
         return np.empty((n, 0), dtype=complex), 0.0
-    tol = n * np.finfo(float).eps * max(float(eigenvalues[-1]), np.finfo(float).tiny)
+    norm = max(float(eigenvalues[-1]), np.finfo(float).tiny)           # ||M||
+    tol = n * np.finfo(float).eps * norm
     full = np.zeros((3 * w + 1, n), dtype=complex)   # LAPACK general band storage, w fill rows
     full[2 * w:] = band
     for d in range(1, w + 1):
@@ -205,7 +213,7 @@ def _smallest_eigenvectors(band: np.ndarray, eigenvalues: np.ndarray, A: int):
     image = _band_matvec(band, basis)
     theta, rotation = np.linalg.eigh(basis.conj().T @ image)
     basis = basis @ rotation
-    return basis, float(np.max(np.linalg.norm(image @ rotation - basis * theta, axis=0)))
+    return basis, float(np.max(np.linalg.norm(image @ rotation - basis * theta, axis=0))) / norm
 
 
 def _small_subspaces(T: ToeplitzMatrix, z: complex, rho: float):
@@ -214,16 +222,17 @@ def _small_subspaces(T: ToeplitzMatrix, z: complex, rho: float):
     Returns ``(values, params, left, right_h, residual)``: the ascending
     singular values, :class:`GrushinParams` for ``(T.N, rho)``, the columns
     ``f_1..f_A``, the rows ``e_1*..e_A*`` and the worst residual
-    ``||B*B v - lambda v||`` (``B = T - z``) over both bases, with ``B B*``
-    for the left one.  The values come from a banded Hermitian eigensolve of
-    ``B*B`` (LAPACK ``zhbevd``) on the band of :func:`_banded_grams`, and
+    ``||B*B v - lambda v|| / ||B||^2`` (``B = T - z``) over both bases, with
+    ``B B*`` for the left one.  The values come from a banded Hermitian
+    eigensolve of ``B*B`` (LAPACK ``zhbevd``) on the scaled band of
+    :func:`_banded_grams`, scaled back, and
     both bases from shifted inverse iteration on ``B*B`` and ``B B*``.  The
     two bases span the singular subspaces but are not paired vector by
     vector, which changes no ``|det|`` of the split.
     """
-    right_gram, left_gram, perm = _banded_grams(T, z)
-    squares = _lapack.eigvalsh_banded(right_gram)
-    values = np.sqrt(np.clip(squares, 0.0, None))
+    right_gram, left_gram, perm, e = _banded_grams(T, z)
+    squares = _lapack.eigvalsh_banded(right_gram)         # of B*B / 4^e
+    values = np.ldexp(np.sqrt(np.clip(squares, 0.0, None)), e)
     params = _params_of_values(T.N, rho, values)
     A = params.n_small
     right, right_residual = _smallest_eigenvectors(right_gram, squares, A)
@@ -399,8 +408,9 @@ class SplitDiagnostics:
     ``condition`` is LAPACK's 1-norm condition estimate of the bordered matrix.
     ``cutoff_gap`` is ``min_i |t_i^2 - alpha| / alpha``: how far the nearest
     singular value sits from the cutoff, so how fragile the count ``A`` is.
-    ``subspace_residual`` is the worst ``||B*B v - lambda v||`` over the two
-    small singular bases (``B B*`` for the left one), ``B = P - z``.
+    ``subspace_residual`` is the worst ``||B*B v - lambda v|| / ||B||^2``
+    over the two small singular bases (``B B*`` for the left one),
+    ``B = P - z``: relative, so it reads the same at any scale of ``P``.
     """
 
     b1: float
@@ -416,12 +426,13 @@ class SplitDiagnostics:
     flags: tuple
 
 
-def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray,
-                  grid: QuadratureGrid | None = None,
+def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray, classical: float,
                   g_norm: NormBound | None = None) -> SplitDiagnostics:
     """Compute the three-way split for a quantization matrix at one probe.
 
-    ``T`` must be a ToeplitzMatrix (the classical side needs its symbol).
+    ``T`` must be a ToeplitzMatrix.  ``classical`` is the classical
+    potential ``avg log|z - f0|`` at ``z`` (``potential.limit_potential``),
+    computed by the caller, so a probe does no quadrature.
     The unperturbed bulk term uses ``log|det bordered| = sum_{i>A} log t_i``,
     which is exact for the unperturbed system.  ``g_norm`` is the
     :class:`~toeplab.randmat.NormBound` of ``G``, whose exact norm is
@@ -466,7 +477,6 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray,
     else:
         log_free = float(np.sum(np.log(tail))) if A < dim else 0.0
 
-    classical = limit_potential(T.symbol, z, grid)
     b1 = log_free / dim - classical
 
     delta = float(delta)

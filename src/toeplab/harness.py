@@ -6,12 +6,12 @@ stages (the ``spectrum``, ``potential`` and ``grushin`` CLI verbs), and
 persists plot-ready CSV tables plus a JSON manifest with per-artifact
 checksums and per-cell numerical health.  The ``matrix`` stage (the
 ``quantize`` verb) persists each size's quantization matrix as ``.npy``.
-Cells run as tasks on a thread pool with OpenBLAS pinned to one thread, so
-identical configurations byte-reproduce every CSV on the same build of
-numpy and its OpenBLAS (and CPU instruction set, which OpenBLAS dispatches
-on) whatever the core count.  The manifest additionally records
-wall-clock, tool version and the build (and is therefore not byte-stable
-itself).
+Cells run as tasks on a thread pool, and the whole run, set-up included,
+runs with OpenBLAS pinned to one thread, so identical configurations
+byte-reproduce every CSV on the same build of numpy and its OpenBLAS (and
+CPU instruction set, which OpenBLAS dispatches on) whatever the core count.
+The manifest additionally records wall-clock, tool version and the build
+(and is therefore not byte-stable itself).
 
 Tasks overlap only inside dense calls that release the GIL.  Every LAPACK
 call of a run goes through :mod:`toeplab._lapack`, numpy's own OpenBLAS
@@ -49,11 +49,11 @@ from . import __version__, _lapack
 from .geometry import (
     SPHERE,
     TORUS,
-    QuadratureGrid,
     RegularityEstimate,
     estimate_kappa,
     evaluate_symbol_grid,
     liouville_quadrature,
+    make_phase_space,
     sample_points,
     scottish_flag_symbol,
     sphere_symbol,
@@ -62,7 +62,7 @@ from .geometry import (
 )
 from .grushin import b_diagnostics
 from .potential import limit_potential_many, potential_from_spectrum
-from .quantize import ToeplitzMatrix, check_size, quantize_symbol
+from .quantize import ToeplitzMatrix, bergman_dimension, check_size, quantize_symbol
 from .randmat import NormBound, derive_seed, noise_window, sample_ginibre
 from .spectra import empirical_cdf_disks, weyl_predict
 
@@ -94,7 +94,7 @@ class _Key:
     forms: tuple = ()
 
 
-#: The Grushin split squares |z| (``_gram_band``), which overflows above sqrt(float max) = 1.3e154.
+#: The Grushin cutoff squares the singular values of P - z, which overflow above sqrt(float max) = 1.3e154.
 _PROBE_BOUNDS = "[-1e150, 1e150]"
 
 #: Every configuration key in field order, required ones first: the one statement of its kind,
@@ -429,12 +429,11 @@ class _Setup:
     out: Path
     matrices: dict                      # N -> ToeplitzMatrix
     deltas: dict                        # N -> noise size delta(N), perturbed sizes
-    grid: QuadratureGrid
     radii: np.ndarray
     predicted: np.ndarray | None        # None without the spectrum stage
     probes: np.ndarray | None           # None without the potential stage
-    u_lim: np.ndarray | None
-    grushin_probes: list
+    u_lim: np.ndarray                   # classical potential at each probe of probes
+    grushin_probes: list                # (z, classical potential at z) pairs
     rho: float
 
 
@@ -447,10 +446,12 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     The spectrum stage of a cell is one task (eigenvalues and disk counts,
     plus the potential when that stage is selected); the Grushin stage of a perturbed cell is a second
     task (a certified bound on ``||G||`` once, then the split at each
-    Grushin probe).  Each task draws its own copy of the cell's noise, so no
+    Grushin probe).  Set-up computes the classical potential of every
+    potential and Grushin probe in one quadrature, so no task reads the
+    quadrature grid.  Each task draws its own copy of the cell's noise, so no
     per-cell matrix exists outside a running task.  All tasks share one thread pool with one thread
-    per usable CPU while every loaded OpenBLAS is pinned to one thread
-    (restored afterwards).  ``workers`` is ignored; it is
+    per usable CPU.  From validation on, every loaded OpenBLAS is pinned to
+    one thread (restored afterwards).  ``workers`` is ignored; it is
     kept so that callers passing it positionally, such as the benchmark's
     ``perfbench/child.py``, keep working.
 
@@ -463,6 +464,12 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     if not stages <= set(_ALL_STAGES) or ("potential" in stages and "spectrum" not in stages):
         raise ValueError(f"stages must be a subset of {_ALL_STAGES}, with 'potential' only "
                          f"beside 'spectrum'; got {sorted(stages)}")
+    with _pinned_blas():                        # set-up too: a threaded dot moves its sums' bits
+        return _run(config, out_dir, stages)
+
+
+def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
+    """The body of :func:`run`, on one OpenBLAS thread."""
     t_start = time.time()
     validation = config.validate()             # a rejected config leaves no directory behind
     out = Path(out_dir or config.out_dir or "runs")
@@ -481,25 +488,30 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     if "matrix" in stages:
         sizes.update(cell[1] for cell in cells)
     probes = config.probe_points(f, f.space) if "potential" in stages else None
+    n_probes = 0 if probes is None else len(probes)
+    grushin_probes = ([complex(re, im) for re, im in config.grushin_probes]
+                      if "grushin" in stages else [])
+    # the classical potential of every probe of the run, in one quadrature
+    u_lim = limit_potential_many(f, [*([] if probes is None else probes), *grushin_probes], grid)
     setup = _Setup(
         out=out,
         matrices={N: quantize_symbol(f, N) for N in sorted(sizes)},
         deltas={int(N): config.noise_size(int(N)) for N in config.n_values},
-        grid=grid,
         radii=radii,
         predicted=weyl_predict(f, radii, grid) if "spectrum" in stages else None,
         probes=probes,
-        u_lim=None if probes is None else limit_potential_many(f, probes, grid),
-        grushin_probes=[complex(re, im) for re, im in config.grushin_probes],
+        u_lim=u_lim[:n_probes],
+        grushin_probes=list(zip(grushin_probes, u_lim[n_probes:])),
         rho=config.rho,
     )
+    del grid                                    # no task reads the quadrature
     _release_heap()                             # the kappa fit's and quadrature's temporaries
 
     cell_files: dict = {}
     cell_health: dict = {}
     failures: dict = {}
     pool_size = _usable_cpus()
-    with _pinned_blas(), ThreadPoolExecutor(max_workers=pool_size) as pool:
+    with ThreadPoolExecutor(max_workers=pool_size) as pool:
         futures = [(_cell_name(cell), pool.submit(_releasing, task, setup, *cell))
                    for cell, task in tasks]
         for name, fut in futures:
@@ -606,11 +618,11 @@ def _grushin_task(setup: _Setup, kind: str, N: int, seed: int):
     delta = setup.deltas[N]
     G = _cell_noise(T, seed)
     g_norm = NormBound(G)                   # certified; the exact norm only if a flag hinges on it
-    diags = [b_diagnostics(T, z, setup.rho, delta, G, setup.grid, g_norm=g_norm)
-             for z in setup.grushin_probes]
+    diags = [b_diagnostics(T, z, setup.rho, delta, G, classical, g_norm=g_norm)
+             for z, classical in setup.grushin_probes]
     rows = [(N, z.real, z.imag, setup.rho, delta, seed, d.n_small, d.b1, d.b2, d.b3,
              d.schur_residual, ";".join(d.flags))
-            for z, d in zip(setup.grushin_probes, diags)]
+            for (z, _), d in zip(setup.grushin_probes, diags)]
     files = {"diagnostics": _emit(setup.out, f"diag_{_cell_name((kind, N, seed))}.csv",
                                   "N,z_re,z_im,rho,delta,seed,A,B1,B2,B3,schur_residual,flags",
                                   rows)}
@@ -807,6 +819,9 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
     elif absent:
         criteria["integrity"] = {"status": "fail",
                                  "detail": f"cells neither run nor failed: {absent}"}
+    elif inconsistent := _inconsistent_cells(out, manifest, intact):
+        criteria["integrity"] = {"status": "fail",
+                                 "detail": f"inconsistent artifacts: {inconsistent}"}
     else:
         criteria["integrity"] = {"status": "pass", "detail": f"{len(manifest['cells'])} cells and "
                                  f"{len(manifest.get('matrices', {}))} matrices intact"}
@@ -821,6 +836,67 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
 
     passed = all(c["status"] == "pass" for c in criteria.values() if c["status"] != "skipped")
     return VerifyReport(passed, criteria)
+
+
+#: Largest gap between a potential row's ``U_emp`` and ``sum log|lambda - z| / dim``
+#: recomputed from its cell's spectrum CSV: the two agree to 4e-15 on perturbed
+#: cells, and a cell on the Hessenberg-LU fallback within ``LOGDET_CHECK_BOUND``.
+POTENTIAL_TOL = 1e-8
+
+
+def _inconsistent_cells(out: Path, manifest: dict, intact: set) -> list:
+    """Where the ``intact`` CSVs of a cell disagree with each other or its size, one line each.
+
+    The spectrum holds ``dim`` finite eigenvalues, each potential row's
+    ``U_emp`` is the one that spectrum gives within :data:`POTENTIAL_TOL`,
+    and each diagnostics row has finite B1-B3 or a ``singular-`` flag.
+    """
+    config = manifest["config"]
+    problems = []
+    for name, cell in sorted(manifest["cells"].items()):
+        paths = {kind: out / info["path"] for kind, info in cell["files"].items()
+                 if info["path"] in intact}
+        try:
+            problems += _cell_inconsistencies(name, paths, config)
+        except (KeyError, TypeError, ValueError) as exc:        # a malformed row or config
+            problems.append(f"{name}: cannot cross-check ({type(exc).__name__}: {exc})")
+    return problems
+
+
+def _cell_inconsistencies(name: str, paths: dict, config: dict) -> list:
+    """:func:`_inconsistent_cells` for the cell ``name``, its CSVs' ``paths`` keyed by kind."""
+    problems = []
+    lam = None
+    if "spectrum" in paths:
+        sizes = {_cell_name(("unperturbed", N, None)): N for N in config.get("unperturbed_sizes", [])}
+        sizes.update({_cell_name(("perturbed", N, seed)): N
+                      for N in config["n_values"] for seed in config["seeds"]})
+        dim = bergman_dimension(make_phase_space(config["space"]), int(sizes[name]))
+        eig = np.array([[float(r["re"]), float(r["im"])] for r in _read_csv(paths["spectrum"])])
+        if len(eig) != dim or not np.all(np.isfinite(eig)):
+            problems.append(f"{name}: {paths['spectrum'].name} holds {len(eig)} rows, "
+                            f"expected {dim} finite")
+        else:
+            lam = eig[:, 0] + 1j * eig[:, 1]
+    if "potential" in paths and lam is not None:
+        for r in _read_csv(paths["potential"]):
+            z, got = complex(float(r["z_re"]), float(r["z_im"])), float(r["U_emp"])
+            with np.errstate(divide="ignore"):
+                want = float(np.sum(np.log(np.abs(lam - z)))) / len(lam)
+            if not (got == want or abs(got - want) <= POTENTIAL_TOL):
+                problems.append(f"{name}: U_emp {got!r} at z={z} against {want!r} from its spectrum")
+    if "diagnostics" in paths:
+        for r in _read_csv(paths["diagnostics"]):
+            finite = all(math.isfinite(float(r[b])) for b in ("B1", "B2", "B3"))
+            if not (finite or _singular_flagged(r)):
+                problems.append(f"{name}: non-finite B1-B3 at z=({r['z_re']}, {r['z_im']}) "
+                                "without a singular- flag")
+    return problems
+
+
+def _singular_flagged(row: dict) -> bool:
+    """Whether a diagnostics row's flags name a singular determinant, where its split is undefined."""
+    return any(flag.startswith("singular-") for flag in row["flags"].split(";"))
 
 
 def _refuse_constant(name: str):
@@ -954,7 +1030,7 @@ def _verify_acceptance(out: Path, manifest: dict, intact: set, criteria: dict) -
             if np.isfinite(schur):
                 schur_worst = max(schur_worst, schur)
             else:
-                nonfinite.append(any(flag.startswith("singular-") for flag in r["flags"].split(";")))
+                nonfinite.append(_singular_flagged(r))
     if not sizes:
         criteria["b3_negative"] = {"status": "skipped", "detail": "no diagnostics artifacts"}
         criteria["schur_residual"] = {"status": "skipped", "detail": "no diagnostics artifacts"}

@@ -40,6 +40,7 @@ from toeplab.grushin import (
     small_eigen_count_scan,
 )
 from toeplab.harness import acceptance_config, run
+from toeplab.potential import limit_potential
 from toeplab.quantize import bergman_dimension, quantize_sphere, quantize_torus
 from toeplab.randmat import (
     TAIL_BOUND_CONSTANT,
@@ -202,7 +203,8 @@ def test_criterion_07_bulk_term_decay():
     for N in (100, 200):
         T = quantize_sphere(PROJECTION, N)
         G = sample_ginibre(T.dim, 7)
-        diag = b_diagnostics(T, 0.3 + 0.2j, 0.25, 1.0 / N, G, grid)
+        diag = b_diagnostics(T, 0.3 + 0.2j, 0.25, 1.0 / N, G,
+                             limit_potential(T.symbol, 0.3 + 0.2j, grid))
         values[N] = abs(diag.b1)
     ok = values[200] < values[100] < 0.1
     detail = report(7, ok, f"|B1|: size 100 -> {values[100]:.5f}, size 200 -> {values[200]:.5f} "

@@ -199,7 +199,8 @@ def diag300():
     T = quantize_sphere(PROJECTION, 120)
     G = sample_ginibre(121, 5)
     grid = liouville_quadrature(SPHERE, 200)
-    return T, b_diagnostics(T, 0.3 + 0.2j, 0.25, 1.0 / 120, G, grid), G, grid
+    classical = limit_potential(T.symbol, 0.3 + 0.2j, grid)
+    return T, b_diagnostics(T, 0.3 + 0.2j, 0.25, 1.0 / 120, G, classical), G, grid
 
 
 class TestSplitDiagnostics:
@@ -234,7 +235,7 @@ class TestSplitDiagnostics:
     def test_far_probe_no_augmentation(self):
         T = quantize_sphere(PROJECTION, 40)
         G = sample_ginibre(41, 6)
-        diag = b_diagnostics(T, 50.0, 0.25, 1.0 / 40, G)
+        diag = b_diagnostics(T, 50.0, 0.25, 1.0 / 40, G, limit_potential(T.symbol, 50.0))
         assert diag.n_small == 0
         assert diag.b3 == 0.0
         assert diag.schur_residual <= 1e-8
@@ -242,8 +243,9 @@ class TestSplitDiagnostics:
     def test_csv_row_format(self, diag300, tmp_path):
         # the diag_*.csv row of the same split; A depends on T alone, not on the noise
         T, diag, _, grid = diag300
+        classical = limit_potential(T.symbol, 0.3 + 0.2j, grid)
         setup = SimpleNamespace(out=tmp_path, matrices={120: T}, deltas={120: 1.0 / 120},
-                                rho=0.25, grid=grid, grushin_probes=[0.3 + 0.2j])
+                                rho=0.25, grushin_probes=[(0.3 + 0.2j, classical)])
         files, _ = harness_module._grushin_task(setup, "perturbed", 120, 5)
         header, row = files["diagnostics"].read_text().splitlines()
         fields = row.split(",")
@@ -289,7 +291,7 @@ class TestFastRouteOracle:
         grid = liouville_quadrature(T.space, 60)
         counts = []
         for z in probes:
-            diag = b_diagnostics(T, z, 0.25, delta, G, grid)
+            diag = b_diagnostics(T, z, 0.25, delta, G, limit_potential(T.symbol, z, grid))
             A, b2, b3, system = _slow_split(T, z, 0.25, delta, G)
             tr = singular_triples(T.dense(), z)
             b1 = float(np.sum(np.log(tr.values[A:]))) / T.dim - limit_potential(
@@ -311,7 +313,7 @@ class TestFastRouteOracle:
     def test_condition_is_lapack_one_norm_estimate(self):
         T, probes, delta, seed = DRAWS[0]
         G = sample_ginibre(T.dim, seed)
-        diag = b_diagnostics(T, probes[0], 0.25, delta, G)
+        diag = b_diagnostics(T, probes[0], 0.25, delta, G, 0.0)
         # a 1-norm condition depends on the bases: take the matrix b_diagnostics factors
         _, params, left, right_h, _ = grushin_module._small_subspaces(T, probes[0], 0.25)
         A = params.n_small
@@ -325,9 +327,9 @@ class TestFastRouteOracle:
     def test_guard_only_flags_the_lu_corner(self, monkeypatch):
         T, probes, delta, seed = DRAWS[1]
         G = sample_ginibre(T.dim, seed)
-        fast = [b_diagnostics(T, z, 0.25, delta, G) for z in probes]
+        fast = [b_diagnostics(T, z, 0.25, delta, G, 0.0) for z in probes]
         monkeypatch.setattr(grushin_module, "CONDITION_GUARD", 0.5)   # below any condition
-        guarded = [b_diagnostics(T, z, 0.25, delta, G) for z in probes]
+        guarded = [b_diagnostics(T, z, 0.25, delta, G, 0.0) for z in probes]
         for lu_route, flagged in zip(fast, guarded):
             assert flagged.flags == lu_route.flags + (
                 f"condition estimate {lu_route.condition:.3g} exceeds 5e-01",)
@@ -348,7 +350,7 @@ class TestFastRouteOracle:
         mu = max(np.linalg.eigvals(G @ bulk), key=abs)
         G = (-abs(mu) / mu) * G
         delta = (1.0 + 1e-11) / abs(mu)
-        diag = b_diagnostics(T, z, rho, delta, G)
+        diag = b_diagnostics(T, z, rho, delta, G, 0.0)
         assert A == 4 and diag.condition > grushin_module.CONDITION_GUARD
         assert diag.flags[-1].startswith("condition estimate")
 
@@ -374,7 +376,7 @@ class TestFastRouteOracle:
         T, probes, _, seed = DRAWS[0]
         G = sample_ginibre(T.dim, seed)
         for z in (probes[0], probes[-1]):                             # A >= 1 and A = 0
-            diag = b_diagnostics(T, z, 0.25, 10.0, G)
+            diag = b_diagnostics(T, z, 0.25, 10.0, G, 0.0)
             A, b2, b3, system = _slow_split(T, z, 0.25, 10.0, G)
             assert any("Neumann" in w for w in diag.flags)
             assert diag.flags == system.warnings
@@ -386,8 +388,8 @@ class TestFastRouteOracle:
         T, probes, delta, seed = DRAWS[0]
         G = sample_ginibre(T.dim, seed)
         for d in (delta, 10.0):
-            given = b_diagnostics(T, probes[0], 0.25, d, G, g_norm=NormBound(G))
-            assert given == b_diagnostics(T, probes[0], 0.25, d, G)
+            given = b_diagnostics(T, probes[0], 0.25, d, G, 0.0, g_norm=NormBound(G))
+            assert given == b_diagnostics(T, probes[0], 0.25, d, G, 0.0)
 
 
 class TestFactorizationCount:
@@ -448,7 +450,7 @@ class TestFactorizationCount:
         G = sample_ginibre(T.dim, seed)
         g_norm = NormBound(G)
         counts = self._count(monkeypatch)
-        diag = b_diagnostics(T, probes[0], 0.25, delta, G, g_norm=g_norm)
+        diag = b_diagnostics(T, probes[0], 0.25, delta, G, 0.0, g_norm=g_norm)
         assert diag.n_small >= 1
         self._assert_probe(counts, T.dim, diag.n_small, svd=0, eig_banded=1)
 
@@ -457,7 +459,7 @@ class TestFactorizationCount:
         G = sample_ginibre(T.dim, seed)
         g_norm = NormBound(G)
         counts = self._count(monkeypatch)
-        diag = b_diagnostics(T, probes[0], 0.25, delta, G, g_norm=g_norm)
+        diag = b_diagnostics(T, probes[0], 0.25, delta, G, 0.0, g_norm=g_norm)
         assert diag.n_small >= 1
         self._assert_probe(counts, T.dim, diag.n_small, svd=0, eig_banded=1)
 
@@ -474,7 +476,7 @@ class TestFactorizationCount:
         G = sample_ginibre(T.dim, seed)
         g_norm = NormBound(G)
         counts = self._count(monkeypatch)
-        diag = b_diagnostics(T, probes[-1], 0.25, delta, G, g_norm=g_norm)
+        diag = b_diagnostics(T, probes[-1], 0.25, delta, G, 0.0, g_norm=g_norm)
         assert diag.n_small == 0
         self._assert_probe(counts, T.dim, 0, svd=0, eig_banded=1)
         assert diag.schur_residual == 0.0
@@ -566,7 +568,7 @@ class TestFactorizationCount:
             header = rows[0].split(",")
             for row, z in zip(rows[1:], (0.3 + 0.2j, 0.6)):
                 field = dict(zip(header, row.split(",")))["flags"]
-                want = b_diagnostics(T, z, 0.2, float(N) ** -1.0, G).flags
+                want = b_diagnostics(T, z, 0.2, float(N) ** -1.0, G, 0.0).flags
                 assert (tuple(field.split(";")) if field else ()) == want
                 flagged += bool(want)
         assert flagged >= 4
@@ -605,15 +607,32 @@ class TestBandedRoute:
     def test_bidiagonal_grams_match_dense(self, name):
         T = quantize_symbol(BANDED[name], 30)
         P, z = T.dense(), 0.2 - 0.1j
-        right, left, perm = grushin_module._banded_grams(T, z)
+        right, left, perm, e = grushin_module._banded_grams(T, z)
         assert (perm is None) == (BANDED[name].kind == "sphere")
         order = np.arange(len(P)) if perm is None else perm
-        B = (P - z * np.eye(len(P)))[np.ix_(order, order)]
+        B = (P - z * np.eye(len(P)))[np.ix_(order, order)] / 2.0 ** e
+        assert 0.5 <= np.max(np.abs(B)) < 1.0
         # B's band (interleaved on the torus) is 1, 1, 1, 2, 2, 4 wide on either side
         width = {"upper": 1, "lower": 1, "tilted": 1, "x1": 2, "flag": 4, "cyclic2": 8}[name]
         assert right.shape == left.shape == (width + 1, len(P))
         for band, dense in ((right, B.conj().T @ B), (left, B @ B.conj().T)):
             assert np.max(np.abs(_dense_gram_band(band) - dense)) < 1e-14
+
+    @pytest.mark.parametrize("name", ["upper", "flag"])
+    @pytest.mark.parametrize("k", [-500, -40, 40, 500])
+    def test_a_power_of_two_scale_leaves_the_grams_and_scales_the_values(self, name, k):
+        # the Gram bands come from P - z scaled to order 1, so 2^k (P - z) gives the
+        # same bits, with no overflow or underflow at 2^+-500 (entries near 1e+-150)
+        T, z = quantize_symbol(BANDED[name], 30), 0.2 - 0.1j
+        scaled = _with_entries(T, np.ldexp(T.dense().view(float), k).view(complex))
+        *grams, e = grushin_module._banded_grams(T, z)
+        *scaled_grams, scaled_e = grushin_module._banded_grams(scaled, z * 2.0 ** k)
+        assert scaled_e == e + k
+        for band, scaled_band in zip(grams, scaled_grams):
+            assert band is scaled_band is None or band.tobytes() == scaled_band.tobytes()
+        values = grushin_module._small_subspaces(T, z, 0.25)[0]
+        scaled_values = grushin_module._small_subspaces(scaled, z * 2.0 ** k, 0.25)[0]
+        assert scaled_values.tobytes() == np.ldexp(values, k).tobytes()
 
     @staticmethod
     def _check_subspaces(T, z):
@@ -641,7 +660,7 @@ class TestBandedRoute:
         dense = sample_ginibre(31, 5)
         # the far entry widens the upper bidiagonal to 15; a dense matrix hits the cap n - 1
         for P, width in ((stray, 15), (dense, 30)):
-            right, left, perm = grushin_module._banded_grams(_with_entries(T, P), 0.1)
+            right, left, perm, _ = grushin_module._banded_grams(_with_entries(T, P), 0.1)
             assert perm is None and right.shape == left.shape == (width + 1, 31)
             (_, params, _, _, _), _ = self._check_subspaces(_with_entries(T, P), 0.1)
             assert params.n_small >= 1
@@ -662,7 +681,7 @@ class TestBandedRoute:
                 assert A % 2 == 0
                 assert np.max(np.abs(values[:A:2] - values[1:A:2]), initial=0.0) < 1e-7
 
-            diag = b_diagnostics(T, z, 0.25, delta, G, grid)
+            diag = b_diagnostics(T, z, 0.25, delta, G, limit_potential(T.symbol, z, grid))
             A_slow, b2, b3, _ = _slow_split(T, z, 0.25, delta, G)
             b1 = float(np.sum(np.log(tr.values[A:]))) / T.dim - limit_potential(
                 T.symbol, z, grid)
@@ -713,17 +732,16 @@ class TestProbeMemory:
         N = dim - 1
         T = quantize_sphere(PROJECTION, N)
         G = sample_ginibre(dim, derive_seed(3, "memory", N))
-        # a coarse grid: the classical term's grid-sized arrays are not under test
-        return T, z, G, NormBound(G), liouville_quadrature(SPHERE, 40)
+        return T, z, G, NormBound(G)
 
     def test_peak_is_the_bordered_matrix_plus_o_dim_a(self):
-        T, z, G, g_norm, grid = self._probe()
+        T, z, G, g_norm = self._probe()
         delta = T.N ** -1.25
-        b_diagnostics(T, z, 0.25, delta, G, grid, g_norm=g_norm)       # warm-up
+        b_diagnostics(T, z, 0.25, delta, G, 0.0, g_norm=g_norm)       # warm-up
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            diag = b_diagnostics(T, z, 0.25, delta, G, grid, g_norm=g_norm)
+            diag = b_diagnostics(T, z, 0.25, delta, G, 0.0, g_norm=g_norm)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -735,9 +753,9 @@ class TestProbeMemory:
         assert peak <= 16 * (dim + A) * (dim + A + 5 * A + 48)
 
     def test_inputs_stay_unchanged(self):
-        T, z, G, g_norm, grid = self._probe(dim=120)
+        T, z, G, g_norm = self._probe(dim=120)
         entries, noise = T.dense(), G.copy()
         for delta in (0.0, T.N ** -1.25):
-            b_diagnostics(T, z, 0.25, delta, G, grid, g_norm=g_norm)
+            b_diagnostics(T, z, 0.25, delta, G, 0.0, g_norm=g_norm)
             assert T.dense().tobytes() == entries.tobytes()
             assert G.tobytes() == noise.tobytes()

@@ -263,6 +263,71 @@ def done(tmp_path_factory):
     return out, record
 
 
+def _shift_first_u_emp(text: str) -> str:
+    header, first, *rest = text.splitlines(True)
+    fields = first.split(",")
+    fields[4] = repr(float(fields[4]) + 0.01)
+    return "".join([header, ",".join(fields), *rest])
+
+
+def _nan_first_b1(flags: str):
+    def edit(text: str) -> str:
+        header, first, *rest = text.splitlines(True)
+        fields = first.rstrip("\n").split(",")
+        fields[7], fields[-1] = "nan", flags
+        return "".join([header, ",".join(fields) + "\n", *rest])
+    return edit
+
+
+class TestCrossCheck:
+    """``verify``'s integrity suite checks a cell's CSVs against each other."""
+
+    @pytest.fixture(scope="class")
+    def n60(self, tmp_path_factory):
+        cfg = preset_config("sphere-figure3")
+        cfg.n_values, cfg.seeds = [60], [0, 1]
+        out = tmp_path_factory.mktemp("n60")
+        run(cfg, out_dir=out)
+        return out
+
+    @staticmethod
+    def _tampered(run_dir: Path, copy: Path, name: str, edit) -> Path:
+        """A copy of the run with ``edit`` applied to the CSV ``name`` and its checksum updated."""
+        shutil.copytree(run_dir, copy)
+        path = copy / name
+        path.write_text(edit(path.read_text()))
+        manifest = json.loads((copy / "manifest.json").read_text())
+        for cell in manifest["cells"].values():
+            for info in cell["files"].values():
+                if info["path"] == name:
+                    info["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        return copy
+
+    def test_untouched_run_passes(self, n60):
+        report = verify(n60, suite="integrity")
+        assert report.passed, report.criteria
+
+    @pytest.mark.parametrize("name, edit, detail", [
+        ("pot_N60_s0.csv", _shift_first_u_emp, "N60_s0: U_emp "),
+        ("eig_N60_s0.csv", lambda text: "".join(text.splitlines(True)[:-5]),
+         "N60_s0: eig_N60_s0.csv holds 56 rows, expected 61 finite"),
+        ("diag_N60_s1.csv", _nan_first_b1(""), "N60_s1: non-finite B1-B3 at z=(0.3, 0.2)"),
+    ], ids=["shifted-potential", "short-spectrum", "unflagged-nan"])
+    def test_a_tampered_copy_with_updated_checksums_fails_integrity(self, n60, tmp_path, name,
+                                                                     edit, detail):
+        copy = self._tampered(n60, tmp_path / "copy", name, edit)
+        for suite in ("integrity", "acceptance"):
+            integrity = verify(copy, suite=suite).criteria["integrity"]
+            assert integrity["status"] == "fail"
+            assert integrity["detail"].startswith("inconsistent artifacts: ['" + detail)
+
+    def test_a_singular_flag_explains_a_nonfinite_split(self, n60, tmp_path):
+        copy = self._tampered(n60, tmp_path / "copy", "diag_N60_s1.csv",
+                              _nan_first_b1("singular-bordered-determinant"))
+        assert verify(copy, suite="integrity").passed
+
+
 class TestRun:
     def test_all_cells_complete(self, done):
         _, record = done
@@ -575,10 +640,10 @@ class TestRun:
         import toeplab.harness as hz
         real = hz.b_diagnostics
 
-        def flaky(T, z, rho, delta, G, grid=None, g_norm=None):
+        def flaky(T, z, rho, delta, G, classical, g_norm=None):
             if T.N == 24 and np.array_equal(G, hz._cell_noise(T, 1)):
                 raise RuntimeError("synthetic Grushin failure")
-            return real(T, z, rho, delta, G, grid, g_norm=g_norm)
+            return real(T, z, rho, delta, G, classical, g_norm=g_norm)
 
         monkeypatch.setattr(hz, "b_diagnostics", flaky)
         record = run(tiny_config(), out_dir=tmp_path / "flaky", workers=1)
@@ -677,6 +742,54 @@ class TestRun:
         finally:
             for (_, set_), count in zip(controls, original):
                 set_(count)
+
+    def test_csv_bits_independent_of_the_blas_thread_count_at_entry(self, tmp_path):
+        # at resolution 100 the classical potential's dot products have 20 000
+        # terms, which OpenBLAS splits over its threads unless set-up runs pinned
+        import toeplab.harness as hz
+        controls = hz._openblas_thread_controls()
+        original = [get() for get, _ in controls]
+        cfg = tiny_config(n_values=[24], seeds=[0], probe_grid={"nx": 12, "ny": 12})
+        try:
+            for count in (2, 1):
+                for _, set_ in controls:
+                    set_(count)
+                if [get() for get, _ in controls] != [count] * len(controls):
+                    pytest.skip(f"OpenBLAS cannot run {count} threads here")
+                run(cfg, out_dir=tmp_path / f"threads{count}")
+        finally:
+            for (_, set_), count in zip(controls, original):
+                set_(count)
+        names = sorted(path.name for path in (tmp_path / "threads1").glob("*.csv"))
+        assert len(names) == 4
+        for name in names:
+            assert (tmp_path / "threads2" / name).read_bytes() == \
+                (tmp_path / "threads1" / name).read_bytes(), name
+
+    def test_set_up_does_every_quadrature(self, tmp_path, monkeypatch):
+        # one classical-potential call over every probe, and no symbol evaluation in a task
+        import threading
+        import toeplab.potential as potential
+        real_evaluate, real_many = potential.evaluate_symbol_grid, potential.limit_potential_many
+        evaluated_on, quadratures = [], []
+
+        def evaluate(*args, **kwargs):
+            evaluated_on.append(threading.get_ident())
+            return real_evaluate(*args, **kwargs)
+
+        def many(*args, **kwargs):
+            quadratures.append(len(args[1]))
+            return real_many(*args, **kwargs)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("toeplab")]:
+            for name, fake, real in (("evaluate_symbol_grid", evaluate, real_evaluate),
+                                     ("limit_potential_many", many, real_many)):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, fake)
+        record = run(tiny_config(grushin_probes=[[0.3, 0.2], [0.0, 0.5]]), out_dir=tmp_path)
+        assert record.manifest["errors"] == {} and len(record.manifest["cells"]) == 4
+        assert evaluated_on and set(evaluated_on) == {threading.get_ident()}
+        assert quadratures == [16 + 2]                  # the 4 x 4 probe grid, then the Grushin probes
 
     def test_manifest_records_cell_health(self, done):
         out, record = done
@@ -799,7 +912,7 @@ class TestCellMemory:
         grid = liouville_quadrature(f.space, 40)
         probes = cfg.probe_points(f, f.space)
         setup = hz._Setup(out=tmp_path, matrices={N: quantize_symbol(f, N)},
-                          deltas={N: cfg.noise_size(N)}, grid=grid, radii=cfg.radii_grid(),
+                          deltas={N: cfg.noise_size(N)}, radii=cfg.radii_grid(),
                           predicted=np.zeros(len(cfg.radii_grid())), probes=probes,
                           u_lim=limit_potential_many(f, probes, grid), grushin_probes=[],
                           rho=cfg.rho)

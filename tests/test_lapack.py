@@ -288,7 +288,7 @@ def test_a_grushin_probe_takes_one_lu_per_dense_matrix(monkeypatch):
     G = sample_ginibre(T.dim, derive_seed(0, "cell", 120))
     g_norm = NormBound(G)
     calls = _count_calls(monkeypatch)
-    diag = b_diagnostics(T, 0.3 + 0.2j, cfg.rho, cfg.noise_size(120), G, g_norm=g_norm)
+    diag = b_diagnostics(T, 0.3 + 0.2j, cfg.rho, cfg.noise_size(120), G, 0.0, g_norm=g_norm)
     A = diag.n_small
     assert A >= 1
     lus = sorted(n for name, n in calls if name == "zgetrf_work")

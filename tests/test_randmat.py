@@ -188,7 +188,7 @@ class TestNormCertificate:
                                       (crossing, "svd-exact", False),
                                       (2.0 / (reach * exact), "svd-exact", True)):
             norm = NormBound(G)
-            lazy = b_diagnostics(T, z, 0.25, delta, G, g_norm=norm)
+            lazy = b_diagnostics(T, z, 0.25, delta, G, 0.0, g_norm=norm)
             assert norm.route == route
             # the flags of the exact norm, from the Neumann inequality itself
             neumann = delta * exact * reach
