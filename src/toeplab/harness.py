@@ -432,8 +432,8 @@ class _Setup:
     radii: np.ndarray
     predicted: np.ndarray | None        # None without the spectrum stage
     probes: np.ndarray | None           # None without the potential stage
-    u_lim: np.ndarray                   # classical potential at each probe of probes
-    grushin_probes: list                # (z, classical potential at z) pairs
+    u_lim: np.ndarray                   # classical potential at each probe of probes, or nan
+    grushin_probes: list                # (z, classical potential at z or nan) pairs
     rho: float
 
 
@@ -448,7 +448,8 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     task (a certified bound on ``||G||`` once, then the split at each
     Grushin probe).  Set-up computes the classical potential of every
     potential and Grushin probe in one quadrature, so no task reads the
-    quadrature grid.  Each task draws its own copy of the cell's noise, so no
+    quadrature grid; a probe that the quadrature cannot give fails each
+    task that needs it.  Each task draws its own copy of the cell's noise, so no
     per-cell matrix exists outside a running task.  All tasks share one thread pool with one thread
     per usable CPU.  From validation on, every loaded OpenBLAS is pinned to
     one thread (restored afterwards).  ``workers`` is ignored; it is
@@ -491,7 +492,7 @@ def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
     n_probes = 0 if probes is None else len(probes)
     grushin_probes = ([complex(re, im) for re, im in config.grushin_probes]
                       if "grushin" in stages else [])
-    # the classical potential of every probe of the run, in one quadrature
+    # the classical potential of every probe of the run, in one quadrature; nan where it hits nodes
     u_lim = limit_potential_many(f, [*([] if probes is None else probes), *grushin_probes], grid)
     setup = _Setup(
         out=out,
@@ -581,6 +582,8 @@ def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
     """Spectrum stage of one cell, plus its potential when that stage is selected."""
     T = setup.matrices[N]
     name = _cell_name((kind, N, seed))
+    if setup.probes is not None:
+        _require_classical(zip(setup.probes, setup.u_lim))
     # M is reduced in place below; T, shared by every task, lends only its diagonals
     if kind == "unperturbed":
         M = T.copy_to(np.zeros((T.dim, T.dim), dtype=complex, order="F"))
@@ -614,6 +617,7 @@ def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
 
 def _grushin_task(setup: _Setup, kind: str, N: int, seed: int):
     """Grushin stage of one perturbed cell: the split at each Grushin probe, in order."""
+    _require_classical(setup.grushin_probes)
     T = setup.matrices[N]
     delta = setup.deltas[N]
     G = _cell_noise(T, seed)
@@ -637,6 +641,13 @@ def _grushin_task(setup: _Setup, kind: str, N: int, seed: int):
         "g_norm_route": g_norm.route,
     }
     return files, health
+
+
+def _require_classical(pairs):
+    """Raise for the first ``(z, classical potential)`` pair whose quadrature set-up could not do."""
+    for z, classical in pairs:
+        if math.isnan(classical):
+            raise ValueError(f"probe z={z} hits quadrature node images at every refinement")
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +851,8 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
 
 #: Largest gap between a potential row's ``U_emp`` and ``sum log|lambda - z| / dim``
 #: recomputed from its cell's spectrum CSV: the two agree to 4e-15 on perturbed
-#: cells, and a cell on the Hessenberg-LU fallback within ``LOGDET_CHECK_BOUND``.
+#: cells.  A cell on the Hessenberg-LU fallback is not compared, since it takes that
+#: route exactly where the two differ by more than ``LOGDET_CHECK_BOUND``.
 POTENTIAL_TOL = 1e-8
 
 
@@ -848,8 +860,9 @@ def _inconsistent_cells(out: Path, manifest: dict, intact: set) -> list:
     """Where the ``intact`` CSVs of a cell disagree with each other or its size, one line each.
 
     The spectrum holds ``dim`` finite eigenvalues, each potential row's
-    ``U_emp`` is the one that spectrum gives within :data:`POTENTIAL_TOL`,
-    and each diagnostics row has finite B1-B3 or a ``singular-`` flag.
+    ``U_emp`` is the one that spectrum gives within :data:`POTENTIAL_TOL`
+    (or, in a cell whose health records the ``logdet_fallback``, is not
+    nan), and each diagnostics row has finite B1-B3 or a ``singular-`` flag.
     """
     config = manifest["config"]
     problems = []
@@ -857,14 +870,18 @@ def _inconsistent_cells(out: Path, manifest: dict, intact: set) -> list:
         paths = {kind: out / info["path"] for kind, info in cell["files"].items()
                  if info["path"] in intact}
         try:
-            problems += _cell_inconsistencies(name, paths, config)
-        except (KeyError, TypeError, ValueError) as exc:        # a malformed row or config
+            fallback = cell.get("health", {}).get("logdet_fallback") is True
+            problems += _cell_inconsistencies(name, paths, config, fallback)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a malformed row or config
             problems.append(f"{name}: cannot cross-check ({type(exc).__name__}: {exc})")
     return problems
 
 
-def _cell_inconsistencies(name: str, paths: dict, config: dict) -> list:
-    """:func:`_inconsistent_cells` for the cell ``name``, its CSVs' ``paths`` keyed by kind."""
+def _cell_inconsistencies(name: str, paths: dict, config: dict, fallback: bool) -> list:
+    """:func:`_inconsistent_cells` for the cell ``name``, its CSVs' ``paths`` keyed by kind.
+
+    ``fallback`` says that the cell's potential took the Hessenberg-LU route.
+    """
     problems = []
     lam = None
     if "spectrum" in paths:
@@ -883,7 +900,7 @@ def _cell_inconsistencies(name: str, paths: dict, config: dict) -> list:
             z, got = complex(float(r["z_re"]), float(r["z_im"])), float(r["U_emp"])
             with np.errstate(divide="ignore"):
                 want = float(np.sum(np.log(np.abs(lam - z)))) / len(lam)
-            if not (got == want or abs(got - want) <= POTENTIAL_TOL):
+            if math.isnan(got) or not (fallback or got == want or abs(got - want) <= POTENTIAL_TOL):
                 problems.append(f"{name}: U_emp {got!r} at z={z} against {want!r} from its spectrum")
     if "diagnostics" in paths:
         for r in _read_csv(paths["diagnostics"]):

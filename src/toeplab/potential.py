@@ -139,13 +139,14 @@ def limit_potential_many(f: SymbolSpec, probes, grid: QuadratureGrid | None = No
     Uses ``grid`` on the symbol's space (by default its default-resolution
     grid).  A probe that lands exactly on a node image is retried on the
     default resolution plus 1, 2 and 3 (node positions shift with
-    resolution) rather than returning -inf.  Probes are done one at a time, so the working set is one
-    grid-sized array however many probes there are.
+    resolution) rather than returning -inf; one that hits a node image at
+    every refinement gets nan.  Probes are done one at a time, so the
+    working set is one grid-sized array however many probes there are.
     """
     f0, space = f.principal(), f.space
     grids = [grid or liouville_quadrature(space, space.quadrature_default)]
     images = [evaluate_symbol_grid(f0, grids[0].points)]
-    out = np.empty(len(probes))
+    out = np.full(len(probes), np.nan)
     for i, z in enumerate(probes):
         for attempt in range(4):
             if attempt == len(grids):
@@ -155,8 +156,6 @@ def limit_potential_many(f: SymbolSpec, probes, grid: QuadratureGrid | None = No
             if np.all(dist > 0.0):
                 out[i] = np.dot(grids[attempt].weights, np.log(dist)) / space.volume
                 break
-        else:
-            raise ValueError(f"probe z={z} hits quadrature node images at every refinement")
     return out
 
 

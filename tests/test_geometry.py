@@ -234,36 +234,6 @@ class TestKappa:
         with pytest.raises(ValueError):
             estimate_kappa(f, [0.0], 100, np.logspace(-3, -1, 5))
 
-    @staticmethod
-    def _per_threshold_fit(f, probes, samples, t_grid, seed):
-        """The fit from one ``np.mean(d2 <= t)`` pass per threshold: the one-pass count's oracle."""
-        vals = evaluate_symbol_grid(f.principal(), sample_points(f.space, samples, seed))
-        diagnostics = []
-        for z in map(complex, probes):
-            d2 = np.abs(vals - z) ** 2
-            m = np.array([np.mean(d2 <= t) for t in t_grid])
-            mask = m > 0
-            if mask.sum() < 2 or np.ptp(np.log(m[mask])) == 0.0:
-                continue
-            logt, logm = np.log(t_grid[mask]), np.log(m[mask])
-            slope, intercept = np.polyfit(logt, logm, 1)
-            rms = float(np.sqrt(np.mean((logm - (slope * logt + intercept)) ** 2)))
-            diagnostics.append((z, float(slope), rms, int(mask.sum())))
-        return min(1.0, min(s for _, s, _, _ in diagnostics)), tuple(diagnostics)
-
-    @pytest.mark.parametrize("preset", ["sphere-figure3", "scottish-flag-figure1"])
-    def test_one_pass_counts_give_the_per_threshold_bits(self, preset):
-        from toeplab.harness import _kappa_probes, preset_config
-        from toeplab.randmat import derive_seed
-        cfg = preset_config(preset)
-        f = cfg.symbol_spec()
-        probes, seed = _kappa_probes(f), derive_seed("kappa", cfg.config_hash())
-        t_grid = np.logspace(-3, -1, 7)
-        for grid in (t_grid, t_grid[[3, 0, 6, 1, 5, 2, 4]]):      # sorted, then shuffled
-            est = estimate_kappa(f, probes, cfg.kappa_samples, grid, seed=seed)
-            kappa, diagnostics = self._per_threshold_fit(f, probes, cfg.kappa_samples, grid, seed)
-            assert est.kappa == kappa and est.fit_diagnostics == diagnostics
-
 
 class TestSampling:
     def test_sphere_samples_on_manifold(self):

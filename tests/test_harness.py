@@ -322,6 +322,21 @@ class TestCrossCheck:
             assert integrity["status"] == "fail"
             assert integrity["detail"].startswith("inconsistent artifacts: ['" + detail)
 
+    def test_a_fallback_cell_is_not_held_to_its_spectrum(self, tmp_path, monkeypatch):
+        # a cell takes the Hessenberg-LU route exactly where the two routes disagree
+        import toeplab.harness as hz
+        real = hz.potential_from_spectrum
+
+        def lu_route(rows, lam, probes):
+            values, kept, health = real(rows, lam, probes)
+            return values + 1e-3, kept, {**health, "logdet_check_residual": 1e-3,
+                                         "logdet_fallback": True}
+
+        monkeypatch.setattr(hz, "potential_from_spectrum", lu_route)
+        record = run(tiny_config(n_values=[24], seeds=[0]), out_dir=tmp_path)
+        assert record.manifest["cells"]["N24_s0"]["health"]["logdet_fallback"]
+        assert verify(tmp_path, suite="integrity").passed
+
     def test_a_singular_flag_explains_a_nonfinite_split(self, n60, tmp_path):
         copy = self._tampered(n60, tmp_path / "copy", "diag_N60_s1.csv",
                               _nan_first_b1("singular-bordered-determinant"))
@@ -652,6 +667,23 @@ class TestRun:
         assert set(record.manifest["cells"]) == {"N24_s0", "N48_s0", "N48_s1"}
         for cell in record.manifest["cells"].values():
             assert set(cell["files"]) == {"spectrum", "cdf", "potential", "diagnostics"}
+
+    @pytest.mark.parametrize("key, value, failed", [
+        ("grushin_probes", [[1.0, 1.0]], {"N40_s0"}),
+        ("probe_grid", {"points": [[1.0, 1.0], [0.3, 0.2]]}, {"N40_s0", "N50_unperturbed"}),
+    ], ids=["grushin-probe", "potential-probe"])
+    def test_a_probe_on_node_images_fails_only_the_tasks_that_need_it(self, tmp_path, key, value,
+                                                                      failed):
+        # every torus grid holds the node (0, 0), and the flag's f0 maps it exactly to 1 + 1j
+        cfg = preset_config("scottish-flag-figure1")
+        cfg.n_values, cfg.seeds, cfg.unperturbed_sizes, cfg.kappa_samples = [40], [0], [50], 10**4
+        setattr(cfg, key, value)
+        record = run(cfg, out_dir=tmp_path)
+        assert set(record.manifest["errors"]) == failed
+        for name in failed:
+            assert "probe z=(1+1j) hits quadrature node images" in record.manifest["errors"][name]
+        assert set(record.manifest["cells"]) == {"N40_s0", "N50_unperturbed"} - failed
+        assert (tmp_path / "manifest.json").exists()
 
     def test_manifest_records_environment(self, done):
         import toeplab.harness as hz
