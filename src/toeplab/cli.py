@@ -6,9 +6,10 @@ NAME``) plus the shared flags ``--seed`` and ``--out``.  ``run`` computes
 every cell stage of every cell; ``quantize``, ``spectrum``, ``potential``
 and ``grushin`` are ``run`` restricted to the stages :data:`VERB_STAGES`
 names, so each validates its configuration and writes a manifest beside its
-artifacts: the per-cell CSVs of ``run``, or for ``quantize`` one
-``mat_N{N}.npy`` matrix per size.  Outputs are CSV tables, ``.npy`` arrays
-and JSON manifests; there is no interactive mode.
+artifacts: the per-cell CSVs of ``run`` (``grushin`` and ``potential`` need
+the spectrum, so they write its ``eig_`` and ``cdf_`` CSVs too), or for
+``quantize`` one ``mat_N{N}.npy`` matrix per size.  Outputs are CSV tables,
+``.npy`` arrays and JSON manifests; there is no interactive mode.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ VERB_STAGES = {
     "quantize": ("matrix",),
     "spectrum": ("spectrum",),
     "potential": ("spectrum", "potential"),
-    "grushin": ("grushin",),
+    "grushin": ("spectrum", "grushin"),
 }
 
 

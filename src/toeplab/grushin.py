@@ -30,7 +30,7 @@ Neumann test takes ``||G||`` as a Cholesky-certified upper bound
 the bound cannot rule the warning out.  The corner block always comes from
 the one LU of the bordered matrix; a large condition estimate of that LU is
 flagged, not rerouted.  Every LAPACK call of the fast route (the banded
-eigensolve, banded LU and solves, the LUs of both Schur routes, the solve
+eigensolve, banded LU and solves, the bordered and corner LUs, the solve
 and the condition estimate) goes through :mod:`toeplab._lapack`, numpy's
 OpenBLAS through ``ctypes``, which releases the GIL.
 Both slow reference routes return a :class:`GrushinSystem` from the dense
@@ -38,7 +38,8 @@ singular triples of :func:`singular_triples`: ``closed_form_inverse``
 writes the unperturbed inverse in closed form, ``assemble_grushin`` inverts
 the bordered matrix with ``np.linalg.inv``; ``schur_identity_residual``
 checks the identity against the latter.  ``G`` is a plain array;
-``harness`` writes the split's values, with the probe and cell labels, to
+``harness`` checks the identity on the fast route's right-hand side against
+the cell's spectrum, and writes both, with the probe and cell labels, to
 ``diag_*.csv``.
 """
 
@@ -419,7 +420,6 @@ class SplitDiagnostics:
     n_small: int
     log_det_bordered: float
     log_det_corner: float
-    schur_residual: float
     condition: float
     cutoff_gap: float
     subspace_residual: float
@@ -440,25 +440,19 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray, classi
     warning; callers probing one ``G`` at several ``z`` pass it once,
     otherwise it is built here.
 
-    Dense work per probe: one LU each of ``P + delta G - z`` (Schur route
-    one), of the bordered matrix, which gives ``log|det bordered|``, the
-    corner block (solving against ``[0; I_A]``) and LAPACK's 1-norm
-    condition estimate, and of the ``A x A`` corner; ``lu_log_abs_det``
-    sums each one's pivots.  With ``A = 0`` the bordered matrix is ``P + delta G - z`` itself, so its LU
-    serves both routes and the residual is 0 by construction.  The singular
-    values and the ``A``-dimensional small singular subspaces come from
-    :func:`_small_subspaces`: a banded eigensolve and banded inverse
-    iteration, with no dense SVD.
-    Every dense matrix is factored where it is built, and one at a time:
-    route one's ``P + delta G - z`` in its own Fortran buffer, freed before
-    the bordered matrix exists, then the bordered matrix, whose 1-norm is
-    summed over column blocks.  Both take ``P`` from its diagonals, so a
-    probe holds one ``(dim + A)^2`` matrix and O(dim A) beside ``G`` and the
-    diagonals of ``T``, which it leaves unchanged.  A
-    condition estimate above ``CONDITION_GUARD`` adds a flag; the corner
-    still comes from the LU.
-    ``assemble_grushin`` (the bordered matrix and its explicit ``inv``) is
-    the slow reference route for this path.
+    Dense work per probe: one LU of the bordered matrix, which gives
+    ``log|det bordered|``, the corner block (solving against ``[0; I_A]``)
+    and LAPACK's 1-norm condition estimate, and one of the ``A x A``
+    corner (none when ``A = 0``); ``lu_log_abs_det`` sums each one's
+    pivots.  The singular values and the small singular subspaces come
+    from :func:`_small_subspaces`, with no dense SVD.  The bordered matrix
+    is factored where it is built, ``P`` taken from its diagonals and its
+    1-norm summed over column blocks, so a probe holds one ``(dim + A)^2``
+    matrix and O(dim A) beside ``G`` and ``T``, which it leaves unchanged.
+    A condition estimate above ``CONDITION_GUARD`` adds a flag; the corner
+    still comes from the LU.  Route one of the Schur check,
+    ``log|det(P + delta G - z)|``, is not computed here: a run reads it
+    off the cell's spectrum (``harness.run``).
     """
     dim = T.dim
     flags = []
@@ -488,19 +482,10 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray, classi
         if warning:
             flags.append(warning)
 
-    def shifted(out):                       # P + delta G - z, written into out
-        np.multiply(G, delta, out=out)
-        T.add_to(out)                       # P's diagonals, not a dense dim^2 add
-        out[np.diag_indices(dim)] -= complex(z)
-        return out
-
-    # Fortran order lets lu_factor factor each matrix in place instead of copying it
-    if A:                                   # A = 0: the bordered LU below is route one
-        route_one = shifted(np.empty((dim, dim), dtype=complex, order="F"))
-        log_direct = _lapack.lu_log_abs_det(_lapack.lu_factor(route_one)[0])
-        del route_one
+    # Fortran order lets lu_factor factor M in place instead of copying it
     M = np.empty((dim + A, dim + A), dtype=complex, order="F")
-    shifted(M[:dim, :dim])
+    top = T.add_to(np.multiply(G, delta, out=M[:dim, :dim]))   # P from its diagonals, no dim^2 add
+    top[np.diag_indices(dim)] -= complex(z)                     # P + delta G - z
     M[:dim, dim:] = left
     M[dim:, :dim] = right_h
     M[dim:, dim:] = 0.0
@@ -513,9 +498,8 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray, classi
     log_bordered = _lapack.lu_log_abs_det(lu)
     if condition > CONDITION_GUARD:
         flags.append(f"condition estimate {condition:.3g} exceeds {CONDITION_GUARD:.0e}")
-    if A == 0:
-        log_direct, log_corner = log_bordered, 0.0
-    else:
+    log_corner = 0.0
+    if A:
         unit = np.zeros((dim + A, A), dtype=complex)
         unit[dim:, :] = np.eye(A)
         log_corner = log_abs_det(_lapack.lu_solve(lu, piv, unit)[dim:, :])
@@ -525,18 +509,10 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray, classi
         flags.append("singular-bordered-determinant")
     if A > 0 and not np.isfinite(b3):
         flags.append("singular-corner-determinant")
-
-    total = log_bordered + log_corner
-    if np.isfinite(log_direct) and np.isfinite(total):
-        residual = abs(log_direct - total)
-    else:
-        residual = float("nan")
-    return SplitDiagnostics(
-        b1=float(b1), b2=float(b2), b3=float(b3), n_small=A,
-        log_det_bordered=log_bordered, log_det_corner=float(log_corner),
-        schur_residual=float(residual), condition=float(condition), cutoff_gap=cutoff_gap,
-        subspace_residual=subspace_residual, flags=tuple(flags),
-    )
+    return SplitDiagnostics(b1=float(b1), b2=float(b2), b3=float(b3), n_small=A,
+                            log_det_bordered=log_bordered, log_det_corner=float(log_corner),
+                            condition=float(condition), cutoff_gap=cutoff_gap,
+                            subspace_residual=subspace_residual, flags=tuple(flags))
 
 
 @dataclass(frozen=True)

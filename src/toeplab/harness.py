@@ -61,7 +61,7 @@ from .geometry import (
     symbol_to_record,
 )
 from .grushin import b_diagnostics
-from .potential import limit_potential_many, potential_from_spectrum
+from .potential import hessenberg_log_abs_dets, limit_potential_many, potential_from_spectrum
 from .quantize import ToeplitzMatrix, bergman_dimension, check_size, quantize_symbol
 from .randmat import NormBound, derive_seed, noise_window, sample_ginibre
 from .spectra import empirical_cdf_disks, weyl_predict
@@ -415,9 +415,10 @@ def _atomic_write(path: Path, write) -> Path:
 
 
 #: The stages a run computes per cell by default.  ``potential`` reads the
-#: spectrum task's matrix and eigenvalues, so it needs ``spectrum``.  One
-#: more stage, ``matrix``, writes each size's quantization matrix; only the
-#: ``quantize`` verb selects it.
+#: spectrum task's Hessenberg form and eigenvalues, and ``grushin`` its
+#: Hessenberg form (route one of the Schur check), so both need ``spectrum``.
+#: One more stage, ``matrix``, writes each size's quantization matrix; only
+#: the ``quantize`` verb selects it.
 STAGES = ("spectrum", "potential", "grushin")
 _ALL_STAGES = (*STAGES, "matrix")
 
@@ -444,9 +445,12 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     stage writes ``mat_N{N}.npy`` for every size of ``n_values`` and
     ``unperturbed_sizes`` and lists them under the manifest's ``matrices``.
     The spectrum stage of a cell is one task (eigenvalues and disk counts,
-    plus the potential when that stage is selected); the Grushin stage of a perturbed cell is a second
+    the potential when that stage is selected, and ``log|det(M - z)|`` at
+    each Grushin probe of a perturbed cell); the Grushin stage of a perturbed cell is a second
     task (a certified bound on ``||G||`` once, then the split at each
-    Grushin probe).  Set-up computes the classical potential of every
+    Grushin probe).  Neither waits on the other; where the results are
+    collected, spectrum tasks first, the ``diag_`` CSV gets each probe's
+    Schur residual, the two routes to ``log|det(M - z)|``.  Set-up computes the classical potential of every
     potential and Grushin probe in one quadrature, so no task reads the
     quadrature grid; a probe that the quadrature cannot give fails each
     task that needs it.  Each task draws its own copy of the cell's noise, so no
@@ -462,9 +466,9 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     """
     _lapack.require()
     stages = set(stages)
-    if not stages <= set(_ALL_STAGES) or ("potential" in stages and "spectrum" not in stages):
-        raise ValueError(f"stages must be a subset of {_ALL_STAGES}, with 'potential' only "
-                         f"beside 'spectrum'; got {sorted(stages)}")
+    if not stages <= set(_ALL_STAGES) or (stages & {"potential", "grushin"} and "spectrum" not in stages):
+        raise ValueError(f"stages must be a subset of {_ALL_STAGES}, with 'potential' and 'grushin' "
+                         f"only beside 'spectrum'; got {sorted(stages)}")
     with _pinned_blas():                        # set-up too: a threaded dot moves its sums' bits
         return _run(config, out_dir, stages)
 
@@ -513,11 +517,18 @@ def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
     failures: dict = {}
     pool_size = _usable_cpus()
     with ThreadPoolExecutor(max_workers=pool_size) as pool:
-        futures = [(_cell_name(cell), pool.submit(_releasing, task, setup, *cell))
-                   for cell, task in tasks]
-        for name, fut in futures:
+        futures = [pool.submit(_releasing, task, setup, *cell) for cell, task in tasks]
+        route_one = {}                  # cell name -> log|det(M - z)| at each Grushin probe
+        for (cell, task), fut in zip(tasks, futures):   # spectrum tasks first: route one, then split
+            name = _cell_name(cell)
             try:
-                task_files, task_health = fut.result()
+                result = fut.result()
+                if task is _spectrum_task:
+                    task_files, task_health, route_one[name] = result
+                elif name not in route_one:     # the spectrum task failed; its error stands
+                    continue
+                else:
+                    task_files, task_health = _diagnostics(setup, cell, *result, route_one[name])
             except Exception as exc:  # crash isolation per task
                 failures.setdefault(name, []).append(f"{type(exc).__name__}: {exc}")
                 continue
@@ -579,7 +590,7 @@ def _cell_noise(T: ToeplitzMatrix, seed: int):
 
 
 def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
-    """Spectrum stage of one cell, plus its potential when that stage is selected."""
+    """Spectrum stage of one cell, its potential when selected, and route one of its Schur checks."""
     T = setup.matrices[N]
     name = _cell_name((kind, N, seed))
     if setup.probes is not None:
@@ -595,52 +606,61 @@ def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
     lam, hessenberg = _lapack.hessenberg_eigvals(M)
     del M                                   # overwritten; H's nonzero part is kept
     files = {
-        "spectrum": _emit(setup.out, f"eig_{name}.csv", "re,im",
+        "spectrum": _emit(setup.out, f"eig_{name}.csv", _HEADERS["spectrum"],
                           ((z.real, z.imag) for z in lam)),
-        "cdf": _emit(setup.out, f"cdf_{name}.csv", "r,empirical,predicted",
+        "cdf": _emit(setup.out, f"cdf_{name}.csv", _HEADERS["cdf"],
                      zip(setup.radii, empirical_cdf_disks(lam, setup.radii), setup.predicted)),
     }
     health = {"max_abs_eig": float(np.max(np.abs(lam)))}
-    if setup.probes is None:
-        return files, health
-
-    seed_label = -1 if seed is None else seed
-    u_emp, kept, potential_health = potential_from_spectrum(hessenberg, lam, setup.probes)
-    rows = [(z.real, z.imag, N, seed_label, ue, ul,
-             abs(ue - ul) if np.isfinite(ue) else float("nan"))
-            for z, ue, ul in zip(setup.probes[kept], u_emp[kept], setup.u_lim[kept])]
-    files["potential"] = _emit(setup.out, f"pot_{name}.csv",
-                               "z_re,z_im,N,seed,U_emp,U_lim,deviation", rows)
-    health.update(potential_health)
-    return files, health
+    # route one: log|det(M - z)| at each Grushin probe, from H; None for an unperturbed cell
+    route_one = (hessenberg_log_abs_dets(hessenberg, [z for z, _ in setup.grushin_probes])
+                 if kind == "perturbed" else None)
+    if setup.probes is not None:
+        seed_label = -1 if seed is None else seed
+        u_emp, kept, potential_health = potential_from_spectrum(hessenberg, lam, setup.probes)
+        rows = [(z.real, z.imag, N, seed_label, ue, ul,
+                 abs(ue - ul) if np.isfinite(ue) else float("nan"))
+                for z, ue, ul in zip(setup.probes[kept], u_emp[kept], setup.u_lim[kept])]
+        files["potential"] = _emit(setup.out, f"pot_{name}.csv", _HEADERS["potential"], rows)
+        health.update(potential_health)
+    return files, health, route_one
 
 
 def _grushin_task(setup: _Setup, kind: str, N: int, seed: int):
-    """Grushin stage of one perturbed cell: the split at each Grushin probe, in order."""
+    """Grushin stage of one perturbed cell: the split at each Grushin probe, in order, and the
+    ``||G||`` health, but not ``G``: the result waits in its future for :func:`_diagnostics`."""
     _require_classical(setup.grushin_probes)
     T = setup.matrices[N]
-    delta = setup.deltas[N]
     G = _cell_noise(T, seed)
     g_norm = NormBound(G)                   # certified; the exact norm only if a flag hinges on it
-    diags = [b_diagnostics(T, z, setup.rho, delta, G, classical, g_norm=g_norm)
+    diags = [b_diagnostics(T, z, setup.rho, setup.deltas[N], G, classical, g_norm=g_norm)
              for z, classical in setup.grushin_probes]
-    rows = [(N, z.real, z.imag, setup.rho, delta, seed, d.n_small, d.b1, d.b2, d.b3,
-             d.schur_residual, ";".join(d.flags))
-            for (z, _), d in zip(setup.grushin_probes, diags)]
-    files = {"diagnostics": _emit(setup.out, f"diag_{_cell_name((kind, N, seed))}.csv",
-                                  "N,z_re,z_im,rho,delta,seed,A,B1,B2,B3,schur_residual,flags",
-                                  rows)}
-    health = {
+    return diags, {"g_norm_bound": g_norm.bound, "g_norm_route": g_norm.route}
+
+
+def _diagnostics(setup: _Setup, cell, diags: list, health: dict, route_one):
+    """The ``diag_`` CSV and Grushin health of a perturbed cell, from both of its tasks.
+
+    A probe's Schur residual is ``|route one - (log|det bordered| + log|det corner|)|``,
+    nan when either side is not finite."""
+    _, N, seed = cell
+    totals = [d.log_det_bordered + d.log_det_corner for d in diags]
+    residuals = [abs(a - b) if np.isfinite(a) and np.isfinite(b) else float("nan")
+                 for a, b in zip(route_one, totals)]
+    rows = [(N, z.real, z.imag, setup.rho, setup.deltas[N], seed, d.n_small, d.b1, d.b2, d.b3,
+             residual, ";".join(d.flags))
+            for (z, _), d, residual in zip(setup.grushin_probes, diags, residuals)]
+    files = {"diagnostics": _emit(setup.out, f"diag_{_cell_name(cell)}.csv",
+                                  _HEADERS["diagnostics"], rows)}
+    return files, {
         # np.max, not max: a nan residual must surface, not vanish by order
-        "schur_residual_max": float(np.max([d.schur_residual for d in diags], initial=0.0)),
+        "schur_residual_max": float(np.max(residuals, initial=0.0)),
         "bordered_condition_max": float(np.max([d.condition for d in diags], initial=0.0)),
         "grushin_flagged_probes": sum(1 for d in diags if d.flags),
         "cutoff_gap_min": float(np.min([d.cutoff_gap for d in diags])) if diags else None,
         "subspace_residual_max": float(np.max([d.subspace_residual for d in diags], initial=0.0)),
-        "g_norm_bound": g_norm.bound,
-        "g_norm_route": g_norm.route,
+        **health,
     }
-    return files, health
 
 
 def _require_classical(pairs):
@@ -755,6 +775,15 @@ def _cell_name(cell) -> str:
     return f"N{N}_unperturbed" if kind == "unperturbed" else f"N{N}_s{seed}"
 
 
+#: The header of each kind of cell CSV, as :func:`_emit` writes it and :func:`_read_csv` expects it.
+_HEADERS = {
+    "spectrum": "re,im",
+    "cdf": "r,empirical,predicted",
+    "potential": "z_re,z_im,N,seed,U_emp,U_lim,deviation",
+    "diagnostics": "N,z_re,z_im,rho,delta,seed,A,B1,B2,B3,schur_residual,flags",
+}
+
+
 def _emit(out: Path, name: str, header: str, rows) -> Path:
     """Write the CSV artifact ``name``: the ``header`` line, then one line per row tuple.
 
@@ -857,9 +886,10 @@ POTENTIAL_TOL = 1e-8
 
 
 def _inconsistent_cells(out: Path, manifest: dict, intact: set) -> list:
-    """Where the ``intact`` CSVs of a cell disagree with each other or its size, one line each.
+    """Where the ``intact`` CSVs of a cell are malformed or disagree with each other or its size.
 
-    The spectrum holds ``dim`` finite eigenvalues, each potential row's
+    One line each.  Every CSV reads (:func:`_read_csv`), the spectrum holds
+    ``dim`` finite eigenvalues, each potential row's
     ``U_emp`` is the one that spectrum gives within :data:`POTENTIAL_TOL`
     (or, in a cell whose health records the ``logdet_fallback``, is not
     nan), and each diagnostics row has finite B1-B3 or a ``singular-`` flag.
@@ -884,27 +914,29 @@ def _cell_inconsistencies(name: str, paths: dict, config: dict, fallback: bool) 
     """
     problems = []
     lam = None
+    if "cdf" in paths:
+        _read_csv(paths["cdf"], "cdf")
     if "spectrum" in paths:
         sizes = {_cell_name(("unperturbed", N, None)): N for N in config.get("unperturbed_sizes", [])}
         sizes.update({_cell_name(("perturbed", N, seed)): N
                       for N in config["n_values"] for seed in config["seeds"]})
         dim = bergman_dimension(make_phase_space(config["space"]), int(sizes[name]))
-        eig = np.array([[float(r["re"]), float(r["im"])] for r in _read_csv(paths["spectrum"])])
+        eig = np.array([[r["re"], r["im"]] for r in _read_csv(paths["spectrum"], "spectrum")])
         if len(eig) != dim or not np.all(np.isfinite(eig)):
             problems.append(f"{name}: {paths['spectrum'].name} holds {len(eig)} rows, "
                             f"expected {dim} finite")
         else:
             lam = eig[:, 0] + 1j * eig[:, 1]
     if "potential" in paths and lam is not None:
-        for r in _read_csv(paths["potential"]):
-            z, got = complex(float(r["z_re"]), float(r["z_im"])), float(r["U_emp"])
+        for r in _read_csv(paths["potential"], "potential"):
+            z, got = complex(r["z_re"], r["z_im"]), r["U_emp"]
             with np.errstate(divide="ignore"):
                 want = float(np.sum(np.log(np.abs(lam - z)))) / len(lam)
             if math.isnan(got) or not (fallback or got == want or abs(got - want) <= POTENTIAL_TOL):
                 problems.append(f"{name}: U_emp {got!r} at z={z} against {want!r} from its spectrum")
     if "diagnostics" in paths:
-        for r in _read_csv(paths["diagnostics"]):
-            finite = all(math.isfinite(float(r[b])) for b in ("B1", "B2", "B3"))
+        for r in _read_csv(paths["diagnostics"], "diagnostics"):
+            finite = all(math.isfinite(r[b]) for b in ("B1", "B2", "B3"))
             if not (finite or _singular_flagged(r)):
                 problems.append(f"{name}: non-finite B1-B3 at z=({r['z_re']}, {r['z_im']}) "
                                 "without a singular- flag")
@@ -969,11 +1001,26 @@ def _artifacts(manifest: dict):
         yield f"matrix {name}", info
 
 
-def _read_csv(path: Path) -> list:
-    """Rows of a CSV artifact as dicts keyed by its header."""
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+def _read_csv(path: Path, kind: str) -> list:
+    """Rows of a ``kind`` CSV artifact as dicts keyed by its header, each field but ``flags`` a float.
+
+    Raises ValueError, naming the file, on an empty file, a header that is not
+    ``kind``'s, a row whose field count differs from the header's, or a field
+    that is not a number.
+    """
+    lines = path.read_text().splitlines()
+    if not lines or lines[0] != _HEADERS[kind]:
+        raise ValueError(f"{path.name} does not start with the header {_HEADERS[kind]!r}")
+    header, rows = lines[0].split(","), []
+    for number, line in enumerate(lines[1:], 2):
+        fields = line.split(",")
+        try:
+            if len(fields) != len(header):
+                raise ValueError(f"{len(fields)} fields under a header of {len(header)}")
+            rows.append({key: x if key == "flags" else float(x) for key, x in zip(header, fields)})
+        except ValueError as exc:
+            raise ValueError(f"{path.name} line {number}: {exc}") from None
+    return rows
 
 
 def _verify_acceptance(out: Path, manifest: dict, intact: set, criteria: dict) -> None:
@@ -983,19 +1030,25 @@ def _verify_acceptance(out: Path, manifest: dict, intact: set, criteria: dict) -
     cell's CSVs left by an earlier run in the same directory, nor a file
     edited after the run.  A criterion judged at the largest size is
     skipped, naming that size, when no intact artifact of that size is left.
+    One that :func:`_read_csv` cannot read fails the criteria that read it,
+    naming the file.
     """
     n_values = sorted(int(n) for n in manifest["config"]["n_values"])
     n_top = n_values[-1]
     seeds = manifest["config"]["seeds"]
+    malformed = {}                      # kind -> what _read_csv said of its unreadable artifacts
 
     def tables(kind: str, N: int) -> list:
-        """Rows of each intact ``kind`` artifact the manifest lists for size N."""
+        """Rows of each intact, readable ``kind`` artifact the manifest lists for size N."""
         found = []
         for seed in seeds:
             cell = manifest["cells"].get(_cell_name(("perturbed", N, seed)), {})
             info = cell.get("files", {}).get(kind)
             if info is not None and info["path"] in intact:
-                found.append(_read_csv(out / info["path"]))
+                try:
+                    found.append(_read_csv(out / info["path"], kind))
+                except ValueError as exc:
+                    malformed.setdefault(kind, []).append(str(exc))
         return found
 
     cdfs = tables("cdf", n_top)
@@ -1003,8 +1056,8 @@ def _verify_acceptance(out: Path, manifest: dict, intact: set, criteria: dict) -
         criteria["weyl_deviation"] = {"status": "skipped",
                                       "detail": f"no counting-curve artifact at N={n_top}"}
     else:
-        worst = max(abs(float(r["empirical"]) - float(r["predicted"]))
-                    for rows in cdfs for r in rows)
+        worst = max((abs(r["empirical"] - r["predicted"]) for rows in cdfs for r in rows),
+                    default=float("nan"))
         criteria["weyl_deviation"] = {
             "status": "pass" if worst <= 0.05 else "fail",
             "detail": f"sup deviation {worst:.4f} (tolerance 0.05) over {len(cdfs)} seeds",
@@ -1013,7 +1066,7 @@ def _verify_acceptance(out: Path, manifest: dict, intact: set, criteria: dict) -
     medians = {}
     dropped = 0
     for N in n_values:
-        vals = [float(r["deviation"]) for rows in tables("potential", N) for r in rows]
+        vals = [r["deviation"] for rows in tables("potential", N) for r in rows]
         finite = [v for v in vals if np.isfinite(v)]
         dropped += len(vals) - len(finite)
         if finite:
@@ -1039,10 +1092,10 @@ def _verify_acceptance(out: Path, manifest: dict, intact: set, criteria: dict) -
         if diags:
             sizes.append(N)
         for r in (r for rows in diags for r in rows):
-            schur = float(r["schur_residual"])
-            if int(r["A"]) >= 1:
+            schur = r["schur_residual"]
+            if r["A"] >= 1:
                 b3_rows += 1
-                if not (float(r["B3"]) < 0.0):
+                if not (r["B3"] < 0.0):
                     b3_bad += 1
             if np.isfinite(schur):
                 schur_worst = max(schur_worst, schur)
@@ -1063,3 +1116,8 @@ def _verify_acceptance(out: Path, manifest: dict, intact: set, criteria: dict) -
                       f"{len(nonfinite)} non-finite, {nonfinite.count(False)} of them "
                       "without a singular- flag",
         }
+    for kind, names in (("cdf", ["weyl_deviation"]), ("potential", ["potential_median"]),
+                        ("diagnostics", ["b3_negative", "schur_residual"])):
+        if kind in malformed:
+            for name in names:
+                criteria[name] = {"status": "fail", "detail": f"malformed artifacts: {malformed[kind]}"}

@@ -9,13 +9,12 @@ Over a probe grid the empirical potential is read off the cell's spectrum,
 ``sum log|lambda_i - z| / dim``, with a few probes cross-checked by the LU
 route: one partial-pivot LU of the balanced Hessenberg form ``H`` that the
 cell eigensolve leaves behind (``det(M - z) = det(H - z)``), O(dim^2) per
-probe (see :func:`potential_from_spectrum`).  The potential stage takes no
-dense LU of ``M - z``.  :func:`log_abs_det` (one dense LU, ``slogdet``'s
-bits) is the test oracle of the Hessenberg route and serves the Grushin
-split, whose route one is a dense LU of ``M - z`` at every probe with
-``A >= 1`` (``grushin.b_diagnostics``).  The
-classical potential has one quadrature loop, :func:`limit_potential_many`;
-:func:`limit_potential` is that loop at one probe.
+probe (see :func:`potential_from_spectrum`), which also gives route one of
+each Grushin probe's Schur check (``harness.run``): a run takes no dense LU
+of ``M - z``.  :func:`log_abs_det` (one dense LU, ``slogdet``'s bits) is
+the test oracle of the Hessenberg route and gives the Grushin corner's
+log-determinant.  The classical potential has one quadrature loop,
+:func:`limit_potential_many`; :func:`limit_potential` is that loop at one probe.
 """
 
 from __future__ import annotations

@@ -203,6 +203,16 @@ def diag300():
     return T, b_diagnostics(T, 0.3 + 0.2j, 0.25, 1.0 / 120, G, classical), G, grid
 
 
+def _schur_gap(T, z, delta, G, diag) -> float:
+    """The Schur residual of a split, with route one from the dense LU oracle.
+
+    ``|log|det(P + delta G - z)| - (log|det bordered| + log|det corner|)|``; a
+    run takes route one from the cell's Hessenberg form instead.
+    """
+    direct = log_abs_det(T.dense() + delta * G - z * np.eye(T.dim))
+    return abs(direct - (diag.log_det_bordered + diag.log_det_corner))
+
+
 class TestSplitDiagnostics:
 
     def test_sum_reassembles_normalized_logdet(self, diag300):
@@ -225,8 +235,8 @@ class TestSplitDiagnostics:
         assert abs(diag.b2) <= budget
 
     def test_schur_residual_small(self, diag300):
-        _, diag, _, _ = diag300
-        assert diag.schur_residual <= 1e-6
+        T, diag, G, _ = diag300
+        assert _schur_gap(T, 0.3 + 0.2j, 1.0 / 120, G, diag) <= 1e-6
 
     def test_no_flags_in_regular_case(self, diag300):
         _, diag, _, _ = diag300
@@ -238,7 +248,7 @@ class TestSplitDiagnostics:
         diag = b_diagnostics(T, 50.0, 0.25, 1.0 / 40, G, limit_potential(T.symbol, 50.0))
         assert diag.n_small == 0
         assert diag.b3 == 0.0
-        assert diag.schur_residual <= 1e-8
+        assert _schur_gap(T, 50.0, 1.0 / 40, G, diag) <= 1e-8
 
     def test_csv_row_format(self, diag300, tmp_path):
         # the diag_*.csv row of the same split; A depends on T alone, not on the noise
@@ -246,12 +256,20 @@ class TestSplitDiagnostics:
         classical = limit_potential(T.symbol, 0.3 + 0.2j, grid)
         setup = SimpleNamespace(out=tmp_path, matrices={120: T}, deltas={120: 1.0 / 120},
                                 rho=0.25, grushin_probes=[(0.3 + 0.2j, classical)])
-        files, _ = harness_module._grushin_task(setup, "perturbed", 120, 5)
+        diags, g_health = harness_module._grushin_task(setup, "perturbed", 120, 5)
+        route_one = [log_abs_det(T.dense() + (1.0 / 120) * harness_module._cell_noise(T, 5)
+                                 - (0.3 + 0.2j) * np.eye(T.dim))]
+        files, health = harness_module._diagnostics(setup, ("perturbed", 120, 5), diags, g_health,
+                                                    route_one)
         header, row = files["diagnostics"].read_text().splitlines()
         fields = row.split(",")
         assert len(fields) == len(header.split(","))
         assert fields[0] == "120"
         assert int(fields[6]) == diag.n_small
+        # the residual column: route one against the split's two log-determinants
+        total = diags[0].log_det_bordered + diags[0].log_det_corner
+        assert fields[10] == repr(abs(route_one[0] - total)) == repr(health["schur_residual_max"])
+        assert float(fields[10]) <= 1e-6
 
 
 def _slow_split(T, z, rho, delta, G):
@@ -300,7 +318,7 @@ class TestFastRouteOracle:
             assert diag.b1 == pytest.approx(b1, abs=1e-12)
             assert diag.b2 == pytest.approx(b2, abs=1e-10)
             assert diag.b3 == pytest.approx(b3, abs=1e-10)
-            assert diag.schur_residual <= 1e-8
+            assert _schur_gap(T, z, delta, G, diag) <= 1e-8
             assert diag.flags == system.warnings == ()
             assert 1.0 <= diag.condition < grushin_module.CONDITION_GUARD
             counts.append(A)
@@ -333,7 +351,7 @@ class TestFastRouteOracle:
         for lu_route, flagged in zip(fast, guarded):
             assert flagged.flags == lu_route.flags + (
                 f"condition estimate {lu_route.condition:.3g} exceeds 5e-01",)
-            for name in ("b2", "b3", "log_det_corner", "schur_residual"):
+            for name in ("b2", "b3", "log_det_bordered", "log_det_corner"):
                 assert getattr(flagged, name) == getattr(lu_route, name)
 
     def test_near_singular_corner_matches_mpmath(self):
@@ -382,7 +400,7 @@ class TestFastRouteOracle:
             assert diag.flags == system.warnings
             assert diag.b2 == pytest.approx(b2, abs=1e-10)
             assert diag.b3 == pytest.approx(b3, abs=1e-10)
-            assert diag.schur_residual <= 1e-8
+            assert _schur_gap(T, z, 10.0, G, diag) <= 1e-8
 
     def test_given_norm_matches_computed(self):
         T, probes, delta, seed = DRAWS[0]
@@ -396,11 +414,11 @@ class TestFactorizationCount:
     """The dense work of one probe; guards against repeated factorizations.
 
     Every dense log-determinant of a run is the pivot sum of one
-    ``_lapack.lu_factor`` (the potential's come from the cell's Hessenberg
-    form, with no dense LU), so the LUs are counted by matrix size: a probe
-    with ``A >= 1`` takes one
-    each of size ``dim`` (Schur route one), ``dim + A`` (the bordered matrix)
-    and ``A`` (the corner), a probe with ``A = 0`` the bordered LU alone.
+    ``_lapack.lu_factor`` (the potential's and Schur route one's come from
+    the cell's Hessenberg form, with no dense LU), so the LUs are counted by
+    matrix size: a probe with ``A >= 1`` takes one each of size ``dim + A``
+    (the bordered matrix) and ``A`` (the corner), a probe with ``A = 0`` the
+    bordered LU alone, of size ``dim``.
     """
 
     @staticmethod
@@ -433,15 +451,15 @@ class TestFactorizationCount:
 
     @staticmethod
     def _probe_lus(dim: int, A: int) -> list:
-        """Sorted LU sizes of one probe: route one, the bordered matrix, the corner."""
-        return sorted([dim, dim + A, A]) if A else [dim]
+        """Sorted LU sizes of one probe: the bordered matrix, then the corner if there is one."""
+        return [A, dim + A] if A else [dim]
 
     def _assert_probe(self, counts, dim, A, **rest):
         assert sorted(counts["lu_factor"]) == self._probe_lus(dim, A)
         assert {k: v for k, v in counts.items() if k != "lu_factor"} == {
             "inv": 0, "cond": 0, "norm2": 0, **rest}
 
-    def test_stray_entry_probe_takes_no_svd_and_three_lus(self, monkeypatch):
+    def test_stray_entry_probe_takes_no_svd_and_two_lus(self, monkeypatch):
         # a stray far entry widens the band; still no dense SVD
         T, probes, delta, seed = DRAWS[1]
         entries = T.dense()
@@ -471,7 +489,7 @@ class TestFactorizationCount:
         # the cyclic band, interleaved to a plain one
         self._banded_probe(monkeypatch, 1)
 
-    def test_far_probe_shares_one_lu_between_routes(self, monkeypatch):
+    def test_far_probe_takes_one_lu(self, monkeypatch):
         T, probes, delta, seed = DRAWS[0]
         G = sample_ginibre(T.dim, seed)
         g_norm = NormBound(G)
@@ -479,7 +497,6 @@ class TestFactorizationCount:
         diag = b_diagnostics(T, probes[-1], 0.25, delta, G, 0.0, g_norm=g_norm)
         assert diag.n_small == 0
         self._assert_probe(counts, T.dim, 0, svd=0, eig_banded=1)
-        assert diag.schur_residual == 0.0
         M = T.dense() + delta * G - probes[-1] * np.eye(T.dim)
         assert diag.log_det_bordered == pytest.approx(log_abs_det(M), abs=1e-10)
 
@@ -689,7 +706,7 @@ class TestBandedRoute:
             assert diag.b1 == pytest.approx(b1, abs=1e-12)
             assert diag.b2 == pytest.approx(b2, abs=1e-12)
             assert diag.b3 == pytest.approx(b3, abs=1e-12)
-            assert diag.schur_residual <= 1e-10
+            assert _schur_gap(T, z, delta, G, diag) <= 1e-10
             assert diag.subspace_residual == residual
             assert diag.cutoff_gap == pytest.approx(
                 np.min(np.abs(tr.values**2 - params.alpha)) / params.alpha, abs=1e-10)

@@ -279,6 +279,16 @@ def _nan_first_b1(flags: str):
     return edit
 
 
+def _x_in_first(column: str):
+    """An edit that sets ``column`` of the first data row to ``x``."""
+    def edit(text: str) -> str:
+        header, first, *rest = text.splitlines(True)
+        fields = first.rstrip("\n").split(",")
+        fields[header.rstrip("\n").split(",").index(column)] = "x"
+        return "".join([header, ",".join(fields) + "\n", *rest])
+    return edit
+
+
 class TestCrossCheck:
     """``verify``'s integrity suite checks a cell's CSVs against each other."""
 
@@ -321,6 +331,37 @@ class TestCrossCheck:
             integrity = verify(copy, suite=suite).criteria["integrity"]
             assert integrity["status"] == "fail"
             assert integrity["detail"].startswith("inconsistent artifacts: ['" + detail)
+
+    @pytest.mark.parametrize("name, edit, readers", [
+        ("diag_N60_s0.csv", _x_in_first("A"), ["b3_negative", "schur_residual"]),
+        ("diag_N60_s0.csv", _x_in_first("schur_residual"), ["b3_negative", "schur_residual"]),
+        ("diag_N60_s0.csv", _x_in_first("B3"), ["b3_negative", "schur_residual"]),
+        ("pot_N60_s0.csv", _x_in_first("deviation"), ["potential_median"]),
+        ("cdf_N60_s0.csv", _x_in_first("empirical"), ["weyl_deviation"]),
+        ("eig_N60_s0.csv", lambda text: "", []),
+        ("pot_N60_s0.csv", lambda text: "", ["potential_median"]),
+        ("diag_N60_s0.csv", lambda text: "", ["b3_negative", "schur_residual"]),
+        ("cdf_N60_s0.csv", lambda text: "", ["weyl_deviation"]),
+    ], ids=["diag-A", "diag-schur", "diag-B3", "pot-deviation", "cdf-empirical",
+            "empty-eig", "empty-pot", "empty-diag", "empty-cdf"])
+    def test_a_malformed_csv_with_an_updated_checksum_fails_and_is_named(
+            self, n60, tmp_path, capsys, name, edit, readers):
+        # each raised ValueError or IndexError out of verify, in one suite or both
+        copy = self._tampered(n60, tmp_path / "copy", name, edit)
+        for suite in ("integrity", "acceptance"):
+            report = verify(copy, suite=suite)
+            assert not report.passed
+            assert report.criteria["integrity"]["status"] == "fail"
+            assert name in report.criteria["integrity"]["detail"]
+            capsys.readouterr()
+            assert cli_main(["verify", str(copy), "--suite", suite]) == 1
+            captured = capsys.readouterr()
+            assert json.loads(captured.out) == json.loads(report.to_json())
+            assert captured.err == ""
+        criteria = verify(copy).criteria
+        for criterion in readers:           # each criterion that reads the file fails, naming it
+            assert criteria[criterion]["status"] == "fail"
+            assert name in criteria[criterion]["detail"]
 
     def test_a_fallback_cell_is_not_held_to_its_spectrum(self, tmp_path, monkeypatch):
         # a cell takes the Hessenberg-LU route exactly where the two routes disagree
@@ -459,6 +500,24 @@ class TestRun:
             rows += len(lines)
         (out / "manifest.json").write_text(json.dumps(manifest))
         return rows
+
+    def test_a_split_of_another_matrix_fails_the_schur_criterion(self, tmp_path, monkeypatch):
+        # the split at 1.5 delta factors a matrix that is not the cell's; route one,
+        # read off the cell's own spectrum, tells (an LU route one of that same
+        # wrong matrix agreed with the split to rounding, and the criterion passed)
+        import toeplab.harness as hz
+        real = hz.b_diagnostics
+
+        def wrong_delta(T, z, rho, delta, *args, **kwargs):
+            return real(T, z, rho, 1.5 * delta, *args, **kwargs)
+
+        monkeypatch.setattr(hz, "b_diagnostics", wrong_delta)
+        record = run(tiny_config(), out_dir=tmp_path)
+        assert record.manifest["errors"] == {}
+        criterion = verify(tmp_path).criteria["schur_residual"]
+        assert criterion["status"] == "fail"
+        assert all(cell["health"]["schur_residual_max"] > 1e-6
+                   for cell in record.manifest["cells"].values())
 
     def test_nonfinite_schur_residuals_fail_unless_flagged_singular(self, done, tmp_path):
         out, _ = done
@@ -616,7 +675,7 @@ class TestRun:
             assert json.loads(capsys.readouterr().out) == json.loads(report.to_json())
 
     def test_unknown_or_incomplete_stages_rejected(self, tmp_path):
-        for stages in (("potential",), ("spectrum", "timings")):
+        for stages in (("potential",), ("grushin",), ("potential", "grushin"), ("spectrum", "timings")):
             with pytest.raises(ValueError, match="stages"):
                 run(tiny_config(), out_dir=tmp_path, stages=stages)
 
@@ -953,7 +1012,7 @@ class TestCellMemory:
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                _, health = hz._spectrum_task(setup, "perturbed", N, 0)
+                _, health, _ = hz._spectrum_task(setup, "perturbed", N, 0)
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
@@ -961,6 +1020,27 @@ class TestCellMemory:
         # M (drawn, formed and reduced in one buffer), H's rows (dim^2 / 2)
         # and |probe - lambda| (dim x probes); a second dim^2 array does not fit
         assert peak <= 16 * (1.5 * dim * dim + dim * len(probes))
+
+    def test_a_grushin_result_holds_no_reference_to_the_noise(self, tmp_path, monkeypatch):
+        # a result waits in its future until every spectrum task before it is collected;
+        # one that kept G (through its NormBound) held a dim^2 array per cell meanwhile
+        import weakref
+        import toeplab.harness as hz
+        drawn = []
+
+        def noise(T, seed):
+            G = hz.sample_ginibre(T.dim, hz.derive_seed(seed, "cell", T.N))
+            drawn.append(weakref.ref(G))
+            return G
+
+        monkeypatch.setattr(hz, "_cell_noise", noise)
+        f = preset_config("sphere-figure3").symbol_spec()
+        setup = hz._Setup(out=tmp_path, matrices={40: quantize_symbol(f, 40)}, deltas={40: 1 / 40},
+                          radii=np.zeros(1), predicted=None, probes=None, u_lim=np.zeros(0),
+                          grushin_probes=[(0.3 + 0.2j, 0.0), (0.6 + 0j, 0.0)], rho=0.2)
+        result = hz._grushin_task(setup, "perturbed", 40, 0)
+        assert len(result[0]) == 2 and len(drawn) == 1
+        assert drawn[0]() is None
 
     def test_run_leaves_the_shared_matrices_unchanged(self, tmp_path, monkeypatch):
         import toeplab.harness as hz
@@ -1153,7 +1233,8 @@ class TestCli:
             "potential": ["cdf_N10_unperturbed.csv", "cdf_N16_s0.csv",
                           "eig_N10_unperturbed.csv", "eig_N16_s0.csv",
                           "pot_N10_unperturbed.csv", "pot_N16_s0.csv"],
-            "grushin": ["diag_N16_s0.csv"],
+            "grushin": ["cdf_N10_unperturbed.csv", "cdf_N16_s0.csv", "diag_N16_s0.csv",
+                        "eig_N10_unperturbed.csv", "eig_N16_s0.csv"],
             "quantize": ["mat_N10.npy", "mat_N16.npy"],
         }
         assert sorted(p.name for p in (tmp_path / "run").iterdir() if p.suffix != ".csv") == \

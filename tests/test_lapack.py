@@ -282,7 +282,8 @@ def test_a_spectrum_cell_takes_one_hessenberg_split_and_no_lu(preset, monkeypatc
 
 
 def test_a_grushin_probe_takes_one_lu_per_dense_matrix(monkeypatch):
-    # A >= 1: Schur route one (dim), the bordered matrix (dim + A), the corner (A)
+    # A >= 1: the bordered matrix (dim + A) and the corner (A); Schur route one
+    # comes from the cell's Hessenberg form, so no LU of size dim
     cfg = preset_config("sphere-figure3")
     T = quantize_symbol(cfg.symbol_spec(), 120)
     G = sample_ginibre(T.dim, derive_seed(0, "cell", 120))
@@ -292,6 +293,25 @@ def test_a_grushin_probe_takes_one_lu_per_dense_matrix(monkeypatch):
     A = diag.n_small
     assert A >= 1
     lus = sorted(n for name, n in calls if name == "zgetrf_work")
-    assert lus == sorted([T.dim, T.dim + A, A])
+    assert lus == [A, T.dim + A]
     assert {name for name, _ in calls} == {"zhbevd", "zgbtrf_work", "zgbtrs_work", "zgetrf_work",
                                            "zgetrs_work", "zgecon_work"}
+
+
+def test_a_grushin_ladder_run_takes_no_lu_of_the_cell_matrix(monkeypatch, tmp_path):
+    # the benchmark's grushin-scan ladder at N = 36: a probe with A >= 1 factors the
+    # bordered matrix (dim + A) and the corner (A), one with A = 0 the bordered matrix
+    # (dim) alone; route one of every Schur check is the Hessenberg form's, so a
+    # dim-sized LU at a probe with A >= 1 adds an entry
+    cfg = preset_config("sphere-figure3")
+    cfg.n_values, cfg.seeds, cfg.probe_grid = [36], [0], {"points": [[0.5, 0.1], [1.5, 1.5]]}
+    cfg.grushin_probes = [[0.0, 0.0], [0.3, 0.2], [0.6, 0.0], [0.0, 0.8], [0.9, 0.0],
+                          [0.97, 0.0], [1.2, 0.0], [0.0, 1.5]]
+    calls = _count_calls(monkeypatch)
+    record = run(cfg, tmp_path)
+    assert not record.manifest["errors"]
+    rows = (tmp_path / "diag_N36_s0.csv").read_text().splitlines()[1:]
+    counts = [int(row.split(",")[6]) for row in rows]
+    assert 0 in counts and sum(A >= 1 for A in counts) >= 4
+    lus = sorted(n for name, n in calls if name == "zgetrf_work")
+    assert lus == sorted(n for A in counts for n in ([37 + A, A] if A else [37]))
