@@ -1,8 +1,9 @@
 """Command line front end.
 
 Verbs: quantize, spectrum, potential, grushin, run, verify, kappa.  Every
-verb but verify takes a configuration (``--config FILE`` or ``--preset
-NAME``) plus the shared flags ``--seed`` and ``--out``.  ``run`` computes
+verb but verify takes exactly one configuration source, ``--config FILE``
+or ``--preset NAME`` (``--full-scale`` only beside ``--preset``), plus the
+shared flags ``--seed`` and ``--out``.  ``run`` computes
 every cell stage of every cell; ``quantize``, ``spectrum``, ``potential``
 and ``grushin`` are ``run`` restricted to the stages :data:`VERB_STAGES`
 names, so each validates its configuration and writes a manifest beside its
@@ -33,21 +34,20 @@ VERB_STAGES = {
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="experiment configuration JSON file")
-    p.add_argument("--preset", help="named preset (scottish-flag-figure1, sphere-figure3)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="experiment configuration JSON file")
+    source.add_argument("--preset", help="named preset (scottish-flag-figure1, sphere-figure3)")
     p.add_argument("--full-scale", action="store_true",
-                   help="use the full figure sizes instead of desk-scale defaults")
+                   help="with --preset: use the full figure sizes instead of desk-scale defaults")
     p.add_argument("--seed", type=int, help="override: use this single seed")
     p.add_argument("--out", help="output directory (default: runs/)")
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config:
+    if args.config is not None:
         cfg = ExperimentConfig.from_json(args.config)
-    elif args.preset:
-        cfg = preset_config(args.preset, full_scale=args.full_scale)
     else:
-        raise SystemExit("either --config or --preset is required")
+        cfg = preset_config(args.preset, full_scale=args.full_scale)
     if args.seed is not None:
         cfg.seeds = [args.seed]
     if args.out:
@@ -59,12 +59,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="toeplab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"toeplab {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in ("quantize", "spectrum", "potential", "grushin", "run", "kappa"):
-        _add_common(sub.add_parser(verb))
+    verbs = {verb: sub.add_parser(verb)
+             for verb in ("quantize", "spectrum", "potential", "grushin", "run", "kappa")}
+    for p in verbs.values():
+        _add_common(p)
     vp = sub.add_parser("verify")
     vp.add_argument("run_dir", help="directory holding a run manifest")
     vp.add_argument("--suite", default="acceptance", choices=["acceptance", "integrity"])
     args = parser.parse_args(argv)
+    if args.verb in verbs and args.config is not None and args.full_scale:
+        verbs[args.verb].error("--full-scale applies only to --preset")     # exits 2
 
     if args.verb == "verify":
         report = verify_run(args.run_dir, suite=args.suite)
@@ -80,13 +84,6 @@ def main(argv=None) -> int:
 
 def _run_verb(args) -> int:
     cfg = _load_config(args)
-    if args.verb in VERB_STAGES:
-        record = run_experiment(cfg, stages=VERB_STAGES[args.verb])
-        print(json.dumps({"out_dir": record.out_dir, "config_hash": record.config_hash,
-                          "cells": len(record.manifest["cells"]),
-                          "errors": record.manifest["errors"]}, indent=2))
-        return 0 if not record.manifest["errors"] else 1
-
     if args.verb == "kappa":
         cfg.check_keys()                        # not validate: its gamma cap needs the kappa fitted here
         est = cfg.kappa_estimate()
@@ -98,7 +95,11 @@ def _run_verb(args) -> int:
         }, indent=2))
         return 0
 
-    raise SystemExit(f"unhandled verb {args.verb}")
+    record = run_experiment(cfg, stages=VERB_STAGES[args.verb])
+    print(json.dumps({"out_dir": record.out_dir, "config_hash": record.config_hash,
+                      "cells": len(record.manifest["cells"]),
+                      "errors": record.manifest["errors"]}, indent=2))
+    return 0 if not record.manifest["errors"] else 1
 
 
 if __name__ == "__main__":

@@ -822,8 +822,12 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
 
     A missing or malformed manifest fails the ``integrity`` criterion (a
     ``NaN`` or ``Infinity`` in it too: ``run`` writes strict JSON), and so
-    does a perturbed cell of the configuration that the manifest lists
-    neither among its cells nor among its errors.
+    does a cell of the configuration, perturbed or unperturbed, that the
+    manifest lists neither among its cells nor among its errors.  Each cell
+    CSV that the manifest lists and whose checksum matched is parsed once,
+    by :func:`_read_csv`; the cross-check of :func:`_inconsistent_cells`
+    and the criteria read those rows.  A CSV that :func:`_read_csv` refuses
+    fails ``integrity`` and each criterion that reads it, naming the file.
     """
     out = Path(run_dir)
     manifest_path = out / "manifest.json"
@@ -838,10 +842,12 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
         return _integrity_failure(f"malformed manifest: {problem}")
     criteria: dict = {}
     config = manifest["config"]
+    sizes = {_cell_name(("unperturbed", N, None)): N for N in config.get("unperturbed_sizes", [])}
+    sizes.update({_cell_name(("perturbed", N, seed)): N
+                  for N in config["n_values"] for seed in config["seeds"]})
     absent = []
     if set(manifest.get("stages", STAGES)) & set(STAGES):
-        absent = sorted({_cell_name(("perturbed", N, seed)) for N in config["n_values"]
-                         for seed in config["seeds"]} - set(manifest["cells"]) - set(manifest["errors"]))
+        absent = sorted(set(sizes) - set(manifest["cells"]) - set(manifest["errors"]))
 
     mismatched, missing, intact = [], [], set()
     for _, info in _artifacts(manifest):
@@ -852,6 +858,14 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
             mismatched.append(info["path"])
         else:
             intact.add(info["path"])
+    tables, refused = {}, {}            # (cell, kind) -> its rows, or what _read_csv said of it
+    for name, cell in sorted(manifest["cells"].items()):
+        for kind, info in cell["files"].items():
+            if kind in _HEADERS and info["path"] in intact:
+                try:
+                    tables[name, kind] = _read_csv(out / info["path"], kind)
+                except ValueError as exc:
+                    refused[name, kind] = str(exc)
     if mismatched:
         criteria["integrity"] = {"status": "fail", "detail": f"checksum mismatch: {mismatched}"}
     elif missing:
@@ -859,7 +873,7 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
     elif absent:
         criteria["integrity"] = {"status": "fail",
                                  "detail": f"cells neither run nor failed: {absent}"}
-    elif inconsistent := _inconsistent_cells(out, manifest, intact):
+    elif inconsistent := [*refused.values(), *_inconsistent_cells(manifest, sizes, tables)]:
         criteria["integrity"] = {"status": "fail",
                                  "detail": f"inconsistent artifacts: {inconsistent}"}
     else:
@@ -870,7 +884,7 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
                                "detail": f"failed cells: {failed}" if failed else "no failed cells"}
 
     if suite == "acceptance":
-        _verify_acceptance(out, manifest, intact, criteria)
+        _verify_acceptance(manifest, tables, refused, criteria)
     elif suite != "integrity":
         raise ValueError(f"unknown verification suite {suite!r}")
 
@@ -885,57 +899,41 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
 POTENTIAL_TOL = 1e-8
 
 
-def _inconsistent_cells(out: Path, manifest: dict, intact: set) -> list:
-    """Where the ``intact`` CSVs of a cell are malformed or disagree with each other or its size.
+def _inconsistent_cells(manifest: dict, sizes: dict, tables: dict) -> list:
+    """Where a cell's parsed CSVs disagree with each other or its size, one line each.
 
-    One line each.  Every CSV reads (:func:`_read_csv`), the spectrum holds
-    ``dim`` finite eigenvalues, each potential row's
-    ``U_emp`` is the one that spectrum gives within :data:`POTENTIAL_TOL`
-    (or, in a cell whose health records the ``logdet_fallback``, is not
-    nan), and each diagnostics row has finite B1-B3 or a ``singular-`` flag.
+    ``sizes`` maps each cell name of the configuration to its size, and
+    ``tables`` each parsed ``(cell, kind)`` CSV to its rows.  The spectrum
+    holds ``dim`` finite eigenvalues, each potential row's ``U_emp`` is the
+    one that spectrum gives within :data:`POTENTIAL_TOL` (or, in a cell
+    whose health records the ``logdet_fallback``, is not nan), and each
+    diagnostics row has finite B1-B3 or a ``singular-`` flag.
     """
-    config = manifest["config"]
     problems = []
     for name, cell in sorted(manifest["cells"].items()):
-        paths = {kind: out / info["path"] for kind, info in cell["files"].items()
-                 if info["path"] in intact}
         try:
             fallback = cell.get("health", {}).get("logdet_fallback") is True
-            problems += _cell_inconsistencies(name, paths, config, fallback)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a malformed row or config
+            dim = (bergman_dimension(make_phase_space(manifest["config"]["space"]), sizes[name])
+                   if (name, "spectrum") in tables else None)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a malformed config or health
             problems.append(f"{name}: cannot cross-check ({type(exc).__name__}: {exc})")
-    return problems
-
-
-def _cell_inconsistencies(name: str, paths: dict, config: dict, fallback: bool) -> list:
-    """:func:`_inconsistent_cells` for the cell ``name``, its CSVs' ``paths`` keyed by kind.
-
-    ``fallback`` says that the cell's potential took the Hessenberg-LU route.
-    """
-    problems = []
-    lam = None
-    if "cdf" in paths:
-        _read_csv(paths["cdf"], "cdf")
-    if "spectrum" in paths:
-        sizes = {_cell_name(("unperturbed", N, None)): N for N in config.get("unperturbed_sizes", [])}
-        sizes.update({_cell_name(("perturbed", N, seed)): N
-                      for N in config["n_values"] for seed in config["seeds"]})
-        dim = bergman_dimension(make_phase_space(config["space"]), int(sizes[name]))
-        eig = np.array([[r["re"], r["im"]] for r in _read_csv(paths["spectrum"], "spectrum")])
-        if len(eig) != dim or not np.all(np.isfinite(eig)):
-            problems.append(f"{name}: {paths['spectrum'].name} holds {len(eig)} rows, "
-                            f"expected {dim} finite")
-        else:
-            lam = eig[:, 0] + 1j * eig[:, 1]
-    if "potential" in paths and lam is not None:
-        for r in _read_csv(paths["potential"], "potential"):
-            z, got = complex(r["z_re"], r["z_im"]), r["U_emp"]
-            with np.errstate(divide="ignore"):
-                want = float(np.sum(np.log(np.abs(lam - z)))) / len(lam)
-            if math.isnan(got) or not (fallback or got == want or abs(got - want) <= POTENTIAL_TOL):
-                problems.append(f"{name}: U_emp {got!r} at z={z} against {want!r} from its spectrum")
-    if "diagnostics" in paths:
-        for r in _read_csv(paths["diagnostics"], "diagnostics"):
+            continue
+        lam = None
+        if dim is not None:
+            eig = np.array([[r["re"], r["im"]] for r in tables[name, "spectrum"]])
+            if len(eig) != dim or not np.all(np.isfinite(eig)):
+                problems.append(f"{name}: {cell['files']['spectrum']['path']} holds {len(eig)} rows, "
+                                f"expected {dim} finite")
+            else:
+                lam = eig[:, 0] + 1j * eig[:, 1]
+        if lam is not None:
+            for r in tables.get((name, "potential"), []):
+                z, got = complex(r["z_re"], r["z_im"]), r["U_emp"]
+                with np.errstate(divide="ignore"):
+                    want = float(np.sum(np.log(np.abs(lam - z)))) / len(lam)
+                if math.isnan(got) or not (fallback or got == want or abs(got - want) <= POTENTIAL_TOL):
+                    problems.append(f"{name}: U_emp {got!r} at z={z} against {want!r} from its spectrum")
+        for r in tables.get((name, "diagnostics"), []):
             finite = all(math.isfinite(r[b]) for b in ("B1", "B2", "B3"))
             if not (finite or _singular_flagged(r)):
                 problems.append(f"{name}: non-finite B1-B3 at z=({r['z_re']}, {r['z_im']}) "
@@ -974,9 +972,10 @@ def _manifest_problem(manifest) -> str | None:
     stages = manifest.get("stages", [])
     if not (isinstance(stages, list) and all(isinstance(stage, str) for stage in stages)):
         return f"stages must be a list of stage names, got {stages!r}"
-    for name in ("n_values", "seeds"):
+    for name in ("n_values", "seeds", "unperturbed_sizes"):
+        default = [] if name == "unperturbed_sizes" else None    # a manifest may leave out the former
         try:
-            _check(name, CONFIG_KEYS[name], manifest["config"].get(name))
+            _check(name, CONFIG_KEYS[name], manifest["config"].get(name, default))
         except ConfigError as exc:
             return f"config {exc}"
     for name, cell in manifest["cells"].items():
@@ -1023,35 +1022,27 @@ def _read_csv(path: Path, kind: str) -> list:
     return rows
 
 
-def _verify_acceptance(out: Path, manifest: dict, intact: set, criteria: dict) -> None:
-    """Judge the acceptance criteria on the ``intact`` artifacts the manifest lists.
+def _verify_acceptance(manifest: dict, tables: dict, refused: dict, criteria: dict) -> None:
+    """Judge the acceptance criteria on the perturbed cells' CSVs that :func:`verify` parsed.
 
-    Only listed artifacts whose checksum matched are read: not a failed
-    cell's CSVs left by an earlier run in the same directory, nor a file
-    edited after the run.  A criterion judged at the largest size is
-    skipped, naming that size, when no intact artifact of that size is left.
-    One that :func:`_read_csv` cannot read fails the criteria that read it,
-    naming the file.
+    ``tables`` maps each parsed ``(cell, kind)`` CSV to its rows and
+    ``refused`` each one :func:`_read_csv` refused to its message: both hold
+    only listed CSVs whose checksum matched, not a failed cell's CSVs left by
+    an earlier run in the same directory, nor a file edited after the run.
+    A criterion judged at the largest size is skipped, naming that size,
+    when no parsed CSV of that size is left.  A refused CSV fails each
+    criterion that would read it, naming the file.
     """
     n_values = sorted(int(n) for n in manifest["config"]["n_values"])
     n_top = n_values[-1]
-    seeds = manifest["config"]["seeds"]
-    malformed = {}                      # kind -> what _read_csv said of its unreadable artifacts
+    cells = {N: [_cell_name(("perturbed", N, seed)) for seed in manifest["config"]["seeds"]]
+             for N in n_values}
 
-    def tables(kind: str, N: int) -> list:
-        """Rows of each intact, readable ``kind`` artifact the manifest lists for size N."""
-        found = []
-        for seed in seeds:
-            cell = manifest["cells"].get(_cell_name(("perturbed", N, seed)), {})
-            info = cell.get("files", {}).get(kind)
-            if info is not None and info["path"] in intact:
-                try:
-                    found.append(_read_csv(out / info["path"], kind))
-                except ValueError as exc:
-                    malformed.setdefault(kind, []).append(str(exc))
-        return found
+    def parsed(kind: str, N: int) -> list:
+        """Rows of each parsed ``kind`` CSV of a perturbed cell of size N."""
+        return [tables[name, kind] for name in cells[N] if (name, kind) in tables]
 
-    cdfs = tables("cdf", n_top)
+    cdfs = parsed("cdf", n_top)
     if not cdfs:
         criteria["weyl_deviation"] = {"status": "skipped",
                                       "detail": f"no counting-curve artifact at N={n_top}"}
@@ -1066,7 +1057,7 @@ def _verify_acceptance(out: Path, manifest: dict, intact: set, criteria: dict) -
     medians = {}
     dropped = 0
     for N in n_values:
-        vals = [r["deviation"] for rows in tables("potential", N) for r in rows]
+        vals = [r["deviation"] for rows in parsed("potential", N) for r in rows]
         finite = [v for v in vals if np.isfinite(v)]
         dropped += len(vals) - len(finite)
         if finite:
@@ -1088,7 +1079,7 @@ def _verify_acceptance(out: Path, manifest: dict, intact: set, criteria: dict) -
     nonfinite = []                      # per non-finite residual: whether a singular- flag explains it
     sizes = []
     for N in n_values:
-        diags = tables("diagnostics", N)
+        diags = parsed("diagnostics", N)
         if diags:
             sizes.append(N)
         for r in (r for rows in diags for r in rows):
@@ -1116,8 +1107,10 @@ def _verify_acceptance(out: Path, manifest: dict, intact: set, criteria: dict) -
                       f"{len(nonfinite)} non-finite, {nonfinite.count(False)} of them "
                       "without a singular- flag",
         }
-    for kind, names in (("cdf", ["weyl_deviation"]), ("potential", ["potential_median"]),
-                        ("diagnostics", ["b3_negative", "schur_residual"])):
-        if kind in malformed:
+    for kind, read, names in (("cdf", [n_top], ["weyl_deviation"]),
+                              ("potential", n_values, ["potential_median"]),
+                              ("diagnostics", n_values, ["b3_negative", "schur_residual"])):
+        malformed = [refused[cell, kind] for N in read for cell in cells[N] if (cell, kind) in refused]
+        if malformed:
             for name in names:
-                criteria[name] = {"status": "fail", "detail": f"malformed artifacts: {malformed[kind]}"}
+                criteria[name] = {"status": "fail", "detail": f"malformed artifacts: {malformed}"}

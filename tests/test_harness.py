@@ -363,6 +363,32 @@ class TestCrossCheck:
             assert criteria[criterion]["status"] == "fail"
             assert name in criteria[criterion]["detail"]
 
+    def test_a_refused_csv_hides_no_other_fault_of_its_cell(self, n60, tmp_path):
+        emptied = self._tampered(n60, tmp_path / "emptied", "cdf_N60_s0.csv", lambda text: "")
+        copy = self._tampered(emptied, tmp_path / "copy", "pot_N60_s0.csv", _shift_first_u_emp)
+        for suite in ("integrity", "acceptance"):
+            integrity = verify(copy, suite=suite).criteria["integrity"]
+            assert integrity["status"] == "fail"
+            assert "cdf_N60_s0.csv" in integrity["detail"]
+            assert "N60_s0: U_emp " in integrity["detail"]
+        weyl = verify(copy).criteria["weyl_deviation"]
+        assert weyl["status"] == "fail" and "cdf_N60_s0.csv" in weyl["detail"]
+
+    @pytest.mark.parametrize("suite", ["integrity", "acceptance"])
+    def test_each_listed_csv_is_parsed_once(self, n60, monkeypatch, suite):
+        import toeplab.harness as hz
+        real, parsed = hz._read_csv, []
+
+        def counting(path, kind):
+            parsed.append(path.name)
+            return real(path, kind)
+
+        monkeypatch.setattr(hz, "_read_csv", counting)
+        assert verify(n60, suite=suite).criteria["integrity"]["status"] == "pass"
+        manifest = json.loads((n60 / "manifest.json").read_text())
+        listed = [info["path"] for cell in manifest["cells"].values() for info in cell["files"].values()]
+        assert sorted(parsed) == sorted(listed)
+
     def test_a_fallback_cell_is_not_held_to_its_spectrum(self, tmp_path, monkeypatch):
         # a cell takes the Hessenberg-LU route exactly where the two routes disagree
         import toeplab.harness as hz
@@ -673,6 +699,20 @@ class TestRun:
             capsys.readouterr()
             assert cli_main(["verify", str(tmp_path), "--suite", suite]) == 1
             assert json.loads(capsys.readouterr().out) == json.loads(report.to_json())
+
+    @pytest.mark.parametrize("sizes, detail", [
+        ([8], "cells neither run nor failed: ['N8_unperturbed']"),
+        ([8.5], "malformed manifest: config unperturbed_sizes must be integers, got [8.5]"),
+        (5, "malformed manifest: config unperturbed_sizes must be a list, got 5"),
+    ], ids=["absent", "fraction", "number"])
+    def test_verify_counts_unperturbed_cells(self, tmp_path, sizes, detail):
+        # the perturbed cell failed; the unperturbed one is in neither cells nor errors
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "config": {"n_values": [10], "seeds": [0], "unperturbed_sizes": sizes},
+            "cells": {}, "errors": {"N10_s0": "x"}}))
+        for suite in ("acceptance", "integrity"):
+            integrity = verify(tmp_path, suite=suite).criteria["integrity"]
+            assert integrity == {"status": "fail", "detail": detail}
 
     def test_unknown_or_incomplete_stages_rejected(self, tmp_path):
         for stages in (("potential",), ("grushin",), ("potential", "grushin"), ("spectrum", "timings")):
@@ -1314,6 +1354,12 @@ class TestCli:
             assert captured.err == f"toeplab: out_dir must be a string or null, got {value!r}\n"
             assert not (tmp_path / "runs").exists()
 
-    def test_requires_config_or_preset(self):
-        with pytest.raises(SystemExit):
-            cli_main(["run"])
+    def test_requires_config_or_preset(self, capsys):
+        # exactly one configuration source; --full-scale sizes a preset only
+        for flags, message in [([], "one of the arguments --config --preset is required"),
+                               (["--config", "cfg.json", "--preset", "sphere-figure3"], "not allowed with"),
+                               (["--config", "cfg.json", "--full-scale"], "--full-scale applies only to --preset")]:
+            with pytest.raises(SystemExit) as exc:
+                cli_main(["run", *flags])
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
