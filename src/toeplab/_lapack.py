@@ -217,17 +217,16 @@ def _hessenberg_rows(h: np.ndarray) -> tuple:
 
 
 def singular_values(M: np.ndarray) -> np.ndarray:
-    """Descending singular values: the bits of ``np.linalg.svd(M, compute_uv=False)``, without the GIL.
+    """Descending singular values of a 2-D ``M``, from ``zgesdd`` without the GIL.
 
-    A 2-D complex128 ``M`` goes to the ``zgesdd`` numpy calls (no singular
-    vectors) on a Fortran-ordered copy; other input takes ``np.linalg.svd``.
-    Raises ValueError on an inf or nan entry, ``LinAlgError`` when the
-    solver does not converge.
+    Every input goes to the ``zgesdd`` call that numpy makes for complex
+    input (no singular vectors), on a complex128 Fortran-ordered copy, so a
+    complex128 ``M`` gets the bits of ``np.linalg.svd(M, compute_uv=False)``
+    and a real one the values of its complex copy.  Raises ValueError on an
+    inf or nan entry, ``LinAlgError`` when the solver does not converge.
     """
-    if M.dtype != np.complex128 or M.ndim != 2:
-        return np.linalg.svd(M, compute_uv=False)
     _require_finite(M)
-    a = np.array(M, order="F")
+    a = np.array(M, dtype=np.complex128, order="F")
     m, n = a.shape
     s = np.empty(min(m, n))
     if _call("zgesdd", b"N", m, n, a.ctypes.data, max(m, 1), s.ctypes.data, None, 1, None, 1):

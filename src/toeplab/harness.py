@@ -20,6 +20,9 @@ of ``np.linalg.eigvals``, ``np.linalg.slogdet`` and the ``scipy.linalg``
 calls it replaces, so a run imports no scipy module.  A numpy whose
 OpenBLAS lacks those routines is refused before a run starts.
 
+``run`` writes and ``verify`` reads by two tables: ``_CSV_KINDS`` (each cell
+CSV's file name, stage and header) and ``_CRITERIA`` (each acceptance criterion).
+
 Per-cell randomness: the Ginibre stream of cell ``(N, seed)`` is keyed by
 ``derive_seed(seed, "cell", N)``, so cells are independent and reproducible
 in any execution order.
@@ -441,7 +444,7 @@ class _Setup:
 def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> RunRecord:
     """Run the selected stages of every (size, seed) cell; persist artifacts atomically.
 
-    ``stages`` is a subset of :data:`STAGES` and ``matrix``.  The matrix
+    ``stages`` is a nonempty subset of :data:`STAGES` and ``matrix``.  The matrix
     stage writes ``mat_N{N}.npy`` for every size of ``n_values`` and
     ``unperturbed_sizes`` and lists them under the manifest's ``matrices``.
     The spectrum stage of a cell is one task (eigenvalues and disk counts,
@@ -466,8 +469,8 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     """
     _lapack.require()
     stages = set(stages)
-    if not stages <= set(_ALL_STAGES) or (stages & {"potential", "grushin"} and "spectrum" not in stages):
-        raise ValueError(f"stages must be a subset of {_ALL_STAGES}, with 'potential' and 'grushin' "
+    if not set() < stages <= set(_ALL_STAGES) or (stages & {"potential", "grushin"} and "spectrum" not in stages):
+        raise ValueError(f"stages must be a nonempty subset of {_ALL_STAGES}, with 'potential' and 'grushin' "
                          f"only beside 'spectrum'; got {sorted(stages)}")
     with _pinned_blas():                        # set-up too: a threaded dot moves its sums' bits
         return _run(config, out_dir, stages)
@@ -606,10 +609,9 @@ def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
     lam, hessenberg = _lapack.hessenberg_eigvals(M)
     del M                                   # overwritten; H's nonzero part is kept
     files = {
-        "spectrum": _emit(setup.out, f"eig_{name}.csv", _HEADERS["spectrum"],
-                          ((z.real, z.imag) for z in lam)),
-        "cdf": _emit(setup.out, f"cdf_{name}.csv", _HEADERS["cdf"],
-                     zip(setup.radii, empirical_cdf_disks(lam, setup.radii), setup.predicted)),
+        "spectrum": _emit(setup.out, "spectrum", name, ((z.real, z.imag) for z in lam)),
+        "cdf": _emit(setup.out, "cdf", name, zip(setup.radii, empirical_cdf_disks(lam, setup.radii),
+                                                   setup.predicted)),
     }
     health = {"max_abs_eig": float(np.max(np.abs(lam)))}
     # route one: log|det(M - z)| at each Grushin probe, from H; None for an unperturbed cell
@@ -621,7 +623,7 @@ def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
         rows = [(z.real, z.imag, N, seed_label, ue, ul,
                  abs(ue - ul) if np.isfinite(ue) else float("nan"))
                 for z, ue, ul in zip(setup.probes[kept], u_emp[kept], setup.u_lim[kept])]
-        files["potential"] = _emit(setup.out, f"pot_{name}.csv", _HEADERS["potential"], rows)
+        files["potential"] = _emit(setup.out, "potential", name, rows)
         health.update(potential_health)
     return files, health, route_one
 
@@ -650,9 +652,7 @@ def _diagnostics(setup: _Setup, cell, diags: list, health: dict, route_one):
     rows = [(N, z.real, z.imag, setup.rho, setup.deltas[N], seed, d.n_small, d.b1, d.b2, d.b3,
              residual, ";".join(d.flags))
             for (z, _), d, residual in zip(setup.grushin_probes, diags, residuals)]
-    files = {"diagnostics": _emit(setup.out, f"diag_{_cell_name(cell)}.csv",
-                                  _HEADERS["diagnostics"], rows)}
-    return files, {
+    return {"diagnostics": _emit(setup.out, "diagnostics", _cell_name(cell), rows)}, {
         # np.max, not max: a nan residual must surface, not vanish by order
         "schur_residual_max": float(np.max(residuals, initial=0.0)),
         "bordered_condition_max": float(np.max([d.condition for d in diags], initial=0.0)),
@@ -775,24 +775,30 @@ def _cell_name(cell) -> str:
     return f"N{N}_unperturbed" if kind == "unperturbed" else f"N{N}_s{seed}"
 
 
-#: The header of each kind of cell CSV, as :func:`_emit` writes it and :func:`_read_csv` expects it.
-_HEADERS = {
-    "spectrum": "re,im",
-    "cdf": "r,empirical,predicted",
-    "potential": "z_re,z_im,N,seed,U_emp,U_lim,deviation",
-    "diagnostics": "N,z_re,z_im,rho,delta,seed,A,B1,B2,B3,schur_residual,flags",
+#: Each kind of cell CSV: its file name prefix, the stage that writes it and its header; the one
+#: statement of all three, read by :func:`_emit`, :func:`_read_csv` and :func:`verify`.
+_CSV_KINDS = {
+    "spectrum": ("eig", "spectrum", "re,im"),
+    "cdf": ("cdf", "spectrum", "r,empirical,predicted"),
+    "potential": ("pot", "potential", "z_re,z_im,N,seed,U_emp,U_lim,deviation"),
+    "diagnostics": ("diag", "grushin", "N,z_re,z_im,rho,delta,seed,A,B1,B2,B3,schur_residual,flags"),
 }
 
 
-def _emit(out: Path, name: str, header: str, rows) -> Path:
-    """Write the CSV artifact ``name``: the ``header`` line, then one line per row tuple.
+def _csv_name(kind: str, cell: str) -> str:
+    return f"{_CSV_KINDS[kind][0]}_{cell}.csv"
+
+
+def _emit(out: Path, kind: str, cell: str, rows) -> Path:
+    """Write the ``kind`` CSV of the named ``cell``, its file name and header line from
+    :data:`_CSV_KINDS`, then one line per row tuple.
 
     The one place that formats a field: a ``str`` as is, an integer as
     ``str(x)``, any other number as ``repr(float(x))`` (reads back bit-exact).
     """
-    lines = [header] + [",".join(map(_csv_field, row)) for row in rows]
+    lines = [_CSV_KINDS[kind][2]] + [",".join(map(_csv_field, row)) for row in rows]
     text = "\n".join(lines) + "\n"
-    return _atomic_write(out / name, lambda fh: fh.write(text.encode()))
+    return _atomic_write(out / _csv_name(kind, cell), lambda fh: fh.write(text.encode()))
 
 
 def _csv_field(x) -> str:
@@ -820,14 +826,15 @@ class VerifyReport:
 def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
     """Check artifact integrity, that no cell failed, and the named criteria suite of a run.
 
-    A missing or malformed manifest fails the ``integrity`` criterion (a
-    ``NaN`` or ``Infinity`` in it too: ``run`` writes strict JSON), and so
-    does a cell of the configuration, perturbed or unperturbed, that the
-    manifest lists neither among its cells nor among its errors.  Each cell
-    CSV that the manifest lists and whose checksum matched is parsed once,
-    by :func:`_read_csv`; the cross-check of :func:`_inconsistent_cells`
-    and the criteria read those rows.  A CSV that :func:`_read_csv` refuses
-    fails ``integrity`` and each criterion that reads it, naming the file.
+    A missing or malformed manifest fails the ``integrity`` criterion (a ``NaN``
+    or ``Infinity`` in it too: ``run`` writes strict JSON; ``stages`` must be a
+    nonempty list of stage names), and so does a cell of the configuration that
+    the manifest lists neither among its cells nor among its errors, or a file
+    listing other than :func:`_expected_artifacts`, the files ``run`` writes.
+    Each cell CSV listed under its expected name, with a matching checksum, is
+    parsed once by :func:`_read_csv`; the cross-check of :func:`_inconsistent_cells`
+    and the criteria read those rows.  A CSV that :func:`_read_csv` refuses fails
+    ``integrity`` and each criterion that reads it, naming the file.
     """
     out = Path(run_dir)
     manifest_path = out / "manifest.json"
@@ -840,14 +847,17 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
     problem = _manifest_problem(manifest)
     if problem:
         return _integrity_failure(f"malformed manifest: {problem}")
-    criteria: dict = {}
     config = manifest["config"]
-    sizes = {_cell_name(("unperturbed", N, None)): N for N in config.get("unperturbed_sizes", [])}
-    sizes.update({_cell_name(("perturbed", N, seed)): N
-                  for N in config["n_values"] for seed in config["seeds"]})
-    absent = []
-    if set(manifest.get("stages", STAGES)) & set(STAGES):
-        absent = sorted(set(sizes) - set(manifest["cells"]) - set(manifest["errors"]))
+    stages = manifest.get("stages", STAGES)
+    unperturbed = {_cell_name(("unperturbed", N, None)): N for N in config.get("unperturbed_sizes", [])}
+    sizes = {**unperturbed, **{_cell_name(("perturbed", N, seed)): N
+                               for N in config["n_values"] for seed in config["seeds"]}}
+    absent = sorted(set(sizes) - set(manifest["cells"]) - set(manifest["errors"])
+                    if set(stages) & set(STAGES) else ())
+    expected = _expected_artifacts(manifest, stages, unperturbed)
+    paths = {label: info["path"] for label, info in _artifacts(manifest)}
+    listing = [f"{label}: listed {paths.get(label)}, run writes {expected.get(label)}"
+               for label in sorted({*expected, *paths}) if paths.get(label) != expected.get(label)]
 
     mismatched, missing, intact = [], [], set()
     for _, info in _artifacts(manifest):
@@ -861,27 +871,20 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
     tables, refused = {}, {}            # (cell, kind) -> its rows, or what _read_csv said of it
     for name, cell in sorted(manifest["cells"].items()):
         for kind, info in cell["files"].items():
-            if kind in _HEADERS and info["path"] in intact:
+            if info["path"] in intact and expected.get(f"cell {name} {kind}") == info["path"]:
                 try:
                     tables[name, kind] = _read_csv(out / info["path"], kind)
                 except ValueError as exc:
                     refused[name, kind] = str(exc)
-    if mismatched:
-        criteria["integrity"] = {"status": "fail", "detail": f"checksum mismatch: {mismatched}"}
-    elif missing:
-        criteria["integrity"] = {"status": "fail", "detail": f"missing artifacts: {missing}"}
-    elif absent:
-        criteria["integrity"] = {"status": "fail",
-                                 "detail": f"cells neither run nor failed: {absent}"}
-    elif inconsistent := [*refused.values(), *_inconsistent_cells(manifest, sizes, tables)]:
-        criteria["integrity"] = {"status": "fail",
-                                 "detail": f"inconsistent artifacts: {inconsistent}"}
-    else:
-        criteria["integrity"] = {"status": "pass", "detail": f"{len(manifest['cells'])} cells and "
-                                 f"{len(manifest.get('matrices', {}))} matrices intact"}
+    faults = [("checksum mismatch", mismatched), ("missing artifacts", missing),     # the first found fails
+              ("cells neither run nor failed", absent), ("artifacts not as run writes them", listing),
+              ("inconsistent artifacts", [*refused.values(), *_inconsistent_cells(manifest, sizes, tables)])]
+    fault = next((f"{what}: {found}" for what, found in faults if found), None)
+    whole = f"{len(manifest['cells'])} cells and {len(manifest.get('matrices', {}))} matrices intact"
     failed = sorted(manifest["errors"])
-    criteria["cell_errors"] = {"status": "fail" if failed else "pass",
-                               "detail": f"failed cells: {failed}" if failed else "no failed cells"}
+    criteria = {"integrity": {"status": "fail" if fault else "pass", "detail": fault or whole},
+                "cell_errors": {"status": "fail" if failed else "pass",
+                                "detail": f"failed cells: {failed}" if failed else "no failed cells"}}
 
     if suite == "acceptance":
         _verify_acceptance(manifest, tables, refused, criteria)
@@ -969,9 +972,9 @@ def _manifest_problem(manifest) -> str | None:
         return "config, cells and errors must be JSON objects"
     if not isinstance(manifest.get("matrices", {}), dict):
         return "matrices must be a JSON object"
-    stages = manifest.get("stages", [])
-    if not (isinstance(stages, list) and all(isinstance(stage, str) for stage in stages)):
-        return f"stages must be a list of stage names, got {stages!r}"
+    stages = manifest.get("stages", list(STAGES))
+    if not (isinstance(stages, list) and stages and all(stage in _ALL_STAGES for stage in stages)):
+        return f"stages must be a list of stage names, got {stages!r} (a nonempty subset of {_ALL_STAGES})"
     for name in ("n_values", "seeds", "unperturbed_sizes"):
         default = [] if name == "unperturbed_sizes" else None    # a manifest may leave out the former
         try:
@@ -1000,17 +1003,31 @@ def _artifacts(manifest: dict):
         yield f"matrix {name}", info
 
 
+def _expected_artifacts(manifest: dict, stages, unperturbed) -> dict:
+    """Label, as :func:`_artifacts` gives it -> file name, of each artifact that ``run`` writes under
+    ``stages`` for the cells that ``manifest`` lists; ``unperturbed`` cells have no Grushin stage."""
+    expected = {f"cell {name} {kind}": _csv_name(kind, name)
+                for name in manifest["cells"] for kind, (_, stage, _) in _CSV_KINDS.items()
+                if stage in stages and not (stage == "grushin" and name in unperturbed)}
+    if "matrix" in stages:                  # every size, whether or not its cells failed
+        config = manifest["config"]
+        expected.update({f"matrix N{N}": f"mat_N{N}.npy"
+                         for N in [*config["n_values"], *config.get("unperturbed_sizes", [])]})
+    return expected
+
+
 def _read_csv(path: Path, kind: str) -> list:
     """Rows of a ``kind`` CSV artifact as dicts keyed by its header, each field but ``flags`` a float.
 
-    Raises ValueError, naming the file, on an empty file, a header that is not
-    ``kind``'s, a row whose field count differs from the header's, or a field
-    that is not a number.
+    Raises ValueError, naming the file, on an empty file, a header other than
+    the one :data:`_CSV_KINDS` gives ``kind``, a row whose field count differs
+    from the header's, or a field that is not a number.
     """
     lines = path.read_text().splitlines()
-    if not lines or lines[0] != _HEADERS[kind]:
-        raise ValueError(f"{path.name} does not start with the header {_HEADERS[kind]!r}")
-    header, rows = lines[0].split(","), []
+    header = _CSV_KINDS[kind][2]
+    if not lines or lines[0] != header:
+        raise ValueError(f"{path.name} does not start with the header {header!r}")
+    header, rows = header.split(","), []
     for number, line in enumerate(lines[1:], 2):
         fields = line.split(",")
         try:
@@ -1022,95 +1039,77 @@ def _read_csv(path: Path, kind: str) -> list:
     return rows
 
 
-def _verify_acceptance(manifest: dict, tables: dict, refused: dict, criteria: dict) -> None:
-    """Judge the acceptance criteria on the perturbed cells' CSVs that :func:`verify` parsed.
-
-    ``tables`` maps each parsed ``(cell, kind)`` CSV to its rows and
-    ``refused`` each one :func:`_read_csv` refused to its message: both hold
-    only listed CSVs whose checksum matched, not a failed cell's CSVs left by
-    an earlier run in the same directory, nor a file edited after the run.
-    A criterion judged at the largest size is skipped, naming that size,
-    when no parsed CSV of that size is left.  A refused CSV fails each
-    criterion that would read it, naming the file.
-    """
-    n_values = sorted(int(n) for n in manifest["config"]["n_values"])
-    n_top = n_values[-1]
-    cells = {N: [_cell_name(("perturbed", N, seed)) for seed in manifest["config"]["seeds"]]
-             for N in n_values}
-
-    def parsed(kind: str, N: int) -> list:
-        """Rows of each parsed ``kind`` CSV of a perturbed cell of size N."""
-        return [tables[name, kind] for name in cells[N] if (name, kind) in tables]
-
-    cdfs = parsed("cdf", n_top)
+def _judge_weyl(by_size: dict) -> tuple:
+    (N, cdfs), = by_size.items()
     if not cdfs:
-        criteria["weyl_deviation"] = {"status": "skipped",
-                                      "detail": f"no counting-curve artifact at N={n_top}"}
-    else:
-        worst = max((abs(r["empirical"] - r["predicted"]) for rows in cdfs for r in rows),
-                    default=float("nan"))
-        criteria["weyl_deviation"] = {
-            "status": "pass" if worst <= 0.05 else "fail",
-            "detail": f"sup deviation {worst:.4f} (tolerance 0.05) over {len(cdfs)} seeds",
-        }
+        return "skipped", f"no counting-curve artifact at N={N}"
+    worst = max((abs(r["empirical"] - r["predicted"]) for rows in cdfs for r in rows),
+                default=float("nan"))
+    return ("pass" if worst <= 0.05 else "fail"), \
+        f"sup deviation {worst:.4f} (tolerance 0.05) over {len(cdfs)} seeds"
 
-    medians = {}
-    dropped = 0
-    for N in n_values:
-        vals = [r["deviation"] for rows in parsed("potential", N) for r in rows]
+
+def _judge_potential(by_size: dict) -> tuple:
+    medians, dropped = {}, 0
+    for N, pots in by_size.items():
+        vals = [r["deviation"] for rows in pots for r in rows]
         finite = [v for v in vals if np.isfinite(v)]
         dropped += len(vals) - len(finite)
         if finite:
             medians[N] = float(np.median(finite))
+    n_top = max(by_size)
     if n_top not in medians:
-        criteria["potential_median"] = {"status": "skipped",
-                                        "detail": f"no potential artifact at N={n_top}"}
-    else:
-        ok = medians[n_top] <= 0.05 and (len(medians) < 2 or medians[n_top] < medians[min(medians)])
-        criteria["potential_median"] = {
-            "status": "pass" if ok else "fail",
-            "detail": f"medians by size: { {k: round(v, 6) for k, v in medians.items()} }; "
-                      f"{dropped} non-finite deviations dropped",
-        }
+        return "skipped", f"no potential artifact at N={n_top}"
+    ok = medians[n_top] <= 0.05 and (len(medians) < 2 or medians[n_top] < medians[min(medians)])
+    return ("pass" if ok else "fail"), (f"medians by size: { {k: round(v, 6) for k, v in medians.items()} }; "
+                                        f"{dropped} non-finite deviations dropped")
 
-    b3_rows = 0
-    b3_bad = 0
-    schur_worst = 0.0
-    nonfinite = []                      # per non-finite residual: whether a singular- flag explains it
-    sizes = []
-    for N in n_values:
-        diags = parsed("diagnostics", N)
-        if diags:
-            sizes.append(N)
-        for r in (r for rows in diags for r in rows):
-            schur = r["schur_residual"]
-            if r["A"] >= 1:
-                b3_rows += 1
-                if not (r["B3"] < 0.0):
-                    b3_bad += 1
-            if np.isfinite(schur):
-                schur_worst = max(schur_worst, schur)
-            else:
-                nonfinite.append(_singular_flagged(r))
+
+def _judge_b3(by_size: dict) -> tuple:
+    sizes = [N for N, diags in by_size.items() if diags]
     if not sizes:
-        criteria["b3_negative"] = {"status": "skipped", "detail": "no diagnostics artifacts"}
-        criteria["schur_residual"] = {"status": "skipped", "detail": "no diagnostics artifacts"}
-    else:
-        criteria["b3_negative"] = {
-            "status": "pass" if b3_bad == 0 else "fail",
-            "detail": f"{b3_rows - b3_bad}/{b3_rows} realizations with A >= 1 have B3 < 0 "
-                      f"(sizes {sizes})",
-        }
-        criteria["schur_residual"] = {
-            "status": "pass" if schur_worst <= 1e-6 and all(nonfinite) else "fail",
-            "detail": f"worst finite residual {schur_worst:.3e} (tolerance 1e-6, sizes {sizes}); "
-                      f"{len(nonfinite)} non-finite, {nonfinite.count(False)} of them "
-                      "without a singular- flag",
-        }
-    for kind, read, names in (("cdf", [n_top], ["weyl_deviation"]),
-                              ("potential", n_values, ["potential_median"]),
-                              ("diagnostics", n_values, ["b3_negative", "schur_residual"])):
-        malformed = [refused[cell, kind] for N in read for cell in cells[N] if (cell, kind) in refused]
-        if malformed:
-            for name in names:
-                criteria[name] = {"status": "fail", "detail": f"malformed artifacts: {malformed}"}
+        return "skipped", "no diagnostics artifacts"
+    b3 = [r["B3"] for diags in by_size.values() for rows in diags for r in rows if r["A"] >= 1]
+    bad = sum(1 for x in b3 if not x < 0.0)
+    return ("pass" if bad == 0 else "fail"), \
+        f"{len(b3) - bad}/{len(b3)} realizations with A >= 1 have B3 < 0 (sizes {sizes})"
+
+
+def _judge_schur(by_size: dict) -> tuple:
+    sizes = [N for N, diags in by_size.items() if diags]
+    if not sizes:
+        return "skipped", "no diagnostics artifacts"
+    rows = [r for diags in by_size.values() for rows in diags for r in rows]
+    worst = max([0.0, *(r["schur_residual"] for r in rows if np.isfinite(r["schur_residual"]))])
+    explained = [_singular_flagged(r) for r in rows if not np.isfinite(r["schur_residual"])]
+    return ("pass" if worst <= 1e-6 and all(explained) else "fail"), \
+        f"worst finite residual {worst:.3e} (tolerance 1e-6, sizes {sizes}); " \
+        f"{len(explained)} non-finite, {explained.count(False)} of them without a singular- flag"
+
+
+#: Each acceptance criterion: the CSV kind it reads, whether it reads the largest size only (else
+#: every size), and its judge, which maps ``{N: [rows of each parsed CSV]}`` to ``(status, detail)``.
+_CRITERIA = {
+    "weyl_deviation": ("cdf", True, _judge_weyl),
+    "potential_median": ("potential", False, _judge_potential),
+    "b3_negative": ("diagnostics", False, _judge_b3),
+    "schur_residual": ("diagnostics", False, _judge_schur),
+}
+
+
+def _verify_acceptance(manifest: dict, tables: dict, refused: dict, criteria: dict) -> None:
+    """Judge each criterion of :data:`_CRITERIA` on the perturbed cells' CSVs that :func:`verify` parsed.
+
+    ``tables`` maps each parsed ``(cell, kind)`` CSV to its rows and ``refused`` each one
+    :func:`_read_csv` refused to its message; neither holds a CSV left by an earlier run or
+    edited after this one.  A criterion fails, naming the files, when a CSV it would read
+    was refused; otherwise its judge gives the verdict (``skipped`` with nothing to judge).
+    """
+    n_values = sorted(int(n) for n in manifest["config"]["n_values"])
+    for name, (kind, top_only, judge) in _CRITERIA.items():
+        cells = {N: [_cell_name(("perturbed", N, seed)) for seed in manifest["config"]["seeds"]]
+                 for N in (n_values[-1:] if top_only else n_values)}
+        malformed = [refused[c, kind] for names in cells.values() for c in names if (c, kind) in refused]
+        status, detail = ("fail", f"malformed artifacts: {malformed}") if malformed else judge(
+            {N: [tables[c, kind] for c in names if (c, kind) in tables] for N, names in cells.items()})
+        criteria[name] = {"status": status, "detail": detail}

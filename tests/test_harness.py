@@ -314,6 +314,15 @@ class TestCrossCheck:
         (copy / "manifest.json").write_text(json.dumps(manifest))
         return copy
 
+    @staticmethod
+    def _relisted(run_dir: Path, copy: Path, edit) -> Path:
+        """A copy of the run with ``edit`` applied to its manifest only."""
+        shutil.copytree(run_dir, copy)
+        manifest = json.loads((copy / "manifest.json").read_text())
+        edit(manifest)
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        return copy
+
     def test_untouched_run_passes(self, n60):
         report = verify(n60, suite="integrity")
         assert report.passed, report.criteria
@@ -331,6 +340,23 @@ class TestCrossCheck:
             integrity = verify(copy, suite=suite).criteria["integrity"]
             assert integrity["status"] == "fail"
             assert integrity["detail"].startswith("inconsistent artifacts: ['" + detail)
+
+    @pytest.mark.parametrize("edit, detail, seeds", [
+        (lambda m: m["cells"]["N60_s1"]["files"].pop("potential"),
+         ["cell N60_s1 potential: listed None, run writes pot_N60_s1.csv"], 2),
+        (lambda m: m["cells"].update(N60_s1=m["cells"]["N60_s0"]),
+         [f"cell N60_s1 {kind}: listed {prefix}_N60_s0.csv, run writes {prefix}_N60_s1.csv"
+          for kind, prefix in [("cdf", "cdf"), ("diagnostics", "diag"), ("potential", "pot"), ("spectrum", "eig")]],
+         1),
+    ], ids=["dropped-entry", "another-cells-files"])
+    def test_a_listing_other_than_runs_fails_integrity(self, n60, tmp_path, edit, detail, seeds):
+        # the manifest drops a file entry, or lists another cell's files and health; checksums all match
+        copy = self._relisted(n60, tmp_path / "copy", edit)
+        for suite in ("integrity", "acceptance"):
+            integrity = verify(copy, suite=suite).criteria["integrity"]
+            assert integrity == {"status": "fail", "detail": f"artifacts not as run writes them: {detail}"}
+        # a CSV listed under another cell's name is not judged as that cell's
+        assert verify(copy).criteria["weyl_deviation"]["detail"].endswith(f" over {seeds} seeds")
 
     @pytest.mark.parametrize("name, edit, readers", [
         ("diag_N60_s0.csv", _x_in_first("A"), ["b3_negative", "schur_residual"]),
@@ -437,15 +463,17 @@ class TestRun:
         import toeplab.harness as hz
         lam = np.array([1.0 + 2.0j, -0.5j])
         flags = ";".join(("condition estimate 2e+12 exceeds 1e+12", "all-singular-values-small"))
-        rows = [(z.real, z.imag, np.int64(7), -1, np.float32(0.1), flags) for z in lam]
-        rows.append((float("nan"), -0.0, 0, np.int32(3), 1e-300, ""))
-        path = hz._emit(tmp_path, "t.csv", "re,im,N,seed,x,flags", rows)
-        assert path == tmp_path / "t.csv"
+        rows = [(np.int64(7), z.real, z.imag, np.float32(0.1), 1e-300, -1, 2, 0.5, 0.25, -1.0, 0.0, flags)
+                for z in lam]
+        rows.append((0, float("nan"), -0.0, 0.2, 1e-300, np.int32(3), 0, 1.0, 2.0, -3.0, float("nan"), ""))
+        # the table gives the file name and the header
+        path = hz._emit(tmp_path, "diagnostics", "N7_s3", rows)
+        assert path == tmp_path / "diag_N7_s3.csv"
         assert path.read_text() == (
-            "re,im,N,seed,x,flags\n"
-            f"1.0,2.0,7,-1,0.10000000149011612,{flags}\n"
-            f"-0.0,-0.5,7,-1,0.10000000149011612,{flags}\n"
-            "nan,-0.0,0,3,1e-300,\n")
+            "N,z_re,z_im,rho,delta,seed,A,B1,B2,B3,schur_residual,flags\n"
+            f"7,1.0,2.0,0.10000000149011612,1e-300,-1,2,0.5,0.25,-1.0,0.0,{flags}\n"
+            f"7,-0.0,-0.5,0.10000000149011612,1e-300,-1,2,0.5,0.25,-1.0,0.0,{flags}\n"
+            "0,nan,-0.0,0.2,1e-300,3,0,1.0,2.0,-3.0,nan,\n")
 
     def test_deterministic_rerun(self, done, tmp_path):
         out, _ = done
@@ -684,11 +712,18 @@ class TestRun:
         ('{"config": {"n_values": [10], "seeds": [0]}, "stages": ["matrix"], "cells": {}, '
          '"matrices": {"N10": {"path": "mat_N10.npy", "sha256": "0"}}, "errors": {}}',
          "missing artifacts: ['mat_N10.npy']"),
+        ('{"config": {"n_values": [10], "seeds": [0]}, "stages": ["bogus"], "cells": {}, "errors": {}}',
+         "malformed manifest: stages must be a list of stage names, got ['bogus'] (a nonempty subset of"),
+        ('{"config": {"n_values": [10], "seeds": [0]}, "stages": [], "cells": {}, "errors": {}}',
+         "malformed manifest: stages must be a list of stage names, got [] (a nonempty subset of"),
+        ('{"config": {"n_values": [10], "seeds": [0]}, "stages": ["matrix"], "cells": {}, '
+         '"matrices": {}, "errors": {}}',
+         "artifacts not as run writes them: ['matrix N10: listed None, run writes mat_N10.npy']"),
     ], ids=["truncated", "no-errors-key", "no-n_values", "empty-n_values", "string-seed",
             "config-list", "cells-list", "files-list", "no-files", "no-sha256",
             "absolute-path", "parent-path", "dot-dot", "cell-absent", "cell-absent-beside-matrix",
             "matrices-list", "stages-string", "matrix-no-sha256", "matrix-parent-path",
-            "matrix-missing"])
+            "matrix-missing", "stages-unknown", "stages-empty", "matrix-unlisted"])
     def test_verify_reports_a_malformed_manifest(self, tmp_path, capsys, text, detail):
         (tmp_path / "manifest.json").write_text(text)
         for suite in ("acceptance", "integrity"):
@@ -715,7 +750,7 @@ class TestRun:
             assert integrity == {"status": "fail", "detail": detail}
 
     def test_unknown_or_incomplete_stages_rejected(self, tmp_path):
-        for stages in (("potential",), ("grushin",), ("potential", "grushin"), ("spectrum", "timings")):
+        for stages in ((), ("potential",), ("grushin",), ("potential", "grushin"), ("spectrum", "timings")):
             with pytest.raises(ValueError, match="stages"):
                 run(tiny_config(), out_dir=tmp_path, stages=stages)
 
