@@ -6,12 +6,14 @@ stages (the ``spectrum``, ``potential`` and ``grushin`` CLI verbs), and
 persists plot-ready CSV tables plus a JSON manifest with per-artifact
 checksums and per-cell numerical health.  The ``matrix`` stage (the
 ``quantize`` verb) persists each size's quantization matrix as ``.npy``.
-Cells run as tasks on a thread pool, and the whole run, set-up included,
+Cells run as tasks on a thread pool, which starts right after validation
+and quantization; set-up's quadrature runs beside the tasks' first dense
+work and reaches them through one future.  The whole run, set-up included,
 runs with OpenBLAS pinned to one thread, so identical configurations
 byte-reproduce every CSV on the same build of numpy and its OpenBLAS (and
 CPU instruction set, which OpenBLAS dispatches on) whatever the core count.
-The manifest additionally records wall-clock, tool version and the build
-(and is therefore not byte-stable itself).
+The manifest additionally records wall-clock, run-level timings, tool
+version and the build (and is therefore not byte-stable itself).
 
 Tasks overlap only inside dense calls that release the GIL.  Every LAPACK
 call of a run goes through :mod:`toeplab._lapack`, numpy's own OpenBLAS
@@ -40,7 +42,7 @@ import numbers
 import os
 import resource
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -428,23 +430,51 @@ _ALL_STAGES = (*STAGES, "matrix")
 
 @dataclass(frozen=True)
 class _Setup:
-    """Run-wide inputs that every stage task reads; built once, before the tasks."""
+    """Run-wide inputs that every stage task reads.
+
+    All but ``classical`` are built before the tasks start.  Set-up publishes
+    the values that come from its quadrature through ``classical`` while the
+    tasks run; a task does its cell's own dense work first, then waits on it.
+    """
 
     out: Path
     matrices: dict                      # N -> ToeplitzMatrix
     deltas: dict                        # N -> noise size delta(N), perturbed sizes
     radii: np.ndarray
+    rho: float
+    classical: Future                   # of the run's _Classical
+
+
+@dataclass(frozen=True)
+class _Classical:
+    """Set-up values from the run's quadrature: the classical side of every comparison."""
+
     predicted: np.ndarray | None        # None without the spectrum stage
     probes: np.ndarray | None           # None without the potential stage
     u_lim: np.ndarray                   # classical potential at each probe of probes, or nan
     grushin_probes: list                # (z, classical potential at z or nan) pairs
-    rho: float
+
+
+def _stages_problem(stages) -> str | None:
+    """How ``stages`` breaks the rule of a stage selection, or None.
+
+    A selection is a nonempty list of names from :data:`_ALL_STAGES`, with
+    ``potential`` and ``grushin`` only beside ``spectrum``, whose Hessenberg
+    form both read.  :func:`run` refuses a selection that breaks it, and
+    :func:`verify` a manifest whose ``stages`` do.
+    """
+    if not (isinstance(stages, list) and stages and all(stage in _ALL_STAGES for stage in stages)):
+        return f"stages must be a list of stage names, got {stages!r} (a nonempty subset of {_ALL_STAGES})"
+    if {"potential", "grushin"} & set(stages) and "spectrum" not in stages:
+        return f"stages {stages!r} need 'spectrum' beside 'potential' and 'grushin'"
+    return None
 
 
 def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> RunRecord:
     """Run the selected stages of every (size, seed) cell; persist artifacts atomically.
 
-    ``stages`` is a nonempty subset of :data:`STAGES` and ``matrix``.  The matrix
+    ``stages`` is a nonempty subset of :data:`STAGES` and ``matrix`` (see
+    :func:`_stages_problem`).  The matrix
     stage writes ``mat_N{N}.npy`` for every size of ``n_values`` and
     ``unperturbed_sizes`` and lists them under the manifest's ``matrices``.
     The spectrum stage of a cell is one task (eigenvalues and disk counts,
@@ -453,38 +483,45 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     task (a certified bound on ``||G||`` once, then the split at each
     Grushin probe).  Neither waits on the other; where the results are
     collected, spectrum tasks first, the ``diag_`` CSV gets each probe's
-    Schur residual, the two routes to ``log|det(M - z)|``.  Set-up computes the classical potential of every
-    potential and Grushin probe in one quadrature, so no task reads the
-    quadrature grid; a probe that the quadrature cannot give fails each
-    task that needs it.  Each task draws its own copy of the cell's noise, so no
+    Schur residual, the two routes to ``log|det(M - z)|``.
+
+    Validation and quantization come first; then every task starts, and
+    set-up computes the probes, the Weyl prediction and the classical
+    potential of every potential and Grushin probe in one quadrature while
+    the tasks draw their noise and do their first dense work (the
+    eigensolve, the bound on ``||G||``).  Each task waits for those values
+    only after that work, so no task reads the quadrature grid; a probe that
+    the quadrature cannot give fails each task that needs it, and a set-up
+    that raises fails every task and raises from ``run``.  Each task draws its own copy of the cell's noise, so no
     per-cell matrix exists outside a running task.  All tasks share one thread pool with one thread
     per usable CPU.  From validation on, every loaded OpenBLAS is pinned to
     one thread (restored afterwards).  ``workers`` is ignored; it is
     kept so that callers passing it positionally, such as the benchmark's
-    ``perfbench/child.py``, keep working.
+    ``perfbench/child.py``, keep working.  The manifest's ``timings`` give
+    the seconds of validation (``validate_s``), of the rest of set-up until
+    its quadrature's values are out (``setup_s``), and from the first task's
+    start to the last one's end (``pool_s``); the last two overlap.
 
     A failing task records its cell's error in the manifest and never
     disturbs sibling cells.  A numpy without its OpenBLAS LAPACKE raises
     :class:`~toeplab._lapack.UnsupportedBuildError` before anything else.
     """
     _lapack.require()
-    stages = set(stages)
-    if not set() < stages <= set(_ALL_STAGES) or (stages & {"potential", "grushin"} and "spectrum" not in stages):
-        raise ValueError(f"stages must be a nonempty subset of {_ALL_STAGES}, with 'potential' and 'grushin' "
-                         f"only beside 'spectrum'; got {sorted(stages)}")
+    problem = _stages_problem(list(stages))
+    if problem:
+        raise ValueError(problem)
     with _pinned_blas():                        # set-up too: a threaded dot moves its sums' bits
-        return _run(config, out_dir, stages)
+        return _run(config, out_dir, set(stages))
 
 
 def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
     """The body of :func:`run`, on one OpenBLAS thread."""
-    t_start = time.time()
+    t_start, t_validate = time.time(), time.perf_counter()
     validation = config.validate()             # a rejected config leaves no directory behind
+    t_setup = time.perf_counter()
     out = Path(out_dir or config.out_dir or "runs")
     out.mkdir(parents=True, exist_ok=True)
     f = config.symbol_spec()
-    radii = config.radii_grid()
-    grid = liouville_quadrature(f.space, config.resolution)
 
     cells = [("unperturbed", int(N), None) for N in config.unperturbed_sizes]
     cells += [("perturbed", int(N), int(seed)) for N in config.n_values for seed in config.seeds]
@@ -495,32 +532,31 @@ def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
     sizes = {cell[1] for cell, _ in tasks}
     if "matrix" in stages:
         sizes.update(cell[1] for cell in cells)
-    probes = config.probe_points(f, f.space) if "potential" in stages else None
-    n_probes = 0 if probes is None else len(probes)
-    grushin_probes = ([complex(re, im) for re, im in config.grushin_probes]
-                      if "grushin" in stages else [])
-    # the classical potential of every probe of the run, in one quadrature; nan where it hits nodes
-    u_lim = limit_potential_many(f, [*([] if probes is None else probes), *grushin_probes], grid)
     setup = _Setup(
         out=out,
         matrices={N: quantize_symbol(f, N) for N in sorted(sizes)},
         deltas={int(N): config.noise_size(int(N)) for N in config.n_values},
-        radii=radii,
-        predicted=weyl_predict(f, radii, grid) if "spectrum" in stages else None,
-        probes=probes,
-        u_lim=u_lim[:n_probes],
-        grushin_probes=list(zip(grushin_probes, u_lim[n_probes:])),
+        radii=config.radii_grid(),
         rho=config.rho,
+        classical=Future(),
     )
-    del grid                                    # no task reads the quadrature
-    _release_heap()                             # the kappa fit's and quadrature's temporaries
 
     cell_files: dict = {}
     cell_health: dict = {}
     failures: dict = {}
     pool_size = _usable_cpus()
     with ThreadPoolExecutor(max_workers=pool_size) as pool:
+        t_pool = time.perf_counter()
         futures = [pool.submit(_releasing, task, setup, *cell) for cell, task in tasks]
+        try:                                    # beside the tasks' first dense work
+            setup.classical.set_result(_classical(config, f, setup.radii, stages))
+        except BaseException as exc:            # KeyboardInterrupt too: no task may wait forever
+            setup.classical.set_exception(exc)
+            for fut in futures:
+                fut.cancel()
+            raise
+        setup_s = time.perf_counter() - t_setup
+        _release_heap()                         # the quadrature's temporaries
         route_one = {}                  # cell name -> log|det(M - z)| at each Grushin probe
         for (cell, task), fut in zip(tasks, futures):   # spectrum tasks first: route one, then split
             name = _cell_name(cell)
@@ -537,6 +573,7 @@ def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
                 continue
             cell_files.setdefault(name, {}).update(task_files)
             cell_health.setdefault(name, {}).update(task_health)
+    pool_s = time.perf_counter() - t_pool
     errors = {name: "; ".join(dict.fromkeys(msgs)) for name, msgs in failures.items()}
     matrices = {}
     if "matrix" in stages:
@@ -553,6 +590,7 @@ def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
         "kappa_hat": validation["kappa_hat"],
         "warnings": validation["warnings"],
         "wall_clock_s": time.time() - t_start,
+        "timings": {"validate_s": t_setup - t_validate, "setup_s": setup_s, "pool_s": pool_s},
         "environment": {**_environment(pool_size), "bands": {
             f"N{N}": {"diagonals": len(T.diagonals), "lo": T.band.lo, "hi": T.band.hi,
                       "interleaved": T.band.perm is not None}
@@ -570,6 +608,31 @@ def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
     text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
     _atomic_write(manifest_path, lambda fh: fh.write(text.encode()))
     return RunRecord(str(out), manifest["config_hash"], manifest, str(manifest_path))
+
+
+def _classical(config: ExperimentConfig, f, radii: np.ndarray, stages: set) -> _Classical:
+    """The set-up values of a run that come from its quadrature grid; the grid is freed on return.
+
+    The tasks' first dense work runs beside these steps, so each step's
+    temporaries are released (:func:`_release_heap`) before the next step
+    allocates its own: kept resident, they would count in the run's peak
+    beside the tasks' matrices.
+    """
+    probes = config.probe_points(f, f.space) if "potential" in stages else None
+    _release_heap()                             # the kappa fit's and the probe grid's temporaries
+    grid = liouville_quadrature(f.space, config.resolution)
+    n_probes = 0 if probes is None else len(probes)
+    grushin_probes = ([complex(re, im) for re, im in config.grushin_probes]
+                      if "grushin" in stages else [])
+    # the classical potential of every probe of the run, in one quadrature; nan where it hits nodes
+    u_lim = limit_potential_many(f, [*([] if probes is None else probes), *grushin_probes], grid)
+    _release_heap()
+    return _Classical(
+        predicted=weyl_predict(f, radii, grid) if "spectrum" in stages else None,
+        probes=probes,
+        u_lim=u_lim[:n_probes],
+        grushin_probes=list(zip(grushin_probes, u_lim[n_probes:])),
+    )
 
 
 def _strict_health(health: dict) -> dict:
@@ -596,8 +659,6 @@ def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
     """Spectrum stage of one cell, its potential when selected, and route one of its Schur checks."""
     T = setup.matrices[N]
     name = _cell_name((kind, N, seed))
-    if setup.probes is not None:
-        _require_classical(zip(setup.probes, setup.u_lim))
     # M is reduced in place below; T, shared by every task, lends only its diagonals
     if kind == "unperturbed":
         M = T.copy_to(np.zeros((T.dim, T.dim), dtype=complex, order="F"))
@@ -608,21 +669,26 @@ def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
 
     lam, hessenberg = _lapack.hessenberg_eigvals(M)
     del M                                   # overwritten; H's nonzero part is kept
+    classical = setup.classical.result()
+    if classical.probes is not None:
+        _require_classical(zip(classical.probes, classical.u_lim))
     files = {
         "spectrum": _emit(setup.out, "spectrum", name, ((z.real, z.imag) for z in lam)),
         "cdf": _emit(setup.out, "cdf", name, zip(setup.radii, empirical_cdf_disks(lam, setup.radii),
-                                                   setup.predicted)),
+                                                   classical.predicted)),
     }
     health = {"max_abs_eig": float(np.max(np.abs(lam)))}
-    # route one: log|det(M - z)| at each Grushin probe, from H; None for an unperturbed cell
-    route_one = (hessenberg_log_abs_dets(hessenberg, [z for z, _ in setup.grushin_probes])
-                 if kind == "perturbed" else None)
-    if setup.probes is not None:
+    # route one: log|det(M - z)| at each Grushin probe, from H; an unperturbed cell has no split
+    grushin_zs = [z for z, _ in classical.grushin_probes] if kind == "perturbed" else []
+    if classical.probes is None:
+        route_one = hessenberg_log_abs_dets(hessenberg, grushin_zs)
+    else:                                   # one sweep of H: the potential's checks and route one
         seed_label = -1 if seed is None else seed
-        u_emp, kept, potential_health = potential_from_spectrum(hessenberg, lam, setup.probes)
+        u_emp, kept, potential_health, route_one = potential_from_spectrum(
+            hessenberg, lam, classical.probes, grushin_zs)
         rows = [(z.real, z.imag, N, seed_label, ue, ul,
                  abs(ue - ul) if np.isfinite(ue) else float("nan"))
-                for z, ue, ul in zip(setup.probes[kept], u_emp[kept], setup.u_lim[kept])]
+                for z, ue, ul in zip(classical.probes[kept], u_emp[kept], classical.u_lim[kept])]
         files["potential"] = _emit(setup.out, "potential", name, rows)
         health.update(potential_health)
     return files, health, route_one
@@ -631,12 +697,13 @@ def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
 def _grushin_task(setup: _Setup, kind: str, N: int, seed: int):
     """Grushin stage of one perturbed cell: the split at each Grushin probe, in order, and the
     ``||G||`` health, but not ``G``: the result waits in its future for :func:`_diagnostics`."""
-    _require_classical(setup.grushin_probes)
     T = setup.matrices[N]
     G = _cell_noise(T, seed)
     g_norm = NormBound(G)                   # certified; the exact norm only if a flag hinges on it
+    grushin_probes = setup.classical.result().grushin_probes
+    _require_classical(grushin_probes)
     diags = [b_diagnostics(T, z, setup.rho, setup.deltas[N], G, classical, g_norm=g_norm)
-             for z, classical in setup.grushin_probes]
+             for z, classical in grushin_probes]
     return diags, {"g_norm_bound": g_norm.bound, "g_norm_route": g_norm.route}
 
 
@@ -651,7 +718,7 @@ def _diagnostics(setup: _Setup, cell, diags: list, health: dict, route_one):
                  for a, b in zip(route_one, totals)]
     rows = [(N, z.real, z.imag, setup.rho, setup.deltas[N], seed, d.n_small, d.b1, d.b2, d.b3,
              residual, ";".join(d.flags))
-            for (z, _), d, residual in zip(setup.grushin_probes, diags, residuals)]
+            for (z, _), d, residual in zip(setup.classical.result().grushin_probes, diags, residuals)]
     return {"diagnostics": _emit(setup.out, "diagnostics", _cell_name(cell), rows)}, {
         # np.max, not max: a nan residual must surface, not vanish by order
         "schur_residual_max": float(np.max(residuals, initial=0.0)),
@@ -736,7 +803,8 @@ def _release_heap() -> None:
     glibc keeps what a thread frees resident in that thread's arena, for
     the arena's next allocation, so the dim^2 arrays a pool task freed
     would count in the run's peak beside the next task's.  Called only at a
-    run's phase boundaries: after set-up and as each pool task ends.
+    run's phase boundaries: after each of set-up's quadrature steps, which
+    run beside the first tasks, and as each pool task ends.
     """
     trim = _malloc_trim()
     if trim is not None:
@@ -826,9 +894,10 @@ class VerifyReport:
 def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
     """Check artifact integrity, that no cell failed, and the named criteria suite of a run.
 
-    A missing or malformed manifest fails the ``integrity`` criterion (a ``NaN``
-    or ``Infinity`` in it too: ``run`` writes strict JSON; ``stages`` must be a
-    nonempty list of stage names), and so does a cell of the configuration that
+    An unknown ``suite`` raises ValueError before any file is read.  A missing
+    or malformed manifest fails the ``integrity`` criterion (a ``NaN`` or
+    ``Infinity`` in it too: ``run`` writes strict JSON; ``stages`` must keep
+    the rule of :func:`_stages_problem`, as ``run``'s do), and so does a cell of the configuration that
     the manifest lists neither among its cells nor among its errors, or a file
     listing other than :func:`_expected_artifacts`, the files ``run`` writes.
     Each cell CSV listed under its expected name, with a matching checksum, is
@@ -836,6 +905,8 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
     and the criteria read those rows.  A CSV that :func:`_read_csv` refuses fails
     ``integrity`` and each criterion that reads it, naming the file.
     """
+    if suite not in ("acceptance", "integrity"):
+        raise ValueError(f"unknown verification suite {suite!r}")
     out = Path(run_dir)
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
@@ -888,8 +959,6 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
 
     if suite == "acceptance":
         _verify_acceptance(manifest, tables, refused, criteria)
-    elif suite != "integrity":
-        raise ValueError(f"unknown verification suite {suite!r}")
 
     passed = all(c["status"] == "pass" for c in criteria.values() if c["status"] != "skipped")
     return VerifyReport(passed, criteria)
@@ -972,9 +1041,9 @@ def _manifest_problem(manifest) -> str | None:
         return "config, cells and errors must be JSON objects"
     if not isinstance(manifest.get("matrices", {}), dict):
         return "matrices must be a JSON object"
-    stages = manifest.get("stages", list(STAGES))
-    if not (isinstance(stages, list) and stages and all(stage in _ALL_STAGES for stage in stages)):
-        return f"stages must be a list of stage names, got {stages!r} (a nonempty subset of {_ALL_STAGES})"
+    problem = _stages_problem(manifest.get("stages", list(STAGES)))
+    if problem:
+        return problem
     for name in ("n_values", "seeds", "unperturbed_sizes"):
         default = [] if name == "unperturbed_sizes" else None    # a manifest may leave out the former
         try:

@@ -9,11 +9,11 @@ Over a probe grid the empirical potential is read off the cell's spectrum,
 ``sum log|lambda_i - z| / dim``, with a few probes cross-checked by the LU
 route: one partial-pivot LU of the balanced Hessenberg form ``H`` that the
 cell eigensolve leaves behind (``det(M - z) = det(H - z)``), O(dim^2) per
-probe (see :func:`potential_from_spectrum`), which also gives route one of
-each Grushin probe's Schur check (``harness.run``): a run takes no dense LU
-of ``M - z``.  :func:`log_abs_det` (one dense LU, ``slogdet``'s bits) is
-the test oracle of the Hessenberg route and gives the Grushin corner's
-log-determinant.  The classical potential has one quadrature loop,
+probe (see :func:`potential_from_spectrum`), which in the same sweep also
+gives route one of each Grushin probe's Schur check (``harness.run``): a run
+takes no dense LU of ``M - z``.  :func:`log_abs_det` (one dense LU,
+``slogdet``'s bits) is the test oracle of the Hessenberg route and gives the
+Grushin corner's log-determinant.  The classical potential has one quadrature loop,
 :func:`limit_potential_many`; :func:`limit_potential` is that loop at one probe.
 """
 
@@ -86,19 +86,23 @@ def hessenberg_log_abs_dets(rows, probes) -> np.ndarray:
     return total
 
 
-def potential_from_spectrum(rows, lam, probes):
+def potential_from_spectrum(rows, lam, probes, log_det_probes=()):
     """Normalized ``log|det(M - z)| / dim`` over probes from the spectrum of M.
 
     ``rows`` is the balanced Hessenberg form of ``M`` and ``lam`` its
     eigenvalues, both from :func:`~toeplab._lapack.hessenberg_eigvals`.
-    Returns ``(values, kept, health)``: ``values[i]`` is the potential at
-    ``probes[i]`` (nan where the probe is dropped) and ``kept`` the mask of
-    probes at least :data:`PROBE_EXCLUSION_RADIUS` from every eigenvalue.
+    Returns ``(values, kept, health, log_dets)``: ``values[i]`` is the
+    potential at ``probes[i]`` (nan where the probe is dropped), ``kept`` the
+    mask of probes at least :data:`PROBE_EXCLUSION_RADIUS` from every
+    eigenvalue, and ``log_dets[j]`` is ``log|det(M - z)|``, not normalized,
+    at ``log_det_probes[j]`` (a run's Grushin probes: route one of their
+    Schur checks).
 
     The values are ``sum log|lambda_i - z| / dim``.
     :func:`hessenberg_log_abs_dets` on the first, middle and last kept probe
-    checks them; if the two routes differ by more than
-    :data:`LOGDET_CHECK_BOUND`, every kept probe is recomputed by that LU
+    checks them, in the one call that also gives ``log_dets``; each probe of
+    that call comes out as it would alone.  If the two routes differ by more
+    than :data:`LOGDET_CHECK_BOUND`, every kept probe is recomputed by that LU
     route, which may give -inf on an exactly singular shift.  The check
     shares the balancing and the Hessenberg reduction with the eigenvalues;
     it tests the QR stage and the log-sum, where an ill-conditioned spectrum
@@ -117,14 +121,15 @@ def potential_from_spectrum(rows, lam, probes):
 
     idx = np.flatnonzero(kept)
     checks = np.unique(idx[[0, len(idx) // 2, -1]]) if len(idx) else idx
-    gaps = np.abs(hessenberg_log_abs_dets(rows, probes[checks]) / dim - values[checks])
+    swept = hessenberg_log_abs_dets(rows, [*probes[checks], *log_det_probes])
+    gaps = np.abs(swept[:len(checks)] / dim - values[checks])
     residual = float(np.max(gaps, initial=0.0))
     fallback = not residual <= LOGDET_CHECK_BOUND
     if fallback:
         values[idx] = hessenberg_log_abs_dets(rows, probes[idx]) / dim
     health = {"probes_dropped": len(probes) - len(idx),
               "logdet_check_residual": residual, "logdet_fallback": fallback}
-    return values, kept, health
+    return values, kept, health, swept[len(checks):]
 
 
 def limit_potential(f: SymbolSpec, z: complex, grid: QuadratureGrid | None = None) -> float:

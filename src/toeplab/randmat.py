@@ -43,19 +43,22 @@ def sample_ginibre(dim: int, seed: int) -> np.ndarray:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    # evaluated in place, with u2 drawn in blocks of rows straight into the
-    # result: same bits, and no dim x dim array beyond u1 and the result
+    # evaluated in place, with u2 drawn in blocks of rows, each computed in one
+    # contiguous buffer and copied into the result once: same bits, and no
+    # dim x dim array beyond u1 and the result
     radius = rng.random((dim, dim))
     np.negative(radius, out=radius)
     np.log1p(radius, out=radius)
     np.negative(radius, out=radius)
     np.sqrt(radius, out=radius)
     entries = np.empty((dim, dim), dtype=complex, order="F")
+    scratch = np.empty((32, dim), dtype=complex)
     for i0 in range(0, dim, 32):
-        block = entries[i0:i0 + 32]
+        block = scratch[:min(32, dim - i0)]
         np.multiply(2j * np.pi, rng.random(block.shape), out=block)
         np.exp(block, out=block)
         np.multiply(radius[i0:i0 + 32], block, out=block)
+        entries[i0:i0 + 32] = block
     return entries
 
 

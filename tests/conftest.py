@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -41,3 +42,19 @@ def spin_ratio():
             sys.setswitchinterval(interval)
 
     return ratio
+
+
+@pytest.fixture
+def published():
+    """``published(value)``: a future that already holds ``value``.
+
+    A run's set-up hands its quadrature's values to the pool tasks through
+    such a future (``harness._Setup.classical``); a test that calls a task
+    directly gives it one that is already done.
+    """
+    def publish(value):
+        future = Future()
+        future.set_result(value)
+        return future
+
+    return publish

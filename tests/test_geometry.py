@@ -229,6 +229,23 @@ class TestKappa:
         est = estimate_kappa(f, probes, 50_000, np.logspace(-3, -1, 6), seed=9)
         assert 0.0 < est.kappa <= 1.0
 
+    @pytest.mark.parametrize("f", [scottish_flag_symbol(), sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0})],
+                             ids=["torus", "sphere"])
+    def test_sublevel_masses_give_the_bits_of_their_mean(self, f):
+        # each mass is a count over the sample size, which is np.mean of the indicator, bit for bit
+        t_grid, probes = np.logspace(-3, -1, 7), [0.0, 0.3j, 0.5 + 0.2j, 1.0 + 1.0j, 10.0]
+        est = estimate_kappa(f, probes, 20_000, t_grid, seed=4)
+        vals = evaluate_symbol_grid(f.principal(), sample_points(f.space, 20_000, 4))
+        fits = []
+        for z in probes:
+            d2 = np.abs(vals - z) ** 2
+            m = np.array([np.mean(d2 <= t) for t in t_grid])
+            mask = m > 0
+            if mask.sum() >= 2 and np.ptp(np.log(m[mask])) != 0.0:
+                fits.append((z, *np.polyfit(np.log(t_grid[mask]), np.log(m[mask]), 1)))
+        assert len(fits) >= 3 and 10.0 in est.skipped
+        assert [(z, slope) for z, slope, _, _ in est.fit_diagnostics] == [(z, slope) for z, slope, _ in fits]
+
     def test_sample_count_precondition(self):
         f = sphere_symbol({(0, 0, 1): 1.0})
         with pytest.raises(ValueError):

@@ -250,12 +250,12 @@ class TestSplitDiagnostics:
         assert diag.b3 == 0.0
         assert _schur_gap(T, 50.0, 1.0 / 40, G, diag) <= 1e-8
 
-    def test_csv_row_format(self, diag300, tmp_path):
+    def test_csv_row_format(self, diag300, tmp_path, published):
         # the diag_*.csv row of the same split; A depends on T alone, not on the noise
         T, diag, _, grid = diag300
         classical = limit_potential(T.symbol, 0.3 + 0.2j, grid)
-        setup = SimpleNamespace(out=tmp_path, matrices={120: T}, deltas={120: 1.0 / 120},
-                                rho=0.25, grushin_probes=[(0.3 + 0.2j, classical)])
+        setup = SimpleNamespace(out=tmp_path, matrices={120: T}, deltas={120: 1.0 / 120}, rho=0.25,
+                                classical=published(SimpleNamespace(grushin_probes=[(0.3 + 0.2j, classical)])))
         diags, g_health = harness_module._grushin_task(setup, "perturbed", 120, 5)
         route_one = [log_abs_det(T.dense() + (1.0 / 120) * harness_module._cell_noise(T, 5)
                                  - (0.3 + 0.2j) * np.eye(T.dim))]

@@ -23,6 +23,7 @@ from toeplab.geometry import (
 )
 from toeplab.grushin import CONDITION_GUARD
 from toeplab.harness import (
+    STAGES,
     ConfigError,
     ExperimentConfig,
     acceptance_config,
@@ -420,10 +421,10 @@ class TestCrossCheck:
         import toeplab.harness as hz
         real = hz.potential_from_spectrum
 
-        def lu_route(rows, lam, probes):
-            values, kept, health = real(rows, lam, probes)
+        def lu_route(rows, lam, probes, log_det_probes=()):
+            values, kept, health, log_dets = real(rows, lam, probes, log_det_probes)
             return values + 1e-3, kept, {**health, "logdet_check_residual": 1e-3,
-                                         "logdet_fallback": True}
+                                         "logdet_fallback": True}, log_dets
 
         monkeypatch.setattr(hz, "potential_from_spectrum", lu_route)
         record = run(tiny_config(n_values=[24], seeds=[0]), out_dir=tmp_path)
@@ -696,8 +697,8 @@ class TestRun:
          "malformed manifest: cell N10_s0 cdf artifact path '..' is not a bare"),
         ('{"config": {"n_values": [10], "seeds": [0, 1]}, "cells": {}, "errors": {"N10_s1": "x"}}',
          "cells neither run nor failed: ['N10_s0']"),
-        ('{"config": {"n_values": [10], "seeds": [0]}, "stages": ["grushin", "matrix"], "cells": {}, '
-         '"matrices": {}, "errors": {}}',
+        ('{"config": {"n_values": [10], "seeds": [0]}, "stages": ["spectrum", "grushin", "matrix"], '
+         '"cells": {}, "matrices": {}, "errors": {}}',
          "cells neither run nor failed: ['N10_s0']"),
         ('{"config": {"n_values": [10], "seeds": [0]}, "cells": {}, "matrices": [], "errors": {}}',
          "malformed manifest: matrices must be a JSON object"),
@@ -719,11 +720,15 @@ class TestRun:
         ('{"config": {"n_values": [10], "seeds": [0]}, "stages": ["matrix"], "cells": {}, '
          '"matrices": {}, "errors": {}}',
          "artifacts not as run writes them: ['matrix N10: listed None, run writes mat_N10.npy']"),
+        # run refuses these stages, so no run writes them: potential and grushin read the spectrum
+        ('{"config": {"n_values": [10], "seeds": [0]}, "stages": ["potential", "grushin"], "cells": {}, '
+         '"errors": {}}',
+         "malformed manifest: stages ['potential', 'grushin'] need 'spectrum' beside 'potential' and"),
     ], ids=["truncated", "no-errors-key", "no-n_values", "empty-n_values", "string-seed",
             "config-list", "cells-list", "files-list", "no-files", "no-sha256",
             "absolute-path", "parent-path", "dot-dot", "cell-absent", "cell-absent-beside-matrix",
             "matrices-list", "stages-string", "matrix-no-sha256", "matrix-parent-path",
-            "matrix-missing", "stages-unknown", "stages-empty", "matrix-unlisted"])
+            "matrix-missing", "stages-unknown", "stages-empty", "matrix-unlisted", "stages-no-spectrum"])
     def test_verify_reports_a_malformed_manifest(self, tmp_path, capsys, text, detail):
         (tmp_path / "manifest.json").write_text(text)
         for suite in ("acceptance", "integrity"):
@@ -750,9 +755,26 @@ class TestRun:
             assert integrity == {"status": "fail", "detail": detail}
 
     def test_unknown_or_incomplete_stages_rejected(self, tmp_path):
-        for stages in ((), ("potential",), ("grushin",), ("potential", "grushin"), ("spectrum", "timings")):
-            with pytest.raises(ValueError, match="stages"):
-                run(tiny_config(), out_dir=tmp_path, stages=stages)
+        # one rule: run refuses the stages that a manifest may not claim, with the same words
+        for stages in ((), ("potential",), ("grushin",), ("potential", "grushin"), ("spectrum", "timings"),
+                       ("grushin", "matrix")):
+            with pytest.raises(ValueError, match="stages") as refused:
+                run(tiny_config(), out_dir=tmp_path / "run", stages=stages)
+            assert not (tmp_path / "run").exists()
+            (tmp_path / "manifest.json").write_text(json.dumps({
+                "config": {"n_values": [10], "seeds": [0]}, "stages": list(stages), "cells": {}, "errors": {}}))
+            assert verify(tmp_path, suite="integrity").criteria["integrity"] == {
+                "status": "fail", "detail": f"malformed manifest: {refused.value}"}
+
+    def test_an_unknown_suite_raises_before_anything_is_read(self, tmp_path, monkeypatch):
+        import toeplab.harness as hz
+        monkeypatch.setattr(hz, "_manifest_problem", lambda manifest: pytest.fail("read a manifest"))
+        for run_dir in (tmp_path / "absent", tmp_path):
+            with pytest.raises(ValueError, match="unknown verification suite 'bogus'"):
+                verify(run_dir, suite="bogus")
+        (tmp_path / "manifest.json").write_text("{")
+        with pytest.raises(ValueError, match="unknown verification suite 'bogus'"):
+            verify(tmp_path, suite="bogus")
 
     def test_crash_isolation(self, tmp_path, monkeypatch):
         import toeplab.harness as hz
@@ -1069,7 +1091,7 @@ class TestEigensolve:
 class TestCellMemory:
     """The spectrum task factors its cell matrix in place and keeps the shared ones."""
 
-    def test_spectrum_task_peaks_at_one_and_a_half_cell_matrices(self, tmp_path):
+    def test_spectrum_task_peaks_at_one_and_a_half_cell_matrices(self, tmp_path, published):
         import toeplab.harness as hz
         from toeplab.potential import limit_potential_many
         cfg = preset_config("sphere-figure3")
@@ -1077,11 +1099,11 @@ class TestCellMemory:
         N, dim = 399, 400
         grid = liouville_quadrature(f.space, 40)
         probes = cfg.probe_points(f, f.space)
+        classical = hz._Classical(predicted=np.zeros(len(cfg.radii_grid())), probes=probes,
+                                  u_lim=limit_potential_many(f, probes, grid), grushin_probes=[])
         setup = hz._Setup(out=tmp_path, matrices={N: quantize_symbol(f, N)},
-                          deltas={N: cfg.noise_size(N)}, radii=cfg.radii_grid(),
-                          predicted=np.zeros(len(cfg.radii_grid())), probes=probes,
-                          u_lim=limit_potential_many(f, probes, grid), grushin_probes=[],
-                          rho=cfg.rho)
+                          deltas={N: cfg.noise_size(N)}, radii=cfg.radii_grid(), rho=cfg.rho,
+                          classical=published(classical))
         with hz._pinned_blas():
             hz._spectrum_task(setup, "perturbed", N, 0)             # warm-up
             tracemalloc.start()
@@ -1096,7 +1118,7 @@ class TestCellMemory:
         # and |probe - lambda| (dim x probes); a second dim^2 array does not fit
         assert peak <= 16 * (1.5 * dim * dim + dim * len(probes))
 
-    def test_a_grushin_result_holds_no_reference_to_the_noise(self, tmp_path, monkeypatch):
+    def test_a_grushin_result_holds_no_reference_to_the_noise(self, tmp_path, monkeypatch, published):
         # a result waits in its future until every spectrum task before it is collected;
         # one that kept G (through its NormBound) held a dim^2 array per cell meanwhile
         import weakref
@@ -1110,9 +1132,10 @@ class TestCellMemory:
 
         monkeypatch.setattr(hz, "_cell_noise", noise)
         f = preset_config("sphere-figure3").symbol_spec()
+        classical = hz._Classical(predicted=None, probes=None, u_lim=np.zeros(0),
+                                  grushin_probes=[(0.3 + 0.2j, 0.0), (0.6 + 0j, 0.0)])
         setup = hz._Setup(out=tmp_path, matrices={40: quantize_symbol(f, 40)}, deltas={40: 1 / 40},
-                          radii=np.zeros(1), predicted=None, probes=None, u_lim=np.zeros(0),
-                          grushin_probes=[(0.3 + 0.2j, 0.0), (0.6 + 0j, 0.0)], rho=0.2)
+                          radii=np.zeros(1), rho=0.2, classical=published(classical))
         result = hz._grushin_task(setup, "perturbed", 40, 0)
         assert len(result[0]) == 2 and len(drawn) == 1
         assert drawn[0]() is None
@@ -1134,6 +1157,112 @@ class TestCellMemory:
         assert sorted(T.N for T, _ in built) == [24, 30, 48]
         for T, before in built:
             assert T.dense().tobytes() == before.tobytes()
+
+
+class TestSetUpBesideThePool:
+    """The tasks start right after validation and quantization; set-up's quadrature runs beside them."""
+
+    def test_an_eigensolve_starts_before_set_up_quadrature_returns(self, tmp_path, monkeypatch):
+        import threading
+        import toeplab.harness as hz
+        solving, waited = threading.Event(), []
+        real_solve, real_many = _lapack.hessenberg_eigvals, hz.limit_potential_many
+
+        def solve(M):
+            solving.set()
+            return real_solve(M)
+
+        def many(*args):
+            waited.append(solving.wait(timeout=10.0))
+            return real_many(*args)
+
+        monkeypatch.setattr(_lapack, "hessenberg_eigvals", solve)
+        monkeypatch.setattr(hz, "limit_potential_many", many)
+        record = run(tiny_config(n_values=[24], seeds=[0]), out_dir=tmp_path)
+        assert record.manifest["errors"] == {}
+        assert waited == [True]
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_a_set_up_error_raises_from_run(self, tmp_path, monkeypatch, error):
+        # every task waits for set-up's values; one that waited on a set-up that died would hang the run
+        import threading
+        from concurrent.futures import Future
+        import toeplab.harness as hz
+        raised, made = [], []
+
+        class Recorded(Future):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        def broken(*args):
+            raise error("synthetic set-up failure")
+
+        def target():
+            try:
+                run(tiny_config(), out_dir=tmp_path)
+            except BaseException as exc:    # KeyboardInterrupt too
+                raised.append(exc)
+
+        monkeypatch.setattr(hz, "weyl_predict", broken)
+        monkeypatch.setattr(hz, "Future", Recorded)
+        runner = threading.Thread(target=target, daemon=True)
+        runner.start()
+        runner.join(timeout=60.0)
+        if runner.is_alive():                   # free the waiting tasks, or the pool never ends
+            for future in made:
+                if not future.done():
+                    future.set_exception(RuntimeError("released by the test"))
+            pytest.fail("run still waits after set-up raised")
+        assert [type(exc) for exc in raised] == [error]
+        assert "synthetic set-up failure" in str(raised[0])
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("stages, swept", [
+        (STAGES, [3 + 2]),                      # the potential's three check probes, then route one
+        (("spectrum", "grushin"), [2]),         # route one alone
+    ], ids=["every-stage", "no-potential"])
+    def test_a_perturbed_cell_sweeps_its_hessenberg_form_once(self, tmp_path, monkeypatch, stages, swept):
+        import toeplab.harness as hz
+        import toeplab.potential as potential
+        real, sweeps = potential.hessenberg_log_abs_dets, []
+
+        def counting(rows, probes):
+            sweeps.append(len(probes))
+            return real(rows, probes)
+
+        monkeypatch.setattr(potential, "hessenberg_log_abs_dets", counting)
+        monkeypatch.setattr(hz, "hessenberg_log_abs_dets", counting)
+        record = run(tiny_config(n_values=[24], seeds=[0], grushin_probes=[[0.3, 0.2], [0.0, 0.5]]),
+                     out_dir=tmp_path, stages=stages)
+        assert record.manifest["errors"] == {}
+        assert record.manifest["cells"]["N24_s0"]["health"].get("logdet_fallback", False) is False
+        assert sweeps == swept
+
+    def test_manifest_timings(self, done):
+        _, record = done
+        timings = record.manifest["timings"]
+        assert set(timings) == {"validate_s", "setup_s", "pool_s"}
+        assert all(np.isfinite(t) and t >= 0.0 for t in timings.values())
+        assert timings["validate_s"] + timings["setup_s"] <= record.manifest["wall_clock_s"]
+        assert timings["pool_s"] <= record.manifest["wall_clock_s"]
+
+    def test_set_up_time_overlaps_the_pool(self, tmp_path, monkeypatch):
+        import time
+        import toeplab.harness as hz
+        real = hz.weyl_predict
+
+        def slow(*args):
+            time.sleep(0.5)
+            return real(*args)
+
+        monkeypatch.setattr(hz, "weyl_predict", slow)
+        record = run(tiny_config(), out_dir=tmp_path)
+        timings, wall = record.manifest["timings"], record.manifest["wall_clock_s"]
+        assert all(np.isfinite(t) and t >= 0.0 for t in timings.values())
+        # the tasks wait out set-up's slow half second, which counts in both spans
+        assert timings["setup_s"] >= 0.5 and timings["pool_s"] >= 0.5
+        assert timings["validate_s"] + timings["setup_s"] + timings["pool_s"] >= wall + 0.3
 
 
 def _desk_config(preset: str) -> ExperimentConfig:
@@ -1161,24 +1290,36 @@ class TestHeapRelease:
             assert (tmp_path / "released" / name).read_bytes() == (tmp_path / "kept" / name).read_bytes(), name
 
     def test_released_after_setup_and_as_each_task_ends_also_a_raising_one(self, tmp_path, monkeypatch):
+        import threading
         import toeplab.harness as hz
-        events = []
-        real = hz.sample_ginibre
+        events, main = [], threading.get_ident()
+        real_draw, real_predict = hz.sample_ginibre, hz.weyl_predict
 
         def drawing(dim, seed):                 # once per task: each task draws its cell's noise
             events.append("draw")
             if seed == hz.derive_seed(1, "cell", 24):
                 raise RuntimeError("synthetic cell failure")
-            return real(dim, seed)
+            return real_draw(dim, seed)
+
+        def predicting(*args):                  # the last of set-up's quadrature values
+            events.append("set-up")
+            return real_predict(*args)
 
         monkeypatch.setattr(hz, "sample_ginibre", drawing)
-        monkeypatch.setattr(hz, "_malloc_trim", lambda: lambda pad: events.append(("release", pad)))
+        monkeypatch.setattr(hz, "weyl_predict", predicting)
+        monkeypatch.setattr(hz, "_malloc_trim", lambda: lambda pad: events.append(
+            ("release", pad, "set-up" if threading.get_ident() == main else "task")))
         record = run(tiny_config(), out_dir=tmp_path)
         assert set(record.manifest["errors"]) == {"N24_s1"}      # both of its tasks raised
         assert record.manifest["environment"]["heap_release"] == "malloc_trim"
-        # 4 cells of 2 tasks: one release before any task, then one as each task ends
-        assert events[0] == ("release", 0) and events[-1] == ("release", 0)
-        assert events.count("draw") == 8 and events.count(("release", 0)) == 1 + 8
+        # 4 cells of 2 tasks, which start beside set-up: on the calling thread one release after
+        # each of set-up's three quadrature steps, the last once its values are out; then one on
+        # a pool thread as each task ends
+        releases = [event for event in events if event[0] == "release"]
+        assert releases.count(("release", 0, "task")) == 8 and len(releases) == 3 + 8
+        assert events.count("draw") == 8
+        by_set_up = [i for i, event in enumerate(events) if event == ("release", 0, "set-up")]
+        assert len(by_set_up) == 3 and by_set_up[1] < events.index("set-up") < by_set_up[2]
 
     def test_runs_without_malloc_trim(self, tmp_path, monkeypatch):
         import toeplab.harness as hz

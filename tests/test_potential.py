@@ -65,11 +65,33 @@ class TestPotentialFromSpectrum:
         M = T.dense() + delta * sample_ginibre(T.dim, 3)
         probes = default_probe_grid(f, 12, 12)
         lam, rows = spectrum(M)
-        values, kept, health = potential_from_spectrum(rows, lam, probes)
+        values, kept, health, log_dets = potential_from_spectrum(rows, lam, probes)
         assert kept.all() and health["probes_dropped"] == 0
         assert not health["logdet_fallback"]
         assert health["logdet_check_residual"] <= self.ROUTE_TOL
+        assert log_dets.shape == (0,)
         np.testing.assert_allclose(values, slogdet_route(M, probes), rtol=0, atol=self.ROUTE_TOL)
+
+    def test_log_dets_come_from_the_check_sweep_as_if_alone(self, monkeypatch):
+        # route one of a run's Grushin probes rides on the sweep of the three check probes
+        import toeplab.potential as potential
+        f = sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0})
+        M = quantize_symbol(f, 60).dense() + sample_ginibre(61, 3) / 60
+        lam, rows = spectrum(M)
+        probes, grushin = default_probe_grid(f, 4, 4), [0.3 + 0.2j, -0.5j, 0.6]
+        swept = []
+        real = potential.hessenberg_log_abs_dets
+
+        def counting(rows, zs):
+            swept.append(len(zs))
+            return real(rows, zs)
+
+        monkeypatch.setattr(potential, "hessenberg_log_abs_dets", counting)
+        values, _, health, log_dets = potential_from_spectrum(rows, lam, probes, grushin)
+        assert swept == [3 + 3] and not health["logdet_fallback"]
+        assert log_dets.tolist() == real(rows, grushin).tolist()
+        assert values.tolist() == potential_from_spectrum(rows, lam, probes)[0].tolist()
+        np.testing.assert_allclose(log_dets / 61, slogdet_route(M, grushin), rtol=0, atol=1e-14)
 
     def test_nonnormal_shift_falls_back_to_slogdet(self):
         # a 60 x 60 nilpotent shift closed by a 1e-100 corner: the eigenvalues
@@ -84,7 +106,7 @@ class TestPotentialFromSpectrum:
         exact = np.log(np.abs(probes**n - corner)) / n  # det(z - M) = z^n - corner
         eig_route = np.array([np.mean(np.log(np.abs(lam - z))) for z in probes])
         assert np.max(np.abs(eig_route - exact)) > 0.1
-        values, kept, health = potential_from_spectrum(rows, lam, probes)
+        values, kept, health, _ = potential_from_spectrum(rows, lam, probes)
         assert kept.all()
         assert health["logdet_fallback"]
         assert health["logdet_check_residual"] > LOGDET_CHECK_BOUND
@@ -99,7 +121,7 @@ class TestPotentialFromSpectrum:
             [lam[0], lam[1] + 0.5e-4, lam[2] + 1e-4j, lam[3] - 2e-4, lam[4] + 0.99e-4j],
             default_probe_grid(T.symbol, 6, 6),
         ])
-        _, kept, health = potential_from_spectrum(rows, lam, probes)
+        _, kept, health, _ = potential_from_spectrum(rows, lam, probes)
         expected = [not (np.min(np.abs(lam - z)) < PROBE_EXCLUSION_RADIUS) for z in probes]
         assert kept.tolist() == expected
         assert health["probes_dropped"] == expected.count(False) >= 3

@@ -104,10 +104,11 @@ class TestSpectralSupport:
 
 
 class TestCsv:
-    def test_rows(self, tmp_path):
+    def test_rows(self, tmp_path, published):
         # the eig_*.csv of a cell whose matrix has eigenvalues 1+2i and -0.5i
-        setup = SimpleNamespace(out=tmp_path, radii=np.array([1.0]), predicted=np.array([0.5]),
-                                probes=None,
+        setup = SimpleNamespace(out=tmp_path, radii=np.array([1.0]),
+                                classical=published(SimpleNamespace(predicted=np.array([0.5]), probes=None,
+                                                                    grushin_probes=[])),
                                 matrices={2: ToeplitzMatrix(2, torus_symbol({(0, 0): 1.0}),
                                                             {0: np.array([1.0 + 2.0j, -0.5j])})})
         files, _, _ = harness_module._spectrum_task(setup, "unperturbed", 2, None)
