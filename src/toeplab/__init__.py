@@ -41,7 +41,6 @@ from .spectra import (
     weyl_predict,
 )
 from .potential import (
-    limit_potential,
     log_abs_det,
 )
 from .grushin import (

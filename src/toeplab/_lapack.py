@@ -8,9 +8,9 @@ returns that call's bits on the same OpenBLAS build (:func:`lu_log_abs_det`
 gives ``slogdet``'s).
 ``ctypes`` releases the GIL for the whole call, where numpy's linalg gufuncs
 below dimension 500 and scipy's f2py wrappers hold it; no scipy is loaded.
-That OpenBLAS, with LAPACKE and its thread-count controls, is the one
-supported build: without it every call here raises
-:class:`UnsupportedBuildError`.
+That OpenBLAS, with LAPACKE, its thread-count controls and its kernel
+name (:data:`_CONTROLS`), is the one supported build: without it every
+call here raises :class:`UnsupportedBuildError`.
 
 The cell eigensolve, :func:`hessenberg_eigvals`, is ``zgeev`` taken apart:
 ``zgebal``, ``zgehrd`` and ``zhseqr`` called one by one on ``zgeev``'s own
@@ -66,9 +66,7 @@ _SIGNATURES = {
 def openblas_libraries() -> tuple:
     """Every OpenBLAS mapped into this process now, as ``ctypes`` libraries.
 
-    Read from ``/proc/self/maps`` at each call, so a library mapped since the
-    last call (scipy's, say) is included; empty where there is no ``/proc``
-    (not Linux).
+    Read from ``/proc/self/maps``; empty where there is no ``/proc`` (not Linux).
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -84,33 +82,41 @@ def openblas_libraries() -> tuple:
     return tuple(libraries)
 
 
-#: The thread-count controls that the OpenBLAS of the routines must also export.
-THREAD_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
+#: The other functions that the OpenBLAS of the routines must export, as
+#: ``scipy_openblas_<name>64_``: its thread-count controls and the name of
+#: the kernel it dispatched to, with their argument and result types.
+_CONTROLS = {
+    "get_num_threads": ([], ctypes.c_int),
+    "set_num_threads": ([ctypes.c_int], None),
+    "get_corename": ([], ctypes.c_char_p),
+}
 
 
 class UnsupportedBuildError(RuntimeError):
-    """numpy's OpenBLAS does not export the LAPACKE routines and thread controls a run needs."""
+    """numpy's OpenBLAS does not export the LAPACKE routines and controls a run needs."""
 
     def __init__(self):
         super().__init__("numpy's OpenBLAS LAPACKE is required: this numpy's OpenBLAS exports no "
                          "scipy_LAPACKE_*64_ routines with scipy_openblas_*_num_threads64_ "
+                         "and scipy_openblas_get_corename64_ "
                          "(Linux numpy wheels bundling scipy-openblas64 do)")
 
 
 @functools.cache
 def routines() -> dict | None:
-    """The LAPACKE routines of :data:`_SIGNATURES` from one loaded OpenBLAS, or None.
+    """The LAPACKE routines of :data:`_SIGNATURES` and :data:`_CONTROLS` of one loaded OpenBLAS, or None.
 
-    The library must export :data:`THREAD_SYMBOLS` too.  Only numpy's ILP64
-    build exports the ``64_`` names; scipy's LP64 build is not looked for.
-    numpy maps its OpenBLAS on import, so one lookup serves the process.
+    Only numpy's ILP64 build exports the ``64_`` names; scipy's LP64 build
+    is not looked for.  numpy maps its OpenBLAS on import, so one lookup
+    serves the process.
     """
     for lib in openblas_libraries():
         found = {name: getattr(lib, f"scipy_LAPACKE_{name}64_", None) for name in _SIGNATURES}
-        if all(fn is not None for fn in found.values()) and all(
-                hasattr(lib, symbol) for symbol in THREAD_SYMBOLS):
+        found.update({name: getattr(lib, f"scipy_openblas_{name}64_", None) for name in _CONTROLS})
+        if all(fn is not None for fn in found.values()):
             for name, fn in found.items():
-                fn.argtypes, fn.restype = [ctypes.c_int, *_SIGNATURES[name]], _I
+                fn.argtypes, fn.restype = (([ctypes.c_int, *_SIGNATURES[name]], _I) if name in _SIGNATURES
+                                           else _CONTROLS[name])
             return found
     return None
 

@@ -269,6 +269,29 @@ def liouville_quadrature(space: PhaseSpace, resolution: int) -> QuadratureGrid:
     return QuadratureGrid(pts, w)
 
 
+@dataclass(frozen=True)
+class SymbolImage:
+    """The principal symbol's values at the nodes of a Liouville quadrature, with the nodes' weights.
+
+    The push-forward of the Liouville measure by ``f0`` on that grid, against
+    which every classical quantity of a run integrates: the Weyl prediction,
+    the classical potential and the probe box.  ``symbol`` (the principal
+    part) and ``resolution`` let a caller evaluate on a refined grid.
+    """
+
+    symbol: SymbolSpec
+    resolution: int
+    values: np.ndarray
+    weights: np.ndarray
+
+
+def symbol_image(f: SymbolSpec, resolution: int) -> SymbolImage:
+    """``f0`` at the nodes of the Liouville quadrature of ``resolution``; the nodes are dropped."""
+    grid = liouville_quadrature(f.space, resolution)
+    f0 = f.principal()
+    return SymbolImage(f0, resolution, evaluate_symbol_grid(f0, grid.points), grid.weights)
+
+
 def sample_points(space: PhaseSpace, n: int, seed: int = 0) -> np.ndarray:
     """n points sampled uniformly w.r.t. the Liouville measure."""
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -431,7 +431,7 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray, classi
     """Compute the three-way split for a quantization matrix at one probe.
 
     ``T`` must be a ToeplitzMatrix.  ``classical`` is the classical
-    potential ``avg log|z - f0|`` at ``z`` (``potential.limit_potential``),
+    potential ``avg log|z - f0|`` at ``z`` (``potential.limit_potential_many``),
     computed by the caller, so a probe does no quadrature.
     The unperturbed bulk term uses ``log|det bordered| = sum_{i>A} log t_i``,
     which is exact for the unperturbed system.  ``g_norm`` is the

@@ -10,10 +10,10 @@ Cells run as tasks on a thread pool, which starts right after validation
 and quantization; set-up's quadrature runs beside the tasks' first dense
 work and reaches them through one future.  The whole run, set-up included,
 runs with OpenBLAS pinned to one thread, so identical configurations
-byte-reproduce every CSV on the same build of numpy and its OpenBLAS (and
-CPU instruction set, which OpenBLAS dispatches on) whatever the core count.
-The manifest additionally records wall-clock, run-level timings, tool
-version and the build (and is therefore not byte-stable itself).
+byte-reproduce every CSV on the same build of numpy and its OpenBLAS and the
+same OpenBLAS kernel, whatever the core count.  The manifest additionally
+records wall-clock, run-level timings, tool version, the build and the
+kernel (and is therefore not byte-stable itself).
 
 Tasks overlap only inside dense calls that release the GIL.  Every LAPACK
 call of a run goes through :mod:`toeplab._lapack`, numpy's own OpenBLAS
@@ -57,16 +57,21 @@ from .geometry import (
     RegularityEstimate,
     estimate_kappa,
     evaluate_symbol_grid,
-    liouville_quadrature,
     make_phase_space,
     sample_points,
     scottish_flag_symbol,
     sphere_symbol,
     symbol_from_record,
+    symbol_image,
     symbol_to_record,
 )
 from .grushin import b_diagnostics
-from .potential import hessenberg_log_abs_dets, limit_potential_many, potential_from_spectrum
+from .potential import (
+    default_probe_grid,
+    hessenberg_log_abs_dets,
+    limit_potential_many,
+    potential_from_spectrum,
+)
 from .quantize import ToeplitzMatrix, bergman_dimension, check_size, quantize_symbol
 from .randmat import NormBound, derive_seed, noise_window, sample_ginibre
 from .spectra import empirical_cdf_disks, weyl_predict
@@ -119,7 +124,7 @@ CONFIG_KEYS = {
     "seeds": _Key("integers", "noise seeds (-1 labels unperturbed cells)", [0], bounds="[0, inf)", nonempty=True),
     "probe_grid": _Key("object", "potential probes", {"nx": 12, "ny": 12}, forms=(("points",), ("nx", "ny")), keys={
         "points": _Key("pairs", "explicit probes", bounds=_PROBE_BOUNDS),
-        "nx": _Key("integer", "grid columns over the symbol image's box", bounds="[1, inf)"),
+        "nx": _Key("integer", "grid columns over the box of f0 on the run's grid", bounds="[1, inf)"),
         "ny": _Key("integer", "grid rows", bounds="[1, inf)"),
     }),
     "radii": _Key("object", "disks |z| <= r, r in linspace(0, max, count)", {"count": 50, "max": 1.0}, keys={
@@ -278,14 +283,17 @@ class ExperimentConfig:
         return np.linspace(0.0, float(radii["max"]), int(radii["count"]))
 
     def probe_points(self, f, space) -> np.ndarray:
-        """The potential probes of ``f``; ``space``, kept for callers such as the
+        """The run's potential probes of ``f``; ``space``, kept for callers such as the
         benchmark's ``perfbench/run.py``, must be ``f.space`` (else ConfigError)."""
         if space.kind != f.kind:
             raise ConfigError(f"space {space.kind!r} is not the {f.kind!r} space of the symbol")
+        return self._probes(symbol_image(f, self.resolution))
+
+    def _probes(self, image) -> np.ndarray:
+        """The potential probes: ``probe_grid``'s points, or its grid over the box of ``image``."""
         if "points" in self.probe_grid:
             return np.asarray([complex(re, im) for re, im in self.probe_grid["points"]])
-        from .potential import default_probe_grid
-        return default_probe_grid(f, int(self.probe_grid["nx"]), int(self.probe_grid["ny"]))
+        return default_probe_grid(image, int(self.probe_grid["nx"]), int(self.probe_grid["ny"]))
 
     def kappa_estimate(self) -> RegularityEstimate:
         """The sublevel-set exponent fit that :meth:`validate` uses without a ``kappa_hat``.
@@ -346,8 +354,7 @@ class ExperimentConfig:
 def _kappa_probes(f):
     # box probes for coverage plus image-value probes, which land where the
     # push-forward density concentrates (uniformity in z is the point)
-    grid = liouville_quadrature(f.space, 64)
-    vals = evaluate_symbol_grid(f.principal(), grid.points)
+    vals = symbol_image(f, 64).values
     re = np.linspace(vals.real.min(), vals.real.max(), 4)
     im = np.linspace(vals.imag.min(), vals.imag.max(), 4)
     probes = [complex(a, b) for a in re for b in im]
@@ -433,23 +440,23 @@ class _Setup:
     """Run-wide inputs that every stage task reads.
 
     All but ``classical`` are built before the tasks start.  Set-up publishes
-    the values that come from its quadrature through ``classical`` while the
+    its derived values (:func:`_classical`) through ``classical`` while the
     tasks run; a task does its cell's own dense work first, then waits on it.
     """
 
     out: Path
     matrices: dict                      # N -> ToeplitzMatrix
     deltas: dict                        # N -> noise size delta(N), perturbed sizes
-    radii: np.ndarray
     rho: float
     classical: Future                   # of the run's _Classical
 
 
 @dataclass(frozen=True)
 class _Classical:
-    """Set-up values from the run's quadrature: the classical side of every comparison."""
+    """A run's derived set-up values: the classical side of every comparison."""
 
-    predicted: np.ndarray | None        # None without the spectrum stage
+    radii: np.ndarray
+    predicted: np.ndarray               # Weyl prediction at each radius
     probes: np.ndarray | None           # None without the potential stage
     u_lim: np.ndarray                   # classical potential at each probe of probes, or nan
     grushin_probes: list                # (z, classical potential at z or nan) pairs
@@ -486,16 +493,17 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     Schur residual, the two routes to ``log|det(M - z)|``.
 
     Validation and quantization come first; then every task starts, and
-    set-up computes the probes, the Weyl prediction and the classical
-    potential of every potential and Grushin probe in one quadrature while
-    the tasks draw their noise and do their first dense work (the
-    eigensolve, the bound on ``||G||``).  Each task waits for those values
-    only after that work, so no task reads the quadrature grid; a probe that
+    set-up evaluates ``f0`` once on the run's quadrature grid, which gives
+    the probes, the classical potential of every potential and Grushin
+    probe and the Weyl prediction (:func:`_classical`), while the tasks draw
+    their noise and do their first dense work (the eigensolve, the bound on
+    ``||G||``).  Each task waits for those values only after that work, so
+    no task evaluates the symbol; a probe that
     the quadrature cannot give fails each task that needs it, and a set-up
     that raises fails every task and raises from ``run``.  Each task draws its own copy of the cell's noise, so no
     per-cell matrix exists outside a running task.  All tasks share one thread pool with one thread
-    per usable CPU.  From validation on, every loaded OpenBLAS is pinned to
-    one thread (restored afterwards).  ``workers`` is ignored; it is
+    per usable CPU.  From validation on, numpy's OpenBLAS, which does every
+    dense call, is pinned to one thread (restored afterwards).  ``workers`` is ignored; it is
     kept so that callers passing it positionally, such as the benchmark's
     ``perfbench/child.py``, keep working.  The manifest's ``timings`` give
     the seconds of validation (``validate_s``), of the rest of set-up until
@@ -536,7 +544,6 @@ def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
         out=out,
         matrices={N: quantize_symbol(f, N) for N in sorted(sizes)},
         deltas={int(N): config.noise_size(int(N)) for N in config.n_values},
-        radii=config.radii_grid(),
         rho=config.rho,
         classical=Future(),
     )
@@ -549,7 +556,7 @@ def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
         t_pool = time.perf_counter()
         futures = [pool.submit(_releasing, task, setup, *cell) for cell, task in tasks]
         try:                                    # beside the tasks' first dense work
-            setup.classical.set_result(_classical(config, f, setup.radii, stages))
+            setup.classical.set_result(_classical(config, stages))
         except BaseException as exc:            # KeyboardInterrupt too: no task may wait forever
             setup.classical.set_exception(exc)
             for fut in futures:
@@ -610,25 +617,32 @@ def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
     return RunRecord(str(out), manifest["config_hash"], manifest, str(manifest_path))
 
 
-def _classical(config: ExperimentConfig, f, radii: np.ndarray, stages: set) -> _Classical:
-    """The set-up values of a run that come from its quadrature grid; the grid is freed on return.
+def _classical(config: ExperimentConfig, stages: set) -> _Classical | None:
+    """A run's derived set-up values for ``stages``; None for a matrix-only run, whose stage reads none.
 
-    The tasks' first dense work runs beside these steps, so each step's
-    temporaries are released (:func:`_release_heap`) before the next step
-    allocates its own: kept resident, they would count in the run's peak
-    beside the tasks' matrices.
+    One evaluation of ``f0`` on the run's quadrature grid
+    (:func:`~toeplab.geometry.symbol_image`) gives the probes, the classical
+    potential of every probe of the run and the Weyl prediction.  The tasks'
+    first dense work runs beside these steps, so each step's temporaries are
+    released (:func:`_release_heap`) before the next step allocates its
+    own: kept resident, they would count in the run's peak beside the
+    tasks' matrices.
     """
-    probes = config.probe_points(f, f.space) if "potential" in stages else None
-    _release_heap()                             # the kappa fit's and the probe grid's temporaries
-    grid = liouville_quadrature(f.space, config.resolution)
+    if "spectrum" not in stages:                # potential and grushin need it
+        return None
+    image = symbol_image(config.symbol_spec(), config.resolution)
+    _release_heap()                             # the kappa fit's temporaries and the grid's nodes
+    probes = config._probes(image) if "potential" in stages else None
     n_probes = 0 if probes is None else len(probes)
     grushin_probes = ([complex(re, im) for re, im in config.grushin_probes]
                       if "grushin" in stages else [])
-    # the classical potential of every probe of the run, in one quadrature; nan where it hits nodes
-    u_lim = limit_potential_many(f, [*([] if probes is None else probes), *grushin_probes], grid)
+    # the classical potential of every probe of the run, in one call; nan where it hits nodes
+    u_lim = limit_potential_many(image, [*([] if probes is None else probes), *grushin_probes])
     _release_heap()
+    radii = config.radii_grid()
     return _Classical(
-        predicted=weyl_predict(f, radii, grid) if "spectrum" in stages else None,
+        radii=radii,
+        predicted=weyl_predict(image, radii),
         probes=probes,
         u_lim=u_lim[:n_probes],
         grushin_probes=list(zip(grushin_probes, u_lim[n_probes:])),
@@ -674,8 +688,8 @@ def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
         _require_classical(zip(classical.probes, classical.u_lim))
     files = {
         "spectrum": _emit(setup.out, "spectrum", name, ((z.real, z.imag) for z in lam)),
-        "cdf": _emit(setup.out, "cdf", name, zip(setup.radii, empirical_cdf_disks(lam, setup.radii),
-                                                   classical.predicted)),
+        "cdf": _emit(setup.out, "cdf", name,
+                     zip(classical.radii, empirical_cdf_disks(lam, classical.radii), classical.predicted)),
     }
     health = {"max_abs_eig": float(np.max(np.abs(lam)))}
     # route one: log|det(M - z)| at each Grushin probe, from H; an unperturbed cell has no split
@@ -741,46 +755,20 @@ def _require_classical(pairs):
 # execution environment
 # ---------------------------------------------------------------------------
 
-#: (get, set) thread-count symbols of the scipy-openblas builds that the
-#: numpy (ILP64) and scipy (LP64) wheels ship.
-_OPENBLAS_THREAD_SYMBOLS = (
-    _lapack.THREAD_SYMBOLS,
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-)
-
-
-def _openblas_thread_controls() -> list:
-    """``(get, set)`` thread-count functions of every OpenBLAS mapped into this process now.
-
-    Looked up afresh at each run, so an OpenBLAS mapped since the last run
-    (scipy's, once a caller imports it) is pinned too.
-    """
-    controls = []
-    for lib in _lapack.openblas_libraries():
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
-    return controls
-
-
 @contextmanager
 def _pinned_blas():
-    """Pin every loaded OpenBLAS to one thread.
+    """Pin numpy's OpenBLAS, the one library that :mod:`~toeplab._lapack` binds, to one thread.
 
-    Each library's thread count is restored on exit, also when the body raises.
+    A run calls no other BLAS: it loads no scipy.  The thread count is
+    restored on exit, also when the body raises.
     """
-    saved = [(set_, get()) for get, set_ in _openblas_thread_controls()]
-    for set_, _ in saved:
-        set_(1)
+    blas = _lapack.require()
+    count = blas["get_num_threads"]()
+    blas["set_num_threads"](1)
     try:
         yield
     finally:
-        for set_, count in saved:
-            set_(count)
+        blas["set_num_threads"](count)
 
 
 @functools.cache
@@ -829,7 +817,8 @@ def _environment(pool_size: int) -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
-        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                 "corename": _lapack.require()["get_corename"]().decode()},
         "blas_threads": 1,
         "pool_size": pool_size,
         "usable_cpus": _usable_cpus(),

@@ -14,7 +14,8 @@ gives route one of each Grushin probe's Schur check (``harness.run``): a run
 takes no dense LU of ``M - z``.  :func:`log_abs_det` (one dense LU,
 ``slogdet``'s bits) is the test oracle of the Hessenberg route and gives the
 Grushin corner's log-determinant.  The classical potential has one quadrature loop,
-:func:`limit_potential_many`; :func:`limit_potential` is that loop at one probe.
+:func:`limit_potential_many`, against the symbol's image on the run's grid
+(``geometry.symbol_image``); the probe grid spans the box of that same image.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _lapack
-from .geometry import (
-    QuadratureGrid,
-    SymbolSpec,
-    evaluate_symbol_grid,
-    liouville_quadrature,
-)
+from .geometry import SymbolImage, symbol_image
 
 #: Probes closer than this to an eigenvalue are dropped from a realization.
 PROBE_EXCLUSION_RADIUS = 1e-4
@@ -132,41 +128,32 @@ def potential_from_spectrum(rows, lam, probes, log_det_probes=()):
     return values, kept, health, swept[len(checks):]
 
 
-def limit_potential(f: SymbolSpec, z: complex, grid: QuadratureGrid | None = None) -> float:
-    """:func:`limit_potential_many` at the single probe ``z``."""
-    return float(limit_potential_many(f, [z], grid)[0])
+def limit_potential_many(image: SymbolImage, probes) -> np.ndarray:
+    """Volume-normalized quadrature of log|z - f0| against ``image`` at each probe ``z``.
 
-
-def limit_potential_many(f: SymbolSpec, probes, grid: QuadratureGrid | None = None) -> np.ndarray:
-    """Volume-normalized quadrature of log|z - f0| at each probe ``z``.
-
-    Uses ``grid`` on the symbol's space (by default its default-resolution
-    grid).  A probe that lands exactly on a node image is retried on the
-    default resolution plus 1, 2 and 3 (node positions shift with
-    resolution) rather than returning -inf; one that hits a node image at
-    every refinement gets nan.  Probes are done one at a time, so the
-    working set is one grid-sized array however many probes there are.
+    A probe that lands exactly on a node image is retried on the image's
+    resolution plus 1, 2 and 3 (node positions shift with resolution)
+    rather than returning -inf; one that hits a node image at every
+    refinement gets nan.  Probes are done one at a time, so the working set
+    is one grid-sized array however many probes there are.
     """
-    f0, space = f.principal(), f.space
-    grids = [grid or liouville_quadrature(space, space.quadrature_default)]
-    images = [evaluate_symbol_grid(f0, grids[0].points)]
+    images = [image]
+    volume = image.symbol.space.volume
     out = np.full(len(probes), np.nan)
     for i, z in enumerate(probes):
         for attempt in range(4):
-            if attempt == len(grids):
-                grids.append(liouville_quadrature(space, space.quadrature_default + attempt))
-                images.append(evaluate_symbol_grid(f0, grids[attempt].points))
-            dist = np.abs(complex(z) - images[attempt])
+            if attempt == len(images):
+                images.append(symbol_image(image.symbol, image.resolution + attempt))
+            dist = np.abs(complex(z) - images[attempt].values)
             if np.all(dist > 0.0):
-                out[i] = np.dot(grids[attempt].weights, np.log(dist)) / space.volume
+                out[i] = np.dot(images[attempt].weights, np.log(dist)) / volume
                 break
     return out
 
 
-def default_probe_grid(f: SymbolSpec, nx: int, ny: int) -> np.ndarray:
-    """Probe grid on the symbol image's bounding box inflated by 50%."""
-    g = liouville_quadrature(f.space, f.space.quadrature_default)
-    vals = evaluate_symbol_grid(f.principal(), g.points)
+def default_probe_grid(image: SymbolImage, nx: int, ny: int) -> np.ndarray:
+    """Probe grid on the bounding box of ``image``'s values inflated by 50%."""
+    vals = image.values
     re0, re1 = float(vals.real.min()), float(vals.real.max())
     im0, im1 = float(vals.imag.min()), float(vals.imag.max())
     cre, cim = 0.5 * (re0 + re1), 0.5 * (im0 + im1)

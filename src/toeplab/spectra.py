@@ -6,7 +6,9 @@ convention); the caller computes the eigenvalue array (``harness.run`` with
 ``_lapack.hessenberg_eigvals``, which gives ``np.linalg.eigvals``'s bits but,
 unlike it, releases the GIL at dimensions up to 500 too).  The classical side is
 the push-forward of the normalized Liouville measure by the principal
-symbol, integrated over the same disks on a quadrature grid.
+symbol, integrated over the same disks against the symbol's image on the
+run's quadrature grid (``geometry.symbol_image``), the image that also gives
+the run's probes and classical potential.
 ``match_eigenvalues`` compares two spectra as multisets.  All return plain
 values; ``harness`` writes them to ``eig_*.csv`` and ``cdf_*.csv``.
 """
@@ -15,12 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import (
-    QuadratureGrid,
-    SymbolSpec,
-    evaluate_symbol_grid,
-    liouville_quadrature,
-)
+from .geometry import SymbolImage
 
 
 def empirical_cdf_disks(lam, radii) -> np.ndarray:
@@ -29,20 +26,14 @@ def empirical_cdf_disks(lam, radii) -> np.ndarray:
     return (moduli[None, :] <= np.asarray(radii, dtype=float)[:, None]).mean(axis=1)
 
 
-def weyl_predict(f: SymbolSpec, radii, grid: QuadratureGrid | None = None) -> np.ndarray:
-    """Classical fraction mu{|f0| <= r} / vol for each radius.
-
-    Integrates the disk indicators on the Liouville ``grid`` of the symbol's
-    space (by default its default-resolution grid).
-    """
-    grid = grid or liouville_quadrature(f.space, f.space.quadrature_default)
-    vals = evaluate_symbol_grid(f.principal(), grid.points)
+def weyl_predict(image: SymbolImage, radii) -> np.ndarray:
+    """Classical fraction mu{|f0| <= r} / vol for each radius, integrated against ``image``."""
     # cumulative weights over sorted moduli: exactly monotone in r
-    dist = np.abs(vals)
+    dist = np.abs(image.values)
     order = np.argsort(dist)
-    cum = np.concatenate([[0.0], np.cumsum(grid.weights[order])])
+    cum = np.concatenate([[0.0], np.cumsum(image.weights[order])])
     idx = np.searchsorted(dist[order], np.asarray(radii, dtype=float), side="right")
-    return cum[idx] / f.space.volume
+    return cum[idx] / image.symbol.space.volume
 
 
 def match_eigenvalues(a, b) -> float:

@@ -25,10 +25,10 @@ from toeplab.calculus import (
     trace_residual,
 )
 from toeplab.geometry import (
-    liouville_quadrature,
     make_phase_space,
     scottish_flag_symbol,
     sphere_symbol,
+    symbol_image,
 )
 from toeplab.grushin import (
     assemble_grushin,
@@ -40,7 +40,7 @@ from toeplab.grushin import (
     small_eigen_count_scan,
 )
 from toeplab.harness import acceptance_config, run
-from toeplab.potential import limit_potential
+from toeplab.potential import limit_potential_many
 from toeplab.quantize import bergman_dimension, quantize_sphere, quantize_torus
 from toeplab.randmat import (
     TAIL_BOUND_CONSTANT,
@@ -198,13 +198,12 @@ def test_criterion_06_closed_form_inverse():
 
 
 def test_criterion_07_bulk_term_decay():
-    grid = liouville_quadrature(SPHERE, 400)
+    classical = limit_potential_many(symbol_image(PROJECTION, 400), [0.3 + 0.2j])[0]
     values = {}
     for N in (100, 200):
         T = quantize_sphere(PROJECTION, N)
         G = sample_ginibre(T.dim, 7)
-        diag = b_diagnostics(T, 0.3 + 0.2j, 0.25, 1.0 / N, G,
-                             limit_potential(T.symbol, 0.3 + 0.2j, grid))
+        diag = b_diagnostics(T, 0.3 + 0.2j, 0.25, 1.0 / N, G, classical)
         values[N] = abs(diag.b1)
     ok = values[200] < values[100] < 0.1
     detail = report(7, ok, f"|B1|: size 100 -> {values[100]:.5f}, size 200 -> {values[200]:.5f} "

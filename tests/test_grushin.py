@@ -9,10 +9,10 @@ import toeplab._lapack as lapack_module
 import toeplab.grushin as grushin_module
 import toeplab.harness as harness_module
 from toeplab.geometry import (
-    liouville_quadrature,
     make_phase_space,
     scottish_flag_symbol,
     sphere_symbol,
+    symbol_image,
     torus_symbol,
 )
 from toeplab.grushin import (
@@ -25,7 +25,7 @@ from toeplab.grushin import (
     singular_triples,
     small_eigen_count_scan,
 )
-from toeplab.potential import limit_potential, log_abs_det
+from toeplab.potential import limit_potential_many, log_abs_det
 from toeplab.quantize import ToeplitzMatrix, quantize_sphere, quantize_symbol, quantize_torus
 from toeplab.randmat import NormBound, derive_seed, operator_norm, sample_ginibre
 
@@ -198,9 +198,8 @@ class TestSchurIdentity:
 def diag300():
     T = quantize_sphere(PROJECTION, 120)
     G = sample_ginibre(121, 5)
-    grid = liouville_quadrature(SPHERE, 200)
-    classical = limit_potential(T.symbol, 0.3 + 0.2j, grid)
-    return T, b_diagnostics(T, 0.3 + 0.2j, 0.25, 1.0 / 120, G, classical), G, grid
+    classical = limit_potential_many(symbol_image(T.symbol, 200), [0.3 + 0.2j])[0]
+    return T, b_diagnostics(T, 0.3 + 0.2j, 0.25, 1.0 / 120, G, classical), G, classical
 
 
 def _schur_gap(T, z, delta, G, diag) -> float:
@@ -216,11 +215,11 @@ def _schur_gap(T, z, delta, G, diag) -> float:
 class TestSplitDiagnostics:
 
     def test_sum_reassembles_normalized_logdet(self, diag300):
-        T, diag, G, grid = diag300
+        T, diag, G, classical = diag300
         dim = T.dim
         lhs = diag.b1 + diag.b2 + diag.b3
         direct = log_abs_det(T.dense() + (1.0 / 120) * G - (0.3 + 0.2j) * np.eye(dim))
-        rhs = direct / dim - limit_potential(T.symbol, 0.3 + 0.2j, grid)
+        rhs = direct / dim - classical
         assert lhs == pytest.approx(rhs, abs=1e-6)
 
     def test_corner_term_negative(self, diag300):
@@ -245,15 +244,15 @@ class TestSplitDiagnostics:
     def test_far_probe_no_augmentation(self):
         T = quantize_sphere(PROJECTION, 40)
         G = sample_ginibre(41, 6)
-        diag = b_diagnostics(T, 50.0, 0.25, 1.0 / 40, G, limit_potential(T.symbol, 50.0))
+        classical = limit_potential_many(symbol_image(T.symbol, 200), [50.0])[0]
+        diag = b_diagnostics(T, 50.0, 0.25, 1.0 / 40, G, classical)
         assert diag.n_small == 0
         assert diag.b3 == 0.0
         assert _schur_gap(T, 50.0, 1.0 / 40, G, diag) <= 1e-8
 
     def test_csv_row_format(self, diag300, tmp_path, published):
         # the diag_*.csv row of the same split; A depends on T alone, not on the noise
-        T, diag, _, grid = diag300
-        classical = limit_potential(T.symbol, 0.3 + 0.2j, grid)
+        T, diag, _, classical = diag300
         setup = SimpleNamespace(out=tmp_path, matrices={120: T}, deltas={120: 1.0 / 120}, rho=0.25,
                                 classical=published(SimpleNamespace(grushin_probes=[(0.3 + 0.2j, classical)])))
         diags, g_health = harness_module._grushin_task(setup, "perturbed", 120, 5)
@@ -306,14 +305,14 @@ class TestFastRouteOracle:
     def _check(T, probes, delta, seed):
         # the banded route's values agree with the oracle's SVD to rounding
         G = sample_ginibre(T.dim, seed)
-        grid = liouville_quadrature(T.space, 60)
+        image = symbol_image(T.symbol, 60)
         counts = []
         for z in probes:
-            diag = b_diagnostics(T, z, 0.25, delta, G, limit_potential(T.symbol, z, grid))
+            classical = limit_potential_many(image, [z])[0]
+            diag = b_diagnostics(T, z, 0.25, delta, G, classical)
             A, b2, b3, system = _slow_split(T, z, 0.25, delta, G)
             tr = singular_triples(T.dense(), z)
-            b1 = float(np.sum(np.log(tr.values[A:]))) / T.dim - limit_potential(
-                T.symbol, z, grid)
+            b1 = float(np.sum(np.log(tr.values[A:]))) / T.dim - classical
             assert diag.n_small == A
             assert diag.b1 == pytest.approx(b1, abs=1e-12)
             assert diag.b2 == pytest.approx(b2, abs=1e-10)
@@ -687,7 +686,7 @@ class TestBandedRoute:
         T = quantize_symbol(BANDED[name], 79 if BANDED[name].kind == "sphere" else 80)
         delta, seed = T.N ** -1.5, 23
         G = sample_ginibre(T.dim, seed)
-        grid = liouville_quadrature(T.space, 60)
+        image = symbol_image(T.symbol, 60)
         counts = []
         for z in (0.3 + 0.2j, 0.0, 50.0):
             (values, params, _, _, residual), tr = self._check_subspaces(T, z)
@@ -698,10 +697,10 @@ class TestBandedRoute:
                 assert A % 2 == 0
                 assert np.max(np.abs(values[:A:2] - values[1:A:2]), initial=0.0) < 1e-7
 
-            diag = b_diagnostics(T, z, 0.25, delta, G, limit_potential(T.symbol, z, grid))
+            classical = limit_potential_many(image, [z])[0]
+            diag = b_diagnostics(T, z, 0.25, delta, G, classical)
             A_slow, b2, b3, _ = _slow_split(T, z, 0.25, delta, G)
-            b1 = float(np.sum(np.log(tr.values[A:]))) / T.dim - limit_potential(
-                T.symbol, z, grid)
+            b1 = float(np.sum(np.log(tr.values[A:]))) / T.dim - classical
             assert diag.n_small == A == A_slow
             assert diag.b1 == pytest.approx(b1, abs=1e-12)
             assert diag.b2 == pytest.approx(b2, abs=1e-12)

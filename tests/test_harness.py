@@ -14,7 +14,6 @@ import pytest
 import toeplab._lapack as _lapack
 from toeplab.cli import main as cli_main
 from toeplab.geometry import (
-    liouville_quadrature,
     make_phase_space,
     scottish_flag_symbol,
     sphere_symbol,
@@ -852,6 +851,7 @@ class TestRun:
                                 for N in (24, 48)}
         assert env["numpy"] == np.__version__
         assert isinstance(env["blas"]["name"], str) and env["blas"]["name"]
+        assert env["blas"]["corename"] == _lapack.require()["get_corename"]().decode() != ""
         assert env["usable_cpus"] >= 1
         assert env["blas_threads"] == 1 and env["pool_size"] == env["usable_cpus"]
         assert env["peak_rss_mb"] > 0.0
@@ -875,39 +875,31 @@ class TestRun:
         for path in sorted(out.glob("*.csv")):
             assert (tmp_path / "again" / path.name).read_bytes() == path.read_bytes(), path.name
 
-    def test_run_loads_no_scipy_and_pins_it_once_imported(self, tmp_path):
-        import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS here, as in the child below)
-
-        import toeplab.harness as hz
+    def test_run_loads_no_scipy(self, tmp_path):
         script = ("import json, sys\n"
                   "import toeplab\n"
                   "from toeplab import harness\n"
                   "config = harness.ExperimentConfig.from_mapping(json.loads(sys.argv[1]))\n"
                   "record = harness.run(config, sys.argv[2])\n"
                   "assert not record.manifest['errors'], record.manifest['errors']\n"
-                  "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
-                  "import scipy.linalg\n"
-                  "print(len(harness._openblas_thread_controls()))\n")
+                  "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n")
         src = str(Path(_lapack.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run([sys.executable, "-c", script, json.dumps(tiny_config().to_mapping()),
                                  str(tmp_path)], capture_output=True, text=True, env=env, timeout=300)
         assert result.returncode == 0, result.stderr
-        modules, controls = result.stdout.splitlines()[-2:]
-        assert json.loads(modules) == []
-        # the next run's pinning scan sees scipy's OpenBLAS, as this process's does
-        assert int(controls) == len(hz._openblas_thread_controls())
+        assert json.loads(result.stdout.splitlines()[-1]) == []
 
     def test_blas_thread_counts_restored(self, tmp_path, monkeypatch):
         import toeplab.harness as hz
-        controls = hz._openblas_thread_controls()
-        assert controls                             # numpy's OpenBLAS at least
-        original = [get() for get, _ in controls]
+        blas = _lapack.require()
+        get, set_ = blas["get_num_threads"], blas["set_num_threads"]
+        original = get()
         real = hz.b_diagnostics
         inside = []
 
         def recording(T, z, rho, delta, G, *args, **kwargs):
-            inside.append([get() for get, _ in controls])
+            inside.append(get())
             if np.array_equal(G, hz._cell_noise(T, 1)):
                 raise RuntimeError("synthetic Grushin failure")
             return real(T, z, rho, delta, G, *args, **kwargs)
@@ -916,38 +908,34 @@ class TestRun:
             raise RuntimeError("synthetic pool failure")
 
         try:
-            for _, set_ in controls:
-                set_(2)
+            set_(2)
             monkeypatch.setattr(hz, "b_diagnostics", recording)
             record = run(tiny_config(), out_dir=tmp_path / "failing", workers=1)
             assert set(record.manifest["errors"]) == {"N24_s1", "N48_s1"}
-            assert inside and all(counts == [1] * len(controls) for counts in inside)
-            assert [get() for get, _ in controls] == [2] * len(controls)
+            assert inside and set(inside) == {1}
+            assert get() == 2
             monkeypatch.setattr(hz, "_usable_cpus", broken)
             with pytest.raises(RuntimeError, match="synthetic pool failure"):
                 run(tiny_config(), out_dir=tmp_path / "raising", workers=1)
-            assert [get() for get, _ in controls] == [2] * len(controls)
+            assert get() == 2
         finally:
-            for (_, set_), count in zip(controls, original):
-                set_(count)
+            set_(original)
 
     def test_csv_bits_independent_of_the_blas_thread_count_at_entry(self, tmp_path):
         # at resolution 100 the classical potential's dot products have 20 000
         # terms, which OpenBLAS splits over its threads unless set-up runs pinned
-        import toeplab.harness as hz
-        controls = hz._openblas_thread_controls()
-        original = [get() for get, _ in controls]
+        blas = _lapack.require()
+        get, set_ = blas["get_num_threads"], blas["set_num_threads"]
+        original = get()
         cfg = tiny_config(n_values=[24], seeds=[0], probe_grid={"nx": 12, "ny": 12})
         try:
             for count in (2, 1):
-                for _, set_ in controls:
-                    set_(count)
-                if [get() for get, _ in controls] != [count] * len(controls):
+                set_(count)
+                if get() != count:
                     pytest.skip(f"OpenBLAS cannot run {count} threads here")
                 run(cfg, out_dir=tmp_path / f"threads{count}")
         finally:
-            for (_, set_), count in zip(controls, original):
-                set_(count)
+            set_(original)
         names = sorted(path.name for path in (tmp_path / "threads1").glob("*.csv"))
         assert len(names) == 4
         for name in names:
@@ -955,29 +943,63 @@ class TestRun:
                 (tmp_path / "threads1" / name).read_bytes(), name
 
     def test_set_up_does_every_quadrature(self, tmp_path, monkeypatch):
-        # one classical-potential call over every probe, and no symbol evaluation in a task
+        # f0 once on the run's grid, on the set-up thread, and one classical-potential call over
+        # every probe; no default-resolution grid (the kappa fit's 64-node grid and samples aside)
         import threading
+        import toeplab.geometry as geometry
         import toeplab.potential as potential
-        real_evaluate, real_many = potential.evaluate_symbol_grid, potential.limit_potential_many
-        evaluated_on, quadratures = [], []
+        real_evaluate, real_grid = geometry.evaluate_symbol_grid, geometry.liouville_quadrature
+        real_many = potential.limit_potential_many
+        evaluated, grids, quadratures = [], [], []
 
-        def evaluate(*args, **kwargs):
-            evaluated_on.append(threading.get_ident())
-            return real_evaluate(*args, **kwargs)
+        def evaluate(f, points, *args, **kwargs):
+            evaluated.append((threading.get_ident(), len(points)))
+            return real_evaluate(f, points, *args, **kwargs)
 
-        def many(*args, **kwargs):
+        def grid(space, resolution):
+            grids.append(resolution)
+            return real_grid(space, resolution)
+
+        def many(*args):
             quadratures.append(len(args[1]))
-            return real_many(*args, **kwargs)
+            return real_many(*args)
 
         for module in [m for name, m in sys.modules.items() if name.startswith("toeplab")]:
             for name, fake, real in (("evaluate_symbol_grid", evaluate, real_evaluate),
+                                     ("liouville_quadrature", grid, real_grid),
                                      ("limit_potential_many", many, real_many)):
                 if getattr(module, name, None) is real:
                     monkeypatch.setattr(module, name, fake)
         record = run(tiny_config(grushin_probes=[[0.3, 0.2], [0.0, 0.5]]), out_dir=tmp_path)
         assert record.manifest["errors"] == {} and len(record.manifest["cells"]) == 4
-        assert evaluated_on and set(evaluated_on) == {threading.get_ident()}
+        assert grids == [64, 100]                       # the kappa fit's probe box, then the run's grid
+        assert {thread for thread, _ in evaluated} == {threading.get_ident()}
+        assert [n for _, n in evaluated].count(100 * 200) == 1     # resolution 100 on the sphere
         assert quadratures == [16 + 2]                  # the 4 x 4 probe grid, then the Grushin probes
+
+    def test_a_matrix_only_run_does_no_quadrature(self, tmp_path, monkeypatch):
+        import toeplab.geometry as geometry
+        real, grids = geometry.liouville_quadrature, []
+
+        def grid(space, resolution):
+            grids.append(resolution)
+            return real(space, resolution)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("toeplab")]:
+            if getattr(module, "liouville_quadrature", None) is real:
+                monkeypatch.setattr(module, "liouville_quadrature", grid)
+        record = run(tiny_config(kappa_hat=0.5), out_dir=tmp_path, stages=["matrix"])
+        assert record.manifest["errors"] == {} and set(record.manifest["matrices"]) == {"N24", "N48"}
+        assert grids == []
+
+    def test_probe_points_are_the_run_probes(self, done):
+        out, record = done
+        cfg = tiny_config()
+        probes = cfg.probe_points(cfg.symbol_spec(), cfg.symbol_spec().space)
+        for name, cell in record.manifest["cells"].items():
+            assert cell["health"]["probes_dropped"] == 0
+            rows = [line.split(",") for line in (out / f"pot_{name}.csv").read_text().splitlines()[1:]]
+            assert [complex(float(re), float(im)) for re, im, *_ in rows] == probes.tolist()
 
     def test_manifest_records_cell_health(self, done):
         out, record = done
@@ -1093,17 +1115,14 @@ class TestCellMemory:
 
     def test_spectrum_task_peaks_at_one_and_a_half_cell_matrices(self, tmp_path, published):
         import toeplab.harness as hz
-        from toeplab.potential import limit_potential_many
         cfg = preset_config("sphere-figure3")
+        cfg.resolution = 40
         f = cfg.symbol_spec()
         N, dim = 399, 400
-        grid = liouville_quadrature(f.space, 40)
-        probes = cfg.probe_points(f, f.space)
-        classical = hz._Classical(predicted=np.zeros(len(cfg.radii_grid())), probes=probes,
-                                  u_lim=limit_potential_many(f, probes, grid), grushin_probes=[])
+        classical = hz._classical(cfg, {"spectrum", "potential"})
+        probes = classical.probes
         setup = hz._Setup(out=tmp_path, matrices={N: quantize_symbol(f, N)},
-                          deltas={N: cfg.noise_size(N)}, radii=cfg.radii_grid(), rho=cfg.rho,
-                          classical=published(classical))
+                          deltas={N: cfg.noise_size(N)}, rho=cfg.rho, classical=published(classical))
         with hz._pinned_blas():
             hz._spectrum_task(setup, "perturbed", N, 0)             # warm-up
             tracemalloc.start()
@@ -1132,10 +1151,10 @@ class TestCellMemory:
 
         monkeypatch.setattr(hz, "_cell_noise", noise)
         f = preset_config("sphere-figure3").symbol_spec()
-        classical = hz._Classical(predicted=None, probes=None, u_lim=np.zeros(0),
+        classical = hz._Classical(radii=np.zeros(1), predicted=np.zeros(1), probes=None, u_lim=np.zeros(0),
                                   grushin_probes=[(0.3 + 0.2j, 0.0), (0.6 + 0j, 0.0)])
         setup = hz._Setup(out=tmp_path, matrices={40: quantize_symbol(f, 40)}, deltas={40: 1 / 40},
-                          radii=np.zeros(1), rho=0.2, classical=published(classical))
+                          rho=0.2, classical=published(classical))
         result = hz._grushin_task(setup, "perturbed", 40, 0)
         assert len(result[0]) == 2 and len(drawn) == 1
         assert drawn[0]() is None

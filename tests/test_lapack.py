@@ -1,11 +1,12 @@
 """The ``ctypes`` LAPACK binding against its oracles, ``scipy.linalg`` on the same matrices.
 
-Both OpenBLAS builds (numpy's and scipy's) are pinned to one thread, as in a
-run, so each routine must match its scipy counterpart bit for bit, the LU
-log-determinant ``np.linalg.slogdet`` and the singular values
-``np.linalg.svd``.
+Both OpenBLAS builds are pinned to one thread, numpy's as in a run and
+scipy's, which only the oracles call, beside it, so each routine must match
+its scipy counterpart bit for bit, the LU log-determinant
+``np.linalg.slogdet`` and the singular values ``np.linalg.svd``.
 """
 
+import ctypes
 import threading
 from collections import Counter
 
@@ -44,8 +45,18 @@ def _same_bits(got, want) -> bool:
 
 @pytest.fixture(autouse=True)
 def pinned():
-    with _pinned_blas():
-        yield
+    scipy_blas, = [lib for lib in _lapack.openblas_libraries()
+                   if hasattr(lib, "scipy_openblas_set_num_threads")]     # scipy's LP64 build
+    get, set_ = scipy_blas.scipy_openblas_get_num_threads, scipy_blas.scipy_openblas_set_num_threads
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    count = get()
+    set_(1)
+    try:
+        with _pinned_blas():
+            yield
+    finally:
+        set_(count)
 
 
 @pytest.mark.parametrize("kind", ("ginibre",) + PRESETS)

@@ -3,18 +3,16 @@ import pytest
 
 import toeplab._lapack as _lapack
 from toeplab.geometry import (
-    evaluate_symbol_grid,
-    liouville_quadrature,
     make_phase_space,
     scottish_flag_symbol,
     sphere_symbol,
+    symbol_image,
 )
 from toeplab.potential import (
     LOGDET_CHECK_BOUND,
     PROBE_EXCLUSION_RADIUS,
     default_probe_grid,
     hessenberg_log_abs_dets,
-    limit_potential,
     limit_potential_many,
     log_abs_det,
     potential_from_spectrum,
@@ -30,6 +28,11 @@ def slogdet_route(M, probes):
     """The per-probe LU oracle: log|det(M - z)| / dim by slogdet."""
     dim = M.shape[0]
     return np.array([log_abs_det(M - z * np.eye(dim)) / dim for z in probes])
+
+
+def probe_grid(f, nx, ny):
+    """The ``nx`` x ``ny`` probe grid over the box of ``f0`` on the resolution-200 grid, a run's default."""
+    return default_probe_grid(symbol_image(f, 200), nx, ny)
 
 
 def spectrum(M):
@@ -63,7 +66,7 @@ class TestPotentialFromSpectrum:
     def test_matches_slogdet(self, f, N, delta):
         T = quantize_symbol(f, N)
         M = T.dense() + delta * sample_ginibre(T.dim, 3)
-        probes = default_probe_grid(f, 12, 12)
+        probes = probe_grid(f, 12, 12)
         lam, rows = spectrum(M)
         values, kept, health, log_dets = potential_from_spectrum(rows, lam, probes)
         assert kept.all() and health["probes_dropped"] == 0
@@ -78,7 +81,7 @@ class TestPotentialFromSpectrum:
         f = sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0})
         M = quantize_symbol(f, 60).dense() + sample_ginibre(61, 3) / 60
         lam, rows = spectrum(M)
-        probes, grushin = default_probe_grid(f, 4, 4), [0.3 + 0.2j, -0.5j, 0.6]
+        probes, grushin = probe_grid(f, 4, 4), [0.3 + 0.2j, -0.5j, 0.6]
         swept = []
         real = potential.hessenberg_log_abs_dets
 
@@ -119,7 +122,7 @@ class TestPotentialFromSpectrum:
         lam, rows = spectrum(M)
         probes = np.concatenate([
             [lam[0], lam[1] + 0.5e-4, lam[2] + 1e-4j, lam[3] - 2e-4, lam[4] + 0.99e-4j],
-            default_probe_grid(T.symbol, 6, 6),
+            probe_grid(T.symbol, 6, 6),
         ])
         _, kept, health, _ = potential_from_spectrum(rows, lam, probes)
         expected = [not (np.min(np.abs(lam - z)) < PROBE_EXCLUSION_RADIUS) for z in probes]
@@ -140,7 +143,7 @@ class TestHessenbergLogAbsDets:
         T = quantize_symbol(f, N)
         M = T.dense() + delta * sample_ginibre(T.dim, 8)
         # not z = 0, where the unperturbed torus matrix has condition number 1e16
-        probes = np.concatenate([default_probe_grid(f, 4, 4), [0.3 + 0.2j]])
+        probes = np.concatenate([probe_grid(f, 4, 4), [0.3 + 0.2j]])
         _, rows = spectrum(M)
         got = hessenberg_log_abs_dets(rows, probes) / T.dim
         np.testing.assert_allclose(got, slogdet_route(M, probes), rtol=0, atol=tol)
@@ -166,41 +169,43 @@ class TestLimitPotential:
     def test_height_symbol_outside(self):
         # push-forward of x3 is uniform on [-1, 1]; closed form at z = 2 is
         # (1/2) * integral_1^3 log(u) du = (3 log 3 - 2) / 2
-        val = limit_potential(X3, 2.0)
+        val = limit_potential_many(symbol_image(X3, 200), [2.0])[0]
         assert val == pytest.approx((3 * np.log(3.0) - 2.0) / 2.0, abs=1e-9)
 
     def test_constant_symbol(self):
         f = sphere_symbol({(0, 0, 0): 0.5j})
         z = 1.0 + 1.0j
-        assert limit_potential(f, z) == pytest.approx(np.log(abs(z - 0.5j)), abs=1e-12)
+        assert limit_potential_many(symbol_image(f, 200), [z])[0] == pytest.approx(
+            np.log(abs(z - 0.5j)), abs=1e-12)
 
     def test_height_symbol_at_zero(self):
         # integrable log singularity at an interior point of the range:
         # closed form integral_0^1 log(s) ds = -1; nodes avoid the singular
         # point so accuracy is quadrature-limited, not infinite
-        val = limit_potential(X3, 0.0)
+        val = limit_potential_many(symbol_image(X3, 200), [0.0])[0]
         assert val == pytest.approx(-1.0, abs=1e-2)
-        hi = limit_potential(X3, 0.0, liouville_quadrature(SPHERE, 2000))
+        hi = limit_potential_many(symbol_image(X3, 2000), [0.0])[0]
         assert abs(hi - (-1.0)) < abs(val - (-1.0))
 
     def test_probe_on_node_image_refines(self):
         # z exactly at a Gauss node's image would hit log(0) without the
-        # refinement path
-        grid = liouville_quadrature(SPHERE, 50)
-        z = complex(grid.points[17, 2])
-        val = limit_potential(X3, z, grid)
+        # refinement path, which takes the image's own resolution plus one,
+        # not the space's default
+        image = symbol_image(X3, 50)
+        z = image.values[17]
+        val = limit_potential_many(image, [z])[0]
+        refined = symbol_image(X3, 51)
         assert np.isfinite(val)
+        assert val == np.dot(refined.weights, np.log(np.abs(z - refined.values))) / SPHERE.volume
 
     def test_node_hit_among_ordinary_probes(self):
         # only the probe on a node image is refined; its neighbours keep the
-        # plain quadrature on the given grid, bit for bit
-        grid = liouville_quadrature(SPHERE, 50)
-        hit = complex(grid.points[17, 2])
-        probes = [2.0 + 0.5j, hit, -0.3 + 0.7j]
-        u = limit_potential_many(X3, probes, grid)
-        images = evaluate_symbol_grid(X3, grid.points)
+        # plain quadrature against the given image, bit for bit
+        image = symbol_image(X3, 50)
+        probes = [2.0 + 0.5j, image.values[17], -0.3 + 0.7j]
+        u = limit_potential_many(image, probes)
         for i in (0, 2):
-            plain = np.dot(grid.weights, np.log(np.abs(probes[i] - images))) / SPHERE.volume
+            plain = np.dot(image.weights, np.log(np.abs(probes[i] - image.values))) / SPHERE.volume
             assert u[i] == plain
         assert np.isfinite(u[1])
 
@@ -210,14 +215,14 @@ class TestLimitPotential:
         h = 0.05
         z0 = 2.5 + 0.7j
         stencil = [z0, z0 + h, z0 - h, z0 + 1j * h, z0 - 1j * h]
-        u = limit_potential_many(X3, stencil)
+        u = limit_potential_many(symbol_image(X3, 200), stencil)
         laplacian = (u[1] + u[2] + u[3] + u[4] - 4 * u[0]) / h**2
         assert abs(laplacian) < 5e-5  # h^2-order stencil error
 
 
 class TestProbeGrid:
     def test_default_probe_grid_inflates_image_box(self):
-        probes = default_probe_grid(X3, nx=11, ny=11)
+        probes = probe_grid(X3, nx=11, ny=11)
         assert len(probes) == 121
         assert probes.real.min() < -1.2 and probes.real.max() > 1.2
 
@@ -245,8 +250,7 @@ class TestClosedFormSphere:
         return np.where(m <= 1.0, inside, np.log(m))
 
     def _error(self, resolution):
-        grid = liouville_quadrature(SPHERE, resolution)
-        got = limit_potential_many(self.PROJECTION, self.PROBES, grid)
+        got = limit_potential_many(symbol_image(self.PROJECTION, resolution), self.PROBES)
         return np.abs(got - self._closed_form(self.PROBES))
 
     def test_limit_potential_matches_closed_form(self):

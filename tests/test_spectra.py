@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 
 import toeplab.harness as harness_module
 from toeplab.geometry import (
-    liouville_quadrature,
-    make_phase_space,
     scottish_flag_symbol,
     sphere_symbol,
     sup_abs,
+    symbol_image,
     torus_symbol,
 )
 from toeplab.quantize import ToeplitzMatrix, quantize_torus
@@ -20,8 +19,6 @@ from toeplab.spectra import (
     match_eigenvalues,
     weyl_predict,
 )
-
-SPHERE = make_phase_space("sphere")
 
 
 def haar_unitary(dim, seed):
@@ -72,21 +69,21 @@ class TestWeylPredict:
         # indicator integration is first order in the grid resolution
         f = sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0})
         radii = np.linspace(0.05, 0.95, 19)
-        pred = weyl_predict(f, radii)
+        pred = weyl_predict(symbol_image(f, 200), radii)
         closed = 1.0 - np.sqrt(1.0 - radii**2)
         np.testing.assert_allclose(pred, closed, atol=8e-3)
-        fine = weyl_predict(f, radii, liouville_quadrature(SPHERE, 800))
+        fine = weyl_predict(symbol_image(f, 800), radii)
         assert np.max(np.abs(fine - closed)) < np.max(np.abs(pred - closed))
 
     def test_constant_symbol_steps_at_its_modulus(self):
         # |0.6 + 0.8i| = 1: all of the mass enters between r = 0.99 and r = 1.01
         f = sphere_symbol({(0, 0, 0): 0.6 + 0.8j})
-        pred = weyl_predict(f, [0.0, 0.99, 1.01, 2.0])
+        pred = weyl_predict(symbol_image(f, 200), [0.0, 0.99, 1.01, 2.0])
         np.testing.assert_allclose(pred, [0.0, 0.0, 1.0, 1.0])
 
     def test_monotone_in_nested_disks(self):
         f = scottish_flag_symbol()
-        pred = weyl_predict(f, np.linspace(0, 2, 21))
+        pred = weyl_predict(symbol_image(f, 256), np.linspace(0, 2, 21))
         assert np.all(np.diff(pred) >= 0.0)
         assert np.all((pred >= 0.0) & (pred <= 1.0))
 
@@ -106,9 +103,9 @@ class TestSpectralSupport:
 class TestCsv:
     def test_rows(self, tmp_path, published):
         # the eig_*.csv of a cell whose matrix has eigenvalues 1+2i and -0.5i
-        setup = SimpleNamespace(out=tmp_path, radii=np.array([1.0]),
-                                classical=published(SimpleNamespace(predicted=np.array([0.5]), probes=None,
-                                                                    grushin_probes=[])),
+        classical = SimpleNamespace(radii=np.array([1.0]), predicted=np.array([0.5]), probes=None,
+                                    grushin_probes=[])
+        setup = SimpleNamespace(out=tmp_path, classical=published(classical),
                                 matrices={2: ToeplitzMatrix(2, torus_symbol({(0, 0): 1.0}),
                                                             {0: np.array([1.0 + 2.0j, -0.5j])})})
         files, _, _ = harness_module._spectrum_task(setup, "unperturbed", 2, None)
@@ -132,8 +129,7 @@ class TestClosedFormSphere:
 
         cfg = preset_config("sphere-figure3")
         radii = cfg.radii_grid()
-        predicted = weyl_predict(cfg.symbol_spec(), radii,
-                                 liouville_quadrature(SPHERE, resolution))
+        predicted = weyl_predict(symbol_image(cfg.symbol_spec(), resolution), radii)
         return float(np.max(np.abs(predicted - (1.0 - np.sqrt(1.0 - radii**2)))))
 
     def test_weyl_predict_matches_closed_form(self):
