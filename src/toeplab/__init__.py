@@ -4,72 +4,11 @@ Builds quantization matrices for finite symbol expansions, perturbs them with
 scaled complex Gaussian noise, and measures spectral distribution, potential
 convergence, bordered-system determinant identities, and symbol-calculus
 residuals at finite matrix size.
+
+The package itself holds only its submodules and ``__version__``; each name
+is imported from its module (``from toeplab.harness import run``).
 """
 
 __version__ = "0.1.0"
 
-from .geometry import (
-    PhaseSpace,
-    QuadratureGrid,
-    RegularityEstimate,
-    SymbolSpec,
-    estimate_kappa,
-    liouville_quadrature,
-    make_phase_space,
-    scottish_flag_symbol,
-    sphere_symbol,
-    symbol_from_record,
-    symbol_to_record,
-    torus_symbol,
-)
-from .quantize import (
-    ToeplitzMatrix,
-    bergman_dimension,
-    quantize_sphere,
-    quantize_symbol,
-    quantize_torus,
-)
-from .randmat import (
-    derive_seed,
-    noise_window,
-    operator_norm,
-    sample_ginibre,
-    smin_tail_experiment,
-)
-from .spectra import (
-    empirical_cdf_disks,
-    weyl_predict,
-)
-from .potential import (
-    log_abs_det,
-)
-from .grushin import (
-    GrushinParams,
-    GrushinSystem,
-    SingularTriples,
-    SplitDiagnostics,
-    assemble_grushin,
-    b_diagnostics,
-    closed_form_inverse,
-    grushin_params,
-    schur_identity_residual,
-    singular_triples,
-    small_eigen_count_scan,
-)
-from .calculus import (
-    ResidualCurve,
-    chebyshev_surrogate,
-    composition_residual,
-    functional_calculus_residual,
-    norm_bound_check,
-    trace_residual,
-)
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    RunRecord,
-    acceptance_config,
-    preset_config,
-    run,
-    verify,
-)
+from . import calculus, geometry, grushin, harness, potential, quantize, randmat, spectra  # noqa: E402,F401

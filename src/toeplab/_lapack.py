@@ -1,7 +1,10 @@
 """LAPACK of numpy's own OpenBLAS through ``ctypes``: the one route of every dense call in a run.
 
 numpy's wheel bundles an ILP64 OpenBLAS (scipy-openblas) that exports
-LAPACKE as ``scipy_LAPACKE_<routine>64_``.  Each function here calls one of
+LAPACKE as ``scipy_LAPACKE_<routine>64_``.  :func:`routines` looks those
+names up through numpy's linalg extension, ``numpy.linalg._umath_linalg``,
+which links that OpenBLAS, so they are bound from the library numpy's
+linalg calls and no other.  Each function here calls one of
 those routines, column-major with 64-bit integers, on the layout numpy's
 ``eigvals`` or ``svd`` or the replaced ``scipy.linalg`` call passes, so it
 returns that call's bits on the same OpenBLAS build (:func:`lu_log_abs_det`
@@ -62,26 +65,6 @@ _SIGNATURES = {
     "zgbtrs_work": (_C, _I, _I, _I, _I, _P, _I, _P, _P, _I),
 }
 
-
-def openblas_libraries() -> tuple:
-    """Every OpenBLAS mapped into this process now, as ``ctypes`` libraries.
-
-    Read from ``/proc/self/maps``; empty where there is no ``/proc`` (not Linux).
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and "/" in ln})
-    except OSError:                             # no /proc: not Linux
-        return ()
-    libraries = []
-    for path in paths:
-        try:
-            libraries.append(ctypes.CDLL(path))
-        except OSError:                         # e.g. a "(deleted)" mapping
-            continue
-    return tuple(libraries)
-
-
 #: The other functions that the OpenBLAS of the routines must export, as
 #: ``scipy_openblas_<name>64_``: its thread-count controls and the name of
 #: the kernel it dispatched to, with their argument and result types.
@@ -104,21 +87,23 @@ class UnsupportedBuildError(RuntimeError):
 
 @functools.cache
 def routines() -> dict | None:
-    """The LAPACKE routines of :data:`_SIGNATURES` and :data:`_CONTROLS` of one loaded OpenBLAS, or None.
+    """The LAPACKE routines of :data:`_SIGNATURES` and :data:`_CONTROLS`, or None on an unsupported build.
 
-    Only numpy's ILP64 build exports the ``64_`` names; scipy's LP64 build
-    is not looked for.  numpy maps its OpenBLAS on import, so one lookup
-    serves the process.
+    ``dlsym`` on numpy's linalg extension also searches the libraries it
+    links, so each name is that of the OpenBLAS numpy's linalg calls.
+    Looked up at the first call, not at import.
     """
-    for lib in openblas_libraries():
-        found = {name: getattr(lib, f"scipy_LAPACKE_{name}64_", None) for name in _SIGNATURES}
-        found.update({name: getattr(lib, f"scipy_openblas_{name}64_", None) for name in _CONTROLS})
-        if all(fn is not None for fn in found.values()):
-            for name, fn in found.items():
-                fn.argtypes, fn.restype = (([ctypes.c_int, *_SIGNATURES[name]], _I) if name in _SIGNATURES
-                                           else _CONTROLS[name])
-            return found
-    return None
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        found = {name: getattr(lib, f"scipy_LAPACKE_{name}64_") for name in _SIGNATURES}
+        found.update({name: getattr(lib, f"scipy_openblas_{name}64_") for name in _CONTROLS})
+    except (ImportError, AttributeError, OSError):
+        return None
+    for name, fn in found.items():
+        fn.argtypes, fn.restype = (([ctypes.c_int, *_SIGNATURES[name]], _I) if name in _SIGNATURES
+                                   else _CONTROLS[name])
+    return found
 
 
 def require() -> dict:

@@ -512,10 +512,11 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
 
     A failing task records its cell's error in the manifest and never
     disturbs sibling cells.  A numpy without its OpenBLAS LAPACKE raises
-    :class:`~toeplab._lapack.UnsupportedBuildError` before anything else.
+    :class:`~toeplab._lapack.UnsupportedBuildError` before anything else, and an output
+    directory that cannot be made raises :class:`ConfigError` after validation.
     """
     _lapack.require()
-    problem = _stages_problem(list(stages))
+    problem = _stages_problem(stages if isinstance(stages, str) else list(stages))
     if problem:
         raise ValueError(problem)
     with _pinned_blas():                        # set-up too: a threaded dot moves its sums' bits
@@ -528,7 +529,10 @@ def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
     validation = config.validate()             # a rejected config leaves no directory behind
     t_setup = time.perf_counter()
     out = Path(out_dir or config.out_dir or "runs")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out_dir {str(out)!r} is not a usable directory: {exc.strerror}") from None
     f = config.symbol_spec()
 
     cells = [("unperturbed", int(N), None) for N in config.unperturbed_sizes]

@@ -765,6 +765,11 @@ class TestRun:
             assert verify(tmp_path, suite="integrity").criteria["integrity"] == {
                 "status": "fail", "detail": f"malformed manifest: {refused.value}"}
 
+    def test_a_bare_string_of_stages_is_named_as_given(self, tmp_path):
+        with pytest.raises(ValueError, match=r"got 'spectrum' \(a nonempty subset"):
+            run(tiny_config(), out_dir=tmp_path / "run", stages="spectrum")
+        assert not (tmp_path / "run").exists()
+
     def test_an_unknown_suite_raises_before_anything_is_read(self, tmp_path, monkeypatch):
         import toeplab.harness as hz
         monkeypatch.setattr(hz, "_manifest_problem", lambda manifest: pytest.fail("read a manifest"))
@@ -1548,6 +1553,17 @@ class TestCli:
             assert captured.out == ""
             assert captured.err == f"toeplab: out_dir must be a string or null, got {value!r}\n"
             assert not (tmp_path / "runs").exists()
+
+    def test_an_unusable_output_directory_exits_2_with_one_line(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for out, reason in ((taken, "File exists"), (taken / "below", "Not a directory")):
+            assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"toeplab: out_dir {str(out)!r} is not a usable directory: {reason}\n"
+        assert taken.read_text() == ""
 
     def test_requires_config_or_preset(self, capsys):
         # exactly one configuration source; --full-scale sizes a preset only

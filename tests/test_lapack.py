@@ -6,6 +6,7 @@ its scipy counterpart bit for bit, the LU log-determinant
 ``np.linalg.slogdet`` and the singular values ``np.linalg.svd``.
 """
 
+import builtins
 import ctypes
 import threading
 from collections import Counter
@@ -45,8 +46,8 @@ def _same_bits(got, want) -> bool:
 
 @pytest.fixture(autouse=True)
 def pinned():
-    scipy_blas, = [lib for lib in _lapack.openblas_libraries()
-                   if hasattr(lib, "scipy_openblas_set_num_threads")]     # scipy's LP64 build
+    # scipy's LP64 OpenBLAS, found as _lapack finds numpy's: through the extension that links it
+    scipy_blas = ctypes.CDLL(scipy.linalg._flapack.__file__)
     get, set_ = scipy_blas.scipy_openblas_get_num_threads, scipy_blas.scipy_openblas_set_num_threads
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
@@ -260,6 +261,41 @@ def test_a_numpy_without_lapacke_is_refused_in_one_line(monkeypatch, tmp_path, c
     with pytest.raises(_lapack.UnsupportedBuildError) as refused:
         _lapack.lu_factor(np.eye(3, dtype=complex))
     assert lines[0] == f"toeplab: {refused.value}"
+
+
+def test_binding_opens_no_file(monkeypatch):
+    # bound through numpy's linalg extension: no list of mapped libraries is read
+    opened, real_open = [], builtins.open
+
+    def recording(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording)
+    _lapack.routines.cache_clear()
+    try:
+        assert _lapack.routines() is not None
+    finally:
+        _lapack.routines.cache_clear()
+    assert opened == []
+
+
+def test_a_library_that_cannot_be_opened_is_an_unsupported_build(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise OSError("cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", refuse)
+    _lapack.routines.cache_clear()
+    try:
+        with pytest.raises(_lapack.UnsupportedBuildError):
+            run(preset_config("sphere-figure3"), tmp_path / "run")
+        out = tmp_path / "cli"
+        assert cli_main(["run", "--preset", "sphere-figure3", "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("toeplab: numpy's OpenBLAS LAPACKE is required")
+        assert not (tmp_path / "run").exists() and not out.exists()
+    finally:
+        _lapack.routines.cache_clear()
 
 
 def _count_calls(monkeypatch) -> list:
