@@ -1,4 +1,9 @@
-"""LAPACK of numpy's own OpenBLAS through ``ctypes``: the one route of every dense call in a run.
+"""LAPACK of numpy's own OpenBLAS through ``ctypes``: the route of a run's dense calls.
+
+Four calls of a run bypass it, through numpy's linalg gufuncs: ``np.linalg.qr``
+and ``np.linalg.eigh`` in ``grushin._smallest_eigenvectors``, ``lstsq`` in the
+kappa fit's ``np.polyfit`` and ``eigvalsh`` in the sphere quadrature's
+``leggauss``.
 
 numpy's wheel bundles an ILP64 OpenBLAS (scipy-openblas) that exports
 LAPACKE as ``scipy_LAPACKE_<routine>64_``.  :func:`routines` looks those

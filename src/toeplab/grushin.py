@@ -32,7 +32,9 @@ the one LU of the bordered matrix; a large condition estimate of that LU is
 flagged, not rerouted.  Every LAPACK call of the fast route (the banded
 eigensolve, banded LU and solves, the bordered and corner LUs, the solve
 and the condition estimate) goes through :mod:`toeplab._lapack`, numpy's
-OpenBLAS through ``ctypes``, which releases the GIL.
+OpenBLAS through ``ctypes``, which releases the GIL, but two:
+``_smallest_eigenvectors`` orthonormalizes each ``dim x A`` block with
+``np.linalg.qr`` and takes its Rayleigh-Ritz step with ``np.linalg.eigh``.
 Both slow reference routes return a :class:`GrushinSystem` from the dense
 singular triples of :func:`singular_triples`: ``closed_form_inverse``
 writes the unperturbed inverse in closed form, ``assemble_grushin`` inverts

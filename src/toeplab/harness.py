@@ -16,11 +16,12 @@ records wall-clock, run-level timings, tool version, the build and the
 kernel (and is therefore not byte-stable itself).
 
 Tasks overlap only inside dense calls that release the GIL.  Every LAPACK
-call of a run goes through :mod:`toeplab._lapack`, numpy's own OpenBLAS
-through ``ctypes``, which releases the GIL at every size and gives the bits
-of ``np.linalg.eigvals``, ``np.linalg.slogdet`` and the ``scipy.linalg``
-calls it replaces, so a run imports no scipy module.  A numpy whose
-OpenBLAS lacks those routines is refused before a run starts.
+call of a run but four goes through :mod:`toeplab._lapack`, numpy's own
+OpenBLAS through ``ctypes``, which releases the GIL at every size and gives
+the bits of ``np.linalg.eigvals``, ``np.linalg.slogdet`` and the
+``scipy.linalg`` calls it replaces, so a run imports no scipy module.  The
+four (named in :mod:`toeplab._lapack`) take numpy's linalg instead.  A numpy
+whose OpenBLAS lacks those routines is refused before a run starts.
 
 ``run`` writes and ``verify`` reads by two tables: ``_CSV_KINDS`` (each cell
 CSV's file name, stage and header) and ``_CRITERIA`` (each acceptance criterion).
@@ -68,8 +69,8 @@ from .geometry import (
 from .grushin import b_diagnostics
 from .potential import (
     default_probe_grid,
-    hessenberg_log_abs_dets,
     limit_potential_many,
+    log_abs_sums,
     potential_from_spectrum,
 )
 from .quantize import ToeplitzMatrix, bergman_dimension, check_size, quantize_symbol
@@ -427,8 +428,8 @@ def _atomic_write(path: Path, write) -> Path:
 
 
 #: The stages a run computes per cell by default.  ``potential`` reads the
-#: spectrum task's Hessenberg form and eigenvalues, and ``grushin`` its
-#: Hessenberg form (route one of the Schur check), so both need ``spectrum``.
+#: spectrum task's eigenvalues and Hessenberg form, and ``grushin`` its
+#: eigenvalues (route one of the Schur check), so both need ``spectrum``.
 #: One more stage, ``matrix``, writes each size's quantization matrix; only
 #: the ``quantize`` verb selects it.
 STAGES = ("spectrum", "potential", "grushin")
@@ -466,9 +467,9 @@ def _stages_problem(stages) -> str | None:
     """How ``stages`` breaks the rule of a stage selection, or None.
 
     A selection is a nonempty list of names from :data:`_ALL_STAGES`, with
-    ``potential`` and ``grushin`` only beside ``spectrum``, whose Hessenberg
-    form both read.  :func:`run` refuses a selection that breaks it, and
-    :func:`verify` a manifest whose ``stages`` do.
+    ``potential`` and ``grushin`` only beside ``spectrum``, whose eigenvalues
+    both read (``potential`` its Hessenberg form too).  :func:`run` refuses a
+    selection that breaks it, and :func:`verify` a manifest whose ``stages`` do.
     """
     if not (isinstance(stages, list) and stages and all(stage in _ALL_STAGES for stage in stages)):
         return f"stages must be a list of stage names, got {stages!r} (a nonempty subset of {_ALL_STAGES})"
@@ -485,12 +486,12 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     stage writes ``mat_N{N}.npy`` for every size of ``n_values`` and
     ``unperturbed_sizes`` and lists them under the manifest's ``matrices``.
     The spectrum stage of a cell is one task (eigenvalues and disk counts,
-    the potential when that stage is selected, and ``log|det(M - z)|`` at
-    each Grushin probe of a perturbed cell); the Grushin stage of a perturbed cell is a second
-    task (a certified bound on ``||G||`` once, then the split at each
-    Grushin probe).  Neither waits on the other; where the results are
-    collected, spectrum tasks first, the ``diag_`` CSV gets each probe's
-    Schur residual, the two routes to ``log|det(M - z)|``.
+    and the potential when that stage is selected); the Grushin stage of a
+    perturbed cell is a second task (a certified bound on ``||G||`` once,
+    then the split at each Grushin probe).  Neither waits on the other;
+    where the results are collected, spectrum tasks first, the ``diag_`` CSV
+    gets each probe's Schur residual, the two routes to ``log|det(M - z)|``:
+    the cell's eigenvalues and the split.
 
     Validation and quantization come first; then every task starts, and
     set-up evaluates ``f0`` once on the run's quadrature grid, which gives
@@ -568,17 +569,17 @@ def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
             raise
         setup_s = time.perf_counter() - t_setup
         _release_heap()                         # the quadrature's temporaries
-        route_one = {}                  # cell name -> log|det(M - z)| at each Grushin probe
+        spectra = {}                    # cell name -> its eigenvalues, route one of its Schur checks
         for (cell, task), fut in zip(tasks, futures):   # spectrum tasks first: route one, then split
             name = _cell_name(cell)
             try:
                 result = fut.result()
                 if task is _spectrum_task:
-                    task_files, task_health, route_one[name] = result
-                elif name not in route_one:     # the spectrum task failed; its error stands
+                    task_files, task_health, spectra[name] = result
+                elif name not in spectra:       # the spectrum task failed; its error stands
                     continue
                 else:
-                    task_files, task_health = _diagnostics(setup, cell, *result, route_one[name])
+                    task_files, task_health = _diagnostics(setup, cell, *result, spectra[name])
             except Exception as exc:  # crash isolation per task
                 failures.setdefault(name, []).append(f"{type(exc).__name__}: {exc}")
                 continue
@@ -674,7 +675,7 @@ def _cell_noise(T: ToeplitzMatrix, seed: int):
 
 
 def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
-    """Spectrum stage of one cell, its potential when selected, and route one of its Schur checks."""
+    """Spectrum stage of one cell and its potential when selected; returns its files, health and eigenvalues."""
     T = setup.matrices[N]
     name = _cell_name((kind, N, seed))
     # M is reduced in place below; T, shared by every task, lends only its diagonals
@@ -696,20 +697,19 @@ def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
                      zip(classical.radii, empirical_cdf_disks(lam, classical.radii), classical.predicted)),
     }
     health = {"max_abs_eig": float(np.max(np.abs(lam)))}
-    # route one: log|det(M - z)| at each Grushin probe, from H; an unperturbed cell has no split
-    grushin_zs = [z for z, _ in classical.grushin_probes] if kind == "perturbed" else []
-    if classical.probes is None:
-        route_one = hessenberg_log_abs_dets(hessenberg, grushin_zs)
-    else:                                   # one sweep of H: the potential's checks and route one
+    if classical.probes is not None:
         seed_label = -1 if seed is None else seed
-        u_emp, kept, potential_health, route_one = potential_from_spectrum(
-            hessenberg, lam, classical.probes, grushin_zs)
-        rows = [(z.real, z.imag, N, seed_label, ue, ul,
-                 abs(ue - ul) if np.isfinite(ue) else float("nan"))
+        u_emp, kept, potential_health = potential_from_spectrum(hessenberg, lam, classical.probes)
+        rows = [(z.real, z.imag, N, seed_label, ue, ul, _deviation(ue, ul))
                 for z, ue, ul in zip(classical.probes[kept], u_emp[kept], classical.u_lim[kept])]
         files["potential"] = _emit(setup.out, "potential", name, rows)
         health.update(potential_health)
-    return files, health, route_one
+    return files, health, lam
+
+
+def _deviation(u_emp: float, u_lim: float) -> float:
+    """A potential row's ``deviation``: ``|U_emp - U_lim|``, nan where ``U_emp`` is not finite."""
+    return abs(u_emp - u_lim) if math.isfinite(u_emp) else float("nan")
 
 
 def _grushin_task(setup: _Setup, kind: str, N: int, seed: int):
@@ -725,18 +725,19 @@ def _grushin_task(setup: _Setup, kind: str, N: int, seed: int):
     return diags, {"g_norm_bound": g_norm.bound, "g_norm_route": g_norm.route}
 
 
-def _diagnostics(setup: _Setup, cell, diags: list, health: dict, route_one):
+def _diagnostics(setup: _Setup, cell, diags: list, health: dict, lam):
     """The ``diag_`` CSV and Grushin health of a perturbed cell, from both of its tasks.
 
-    A probe's Schur residual is ``|route one - (log|det bordered| + log|det corner|)|``,
-    nan when either side is not finite."""
+    A probe's Schur residual is ``|route one - (log|det bordered| + log|det corner|)|``, route one
+    being :func:`~toeplab.potential.log_abs_sums` of the eigenvalues ``lam``; nan when either side is not finite."""
     _, N, seed = cell
+    zs = [z for z, _ in setup.classical.result().grushin_probes]
     totals = [d.log_det_bordered + d.log_det_corner for d in diags]
     residuals = [abs(a - b) if np.isfinite(a) and np.isfinite(b) else float("nan")
-                 for a, b in zip(route_one, totals)]
+                 for a, b in zip(log_abs_sums(lam, zs), totals)]
     rows = [(N, z.real, z.imag, setup.rho, setup.deltas[N], seed, d.n_small, d.b1, d.b2, d.b3,
              residual, ";".join(d.flags))
-            for (z, _), d, residual in zip(setup.classical.result().grushin_probes, diags, residuals)]
+            for z, d, residual in zip(zs, diags, residuals)]
     return {"diagnostics": _emit(setup.out, "diagnostics", _cell_name(cell), rows)}, {
         # np.max, not max: a nan residual must surface, not vanish by order
         "schur_residual_max": float(np.max(residuals, initial=0.0)),
@@ -958,9 +959,10 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
 
 
 #: Largest gap between a potential row's ``U_emp`` and ``sum log|lambda - z| / dim``
-#: recomputed from its cell's spectrum CSV: the two agree to 4e-15 on perturbed
-#: cells.  A cell on the Hessenberg-LU fallback is not compared, since it takes that
-#: route exactly where the two differ by more than ``LOGDET_CHECK_BOUND``.
+#: recomputed from its cell's spectrum CSV.  ``run`` and ``verify`` compute it by one
+#: function, so on one build the two are equal; the bound admits a run that another
+#: build wrote.  A cell on the Hessenberg-LU fallback is not compared, since it takes
+#: that route exactly where the two differ by more than ``LOGDET_CHECK_BOUND``.
 POTENTIAL_TOL = 1e-8
 
 
@@ -971,8 +973,11 @@ def _inconsistent_cells(manifest: dict, sizes: dict, tables: dict) -> list:
     ``tables`` each parsed ``(cell, kind)`` CSV to its rows.  The spectrum
     holds ``dim`` finite eigenvalues, each potential row's ``U_emp`` is the
     one that spectrum gives within :data:`POTENTIAL_TOL` (or, in a cell
-    whose health records the ``logdet_fallback``, is not nan), and each
-    diagnostics row has finite B1-B3 or a ``singular-`` flag.
+    whose health records the ``logdet_fallback``, is not nan), each
+    counting-curve row's ``empirical`` is that spectrum's count at its
+    radius, exactly, each potential row's ``deviation`` is its
+    ``|U_emp - U_lim|``, exactly, and each diagnostics row has finite B1-B3
+    or a ``singular-`` flag.
     """
     problems = []
     for name, cell in sorted(manifest["cells"].items()):
@@ -991,13 +996,23 @@ def _inconsistent_cells(manifest: dict, sizes: dict, tables: dict) -> list:
                                 f"expected {dim} finite")
             else:
                 lam = eig[:, 0] + 1j * eig[:, 1]
+        potentials = tables.get((name, "potential"), [])
         if lam is not None:
-            for r in tables.get((name, "potential"), []):
-                z, got = complex(r["z_re"], r["z_im"]), r["U_emp"]
-                with np.errstate(divide="ignore"):
-                    want = float(np.sum(np.log(np.abs(lam - z)))) / len(lam)
+            zs = [complex(r["z_re"], r["z_im"]) for r in potentials]
+            for r, z, want in zip(potentials, zs, (log_abs_sums(lam, zs) / len(lam)).tolist()):
+                got = r["U_emp"]
                 if math.isnan(got) or not (fallback or got == want or abs(got - want) <= POTENTIAL_TOL):
                     problems.append(f"{name}: U_emp {got!r} at z={z} against {want!r} from its spectrum")
+            counts = tables.get((name, "cdf"), [])
+            for r, want in zip(counts, empirical_cdf_disks(lam, [r["r"] for r in counts]).tolist()):
+                if r["empirical"] != want:
+                    problems.append(f"{name}: empirical {r['empirical']!r} at r={r['r']!r} "
+                                    f"against {want!r} from its spectrum")
+        for r in potentials:
+            got, want = r["deviation"], _deviation(r["U_emp"], r["U_lim"])
+            if not (got == want or math.isnan(got) and math.isnan(want)):
+                problems.append(f"{name}: deviation {got!r} at z={complex(r['z_re'], r['z_im'])} "
+                                f"against |U_emp - U_lim| = {want!r}")
         for r in tables.get((name, "diagnostics"), []):
             finite = all(math.isfinite(r[b]) for b in ("B1", "B2", "B3"))
             if not (finite or _singular_flagged(r)):

@@ -5,17 +5,17 @@ The empirical potential of a perturbed quantization at a probe ``z`` is
 volume-normalized integral of ``log|z - f0|``.  A run's potential stage
 evaluates both over the probe grid of every cell (``harness.run``).
 
-Over a probe grid the empirical potential is read off the cell's spectrum,
-``sum log|lambda_i - z| / dim``, with a few probes cross-checked by the LU
-route: one partial-pivot LU of the balanced Hessenberg form ``H`` that the
-cell eigensolve leaves behind (``det(M - z) = det(H - z)``), O(dim^2) per
-probe (see :func:`potential_from_spectrum`), which in the same sweep also
-gives route one of each Grushin probe's Schur check (``harness.run``): a run
-takes no dense LU of ``M - z``.  :func:`log_abs_det` (one dense LU,
-``slogdet``'s bits) is the test oracle of the Hessenberg route and gives the
-Grushin corner's log-determinant.  The classical potential has one quadrature loop,
-:func:`limit_potential_many`, against the symbol's image on the run's grid
-(``geometry.symbol_image``); the probe grid spans the box of that same image.
+Over a probe grid the empirical potential is read off the cell's spectrum
+by :func:`log_abs_sums`, which also gives route one of each Grushin probe's
+Schur check (``harness.run``), with a few probes cross-checked by one
+partial-pivot LU of the balanced Hessenberg form ``H`` that the cell
+eigensolve leaves behind (``det(M - z) = det(H - z)``), O(dim^2) per probe
+(see :func:`potential_from_spectrum`): a run takes no dense LU of ``M - z``.
+:func:`log_abs_det` (one dense LU, ``slogdet``'s bits) is the test oracle of
+both routes and gives the Grushin corner's log-determinant.  The classical
+potential has one quadrature loop, :func:`limit_potential_many`, against the
+symbol's image on the run's grid (``geometry.symbol_image``); the probe grid
+spans the box of that same image.
 """
 
 from __future__ import annotations
@@ -82,23 +82,27 @@ def hessenberg_log_abs_dets(rows, probes) -> np.ndarray:
     return total
 
 
-def potential_from_spectrum(rows, lam, probes, log_det_probes=()):
+def log_abs_sums(lam, points) -> np.ndarray:
+    """``log|det(M - z)| = sum_i log|lambda_i - z|`` at each point ``z``, ``lam`` the spectrum of ``M``;
+    -inf at an eigenvalue.  One row sum per point: a point's bits do not depend on the other points."""
+    dist = np.abs(np.subtract.outer(np.asarray(points, dtype=complex), lam))
+    with np.errstate(divide="ignore"):
+        return np.log(dist, out=dist).sum(axis=1)
+
+
+def potential_from_spectrum(rows, lam, probes):
     """Normalized ``log|det(M - z)| / dim`` over probes from the spectrum of M.
 
     ``rows`` is the balanced Hessenberg form of ``M`` and ``lam`` its
     eigenvalues, both from :func:`~toeplab._lapack.hessenberg_eigvals`.
-    Returns ``(values, kept, health, log_dets)``: ``values[i]`` is the
-    potential at ``probes[i]`` (nan where the probe is dropped), ``kept`` the
-    mask of probes at least :data:`PROBE_EXCLUSION_RADIUS` from every
-    eigenvalue, and ``log_dets[j]`` is ``log|det(M - z)|``, not normalized,
-    at ``log_det_probes[j]`` (a run's Grushin probes: route one of their
-    Schur checks).
+    Returns ``(values, kept, health)``: ``values[i]`` is the potential at
+    ``probes[i]`` (nan where the probe is dropped), and ``kept`` the mask of
+    probes at least :data:`PROBE_EXCLUSION_RADIUS` from every eigenvalue.
 
-    The values are ``sum log|lambda_i - z| / dim``.
+    The values are :func:`log_abs_sums` over ``dim``.
     :func:`hessenberg_log_abs_dets` on the first, middle and last kept probe
-    checks them, in the one call that also gives ``log_dets``; each probe of
-    that call comes out as it would alone.  If the two routes differ by more
-    than :data:`LOGDET_CHECK_BOUND`, every kept probe is recomputed by that LU
+    checks them.  If the two routes differ by more than
+    :data:`LOGDET_CHECK_BOUND`, every kept probe is recomputed by that LU
     route, which may give -inf on an exactly singular shift.  The check
     shares the balancing and the Hessenberg reduction with the eigenvalues;
     it tests the QR stage and the log-sum, where an ill-conditioned spectrum
@@ -106,26 +110,22 @@ def potential_from_spectrum(rows, lam, probes, log_det_probes=()):
     checked probes as ``logdet_check_residual`` (0 when no probe is kept)
     and whether the cell took the ``logdet_fallback``.
     """
-    lam = np.asarray(lam)
     probes = np.asarray(probes, dtype=complex)
     dim = len(rows)
-    dist = np.abs(probes[:, None] - lam[None, :])
-    kept = dist.min(axis=1) >= PROBE_EXCLUSION_RADIUS
-    with np.errstate(divide="ignore"):
-        values = np.log(dist, out=dist).sum(axis=1) / dim
+    kept = np.abs(np.subtract.outer(probes, lam)).min(axis=1) >= PROBE_EXCLUSION_RADIUS
+    values = log_abs_sums(lam, probes) / dim
     values[~kept] = np.nan
 
     idx = np.flatnonzero(kept)
     checks = np.unique(idx[[0, len(idx) // 2, -1]]) if len(idx) else idx
-    swept = hessenberg_log_abs_dets(rows, [*probes[checks], *log_det_probes])
-    gaps = np.abs(swept[:len(checks)] / dim - values[checks])
+    gaps = np.abs(hessenberg_log_abs_dets(rows, probes[checks]) / dim - values[checks])
     residual = float(np.max(gaps, initial=0.0))
     fallback = not residual <= LOGDET_CHECK_BOUND
     if fallback:
         values[idx] = hessenberg_log_abs_dets(rows, probes[idx]) / dim
     health = {"probes_dropped": len(probes) - len(idx),
               "logdet_check_residual": residual, "logdet_fallback": fallback}
-    return values, kept, health, swept[len(checks):]
+    return values, kept, health
 
 
 def limit_potential_many(image: SymbolImage, probes) -> np.ndarray:

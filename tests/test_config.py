@@ -195,7 +195,7 @@ def test_large_coefficients_within_the_bound_run_cleanly(scale, tmp_path):
     # the split scales P - z to order 1 before it squares the entries, and its
     # subspace residual is relative: every health value is finite at every scale
     # (at 1e100 and 1e150 the residual overflowed; at 1e-150 the cell was lost);
-    # Schur route one, from the Hessenberg form, holds at every scale too
+    # Schur route one, from the cell's eigenvalues, holds at every scale too
     manifest = json.loads(Path(record.manifest_path).read_text(), parse_constant=_refuse_constant)
     for cell in manifest["cells"].values():
         assert "nonfinite" not in cell["health"]

@@ -25,7 +25,7 @@ from toeplab.grushin import (
     singular_triples,
     small_eigen_count_scan,
 )
-from toeplab.potential import limit_potential_many, log_abs_det
+from toeplab.potential import limit_potential_many, log_abs_det, log_abs_sums
 from toeplab.quantize import ToeplitzMatrix, quantize_sphere, quantize_symbol, quantize_torus
 from toeplab.randmat import NormBound, derive_seed, operator_norm, sample_ginibre
 
@@ -206,7 +206,7 @@ def _schur_gap(T, z, delta, G, diag) -> float:
     """The Schur residual of a split, with route one from the dense LU oracle.
 
     ``|log|det(P + delta G - z)| - (log|det bordered| + log|det corner|)|``; a
-    run takes route one from the cell's Hessenberg form instead.
+    run takes route one from the cell's eigenvalues instead.
     """
     direct = log_abs_det(T.dense() + delta * G - z * np.eye(T.dim))
     return abs(direct - (diag.log_det_bordered + diag.log_det_corner))
@@ -256,10 +256,9 @@ class TestSplitDiagnostics:
         setup = SimpleNamespace(out=tmp_path, matrices={120: T}, deltas={120: 1.0 / 120}, rho=0.25,
                                 classical=published(SimpleNamespace(grushin_probes=[(0.3 + 0.2j, classical)])))
         diags, g_health = harness_module._grushin_task(setup, "perturbed", 120, 5)
-        route_one = [log_abs_det(T.dense() + (1.0 / 120) * harness_module._cell_noise(T, 5)
-                                 - (0.3 + 0.2j) * np.eye(T.dim))]
-        files, health = harness_module._diagnostics(setup, ("perturbed", 120, 5), diags, g_health,
-                                                    route_one)
+        lam = np.linalg.eigvals(T.dense() + (1.0 / 120) * harness_module._cell_noise(T, 5))
+        route_one = float(log_abs_sums(lam, [0.3 + 0.2j])[0])
+        files, health = harness_module._diagnostics(setup, ("perturbed", 120, 5), diags, g_health, lam)
         header, row = files["diagnostics"].read_text().splitlines()
         fields = row.split(",")
         assert len(fields) == len(header.split(","))
@@ -267,7 +266,7 @@ class TestSplitDiagnostics:
         assert int(fields[6]) == diag.n_small
         # the residual column: route one against the split's two log-determinants
         total = diags[0].log_det_bordered + diags[0].log_det_corner
-        assert fields[10] == repr(abs(route_one[0] - total)) == repr(health["schur_residual_max"])
+        assert fields[10] == repr(abs(route_one - total)) == repr(health["schur_residual_max"])
         assert float(fields[10]) <= 1e-6
 
 
@@ -414,7 +413,8 @@ class TestFactorizationCount:
 
     Every dense log-determinant of a run is the pivot sum of one
     ``_lapack.lu_factor`` (the potential's and Schur route one's come from
-    the cell's Hessenberg form, with no dense LU), so the LUs are counted by
+    the cell's eigenvalues, the potential's checks from its Hessenberg form,
+    with no dense LU), so the LUs are counted by
     matrix size: a probe with ``A >= 1`` takes one each of size ``dim + A``
     (the bordered matrix) and ``A`` (the corner), a probe with ``A = 0`` the
     bordered LU alone, of size ``dim``.

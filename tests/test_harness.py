@@ -20,7 +20,7 @@ from toeplab.geometry import (
     symbol_from_record,
     symbol_to_record,
 )
-from toeplab.grushin import CONDITION_GUARD
+from toeplab.grushin import CONDITION_GUARD, b_diagnostics
 from toeplab.harness import (
     STAGES,
     ConfigError,
@@ -289,6 +289,16 @@ def _x_in_first(column: str):
     return edit
 
 
+def _each_row(column: str, value):
+    """An edit that sets ``column`` of every data row to ``value(row)``, the row a dict of its fields."""
+    def edit(text: str) -> str:
+        header, *lines = text.splitlines()
+        names = header.split(",")
+        rows = [dict(zip(names, line.split(","))) for line in lines]
+        return "\n".join([header] + [",".join({**row, column: value(row)}.values()) for row in rows]) + "\n"
+    return edit
+
+
 class TestCrossCheck:
     """``verify``'s integrity suite checks a cell's CSVs against each other."""
 
@@ -329,10 +339,12 @@ class TestCrossCheck:
 
     @pytest.mark.parametrize("name, edit, detail", [
         ("pot_N60_s0.csv", _shift_first_u_emp, "N60_s0: U_emp "),
+        ("cdf_N60_s0.csv", _each_row("empirical", lambda row: row["predicted"]), "N60_s0: empirical "),
+        ("pot_N60_s0.csv", _each_row("deviation", lambda row: "1.0"), "N60_s0: deviation 1.0 at z="),
         ("eig_N60_s0.csv", lambda text: "".join(text.splitlines(True)[:-5]),
          "N60_s0: eig_N60_s0.csv holds 56 rows, expected 61 finite"),
         ("diag_N60_s1.csv", _nan_first_b1(""), "N60_s1: non-finite B1-B3 at z=(0.3, 0.2)"),
-    ], ids=["shifted-potential", "short-spectrum", "unflagged-nan"])
+    ], ids=["shifted-potential", "predicted-counts", "unit-deviations", "short-spectrum", "unflagged-nan"])
     def test_a_tampered_copy_with_updated_checksums_fails_integrity(self, n60, tmp_path, name,
                                                                      edit, detail):
         copy = self._tampered(n60, tmp_path / "copy", name, edit)
@@ -420,10 +432,9 @@ class TestCrossCheck:
         import toeplab.harness as hz
         real = hz.potential_from_spectrum
 
-        def lu_route(rows, lam, probes, log_det_probes=()):
-            values, kept, health, log_dets = real(rows, lam, probes, log_det_probes)
-            return values + 1e-3, kept, {**health, "logdet_check_residual": 1e-3,
-                                         "logdet_fallback": True}, log_dets
+        def lu_route(rows, lam, probes):
+            values, kept, health = real(rows, lam, probes)
+            return values + 1e-3, kept, {**health, "logdet_check_residual": 1e-3, "logdet_fallback": True}
 
         monkeypatch.setattr(hz, "potential_from_spectrum", lu_route)
         record = run(tiny_config(n_values=[24], seeds=[0]), out_dir=tmp_path)
@@ -554,6 +565,30 @@ class TestRun:
             rows += len(lines)
         (out / "manifest.json").write_text(json.dumps(manifest))
         return rows
+
+    def test_each_schur_residual_is_its_spectrum_against_its_split(self, tmp_path):
+        # route one is sum log|lambda - z| over the cell's eig_ rows, bit for bit; the split is
+        # recomputed from the cell's noise on one BLAS thread, as run pins it
+        import toeplab.harness as hz
+        cfg = tiny_config(n_values=[36], grushin_probes=[[0.0, 0.0], [0.3, 0.2], [0.9, 0.0], [0.0, 1.5]])
+        record = run(cfg, out_dir=tmp_path)
+        assert record.manifest["errors"] == {}
+        T, delta = quantize_symbol(cfg.symbol_spec(), 36), cfg.noise_size(36)
+        checked = 0
+        with hz._pinned_blas():
+            for seed in cfg.seeds:
+                G = hz._cell_noise(T, seed)
+                eig = (tmp_path / f"eig_N36_s{seed}.csv").read_text().splitlines()[1:]
+                lam = np.array([complex(float(re), float(im)) for re, im in (line.split(",") for line in eig)])
+                for row in (tmp_path / f"diag_N36_s{seed}.csv").read_text().splitlines()[1:]:
+                    fields = row.split(",")
+                    z = complex(float(fields[1]), float(fields[2]))
+                    split = b_diagnostics(T, z, cfg.rho, delta, G, 0.0)
+                    route_one = np.sum(np.log(np.abs(lam - z)))
+                    assert fields[10] == repr(float(abs(route_one - (split.log_det_bordered
+                                                                     + split.log_det_corner))))
+                    checked += 1
+        assert checked == 8
 
     def test_a_split_of_another_matrix_fails_the_schur_criterion(self, tmp_path, monkeypatch):
         # the split at 1.5 delta factors a matrix that is not the cell's; route one,
@@ -1243,25 +1278,29 @@ class TestSetUpBesideThePool:
         assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("stages, swept", [
-        (STAGES, [3 + 2]),                      # the potential's three check probes, then route one
-        (("spectrum", "grushin"), [2]),         # route one alone
+        (STAGES, [3]),                          # the potential's three check probes
+        (("spectrum", "grushin"), []),          # route one reads the eigenvalues: no sweep
     ], ids=["every-stage", "no-potential"])
-    def test_a_perturbed_cell_sweeps_its_hessenberg_form_once(self, tmp_path, monkeypatch, stages, swept):
-        import toeplab.harness as hz
+    def test_a_perturbed_cell_sweeps_only_its_potential_checks(self, tmp_path, monkeypatch, stages, swept):
         import toeplab.potential as potential
         real, sweeps = potential.hessenberg_log_abs_dets, []
 
-        def counting(rows, probes):
-            sweeps.append(len(probes))
+        def recording(rows, probes):
+            sweeps.append([complex(z) for z in probes])
             return real(rows, probes)
 
-        monkeypatch.setattr(potential, "hessenberg_log_abs_dets", counting)
-        monkeypatch.setattr(hz, "hessenberg_log_abs_dets", counting)
+        for module in [m for name, m in sys.modules.items() if name.startswith("toeplab")]:
+            if getattr(module, "hessenberg_log_abs_dets", None) is real:     # every binding of it
+                monkeypatch.setattr(module, "hessenberg_log_abs_dets", recording)
         record = run(tiny_config(n_values=[24], seeds=[0], grushin_probes=[[0.3, 0.2], [0.0, 0.5]]),
                      out_dir=tmp_path, stages=stages)
         assert record.manifest["errors"] == {}
         assert record.manifest["cells"]["N24_s0"]["health"].get("logdet_fallback", False) is False
-        assert sweeps == swept
+        assert [len(probes) for probes in sweeps] == swept
+        pot = tmp_path / "pot_N24_s0.csv"
+        written = {complex(float(re), float(im)) for re, im, *_ in
+                   (line.split(",") for line in pot.read_text().splitlines()[1:])} if pot.exists() else set()
+        assert all(z in written for probes in sweeps for z in probes)
 
     def test_manifest_timings(self, done):
         _, record = done

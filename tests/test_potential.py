@@ -15,6 +15,7 @@ from toeplab.potential import (
     hessenberg_log_abs_dets,
     limit_potential_many,
     log_abs_det,
+    log_abs_sums,
     potential_from_spectrum,
 )
 from toeplab.quantize import quantize_sphere, quantize_symbol
@@ -68,33 +69,31 @@ class TestPotentialFromSpectrum:
         M = T.dense() + delta * sample_ginibre(T.dim, 3)
         probes = probe_grid(f, 12, 12)
         lam, rows = spectrum(M)
-        values, kept, health, log_dets = potential_from_spectrum(rows, lam, probes)
+        values, kept, health = potential_from_spectrum(rows, lam, probes)
         assert kept.all() and health["probes_dropped"] == 0
         assert not health["logdet_fallback"]
         assert health["logdet_check_residual"] <= self.ROUTE_TOL
-        assert log_dets.shape == (0,)
         np.testing.assert_allclose(values, slogdet_route(M, probes), rtol=0, atol=self.ROUTE_TOL)
 
-    def test_log_dets_come_from_the_check_sweep_as_if_alone(self, monkeypatch):
-        # route one of a run's Grushin probes rides on the sweep of the three check probes
+    def test_values_are_the_log_sums_and_only_the_checks_are_swept(self, monkeypatch):
+        # the Hessenberg form is swept at the three check probes alone; a run's Grushin
+        # probes read route one off the same eigenvalues, by the same log-sum
         import toeplab.potential as potential
         f = sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0})
         M = quantize_symbol(f, 60).dense() + sample_ginibre(61, 3) / 60
         lam, rows = spectrum(M)
-        probes, grushin = probe_grid(f, 4, 4), [0.3 + 0.2j, -0.5j, 0.6]
+        probes = probe_grid(f, 4, 4)
         swept = []
         real = potential.hessenberg_log_abs_dets
 
         def counting(rows, zs):
-            swept.append(len(zs))
+            swept.append(list(zs))
             return real(rows, zs)
 
         monkeypatch.setattr(potential, "hessenberg_log_abs_dets", counting)
-        values, _, health, log_dets = potential_from_spectrum(rows, lam, probes, grushin)
-        assert swept == [3 + 3] and not health["logdet_fallback"]
-        assert log_dets.tolist() == real(rows, grushin).tolist()
-        assert values.tolist() == potential_from_spectrum(rows, lam, probes)[0].tolist()
-        np.testing.assert_allclose(log_dets / 61, slogdet_route(M, grushin), rtol=0, atol=1e-14)
+        values, _, health = potential_from_spectrum(rows, lam, probes)
+        assert swept == [[probes[0], probes[8], probes[15]]] and not health["logdet_fallback"]
+        assert values.tolist() == (log_abs_sums(lam, probes) / 61).tolist()
 
     def test_nonnormal_shift_falls_back_to_slogdet(self):
         # a 60 x 60 nilpotent shift closed by a 1e-100 corner: the eigenvalues
@@ -109,7 +108,7 @@ class TestPotentialFromSpectrum:
         exact = np.log(np.abs(probes**n - corner)) / n  # det(z - M) = z^n - corner
         eig_route = np.array([np.mean(np.log(np.abs(lam - z))) for z in probes])
         assert np.max(np.abs(eig_route - exact)) > 0.1
-        values, kept, health, _ = potential_from_spectrum(rows, lam, probes)
+        values, kept, health = potential_from_spectrum(rows, lam, probes)
         assert kept.all()
         assert health["logdet_fallback"]
         assert health["logdet_check_residual"] > LOGDET_CHECK_BOUND
@@ -124,10 +123,35 @@ class TestPotentialFromSpectrum:
             [lam[0], lam[1] + 0.5e-4, lam[2] + 1e-4j, lam[3] - 2e-4, lam[4] + 0.99e-4j],
             probe_grid(T.symbol, 6, 6),
         ])
-        _, kept, health, _ = potential_from_spectrum(rows, lam, probes)
+        _, kept, health = potential_from_spectrum(rows, lam, probes)
         expected = [not (np.min(np.abs(lam - z)) < PROBE_EXCLUSION_RADIUS) for z in probes]
         assert kept.tolist() == expected
         assert health["probes_dropped"] == expected.count(False) >= 3
+
+
+class TestLogAbsSums:
+    """``sum log|lambda - z|`` of a spectrum against :func:`log_abs_det` of ``M - z``, its oracle."""
+
+    def test_matches_the_dense_lu_on_a_perturbed_cell(self):
+        f = sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0})
+        M = quantize_symbol(f, 60).dense() + sample_ginibre(61, 3) / 60
+        lam, _ = spectrum(M)
+        points = [0.3 + 0.2j, -0.5j, 0.6, 0.0, 0.9 - 0.1j]
+        np.testing.assert_allclose(log_abs_sums(lam, points) / 61, slogdet_route(M, points),
+                                   rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("dim", [51, 301, 2001])
+    def test_each_point_is_its_one_dimensional_sum(self, dim):
+        # a row sum per point: the bits of the plain per-point sum, whatever the other points
+        rng = np.random.default_rng(dim)
+        lam = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        points = [0.3 + 0.2j, -1.5j, 2.0]
+        alone = [np.sum(np.log(np.abs(lam - z))) for z in points]
+        assert log_abs_sums(lam, points).tolist() == alone == [log_abs_sums(lam, [z])[0] for z in points]
+        assert log_abs_sums(lam, []).shape == (0,)
+
+    def test_an_eigenvalue_gives_minus_infinity(self):
+        assert log_abs_sums(np.array([1.0, 2.0j]), [2.0j, 0.0]).tolist() == [-np.inf, np.log(2.0)]
 
 
 class TestHessenbergLogAbsDets:
