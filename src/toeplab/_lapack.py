@@ -20,10 +20,9 @@ That OpenBLAS, with LAPACKE, its thread-count controls and its kernel
 name (:data:`_CONTROLS`), is the one supported build: without it every
 call here raises :class:`UnsupportedBuildError`.
 
-The cell eigensolve, :func:`hessenberg_eigvals`, is ``zgeev`` taken apart:
-``zgebal``, ``zgehrd`` and ``zhseqr`` called one by one on ``zgeev``'s own
-workspace, which returns ``np.linalg.eigvals``'s bits and keeps the balanced
-Hessenberg form that the potential's log-determinants are taken from.
+The cell eigensolve, :func:`eigvals`, is one ``zgeev`` call in the cell
+matrix's own buffer, as ``np.linalg.eigvals`` makes it: no second dim^2
+array exists while it runs.
 """
 
 from __future__ import annotations
@@ -42,16 +41,11 @@ _I, _P, _C = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
 #: a dense matrix, about a millisecond per call at dimension 640); the input
 #: is checked finite, or finite by construction, before it.  ``zhbevd`` keeps
 #: LAPACKE's workspace query, against which that scan is small; ``zgeev_work``
-#: is called only for its workspace query.
+#: takes its query as numpy does, one call before the solve.  Every routine
+#: here is called by a function of this module.
 _SIGNATURES = {
     # jobvl jobvr n a lda w vl ldvl vr ldvr work lwork rwork
     "zgeev_work": (_C, _C, _I, _P, _I, _P, _P, _I, _P, _I, _P, _I, _P),
-    # job n a lda ilo ihi scale
-    "zgebal_work": (_C, _I, _P, _I, _P, _P, _P),
-    # n ilo ihi a lda tau work lwork
-    "zgehrd_work": (_I, _I, _I, _P, _I, _P, _P, _I),
-    # job compz n ilo ihi h ldh w z ldz work lwork
-    "zhseqr_work": (_C, _C, _I, _I, _I, _P, _I, _P, _P, _I, _P, _I),
     # jobz m n a lda s u ldu vt ldvt
     "zgesdd": (_C, _I, _I, _P, _I, _P, _P, _I, _P, _I),
     # m n a lda ipiv
@@ -159,57 +153,29 @@ def _rhs(b, n: int) -> np.ndarray:
     return x
 
 
-def hessenberg_eigvals(a: np.ndarray):
-    """Eigenvalues of a square matrix, reducing it in place, and its balanced Hessenberg form.
+def eigvals(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a square matrix, overwriting it: ``np.linalg.eigvals``'s ``zgeev``, without the GIL.
 
-    ``a`` is a Fortran-ordered complex128 array, overwritten.  ``zgeev`` with
-    no vectors is ``zgebal('B')``, ``zgehrd`` and ``zhseqr('E', 'N')``, here
-    called one by one on ``zgeev``'s queried workspace, so the eigenvalues
-    are ``np.linalg.eigvals``'s bits (for a largest entry between about
-    1e-138 and 1e138, which ``zgeev`` does not rescale).  Before ``zhseqr``
-    overwrites ``H``, its nonzero part is copied by rows: ``rows[i]`` is row
-    ``i`` from column ``max(i - 1, 0)``, views of one buffer of about
-    ``n^2 / 2`` entries, and ``det(a - z) = det(H - z)``.  Returns
-    ``(eigenvalues, rows)``.  Raises ``LinAlgError`` on an inf
-    or nan entry and when the QR algorithm does not converge, as numpy does.
+    ``a`` is a Fortran-ordered complex128 array.  ``zgeev`` without vectors
+    balances, reduces and iterates in ``a`` itself, after the workspace
+    query that numpy makes, so the eigenvalues are ``np.linalg.eigvals``'s
+    bits and the call holds ``a``, ``O(n)`` workspace and nothing more.
+    Raises ``LinAlgError`` on an inf or nan entry and when the QR algorithm
+    does not converge, as numpy does.
     """
     if a.dtype != np.complex128 or not a.flags.f_contiguous:
-        raise ValueError("hessenberg_eigvals reduces a Fortran-ordered complex128 array in place")
+        raise ValueError("eigvals overwrites a Fortran-ordered complex128 array")
     n = _square(a)
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    lda = max(n, 1)
-    query = np.zeros(1, dtype=np.complex128)
-    _call("zgeev_work", b"N", b"N", n, a.ctypes.data, lda, None, None, 1, None, 1,
-          query.ctypes.data, -1, None)
+    w, rwork, query = np.empty(n, dtype=np.complex128), np.empty(2 * n), np.zeros(1, dtype=np.complex128)
+    args = (b"N", b"N", n, a.ctypes.data, max(n, 1), w.ctypes.data, None, 1, None, 1)
+    _call("zgeev_work", *args, query.ctypes.data, -1, rwork.ctypes.data)
     lwork = int(query[0].real)                  # LAPACKE's own reading of the query
-    bounds, scale = np.zeros(2, dtype=np.int64), np.empty(n)
-    _call("zgebal_work", b"B", n, a.ctypes.data, lda, bounds[:1].ctypes.data,
-          bounds[1:].ctypes.data, scale.ctypes.data)
-    work = np.empty(max(lwork, n + 1), dtype=np.complex128)
-    ilo, ihi = (int(b) for b in bounds)
-    _call("zgehrd_work", n, ilo, ihi, a.ctypes.data, lda, work.ctypes.data,
-          work[n:].ctypes.data, lwork - n)
-    rows = _hessenberg_rows(a)
-    w = np.empty(n, dtype=np.complex128)
-    if _call("zhseqr_work", b"E", b"N", n, ilo, ihi, a.ctypes.data, lda, w.ctypes.data,
-             None, 1, work.ctypes.data, lwork):
+    work = np.empty(max(lwork, 1), dtype=np.complex128)
+    if _call("zgeev_work", *args, work.ctypes.data, lwork, rwork.ctypes.data):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return w, rows
-
-
-def _hessenberg_rows(h: np.ndarray) -> tuple:
-    """Rows of the upper Hessenberg part of ``h``, each from column ``max(i - 1, 0)``, in one buffer."""
-    n = h.shape[0]
-    starts = [max(i - 1, 0) for i in range(n)]
-    packed = np.empty(sum(n - s for s in starts), dtype=np.complex128)
-    rows, offset = [], 0
-    for i, s in enumerate(starts):
-        row = packed[offset:offset + n - s]
-        row[:] = h[i, s:]
-        rows.append(row)
-        offset += n - s
-    return tuple(rows)
+    return w
 
 
 def singular_values(M: np.ndarray) -> np.ndarray:

@@ -136,12 +136,12 @@ def _banded_grams(T: ToeplitzMatrix, z: complex):
     band, n = T.band, T.dim
     lo, hi, rows, cols = band.lo, band.hi, band.rows, band.cols
     offsets = cols - rows
-    # diagonals, row-indexed: diags[lo + k, r] = B[r, r + k], and the same for B*
+    # diagonals, column-aligned: diags[lo + k, c] = B[c - k, c], and the same for B*
     diags = np.zeros((lo + hi + 1, n), dtype=complex)
-    diags[lo + offsets, rows] = band.values
+    diags[lo + offsets, cols] = band.values
     diags[lo] -= complex(z)
     adjoint = np.zeros_like(diags)
-    adjoint[hi - offsets, cols] = band.values.conj()
+    adjoint[hi - offsets, rows] = band.values.conj()
     adjoint[hi] -= complex(z).conjugate()
     e = math.frexp(float(np.max(np.abs(diags), initial=0.0)))[1]
     diags, adjoint = (np.ldexp(x.view(float), -e).view(complex) for x in (diags, adjoint))
@@ -149,19 +149,32 @@ def _banded_grams(T: ToeplitzMatrix, z: complex):
 
 
 def _gram_band(diags: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Lower band storage ``band[d, c] = (B*B)[c + d, c]`` from the diagonals of ``B``."""
-    n = diags.shape[1]
+    """Lower band storage ``band[d, c] = (B*B)[c + d, c]`` from the column-aligned diagonals of ``B``.
+
+    ``(B*B)[c + d, c] = sum_k conj(B[c - k, c + d]) B[c - k, c]``, and both
+    factors sit in column ``c`` of a shifted slice of ``diags``, so each
+    ``d`` is one product of two slices, summed over ``k`` by
+    :func:`_sum_rows` (entries outside ``B`` are zeros, which leave each
+    sum's bits alone).
+    """
+    n, count = diags.shape[1], diags.shape[0]
     width = min(lo + hi, n - 1)                 # (B*B)[c + d, c] needs c + d < n
     band = np.zeros((width + 1, n), dtype=complex)
-    for d in range(width + 1):
-        for k in range(-lo, hi - d + 1):        # B[r, r+k] and B[r, r+k+d] share row r
-            r0, r1 = max(0, -k), min(n, n - k)
-            column = diags[lo + k, r0:r1]
-            if d == 0:
-                band[0, r0 + k:r1 + k] += np.abs(column) ** 2
-            else:
-                band[d, r0 + k:r1 + k] += diags[lo + k + d, r0:r1].conj() * column
+    band[0] = _sum_rows(np.abs(diags) ** 2)
+    for d in range(1, width + 1):
+        band[d, :n - d] = _sum_rows(diags[d:, d:].conj() * diags[:count - d, :n - d])
     return band
+
+
+def _sum_rows(terms: np.ndarray) -> np.ndarray:
+    """Column sums of a 2-D ``terms``, each added row after row from zero.
+
+    numpy reduces the rows of a wider array one after another, but sums a
+    single column pairwise, so that one takes Python's ``sum``.
+    """
+    if terms.shape[1] == 1:
+        return np.array([sum(terms[:, 0].tolist(), 0j)])
+    return np.sum(terms, axis=0, initial=0.0)
 
 
 def _band_matvec(band: np.ndarray, X: np.ndarray) -> np.ndarray:

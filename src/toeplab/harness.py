@@ -428,8 +428,8 @@ def _atomic_write(path: Path, write) -> Path:
 
 
 #: The stages a run computes per cell by default.  ``potential`` reads the
-#: spectrum task's eigenvalues and Hessenberg form, and ``grushin`` its
-#: eigenvalues (route one of the Schur check), so both need ``spectrum``.
+#: spectrum task's eigenvalues, and ``grushin`` reads them as route one of
+#: its Schur check, so both need ``spectrum``.
 #: One more stage, ``matrix``, writes each size's quantization matrix; only
 #: the ``quantize`` verb selects it.
 STAGES = ("spectrum", "potential", "grushin")
@@ -468,7 +468,7 @@ def _stages_problem(stages) -> str | None:
 
     A selection is a nonempty list of names from :data:`_ALL_STAGES`, with
     ``potential`` and ``grushin`` only beside ``spectrum``, whose eigenvalues
-    both read (``potential`` its Hessenberg form too).  :func:`run` refuses a
+    both read.  :func:`run` refuses a
     selection that breaks it, and :func:`verify` a manifest whose ``stages`` do.
     """
     if not (isinstance(stages, list) and stages and all(stage in _ALL_STAGES for stage in stages)):
@@ -509,7 +509,9 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     ``perfbench/child.py``, keep working.  The manifest's ``timings`` give
     the seconds of validation (``validate_s``), of the rest of set-up until
     its quadrature's values are out (``setup_s``), and from the first task's
-    start to the last one's end (``pool_s``); the last two overlap.
+    start to the last one's end (``pool_s``); the last two overlap.  Each
+    cell's ``timings`` give the stage seconds of its tasks, under
+    ``spectrum`` (:func:`_spectrum_task`) and ``grushin`` (:func:`_grushin_task`).
 
     A failing task records its cell's error in the manifest and never
     disturbs sibling cells.  A numpy without its OpenBLAS LAPACKE raises
@@ -555,6 +557,7 @@ def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
 
     cell_files: dict = {}
     cell_health: dict = {}
+    cell_timings: dict = {}                     # cell name -> stage -> its task's stage timings
     failures: dict = {}
     pool_size = _usable_cpus()
     with ThreadPoolExecutor(max_workers=pool_size) as pool:
@@ -575,16 +578,18 @@ def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
             try:
                 result = fut.result()
                 if task is _spectrum_task:
-                    task_files, task_health, spectra[name] = result
+                    task_files, task_health, spectra[name], timings = result
                 elif name not in spectra:       # the spectrum task failed; its error stands
                     continue
                 else:
-                    task_files, task_health = _diagnostics(setup, cell, *result, spectra[name])
+                    diags, health, timings = result
+                    task_files, task_health = _diagnostics(setup, cell, diags, health, spectra[name])
             except Exception as exc:  # crash isolation per task
                 failures.setdefault(name, []).append(f"{type(exc).__name__}: {exc}")
                 continue
             cell_files.setdefault(name, {}).update(task_files)
             cell_health.setdefault(name, {}).update(task_health)
+            cell_timings.setdefault(name, {})["spectrum" if task is _spectrum_task else "grushin"] = timings
     pool_s = time.perf_counter() - t_pool
     errors = {name: "; ".join(dict.fromkeys(msgs)) for name, msgs in failures.items()}
     matrices = {}
@@ -610,7 +615,7 @@ def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
         "stages": [stage for stage in _ALL_STAGES if stage in stages],
         "cells": {
             name: {"files": {k: _artifact_record(p) for k, p in cell_files[name].items()},
-                   "health": _strict_health(cell_health[name])}
+                   "health": _strict_health(cell_health[name]), "timings": cell_timings[name]}
             for name in sorted(cell_files) if name not in errors
         },
         "matrices": matrices,
@@ -674,37 +679,56 @@ def _cell_noise(T: ToeplitzMatrix, seed: int):
     return sample_ginibre(T.dim, derive_seed(seed, "cell", T.N))
 
 
+class _Clock:
+    """Seconds per named stage of one task, each stage timed from the end of the one before."""
+
+    def __init__(self):
+        self.seconds, self._last = {}, time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.seconds[stage], self._last = now - self._last, now
+
+
 def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
-    """Spectrum stage of one cell and its potential when selected; returns its files, health and eigenvalues."""
+    """Spectrum stage of one cell and its potential when selected.
+
+    Returns its files, health, eigenvalues and stage timings: ``draw_s``
+    (forming ``M``), ``eigensolve_s``, ``wait_s`` (for set-up's values),
+    ``potential_s`` (the potential and, in an unperturbed cell, its check)
+    and ``emit_s`` (its CSVs).
+    """
+    clock = _Clock()
     T = setup.matrices[N]
     name = _cell_name((kind, N, seed))
-    # M is reduced in place below; T, shared by every task, lends only its diagonals
+    # M is overwritten by the eigensolve; T, shared by every task, lends only its diagonals
     if kind == "unperturbed":
         M = T.copy_to(np.zeros((T.dim, T.dim), dtype=complex, order="F"))
     else:
         M = _cell_noise(T, seed)             # M = T + delta G, built over this task's G
         M *= setup.deltas[N]
         T.add_to(M)
-
-    lam, hessenberg = _lapack.hessenberg_eigvals(M)
-    del M                                   # overwritten; H's nonzero part is kept
+    clock.lap("draw_s")
+    lam = _lapack.eigvals(M)
+    del M                                   # overwritten by zgeev; freed before the potential's work
+    clock.lap("eigensolve_s")
     classical = setup.classical.result()
+    clock.lap("wait_s")
+    health = {"max_abs_eig": float(np.max(np.abs(lam)))}
+    tables = {"spectrum": ((z.real, z.imag) for z in lam),
+              "cdf": zip(classical.radii, empirical_cdf_disks(lam, classical.radii), classical.predicted)}
     if classical.probes is not None:
         _require_classical(zip(classical.probes, classical.u_lim))
-    files = {
-        "spectrum": _emit(setup.out, "spectrum", name, ((z.real, z.imag) for z in lam)),
-        "cdf": _emit(setup.out, "cdf", name,
-                     zip(classical.radii, empirical_cdf_disks(lam, classical.radii), classical.predicted)),
-    }
-    health = {"max_abs_eig": float(np.max(np.abs(lam)))}
-    if classical.probes is not None:
         seed_label = -1 if seed is None else seed
-        u_emp, kept, potential_health = potential_from_spectrum(hessenberg, lam, classical.probes)
-        rows = [(z.real, z.imag, N, seed_label, ue, ul, _deviation(ue, ul))
-                for z, ue, ul in zip(classical.probes[kept], u_emp[kept], classical.u_lim[kept])]
-        files["potential"] = _emit(setup.out, "potential", name, rows)
+        u_emp, kept, potential_health = potential_from_spectrum(
+            lam, classical.probes, T if kind == "unperturbed" else None)
+        tables["potential"] = [(z.real, z.imag, N, seed_label, ue, ul, _deviation(ue, ul)) for z, ue, ul
+                               in zip(classical.probes[kept], u_emp[kept], classical.u_lim[kept])]
         health.update(potential_health)
-    return files, health, lam
+        clock.lap("potential_s")
+    files = {table: _emit(setup.out, table, name, rows) for table, rows in tables.items()}
+    clock.lap("emit_s")
+    return files, health, lam, clock.seconds
 
 
 def _deviation(u_emp: float, u_lim: float) -> float:
@@ -713,16 +737,23 @@ def _deviation(u_emp: float, u_lim: float) -> float:
 
 
 def _grushin_task(setup: _Setup, kind: str, N: int, seed: int):
-    """Grushin stage of one perturbed cell: the split at each Grushin probe, in order, and the
-    ``||G||`` health, but not ``G``: the result waits in its future for :func:`_diagnostics`."""
+    """Grushin stage of one perturbed cell: the split at each Grushin probe, in order, the
+    ``||G||`` health and stage timings (``draw_s``, ``norm_bound_s``, ``wait_s`` for set-up's
+    values and ``split_s`` over every probe), but not ``G``: the result waits in its future
+    for :func:`_diagnostics`."""
+    clock = _Clock()
     T = setup.matrices[N]
     G = _cell_noise(T, seed)
+    clock.lap("draw_s")
     g_norm = NormBound(G)                   # certified; the exact norm only if a flag hinges on it
+    clock.lap("norm_bound_s")
     grushin_probes = setup.classical.result().grushin_probes
+    clock.lap("wait_s")
     _require_classical(grushin_probes)
     diags = [b_diagnostics(T, z, setup.rho, setup.deltas[N], G, classical, g_norm=g_norm)
              for z, classical in grushin_probes]
-    return diags, {"g_norm_bound": g_norm.bound, "g_norm_route": g_norm.route}
+    clock.lap("split_s")
+    return diags, {"g_norm_bound": g_norm.bound, "g_norm_route": g_norm.route}, clock.seconds
 
 
 def _diagnostics(setup: _Setup, cell, diags: list, health: dict, lam):
@@ -960,9 +991,8 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
 
 #: Largest gap between a potential row's ``U_emp`` and ``sum log|lambda - z| / dim``
 #: recomputed from its cell's spectrum CSV.  ``run`` and ``verify`` compute it by one
-#: function, so on one build the two are equal; the bound admits a run that another
-#: build wrote.  A cell on the Hessenberg-LU fallback is not compared, since it takes
-#: that route exactly where the two differ by more than ``LOGDET_CHECK_BOUND``.
+#: function, :func:`~toeplab.potential.log_abs_sums`, so on one build the two are
+#: equal; the bound admits a run that another build wrote.
 POTENTIAL_TOL = 1e-8
 
 
@@ -972,8 +1002,7 @@ def _inconsistent_cells(manifest: dict, sizes: dict, tables: dict) -> list:
     ``sizes`` maps each cell name of the configuration to its size, and
     ``tables`` each parsed ``(cell, kind)`` CSV to its rows.  The spectrum
     holds ``dim`` finite eigenvalues, each potential row's ``U_emp`` is the
-    one that spectrum gives within :data:`POTENTIAL_TOL` (or, in a cell
-    whose health records the ``logdet_fallback``, is not nan), each
+    one that spectrum gives within :data:`POTENTIAL_TOL`, each
     counting-curve row's ``empirical`` is that spectrum's count at its
     radius, exactly, each potential row's ``deviation`` is its
     ``|U_emp - U_lim|``, exactly, and each diagnostics row has finite B1-B3
@@ -982,10 +1011,9 @@ def _inconsistent_cells(manifest: dict, sizes: dict, tables: dict) -> list:
     problems = []
     for name, cell in sorted(manifest["cells"].items()):
         try:
-            fallback = cell.get("health", {}).get("logdet_fallback") is True
             dim = (bergman_dimension(make_phase_space(manifest["config"]["space"]), sizes[name])
                    if (name, "spectrum") in tables else None)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a malformed config or health
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a malformed config
             problems.append(f"{name}: cannot cross-check ({type(exc).__name__}: {exc})")
             continue
         lam = None
@@ -1001,7 +1029,7 @@ def _inconsistent_cells(manifest: dict, sizes: dict, tables: dict) -> list:
             zs = [complex(r["z_re"], r["z_im"]) for r in potentials]
             for r, z, want in zip(potentials, zs, (log_abs_sums(lam, zs) / len(lam)).tolist()):
                 got = r["U_emp"]
-                if math.isnan(got) or not (fallback or got == want or abs(got - want) <= POTENTIAL_TOL):
+                if math.isnan(got) or not (got == want or abs(got - want) <= POTENTIAL_TOL):
                     problems.append(f"{name}: U_emp {got!r} at z={z} against {want!r} from its spectrum")
             counts = tables.get((name, "cdf"), [])
             for r, want in zip(counts, empirical_cdf_disks(lam, [r["r"] for r in counts]).tolist()):

@@ -42,22 +42,27 @@ def sample_ginibre(dim: int, seed: int) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    # evaluated in place, with u2 drawn in blocks of rows, each computed in one
-    # contiguous buffer and copied into the result once: same bits, and no
-    # dim x dim array beyond u1 and the result
-    radius = rng.random((dim, dim))
-    np.negative(radius, out=radius)
-    np.log1p(radius, out=radius)
-    np.negative(radius, out=radius)
-    np.sqrt(radius, out=radius)
+    # both draws in blocks of rows, each evaluated in place in one buffer and
+    # copied into the result once: the same bits, and no dim x dim array
+    # beyond the result.  Philox yields one double per 64-bit output and four
+    # outputs per counter step, so u2's stream starts dim^2 / 4 steps in.
+    radii = np.random.Generator(np.random.Philox(key=int(seed)))
+    past_u1 = np.random.Philox(key=int(seed))
+    past_u1.advance(dim * dim // 4)
+    angles = np.random.Generator(past_u1)
+    angles.random(dim * dim % 4)
     entries = np.empty((dim, dim), dtype=complex, order="F")
-    scratch = np.empty((32, dim), dtype=complex)
+    radius, scratch = np.empty((32, dim)), np.empty((32, dim), dtype=complex)
     for i0 in range(0, dim, 32):
-        block = scratch[:min(32, dim - i0)]
-        np.multiply(2j * np.pi, rng.random(block.shape), out=block)
+        r, block = radius[:min(32, dim - i0)], scratch[:min(32, dim - i0)]
+        radii.random(out=r)
+        np.negative(r, out=r)
+        np.log1p(r, out=r)
+        np.negative(r, out=r)
+        np.sqrt(r, out=r)
+        np.multiply(2j * np.pi, angles.random(block.shape), out=block)
         np.exp(block, out=block)
-        np.multiply(radius[i0:i0 + 32], block, out=block)
+        np.multiply(r, block, out=block)
         entries[i0:i0 + 32] = block
     return entries
 

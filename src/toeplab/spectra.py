@@ -3,8 +3,8 @@
 The empirical side is the fraction of a (perturbed) quantization matrix's
 eigenvalues in each disk ``|z| <= r`` about the origin (the figure
 convention); the caller computes the eigenvalue array (``harness.run`` with
-``_lapack.hessenberg_eigvals``, which gives ``np.linalg.eigvals``'s bits but,
-unlike it, releases the GIL at dimensions up to 500 too).  The classical side is
+``_lapack.eigvals``, which gives ``np.linalg.eigvals``'s bits but, unlike
+it, releases the GIL at dimensions up to 500 too).  The classical side is
 the push-forward of the normalized Liouville measure by the principal
 symbol, integrated over the same disks against the symbol's image on the
 run's quadrature grid (``geometry.symbol_image``), the image that also gives

@@ -1,3 +1,4 @@
+import math
 import threading
 import tracemalloc
 from types import SimpleNamespace
@@ -255,7 +256,7 @@ class TestSplitDiagnostics:
         T, diag, _, classical = diag300
         setup = SimpleNamespace(out=tmp_path, matrices={120: T}, deltas={120: 1.0 / 120}, rho=0.25,
                                 classical=published(SimpleNamespace(grushin_probes=[(0.3 + 0.2j, classical)])))
-        diags, g_health = harness_module._grushin_task(setup, "perturbed", 120, 5)
+        diags, g_health, _ = harness_module._grushin_task(setup, "perturbed", 120, 5)
         lam = np.linalg.eigvals(T.dense() + (1.0 / 120) * harness_module._cell_noise(T, 5))
         route_one = float(log_abs_sums(lam, [0.3 + 0.2j])[0])
         files, health = harness_module._diagnostics(setup, ("perturbed", 120, 5), diags, g_health, lam)
@@ -614,6 +615,64 @@ def _dense_gram_band(band):
     for d in range(1, band.shape[0]):
         gram = gram + np.diag(band[d, :-d], -d)
     return gram + np.tril(gram, -1).conj().T
+
+
+def _row_gram_band(diags, lo, hi):
+    """The Gram band ``band[d, c] = (B*B)[c + d, c]`` from row-indexed diagonals
+    ``diags[lo + k, r] = B[r, r + k]``, one accumulation per diagonal pair: the oracle
+    of the column-aligned ``grushin._gram_band``."""
+    n = diags.shape[1]
+    width = min(lo + hi, n - 1)
+    band = np.zeros((width + 1, n), dtype=complex)
+    for d in range(width + 1):
+        for k in range(-lo, hi - d + 1):        # B[r, r+k] and B[r, r+k+d] share row r
+            r0, r1 = max(0, -k), min(n, n - k)
+            column = diags[lo + k, r0:r1]
+            if d == 0:
+                band[0, r0 + k:r1 + k] += np.abs(column) ** 2
+            else:
+                band[d, r0 + k:r1 + k] += diags[lo + k + d, r0:r1].conj() * column
+    return band
+
+
+class TestGramBand:
+    """The column-aligned Gram bands against the per-pair loop on row-indexed diagonals, bit for bit."""
+
+    @staticmethod
+    def _row_grams(T, z):
+        """``_banded_grams`` of ``T - z`` by the oracle's row-indexed layout and loop."""
+        band, n = T.band, T.dim
+        lo, hi, offsets = band.lo, band.hi, band.cols - band.rows
+        diags = np.zeros((lo + hi + 1, n), dtype=complex)
+        diags[lo + offsets, band.rows] = band.values
+        diags[lo] -= z
+        adjoint = np.zeros_like(diags)
+        adjoint[hi - offsets, band.cols] = band.values.conj()
+        adjoint[hi] -= np.conj(z)
+        e = math.frexp(float(np.max(np.abs(diags), initial=0.0)))[1]
+        diags, adjoint = (np.ldexp(x.view(float), -e).view(complex) for x in (diags, adjoint))
+        return _row_gram_band(diags, lo, hi), _row_gram_band(adjoint, hi, lo)
+
+    # plain sphere bands, interleaved torus bands, and bands as wide as the matrix, where
+    # the widest Gram diagonal is one entry
+    @pytest.mark.parametrize("space, dim, lo, hi", [
+        ("sphere", 40, 3, 5), ("sphere", 41, 0, 2), ("torus", 40, 3, 3), ("torus", 31, 2, 4),
+        ("sphere", 201, 100, 100), ("sphere", 12, 11, 11), ("torus", 12, 11, 11),
+    ])
+    def test_bit_equal_to_the_pair_loop(self, space, dim, lo, hi):
+        rng = np.random.default_rng(dim + lo + hi)
+        entries = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        r, c = np.indices((dim, dim))
+        offset = (c - r + dim // 2) % dim - dim // 2 if space == "torus" else c - r
+        entries[(offset > hi) | (offset < -lo) | (rng.random((dim, dim)) < 0.2)] = 0.0
+        f = CYCLIC2 if space == "torus" else PROJECTION
+        T = _with_entries(quantize_symbol(f, dim - (space == "sphere")), entries)
+        if space == "torus" and lo + hi < dim // 2:
+            assert T.band.perm is not None
+        z = 0.3 - 0.2j
+        right, left, *_ = grushin_module._banded_grams(T, z)
+        want_right, want_left = self._row_grams(T, z)
+        assert right.tobytes() == want_right.tobytes() and left.tobytes() == want_left.tobytes()
 
 
 class TestBandedRoute:

@@ -30,7 +30,6 @@ from toeplab.harness import (
     run,
     verify,
 )
-from toeplab.potential import LOGDET_CHECK_BOUND
 from toeplab.quantize import ToeplitzMatrix, quantize_symbol
 from toeplab.randmat import derive_seed, operator_norm, sample_ginibre
 
@@ -427,19 +426,21 @@ class TestCrossCheck:
         listed = [info["path"] for cell in manifest["cells"].values() for info in cell["files"].values()]
         assert sorted(parsed) == sorted(listed)
 
-    def test_a_fallback_cell_is_not_held_to_its_spectrum(self, tmp_path, monkeypatch):
-        # a cell takes the Hessenberg-LU route exactly where the two routes disagree
+    def test_a_cell_is_held_to_its_spectrum_whatever_its_health(self, tmp_path, monkeypatch):
+        # the potential's values are the log-sums in every cell: no health value exempts a
+        # cell from the cross-check, not even one that records a large check residual
         import toeplab.harness as hz
         real = hz.potential_from_spectrum
 
-        def lu_route(rows, lam, probes):
-            values, kept, health = real(rows, lam, probes)
+        def shifted(lam, probes, T=None):
+            values, kept, health = real(lam, probes, T)
             return values + 1e-3, kept, {**health, "logdet_check_residual": 1e-3, "logdet_fallback": True}
 
-        monkeypatch.setattr(hz, "potential_from_spectrum", lu_route)
+        monkeypatch.setattr(hz, "potential_from_spectrum", shifted)
         record = run(tiny_config(n_values=[24], seeds=[0]), out_dir=tmp_path)
         assert record.manifest["cells"]["N24_s0"]["health"]["logdet_fallback"]
-        assert verify(tmp_path, suite="integrity").passed
+        integrity = verify(tmp_path, suite="integrity").criteria["integrity"]
+        assert integrity["status"] == "fail" and "N24_s0: U_emp " in integrity["detail"]
 
     def test_a_singular_flag_explains_a_nonfinite_split(self, n60, tmp_path):
         copy = self._tampered(n60, tmp_path / "copy", "diag_N60_s1.csv",
@@ -1045,13 +1046,11 @@ class TestRun:
         out, record = done
         for name, cell in record.manifest["cells"].items():
             health = cell["health"]
-            assert set(health) == {"probes_dropped", "logdet_check_residual",
-                                   "logdet_fallback", "max_abs_eig", "schur_residual_max",
+            # a perturbed cell's potential check is its Schur residual: no logdet check of its own
+            assert set(health) == {"probes_dropped", "max_abs_eig", "schur_residual_max",
                                    "bordered_condition_max", "grushin_flagged_probes",
                                    "cutoff_gap_min", "subspace_residual_max", "g_norm_bound",
                                    "g_norm_route"}
-            assert health["logdet_fallback"] is False
-            assert 0.0 <= health["logdet_check_residual"] <= LOGDET_CHECK_BOUND
             rows = (out / cell["files"]["potential"]["path"]).read_text().splitlines()[1:]
             assert health["probes_dropped"] == 16 - len(rows)  # 4 x 4 probe grid
             eig = [complex(float(a), float(b)) for a, b in
@@ -1089,7 +1088,7 @@ class TestRun:
 
 
 class TestEigensolve:
-    """The cell eigensolve, ``zgeev`` taken apart, against ``np.linalg.eigvals``, its oracle."""
+    """The cell eigensolve, one ``zgeev`` call, against ``np.linalg.eigvals``, its oracle."""
 
     @staticmethod
     def _cell_matrix(preset: str, dim: int):
@@ -1101,7 +1100,7 @@ class TestEigensolve:
 
     @staticmethod
     def _reduce(M):
-        return _lapack.hessenberg_eigvals(np.array(M, order="F"))
+        return _lapack.eigvals(np.array(M, order="F"))
 
     @pytest.mark.parametrize("kind, dim",
                              [("ginibre", d) for d in (1, 2, 31, 301, 497, 503, 601)]
@@ -1114,9 +1113,25 @@ class TestEigensolve:
         else:
             M = self._cell_matrix(kind, dim)
         with hz._pinned_blas():
-            (got, rows), want = self._reduce(M), np.linalg.eigvals(M)
+            got, want = self._reduce(M), np.linalg.eigvals(M)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert [len(r) for r in rows] == [dim - max(i - 1, 0) for i in range(dim)]
+
+    def test_holds_no_second_matrix(self):
+        # zgeev works in M's buffer; its workspace is O(dim) columns, a copy of H dim^2 / 2
+        import toeplab.harness as hz
+        dim = 601
+        G = sample_ginibre(dim, derive_seed(7, "eig", dim))
+        with hz._pinned_blas():
+            self._reduce(G)                                         # warm-up
+            M = np.array(G, order="F")
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                _lapack.eigvals(M)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        assert peak <= 16 * 0.1 * dim * dim
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_nonfinite_entry_raises(self, bad):
@@ -1129,7 +1144,7 @@ class TestEigensolve:
         M = sample_ginibre(31, 3)
         for bad in (np.ascontiguousarray(M), np.asfortranarray(M.real)):
             with pytest.raises(ValueError):
-                _lapack.hessenberg_eigvals(bad)
+                _lapack.eigvals(bad)
 
     def test_releases_the_gil(self, spin_ratio):
         """A spinning main thread keeps its pace while a dim-301 eigensolve runs beside it.
@@ -1153,7 +1168,11 @@ class TestEigensolve:
 class TestCellMemory:
     """The spectrum task factors its cell matrix in place and keeps the shared ones."""
 
-    def test_spectrum_task_peaks_at_one_and_a_half_cell_matrices(self, tmp_path, published):
+    # the draw and the eigensolve each hold M and O(dim) rows beside it, then the potential
+    # |probe - lambda| (dim x probes); a dim x dim uniform draw (dim^2 / 2 entries) or a
+    # kept copy of M's Hessenberg form (dim^2 / 2) does not fit
+    @pytest.mark.parametrize("kind", ["perturbed", "unperturbed"])
+    def test_spectrum_task_holds_one_cell_matrix(self, tmp_path, published, kind):
         import toeplab.harness as hz
         cfg = preset_config("sphere-figure3")
         cfg.resolution = 40
@@ -1163,19 +1182,18 @@ class TestCellMemory:
         probes = classical.probes
         setup = hz._Setup(out=tmp_path, matrices={N: quantize_symbol(f, N)},
                           deltas={N: cfg.noise_size(N)}, rho=cfg.rho, classical=published(classical))
+        seed = 0 if kind == "perturbed" else None
         with hz._pinned_blas():
-            hz._spectrum_task(setup, "perturbed", N, 0)             # warm-up
+            hz._spectrum_task(setup, kind, N, seed)                 # warm-up
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                _, health, _ = hz._spectrum_task(setup, "perturbed", N, 0)
+                _, health, *_ = hz._spectrum_task(setup, kind, N, seed)
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
-        assert not health["logdet_fallback"] and len(probes) == 144
-        # M (drawn, formed and reduced in one buffer), H's rows (dim^2 / 2)
-        # and |probe - lambda| (dim x probes); a second dim^2 array does not fit
-        assert peak <= 16 * (1.5 * dim * dim + dim * len(probes))
+        assert health["probes_dropped"] == 0 and len(probes) == 144
+        assert peak <= 16 * (1.25 * dim * dim + dim * len(probes))
 
     def test_a_grushin_result_holds_no_reference_to_the_noise(self, tmp_path, monkeypatch, published):
         # a result waits in its future until every spectrum task before it is collected;
@@ -1225,7 +1243,7 @@ class TestSetUpBesideThePool:
         import threading
         import toeplab.harness as hz
         solving, waited = threading.Event(), []
-        real_solve, real_many = _lapack.hessenberg_eigvals, hz.limit_potential_many
+        real_solve, real_many = _lapack.eigvals, hz.limit_potential_many
 
         def solve(M):
             solving.set()
@@ -1235,7 +1253,7 @@ class TestSetUpBesideThePool:
             waited.append(solving.wait(timeout=10.0))
             return real_many(*args)
 
-        monkeypatch.setattr(_lapack, "hessenberg_eigvals", solve)
+        monkeypatch.setattr(_lapack, "eigvals", solve)
         monkeypatch.setattr(hz, "limit_potential_many", many)
         record = run(tiny_config(n_values=[24], seeds=[0]), out_dir=tmp_path)
         assert record.manifest["errors"] == {}
@@ -1278,29 +1296,59 @@ class TestSetUpBesideThePool:
         assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("stages, swept", [
-        (STAGES, [3]),                          # the potential's three check probes
-        (("spectrum", "grushin"), []),          # route one reads the eigenvalues: no sweep
+        (STAGES, [16]),                         # every probe of the unperturbed cell's 4 x 4 grid
+        (("spectrum", "grushin"), []),          # no potential, nothing to check
     ], ids=["every-stage", "no-potential"])
-    def test_a_perturbed_cell_sweeps_only_its_potential_checks(self, tmp_path, monkeypatch, stages, swept):
+    def test_only_an_unperturbed_cell_checks_its_potential_by_banded_lu(self, tmp_path, monkeypatch,
+                                                                         stages, swept):
+        # a perturbed cell's potential is checked by its Schur residual; its M is dense
         import toeplab.potential as potential
-        real, sweeps = potential.hessenberg_log_abs_dets, []
+        real, sweeps = potential.band_log_abs_dets, []
 
-        def recording(rows, probes):
+        def recording(T, probes):
             sweeps.append([complex(z) for z in probes])
-            return real(rows, probes)
+            return real(T, probes)
 
-        for module in [m for name, m in sys.modules.items() if name.startswith("toeplab")]:
-            if getattr(module, "hessenberg_log_abs_dets", None) is real:     # every binding of it
-                monkeypatch.setattr(module, "hessenberg_log_abs_dets", recording)
-        record = run(tiny_config(n_values=[24], seeds=[0], grushin_probes=[[0.3, 0.2], [0.0, 0.5]]),
+        monkeypatch.setattr(potential, "band_log_abs_dets", recording)
+        record = run(tiny_config(n_values=[24], seeds=[0], unperturbed_sizes=[20],
+                                 grushin_probes=[[0.3, 0.2], [0.0, 0.5]]),
                      out_dir=tmp_path, stages=stages)
+        cells = record.manifest["cells"]
         assert record.manifest["errors"] == {}
-        assert record.manifest["cells"]["N24_s0"]["health"].get("logdet_fallback", False) is False
         assert [len(probes) for probes in sweeps] == swept
-        pot = tmp_path / "pot_N24_s0.csv"
-        written = {complex(float(re), float(im)) for re, im, *_ in
-                   (line.split(",") for line in pot.read_text().splitlines()[1:])} if pot.exists() else set()
-        assert all(z in written for probes in sweeps for z in probes)
+        assert "logdet_check_residual" not in cells["N24_s0"]["health"]
+        if swept:
+            health = cells["N20_unperturbed"]["health"]
+            assert 0.0 <= health["logdet_check_residual"] <= 1e-12
+            pot = tmp_path / "pot_N20_unperturbed.csv"
+            written = [complex(float(re), float(im)) for re, im, *_ in
+                       (line.split(",") for line in pot.read_text().splitlines()[1:])]
+            assert sweeps == [written]
+
+    def test_flag_unperturbed_cell_records_its_worst_probe(self, tmp_path):
+        # the banded check reads all 144 probes, the corner at +-0.136 +- 0.136i too, where
+        # the log-sum is off by 3.2e-12 per dim; three check probes on the Hessenberg form,
+        # which shares the eigensolve's reduction, read 2.8e-16 on this cell
+        cfg = preset_config("scottish-flag-figure1")
+        cfg.n_values = [20]
+        record = run(cfg, tmp_path, stages=("spectrum", "potential"))
+        health = record.manifest["cells"]["N50_unperturbed"]["health"]
+        assert health["probes_dropped"] == 0
+        assert 1e-12 <= health["logdet_check_residual"] <= 1e-11
+
+    def test_manifest_cell_timings(self, done, tmp_path):
+        # each task times its own stages; a stage that was not selected has no timing
+        spectrum = {"draw_s", "eigensolve_s", "wait_s", "potential_s", "emit_s"}
+        grushin = {"draw_s", "norm_bound_s", "wait_s", "split_s"}
+        only = run(tiny_config(n_values=[24], seeds=[0], unperturbed_sizes=[20]), tmp_path,
+                   stages=("spectrum",)).manifest["cells"]
+        for cells, want in ((done[1].manifest["cells"], {"spectrum": spectrum, "grushin": grushin}),
+                            (only, {"spectrum": spectrum - {"potential_s"}})):
+            assert len(cells) >= 2
+            for cell in cells.values():
+                assert {task: set(seconds) for task, seconds in cell["timings"].items()} == want
+                assert all(np.isfinite(t) and t >= 0.0
+                           for seconds in cell["timings"].values() for t in seconds.values())
 
     def test_manifest_timings(self, done):
         _, record = done

@@ -324,17 +324,28 @@ def _count_calls(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("preset", PRESETS)
-def test_a_spectrum_cell_takes_one_hessenberg_split_and_no_lu(preset, monkeypatch, tmp_path):
-    # zgeev's workspace query, then its three stages; the potential's
-    # log-determinants come from the Hessenberg form, so no zgetrf
+def test_a_spectrum_cell_takes_one_zgeev_and_no_dense_lu(preset, monkeypatch, tmp_path):
+    # zgeev's workspace query, then zgeev; the potential is the eigenvalues' log-sum,
+    # checked in the unperturbed cell by one banded LU per kept probe, so no zgetrf
     cfg = preset_config(preset)
     cfg.n_values, cfg.seeds, cfg.unperturbed_sizes = [40], [0, 1], [30]
     calls = _count_calls(monkeypatch)
     record = run(cfg, tmp_path, stages=("spectrum", "potential"))
     assert not record.manifest["errors"] and len(record.manifest["cells"]) == 3
     dims = [d + (cfg.space == "sphere") for d in (40, 40, 30)]
-    split = ("zgeev_work", "zgebal_work", "zgehrd_work", "zhseqr_work")
-    assert Counter(calls) == Counter((name, dim) for dim in dims for name in split)
+    kept = 144 - record.manifest["cells"]["N30_unperturbed"]["health"]["probes_dropped"]
+    assert Counter(calls) == Counter({**{("zgeev_work", dim): 2 * dims.count(dim) for dim in dims},
+                                      ("zgbtrf_work", dims[2]): kept})
+
+
+def test_each_bound_routine_is_called_here():
+    # _lapack binds only what a function of its own calls, by name, through _call
+    import ast
+    import inspect
+    called = {node.args[0].value for node in ast.walk(ast.parse(inspect.getsource(_lapack)))
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_call"
+              and node.args and isinstance(node.args[0], ast.Constant)}
+    assert called == set(_lapack._SIGNATURES)
 
 
 def test_a_grushin_probe_takes_one_lu_per_dense_matrix(monkeypatch):

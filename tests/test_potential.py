@@ -9,16 +9,15 @@ from toeplab.geometry import (
     symbol_image,
 )
 from toeplab.potential import (
-    LOGDET_CHECK_BOUND,
     PROBE_EXCLUSION_RADIUS,
+    band_log_abs_dets,
     default_probe_grid,
-    hessenberg_log_abs_dets,
     limit_potential_many,
     log_abs_det,
     log_abs_sums,
     potential_from_spectrum,
 )
-from toeplab.quantize import quantize_sphere, quantize_symbol
+from toeplab.quantize import ToeplitzMatrix, quantize_sphere, quantize_symbol
 from toeplab.randmat import sample_ginibre
 
 SPHERE = make_phase_space("sphere")
@@ -37,8 +36,13 @@ def probe_grid(f, nx, ny):
 
 
 def spectrum(M):
-    """The eigenvalues and Hessenberg rows of M, as a run's spectrum task takes them."""
-    return _lapack.hessenberg_eigvals(np.array(M, dtype=complex, order="F"))
+    """The eigenvalues of M, as a run's spectrum task takes them."""
+    return _lapack.eigvals(np.array(M, dtype=complex, order="F"))
+
+
+def shift_matrix(n: int, corner: complex) -> ToeplitzMatrix:
+    """The ``n x n`` upper shift closed by ``corner`` at ``(n - 1, 0)``, held as a sphere matrix."""
+    return ToeplitzMatrix(n - 1, X3, {-1: np.ones(n - 1, dtype=complex), n - 1: np.array([corner])})
 
 
 class TestLogAbsDet:
@@ -68,62 +72,65 @@ class TestPotentialFromSpectrum:
         T = quantize_symbol(f, N)
         M = T.dense() + delta * sample_ginibre(T.dim, 3)
         probes = probe_grid(f, 12, 12)
-        lam, rows = spectrum(M)
-        values, kept, health = potential_from_spectrum(rows, lam, probes)
+        values, kept, health = potential_from_spectrum(spectrum(M), probes, None if delta else T)
         assert kept.all() and health["probes_dropped"] == 0
-        assert not health["logdet_fallback"]
-        assert health["logdet_check_residual"] <= self.ROUTE_TOL
+        assert health.get("logdet_check_residual", 0.0) <= self.ROUTE_TOL
         np.testing.assert_allclose(values, slogdet_route(M, probes), rtol=0, atol=self.ROUTE_TOL)
 
-    def test_values_are_the_log_sums_and_only_the_checks_are_swept(self, monkeypatch):
-        # the Hessenberg form is swept at the three check probes alone; a run's Grushin
-        # probes read route one off the same eigenvalues, by the same log-sum
+    @pytest.mark.parametrize("unperturbed", [True, False])
+    def test_values_are_the_log_sums_and_the_band_checks_every_kept_probe(self, monkeypatch, unperturbed):
+        # an unperturbed cell's banded LU sees every kept probe and changes no value; a
+        # perturbed cell's M is dense, and its check is the Schur residual of its run
         import toeplab.potential as potential
         f = sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0})
-        M = quantize_symbol(f, 60).dense() + sample_ginibre(61, 3) / 60
-        lam, rows = spectrum(M)
-        probes = probe_grid(f, 4, 4)
+        T = quantize_symbol(f, 60)
+        M = T.dense() if unperturbed else T.dense() + sample_ginibre(61, 3) / 60
+        lam = spectrum(M)
+        probes = np.concatenate([[lam[0] + 1e-5], probe_grid(f, 4, 4)])
         swept = []
-        real = potential.hessenberg_log_abs_dets
+        real = potential.band_log_abs_dets
 
-        def counting(rows, zs):
+        def counting(T, zs):
             swept.append(list(zs))
-            return real(rows, zs)
+            return real(T, zs)
 
-        monkeypatch.setattr(potential, "hessenberg_log_abs_dets", counting)
-        values, _, health = potential_from_spectrum(rows, lam, probes)
-        assert swept == [[probes[0], probes[8], probes[15]]] and not health["logdet_fallback"]
-        assert values.tolist() == (log_abs_sums(lam, probes) / 61).tolist()
+        monkeypatch.setattr(potential, "band_log_abs_dets", counting)
+        values, kept, health = potential_from_spectrum(lam, probes, T if unperturbed else None)
+        assert kept.tolist() == [False] + [True] * 16 and health["probes_dropped"] == 1
+        want = log_abs_sums(lam, probes) / 61
+        want[0] = np.nan
+        assert np.array_equal(values, want, equal_nan=True)
+        assert swept == ([list(probes[1:])] if unperturbed else [])
+        assert ("logdet_check_residual" in health) == unperturbed
 
-    def test_nonnormal_shift_falls_back_to_slogdet(self):
+    def test_nonnormal_shift_shows_in_the_check_residual(self):
         # a 60 x 60 nilpotent shift closed by a 1e-100 corner: the eigenvalues
         # are 1e-100^(1/60) ~ 0.02 times the roots of unity, but rounding
         # scatters the computed ones to radius ~0.2, so inside that ring the
-        # eigenvalue route is wrong while LU of the bidiagonal shift is exact
+        # eigenvalue route is wrong while the banded LU of the shift is exact:
+        # the values stay the log-sums, and the check residual shows their error
         n, corner = 60, 1e-100
-        M = np.diag(np.ones(n - 1), 1).astype(complex)
-        M[n - 1, 0] = corner
+        T = shift_matrix(n, corner)
         probes = np.array([0.1, 0.01 + 0.005j, -0.03j])
-        lam, rows = spectrum(M)
-        exact = np.log(np.abs(probes**n - corner)) / n  # det(z - M) = z^n - corner
-        eig_route = np.array([np.mean(np.log(np.abs(lam - z))) for z in probes])
-        assert np.max(np.abs(eig_route - exact)) > 0.1
-        values, kept, health = potential_from_spectrum(rows, lam, probes)
+        exact = np.log(np.abs(probes**n - corner)) / n  # det(z - T) = z^n - corner
+        lam = spectrum(T.dense())
+        values, kept, health = potential_from_spectrum(lam, probes, T)
         assert kept.all()
-        assert health["logdet_fallback"]
-        assert health["logdet_check_residual"] > LOGDET_CHECK_BOUND
-        np.testing.assert_allclose(values, slogdet_route(M, probes), rtol=0, atol=1e-14)
-        np.testing.assert_allclose(values, exact, rtol=0, atol=1e-12)
+        assert values.tolist() == (log_abs_sums(lam, probes) / n).tolist()
+        error = np.max(np.abs(values - exact))
+        assert error > 0.1
+        assert health["logdet_check_residual"] == pytest.approx(error, abs=1e-12)
+        np.testing.assert_allclose(band_log_abs_dets(T, probes) / n, exact, rtol=0, atol=1e-12)
 
     def test_kept_mask_matches_per_probe_rule(self):
         T = quantize_sphere(sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0}), 40)
         M = T.dense() + sample_ginibre(41, 5) / 40
-        lam, rows = spectrum(M)
+        lam = spectrum(M)
         probes = np.concatenate([
             [lam[0], lam[1] + 0.5e-4, lam[2] + 1e-4j, lam[3] - 2e-4, lam[4] + 0.99e-4j],
             probe_grid(T.symbol, 6, 6),
         ])
-        _, kept, health = potential_from_spectrum(rows, lam, probes)
+        _, kept, health = potential_from_spectrum(lam, probes)
         expected = [not (np.min(np.abs(lam - z)) < PROBE_EXCLUSION_RADIUS) for z in probes]
         assert kept.tolist() == expected
         assert health["probes_dropped"] == expected.count(False) >= 3
@@ -135,7 +142,7 @@ class TestLogAbsSums:
     def test_matches_the_dense_lu_on_a_perturbed_cell(self):
         f = sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0})
         M = quantize_symbol(f, 60).dense() + sample_ginibre(61, 3) / 60
-        lam, _ = spectrum(M)
+        lam = spectrum(M)
         points = [0.3 + 0.2j, -0.5j, 0.6, 0.0, 0.9 - 0.1j]
         np.testing.assert_allclose(log_abs_sums(lam, points) / 61, slogdet_route(M, points),
                                    rtol=0, atol=1e-10)
@@ -154,39 +161,57 @@ class TestLogAbsSums:
         assert log_abs_sums(np.array([1.0, 2.0j]), [2.0j, 0.0]).tolist() == [-np.inf, np.log(2.0)]
 
 
-class TestHessenbergLogAbsDets:
-    """The O(dim^2) LU of ``H - z`` against :func:`log_abs_det` of ``M - z``, its oracle."""
+class TestBandLogAbsDets:
+    """The banded LU of ``T - z`` against :func:`log_abs_det` of the dense ``T - z``, its oracle."""
 
-    # the unperturbed torus matrix is the non-normal one: 4.2e-14 measured there
-    @pytest.mark.parametrize("f, N, delta, tol", [
-        (sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0}), 120, 1.0 / 120, 1e-14),
-        (scottish_flag_symbol(), 120, 1.0 / 120, 1e-14),
-        (scottish_flag_symbol(), 50, 0.0, 1e-12),
-    ], ids=["sphere-perturbed", "torus-perturbed", "torus-unperturbed"])
-    def test_matches_the_dense_lu(self, f, N, delta, tol):
+    # measured <= 3.5e-16 per dim on both; the torus band is interleaved, the sphere's plain
+    @pytest.mark.parametrize("f, N", [(sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0}), 120),
+                                      (sphere_symbol({(1, 0, 0): 1.0, (0, 1, 0): 1j, (0, 0, 1): 0.5}), 120),
+                                      (scottish_flag_symbol(), 50)],
+                             ids=["sphere", "sphere-tilted", "torus"])
+    def test_matches_the_dense_lu(self, f, N):
         T = quantize_symbol(f, N)
-        M = T.dense() + delta * sample_ginibre(T.dim, 8)
-        # not z = 0, where the unperturbed torus matrix has condition number 1e16
+        assert (T.band.perm is not None) == (f.kind == "torus")
         probes = np.concatenate([probe_grid(f, 4, 4), [0.3 + 0.2j]])
-        _, rows = spectrum(M)
-        got = hessenberg_log_abs_dets(rows, probes) / T.dim
-        np.testing.assert_allclose(got, slogdet_route(M, probes), rtol=0, atol=tol)
-
-    def test_each_probe_as_if_alone(self):
-        # one factorization for all probes, with its own pivots per probe
-        M = sample_ginibre(60, 4)
-        _, rows = spectrum(M)
-        probes = np.array([0.5, -1.0 + 2.0j, 3.0j, 0.0])
-        together = hessenberg_log_abs_dets(rows, probes)
-        alone = [hessenberg_log_abs_dets(rows, [z])[0] for z in probes]
-        assert together.tolist() == alone
-        assert hessenberg_log_abs_dets(rows, []).shape == (0,)
+        got = band_log_abs_dets(T, probes) / T.dim
+        np.testing.assert_allclose(got, slogdet_route(T.dense(), probes), rtol=0, atol=1e-14)
+        assert band_log_abs_dets(T, []).shape == (0,)
 
     def test_exact_eigenvalue_gives_minus_infinity(self):
-        _, rows = spectrum(np.diag([1.0, 2.0, 3.0]) + np.diag([1.0, 1.0], 1))
-        got = hessenberg_log_abs_dets(rows, [2.0, 0.0, 5.0])
+        T = ToeplitzMatrix(2, X3, {0: np.array([1.0, 2.0, 3.0], dtype=complex), -1: np.ones(2, dtype=complex)})
+        got = band_log_abs_dets(T, [2.0, 0.0, 5.0])
         assert got[0] == -np.inf
         np.testing.assert_allclose(got[1:], [np.log(6.0), np.log(24.0)], rtol=1e-15)
+
+
+class TestFortyDigitOracle:
+    """The routes to ``log|det(M - z)|`` against a 40-digit mpmath determinant (``tests/mp_logdet.py``)."""
+
+    # the flag's unperturbed N = 50 cell at its four worst probes, 0.02 from an eigenvalue;
+    # measured per dim: log-sum 6.1e-13 to 3.2e-12, banded LU 1.9e-14 to 9.0e-14 (SkylakeX kernel)
+    CORNERS = [complex(re, im) for re in (-0.13636363636363646, 0.13636363636363624)
+               for im in (-0.13636363636363646, 0.13636363636363624)]
+    LOG_SUM_BOUND = 1e-11       # 3x the measured 3.2e-12
+    BAND_BOUND = 3e-13          # 3x the measured 9.0e-14
+
+    def test_flag_unperturbed_corner_probes(self):
+        from mp_logdet import mp_log_abs_det
+        f = scottish_flag_symbol()
+        T = quantize_symbol(f, 50)
+        probes = default_probe_grid(symbol_image(f, 200), 12, 12)
+        assert set(self.CORNERS) <= set(probes.tolist())
+        lam = spectrum(T.dense())
+        _, kept, health = potential_from_spectrum(lam, probes, T)
+        assert kept.all()
+        truth = np.array([mp_log_abs_det(T.dense(), z) for z in self.CORNERS]) / T.dim
+        log_sum = log_abs_sums(lam, self.CORNERS) / T.dim
+        band = band_log_abs_dets(T, self.CORNERS) / T.dim
+        assert np.max(np.abs(log_sum - truth)) <= self.LOG_SUM_BOUND
+        assert np.max(np.abs(band - truth)) <= self.BAND_BOUND
+        # the recorded residual covers the gap between the two routes, so with the
+        # banded LU's own error it bounds the log-sum's error at every probe
+        assert health["logdet_check_residual"] >= np.max(np.abs(log_sum - band))
+        assert np.all(np.abs(log_sum - truth) <= health["logdet_check_residual"] + self.BAND_BOUND)
 
 
 class TestLimitPotential:

@@ -36,14 +36,29 @@ class TestGinibre:
         assert got.flags.f_contiguous                  # so LAPACK factors it in place
         assert np.array_equal(np.ascontiguousarray(got).view(np.uint64), reference.view(np.uint64))
 
-    @pytest.mark.parametrize("dim", [1, 31, 32, 33, 97])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 31, 32, 33, 97, 301])
     def test_row_blocks_keep_the_reference_bits(self, dim):
-        # the second uniform draw is taken in blocks of 32 rows
+        # both uniform draws are taken in blocks of 32 rows, the second from a stream
+        # advanced past the first, whatever dim^2 mod 4
         rng = np.random.Generator(np.random.Philox(key=dim))
         u1, u2 = rng.random((dim, dim)), rng.random((dim, dim))
         reference = np.sqrt(-np.log1p(-u1)) * np.exp(2j * np.pi * u2)
         got = np.ascontiguousarray(sample_ginibre(dim, dim))
         assert np.array_equal(got.view(np.uint64), reference.view(np.uint64))
+
+    def test_holds_no_second_matrix(self):
+        # the result and blocks of 32 rows (0.13 dim^2 at 601); a whole uniform draw is dim^2 / 2 entries
+        import tracemalloc
+        dim = 601
+        sample_ginibre(dim, 3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sample_ginibre(dim, 3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 1.25 * dim * dim
 
     def test_moments_at_256(self):
         # entry law: mean 0, E|g|^2 = 1 (|g|^2 is Exp(1)); check within 3 SE

@@ -108,7 +108,7 @@ class TestCsv:
         setup = SimpleNamespace(out=tmp_path, classical=published(classical),
                                 matrices={2: ToeplitzMatrix(2, torus_symbol({(0, 0): 1.0}),
                                                             {0: np.array([1.0 + 2.0j, -0.5j])})})
-        files, _, _ = harness_module._spectrum_task(setup, "unperturbed", 2, None)
+        files, *_ = harness_module._spectrum_task(setup, "unperturbed", 2, None)
         rows = files["spectrum"].read_text().splitlines()
         assert rows[0] == "re,im"
         assert rows[1] == "1.0,2.0"
