@@ -23,8 +23,9 @@ the bits of ``np.linalg.eigvals``, ``np.linalg.slogdet`` and the
 four (named in :mod:`toeplab._lapack`) take numpy's linalg instead.  A numpy
 whose OpenBLAS lacks those routines is refused before a run starts.
 
-``run`` writes and ``verify`` reads by two tables: ``_CSV_KINDS`` (each cell
-CSV's file name, stage and header) and ``_CRITERIA`` (each acceptance criterion).
+``run`` writes and ``verify`` reads by two tables, ``_CSV_KINDS`` (each cell
+CSV's file name, stage and header) and ``_CRITERIA`` (each acceptance criterion),
+and by one cell list (``ExperimentConfig.cells``) and one cell-stage rule (``_cell_stages``).
 
 Per-cell randomness: the Ginibre stream of cell ``(N, seed)`` is keyed by
 ``derive_seed(seed, "cell", N)``, so cells are independent and reproducible
@@ -270,6 +271,12 @@ class ExperimentConfig:
             p = {"default": 0.5 + 2.0 * self.epsilon, "weyl": 1.0}[self.delta["preset"]]
         return float(N) ** -p
 
+    def cells(self) -> list:
+        """The run's cells as ``(kind, N, seed)``, unperturbed ones first (seed None), then each
+        size of ``n_values`` with each seed; read by :func:`run` and :func:`verify` alike."""
+        return ([("unperturbed", int(N), None) for N in self.unperturbed_sizes]
+                + [("perturbed", int(N), int(seed)) for N in self.n_values for seed in self.seeds])
+
     def symbol_spec(self):
         try:
             f = symbol_from_record(self.symbol)
@@ -478,6 +485,13 @@ def _stages_problem(stages) -> str | None:
     return None
 
 
+def _cell_stages(cell, stages) -> set:
+    """The cell stages of ``stages`` that ``cell`` runs: an unperturbed cell has no noise to split,
+    so no Grushin task and no ``diag_`` CSV.  :func:`run`'s tasks and :func:`verify`'s listing read it."""
+    return {stage for stage in STAGES
+            if stage in stages and not (stage == "grushin" and cell[0] == "unperturbed")}
+
+
 def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> RunRecord:
     """Run the selected stages of every (size, seed) cell; persist artifacts atomically.
 
@@ -538,11 +552,9 @@ def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
         raise ConfigError(f"out_dir {str(out)!r} is not a usable directory: {exc.strerror}") from None
     f = config.symbol_spec()
 
-    cells = [("unperturbed", int(N), None) for N in config.unperturbed_sizes]
-    cells += [("perturbed", int(N), int(seed)) for N in config.n_values for seed in config.seeds]
-    tasks = [(cell, _spectrum_task) for cell in cells if "spectrum" in stages]
-    tasks += [(cell, _grushin_task) for cell in cells
-              if "grushin" in stages and cell[0] == "perturbed"]
+    cells = config.cells()
+    tasks = [(cell, task) for stage, task in (("spectrum", _spectrum_task), ("grushin", _grushin_task))
+             for cell in cells if stage in _cell_stages(cell, stages)]     # spectrum tasks first
 
     sizes = {cell[1] for cell, _ in tasks}
     if "matrix" in stages:
@@ -920,11 +932,10 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
     """Check artifact integrity, that no cell failed, and the named criteria suite of a run.
 
     An unknown ``suite`` raises ValueError before any file is read.  A missing
-    or malformed manifest fails the ``integrity`` criterion (a ``NaN`` or
-    ``Infinity`` in it too: ``run`` writes strict JSON; ``stages`` must keep
-    the rule of :func:`_stages_problem`, as ``run``'s do), and so does a cell of the configuration that
-    the manifest lists neither among its cells nor among its errors, or a file
-    listing other than :func:`_expected_artifacts`, the files ``run`` writes.
+    or malformed manifest fails the ``integrity`` criterion (:func:`_read_manifest`;
+    its ``config`` is read by the key table that ``run`` reads a configuration
+    by), and so does a file listing other than :func:`_expected_artifacts`, the
+    files ``run`` writes for the configuration's cells that did not fail.
     Each cell CSV listed under its expected name, with a matching checksum, is
     parsed once by :func:`_read_csv`; the cross-check of :func:`_inconsistent_cells`
     and the criteria read those rows.  A CSV that :func:`_read_csv` refuses fails
@@ -938,19 +949,10 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
         return _integrity_failure("missing manifest")
     try:
         manifest = json.loads(manifest_path.read_text(), parse_constant=_refuse_constant)
-    except ValueError as exc:                   # JSONDecodeError, UnicodeDecodeError, NaN
+        config = _read_manifest(manifest)
+    except ValueError as exc:                   # JSONDecodeError, UnicodeDecodeError, NaN, a malformed part
         return _integrity_failure(f"malformed manifest: {exc}")
-    problem = _manifest_problem(manifest)
-    if problem:
-        return _integrity_failure(f"malformed manifest: {problem}")
-    config = manifest["config"]
-    stages = manifest.get("stages", STAGES)
-    unperturbed = {_cell_name(("unperturbed", N, None)): N for N in config.get("unperturbed_sizes", [])}
-    sizes = {**unperturbed, **{_cell_name(("perturbed", N, seed)): N
-                               for N in config["n_values"] for seed in config["seeds"]}}
-    absent = sorted(set(sizes) - set(manifest["cells"]) - set(manifest["errors"])
-                    if set(stages) & set(STAGES) else ())
-    expected = _expected_artifacts(manifest, stages, unperturbed)
+    expected = _expected_artifacts(config, manifest["stages"], manifest["errors"])
     paths = {label: info["path"] for label, info in _artifacts(manifest)}
     listing = [f"{label}: listed {paths.get(label)}, run writes {expected.get(label)}"
                for label in sorted({*expected, *paths}) if paths.get(label) != expected.get(label)]
@@ -973,17 +975,17 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
                 except ValueError as exc:
                     refused[name, kind] = str(exc)
     faults = [("checksum mismatch", mismatched), ("missing artifacts", missing),     # the first found fails
-              ("cells neither run nor failed", absent), ("artifacts not as run writes them", listing),
-              ("inconsistent artifacts", [*refused.values(), *_inconsistent_cells(manifest, sizes, tables)])]
+              ("artifacts not as run writes them", listing),
+              ("inconsistent artifacts", [*refused.values(), *_inconsistent_cells(config, tables)])]
     fault = next((f"{what}: {found}" for what, found in faults if found), None)
-    whole = f"{len(manifest['cells'])} cells and {len(manifest.get('matrices', {}))} matrices intact"
+    whole = f"{len(manifest['cells'])} cells and {len(manifest['matrices'])} matrices intact"
     failed = sorted(manifest["errors"])
     criteria = {"integrity": {"status": "fail" if fault else "pass", "detail": fault or whole},
                 "cell_errors": {"status": "fail" if failed else "pass",
                                 "detail": f"failed cells: {failed}" if failed else "no failed cells"}}
 
     if suite == "acceptance":
-        _verify_acceptance(manifest, tables, refused, criteria)
+        _verify_acceptance(config, tables, refused, criteria)
 
     passed = all(c["status"] == "pass" for c in criteria.values() if c["status"] != "skipped")
     return VerifyReport(passed, criteria)
@@ -996,11 +998,11 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
 POTENTIAL_TOL = 1e-8
 
 
-def _inconsistent_cells(manifest: dict, sizes: dict, tables: dict) -> list:
+def _inconsistent_cells(config: ExperimentConfig, tables: dict) -> list:
     """Where a cell's parsed CSVs disagree with each other or its size, one line each.
 
-    ``sizes`` maps each cell name of the configuration to its size, and
-    ``tables`` each parsed ``(cell, kind)`` CSV to its rows.  The spectrum
+    ``tables`` maps each parsed ``(cell, kind)`` CSV of a cell of ``config``
+    to its rows.  The spectrum
     holds ``dim`` finite eigenvalues, each potential row's ``U_emp`` is the
     one that spectrum gives within :data:`POTENTIAL_TOL`, each
     counting-curve row's ``empirical`` is that spectrum's count at its
@@ -1009,18 +1011,13 @@ def _inconsistent_cells(manifest: dict, sizes: dict, tables: dict) -> list:
     or a ``singular-`` flag.
     """
     problems = []
-    for name, cell in sorted(manifest["cells"].items()):
-        try:
-            dim = (bergman_dimension(make_phase_space(manifest["config"]["space"]), sizes[name])
-                   if (name, "spectrum") in tables else None)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a malformed config
-            problems.append(f"{name}: cannot cross-check ({type(exc).__name__}: {exc})")
-            continue
-        lam = None
-        if dim is not None:
+    for cell in sorted(config.cells(), key=_cell_name):
+        name, lam = _cell_name(cell), None
+        if (name, "spectrum") in tables:
+            dim = bergman_dimension(make_phase_space(config.space), cell[1])
             eig = np.array([[r["re"], r["im"]] for r in tables[name, "spectrum"]])
             if len(eig) != dim or not np.all(np.isfinite(eig)):
-                problems.append(f"{name}: {cell['files']['spectrum']['path']} holds {len(eig)} rows, "
+                problems.append(f"{name}: {_csv_name('spectrum', name)} holds {len(eig)} rows, "
                                 f"expected {dim} finite")
             else:
                 lam = eig[:, 0] + 1j * eig[:, 1]
@@ -1062,41 +1059,43 @@ def _integrity_failure(detail: str) -> VerifyReport:
     return VerifyReport(False, {"integrity": {"status": "fail", "detail": detail}})
 
 
-def _manifest_problem(manifest) -> str | None:
-    """What keeps :func:`verify` from reading a parsed manifest, or None.
+def _read_manifest(manifest) -> ExperimentConfig:
+    """The configuration of a parsed manifest that :func:`verify` can read; raises ValueError
+    naming what keeps it from being read.
 
-    An artifact path must be a bare file name, as ``run`` writes it, so that
-    ``verify`` opens no file outside the run directory.  A manifest written
-    before runs recorded ``stages`` and ``matrices`` reads as one without
-    matrices whose stages were the default :data:`STAGES`.
+    Every key that ``run`` writes and ``verify`` reads must be there.  The
+    ``config`` must pass :meth:`ExperimentConfig.check_keys`, as a
+    configuration that ``run`` accepts does, and ``stages`` the rule of
+    :func:`_stages_problem`.  An artifact path must be a bare file name, as
+    ``run`` writes it, so that ``verify`` opens no file outside the run directory.
     """
-    keys = ("config", "cells", "errors")
-    if not (isinstance(manifest, dict) and set(keys) <= set(manifest)):
-        return "it needs the keys config, cells and errors"
-    if not all(isinstance(manifest[key], dict) for key in keys):
-        return "config, cells and errors must be JSON objects"
-    if not isinstance(manifest.get("matrices", {}), dict):
-        return "matrices must be a JSON object"
-    problem = _stages_problem(manifest.get("stages", list(STAGES)))
+    if not isinstance(manifest, dict):
+        raise ValueError(f"it must be a JSON object, got {type(manifest).__name__}")
+    missing = [key for key in ("config", "stages", "cells", "matrices", "errors") if key not in manifest]
+    if missing:
+        raise ValueError(f"missing keys: {missing}")
+    for key in ("config", "cells", "matrices", "errors"):
+        if not isinstance(manifest[key], dict):
+            raise ValueError(f"{key} must be a JSON object")
+    problem = _stages_problem(manifest["stages"])
     if problem:
-        return problem
-    for name in ("n_values", "seeds", "unperturbed_sizes"):
-        default = [] if name == "unperturbed_sizes" else None    # a manifest may leave out the former
-        try:
-            _check(name, CONFIG_KEYS[name], manifest["config"].get(name, default))
-        except ConfigError as exc:
-            return f"config {exc}"
+        raise ValueError(problem)
+    try:
+        config = ExperimentConfig.from_mapping(manifest["config"])
+        config.check_keys()
+    except ConfigError as exc:
+        raise ValueError(f"config {exc}") from None
     for name, cell in manifest["cells"].items():
         files = cell.get("files") if isinstance(cell, dict) else None
-        if not isinstance(files, dict):
-            return f"cell {name} needs a files object"
+        if not (isinstance(files, dict) and files):     # so the listing names a cell run has not
+            raise ValueError(f"cell {name} needs a nonempty files object")
     for label, info in _artifacts(manifest):
         if not (isinstance(info, dict) and isinstance(info.get("path"), str)
                 and isinstance(info.get("sha256"), str)):
-            return f"{label} artifact needs a path and a sha256"
+            raise ValueError(f"{label} artifact needs a path and a sha256")
         if info["path"] in ("", "..") or Path(info["path"]).name != info["path"]:
-            return f"{label} artifact path {info['path']!r} is not a bare file name"
-    return None
+            raise ValueError(f"{label} artifact path {info['path']!r} is not a bare file name")
+    return config
 
 
 def _artifacts(manifest: dict):
@@ -1104,20 +1103,18 @@ def _artifacts(manifest: dict):
     for name, cell in manifest["cells"].items():
         for kind, info in cell["files"].items():
             yield f"cell {name} {kind}", info
-    for name, info in manifest.get("matrices", {}).items():
+    for name, info in manifest["matrices"].items():
         yield f"matrix {name}", info
 
 
-def _expected_artifacts(manifest: dict, stages, unperturbed) -> dict:
+def _expected_artifacts(config: ExperimentConfig, stages, errors) -> dict:
     """Label, as :func:`_artifacts` gives it -> file name, of each artifact that ``run`` writes under
-    ``stages`` for the cells that ``manifest`` lists; ``unperturbed`` cells have no Grushin stage."""
+    ``stages``: the CSVs of each cell of ``config`` not named in ``errors``, and the matrices."""
     expected = {f"cell {name} {kind}": _csv_name(kind, name)
-                for name in manifest["cells"] for kind, (_, stage, _) in _CSV_KINDS.items()
-                if stage in stages and not (stage == "grushin" and name in unperturbed)}
+                for cell in config.cells() if (name := _cell_name(cell)) not in errors
+                for kind, (_, stage, _) in _CSV_KINDS.items() if stage in _cell_stages(cell, stages)}
     if "matrix" in stages:                  # every size, whether or not its cells failed
-        config = manifest["config"]
-        expected.update({f"matrix N{N}": f"mat_N{N}.npy"
-                         for N in [*config["n_values"], *config.get("unperturbed_sizes", [])]})
+        expected.update({f"matrix N{N}": f"mat_N{N}.npy" for _, N, _ in config.cells()})
     return expected
 
 
@@ -1202,7 +1199,7 @@ _CRITERIA = {
 }
 
 
-def _verify_acceptance(manifest: dict, tables: dict, refused: dict, criteria: dict) -> None:
+def _verify_acceptance(config: ExperimentConfig, tables: dict, refused: dict, criteria: dict) -> None:
     """Judge each criterion of :data:`_CRITERIA` on the perturbed cells' CSVs that :func:`verify` parsed.
 
     ``tables`` maps each parsed ``(cell, kind)`` CSV to its rows and ``refused`` each one
@@ -1210,10 +1207,12 @@ def _verify_acceptance(manifest: dict, tables: dict, refused: dict, criteria: di
     edited after this one.  A criterion fails, naming the files, when a CSV it would read
     was refused; otherwise its judge gives the verdict (``skipped`` with nothing to judge).
     """
-    n_values = sorted(int(n) for n in manifest["config"]["n_values"])
+    by_size = {}                        # N -> its perturbed cells' names, sizes ascending, seeds in order
+    for cell in sorted(config.cells(), key=lambda cell: cell[1]):
+        if cell[0] == "perturbed":
+            by_size.setdefault(cell[1], []).append(_cell_name(cell))
     for name, (kind, top_only, judge) in _CRITERIA.items():
-        cells = {N: [_cell_name(("perturbed", N, seed)) for seed in manifest["config"]["seeds"]]
-                 for N in (n_values[-1:] if top_only else n_values)}
+        cells = {N: by_size[N] for N in (list(by_size)[-1:] if top_only else by_size)}
         malformed = [refused[c, kind] for names in cells.values() for c in names if (c, kind) in refused]
         status, detail = ("fail", f"malformed artifacts: {malformed}") if malformed else judge(
             {N: [tables[c, kind] for c in names if (c, kind) in tables] for N, names in cells.items()})

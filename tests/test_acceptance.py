@@ -17,6 +17,7 @@ See the README section "Acceptance status" for the full analysis.
 import numpy as np
 import pytest
 
+from toeplab import harness
 from toeplab.calculus import (
     chebyshev_surrogate,
     composition_residual,
@@ -285,13 +286,17 @@ def test_criterion_12_gaussian_norm():
     assert ok, detail
 
 
-def test_criterion_13_determinism(figure_run, tmp_path_factory):
-    out, _ = figure_run
+def test_criterion_13_determinism(figure_run, tmp_path_factory, monkeypatch):
+    # run ignores workers; the re-run takes a pool of one thread through the CPU count it reads
+    out, record = figure_run
     again = tmp_path_factory.mktemp("acceptance_rerun")
-    run(acceptance_config(), out_dir=again, workers=1)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    rerun = run(acceptance_config(), out_dir=again)
+    assert rerun.manifest["environment"]["pool_size"] == 1
     mismatched = [p.name for p in sorted(out.glob("*.csv"))
                   if (again / p.name).read_bytes() != p.read_bytes()]
     ok = not mismatched
-    detail = report(13, ok, "byte-identical CSV payloads on re-run" if ok
-                    else f"payload mismatch: {mismatched}")
+    pools = f"pools of {record.manifest['environment']['pool_size']} and 1"
+    detail = report(13, ok, f"byte-identical CSV payloads on re-run ({pools})" if ok
+                    else f"payload mismatch ({pools}): {mismatched}")
     assert ok, detail

@@ -414,8 +414,8 @@ class TestFactorizationCount:
 
     Every dense log-determinant of a run is the pivot sum of one
     ``_lapack.lu_factor`` (the potential's and Schur route one's come from
-    the cell's eigenvalues, the potential's checks from its Hessenberg form,
-    with no dense LU), so the LUs are counted by
+    the cell's eigenvalues, the potential's checks in an unperturbed cell
+    from a banded LU of ``T - z``, with no dense LU), so the LUs are counted by
     matrix size: a probe with ``A >= 1`` takes one each of size ``dim + A``
     (the bordered matrix) and ``A`` (the corner), a probe with ``A = 0`` the
     bordered LU alone, of size ``dim``.

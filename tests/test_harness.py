@@ -262,6 +262,26 @@ def done(tmp_path_factory):
     return out, record
 
 
+def _write_manifest(run_dir: Path, edit) -> None:
+    """Write into ``run_dir`` the manifest of a ``tiny_config()`` run whose every cell failed, which
+    lists no file and passes ``integrity``, after ``edit`` broke one part of it: ``edit`` changes
+    the manifest in place, or returns the text to write instead."""
+    manifest = {"config": tiny_config().to_mapping(), "stages": list(STAGES), "cells": {}, "matrices": {},
+                "errors": {f"N{N}_s{seed}": "x" for N in (24, 48) for seed in (0, 1)}}
+    text = edit(manifest)
+    (run_dir / "manifest.json").write_text(text if isinstance(text, str) else json.dumps(manifest))
+
+
+def _drop(*keys):
+    """An edit of ``_write_manifest`` that deletes the manifest entry at the path ``keys``."""
+    def edit(manifest: dict) -> None:
+        *parents, key = keys
+        for parent in parents:
+            manifest = manifest[parent]
+        del manifest[key]
+    return edit
+
+
 def _shift_first_u_emp(text: str) -> str:
     header, first, *rest = text.splitlines(True)
     fields = first.split(",")
@@ -359,9 +379,15 @@ class TestCrossCheck:
          [f"cell N60_s1 {kind}: listed {prefix}_N60_s0.csv, run writes {prefix}_N60_s1.csv"
           for kind, prefix in [("cdf", "cdf"), ("diagnostics", "diag"), ("potential", "pot"), ("spectrum", "eig")]],
          1),
-    ], ids=["dropped-entry", "another-cells-files"])
+        # a cell that the configuration does not have: seed 7 is not among its seeds
+        (lambda m: m["cells"].update(N60_s7=m["cells"]["N60_s0"]),
+         [f"cell N60_s7 {kind}: listed {prefix}_N60_s0.csv, run writes None"
+          for kind, prefix in [("cdf", "cdf"), ("diagnostics", "diag"), ("potential", "pot"), ("spectrum", "eig")]],
+         2),
+    ], ids=["dropped-entry", "another-cells-files", "unconfigured-cell"])
     def test_a_listing_other_than_runs_fails_integrity(self, n60, tmp_path, edit, detail, seeds):
-        # the manifest drops a file entry, or lists another cell's files and health; checksums all match
+        # the manifest drops a file entry, lists another cell's files and health, or lists a cell that
+        # its configuration does not have; checksums all match
         copy = self._relisted(n60, tmp_path / "copy", edit)
         for suite in ("integrity", "acceptance"):
             integrity = verify(copy, suite=suite).criteria["integrity"]
@@ -701,71 +727,78 @@ class TestRun:
         with_small = sum(1 for r in rows if int(r[6]) >= 1)
         assert criteria["b3_negative"]["detail"].startswith(f"{with_small}/{with_small} ")
 
-    @pytest.mark.parametrize("text, detail", [
-        ('{"tool": "toeplab", "cells": {', "malformed manifest: Expecting"),
-        ('{"cells": {}}', "malformed manifest: it needs the keys config, cells and errors"),
-        ('{"config": {}, "cells": {}, "errors": {}}', "malformed manifest: config n_values must be"),
-        ('{"config": {"n_values": [], "seeds": [0]}, "cells": {}, "errors": {}}',
+    @pytest.mark.parametrize("edit, detail", [
+        (lambda m: json.dumps(m)[:-1], "malformed manifest: Expecting"),
+        (lambda m: "[]", "malformed manifest: it must be a JSON object, got list"),
+        (_drop("errors"), "malformed manifest: missing keys: ['errors']"),
+        (_drop("stages"), "malformed manifest: missing keys: ['stages']"),
+        (_drop("matrices"), "malformed manifest: missing keys: ['matrices']"),
+        (_drop("config", "n_values"),
+         "malformed manifest: config missing configuration keys: ['n_values']"),
+        (lambda m: m["config"].update(n_values=[]),
          "malformed manifest: config n_values must be a nonempty list of integers, got []"),
-        ('{"config": {"n_values": [10], "seeds": ["0"]}, "cells": {}, "errors": {}}',
-         "malformed manifest: config seeds must be"),
-        ('{"config": [], "cells": {}, "errors": {}}',
-         "malformed manifest: config, cells and errors must be JSON objects"),
-        ('{"config": {"n_values": [10], "seeds": [0]}, "cells": [], "errors": {}}',
-         "malformed manifest: config, cells and errors must be JSON objects"),
-        ('{"config": {"n_values": [10], "seeds": [0]}, "cells": {"N10_s0": {"files": []}}, "errors": {}}',
-         "malformed manifest: cell N10_s0 needs a files object"),
-        ('{"config": {"n_values": [10], "seeds": [0]}, "cells": {"N10_s0": {}}, "errors": {}}',
-         "malformed manifest: cell N10_s0 needs a files object"),
-        ('{"config": {"n_values": [10], "seeds": [0]}, "cells": {"N10_s0": {"files": {"cdf": '
-         '{"path": "cdf_N10_s0.csv"}}}}, "errors": {}}',
-         "malformed manifest: cell N10_s0 cdf artifact needs a path and a sha256"),
+        (lambda m: m["config"].update(seeds=["0"]), "malformed manifest: config seeds must be integers"),
+        # a key that verify itself never reads is held to the key table as run holds it
+        (lambda m: m["config"].update(rho="0.2"),
+         "malformed manifest: config rho must be a finite real number, got '0.2'"),
+        (lambda m: m["config"].update(typo=1),
+         "malformed manifest: config unknown configuration keys: ['typo']"),
+        (lambda m: m.update(config=[]), "malformed manifest: config must be a JSON object"),
+        (lambda m: m.update(cells=[]), "malformed manifest: cells must be a JSON object"),
+        (lambda m: m["cells"].update(N24_s0={"files": []}),
+         "malformed manifest: cell N24_s0 needs a nonempty files object"),
+        (lambda m: m["cells"].update(N24_s0={}),
+         "malformed manifest: cell N24_s0 needs a nonempty files object"),
+        (lambda m: m["cells"].update(N96_s0={"files": {}}),
+         "malformed manifest: cell N96_s0 needs a nonempty files object"),
+        (lambda m: m["cells"].update(N24_s0={"files": {"cdf": {"path": "cdf_N24_s0.csv"}}}),
+         "malformed manifest: cell N24_s0 cdf artifact needs a path and a sha256"),
         # run writes bare file names; verify must not hash a file outside the run directory
-        ('{"config": {"n_values": [10], "seeds": [0]}, "cells": {"N10_s0": {"files": {"cdf": '
-         '{"path": "/etc/hostname", "sha256": "0"}}}}, "errors": {}}',
-         "malformed manifest: cell N10_s0 cdf artifact path '/etc/hostname' is not a bare file name"),
-        ('{"config": {"n_values": [10], "seeds": [0]}, "cells": {"N10_s0": {"files": {"cdf": '
-         '{"path": "../../etc/passwd", "sha256": "0"}}}}, "errors": {}}',
-         "malformed manifest: cell N10_s0 cdf artifact path '../../etc/passwd' is not a bare"),
-        ('{"config": {"n_values": [10], "seeds": [0]}, "cells": {"N10_s0": {"files": {"cdf": '
-         '{"path": "..", "sha256": "0"}}}}, "errors": {}}',
-         "malformed manifest: cell N10_s0 cdf artifact path '..' is not a bare"),
-        ('{"config": {"n_values": [10], "seeds": [0, 1]}, "cells": {}, "errors": {"N10_s1": "x"}}',
-         "cells neither run nor failed: ['N10_s0']"),
-        ('{"config": {"n_values": [10], "seeds": [0]}, "stages": ["spectrum", "grushin", "matrix"], '
-         '"cells": {}, "matrices": {}, "errors": {}}',
-         "cells neither run nor failed: ['N10_s0']"),
-        ('{"config": {"n_values": [10], "seeds": [0]}, "cells": {}, "matrices": [], "errors": {}}',
-         "malformed manifest: matrices must be a JSON object"),
-        ('{"config": {"n_values": [10], "seeds": [0]}, "stages": "matrix", "cells": {}, "errors": {}}',
+        (lambda m: m["cells"].update(N24_s0={"files": {"cdf": {"path": "/etc/hostname", "sha256": "0"}}}),
+         "malformed manifest: cell N24_s0 cdf artifact path '/etc/hostname' is not a bare file name"),
+        (lambda m: m["cells"].update(N24_s0={"files": {"cdf": {"path": "../../etc/passwd", "sha256": "0"}}}),
+         "malformed manifest: cell N24_s0 cdf artifact path '../../etc/passwd' is not a bare"),
+        (lambda m: m["cells"].update(N24_s0={"files": {"cdf": {"path": "..", "sha256": "0"}}}),
+         "malformed manifest: cell N24_s0 cdf artifact path '..' is not a bare"),
+        # a configured cell that neither ran nor failed is named by the listing
+        (_drop("errors", "N24_s0"),
+         "artifacts not as run writes them: ['cell N24_s0 cdf: listed None, run writes cdf_N24_s0.csv', "
+         "'cell N24_s0 diagnostics: listed None, run writes diag_N24_s0.csv', "
+         "'cell N24_s0 potential: listed None, run writes pot_N24_s0.csv', "
+         "'cell N24_s0 spectrum: listed None, run writes eig_N24_s0.csv']"),
+        (lambda m: m.update(stages=["spectrum", "grushin", "matrix"]) or _drop("errors", "N24_s0")(m),
+         "artifacts not as run writes them: ['cell N24_s0 cdf: listed None, run writes cdf_N24_s0.csv', "
+         "'cell N24_s0 diagnostics: listed None, run writes diag_N24_s0.csv', "
+         "'cell N24_s0 spectrum: listed None, run writes eig_N24_s0.csv', "
+         "'matrix N24: listed None, run writes mat_N24.npy', "
+         "'matrix N48: listed None, run writes mat_N48.npy']"),
+        (lambda m: m.update(matrices=[]), "malformed manifest: matrices must be a JSON object"),
+        (lambda m: m.update(stages="matrix"),
          "malformed manifest: stages must be a list of stage names, got 'matrix'"),
-        ('{"config": {"n_values": [10], "seeds": [0]}, "stages": ["matrix"], "cells": {}, '
-         '"matrices": {"N10": {"path": "mat_N10.npy"}}, "errors": {}}',
-         "malformed manifest: matrix N10 artifact needs a path and a sha256"),
-        ('{"config": {"n_values": [10], "seeds": [0]}, "stages": ["matrix"], "cells": {}, '
-         '"matrices": {"N10": {"path": "../mat_N10.npy", "sha256": "0"}}, "errors": {}}',
-         "malformed manifest: matrix N10 artifact path '../mat_N10.npy' is not a bare file name"),
-        ('{"config": {"n_values": [10], "seeds": [0]}, "stages": ["matrix"], "cells": {}, '
-         '"matrices": {"N10": {"path": "mat_N10.npy", "sha256": "0"}}, "errors": {}}',
-         "missing artifacts: ['mat_N10.npy']"),
-        ('{"config": {"n_values": [10], "seeds": [0]}, "stages": ["bogus"], "cells": {}, "errors": {}}',
+        (lambda m: m.update(stages=["matrix"], matrices={"N24": {"path": "mat_N24.npy"}}),
+         "malformed manifest: matrix N24 artifact needs a path and a sha256"),
+        (lambda m: m.update(stages=["matrix"], matrices={"N24": {"path": "../mat_N24.npy", "sha256": "0"}}),
+         "malformed manifest: matrix N24 artifact path '../mat_N24.npy' is not a bare file name"),
+        (lambda m: m.update(stages=["matrix"], matrices={"N24": {"path": "mat_N24.npy", "sha256": "0"}}),
+         "missing artifacts: ['mat_N24.npy']"),
+        (lambda m: m.update(stages=["bogus"]),
          "malformed manifest: stages must be a list of stage names, got ['bogus'] (a nonempty subset of"),
-        ('{"config": {"n_values": [10], "seeds": [0]}, "stages": [], "cells": {}, "errors": {}}',
+        (lambda m: m.update(stages=[]),
          "malformed manifest: stages must be a list of stage names, got [] (a nonempty subset of"),
-        ('{"config": {"n_values": [10], "seeds": [0]}, "stages": ["matrix"], "cells": {}, '
-         '"matrices": {}, "errors": {}}',
-         "artifacts not as run writes them: ['matrix N10: listed None, run writes mat_N10.npy']"),
+        (lambda m: m.update(stages=["matrix"]),
+         "artifacts not as run writes them: ['matrix N24: listed None, run writes mat_N24.npy', "
+         "'matrix N48: listed None, run writes mat_N48.npy']"),
         # run refuses these stages, so no run writes them: potential and grushin read the spectrum
-        ('{"config": {"n_values": [10], "seeds": [0]}, "stages": ["potential", "grushin"], "cells": {}, '
-         '"errors": {}}',
+        (lambda m: m.update(stages=["potential", "grushin"]),
          "malformed manifest: stages ['potential', 'grushin'] need 'spectrum' beside 'potential' and"),
-    ], ids=["truncated", "no-errors-key", "no-n_values", "empty-n_values", "string-seed",
-            "config-list", "cells-list", "files-list", "no-files", "no-sha256",
-            "absolute-path", "parent-path", "dot-dot", "cell-absent", "cell-absent-beside-matrix",
-            "matrices-list", "stages-string", "matrix-no-sha256", "matrix-parent-path",
-            "matrix-missing", "stages-unknown", "stages-empty", "matrix-unlisted", "stages-no-spectrum"])
-    def test_verify_reports_a_malformed_manifest(self, tmp_path, capsys, text, detail):
-        (tmp_path / "manifest.json").write_text(text)
+    ], ids=["truncated", "not-an-object", "no-errors-key", "no-stages", "no-matrices", "no-n_values",
+            "empty-n_values", "string-seed", "string-rho", "unknown-config-key", "config-list", "cells-list",
+            "files-list", "no-files", "empty-files", "no-sha256", "absolute-path", "parent-path", "dot-dot",
+            "cell-absent", "cell-absent-beside-matrix", "matrices-list", "stages-string", "matrix-no-sha256",
+            "matrix-parent-path", "matrix-missing", "stages-unknown", "stages-empty", "matrix-unlisted",
+            "stages-no-spectrum"])
+    def test_verify_reports_a_malformed_manifest(self, tmp_path, capsys, edit, detail):
+        _write_manifest(tmp_path, edit)
         for suite in ("acceptance", "integrity"):
             report = verify(tmp_path, suite=suite)
             assert not report.passed
@@ -775,16 +808,24 @@ class TestRun:
             assert cli_main(["verify", str(tmp_path), "--suite", suite]) == 1
             assert json.loads(capsys.readouterr().out) == json.loads(report.to_json())
 
+    def test_the_unbroken_manifest_passes_integrity(self, tmp_path):
+        # the manifest that each malformed case breaks in one part: every cell failed
+        _write_manifest(tmp_path, lambda m: None)
+        criteria = verify(tmp_path).criteria
+        assert criteria["integrity"] == {"status": "pass", "detail": "0 cells and 0 matrices intact"}
+        assert criteria["cell_errors"]["status"] == "fail"
+
     @pytest.mark.parametrize("sizes, detail", [
-        ([8], "cells neither run nor failed: ['N8_unperturbed']"),
+        ([8], "artifacts not as run writes them: ['cell N8_unperturbed cdf: listed None, run writes "
+              "cdf_N8_unperturbed.csv', 'cell N8_unperturbed potential: listed None, run writes "
+              "pot_N8_unperturbed.csv', 'cell N8_unperturbed spectrum: listed None, run writes "
+              "eig_N8_unperturbed.csv']"),
         ([8.5], "malformed manifest: config unperturbed_sizes must be integers, got [8.5]"),
         (5, "malformed manifest: config unperturbed_sizes must be a list, got 5"),
     ], ids=["absent", "fraction", "number"])
     def test_verify_counts_unperturbed_cells(self, tmp_path, sizes, detail):
-        # the perturbed cell failed; the unperturbed one is in neither cells nor errors
-        (tmp_path / "manifest.json").write_text(json.dumps({
-            "config": {"n_values": [10], "seeds": [0], "unperturbed_sizes": sizes},
-            "cells": {}, "errors": {"N10_s0": "x"}}))
+        # the perturbed cells failed; the unperturbed one is in neither cells nor errors, and has no diag_
+        _write_manifest(tmp_path, lambda m: m["config"].update(unperturbed_sizes=sizes))
         for suite in ("acceptance", "integrity"):
             integrity = verify(tmp_path, suite=suite).criteria["integrity"]
             assert integrity == {"status": "fail", "detail": detail}
@@ -796,8 +837,7 @@ class TestRun:
             with pytest.raises(ValueError, match="stages") as refused:
                 run(tiny_config(), out_dir=tmp_path / "run", stages=stages)
             assert not (tmp_path / "run").exists()
-            (tmp_path / "manifest.json").write_text(json.dumps({
-                "config": {"n_values": [10], "seeds": [0]}, "stages": list(stages), "cells": {}, "errors": {}}))
+            _write_manifest(tmp_path, lambda m: m.update(stages=list(stages)))
             assert verify(tmp_path, suite="integrity").criteria["integrity"] == {
                 "status": "fail", "detail": f"malformed manifest: {refused.value}"}
 
@@ -808,7 +848,7 @@ class TestRun:
 
     def test_an_unknown_suite_raises_before_anything_is_read(self, tmp_path, monkeypatch):
         import toeplab.harness as hz
-        monkeypatch.setattr(hz, "_manifest_problem", lambda manifest: pytest.fail("read a manifest"))
+        monkeypatch.setattr(hz, "_read_manifest", lambda manifest: pytest.fail("read a manifest"))
         for run_dir in (tmp_path / "absent", tmp_path):
             with pytest.raises(ValueError, match="unknown verification suite 'bogus'"):
                 verify(run_dir, suite="bogus")
