@@ -56,6 +56,8 @@ _SIGNATURES = {
     "zgecon_work": (_C, _I, _P, _I, ctypes.c_double, _P, _P, _P),
     # uplo n a lda
     "zpotrf_work": (_C, _I, _P, _I),
+    # uplo trans diag n nrhs a lda b ldb
+    "ztrtrs_work": (_C, _C, _C, _I, _I, _P, _I, _P, _I),
     # jobz uplo n kd ab ldab w z ldz
     "zhbevd": (_C, _C, _I, _I, _P, _I, _P, _P, _I),
     # m n kl ku ab ldab ipiv
@@ -256,6 +258,23 @@ def cholesky_upper(a: np.ndarray) -> int:
         raise ValueError("cholesky_upper factors a Fortran-ordered complex128 array in place")
     n = _square(a)
     return _call("zpotrf_work", b"U", n, a.ctypes.data, max(n, 1))
+
+
+def solve_upper_adjoint(r: np.ndarray, b: np.ndarray) -> None:
+    """Overwrite ``b`` with ``r^-H b`` (``ztrtrs``), reading only the upper triangle of the square ``r``.
+
+    Both are Fortran-ordered complex128 arrays, ``r`` as :func:`cholesky_upper`
+    leaves its factor; ``b`` has ``r``'s row count.  Raises ``LinAlgError``
+    on a zero on the diagonal of ``r``.
+    """
+    if any(x.dtype != np.complex128 or not x.flags.f_contiguous for x in (r, b)):
+        raise ValueError("solve_upper_adjoint takes Fortran-ordered complex128 arrays")
+    n = _square(r)
+    if b.ndim != 2 or b.shape[0] != n:
+        raise ValueError(f"right-hand side of shape {b.shape} does not have {n} rows")
+    if _call("ztrtrs_work", b"U", b"C", b"N", n, b.shape[1], r.ctypes.data, max(n, 1), b.ctypes.data,
+             max(n, 1)):
+        raise np.linalg.LinAlgError("singular triangular factor")
 
 
 def eigvalsh_banded(band: np.ndarray) -> np.ndarray:

@@ -232,24 +232,34 @@ def _smallest_eigenvectors(band: np.ndarray, eigenvalues: np.ndarray, A: int):
     return basis, float(np.max(np.linalg.norm(image @ rotation - basis * theta, axis=0))) / norm
 
 
-def _small_subspaces(T: ToeplitzMatrix, z: complex, rho: float):
-    """Singular values of ``T - z``, the cutoff, and bases of its small singular subspaces.
+def _small_values(T: ToeplitzMatrix, z: complex, rho: float):
+    """Singular values of ``T - z`` and the cutoff, from a banded Hermitian eigensolve.
 
-    Returns ``(values, params, left, right_h, residual)``: the ascending
-    singular values, :class:`GrushinParams` for ``(T.N, rho)``, the columns
-    ``f_1..f_A``, the rows ``e_1*..e_A*`` and the worst residual
-    ``||B*B v - lambda v|| / ||B||^2`` (``B = T - z``) over both bases, with
-    ``B B*`` for the left one.  The values come from a banded Hermitian
-    eigensolve of ``B*B`` (LAPACK ``zhbevd``) on the scaled band of
-    :func:`_banded_grams`, scaled back, and
-    both bases from shifted inverse iteration on ``B*B`` and ``B B*``.  The
-    two bases span the singular subspaces but are not paired vector by
-    vector, which changes no ``|det|`` of the split.
+    Returns ``(values, params, grams)``: the ascending singular values,
+    :class:`GrushinParams` for ``(T.N, rho)``, and ``(right, left, perm,
+    squares)``, the two scaled Gram bands of :func:`_banded_grams` with their
+    order and the eigenvalues of the right one, which :func:`_small_subspaces`
+    iterates on.  The values come from ``zhbevd`` on the right band, scaled back.
     """
     right_gram, left_gram, perm, e = _banded_grams(T, z)
     squares = _lapack.eigvalsh_banded(right_gram)         # of B*B / 4^e
     values = np.ldexp(np.sqrt(np.clip(squares, 0.0, None)), e)
-    params = _params_of_values(T.N, rho, values)
+    return values, _params_of_values(T.N, rho, values), (right_gram, left_gram, perm, squares)
+
+
+def _small_subspaces(T: ToeplitzMatrix, z: complex, rho: float):
+    """Singular values of ``T - z``, the cutoff, and bases of its small singular subspaces.
+
+    Returns ``(values, params, left, right_h, residual)``: the values and
+    :class:`GrushinParams` of :func:`_small_values`, the columns
+    ``f_1..f_A``, the rows ``e_1*..e_A*`` and the worst residual
+    ``||B*B v - lambda v|| / ||B||^2`` (``B = T - z``) over both bases, with
+    ``B B*`` for the left one.  Both bases come from shifted inverse
+    iteration on the scaled bands of ``B*B`` and ``B B*``.  The two bases
+    span the singular subspaces but are not paired vector by vector, which
+    changes no ``|det|`` of the split.
+    """
+    values, params, (right_gram, left_gram, perm, squares) = _small_values(T, z, rho)
     A = params.n_small
     right, right_residual = _smallest_eigenvectors(right_gram, squares, A)
     left, left_residual = _smallest_eigenvectors(left_gram, squares, A)
@@ -442,7 +452,8 @@ class SplitDiagnostics:
 
 
 def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray, classical: float,
-                  g_norm: NormBound | None = None) -> SplitDiagnostics:
+                  g_norm: NormBound | None = None, bases=None,
+                  bordered: np.ndarray | None = None) -> SplitDiagnostics:
     """Compute the three-way split for a quantization matrix at one probe.
 
     ``T`` must be a ToeplitzMatrix.  ``classical`` is the classical
@@ -460,10 +471,16 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray, classi
     and LAPACK's 1-norm condition estimate, and one of the ``A x A``
     corner (none when ``A = 0``); ``lu_log_abs_det`` sums each one's
     pivots.  The singular values and the small singular subspaces come
-    from :func:`_small_subspaces`, with no dense SVD.  The bordered matrix
-    is factored where it is built, ``P`` taken from its diagonals and its
-    1-norm summed over column blocks, so a probe holds one ``(dim + A)^2``
+    from :func:`_small_subspaces`, with no dense SVD; ``bases`` is its
+    result for ``(T, z, rho)`` when the caller has it already.  The bordered
+    matrix is factored where it is built, ``P`` taken from its diagonals and
+    its 1-norm summed over column blocks, so a probe holds one ``(dim + A)^2``
     matrix and O(dim A) beside ``G`` and ``T``, which it leaves unchanged.
+    ``bordered``, a Fortran-ordered complex128 ``(dim + A)^2`` array, is the
+    matrix to build it in instead of a new one.  ``G`` may be its top-left
+    block: the Neumann test reads ``G`` first, then ``delta G`` overwrites it
+    in place and ``g_norm`` lets go of it (:meth:`~toeplab.randmat.NormBound.release`),
+    so the probe holds no second ``(dim + A)^2`` or dim^2 array.
     A condition estimate above ``CONDITION_GUARD`` adds a flag; the corner
     still comes from the LU.  Route one of the Schur check,
     ``log|det(P + delta G - z)|``, is not computed here: a run reads it
@@ -473,7 +490,8 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray, classi
     flags = []
 
     # columns f_1..f_A, rows e_1*..e_A*
-    values, params, left, right_h, subspace_residual = _small_subspaces(T, z, rho)
+    values, params, left, right_h, subspace_residual = (_small_subspaces(T, z, rho) if bases is None
+                                                        else bases)
     A = params.n_small
     cutoff_gap = float(np.min(np.abs(values**2 - params.alpha))) / params.alpha
     if A == dim:
@@ -493,12 +511,21 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray, classi
     if G.shape != (dim, dim):
         raise ValueError(f"perturbation shape {G.shape} does not match dim {dim}")
     if delta != 0.0:
-        warning = _neumann_warning(delta, NormBound(G) if g_norm is None else g_norm, values, A)
+        g_norm = NormBound(G) if g_norm is None else g_norm
+        warning = _neumann_warning(delta, g_norm, values, A)
         if warning:
             flags.append(warning)
 
-    # Fortran order lets lu_factor factor M in place instead of copying it
-    M = np.empty((dim + A, dim + A), dtype=complex, order="F")
+    if bordered is None:                # Fortran order lets lu_factor factor M in place
+        M = np.empty((dim + A, dim + A), dtype=complex, order="F")
+    elif (bordered.shape != (dim + A, dim + A) or bordered.dtype != np.complex128
+          or not bordered.flags.f_contiguous):
+        raise ValueError(f"bordered must be a Fortran-ordered complex128 array of shape "
+                         f"{(dim + A, dim + A)}, got {bordered.dtype} {bordered.shape}")
+    else:
+        M = bordered
+        if g_norm is not None and np.may_share_memory(G, M):
+            g_norm.release()            # delta G is formed over G
     top = T.add_to(np.multiply(G, delta, out=M[:dim, :dim]))   # P from its diagonals, no dim^2 add
     top[np.diag_indices(dim)] -= complex(z)                     # P + delta G - z
     M[:dim, dim:] = left
@@ -542,14 +569,11 @@ class CountScan:
 def small_eigen_count_scan(f: SymbolSpec, z: complex, rho: float, n_values) -> CountScan:
     """Count singular values with t^2 <= N^(-2 rho) for each N and fit growth.
 
-    The count takes :func:`b_diagnostics`' route to the singular values, so
-    the scan and the split agree on ``A``.
+    The count takes :func:`b_diagnostics`' route to the singular values
+    (:func:`_small_values`), so the scan and the split agree on ``A``; it
+    computes no small singular subspace.
     """
-    counts = []
-    for N in n_values:
-        N = int(N)
-        _, params, _, _, _ = _small_subspaces(quantize_symbol(f, N), z, rho)
-        counts.append(params.n_small)
+    counts = [_small_values(quantize_symbol(f, int(N)), z, rho)[1].n_small for N in n_values]
     ns = np.asarray([int(N) for N in n_values], dtype=float)
     cs = np.asarray(counts, dtype=float)
     mask = cs >= 1

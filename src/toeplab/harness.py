@@ -67,7 +67,7 @@ from .geometry import (
     symbol_image,
     symbol_to_record,
 )
-from .grushin import b_diagnostics
+from .grushin import _small_subspaces, b_diagnostics
 from .potential import (
     default_probe_grid,
     limit_potential_many,
@@ -456,6 +456,7 @@ class _Setup:
     matrices: dict                      # N -> ToeplitzMatrix
     deltas: dict                        # N -> noise size delta(N), perturbed sizes
     rho: float
+    grushin_probes: list                # the Grushin probes z, in order; empty without that stage
     classical: Future                   # of the run's _Classical
 
 
@@ -467,7 +468,7 @@ class _Classical:
     predicted: np.ndarray               # Weyl prediction at each radius
     probes: np.ndarray | None           # None without the potential stage
     u_lim: np.ndarray                   # classical potential at each probe of probes, or nan
-    grushin_probes: list                # (z, classical potential at z or nan) pairs
+    grushin_u_lim: np.ndarray           # classical potential at each Grushin probe, or nan
 
 
 def _stages_problem(stages) -> str | None:
@@ -501,8 +502,9 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     ``unperturbed_sizes`` and lists them under the manifest's ``matrices``.
     The spectrum stage of a cell is one task (eigenvalues and disk counts,
     and the potential when that stage is selected); the Grushin stage of a
-    perturbed cell is a second task (a certified bound on ``||G||`` once,
-    then the split at each Grushin probe).  Neither waits on the other;
+    perturbed cell is a second task (the last probe's small subspaces, a
+    certified bound on ``||G||`` once, then the split at each Grushin probe,
+    the last one factored over ``G``).  Neither waits on the other;
     where the results are collected, spectrum tasks first, the ``diag_`` CSV
     gets each probe's Schur residual, the two routes to ``log|det(M - z)|``:
     the cell's eigenvalues and the split.
@@ -511,9 +513,9 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     set-up evaluates ``f0`` once on the run's quadrature grid, which gives
     the probes, the classical potential of every potential and Grushin
     probe and the Weyl prediction (:func:`_classical`), while the tasks draw
-    their noise and do their first dense work (the eigensolve, the bound on
-    ``||G||``).  Each task waits for those values only after that work, so
-    no task evaluates the symbol; a probe that
+    their noise and do their first dense work (the eigensolve; the last
+    probe's subspaces and the bound on ``||G||``).  Each task waits for
+    those values only after that work, so no task evaluates the symbol; a probe that
     the quadrature cannot give fails each task that needs it, and a set-up
     that raises fails every task and raises from ``run``.  Each task draws its own copy of the cell's noise, so no
     per-cell matrix exists outside a running task.  All tasks share one thread pool with one thread
@@ -564,6 +566,7 @@ def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
         matrices={N: quantize_symbol(f, N) for N in sorted(sizes)},
         deltas={int(N): config.noise_size(int(N)) for N in config.n_values},
         rho=config.rho,
+        grushin_probes=_grushin_probes(config, stages),
         classical=Future(),
     )
 
@@ -656,10 +659,9 @@ def _classical(config: ExperimentConfig, stages: set) -> _Classical | None:
     _release_heap()                             # the kappa fit's temporaries and the grid's nodes
     probes = config._probes(image) if "potential" in stages else None
     n_probes = 0 if probes is None else len(probes)
-    grushin_probes = ([complex(re, im) for re, im in config.grushin_probes]
-                      if "grushin" in stages else [])
     # the classical potential of every probe of the run, in one call; nan where it hits nodes
-    u_lim = limit_potential_many(image, [*([] if probes is None else probes), *grushin_probes])
+    u_lim = limit_potential_many(image, [*([] if probes is None else probes),
+                                         *_grushin_probes(config, stages)])
     _release_heap()
     radii = config.radii_grid()
     return _Classical(
@@ -667,8 +669,13 @@ def _classical(config: ExperimentConfig, stages: set) -> _Classical | None:
         predicted=weyl_predict(image, radii),
         probes=probes,
         u_lim=u_lim[:n_probes],
-        grushin_probes=list(zip(grushin_probes, u_lim[n_probes:])),
+        grushin_u_lim=u_lim[n_probes:],
     )
+
+
+def _grushin_probes(config: ExperimentConfig, stages: set) -> list:
+    """The run's Grushin probes z, in order: the configuration's, or none without the Grushin stage."""
+    return [complex(re, im) for re, im in config.grushin_probes] if "grushin" in stages else []
 
 
 def _strict_health(health: dict) -> dict:
@@ -686,20 +693,21 @@ def _artifact_record(path: Path) -> dict:
     return {"path": path.name, "sha256": _sha256_file(path)}
 
 
-def _cell_noise(T: ToeplitzMatrix, seed: int):
-    """The cell's Ginibre matrix, in Fortran order; every task of the cell draws the same one."""
-    return sample_ginibre(T.dim, derive_seed(seed, "cell", T.N))
+def _cell_noise(T: ToeplitzMatrix, seed: int, out: np.ndarray | None = None):
+    """The cell's Ginibre matrix, in Fortran order or in ``out``; every task of the cell draws the same one."""
+    return sample_ginibre(T.dim, derive_seed(seed, "cell", T.N), out=out)
 
 
 class _Clock:
-    """Seconds per named stage of one task, each stage timed from the end of the one before."""
+    """Seconds per named stage of one task, each lap timed from the end of the one before and
+    added to its stage's seconds."""
 
     def __init__(self):
         self.seconds, self._last = {}, time.perf_counter()
 
     def lap(self, stage: str) -> None:
         now = time.perf_counter()
-        self.seconds[stage], self._last = now - self._last, now
+        self.seconds[stage], self._last = self.seconds.get(stage, 0.0) + now - self._last, now
 
 
 def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
@@ -752,18 +760,32 @@ def _grushin_task(setup: _Setup, kind: str, N: int, seed: int):
     """Grushin stage of one perturbed cell: the split at each Grushin probe, in order, the
     ``||G||`` health and stage timings (``draw_s``, ``norm_bound_s``, ``wait_s`` for set-up's
     values and ``split_s`` over every probe), but not ``G``: the result waits in its future
-    for :func:`_diagnostics`."""
+    for :func:`_diagnostics`.
+
+    The last probe's small subspaces come first; the probes are the configuration's, so
+    that needs nothing from set-up.  ``G`` is drawn into the top-left block of that probe's
+    ``(dim + A)^2`` bordered matrix, and the earlier probes build their own from it.  The
+    last probe then forms and factors its bordered matrix over ``G``, so a one-probe cell
+    holds ``G`` and half a dim^2 array while the bound on ``||G||`` is certified
+    (:func:`~toeplab.randmat.certify_norm_bound`), and no second dim^2 array in its split."""
     clock = _Clock()
-    T = setup.matrices[N]
-    G = _cell_noise(T, seed)
+    T, zs, delta = setup.matrices[N], setup.grushin_probes, setup.deltas[N]
+    last = _small_subspaces(T, zs[-1], setup.rho) if zs else None
+    clock.lap("split_s")
+    A = last[1].n_small if zs else 0
+    bordered = np.empty((T.dim + A, T.dim + A), dtype=complex, order="F")
+    G = _cell_noise(T, seed, out=bordered[:T.dim, :T.dim])
     clock.lap("draw_s")
     g_norm = NormBound(G)                   # certified; the exact norm only if a flag hinges on it
     clock.lap("norm_bound_s")
-    grushin_probes = setup.classical.result().grushin_probes
+    u_lim = setup.classical.result().grushin_u_lim
     clock.lap("wait_s")
-    _require_classical(grushin_probes)
-    diags = [b_diagnostics(T, z, setup.rho, setup.deltas[N], G, classical, g_norm=g_norm)
-             for z, classical in grushin_probes]
+    _require_classical(zip(zs, u_lim))
+    diags = [b_diagnostics(T, z, setup.rho, delta, G, classical, g_norm=g_norm)
+             for z, classical in zip(zs[:-1], u_lim[:-1])]
+    if zs:                                  # over G: the exact norm, if needed, comes first
+        diags.append(b_diagnostics(T, zs[-1], setup.rho, delta, G, u_lim[-1], g_norm=g_norm,
+                                   bases=last, bordered=bordered))
     clock.lap("split_s")
     return diags, {"g_norm_bound": g_norm.bound, "g_norm_route": g_norm.route}, clock.seconds
 
@@ -774,7 +796,7 @@ def _diagnostics(setup: _Setup, cell, diags: list, health: dict, lam):
     A probe's Schur residual is ``|route one - (log|det bordered| + log|det corner|)|``, route one
     being :func:`~toeplab.potential.log_abs_sums` of the eigenvalues ``lam``; nan when either side is not finite."""
     _, N, seed = cell
-    zs = [z for z, _ in setup.classical.result().grushin_probes]
+    zs = setup.grushin_probes
     totals = [d.log_det_bordered + d.log_det_corner for d in diags]
     residuals = [abs(a - b) if np.isfinite(a) and np.isfinite(b) else float("nan")
                  for a, b in zip(log_abs_sums(lam, zs), totals)]
@@ -1064,9 +1086,9 @@ def _read_manifest(manifest) -> ExperimentConfig:
     naming what keeps it from being read.
 
     Every key that ``run`` writes and ``verify`` reads must be there.  The
-    ``config`` must pass :meth:`ExperimentConfig.check_keys`, as a
-    configuration that ``run`` accepts does, and ``stages`` the rule of
-    :func:`_stages_problem`.  An artifact path must be a bare file name, as
+    ``config`` must pass :meth:`ExperimentConfig.check_keys` and its symbol
+    :meth:`ExperimentConfig.symbol_spec`, as a configuration that ``run``
+    accepts does, and ``stages`` the rule of :func:`_stages_problem`.  An artifact path must be a bare file name, as
     ``run`` writes it, so that ``verify`` opens no file outside the run directory.
     """
     if not isinstance(manifest, dict):
@@ -1083,6 +1105,7 @@ def _read_manifest(manifest) -> ExperimentConfig:
     try:
         config = ExperimentConfig.from_mapping(manifest["config"])
         config.check_keys()
+        config.symbol_spec()
     except ConfigError as exc:
         raise ValueError(f"config {exc}") from None
     for name, cell in manifest["cells"].items():
@@ -1172,6 +1195,8 @@ def _judge_b3(by_size: dict) -> tuple:
     if not sizes:
         return "skipped", "no diagnostics artifacts"
     b3 = [r["B3"] for diags in by_size.values() for rows in diags for r in rows if r["A"] >= 1]
+    if not b3:
+        return "skipped", f"no diagnostics row with A >= 1 (sizes {sizes})"
     bad = sum(1 for x in b3 if not x < 0.0)
     return ("pass" if bad == 0 else "fail"), \
         f"{len(b3) - bad}/{len(b3)} realizations with A >= 1 have B3 < 0 (sizes {sizes})"
@@ -1182,6 +1207,8 @@ def _judge_schur(by_size: dict) -> tuple:
     if not sizes:
         return "skipped", "no diagnostics artifacts"
     rows = [r for diags in by_size.values() for rows in diags for r in rows]
+    if not rows:
+        return "skipped", f"no diagnostics rows (sizes {sizes})"
     worst = max([0.0, *(r["schur_residual"] for r in rows if np.isfinite(r["schur_residual"]))])
     explained = [_singular_flagged(r) for r in rows if not np.isfinite(r["schur_residual"])]
     return ("pass" if worst <= 1e-6 and all(explained) else "fail"), \

@@ -255,7 +255,8 @@ class TestSplitDiagnostics:
         # the diag_*.csv row of the same split; A depends on T alone, not on the noise
         T, diag, _, classical = diag300
         setup = SimpleNamespace(out=tmp_path, matrices={120: T}, deltas={120: 1.0 / 120}, rho=0.25,
-                                classical=published(SimpleNamespace(grushin_probes=[(0.3 + 0.2j, classical)])))
+                                grushin_probes=[0.3 + 0.2j],
+                                classical=published(SimpleNamespace(grushin_u_lim=[classical])))
         diags, g_health, _ = harness_module._grushin_task(setup, "perturbed", 120, 5)
         lam = np.linalg.eigvals(T.dense() + (1.0 / 120) * harness_module._cell_noise(T, 5))
         route_one = float(log_abs_sums(lam, [0.3 + 0.2j])[0])
@@ -789,6 +790,19 @@ class TestCountScan:
         assert scan.counts == (5, 7)
         assert scan.fitted_exponent == pytest.approx(np.log(7 / 5) / np.log(2))
 
+    def test_counts_need_no_subspace(self, monkeypatch):
+        # the counts are the split's A, from the singular values alone: no inverse iteration
+        sizes = [60, 100, 150]
+        want = tuple(grushin_module._small_subspaces(quantize_symbol(PROJECTION, N), 0.3 + 0.2j, 0.25)[1].n_small
+                     for N in sizes)
+
+        def refuse(*args):
+            raise AssertionError("the count scan factored a shifted Gram band")
+
+        monkeypatch.setattr(lapack_module, "band_lu", refuse)
+        scan = small_eigen_count_scan(PROJECTION, 0.3 + 0.2j, 0.25, sizes)
+        assert scan.counts == want and min(want) >= 1
+
     def test_counts_grow_sublinearly(self):
         scan = small_eigen_count_scan(PROJECTION, 0.3 + 0.2j, 0.25,
                                       [50, 100, 200, 300])
@@ -834,3 +848,47 @@ class TestProbeMemory:
             b_diagnostics(T, z, 0.25, delta, G, 0.0, g_norm=g_norm)
             assert T.dense().tobytes() == entries.tobytes()
             assert G.tobytes() == noise.tobytes()
+
+    @classmethod
+    def _over_g(cls, T, z, delta):
+        """The split in a bordered buffer whose top-left block holds ``G``, and ``G``'s bound."""
+        subspaces = grushin_module._small_subspaces(T, z, 0.25)
+        A = subspaces[1].n_small
+        bordered = np.empty((T.dim + A, T.dim + A), dtype=complex, order="F")
+        G = sample_ginibre(T.dim, derive_seed(3, "memory", T.N), out=bordered[:T.dim, :T.dim])
+        g_norm = NormBound(G)
+        diag = b_diagnostics(T, z, 0.25, delta, G, 0.0, g_norm=g_norm, bases=subspaces, bordered=bordered)
+        return diag, g_norm
+
+    def test_split_over_g_is_the_split_of_a_new_matrix(self):
+        T, z, G, g_norm = self._probe(dim=160)
+        delta = T.N ** -1.25
+        want = b_diagnostics(T, z, 0.25, delta, G, 0.0, g_norm=g_norm)
+        got, over = self._over_g(T, z, delta)
+        assert want.n_small >= 1 and got == want
+        # delta G overwrote G, so no exact norm can come from it any more
+        assert over.route == g_norm.route == "cholesky"
+        with pytest.raises(RuntimeError, match="overwritten"):
+            over.exact()
+
+    def test_exact_norm_comes_before_g_is_overwritten(self):
+        # deltas where the certified bound cannot rule the Neumann warning out: the exact norm
+        # decides, and with G intact, as a split beside G gives it
+        T, z, G, g_norm = self._probe(dim=160)
+        values, params, *_ = grushin_module._small_subspaces(T, z, 0.25)
+        reach = 1.0 / values[params.n_small] + 1.0
+        exact = operator_norm(G)
+        for delta, flagged in ((2.0 / (reach * (exact + g_norm.bound)), False), (2.0 / (reach * exact), True)):
+            want = b_diagnostics(T, z, 0.25, delta, G, 0.0, g_norm=NormBound(G))
+            got, over = self._over_g(T, z, delta)
+            assert got.flags == want.flags and any("Neumann" in f for f in got.flags) == flagged
+            assert over.route == "svd-exact" and over.exact() == exact
+
+    def test_bordered_of_another_shape_refused(self):
+        T, z, G, g_norm = self._probe(dim=60)
+        subspaces = grushin_module._small_subspaces(T, z, 0.25)
+        A = subspaces[1].n_small
+        for bordered in (np.empty((T.dim + A + 1, T.dim + A + 1), dtype=complex, order="F"),
+                         np.empty((T.dim + A, T.dim + A), dtype=complex)):
+            with pytest.raises(ValueError, match="bordered"):
+                b_diagnostics(T, z, 0.25, 0.01, G, 0.0, g_norm=g_norm, bases=subspaces, bordered=bordered)

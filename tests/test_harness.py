@@ -20,7 +20,7 @@ from toeplab.geometry import (
     symbol_from_record,
     symbol_to_record,
 )
-from toeplab.grushin import CONDITION_GUARD, b_diagnostics
+from toeplab.grushin import CONDITION_GUARD, _small_subspaces, b_diagnostics
 from toeplab.harness import (
     STAGES,
     ConfigError,
@@ -31,7 +31,7 @@ from toeplab.harness import (
     verify,
 )
 from toeplab.quantize import ToeplitzMatrix, quantize_symbol
-from toeplab.randmat import derive_seed, operator_norm, sample_ginibre
+from toeplab.randmat import NormBound, derive_seed, operator_norm, sample_ginibre
 
 
 def tiny_config(**overrides):
@@ -686,10 +686,10 @@ class TestRun:
         real = hz.sample_ginibre
         doomed = {hz.derive_seed(seed, "cell", 48) for seed in (0, 1)}
 
-        def flaky(dim, seed):
+        def flaky(dim, seed, out=None):
             if seed in doomed:
                 raise RuntimeError("synthetic N=48 failure")
-            return real(dim, seed)
+            return real(dim, seed, out=out)
 
         monkeypatch.setattr(hz, "sample_ginibre", flaky)
         record = run(tiny_config(), out_dir=out, workers=1)
@@ -808,6 +808,36 @@ class TestRun:
             assert cli_main(["verify", str(tmp_path), "--suite", suite]) == 1
             assert json.loads(capsys.readouterr().out) == json.loads(report.to_json())
 
+    @pytest.mark.parametrize("symbol, detail", [
+        ("", "config symbol: empty symbol record"),
+        ("sphere\n0 1 0 0 nan 0.0\n", "config symbol: non-finite coefficient in symbol record line"),
+        ("sphere\nfoo\n", "config symbol: malformed symbol record line: 'foo'"),
+        (symbol_to_record(scottish_flag_symbol()), "config symbol kind 'torus' does not match space 'sphere'"),
+    ], ids=["empty", "nan-coefficient", "malformed-line", "torus-under-sphere"])
+    def test_verify_reads_the_symbol_as_run_does(self, tmp_path, symbol, detail):
+        # run reads the symbol through symbol_spec and refuses each of these before any cell
+        _write_manifest(tmp_path, lambda m: m["config"].update(symbol=symbol))
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_mapping({**tiny_config().to_mapping(), "symbol": symbol}).validate()
+        for suite in ("acceptance", "integrity"):
+            report = verify(tmp_path, suite=suite)
+            assert not report.passed and report.criteria["integrity"]["status"] == "fail"
+            assert report.criteria["integrity"]["detail"].startswith(f"malformed manifest: {detail}")
+
+    def test_no_diagnostics_row_to_judge_is_skipped(self, tmp_path):
+        # no probe, then one far probe (A = 0): neither criterion may pass over zero rows
+        for probes, schur in (([], "skipped"), ([[1.5, 1.5]], "pass")):
+            out = tmp_path / f"probes{len(probes)}"
+            record = run(tiny_config(n_values=[24], grushin_probes=probes), out_dir=out)
+            rows = (out / "diag_N24_s0.csv").read_text().splitlines()[1:]
+            assert not record.manifest["errors"] and len(rows) == len(probes)
+            assert all(int(row.split(",")[6]) == 0 for row in rows)
+            report = verify(out)
+            assert report.criteria["integrity"]["status"] == "pass"
+            assert report.criteria["b3_negative"] == {"status": "skipped",
+                                                      "detail": "no diagnostics row with A >= 1 (sizes [24])"}
+            assert report.criteria["schur_residual"]["status"] == schur
+
     def test_the_unbroken_manifest_passes_integrity(self, tmp_path):
         # the manifest that each malformed case breaks in one part: every cell failed
         _write_manifest(tmp_path, lambda m: None)
@@ -860,10 +890,10 @@ class TestRun:
         import toeplab.harness as hz
         real = hz.sample_ginibre
 
-        def flaky(dim, seed):
+        def flaky(dim, seed, out=None):
             if seed == hz.derive_seed(1, "cell", 24):
                 raise RuntimeError("synthetic cell failure")
-            return real(dim, seed)
+            return real(dim, seed, out=out)
 
         monkeypatch.setattr(hz, "sample_ginibre", flaky)
         record = run(tiny_config(), out_dir=tmp_path / "flaky", workers=1)
@@ -876,8 +906,8 @@ class TestRun:
         import toeplab.harness as hz
         real = hz.sample_ginibre
 
-        def poisoned(dim, seed):
-            G = real(dim, seed)
+        def poisoned(dim, seed, out=None):
+            G = real(dim, seed, out=out)
             if seed == hz.derive_seed(1, "cell", 24):
                 G[0, 0] = np.nan
             return G
@@ -891,10 +921,10 @@ class TestRun:
         import toeplab.harness as hz
         real = hz.b_diagnostics
 
-        def flaky(T, z, rho, delta, G, classical, g_norm=None):
+        def flaky(T, z, rho, delta, G, classical, **kwargs):
             if T.N == 24 and np.array_equal(G, hz._cell_noise(T, 1)):
                 raise RuntimeError("synthetic Grushin failure")
-            return real(T, z, rho, delta, G, classical, g_norm=g_norm)
+            return real(T, z, rho, delta, G, classical, **kwargs)
 
         monkeypatch.setattr(hz, "b_diagnostics", flaky)
         record = run(tiny_config(), out_dir=tmp_path / "flaky", workers=1)
@@ -1220,8 +1250,8 @@ class TestCellMemory:
         N, dim = 399, 400
         classical = hz._classical(cfg, {"spectrum", "potential"})
         probes = classical.probes
-        setup = hz._Setup(out=tmp_path, matrices={N: quantize_symbol(f, N)},
-                          deltas={N: cfg.noise_size(N)}, rho=cfg.rho, classical=published(classical))
+        setup = hz._Setup(out=tmp_path, matrices={N: quantize_symbol(f, N)}, deltas={N: cfg.noise_size(N)},
+                          rho=cfg.rho, grushin_probes=[], classical=published(classical))
         seed = 0 if kind == "perturbed" else None
         with hz._pinned_blas():
             hz._spectrum_task(setup, kind, N, seed)                 # warm-up
@@ -1237,25 +1267,84 @@ class TestCellMemory:
 
     def test_a_grushin_result_holds_no_reference_to_the_noise(self, tmp_path, monkeypatch, published):
         # a result waits in its future until every spectrum task before it is collected;
-        # one that kept G (through its NormBound) held a dim^2 array per cell meanwhile
+        # one that kept G (through its NormBound) held a dim^2 array per cell meanwhile.
+        # G is drawn into the last probe's bordered matrix, whose buffer must go too
         import weakref
         import toeplab.harness as hz
         drawn = []
 
-        def noise(T, seed):
-            G = hz.sample_ginibre(T.dim, hz.derive_seed(seed, "cell", T.N))
-            drawn.append(weakref.ref(G))
+        def noise(T, seed, out=None):
+            G = hz.sample_ginibre(T.dim, hz.derive_seed(seed, "cell", T.N), out=out)
+            drawn.append(weakref.ref(G if G.base is None else G.base))
             return G
 
         monkeypatch.setattr(hz, "_cell_noise", noise)
         f = preset_config("sphere-figure3").symbol_spec()
         classical = hz._Classical(radii=np.zeros(1), predicted=np.zeros(1), probes=None, u_lim=np.zeros(0),
-                                  grushin_probes=[(0.3 + 0.2j, 0.0), (0.6 + 0j, 0.0)])
+                                  grushin_u_lim=np.zeros(2))
         setup = hz._Setup(out=tmp_path, matrices={40: quantize_symbol(f, 40)}, deltas={40: 1 / 40},
-                          rho=0.2, classical=published(classical))
+                          rho=0.2, grushin_probes=[0.3 + 0.2j, 0.6 + 0j], classical=published(classical))
         result = hz._grushin_task(setup, "perturbed", 40, 0)
         assert len(result[0]) == 2 and len(drawn) == 1
         assert drawn[0]() is None
+
+    def test_a_one_probe_grushin_task_holds_g_and_half_a_gram(self, tmp_path, monkeypatch, published):
+        # G is drawn into the last probe's bordered matrix: the certificate holds that, the
+        # probe's two bases (O(dim A)) and about 0.6 dim^2 of factor and scratch; the split factors
+        # the bordered matrix over G beside O(dim A). A Gram matrix beside G, or G beside a new
+        # bordered matrix, does not fit
+        import toeplab.harness as hz
+        N, dim, z = 299, 300, 0.3 + 0.2j
+        T = quantize_symbol(preset_config("sphere-figure3").symbol_spec(), N)
+        A = _small_subspaces(T, z, 0.2)[1].n_small
+        certified, real = [], hz.NormBound
+
+        def bounding(G):                        # the peak up to the certificate's end, then anew
+            bound = real(G)
+            certified.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return bound
+
+        monkeypatch.setattr(hz, "NormBound", bounding)
+        classical = hz._Classical(radii=np.zeros(1), predicted=np.zeros(1), probes=None, u_lim=np.zeros(0),
+                                  grushin_u_lim=np.zeros(1))
+        setup = hz._Setup(out=tmp_path, matrices={N: T}, deltas={N: 1 / N}, rho=0.2, grushin_probes=[z],
+                          classical=published(classical))
+        with hz._pinned_blas():
+            hz._grushin_task(setup, "perturbed", N, 0)                # warm-up
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                diags, health, _ = hz._grushin_task(setup, "perturbed", N, 0)
+                split = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        assert diags[0].n_small == A >= 5 and health["g_norm_route"] == "cholesky"
+        assert certified[-1] - before <= 16 * ((dim + A) ** 2 + 0.65 * dim * dim + 4 * dim * A)
+        assert split <= 16 * (dim + A) * (dim + A + 7 * A + 48)
+
+    @pytest.mark.parametrize("flagged", [False, True], ids=["bound-undecided", "neumann-flag"])
+    def test_the_last_probe_takes_the_exact_norm_before_it_overwrites_g(self, tmp_path, published, flagged):
+        # deltas where the certified bound cannot rule the Neumann warning out at the last probe
+        # alone (the far first probe needs no exact norm): the exact norm of G, not of what the
+        # last probe leaves in its place, gives the flag that a split beside G gives
+        import toeplab.harness as hz
+        N, z = 119, 0.3 + 0.2j
+        T = quantize_symbol(preset_config("sphere-figure3").symbol_spec(), N)
+        G = hz._cell_noise(T, 0)
+        values, params, *_ = _small_subspaces(T, z, 0.2)
+        reach = 1.0 / values[params.n_small] + 1.0
+        exact, bound = operator_norm(G), NormBound(G).bound
+        delta = 2.0 / (reach * exact) if flagged else 2.0 / (reach * (exact + bound))
+        classical = hz._Classical(radii=np.zeros(1), predicted=np.zeros(1), probes=None, u_lim=np.zeros(0),
+                                  grushin_u_lim=np.zeros(2))
+        setup = hz._Setup(out=tmp_path, matrices={N: T}, deltas={N: delta}, rho=0.2,
+                          grushin_probes=[1.5 + 1.5j, z], classical=published(classical))
+        diags, health, _ = hz._grushin_task(setup, "perturbed", N, 0)
+        want = b_diagnostics(T, z, 0.2, delta, G, 0.0, g_norm=NormBound(G))
+        assert diags[0].flags == () and diags[-1].flags == want.flags
+        assert any("Neumann" in flag for flag in want.flags) == flagged
+        assert health == {"g_norm_bound": bound, "g_norm_route": "svd-exact"}
 
     def test_run_leaves_the_shared_matrices_unchanged(self, tmp_path, monkeypatch):
         import toeplab.harness as hz
@@ -1446,11 +1535,11 @@ class TestHeapRelease:
         events, main = [], threading.get_ident()
         real_draw, real_predict = hz.sample_ginibre, hz.weyl_predict
 
-        def drawing(dim, seed):                 # once per task: each task draws its cell's noise
+        def drawing(dim, seed, out=None):                 # once per task: each task draws its cell's noise
             events.append("draw")
             if seed == hz.derive_seed(1, "cell", 24):
                 raise RuntimeError("synthetic cell failure")
-            return real_draw(dim, seed)
+            return real_draw(dim, seed, out=out)
 
         def predicting(*args):                  # the last of set-up's quadrature values
             events.append("set-up")

@@ -99,6 +99,23 @@ def test_cholesky_info_and_factor_equal_to_scipy(kind, dim):
         assert _same_bits(got, want)
 
 
+@pytest.mark.parametrize("kind", ("ginibre",) + PRESETS)
+@pytest.mark.parametrize("dim", DIMS)
+def test_upper_adjoint_solve_bit_equal_to_scipy(kind, dim):
+    # a Cholesky factor from cholesky_upper, as the norm certificate solves with it
+    M = _matrix(kind, dim)
+    r = np.array(M.conj().T @ M + np.linalg.norm(M, "fro") ** 2 * np.eye(dim), order="F")
+    assert _lapack.cholesky_upper(r) == 0
+    b = np.array(_matrix("ginibre", dim)[:, :7], order="F")
+    want = scipy.linalg.lapack.ztrtrs(r, b, lower=0, trans=2)[0]
+    _lapack.solve_upper_adjoint(r, b)
+    assert _same_bits(b, want)
+    with pytest.raises(ValueError):
+        _lapack.solve_upper_adjoint(r, np.ascontiguousarray(b))
+    with pytest.raises(ValueError):
+        _lapack.solve_upper_adjoint(r, np.asfortranarray(b[:-1]))
+
+
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("dim", DIMS)
 def test_banded_values_lu_and_solve_bit_equal_to_scipy(preset, dim):

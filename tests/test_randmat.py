@@ -60,6 +60,20 @@ class TestGinibre:
             tracemalloc.stop()
         assert peak <= 16 * 1.25 * dim * dim
 
+    @pytest.mark.parametrize("dim", [1, 33, 97])
+    def test_out_block_of_a_larger_fortran_buffer_takes_the_reference_bits(self, dim):
+        # the Grushin task draws G into the top-left block of a bordered matrix
+        buffer = np.full((dim + 5, dim + 5), 7.0 + 7.0j, order="F")
+        got = sample_ginibre(dim, 11, out=buffer[:dim, :dim])
+        assert np.shares_memory(got, buffer) and got.shape == (dim, dim)
+        assert got.tobytes() == sample_ginibre(dim, 11).tobytes()
+        assert np.all(buffer[dim:] == 7.0 + 7.0j) and np.all(buffer[:, dim:] == 7.0 + 7.0j)
+
+    def test_out_of_another_shape_or_type_refused(self):
+        for out in (np.empty((4, 5), dtype=complex), np.empty((5, 5))):
+            with pytest.raises(ValueError, match="out must be"):
+                sample_ginibre(5, 1, out=out)
+
     def test_moments_at_256(self):
         # entry law: mean 0, E|g|^2 = 1 (|g|^2 is Exp(1)); check within 3 SE
         g = sample_ginibre(256, 5)
@@ -184,10 +198,41 @@ class TestNormCertificate:
         assert shift is not None and shift > 0.0
         assert shift <= 1e-6 * (c * c - operator_norm(G) ** 2)
 
+    def test_holds_half_a_gram(self):
+        # the upper trapezoid of the factor in block rows and one panel of scratch; a whole
+        # Gram matrix (a dim^2 array) or a conjugated copy of G does not fit
+        import tracemalloc
+        dim = 300
+        G = sample_ginibre(dim, derive_seed(0, "cell", dim - 1))
+        c = 2.0 * np.sqrt(dim) + 3.0
+        assert certify_norm_bound(G, c) is not None                     # warm-up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            certify_norm_bound(G, c)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 0.65 * dim * dim
+
     def test_nonfinite_noise_certifies_nothing(self):
         G = sample_ginibre(20, 1)
         G[3, 4] = np.nan
         assert certify_norm_bound(G, 1e6) is None
+
+    def test_a_released_bound_computes_no_exact_norm(self):
+        # whoever overwrites G releases it first; the exact norm of what is left would be wrong
+        G = sample_ginibre(30, 2)
+        norm = NormBound(G)
+        norm.release()
+        G[:] = 0.0
+        with pytest.raises(RuntimeError, match="overwritten"):
+            norm.exact()
+        assert norm.route == "cholesky"
+        kept = NormBound(sample_ginibre(30, 2))
+        exact = kept.exact()
+        kept.release()
+        assert kept.exact() == exact == operator_norm(sample_ginibre(30, 2))
 
     def test_exact_norm_only_where_the_bound_cannot_decide(self):
         T = quantize_sphere(sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0}), 79)
