@@ -16,9 +16,9 @@ which splits the normalized log-determinant into a bulk part (b1), a
 perturbation shift (b2) and a small-singular-value part (b3).
 
 ``b_diagnostics`` is the fast route to the split.  It takes every ``P - z``
-as a band matrix, from the diagonals the quantization matrix holds, in the
-order of its :attr:`~toeplab.quantize.ToeplitzMatrix.band`: the plain one
-or the interleaving ``0, n-1, 1, n-2, ...``, whichever band is narrower.
+as a band matrix, from :attr:`~toeplab.quantize.ToeplitzMatrix.band`, the
+one form the quantization matrix is held in, and in that band's order: the
+plain one or the interleaving ``0, n-1, 1, n-2, ...``, whichever band is narrower.
 A sphere symbol of degree d gives band d, and a torus symbol of largest
 mode m a cyclic band m, which the interleaving turns into a plain band 2m.
 The singular values come from a banded Hermitian eigensolve of
@@ -473,7 +473,7 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray, classi
     pivots.  The singular values and the small singular subspaces come
     from :func:`_small_subspaces`, with no dense SVD; ``bases`` is its
     result for ``(T, z, rho)`` when the caller has it already.  The bordered
-    matrix is factored where it is built, ``P`` taken from its diagonals and
+    matrix is factored where it is built, ``P`` taken from its band and
     its 1-norm summed over column blocks, so a probe holds one ``(dim + A)^2``
     matrix and O(dim A) beside ``G`` and ``T``, which it leaves unchanged.
     ``bordered``, a Fortran-ordered complex128 ``(dim + A)^2`` array, is the
@@ -526,7 +526,7 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray, classi
         M = bordered
         if g_norm is not None and np.may_share_memory(G, M):
             g_norm.release()            # delta G is formed over G
-    top = T.add_to(np.multiply(G, delta, out=M[:dim, :dim]))   # P from its diagonals, no dim^2 add
+    top = T.add_to(np.multiply(G, delta, out=M[:dim, :dim]))   # P from its band, no dim^2 add
     top[np.diag_indices(dim)] -= complex(z)                     # P + delta G - z
     M[:dim, dim:] = left
     M[dim:, :dim] = right_h

@@ -624,8 +624,9 @@ def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
         "wall_clock_s": time.time() - t_start,
         "timings": {"validate_s": t_setup - t_validate, "setup_s": setup_s, "pool_s": pool_s},
         "environment": {**_environment(pool_size), "bands": {
-            f"N{N}": {"diagonals": len(T.diagonals), "lo": T.band.lo, "hi": T.band.hi,
-                      "interleaved": T.band.perm is not None}
+            # the shifts holding an entry, mod dim: cyclic on the torus, and no sphere band spans dim/2
+            f"N{N}": {"diagonals": np.unique(np.subtract(*T.band.positions()) % T.dim).size,
+                      "lo": T.band.lo, "hi": T.band.hi, "interleaved": T.band.perm is not None}
             for N, T in setup.matrices.items()}},
         "stages": [stage for stage in _ALL_STAGES if stage in stages],
         "cells": {
@@ -721,9 +722,9 @@ def _spectrum_task(setup: _Setup, kind: str, N: int, seed: int | None):
     clock = _Clock()
     T = setup.matrices[N]
     name = _cell_name((kind, N, seed))
-    # M is overwritten by the eigensolve; T, shared by every task, lends only its diagonals
+    # M is overwritten by the eigensolve; T, shared by every task, lends only its band
     if kind == "unperturbed":
-        M = T.copy_to(np.zeros((T.dim, T.dim), dtype=complex, order="F"))
+        M = T.add_to(np.zeros((T.dim, T.dim), dtype=complex, order="F"))
     else:
         M = _cell_noise(T, seed)             # M = T + delta G, built over this task's G
         M *= setup.deltas[N]
@@ -767,12 +768,15 @@ def _grushin_task(setup: _Setup, kind: str, N: int, seed: int):
     ``(dim + A)^2`` bordered matrix, and the earlier probes build their own from it.  The
     last probe then forms and factors its bordered matrix over ``G``, so a one-probe cell
     holds ``G`` and half a dim^2 array while the bound on ``||G||`` is certified
-    (:func:`~toeplab.randmat.certify_norm_bound`), and no second dim^2 array in its split."""
+    (:func:`~toeplab.randmat.certify_norm_bound`), and no second dim^2 array in its split.
+    With no Grushin probe it draws nothing and returns no split, health or timing."""
     clock = _Clock()
     T, zs, delta = setup.matrices[N], setup.grushin_probes, setup.deltas[N]
-    last = _small_subspaces(T, zs[-1], setup.rho) if zs else None
+    if not zs:                              # nothing to split: no G, no bound on its norm
+        return [], {}, clock.seconds
+    last = _small_subspaces(T, zs[-1], setup.rho)
     clock.lap("split_s")
-    A = last[1].n_small if zs else 0
+    A = last[1].n_small
     bordered = np.empty((T.dim + A, T.dim + A), dtype=complex, order="F")
     G = _cell_noise(T, seed, out=bordered[:T.dim, :T.dim])
     clock.lap("draw_s")
@@ -783,9 +787,9 @@ def _grushin_task(setup: _Setup, kind: str, N: int, seed: int):
     _require_classical(zip(zs, u_lim))
     diags = [b_diagnostics(T, z, setup.rho, delta, G, classical, g_norm=g_norm)
              for z, classical in zip(zs[:-1], u_lim[:-1])]
-    if zs:                                  # over G: the exact norm, if needed, comes first
-        diags.append(b_diagnostics(T, zs[-1], setup.rho, delta, G, u_lim[-1], g_norm=g_norm,
-                                   bases=last, bordered=bordered))
+    # over G: the exact norm, if needed, comes first
+    diags.append(b_diagnostics(T, zs[-1], setup.rho, delta, G, u_lim[-1], g_norm=g_norm,
+                               bases=last, bordered=bordered))
     clock.lap("split_s")
     return diags, {"g_norm_bound": g_norm.bound, "g_norm_route": g_norm.route}, clock.seconds
 
@@ -1016,7 +1020,9 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
 #: Largest gap between a potential row's ``U_emp`` and ``sum log|lambda - z| / dim``
 #: recomputed from its cell's spectrum CSV.  ``run`` and ``verify`` compute it by one
 #: function, :func:`~toeplab.potential.log_abs_sums`, so on one build the two are
-#: equal; the bound admits a run that another build wrote.
+#: equal; the bound admits a run that another build wrote.  Against a 40-digit
+#: determinant that sum's forward error on perturbed cells (sphere N = 60, flag N = 50)
+#: is at most 1.2e-16 per dim, so 1e-8 is no statement of its accuracy.
 POTENTIAL_TOL = 1e-8
 
 
@@ -1209,6 +1215,9 @@ def _judge_schur(by_size: dict) -> tuple:
     rows = [r for diags in by_size.values() for rows in diags for r in rows]
     if not rows:
         return "skipped", f"no diagnostics rows (sizes {sizes})"
+    # each side's forward error against a 40-digit determinant on perturbed cells (sphere
+    # N = 60, flag N = 50) is at most 1.2e-16 per dim, 7.1e-15 in all: 1e-6 flags a wrong
+    # route, not rounding
     worst = max([0.0, *(r["schur_residual"] for r in rows if np.isfinite(r["schur_residual"]))])
     explained = [_singular_flagged(r) for r in rows if not np.isfinite(r["schur_residual"])]
     return ("pass" if worst <= 1e-6 and all(explained) else "fail"), \

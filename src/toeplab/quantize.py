@@ -25,13 +25,15 @@ form through log-gamma; a 2D quadrature path is kept as a cross-check oracle.
 
 Lower-order corrections of a symbol are quantized by the same rules with
 coefficient ``N^-j``.
+
+Each builder sums its terms diagonal by diagonal; :func:`_toeplitz` keeps the
+nonzero entries once, as the :class:`Band` that a :class:`ToeplitzMatrix` holds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -57,21 +59,22 @@ class Band:
     cols: np.ndarray
     values: np.ndarray
 
+    def positions(self) -> tuple:
+        """The entries' rows and columns in the matrix's own order."""
+        return (self.rows, self.cols) if self.perm is None else (self.perm[self.rows], self.perm[self.cols])
+
 
 @dataclass(frozen=True)
 class ToeplitzMatrix:
-    """A quantization matrix held as its nonzero diagonals; its symbol fixes its phase space.
+    """A quantization matrix held as its :class:`Band`; its symbol fixes its phase space.
 
-    ``diagonals`` maps a shift ``s`` to the entries ``T[c + s, c]`` over the
-    columns ``c`` where ``0 <= c + s < dim`` (sphere), or ``T[(c + s) mod N,
-    c]`` over every column (torus: the cyclic shifts of the clock and shift
-    rule), and holds only diagonals with a nonzero entry.  :meth:`dense`
-    builds the matrix itself.
+    The band, built once by the quantizer, is the only stored form: :meth:`add_to`
+    adds its entries to an array and :meth:`dense` builds the matrix itself.
     """
 
     N: int
     symbol: SymbolSpec
-    diagonals: dict
+    band: Band
 
     @property
     def space(self) -> PhaseSpace:
@@ -81,53 +84,14 @@ class ToeplitzMatrix:
     def dim(self) -> int:
         return bergman_dimension(self.space, self.N)
 
-    def coordinates(self, shift: int):
-        """Row and column indices of the diagonal ``shift``, in the order of its entries."""
-        dim = self.dim
-        if self.symbol.kind == TORUS:
-            cols = np.arange(dim)
-            return (cols + shift) % dim, cols
-        cols = np.arange(max(0, -shift), min(dim, dim - shift))
-        return cols + shift, cols
-
     def add_to(self, out: np.ndarray) -> np.ndarray:
-        """``out += T``, diagonal by diagonal, for a ``dim x dim`` array (or view) ``out``."""
-        for shift, values in self.diagonals.items():
-            out[self.coordinates(shift)] += values
-        return out
-
-    def copy_to(self, out: np.ndarray) -> np.ndarray:
-        """Write the stored entries into ``out``, leaving its other entries as they are."""
-        for shift, values in self.diagonals.items():
-            out[self.coordinates(shift)] = values
+        """``out += T`` at the stored entries, for a ``dim x dim`` array (or view) ``out``."""
+        out[self.band.positions()] += self.band.values
         return out
 
     def dense(self) -> np.ndarray:
         """The ``dim x dim`` matrix; of a run, only the ``matrix`` stage builds it."""
-        return self.copy_to(np.zeros((self.dim, self.dim), dtype=complex))
-
-    @cached_property
-    def band(self) -> Band:
-        """The nonzero entries in the order of the narrower band (see :class:`Band`)."""
-        n = self.dim
-        index = [self.coordinates(shift) for shift in self.diagonals] or [(np.empty(0, np.intp),) * 2]
-        rows, cols = np.concatenate([r for r, _ in index]), np.concatenate([c for _, c in index])
-        values = np.concatenate([*self.diagonals.values(), np.empty(0, dtype=complex)])
-        nonzero = values != 0
-        rows, cols, values = rows[nonzero], cols[nonzero], values[nonzero]
-        perm = np.empty(n, dtype=np.intp)
-        perm[0::2] = np.arange((n + 1) // 2)
-        perm[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
-        position = np.empty(n, dtype=np.intp)
-        position[perm] = np.arange(n)
-        # lo + hi, the band's width, is the spread of the offsets col - row and 0
-        if np.ptp(np.r_[0, position[cols] - position[rows]]) < np.ptp(np.r_[0, cols - rows]):
-            rows, cols = position[rows], position[cols]
-        else:
-            perm = None
-        offsets = cols - rows
-        lo, hi = max(0, -int(np.min(offsets, initial=0))), max(0, int(np.max(offsets, initial=0)))
-        return Band(lo, hi, perm, rows, cols, values)
+        return self.add_to(np.zeros((self.dim, self.dim), dtype=complex))
 
 
 def bergman_dimension(space: PhaseSpace, N: int) -> int:
@@ -182,13 +146,36 @@ def quantize_torus(f: SymbolSpec, N: int) -> ToeplitzMatrix:
 
 
 def _toeplitz(N: int, f: SymbolSpec, diagonals: dict) -> ToeplitzMatrix:
-    """The matrix of the diagonals that hold a nonzero entry, in ascending shift order.
+    """The matrix of ``diagonals``, with its nonzero entries held in the narrower band order.
 
-    A diagonal can cancel exactly: ``i x1 + x2`` on the sphere puts ``i v - i v``
+    ``diagonals`` maps a shift ``s`` to the entries ``T[c + s, c]`` over the
+    columns ``c`` where ``0 <= c + s < dim`` (sphere), or ``T[(c + s) mod N, c]``
+    over every column (torus: the cyclic shifts of the clock and shift rule).
+    An entry can cancel exactly: ``i x1 + x2`` on the sphere puts ``i v - i v``
     on its superdiagonal, and a run must see a band of 1, not 2.
     """
-    kept = {shift: diagonals[shift] for shift in sorted(diagonals) if np.any(diagonals[shift])}
-    return ToeplitzMatrix(int(N), f, kept)
+    n = bergman_dimension(f.space, N)
+    rows, cols, values = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0, complex)]
+    for shift in sorted(diagonals):
+        c = np.arange(n) if f.kind == TORUS else np.arange(max(0, -shift), min(n, n - shift))
+        rows.append((c + shift) % n)
+        cols.append(c)
+        values.append(diagonals[shift])
+    rows, cols, values = np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+    nonzero = values != 0
+    rows, cols, values = rows[nonzero], cols[nonzero], values[nonzero]
+    perm = np.empty(n, dtype=np.intp)
+    perm[0::2] = np.arange((n + 1) // 2)
+    perm[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+    position = np.argsort(perm)
+    # lo + hi, the band's width, is the spread of the offsets col - row and 0
+    if np.ptp(np.r_[0, position[cols] - position[rows]]) < np.ptp(np.r_[0, cols - rows]):
+        rows, cols = position[rows], position[cols]
+    else:
+        perm = None
+    offsets = cols - rows
+    lo, hi = max(0, -int(np.min(offsets, initial=0))), max(0, int(np.max(offsets, initial=0)))
+    return ToeplitzMatrix(int(N), f, Band(lo, hi, perm, rows, cols, values))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from toeplab.grushin import (
     small_eigen_count_scan,
 )
 from toeplab.potential import limit_potential_many, log_abs_det, log_abs_sums
-from toeplab.quantize import ToeplitzMatrix, quantize_sphere, quantize_symbol, quantize_torus
+from toeplab.quantize import _toeplitz, quantize_sphere, quantize_symbol, quantize_torus
 from toeplab.randmat import NormBound, derive_seed, operator_norm, sample_ginibre
 
 SPHERE = make_phase_space("sphere")
@@ -605,9 +605,10 @@ BANDED = {"upper": PROJECTION, "lower": LOWER, "tilted": TILTED, "x1": X1,
 
 def _with_entries(T, entries):
     """The quantization matrix of ``T``'s symbol and size holding the dense ``entries``."""
-    shifts = range(T.dim) if T.symbol.kind == "torus" else range(1 - T.dim, T.dim)
-    diagonals = {s: entries[T.coordinates(s)] for s in shifts}
-    return ToeplitzMatrix(T.N, T.symbol, {s: v for s, v in diagonals.items() if np.any(v)})
+    n, cols = T.dim, np.arange(T.dim)
+    if T.symbol.kind == "torus":        # cyclic shifts: T[(c + s) mod n, c] over every column
+        return _toeplitz(T.N, T.symbol, {s: entries[(cols + s) % n, cols] for s in range(n)})
+    return _toeplitz(T.N, T.symbol, {s: np.diagonal(entries, -s) for s in range(1 - n, n)})
 
 
 def _dense_gram_band(band):

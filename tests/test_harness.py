@@ -838,6 +838,24 @@ class TestRun:
                                                       "detail": "no diagnostics row with A >= 1 (sizes [24])"}
             assert report.criteria["schur_residual"]["status"] == schur
 
+    def test_no_grushin_probe_draws_no_grushin_noise(self, tmp_path, monkeypatch):
+        # the spectrum task's draw is the only one: no G, no bound on ||G|| for the Grushin task
+        import toeplab.harness as hz
+        draws, noise = [], hz._cell_noise
+        monkeypatch.setattr(hz, "_cell_noise",
+                            lambda T, seed, out=None: draws.append((T.N, seed)) or noise(T, seed, out=out))
+        cfg = tiny_config(grushin_probes=[])
+        record = run(cfg, out_dir=tmp_path)
+        assert not record.manifest["errors"]
+        perturbed = [(N, seed) for N in cfg.n_values for seed in cfg.seeds]
+        assert sorted(draws) == perturbed
+        for N, seed in perturbed:
+            entry = record.manifest["cells"][f"N{N}_s{seed}"]
+            assert not {"g_norm_bound", "g_norm_route"} & set(entry["health"])
+            assert not {"draw_s", "norm_bound_s"} & set(entry["timings"]["grushin"])
+            assert len((tmp_path / f"diag_N{N}_s{seed}.csv").read_text().splitlines()) == 1
+        assert verify(tmp_path, suite="integrity").criteria["integrity"]["status"] == "pass"
+
     def test_the_unbroken_manifest_passes_integrity(self, tmp_path):
         # the manifest that each malformed case breaks in one part: every cell failed
         _write_manifest(tmp_path, lambda m: None)
@@ -1607,7 +1625,7 @@ def _grushin_scan_config() -> ExperimentConfig:
 
 
 class TestNoDenseQuantization:
-    """A run reads each quantization matrix from its diagonals; only the matrix stage builds it."""
+    """A run reads each quantization matrix from its band; only the matrix stage builds it."""
 
     @pytest.mark.parametrize("make", [lambda: preset_config("sphere-figure3"),
                                       lambda: preset_config("scottish-flag-figure1"),
@@ -1622,6 +1640,11 @@ class TestNoDenseQuantization:
         record = run(cfg, out_dir=tmp_path)
         assert record.manifest["errors"] == {}
         assert len(record.manifest["cells"]) == len(cfg.unperturbed_sizes) + len(cfg.n_values) * len(cfg.seeds)
+        # the flag's three cyclic diagonals interleave to band 2; i x1 + x2 keeps one superdiagonal
+        band = ({"diagonals": 3, "lo": 2, "hi": 2, "interleaved": True} if cfg.space == "torus"
+                else {"diagonals": 1, "lo": 0, "hi": 1, "interleaved": False})
+        assert record.manifest["environment"]["bands"] == {
+            f"N{N}": band for N in [*cfg.n_values, *cfg.unperturbed_sizes]}
 
 
 class TestCli:

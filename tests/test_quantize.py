@@ -189,15 +189,16 @@ class TestDiagonalStorage:
         dense = T.dense()
         assert dense.dtype == expected.dtype and dense.shape == expected.shape
         assert dense.flags.c_contiguous and dense.tobytes() == expected.tobytes()
-        # exactly the diagonals holding a nonzero entry, in ascending shift order
+        # the band holds exactly the nonzero entries, at their positions in its order
         rows, cols = np.nonzero(expected)
-        shifts = (rows - cols) % N if f.kind == "torus" else rows - cols
-        assert list(T.diagonals) == sorted(set(shifts.tolist()))
-        # the band holds the same nonzero entries, at their positions in its order
         band = T.band
+        assert np.all(band.values != 0)
         position = np.arange(T.dim) if band.perm is None else np.argsort(band.perm)
         assert sorted(zip(band.rows.tolist(), band.cols.tolist(), band.values.tolist())) == sorted(
             zip(position[rows].tolist(), position[cols].tolist(), expected[rows, cols].tolist()))
+        at = band.positions()             # the same entries at their rows and columns in T
+        assert expected[at].tobytes() == band.values.tobytes()
+        assert sorted(zip(*(a.tolist() for a in at))) == sorted(zip(rows.tolist(), cols.tolist()))
 
     def test_add_to_adds_only_the_stored_entries(self):
         T = quantize_symbol(MIXED_TORUS, 9)

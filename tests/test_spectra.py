@@ -12,7 +12,7 @@ from toeplab.geometry import (
     symbol_image,
     torus_symbol,
 )
-from toeplab.quantize import ToeplitzMatrix, quantize_torus
+from toeplab.quantize import _toeplitz, quantize_torus
 from toeplab.randmat import operator_norm, sample_ginibre
 from toeplab.spectra import (
     empirical_cdf_disks,
@@ -106,13 +106,13 @@ class TestCsv:
         classical = SimpleNamespace(radii=np.array([1.0]), predicted=np.array([0.5]), probes=None,
                                     grushin_probes=[])
         setup = SimpleNamespace(out=tmp_path, classical=published(classical),
-                                matrices={2: ToeplitzMatrix(2, torus_symbol({(0, 0): 1.0}),
-                                                            {0: np.array([1.0 + 2.0j, -0.5j])})})
+                                matrices={2: _toeplitz(2, torus_symbol({(0, 0): 1.0}),
+                                                       {0: np.array([1.0 + 2.0j, complex(0.0, -0.5)])})})
         files, *_ = harness_module._spectrum_task(setup, "unperturbed", 2, None)
         rows = files["spectrum"].read_text().splitlines()
         assert rows[0] == "re,im"
         assert rows[1] == "1.0,2.0"
-        assert rows[2] == "-0.0,-0.5"
+        assert rows[2] == "0.0,-0.5"
 
 
 class TestClosedFormSphere:
