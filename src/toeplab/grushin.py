@@ -387,15 +387,6 @@ def assemble_grushin(triples: SingularTriples, params: GrushinParams,
     return GrushinSystem(M, np.linalg.inv(M), dim, tuple(warnings))
 
 
-def _closed_route_inverse(closed: GrushinSystem, delta: float, G: np.ndarray) -> np.ndarray:
-    """The perturbed bordered inverse ``E0 (I + K)^-1`` from the closed form ``E0``."""
-    E0 = closed.inverse
-    # bordered_perturbed @ E0 = I + K with K supported on the first block row
-    K = np.zeros_like(E0)
-    K[:closed.dim] = delta * (G @ E0[:closed.dim])
-    return E0 @ np.linalg.inv(np.eye(len(E0)) + K)
-
-
 def schur_identity_residual(P: np.ndarray, z: complex, perturbation=None) -> float:
     """Residual of the determinant factorization, via independent routes.
 

@@ -24,7 +24,8 @@ four (named in :mod:`toeplab._lapack`) take numpy's linalg instead.  A numpy
 whose OpenBLAS lacks those routines is refused before a run starts.
 
 ``run`` writes and ``verify`` reads by two tables, ``_CSV_KINDS`` (each cell
-CSV's file name, stage and header) and ``_CRITERIA`` (each acceptance criterion),
+CSV's file name, stage and header) and ``_CRITERIA`` (each acceptance criterion
+that reads the CSVs; ``_judge_unperturbed`` reads the manifest's health instead),
 and by one cell list (``ExperimentConfig.cells``) and one cell-stage rule (``_cell_stages``).
 
 Per-cell randomness: the Ginibre stream of cell ``(N, seed)`` is keyed by
@@ -965,7 +966,8 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
     Each cell CSV listed under its expected name, with a matching checksum, is
     parsed once by :func:`_read_csv`; the cross-check of :func:`_inconsistent_cells`
     and the criteria read those rows.  A CSV that :func:`_read_csv` refuses fails
-    ``integrity`` and each criterion that reads it, naming the file.
+    ``integrity`` and each criterion that reads it, naming the file.  The acceptance
+    suite also judges the unperturbed cells' potential check (:func:`_judge_unperturbed`).
     """
     if suite not in ("acceptance", "integrity"):
         raise ValueError(f"unknown verification suite {suite!r}")
@@ -1012,6 +1014,7 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
 
     if suite == "acceptance":
         _verify_acceptance(config, tables, refused, criteria)
+        criteria["unperturbed_potential"] = _judge_unperturbed(config, manifest)
 
     passed = all(c["status"] == "pass" for c in criteria.values() if c["status"] != "skipped")
     return VerifyReport(passed, criteria)
@@ -1223,6 +1226,28 @@ def _judge_schur(by_size: dict) -> tuple:
     return ("pass" if worst <= 1e-6 and all(explained) else "fail"), \
         f"worst finite residual {worst:.3e} (tolerance 1e-6, sizes {sizes}); " \
         f"{len(explained)} non-finite, {explained.count(False)} of them without a singular- flag"
+
+
+def _judge_unperturbed(config: ExperimentConfig, manifest: dict) -> dict:
+    """Each listed unperturbed cell's ``logdet_check_residual`` (its health) within :data:`POTENTIAL_TOL`.
+
+    The residual is the gap per dim between the ``U_emp`` log-sums and the banded LU of
+    ``T - z``, two routes that ``run`` computed; a cell above the bound, or without a finite
+    residual, fails the criterion by name.  Skipped without the potential stage or such a cell.
+    """
+    names = [name for cell in config.cells()
+             if cell[0] == "unperturbed" and (name := _cell_name(cell)) in manifest["cells"]]
+    if "potential" not in manifest["stages"] or not names:
+        return {"status": "skipped", "detail": "no unperturbed cell with a potential check"}
+    residuals = {name: (manifest["cells"][name].get("health") or {}).get("logdet_check_residual")
+                 for name in names}
+    over = {name: r for name, r in residuals.items()
+            if not (isinstance(r, (int, float)) and r <= POTENTIAL_TOL)}
+    if over:
+        return {"status": "fail", "detail": f"logdet_check_residual per dim above {POTENTIAL_TOL:.0e}: "
+                                            + ", ".join(f"{name} {r!r}" for name, r in over.items())}
+    return {"status": "pass", "detail": f"worst logdet_check_residual {max(residuals.values()):.3e} per dim "
+                                        f"(tolerance {POTENTIAL_TOL:.0e}) over {len(names)} unperturbed cells"}
 
 
 #: Each acceptance criterion: the CSV kind it reads, whether it reads the largest size only (else

@@ -20,8 +20,10 @@ the polynomial as ``P(z, zbar) / (1 + |z|^2)^deg`` via::
     x3 = (1 - |z| ^2)/(1 + |z|^2),
 
 each monomial ``z^p zbar^q`` couples section ``k`` to section ``k + p - q``
-with weight ``B(k+p+1, N+deg+1-(k+p))``.  Entries are evaluated in closed
-form through log-gamma; a 2D quadrature path is kept as a cross-check oracle.
+with weight ``B(k+p+1, N+deg+1-(k+p))``.  Over the section norms these
+Beta functions cancel to the square root of a product of ``2 deg``
+integers over a product of ``deg`` (:func:`_beta_ratios`), so entries are
+exact to rounding; a 2D quadrature path is kept as a cross-check oracle.
 
 Lower-order corrections of a symbol are quantized by the same rules with
 coefficient ``N^-j``.
@@ -182,57 +184,25 @@ def _toeplitz(N: int, f: SymbolSpec, diagonals: dict) -> ToeplitzMatrix:
 # sphere
 # ---------------------------------------------------------------------------
 
-# Cephes ``lgam`` coefficients: the asymptotic series (A) and the rational
-# approximation on [2, 3) (B over C, whose leading 1 is implicit).
-_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.93650340457716943945E-4,
-           -2.77777777730099687205E-3, 8.33333333333331927722E-2)
-_LGAM_B = (-1.37825152569120859100E3, -3.88016315134637840924E4, -3.31612992738871184744E5,
-           -1.16237097492762307383E6, -1.72173700820839662146E6, -8.53555664245765465627E5)
-_LGAM_C = (1.0, -3.51815701436523470549E2, -1.70642106651881159223E4, -2.20528590553854454839E5,
-           -1.13933444367982507207E6, -2.53252307177582951285E6, -2.01889141433532773231E6)
+def _beta_ratios(k: np.ndarray, p: int, q: int, N: int, deg: int) -> np.ndarray:
+    """``B(k+p+1, N+deg+1-k-p) / sqrt(B(k+1, N+1-k) B(l+1, N+1-l))`` at each ``k``, ``l = k+p-q``.
 
-
-def _horner(x: float, coefficients) -> float:
-    total = coefficients[0]
-    for c in coefficients[1:]:
-        total = total * x + c
-    return total
-
-
-def _log_gamma(x: float) -> float:
-    """``log Gamma(x)`` for ``x > 0``: Cephes ``lgam``, the bits of ``scipy.special.gammaln``."""
-    if x < 13.0:
-        z, p, u = 1.0, 0.0, x
-        while u >= 3.0:                     # Gamma(x) = z Gamma(u), u in [2, 3)
-            p -= 1.0
-            u = x + p
-            z *= u
-        while u < 2.0:
-            z /= u
-            p += 1.0
-            u = x + p
-        if u == 2.0:
-            return math.log(z)
-        x = x + (p - 2.0)
-        return math.log(z) + x * _horner(x, _LGAM_B) / _horner(x, _LGAM_C)
-    q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178     # + log sqrt(2 pi)
-    if x > 1.0e8:
-        return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-                    + 0.0833333333333333333333) / x
-    return q + _horner(p, _LGAM_A) / x
-
-
-def _log_factorials(n: int) -> np.ndarray:
-    """``log k!`` for ``k = 0..n``, one :func:`_log_gamma` per entry."""
-    return np.array([_log_gamma(k + 1.0) for k in range(n + 1)])
-
-
-def _log_beta(j, M, log_fact: np.ndarray):
-    # log B(j+1, M+1-j) = log( j! (M-j)! / (M+1)! ), from a _log_factorials table up to M+1
-    return log_fact[j] + log_fact[M - j] - log_fact[M + 1]
+    The entry that ``z^p zbar^q / (1 + |z|^2)^deg`` gives between the normalized
+    sections ``z^k`` and ``z^l``.  Its Gamma factors cancel to
+    ``sqrt(prod num) / prod_{t<deg} (N+2+t)``, whose ``2 deg`` numerator factors
+    are ``k+1+t`` (t < p), ``l+1+t`` (t < q), ``N-k+1+t`` (t < deg-p) and
+    ``N-l+1+t`` (t < deg-q).  Each pair of them enters as ``sqrt(a b) / (N+2+t)``,
+    below ``(N+deg) / (N+2)``, so the product holds no power of N and each
+    ratio is exact to a few roundings per degree.
+    """
+    k = np.asarray(k, dtype=float)
+    l = k + (p - q)
+    num = ([k + (1 + t) for t in range(p)] + [l + (1 + t) for t in range(q)]
+           + [(N + 1 + t) - k for t in range(deg - p)] + [(N + 1 + t) - l for t in range(deg - q)])
+    out = np.ones_like(k)
+    for t in range(deg):
+        out *= np.sqrt(num[2 * t] * num[2 * t + 1]) / (N + 2 + t)
+    return out
 
 
 def _monomial_zq(a: int, b: int, c: int) -> dict:
@@ -263,18 +233,12 @@ def quantize_sphere(f: SymbolSpec, N: int) -> ToeplitzMatrix:
     check_size(f, N)
     dim = N + 1
     diagonals: dict = {}
-    k = np.arange(dim)
-    log_fact = _log_factorials(N + f.total_degree() + 1)
-    log_norm = _log_beta(k, N, log_fact)  # log ||z^k||^2 / (2 pi)
     for order, terms in [(0, f.terms)] + list(f.corrections):
         scale = float(N) ** (-order)
         for (a, b, c), coeff in terms.items():
-            M = N + a + b + c
             for (p, q), cpq in _monomial_zq(a, b, c).items():
                 lo, hi = max(0, q - p), min(dim, dim + q - p)  # rows k+p-q in range
-                kk = np.arange(lo, hi)
-                ll = kk + p - q
-                vals = np.exp(_log_beta(kk + p, M, log_fact) - 0.5 * (log_norm[kk] + log_norm[ll]))
+                vals = _beta_ratios(np.arange(lo, hi), p, q, N, a + b + c)
                 diagonal = diagonals.setdefault(p - q, np.zeros(hi - lo, dtype=complex))
                 diagonal += scale * coeff * cpq * vals
     return _toeplitz(N, f, diagonals)
@@ -285,8 +249,8 @@ def sphere_entries_quadrature(f: SymbolSpec, N: int, resolution: int | None = No
 
     Integrates ``<f s_k, s_l> / (||s_k|| ||s_l||)`` in the coordinates
     ``u = cos(theta)``, ``phi``, with the section amplitudes normalized in log
-    space for stability.  Independent of the closed-form path except for the
-    shared norm constants.
+    space for stability, their norms from :func:`math.lgamma`.  It shares no
+    code with the closed-form path that it checks.
     """
     if f.kind != SPHERE:
         raise ValueError("sphere quadrature entries require a sphere symbol")
@@ -310,9 +274,10 @@ def sphere_entries_quadrature(f: SymbolSpec, N: int, resolution: int | None = No
     # ||z^k||^2 = 2 pi B(k+1, N+1-k); logs avoid under/overflow.
     log_sin_half = 0.5 * np.log((1.0 - u) / 2.0)
     log_cos_half = 0.5 * np.log((1.0 + u) / 2.0)
+    log_norm = np.array([math.lgamma(j + 1) + math.lgamma(N - j + 1) - math.lgamma(N + 2) for j in k])
     log_amp = (k[:, None] * log_sin_half[None, :]
                + (N - k)[:, None] * log_cos_half[None, :]
-               - 0.5 * (_log_beta(k, N, _log_factorials(N + 1))[:, None] + np.log(2.0 * np.pi)))
+               - 0.5 * (log_norm[:, None] + np.log(2.0 * np.pi)))
     amp = np.exp(log_amp)  # (dim, n_u)
 
     # phi integral: H[m, i] = (2 pi / n_phi) sum_j f(i, j) e^{-i m phi_j}

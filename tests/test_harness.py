@@ -474,6 +474,48 @@ class TestCrossCheck:
         assert verify(copy, suite="integrity").passed
 
 
+class TestUnperturbedPotential:
+    """``verify`` judges each unperturbed cell's ``logdet_check_residual`` against ``POTENTIAL_TOL``."""
+
+    @staticmethod
+    def _flag(tmp_path, unperturbed_sizes, stages=STAGES):
+        cfg = preset_config("scottish-flag-figure1")
+        cfg.unperturbed_sizes, cfg.kappa_samples = unperturbed_sizes, 10**4
+        record = run(cfg, out_dir=tmp_path, stages=stages)
+        assert record.manifest["errors"] == {}
+        return verify(tmp_path)
+
+    def test_an_inaccurate_unperturbed_cell_fails_by_name(self, tmp_path):
+        # on the non-normal flag, the log-sum and the banded LU of T - z part by 3.3e-12
+        # per dim at N = 50 and by 5.5e-7 at N = 100
+        report = self._flag(tmp_path, [50, 100])
+        judged = report.criteria["unperturbed_potential"]
+        assert not report.passed and judged["status"] == "fail"
+        assert re.search(r"N100_unperturbed \d\.\d+e-07", judged["detail"])
+        assert "N50_unperturbed" not in judged["detail"]
+
+    def test_each_preset_passes_or_has_nothing_to_judge(self, tmp_path):
+        flag = self._flag(tmp_path / "flag", [50])
+        assert flag.criteria["unperturbed_potential"]["status"] == "pass"
+        assert "over 1 unperturbed cells" in flag.criteria["unperturbed_potential"]["detail"]
+        without_potential = self._flag(tmp_path / "spectrum", [50], stages=["spectrum"])
+        cfg = preset_config("sphere-figure3")
+        cfg.n_values, cfg.seeds, cfg.kappa_samples = [48], [0], 10**4
+        run(cfg, out_dir=tmp_path / "sphere")
+        for report in (without_potential, verify(tmp_path / "sphere")):
+            assert report.criteria["unperturbed_potential"] == {
+                "status": "skipped", "detail": "no unperturbed cell with a potential check"}
+
+    def test_a_missing_residual_fails(self, tmp_path):
+        self._flag(tmp_path, [50])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        del manifest["cells"]["N50_unperturbed"]["health"]["logdet_check_residual"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        judged = verify(tmp_path).criteria["unperturbed_potential"]
+        assert judged == {"status": "fail",
+                          "detail": "logdet_check_residual per dim above 1e-08: N50_unperturbed None"}
+
+
 class TestRun:
     def test_all_cells_complete(self, done):
         _, record = done

@@ -239,6 +239,24 @@ class TestFortyDigitOracle:
             assert abs(value - truth) / T.dim <= self.PERTURBED_BOUND, route
 
 
+    # the split's count A and bulk term B1 = sum_{i >= A} log t_i / dim - U_lim (here U_lim = 0)
+    # from the banded Gram route, at sphere probes whose nearest t_i^2 sits 4-11% of alpha from
+    # the cutoff (dim 40, rho 0.2, A = 7 and 6); measured 1.4e-17 and 2.8e-17, one rounding of B1
+    B1_BOUND = 2.5e-16          # 9x the largest measured, 2.78e-17
+
+    @pytest.mark.parametrize("z", [0.5j, 0.9 + 0j], ids=["inside", "rim"])
+    def test_split_count_and_bulk_term(self, z):
+        from mp_logdet import mp_small_split
+        config = preset_config("sphere-figure3")
+        T = quantize_symbol(config.symbol_spec(), 39)
+        G = sample_ginibre(T.dim, derive_seed(0, "cell", 39))
+        split = b_diagnostics(T, z, 0.2, config.noise_size(39), G, 0.0)
+        A, log_free, gap = mp_small_split(T.dense(), z, 39.0 ** -0.4)
+        assert gap >= 0.04 and split.cutoff_gap == pytest.approx(gap, rel=1e-6)
+        assert split.n_small == A >= 1
+        assert abs(split.b1 - log_free / T.dim) <= self.B1_BOUND
+
+
 class TestLimitPotential:
     def test_height_symbol_outside(self):
         # push-forward of x3 is uniform on [-1, 1]; closed form at z = 2 is
