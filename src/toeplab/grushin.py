@@ -24,18 +24,13 @@ mode m a cyclic band m, which the interleaving turns into a plain band 2m.
 The singular values come from a banded Hermitian eigensolve of
 ``(P - z)*(P - z)``, and the small singular subspaces from shifted inverse
 iteration on ``(P - z)*(P - z)`` and ``(P - z)(P - z)*``; there is no
-dense SVD.  The
-Neumann test takes ``||G||`` as a Cholesky-certified upper bound
-(:class:`~toeplab.randmat.NormBound`) and computes the exact norm only when
-the bound cannot rule the warning out.  The corner block always comes from
-the one LU of the bordered matrix; a large condition estimate of that LU is
-flagged, not rerouted.  Every LAPACK call of the fast route (the banded
-eigensolve, banded LU and solves, the bordered and corner LUs, the solve
-and the condition estimate) goes through :mod:`toeplab._lapack`, numpy's
-OpenBLAS through ``ctypes``, which releases the GIL, but two:
-``_smallest_eigenvectors`` orthonormalizes each ``dim x A`` block with
-``np.linalg.qr`` and takes its Rayleigh-Ritz step with ``np.linalg.eigh``.
-Both slow reference routes return a :class:`GrushinSystem` from the dense
+dense SVD.  The Neumann test takes ``||G||`` as a Cholesky-certified upper
+bound (:class:`~toeplab.randmat.NormBound`) and computes the exact norm only
+when the bound cannot rule the warning out.  The corner block always comes
+from the one LU of the bordered matrix; a large condition estimate of that
+LU is flagged, not rerouted.  Every LAPACK call of the fast route goes
+through :mod:`toeplab._lapack`, numpy's OpenBLAS through ``ctypes``.  Both
+slow reference routes return a :class:`GrushinSystem` from the dense
 singular triples of :func:`singular_triples`: ``closed_form_inverse``
 writes the unperturbed inverse in closed form, ``assemble_grushin`` inverts
 the bordered matrix with ``np.linalg.inv``; ``schur_identity_residual``
@@ -188,17 +183,20 @@ def _band_matvec(band: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _smallest_eigenvectors(band: np.ndarray, eigenvalues: np.ndarray, A: int):
-    """Orthonormal eigenvectors of the ``A`` smallest eigenvalues of a banded Hermitian ``M``.
+    """An orthonormal basis ``Q`` of the ``A`` smallest eigenvectors' span, ``M`` banded Hermitian.
 
     ``eigenvalues`` are ``M``'s computed eigenvalues, ascending.  Shifted
     block inverse iteration: eigenvalues closer than ``1e3 * tol`` (``tol =
     n eps ||M||``, the eigensolver's error scale) form one cluster, and each
     cluster takes one pivoted banded LU of ``M - sigma`` with ``sigma`` ``tol``
     below the cluster (so an exact zero eigenvalue keeps ``M - sigma``
-    nonsingular) and two solves from a fixed start block, each followed by
-    orthogonalization against the earlier clusters.  One Rayleigh-Ritz step
-    closes.  Returns the basis and the worst residual ``||M v - theta v||``
-    relative to ``M``'s largest eigenvalue.
+    nonsingular) and two solves from a fixed start block.  One rule makes
+    the basis orthonormal: after each solve, each new column is projected
+    twice off every earlier one, then normalized, and one that projects to
+    ``n eps`` of its norm or less, so lies in their span, gives way to a
+    fresh start vector.  No ``|det|`` of the split depends on the basis
+    inside the span, so no Rayleigh-Ritz step rotates it.  Returns ``Q`` and
+    the worst column norm of ``M Q - Q (Q* M Q)`` over ``||M||``.
     """
     w, n = band.shape[0] - 1, band.shape[1]
     if A == 0:
@@ -211,25 +209,28 @@ def _smallest_eigenvectors(band: np.ndarray, eigenvalues: np.ndarray, A: int):
         full[2 * w - d, d:] = band[d, :n - d].conj()
     ends = np.flatnonzero(np.diff(eigenvalues[:A]) > 1e3 * tol) + 1
     rng = np.random.Generator(np.random.Philox(key=0))
-    basis = np.empty((n, A), dtype=complex)
+    basis = np.empty((n, A), dtype=complex, order="F")
+    adjoint = np.empty((A, n), dtype=complex)   # basis.conj().T, row by row: no projection copies it
     for start, stop in zip(np.r_[0, ends], np.r_[ends, A]):
         shifted = np.array(full, order="F")     # band_lu factors it in place
         shifted[2 * w] -= eigenvalues[start] - tol
         lu, piv = _lapack.band_lu(shifted, w, w)
-        pivots = lu[2 * w]
-        pivots[pivots == 0.0] = tol             # exactly singular: keep iterating
+        lu[2 * w][lu[2 * w] == 0.0] = tol       # exactly singular: keep iterating
         block = rng.standard_normal((n, stop - start)).astype(complex)
-        done = basis[:, :start]
         for _ in range(2):
-            block = _lapack.band_solve(lu, piv, w, w, block)
-            for _ in range(2):
-                block -= done @ (done.conj().T @ block)
-            block = np.linalg.qr(block)[0]
-        basis[:, start:stop] = block
+            for k, column in enumerate(_lapack.band_solve(lu, piv, w, w, block).T, start):
+                while True:
+                    scale = np.linalg.norm(column)
+                    for _ in range(2):
+                        column = column - basis[:, :k] @ (adjoint[:k] @ column)
+                    if (length := np.linalg.norm(column)) > n * np.finfo(float).eps * scale:
+                        break
+                    column = rng.standard_normal(n).astype(complex)
+                basis[:, k] = column / length
+                adjoint[k] = basis[:, k].conj()
+            block = basis[:, start:stop]
     image = _band_matvec(band, basis)
-    theta, rotation = np.linalg.eigh(basis.conj().T @ image)
-    basis = basis @ rotation
-    return basis, float(np.max(np.linalg.norm(image @ rotation - basis * theta, axis=0))) / norm
+    return basis, float(np.max(np.linalg.norm(image - basis @ (adjoint @ image), axis=0))) / norm
 
 
 def _small_values(T: ToeplitzMatrix, z: complex, rho: float):
@@ -252,12 +253,11 @@ def _small_subspaces(T: ToeplitzMatrix, z: complex, rho: float):
 
     Returns ``(values, params, left, right_h, residual)``: the values and
     :class:`GrushinParams` of :func:`_small_values`, the columns
-    ``f_1..f_A``, the rows ``e_1*..e_A*`` and the worst residual
-    ``||B*B v - lambda v|| / ||B||^2`` (``B = T - z``) over both bases, with
-    ``B B*`` for the left one.  Both bases come from shifted inverse
-    iteration on the scaled bands of ``B*B`` and ``B B*``.  The two bases
-    span the singular subspaces but are not paired vector by vector, which
-    changes no ``|det|`` of the split.
+    ``f_1..f_A``, the rows ``e_1*..e_A*`` and the worst residual of
+    :func:`_smallest_eigenvectors` over both, which iterates on the scaled
+    bands of ``B*B`` and ``B B*`` (``B = T - z``).  The bases span the
+    singular subspaces but are not singular vectors, which changes no
+    ``|det|`` of the split.
     """
     values, params, (right_gram, left_gram, perm, squares) = _small_values(T, z, rho)
     A = params.n_small
@@ -425,9 +425,9 @@ class SplitDiagnostics:
     ``condition`` is LAPACK's 1-norm condition estimate of the bordered matrix.
     ``cutoff_gap`` is ``min_i |t_i^2 - alpha| / alpha``: how far the nearest
     singular value sits from the cutoff, so how fragile the count ``A`` is.
-    ``subspace_residual`` is the worst ``||B*B v - lambda v|| / ||B||^2``
-    over the two small singular bases (``B B*`` for the left one),
-    ``B = P - z``: relative, so it reads the same at any scale of ``P``.
+    ``subspace_residual`` is the worst column norm of ``M Q - Q (Q* M Q)``
+    over ``||M||`` for the two small singular bases ``Q``, ``M = B*B`` or
+    ``B B*`` with ``B = P - z``: the same at any scale of ``P``.
     """
 
     b1: float

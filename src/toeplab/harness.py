@@ -16,12 +16,12 @@ records wall-clock, run-level timings, tool version, the build and the
 kernel (and is therefore not byte-stable itself).
 
 Tasks overlap only inside dense calls that release the GIL.  Every LAPACK
-call of a run but four goes through :mod:`toeplab._lapack`, numpy's own
+call of a cell task goes through :mod:`toeplab._lapack`, numpy's own
 OpenBLAS through ``ctypes``, which releases the GIL at every size and gives
 the bits of ``np.linalg.eigvals``, ``np.linalg.slogdet`` and the
-``scipy.linalg`` calls it replaces, so a run imports no scipy module.  The
-four (named in :mod:`toeplab._lapack`) take numpy's linalg instead.  A numpy
-whose OpenBLAS lacks those routines is refused before a run starts.
+``scipy.linalg`` calls it replaces, so a run imports no scipy module; two
+calls of set-up (named there) take numpy's linalg.  A numpy whose OpenBLAS
+lacks those routines is refused before a run starts.
 
 ``run`` writes and ``verify`` reads by two tables, ``_CSV_KINDS`` (each cell
 CSV's file name, stage and header) and ``_CRITERIA`` (each acceptance criterion

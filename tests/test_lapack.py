@@ -226,12 +226,11 @@ def test_log_abs_det_releases_the_gil(spin_ratio):
     pytest.fail(f"spinner kept only {ratios} of its sleeping rate")
 
 
-#: The gufuncs of numpy's linalg extension that a tiny run of each preset calls: the four calls
-#: that bypass this module.  ``_smallest_eigenvectors`` takes ``np.linalg.qr`` (``qr_r_raw`` and
-#: ``qr_reduced``) and ``np.linalg.eigh`` (``eigh_lo``), the kappa fit's ``np.polyfit`` takes
-#: ``lstsq``, and the sphere quadrature's ``leggauss`` takes ``eigvalsh_lo``.
-BYPASSES = {"sphere-figure3": {"qr_r_raw", "qr_reduced", "eigh_lo", "lstsq", "eigvalsh_lo"},
-            "scottish-flag-figure1": {"qr_r_raw", "qr_reduced", "eigh_lo", "lstsq"}}
+#: The gufuncs of numpy's linalg extension that a tiny run of each preset calls: the two calls
+#: that bypass this module, neither in a cell task.  The kappa fit's ``np.polyfit`` takes
+#: ``lstsq`` during validation, and set-up's sphere quadrature (``leggauss``) ``eigvalsh_lo``.
+BYPASSES = {"sphere-figure3": {"lstsq", "eigvalsh_lo"},
+            "scottish-flag-figure1": {"lstsq"}}
 
 
 @pytest.mark.parametrize("preset", PRESETS)
