@@ -26,6 +26,9 @@ array exists while it runs.
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import contextvars
 import ctypes
 import functools
 import math
@@ -114,13 +117,33 @@ def require() -> dict:
     return found
 
 
+#: The calls per routine of the innermost :func:`counting` of the running context, or None.
+_COUNTS = contextvars.ContextVar("toeplab_lapack_counts", default=None)
+
+
+@contextlib.contextmanager
+def counting():
+    """Count this context's LAPACK calls per routine (``zgetrf`` for ``zgetrf_work``; ``zgeev``'s
+    workspace query is a call) in the ``Counter`` it yields.  A context variable holds it, so a
+    pool task that enters its own ``counting`` counts its own calls alone; nothing global is patched."""
+    token = _COUNTS.set(collections.Counter())
+    try:
+        yield _COUNTS.get()
+    finally:
+        _COUNTS.reset(token)
+
+
 def _call(name: str, *args) -> int:
     """Call LAPACKE ``name`` column-major; returns LAPACK's ``info`` when it is not negative.
 
     A negative ``info`` (an illegal argument, a NaN that the input scan of
     ``zhbevd`` found, or -1010 when LAPACKE could not allocate its
     workspace) raises ValueError, as scipy does for an illegal argument.
+    The call counts in the running :func:`counting`, if any.
     """
+    counts = _COUNTS.get()
+    if counts is not None:
+        counts[name.removesuffix("_work")] += 1
     info = require()[name](_COL_MAJOR, *args)
     if info < 0:
         raise ValueError(f"LAPACKE_{name} returned info {info}")

@@ -215,7 +215,8 @@ def _smallest_eigenvectors(band: np.ndarray, eigenvalues: np.ndarray, A: int):
         shifted = np.array(full, order="F")     # band_lu factors it in place
         shifted[2 * w] -= eigenvalues[start] - tol
         lu, piv = _lapack.band_lu(shifted, w, w)
-        lu[2 * w][lu[2 * w] == 0.0] = tol       # exactly singular: keep iterating
+        pivots = lu[2 * w]
+        pivots[pivots == 0.0] = tol             # exactly singular: keep iterating
         block = rng.standard_normal((n, stop - start)).astype(complex)
         for _ in range(2):
             for k, column in enumerate(_lapack.band_solve(lu, piv, w, w, block).T, start):

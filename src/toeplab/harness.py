@@ -20,12 +20,13 @@ call of a cell task goes through :mod:`toeplab._lapack`, numpy's own
 OpenBLAS through ``ctypes``, which releases the GIL at every size and gives
 the bits of ``np.linalg.eigvals``, ``np.linalg.slogdet`` and the
 ``scipy.linalg`` calls it replaces, so a run imports no scipy module; two
-calls of set-up (named there) take numpy's linalg.  A numpy whose OpenBLAS
-lacks those routines is refused before a run starts.
+calls of validation and set-up (named there) take numpy's linalg.  A numpy
+whose OpenBLAS lacks those routines is refused before a run starts.
 
 ``run`` writes and ``verify`` reads by two tables, ``_CSV_KINDS`` (each cell
 CSV's file name, stage and header) and ``_CRITERIA`` (each acceptance criterion
-that reads the CSVs; ``_judge_unperturbed`` reads the manifest's health instead),
+that reads the perturbed cells' CSVs; ``_judge_unperturbed`` re-derives the unperturbed
+cells' potential check),
 and by one cell list (``ExperimentConfig.cells``) and one cell-stage rule (``_cell_stages``).
 
 Per-cell randomness: the Ginibre stream of cell ``(N, seed)`` is keyed by
@@ -70,6 +71,7 @@ from .geometry import (
 )
 from .grushin import _small_subspaces, b_diagnostics
 from .potential import (
+    band_log_abs_dets,
     default_probe_grid,
     limit_potential_many,
     log_abs_sums,
@@ -528,7 +530,8 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     its quadrature's values are out (``setup_s``), and from the first task's
     start to the last one's end (``pool_s``); the last two overlap.  Each
     cell's ``timings`` give the stage seconds of its tasks, under
-    ``spectrum`` (:func:`_spectrum_task`) and ``grushin`` (:func:`_grushin_task`).
+    ``spectrum`` (:func:`_spectrum_task`) and ``grushin`` (:func:`_grushin_task`), and its
+    ``factorizations`` the LAPACK calls of each task per routine.
 
     A failing task records its cell's error in the manifest and never
     disturbs sibling cells.  A numpy without its OpenBLAS LAPACKE raises
@@ -574,6 +577,7 @@ def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
     cell_files: dict = {}
     cell_health: dict = {}
     cell_timings: dict = {}                     # cell name -> stage -> its task's stage timings
+    cell_counts: dict = {}                      # cell name -> stage -> its task's LAPACK calls
     failures: dict = {}
     pool_size = _usable_cpus()
     with ThreadPoolExecutor(max_workers=pool_size) as pool:
@@ -592,7 +596,7 @@ def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
         for (cell, task), fut in zip(tasks, futures):   # spectrum tasks first: route one, then split
             name = _cell_name(cell)
             try:
-                result = fut.result()
+                result, counts = fut.result()
                 if task is _spectrum_task:
                     task_files, task_health, spectra[name], timings = result
                 elif name not in spectra:       # the spectrum task failed; its error stands
@@ -605,7 +609,9 @@ def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
                 continue
             cell_files.setdefault(name, {}).update(task_files)
             cell_health.setdefault(name, {}).update(task_health)
-            cell_timings.setdefault(name, {})["spectrum" if task is _spectrum_task else "grushin"] = timings
+            stage = "spectrum" if task is _spectrum_task else "grushin"
+            cell_timings.setdefault(name, {})[stage] = timings
+            cell_counts.setdefault(name, {})[stage] = counts
     pool_s = time.perf_counter() - t_pool
     errors = {name: "; ".join(dict.fromkeys(msgs)) for name, msgs in failures.items()}
     matrices = {}
@@ -632,7 +638,8 @@ def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
         "stages": [stage for stage in _ALL_STAGES if stage in stages],
         "cells": {
             name: {"files": {k: _artifact_record(p) for k, p in cell_files[name].items()},
-                   "health": _strict_health(cell_health[name]), "timings": cell_timings[name]}
+                   "health": _strict_health(cell_health[name]), "timings": cell_timings[name],
+                   "factorizations": cell_counts[name]}
             for name in sorted(cell_files) if name not in errors
         },
         "matrices": matrices,
@@ -875,9 +882,11 @@ def _release_heap() -> None:
 
 
 def _releasing(task, *args):
-    """Run one pool task, then release the heap it freed, also when it raises."""
+    """Run one pool task and return its result with its LAPACK calls per routine
+    (:func:`~toeplab._lapack.counting`); then release the heap it freed, also when it raises."""
     try:
-        return task(*args)
+        with _lapack.counting() as counts:
+            return task(*args), counts
     finally:
         _release_heap()
 
@@ -1014,7 +1023,7 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
 
     if suite == "acceptance":
         _verify_acceptance(config, tables, refused, criteria)
-        criteria["unperturbed_potential"] = _judge_unperturbed(config, manifest)
+        criteria["unperturbed_potential"] = _judge_unperturbed(config, manifest, tables, refused)
 
     passed = all(c["status"] == "pass" for c in criteria.values() if c["status"] != "skipped")
     return VerifyReport(passed, criteria)
@@ -1228,26 +1237,38 @@ def _judge_schur(by_size: dict) -> tuple:
         f"{len(explained)} non-finite, {explained.count(False)} of them without a singular- flag"
 
 
-def _judge_unperturbed(config: ExperimentConfig, manifest: dict) -> dict:
-    """Each listed unperturbed cell's ``logdet_check_residual`` (its health) within :data:`POTENTIAL_TOL`.
+def _judge_unperturbed(config: ExperimentConfig, manifest: dict, tables: dict, refused: dict) -> dict:
+    """Each listed unperturbed cell's potential check, re-derived from its ``pot_`` CSV, within
+    :data:`POTENTIAL_TOL`.
 
-    The residual is the gap per dim between the ``U_emp`` log-sums and the banded LU of
-    ``T - z``, two routes that ``run`` computed; a cell above the bound, or without a finite
-    residual, fails the criterion by name.  Skipped without the potential stage or such a cell.
+    The residual is the worst gap per dim between the rows' ``U_emp`` (the cross-check holds
+    them to the cell's spectrum) and the banded LU of ``T - z`` at the rows' probes
+    (:func:`~toeplab.potential.band_log_abs_dets`), ``T`` quantized from the manifest's symbol:
+    the ``logdet_check_residual`` that ``run`` records, which no checksum covers, computed
+    again.  A cell above the bound, or without a finite residual, fails the criterion by name,
+    and so does a ``pot_`` CSV that :func:`_read_csv` refused or that is not intact.  Skipped
+    without the potential stage or such a cell.
     """
-    names = [name for cell in config.cells()
-             if cell[0] == "unperturbed" and (name := _cell_name(cell)) in manifest["cells"]]
-    if "potential" not in manifest["stages"] or not names:
+    cells = [cell for cell in config.cells()
+             if cell[0] == "unperturbed" and _cell_name(cell) in manifest["cells"]]
+    if "potential" not in manifest["stages"] or not cells:
         return {"status": "skipped", "detail": "no unperturbed cell with a potential check"}
-    residuals = {name: (manifest["cells"][name].get("health") or {}).get("logdet_check_residual")
-                 for name in names}
-    over = {name: r for name, r in residuals.items()
-            if not (isinstance(r, (int, float)) and r <= POTENTIAL_TOL)}
-    if over:
-        return {"status": "fail", "detail": f"logdet_check_residual per dim above {POTENTIAL_TOL:.0e}: "
-                                            + ", ".join(f"{name} {r!r}" for name, r in over.items())}
+    residuals, unread = {}, []
+    for cell in cells:
+        name = _cell_name(cell)
+        rows = tables.get((name, "potential"))
+        if rows is None:
+            unread.append(refused.get((name, "potential"), f"{_csv_name('potential', name)} not intact"))
+            continue
+        T = quantize_symbol(config.symbol_spec(), cell[1])
+        lu = band_log_abs_dets(T, [complex(r["z_re"], r["z_im"]) for r in rows]) / T.dim
+        residuals[name] = float(np.max(np.abs(lu - [r["U_emp"] for r in rows]), initial=0.0))
+    over = ", ".join(f"{name} {r!r}" for name, r in residuals.items() if not r <= POTENTIAL_TOL)
+    problems = unread + ([f"logdet_check_residual per dim above {POTENTIAL_TOL:.0e}: {over}"] if over else [])
+    if problems:
+        return {"status": "fail", "detail": "; ".join(problems)}
     return {"status": "pass", "detail": f"worst logdet_check_residual {max(residuals.values()):.3e} per dim "
-                                        f"(tolerance {POTENTIAL_TOL:.0e}) over {len(names)} unperturbed cells"}
+                                        f"(tolerance {POTENTIAL_TOL:.0e}) over {len(cells)} unperturbed cells"}
 
 
 #: Each acceptance criterion: the CSV kind it reads, whether it reads the largest size only (else

@@ -784,6 +784,52 @@ class TestBandedRoute:
         assert counts[0] >= 1 and counts[1] >= 1 and counts[2] == 0
 
 
+class TestSmallSubspaces:
+    """The one orthonormalization rule of ``_smallest_eigenvectors``, and its hardest workload probe."""
+
+    @pytest.mark.parametrize("every_solve", [False, True])
+    def test_a_column_in_the_span_takes_a_fresh_start(self, monkeypatch, every_solve):
+        # M = diag(1, 1, 1, 2, ...): the cluster's solve returns its first column twice and a
+        # zero one; neither becomes nan
+        diagonal = np.array([1.0, 1.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0])
+        real, solves = lapack_module.band_solve, []
+
+        def degenerate(*args):
+            x = real(*args)
+            if x.shape[1] == 3 and (every_solve or not solves):
+                x[:, 1], x[:, 2] = x[:, 0], 0.0
+            solves.append(x.shape[1])
+            return x
+
+        monkeypatch.setattr(lapack_module, "band_solve", degenerate)
+        basis, residual = grushin_module._smallest_eigenvectors(diagonal[None, :].astype(complex), diagonal, 4)
+        assert solves == [3, 3, 1, 1] and np.all(np.isfinite(basis))
+        assert np.max(np.abs(basis.conj().T @ basis - np.eye(4))) < 1e-15
+        if every_solve:         # fresh columns after the last solve are no eigenvectors: the residual says so
+            assert residual > 1e-3
+        else:                   # one solve takes them to within tol / (2 - 1) = 2.3e-14 of span(e_0..e_3)
+            assert residual < 1e-13 and np.max(np.abs(basis[4:])) < 1e-13
+
+    def test_grushin_scan_probe_with_the_most_clusters(self):
+        # grushin-scan's z = 0.8i: A = 46 in 39 clusters (7 exact pairs), lambda_{A+1} / lambda_A = 1.028
+        cfg = harness_module.preset_config("sphere-figure3")
+        T, z = quantize_symbol(cfg.symbol_spec(), 600), 0.8j
+        with lapack_module.counting() as counts:
+            values, params, left, right_h, residual = grushin_module._small_subspaces(T, z, cfg.rho)
+        A = params.n_small
+        assert A == 46 and 1.02 < values[A] ** 2 / values[A - 1] ** 2 < 1.03
+        assert counts == {"zhbevd": 1, "zgbtrf": 2 * 39, "zgbtrs": 4 * 39}
+        eye = np.eye(A)
+        assert np.max(np.abs(left.conj().T @ left - eye)) < 1e-14
+        assert np.max(np.abs(right_h @ right_h.conj().T - eye)) < 1e-14
+        assert residual <= 1e-15
+        # sine of the largest principal angle to the dense SVD's span: 2.3e-14 on either side,
+        # against the Davis-Kahan scale eps ||M|| / (lambda_{A+1} - lambda_A) = 3.4e-13
+        tr = singular_triples(T.dense(), z)
+        for basis, ref in ((left, tr.left_vectors[:, :A]), (right_h.conj().T, tr.right_vectors[:, :A])):
+            assert np.linalg.norm(basis - ref @ (ref.conj().T @ basis), 2) < 1e-13
+
+
 class TestCountScan:
     def test_far_probe_all_zero(self):
         scan = small_eigen_count_scan(PROJECTION, 50.0, 0.25, [30, 60, 90])

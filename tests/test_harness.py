@@ -506,14 +506,37 @@ class TestUnperturbedPotential:
             assert report.criteria["unperturbed_potential"] == {
                 "status": "skipped", "detail": "no unperturbed cell with a potential check"}
 
+    @staticmethod
+    def _edit_health(run_dir, name, edit):
+        """The criterion's verdict once ``edit`` has changed cell ``name``'s health in the manifest."""
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        edit(manifest["cells"][name]["health"])
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        return verify(run_dir).criteria["unperturbed_potential"]
+
+    def test_an_edited_residual_still_fails(self, tmp_path):
+        # the manifest's health is covered by no checksum; the criterion derives the residual again
+        self._flag(tmp_path, [100])
+        judged = self._edit_health(tmp_path, "N100_unperturbed",
+                                   lambda health: health.update(logdet_check_residual=0.0))
+        assert judged["status"] == "fail"
+        assert re.search(r"^logdet_check_residual per dim above 1e-08: N100_unperturbed \d\.\d+e-07$",
+                         judged["detail"])
+
     def test_a_missing_residual_fails(self, tmp_path):
-        self._flag(tmp_path, [50])
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        del manifest["cells"]["N50_unperturbed"]["health"]["logdet_check_residual"]
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        judged = verify(tmp_path).criteria["unperturbed_potential"]
-        assert judged == {"status": "fail",
-                          "detail": "logdet_check_residual per dim above 1e-08: N50_unperturbed None"}
+        # the residual comes from the pot_ CSV: without the manifest's value the verdict stands,
+        # and a CSV that is not intact or cannot be read fails the criterion by name
+        passed = self._flag(tmp_path / "run", [50]).criteria["unperturbed_potential"]
+        assert passed["status"] == "pass"
+        assert self._edit_health(tmp_path / "run", "N50_unperturbed",
+                                 lambda health: health.pop("logdet_check_residual")) == passed
+        copy = TestCrossCheck._tampered(tmp_path / "run", tmp_path / "copy", "pot_N50_unperturbed.csv",
+                                        lambda text: text.replace("\n", "\nx,", 2))
+        judged = verify(copy).criteria["unperturbed_potential"]
+        assert judged["status"] == "fail" and judged["detail"].startswith("pot_N50_unperturbed.csv line 2: ")
+        (tmp_path / "run" / "pot_N50_unperturbed.csv").unlink()
+        assert verify(tmp_path / "run").criteria["unperturbed_potential"] == {
+            "status": "fail", "detail": "pot_N50_unperturbed.csv not intact"}
 
 
 class TestRun:

@@ -8,6 +8,7 @@ its scipy counterpart bit for bit, the LU log-determinant
 
 import builtins
 import ctypes
+import sys
 import threading
 from collections import Counter
 
@@ -261,6 +262,74 @@ def test_a_run_takes_no_dense_call_outside_this_module(preset, monkeypatch, tmp_
     assert sum("diagnostics" in c["files"] for c in cells) == 2
     assert all("potential" in c["files"] for c in cells)
     assert called == BYPASSES[preset]
+
+
+#: grushin-scan's Grushin probe ladder (A = 23, 25, 31, 46, 42, 37, 10, 0 at N = 600).
+LADDER = [[0.0, 0.0], [0.3, 0.2], [0.6, 0.0], [0.0, 0.8], [0.9, 0.0], [0.97, 0.0], [1.2, 0.0], [0.0, 1.5]]
+
+#: LAPACK calls per task of a perturbed cell of each tiny run below.  A spectrum task is one
+#: ``zgeev`` and its workspace query.  A Grushin task certifies ``||G||`` (one ``zpotrf`` and
+#: one ``ztrtrs`` per block row; ``zgesdd``, the exact norm, as the bound cannot rule out the
+#: Neumann warning at these sizes); each probe takes ``zhbevd``, two banded LUs and four solves
+#: per cluster, the bordered LU and its ``zgecon``, and with ``A >= 1`` the corner solve and LU.
+_GRUSHIN = {"zgecon": 1, "zgesdd": 1, "zgetrf": 2, "zgetrs": 1, "zhbevd": 1}
+TASK_CALLS = {
+    "sphere-figure3": {"spectrum": {"zgeev": 2}, "grushin": {
+        **_GRUSHIN, "zgbtrf": 8, "zgbtrs": 16, "zpotrf": 11, "ztrtrs": 11}},
+    "scottish-flag-figure1": {"spectrum": {"zgeev": 2}, "grushin": {
+        **_GRUSHIN, "zgbtrf": 4, "zgbtrs": 8, "zpotrf": 10, "ztrtrs": 10}},
+    "ladder": {"spectrum": {"zgeev": 2}, "grushin": {
+        "zgbtrf": 70, "zgbtrs": 140, "zgecon": 8, "zgesdd": 1, "zgetrf": 15, "zgetrs": 7,
+        "zhbevd": 8, "zpotrf": 10, "ztrtrs": 10}},
+}
+
+
+@pytest.mark.parametrize("case", list(TASK_CALLS))
+def test_each_task_records_its_own_calls(case, tmp_path):
+    """The manifest's ``factorizations`` pin every LAPACK call of every task of a tiny run.
+
+    The tasks share a pool of threads, so a count that was not the task's own would mix them.
+    The flag's unperturbed N = 50 cell adds a banded LU of ``T - z`` at each of its 16 probes.
+    """
+    cfg = preset_config("sphere-figure3" if case == "ladder" else case)
+    cfg.n_values, cfg.seeds, cfg.probe_grid, cfg.kappa_samples = [40], [0, 1], {"nx": 4, "ny": 4}, 10**4
+    if case == "ladder":
+        cfg.n_values, cfg.seeds, cfg.grushin_probes = [36], [0], LADDER
+    cells = run(cfg, tmp_path).manifest["cells"]
+    want = {name: TASK_CALLS[case] for name in cells if not name.endswith("unperturbed")}
+    if cfg.unperturbed_sizes:
+        want["N50_unperturbed"] = {"spectrum": {"zgeev": 2, "zgbtrf": 16}}
+    assert {name: cell["factorizations"] for name, cell in cells.items()} == want
+    assert len(want) == {"ladder": 1, "sphere-figure3": 2, "scottish-flag-figure1": 3}[case]
+
+
+def test_counting_is_per_context():
+    """Each thread counts its own calls alone, on more threads than CPUs switching often, and
+    outside ``counting`` nothing is counted."""
+    a = np.array(_matrix("ginibre", 31), order="F")
+    seen = {}
+
+    def task(times):
+        with _lapack.counting() as counts:
+            for _ in range(times):
+                _lapack.lu_factor(a.copy(order="F"))
+                _lapack.rcond(_lapack.lu_factor(a.copy(order="F"))[0], 1.0)
+        seen[times] = counts
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=task, args=(times,)) for times in range(1, 9)]
+        for thread in threads:
+            thread.start()
+        _lapack.lu_factor(a.copy(order="F"))
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == {times: {"zgetrf": 2 * times, "zgecon": times} for times in range(1, 9)}
+    assert _lapack._COUNTS.get() is None
 
 
 def test_foreign_factor_is_refused():
