@@ -38,7 +38,7 @@ import numpy as np
 _COL_MAJOR = 102
 _I, _P, _C = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
 
-#: Argument types after LAPACKE's leading ``int matrix_layout``, per routine.
+#: Argument names and types after LAPACKE's leading ``int matrix_layout``, per routine.
 #: A ``_work`` routine skips LAPACKE's NaN scan of its input (a full pass over
 #: a dense matrix, about a millisecond per call at dimension 640); the input
 #: is checked finite, or finite by construction, before it.  ``zhbevd`` keeps
@@ -46,27 +46,22 @@ _I, _P, _C = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
 #: takes its query as numpy does, one call before the solve.  Every routine
 #: here is called by a function of this module.
 _SIGNATURES = {
-    # jobvl jobvr n a lda w vl ldvl vr ldvr work lwork rwork
-    "zgeev_work": (_C, _C, _I, _P, _I, _P, _P, _I, _P, _I, _P, _I, _P),
-    # jobz m n a lda s u ldu vt ldvt
-    "zgesdd": (_C, _I, _I, _P, _I, _P, _P, _I, _P, _I),
-    # m n a lda ipiv
-    "zgetrf_work": (_I, _I, _P, _I, _P),
-    # trans n nrhs a lda ipiv b ldb
-    "zgetrs_work": (_C, _I, _I, _P, _I, _P, _P, _I),
-    # norm n a lda anorm rcond work rwork
-    "zgecon_work": (_C, _I, _P, _I, ctypes.c_double, _P, _P, _P),
-    # uplo n a lda
-    "zpotrf_work": (_C, _I, _P, _I),
-    # uplo trans diag n nrhs a lda b ldb
-    "ztrtrs_work": (_C, _C, _C, _I, _I, _P, _I, _P, _I),
-    # jobz uplo n kd ab ldab w z ldz
-    "zhbevd": (_C, _C, _I, _I, _P, _I, _P, _P, _I),
-    # m n kl ku ab ldab ipiv
-    "zgbtrf_work": (_I, _I, _I, _I, _P, _I, _P),
-    # trans n kl ku nrhs ab ldab ipiv b ldb
-    "zgbtrs_work": (_C, _I, _I, _I, _I, _P, _I, _P, _P, _I),
+    "zgeev_work": ("jobvl jobvr n a lda w vl ldvl vr ldvr work lwork rwork",
+                   (_C, _C, _I, _P, _I, _P, _P, _I, _P, _I, _P, _I, _P)),
+    "zgesdd": ("jobz m n a lda s u ldu vt ldvt", (_C, _I, _I, _P, _I, _P, _P, _I, _P, _I)),
+    "zgetrf_work": ("m n a lda ipiv", (_I, _I, _P, _I, _P)),
+    "zgetrs_work": ("trans n nrhs a lda ipiv b ldb", (_C, _I, _I, _P, _I, _P, _P, _I)),
+    "zgecon_work": ("norm n a lda anorm rcond work rwork", (_C, _I, _P, _I, ctypes.c_double, _P, _P, _P)),
+    "zpotrf_work": ("uplo n a lda", (_C, _I, _P, _I)),
+    "ztrtrs_work": ("uplo trans diag n nrhs a lda b ldb", (_C, _C, _C, _I, _I, _P, _I, _P, _I)),
+    "zhbevd": ("jobz uplo n kd ab ldab w z ldz", (_C, _C, _I, _I, _P, _I, _P, _P, _I)),
+    "zgbtrf_work": ("m n kl ku ab ldab ipiv", (_I, _I, _I, _I, _P, _I, _P)),
+    "zgbtrs_work": ("trans n kl ku nrhs ab ldab ipiv b ldb", (_C, _I, _I, _I, _I, _P, _I, _P, _P, _I)),
 }
+
+#: The positions of each routine's size arguments, which key its calls in :func:`counting`.
+_SIZES = {name: [i for i, arg in enumerate(names.split()) if arg in ("m", "n", "nrhs", "kl", "ku", "kd")]
+          for name, (names, _) in _SIGNATURES.items()}
 
 #: The other functions that the OpenBLAS of the routines must export, as
 #: ``scipy_openblas_<name>64_``: its thread-count controls and the name of
@@ -104,7 +99,7 @@ def routines() -> dict | None:
     except (ImportError, AttributeError, OSError):
         return None
     for name, fn in found.items():
-        fn.argtypes, fn.restype = (([ctypes.c_int, *_SIGNATURES[name]], _I) if name in _SIGNATURES
+        fn.argtypes, fn.restype = (([ctypes.c_int, *_SIGNATURES[name][1]], _I) if name in _SIGNATURES
                                    else _CONTROLS[name])
     return found
 
@@ -117,16 +112,18 @@ def require() -> dict:
     return found
 
 
-#: The calls per routine of the innermost :func:`counting` of the running context, or None.
+#: The calls of the innermost :func:`counting` of the running context, or None.
 _COUNTS = contextvars.ContextVar("toeplab_lapack_counts", default=None)
 
 
 @contextlib.contextmanager
 def counting():
-    """Count this context's LAPACK calls per routine (``zgetrf`` for ``zgetrf_work``; ``zgeev``'s
-    workspace query is a call) in the ``Counter`` it yields.  A context variable holds it, so a
-    pool task that enters its own ``counting`` counts its own calls alone; nothing global is patched."""
-    token = _COUNTS.set(collections.Counter())
+    """Count this context's LAPACK calls in the dict it yields: routine (``zgetrf`` for
+    ``zgetrf_work``) -> the call's size arguments in LAPACK's order, joined by commas
+    (``"301,301"`` for ``zgetrf``'s ``m, n``) -> calls.  ``zgeev``'s workspace query is a
+    call.  A context variable holds it, so a pool task that enters its own ``counting``
+    counts its own calls alone; nothing global is patched."""
+    token = _COUNTS.set(collections.defaultdict(collections.Counter))
     try:
         yield _COUNTS.get()
     finally:
@@ -143,7 +140,7 @@ def _call(name: str, *args) -> int:
     """
     counts = _COUNTS.get()
     if counts is not None:
-        counts[name.removesuffix("_work")] += 1
+        counts[name.removesuffix("_work")][",".join(str(args[i]) for i in _SIZES[name])] += 1
     info = require()[name](_COL_MAJOR, *args)
     if info < 0:
         raise ValueError(f"LAPACKE_{name} returned info {info}")

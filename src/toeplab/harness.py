@@ -531,7 +531,7 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     start to the last one's end (``pool_s``); the last two overlap.  Each
     cell's ``timings`` give the stage seconds of its tasks, under
     ``spectrum`` (:func:`_spectrum_task`) and ``grushin`` (:func:`_grushin_task`), and its
-    ``factorizations`` the LAPACK calls of each task per routine.
+    ``factorizations`` the LAPACK calls of each task per routine and size.
 
     A failing task records its cell's error in the manifest and never
     disturbs sibling cells.  A numpy without its OpenBLAS LAPACKE raises
@@ -774,9 +774,11 @@ def _grushin_task(setup: _Setup, kind: str, N: int, seed: int):
     The last probe's small subspaces come first; the probes are the configuration's, so
     that needs nothing from set-up.  ``G`` is drawn into the top-left block of that probe's
     ``(dim + A)^2`` bordered matrix, and the earlier probes build their own from it.  The
-    last probe then forms and factors its bordered matrix over ``G``, so a one-probe cell
-    holds ``G`` and half a dim^2 array while the bound on ``||G||`` is certified
-    (:func:`~toeplab.randmat.certify_norm_bound`), and no second dim^2 array in its split.
+    bound on ``||G||`` is certified in ``G``'s own columns
+    (:func:`~toeplab.randmat.certify_norm_bound`), beside two panels of fixed height, and
+    ``G`` is then drawn again in place (both draws count in ``draw_s``).  The last probe
+    forms and factors its bordered matrix over ``G``, so a one-probe cell holds no second
+    dim^2 array in its certificate or its split.
     With no Grushin probe it draws nothing and returns no split, health or timing."""
     clock = _Clock()
     T, zs, delta = setup.matrices[N], setup.grushin_probes, setup.deltas[N]
@@ -788,7 +790,13 @@ def _grushin_task(setup: _Setup, kind: str, N: int, seed: int):
     bordered = np.empty((T.dim + A, T.dim + A), dtype=complex, order="F")
     G = _cell_noise(T, seed, out=bordered[:T.dim, :T.dim])
     clock.lap("draw_s")
-    g_norm = NormBound(G)                   # certified; the exact norm only if a flag hinges on it
+
+    def redraw(G):                          # the certificate factored G in its own columns
+        clock.lap("norm_bound_s")
+        _cell_noise(T, seed, out=G)
+        clock.lap("draw_s")
+
+    g_norm = NormBound(G, refill=redraw)    # certified; the exact norm only if a flag hinges on it
     clock.lap("norm_bound_s")
     u_lim = setup.classical.result().grushin_u_lim
     clock.lap("wait_s")
@@ -882,7 +890,7 @@ def _release_heap() -> None:
 
 
 def _releasing(task, *args):
-    """Run one pool task and return its result with its LAPACK calls per routine
+    """Run one pool task and return its result with its LAPACK calls per routine and size
     (:func:`~toeplab._lapack.counting`); then release the heap it freed, also when it raises."""
     try:
         with _lapack.counting() as counts:
@@ -1048,11 +1056,24 @@ def _inconsistent_cells(config: ExperimentConfig, tables: dict) -> list:
     counting-curve row's ``empirical`` is that spectrum's count at its
     radius, exactly, each potential row's ``deviation`` is its
     ``|U_emp - U_lim|``, exactly, and each diagnostics row has finite B1-B3
-    or a ``singular-`` flag.
+    or a ``singular-`` flag.  The columns that the configuration fixes hold
+    its values bit for bit (:func:`_unfixed_columns`): the counting curve's
+    radii are :meth:`ExperimentConfig.radii_grid`; the diagnostics hold one
+    row per Grushin probe, in order, with the cell's ``N``, ``seed`` and
+    ``delta = noise_size(N)`` and the run's ``rho``; each potential row holds
+    the cell's ``N`` and ``seed`` (-1 in an unperturbed cell).
     """
-    problems = []
+    problems, radii = [], [{"r": r} for r in config.radii_grid().tolist()]
     for cell in sorted(config.cells(), key=_cell_name):
         name, lam = _cell_name(cell), None
+        _, N, seed = cell
+        probes = [{"N": N, "z_re": float(re), "z_im": float(im), "rho": config.rho,
+                   "delta": config.noise_size(N), "seed": seed} for re, im in config.grushin_probes]
+        potentials = tables.get((name, "potential"), [])
+        for kind, fixed in (("cdf", radii), ("diagnostics", probes),
+                            ("potential", [{"N": N, "seed": -1 if seed is None else seed}] * len(potentials))):
+            if (name, kind) in tables:
+                problems.extend(_unfixed_columns(name, kind, tables[name, kind], fixed))
         if (name, "spectrum") in tables:
             dim = bergman_dimension(make_phase_space(config.space), cell[1])
             eig = np.array([[r["re"], r["im"]] for r in tables[name, "spectrum"]])
@@ -1061,7 +1082,6 @@ def _inconsistent_cells(config: ExperimentConfig, tables: dict) -> list:
                                 f"expected {dim} finite")
             else:
                 lam = eig[:, 0] + 1j * eig[:, 1]
-        potentials = tables.get((name, "potential"), [])
         if lam is not None:
             zs = [complex(r["z_re"], r["z_im"]) for r in potentials]
             for r, z, want in zip(potentials, zs, (log_abs_sums(lam, zs) / len(lam)).tolist()):
@@ -1084,6 +1104,19 @@ def _inconsistent_cells(config: ExperimentConfig, tables: dict) -> list:
                 problems.append(f"{name}: non-finite B1-B3 at z=({r['z_re']}, {r['z_im']}) "
                                 "without a singular- flag")
     return problems
+
+
+def _unfixed_columns(name: str, kind: str, rows: list, fixed: list) -> list:
+    """Where the ``kind`` CSV of cell ``name`` differs from ``fixed``, the columns that the
+    configuration fixes, one dict per row: its row count, or the first value whose bits differ."""
+    if len(rows) != len(fixed):
+        return [f"{name}: {_csv_name(kind, name)} holds {len(rows)} rows, its configuration {len(fixed)}"]
+    for line, (row, want) in enumerate(zip(rows, fixed), 2):
+        for column, value in want.items():
+            if float(row[column]).hex() != float(value).hex():
+                return [f"{name}: {_csv_name(kind, name)} line {line} {column} {row[column]!r} "
+                        f"against {float(value)!r} from its configuration"]
+    return []
 
 
 def _singular_flagged(row: dict) -> bool:

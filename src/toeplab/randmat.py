@@ -97,14 +97,14 @@ def operator_norm(M: np.ndarray) -> float:
     return float(_lapack.singular_values(M)[0])
 
 
-#: :func:`certify_norm_bound` factors in this many block rows.  Its factor and
-#: the one panel of scratch beside it hold about ``(1/2 + 3 / (2 * 12)) dim^2``
-#: entries; 16 block rows hold 0.03 dim^2 less and take 10% more time at dim 1000.
-_PANELS = 12
+#: :func:`certify_norm_bound` factors in block rows of this many rows, and holds two
+#: panels of this many rows beside ``G``.
+_WIDTH = 64
 
 
 def certify_norm_bound(G: np.ndarray, c: float) -> float | None:
-    """Prove ``||G|| < c`` for a square ``G``; the rounding shift used, or None.
+    """Prove ``||G|| < c`` for a square complex128 ``G``, which it overwrites; the rounding
+    shift used, or None.
 
     The proof is a Cholesky factorization ``R*R`` of ``c^2 I - G*G``
     shifted down by ``s``, an upper bound on every rounding error of forming
@@ -120,21 +120,25 @@ def certify_norm_bound(G: np.ndarray, c: float) -> float | None:
     occur.  A factorization that fails (or a non-finite ``G``) proves nothing
     and returns None.
 
-    The factorization is left-looking by block rows of ``R``, ``ceil(dim /
-    12)`` rows each.  A block row ``R[j0:j1, j0:]`` starts as that block row
-    of the shifted ``c^2 I - G*G``, one product of the conjugated columns
-    ``j0:j1`` of ``G`` with ``G[:, j0:]``; the products of the earlier block
-    rows are subtracted from it, ``zpotrf`` factors its diagonal block and
-    ``ztrtrs`` solves for the rest.  Every entry of ``R`` is still one entry
-    of the matrix minus a sum of at most dim products, over a diagonal entry
-    of ``R``; only the order of that sum differs from ``zpotrf``'s, and the
+    The factorization is left-looking by block rows of ``R``, :data:`_WIDTH`
+    rows each.  A block row ``R[j0:j1, j0:]`` starts as that block row of the
+    shifted ``c^2 I - G*G``, one product of the conjugated columns ``j0:j1``
+    of ``G`` with ``G[:, j0:]``; the products of the earlier block rows are
+    subtracted from it, ``zpotrf`` factors its diagonal block and ``ztrtrs``
+    solves for the rest.  Every entry of ``R`` is still one entry of the
+    matrix minus a sum of at most dim products, over a diagonal entry of
+    ``R``; only the order of that sum differs from ``zpotrf``'s, and the
     backward error bound holds for any order, so ``s`` bounds this one too.
-    Only the upper trapezoid of ``R`` is held, about half a dim^2 array, and
-    never the matrix ``G*G``.
+    No later block row reads columns ``j0:j1`` of ``G``, so the block row is
+    then kept, transposed, in ``G[j0:, j0:j1]``: the column norms are taken
+    first, and beside ``G`` the certificate holds two panels of
+    :data:`_WIDTH` rows, the block row being factored and a conjugated panel
+    of ``G`` or an update.  A caller that needs ``G`` afterwards passes a copy
+    or draws ``G`` again (:class:`NormBound`).
     """
-    G = np.asarray(G, dtype=complex)
+    if G.dtype != np.complex128 or G.ndim != 2 or G.shape[0] != G.shape[1]:
+        raise ValueError(f"expected a square complex128 matrix, got {G.dtype} {G.shape}")
     dim = G.shape[0]
-    nb = -(-dim // _PANELS)
     u = np.finfo(float).eps / 2.0
     gamma = (2 * dim + 4) * u / (1.0 - (2 * dim + 4) * u)
     squares = np.vecdot(G, G, axis=0).real              # |column|^2, each within gamma
@@ -144,23 +148,30 @@ def certify_norm_bound(G: np.ndarray, c: float) -> float | None:
                    + 4.0 * u * c2 + (u + gamma) * frobenius)
     if not (np.isfinite(shift) and shift < c2):
         return None
-    scratch = np.empty(nb * dim, dtype=complex)         # a conjugated panel of G, then an update
-    rows = []                                           # R[j0:j1, j0:] of each earlier j0
-    for j0 in range(0, dim, nb):
-        k, width = min(nb, dim - j0), dim - j0
-        row = np.empty((k, width), dtype=complex, order="F")
-        # numpy's products release the GIL, so the other pool threads run on
-        conjugated = np.conjugate(G[:, j0:j0 + k].T, out=scratch[:k * dim].reshape(k, dim))
-        np.negative(np.matmul(conjugated, G[:, j0:], out=row), out=row)
+    panels = np.empty((2, min(_WIDTH, dim) * dim), dtype=complex)
+    rows, scratch = panels
+    for j0 in range(0, dim, _WIDTH):
+        k, width = min(_WIDTH, dim - j0), dim - j0
+        row = rows[:k * width].reshape(k, width, order="F")             # R[j0:j1, j0:]
+        # each conjugate is copied, then conjugated in place: np.conjugate of a strided view
+        # takes a buffer of its size.  numpy's products release the GIL, so the other pool
+        # threads run on
+        conjugated = scratch[:k * dim].reshape(k, dim)
+        np.copyto(conjugated, G[:, j0:j0 + k].T)
+        np.negative(np.matmul(np.conjugate(conjugated, out=conjugated), G[:, j0:], out=row), out=row)
         row[np.arange(k), np.arange(k)] = (c2 - shift) - squares[j0:j0 + k]
         update = scratch[:k * width].reshape(k, width, order="F")
-        for i0, earlier in zip(range(0, j0, nb), rows):
-            block = earlier[:, j0 - i0:]                # R[i0:i1, j0:]
-            np.subtract(row, np.matmul(block[:, :k].conj().T, block, out=update), out=row)
+        for i0 in range(0, j0, _WIDTH):
+            earlier = G[j0:, i0:i0 + _WIDTH]                            # R[i0:i1, j0:], transposed
+            left = scratch[k * width:k * (width + _WIDTH)].reshape(k, _WIDTH, order="F")
+            np.copyto(left, earlier[:k])
+            np.conjugate(left, out=left)
+            np.subtract(row, np.matmul(left, earlier.T, out=update), out=row)
         if _lapack.cholesky_upper(row[:, :k]) != 0:
             return None
-        _lapack.solve_upper_adjoint(row[:, :k], row[:, k:])
-        rows.append(row)
+        if k < width:
+            _lapack.solve_upper_adjoint(row[:, :k], row[:, k:])
+        G[j0:, j0:j0 + k] = row.T
     return shift
 
 
@@ -172,15 +183,22 @@ class NormBound:
     SVD (``"svd-fallback"``).  The choice of ``c`` comes from Gaussian
     concentration of a Ginibre matrix's norm around ``2 sqrt(dim)``
     (Vershynin, arXiv:1011.3027, Thm 5.32); only the factorization proves it.
+    The certificate overwrites what it factors: with ``refill``, a callable
+    that writes ``G``'s entries into ``G`` again (the Grushin task draws its
+    noise a second time), it factors ``G`` itself and ``refill(G)`` follows;
+    without, it factors a copy.  Either way ``G`` holds its entries after.
     :meth:`exact` computes the SVD norm at most once, and the route then
     reads ``"svd-exact"``.  Whoever overwrites ``G`` calls :meth:`release`
     first; a later :meth:`exact` that would need ``G`` then raises.
     """
 
-    def __init__(self, G: np.ndarray):
+    def __init__(self, G: np.ndarray, refill=None):
         self._G = G
         c = 2.0 * math.sqrt(G.shape[0]) + 3.0
-        if certify_norm_bound(G, c) is not None:
+        shift = certify_norm_bound(np.array(G, dtype=complex, order="F") if refill is None else G, c)
+        if refill is not None:
+            refill(G)
+        if shift is not None:
             self.bound, self.route, self._exact = c, "cholesky", None
         else:
             self._exact = operator_norm(G)

@@ -31,7 +31,8 @@ from toeplab.harness import (
     verify,
 )
 from toeplab.quantize import ToeplitzMatrix, quantize_symbol
-from toeplab.randmat import NormBound, derive_seed, operator_norm, sample_ginibre
+from toeplab.randmat import _WIDTH, NormBound, derive_seed, operator_norm, sample_ginibre
+from toeplab.spectra import empirical_cdf_disks
 
 
 def tiny_config(**overrides):
@@ -355,6 +356,46 @@ class TestCrossCheck:
     def test_untouched_run_passes(self, n60):
         report = verify(n60, suite="integrity")
         assert report.passed, report.criteria
+
+    @pytest.mark.parametrize("name, edit, detail", [
+        ("diag_N60_s0.csv", lambda text: text.splitlines(True)[0],
+         "N60_s0: diag_N60_s0.csv holds 0 rows, its configuration 1"),
+        ("diag_N60_s0.csv", _each_row("rho", lambda row: "0.21"),
+         "N60_s0: diag_N60_s0.csv line 2 rho 0.21 against 0.2 from its configuration"),
+        ("pot_N60_s1.csv", _each_row("seed", lambda row: "0"),
+         "N60_s1: pot_N60_s1.csv line 2 seed 0.0 against 1.0 from its configuration"),
+        ("pot_N60_s1.csv", _each_row("N", lambda row: "59"),
+         "N60_s1: pot_N60_s1.csv line 2 N 59.0 against 60.0 from its configuration"),
+    ], ids=["dropped-grushin-row", "edited-rho", "another-seed", "another-size"])
+    def test_a_column_the_configuration_fixes_holds_its_values(self, n60, tmp_path, name, edit, detail):
+        # each copy passes every other check: a split's B1-B3 and a potential's U_emp do not
+        # read these columns
+        copy = self._tampered(n60, tmp_path / "copy", name, edit)
+        integrity = verify(copy, suite="integrity").criteria["integrity"]
+        assert integrity == {"status": "fail", "detail": f"inconsistent artifacts: ['{detail}']"}
+
+    def test_moved_radii_with_their_counts_recomputed_fail_integrity(self, n60, tmp_path):
+        # every radius moved by 0.013 and its empirical count taken from the spectrum at the new
+        # radius, so the counting curve agrees with the spectrum but not with the configuration
+        eig = np.loadtxt(n60 / "eig_N60_s0.csv", delimiter=",", skiprows=1)
+        lam = eig[:, 0] + 1j * eig[:, 1]
+
+        def edit(text: str) -> str:
+            header, *lines = text.splitlines()
+            rows = []
+            for line in lines:
+                r, _, predicted = line.split(",")
+                moved = float(r) + 0.013
+                rows.append(f"{moved!r},{float(empirical_cdf_disks(lam, [moved])[0])!r},{predicted}")
+            return "\n".join([header, *rows]) + "\n"
+
+        copy = self._tampered(n60, tmp_path / "copy", "cdf_N60_s0.csv", edit)
+        integrity = verify(copy, suite="integrity").criteria["integrity"]
+        assert integrity == {"status": "fail", "detail": "inconsistent artifacts: ['N60_s0: cdf_N60_s0.csv "
+                                                         "line 2 r 0.013 against 0.0 from its configuration']"}
+        dropped = self._tampered(n60, tmp_path / "dropped", "cdf_N60_s0.csv", lambda text: text.rsplit("\n", 2)[0] + "\n")
+        assert verify(dropped, suite="integrity").criteria["integrity"]["detail"] == (
+            "inconsistent artifacts: ['N60_s0: cdf_N60_s0.csv holds 49 rows, its configuration 50']")
 
     @pytest.mark.parametrize("name, edit, detail", [
         ("pot_N60_s0.csv", _shift_first_u_emp, "N60_s0: U_emp "),
@@ -1351,7 +1392,8 @@ class TestCellMemory:
     def test_a_grushin_result_holds_no_reference_to_the_noise(self, tmp_path, monkeypatch, published):
         # a result waits in its future until every spectrum task before it is collected;
         # one that kept G (through its NormBound) held a dim^2 array per cell meanwhile.
-        # G is drawn into the last probe's bordered matrix, whose buffer must go too
+        # G is drawn into the last probe's bordered matrix, and drawn there again after the
+        # certificate has factored it; that buffer must go too
         import weakref
         import toeplab.harness as hz
         drawn = []
@@ -1368,13 +1410,13 @@ class TestCellMemory:
         setup = hz._Setup(out=tmp_path, matrices={40: quantize_symbol(f, 40)}, deltas={40: 1 / 40},
                           rho=0.2, grushin_probes=[0.3 + 0.2j, 0.6 + 0j], classical=published(classical))
         result = hz._grushin_task(setup, "perturbed", 40, 0)
-        assert len(result[0]) == 2 and len(drawn) == 1
+        assert len(result[0]) == 2 and len(drawn) == 2 and drawn[0] is drawn[1]
         assert drawn[0]() is None
 
-    def test_a_one_probe_grushin_task_holds_g_and_half_a_gram(self, tmp_path, monkeypatch, published):
+    def test_a_one_probe_grushin_task_holds_g_and_two_panels(self, tmp_path, monkeypatch, published):
         # G is drawn into the last probe's bordered matrix: the certificate holds that, the
-        # probe's two bases (O(dim A)) and about 0.6 dim^2 of factor and scratch; the split factors
-        # the bordered matrix over G beside O(dim A). A Gram matrix beside G, or G beside a new
+        # probe's two bases (O(dim A)) and two panels of _WIDTH rows; the split factors the
+        # bordered matrix over G beside O(dim A). Half a Gram matrix beside G, or G beside a new
         # bordered matrix, does not fit
         import toeplab.harness as hz
         N, dim, z = 299, 300, 0.3 + 0.2j
@@ -1382,11 +1424,12 @@ class TestCellMemory:
         A = _small_subspaces(T, z, 0.2)[1].n_small
         certified, real = [], hz.NormBound
 
-        def bounding(G):                        # the peak up to the certificate's end, then anew
-            bound = real(G)
-            certified.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.reset_peak()
-            return bound
+        def bounding(G, refill=None):           # the peak up to the certificate's end, then anew
+            def refilling(G):
+                certified.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+                refill(G)
+            return real(G, refill=refilling)
 
         monkeypatch.setattr(hz, "NormBound", bounding)
         classical = hz._Classical(radii=np.zeros(1), predicted=np.zeros(1), probes=None, u_lim=np.zeros(0),
@@ -1403,7 +1446,7 @@ class TestCellMemory:
             finally:
                 tracemalloc.stop()
         assert diags[0].n_small == A >= 5 and health["g_norm_route"] == "cholesky"
-        assert certified[-1] - before <= 16 * ((dim + A) ** 2 + 0.65 * dim * dim + 4 * dim * A)
+        assert certified[-1] - before <= 16 * ((dim + A) ** 2 + 2 * _WIDTH * dim + 4 * dim * A)
         assert split <= 16 * (dim + A) * (dim + A + 7 * A + 48)
 
     @pytest.mark.parametrize("flagged", [False, True], ids=["bound-undecided", "neumann-flag"])
@@ -1618,7 +1661,7 @@ class TestHeapRelease:
         events, main = [], threading.get_ident()
         real_draw, real_predict = hz.sample_ginibre, hz.weyl_predict
 
-        def drawing(dim, seed, out=None):                 # once per task: each task draws its cell's noise
+        def drawing(dim, seed, out=None):       # each task draws its cell's noise; a Grushin task twice
             events.append("draw")
             if seed == hz.derive_seed(1, "cell", 24):
                 raise RuntimeError("synthetic cell failure")
@@ -1640,7 +1683,8 @@ class TestHeapRelease:
         # a pool thread as each task ends
         releases = [event for event in events if event[0] == "release"]
         assert releases.count(("release", 0, "task")) == 8 and len(releases) == 3 + 8
-        assert events.count("draw") == 8
+        # a spectrum task draws once, a Grushin task again after its certificate, unless it raised
+        assert events.count("draw") == 4 + 2 * 3 + 1
         by_set_up = [i for i, event in enumerate(events) if event == ("release", 0, "set-up")]
         assert len(by_set_up) == 3 and by_set_up[1] < events.index("set-up") < by_set_up[2]
 

@@ -267,20 +267,37 @@ def test_a_run_takes_no_dense_call_outside_this_module(preset, monkeypatch, tmp_
 #: grushin-scan's Grushin probe ladder (A = 23, 25, 31, 46, 42, 37, 10, 0 at N = 600).
 LADDER = [[0.0, 0.0], [0.3, 0.2], [0.6, 0.0], [0.0, 0.8], [0.9, 0.0], [0.97, 0.0], [1.2, 0.0], [0.0, 1.5]]
 
-#: LAPACK calls per task of a perturbed cell of each tiny run below.  A spectrum task is one
-#: ``zgeev`` and its workspace query.  A Grushin task certifies ``||G||`` (one ``zpotrf`` and
-#: one ``ztrtrs`` per block row; ``zgesdd``, the exact norm, as the bound cannot rule out the
-#: Neumann warning at these sizes); each probe takes ``zhbevd``, two banded LUs and four solves
-#: per cluster, the bordered LU and its ``zgecon``, and with ``A >= 1`` the corner solve and LU.
-_GRUSHIN = {"zgecon": 1, "zgesdd": 1, "zgetrf": 2, "zgetrs": 1, "zhbevd": 1}
+#: LAPACK calls per task of a perturbed cell of each tiny run below, per routine and size
+#: (the call's size arguments in LAPACK's order).  A spectrum task is one ``zgeev`` and its
+#: workspace query.  A Grushin task certifies ``||G||``: at these sizes ``G`` is one block row,
+#: so one ``zpotrf`` and no ``ztrtrs``; ``zgesdd``, the exact norm, as the bound cannot rule
+#: out the Neumann warning.  Each probe takes ``zhbevd``, two banded LUs and four solves per
+#: cluster of ``P - z``'s small singular values (a solve takes one right-hand side per value of
+#: its cluster), the bordered LU of size ``dim + A`` and its ``zgecon``, and with ``A >= 1`` the
+#: corner's solve and LU.
+def _grushin(dim: int, band: int, probes: list, solves: dict) -> dict:
+    """A Grushin task's calls at ``dim``, ``P - z`` of half-bandwidth ``band``, with one ``A``
+    per probe and ``solves`` banded solves per right-hand side count."""
+    def sizes(*keys):
+        return dict(Counter(",".join(map(str, key)) for key in keys))
+    return {
+        "zpotrf": {str(dim): 1}, "zgesdd": {f"{dim},{dim}": 1},
+        "zhbevd": {f"{dim},{band}": len(probes)},
+        "zgbtrf": {f"{dim},{dim},{band},{band}": sum(solves.values()) // 2},
+        "zgbtrs": {f"{dim},{band},{band},{nrhs}": count for nrhs, count in solves.items()},
+        "zgetrf": sizes(*((dim + A,) * 2 for A in probes), *((A, A) for A in probes if A)),
+        "zgecon": sizes(*((dim + A,) for A in probes)),
+        "zgetrs": sizes(*((dim + A, A) for A in probes if A)),
+    }
+
+
 TASK_CALLS = {
-    "sphere-figure3": {"spectrum": {"zgeev": 2}, "grushin": {
-        **_GRUSHIN, "zgbtrf": 8, "zgbtrs": 16, "zpotrf": 11, "ztrtrs": 11}},
-    "scottish-flag-figure1": {"spectrum": {"zgeev": 2}, "grushin": {
-        **_GRUSHIN, "zgbtrf": 4, "zgbtrs": 8, "zpotrf": 10, "ztrtrs": 10}},
-    "ladder": {"spectrum": {"zgeev": 2}, "grushin": {
-        "zgbtrf": 70, "zgbtrs": 140, "zgecon": 8, "zgesdd": 1, "zgetrf": 15, "zgetrs": 7,
-        "zhbevd": 8, "zpotrf": 10, "ztrtrs": 10}},
+    "sphere-figure3": {"spectrum": {"zgeev": {"41": 2}},
+                       "grushin": _grushin(41, 1, [5], {1: 12, 2: 4})},
+    "scottish-flag-figure1": {"spectrum": {"zgeev": {"40": 2}},
+                              "grushin": _grushin(40, 4, [2], {1: 8})},
+    "ladder": {"spectrum": {"zgeev": {"37": 2}},
+               "grushin": _grushin(37, 1, [3, 5, 5, 7, 6, 6, 5, 0], {1: 132, 2: 8})},
 }
 
 
@@ -298,7 +315,7 @@ def test_each_task_records_its_own_calls(case, tmp_path):
     cells = run(cfg, tmp_path).manifest["cells"]
     want = {name: TASK_CALLS[case] for name in cells if not name.endswith("unperturbed")}
     if cfg.unperturbed_sizes:
-        want["N50_unperturbed"] = {"spectrum": {"zgeev": 2, "zgbtrf": 16}}
+        want["N50_unperturbed"] = {"spectrum": {"zgeev": {"50": 2}, "zgbtrf": {"50,50,2,2": 16}}}
     assert {name: cell["factorizations"] for name, cell in cells.items()} == want
     assert len(want) == {"ladder": 1, "sphere-figure3": 2, "scottish-flag-figure1": 3}[case]
 
@@ -328,7 +345,7 @@ def test_counting_is_per_context():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert seen == {times: {"zgetrf": 2 * times, "zgecon": times} for times in range(1, 9)}
+    assert seen == {times: {"zgetrf": {"31,31": 2 * times}, "zgecon": {"31": times}} for times in range(1, 9)}
     assert _lapack._COUNTS.get() is None
 
 

@@ -1,13 +1,16 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from toeplab import _lapack
 from toeplab.geometry import scottish_flag_symbol, sphere_symbol
 from toeplab.grushin import _small_subspaces, b_diagnostics
 from toeplab.harness import ConfigError, preset_config
 from toeplab.quantize import quantize_sphere, quantize_torus
 from toeplab.randmat import (
+    _WIDTH,
     TAIL_BOUND_CONSTANT,
     NormBound,
     certify_norm_bound,
@@ -172,48 +175,130 @@ class TestOperatorNorm:
         assert operator_norm(np.outer(u, v.conj())) == pytest.approx(4.0)
 
 
+def _reference_certificate(G: np.ndarray, c: float, panels: int = 12) -> float | None:
+    """The out-of-place certificate: the same shift, and the upper trapezoid of ``R`` held in
+    ``panels`` block rows of its own beside ``G``, which it leaves as it is."""
+    dim = G.shape[0]
+    nb = -(-dim // panels)
+    u = np.finfo(float).eps / 2.0
+    gamma = (2 * dim + 4) * u / (1.0 - (2 * dim + 4) * u)
+    squares = np.vecdot(G, G, axis=0).real
+    frobenius = math.fsum(squares) * (1.0 + 3.0 * gamma)
+    c2 = float(c) * float(c)
+    shift = 2.0 * (gamma / (1.0 - gamma) * dim * c2 * (1.0 + u)
+                   + 4.0 * u * c2 + (u + gamma) * frobenius)
+    if not (np.isfinite(shift) and shift < c2):
+        return None
+    rows = []
+    for j0 in range(0, dim, nb):
+        k = min(nb, dim - j0)
+        row = np.asfortranarray(-(G[:, j0:j0 + k].conj().T @ G[:, j0:]))
+        row[np.arange(k), np.arange(k)] = (c2 - shift) - squares[j0:j0 + k]
+        for i0, earlier in zip(range(0, j0, nb), rows):
+            block = earlier[:, j0 - i0:]
+            row -= block[:, :k].conj().T @ block
+        if _lapack.cholesky_upper(row[:, :k]) != 0:
+            return None
+        _lapack.solve_upper_adjoint(row[:, :k], row[:, k:])
+        rows.append(row)
+    return shift
+
+
 class TestNormCertificate:
     """The Cholesky-certified bound on ||G|| that the Grushin task's Neumann test uses."""
 
     def test_fails_just_below_the_norm_and_holds_just_above(self):
         G = sample_ginibre(200, 3)
         exact = operator_norm(G)
-        assert certify_norm_bound(G, exact * (1.0 - 1e-9)) is None
-        assert certify_norm_bound(G, exact * (1.0 + 1e-6)) is not None
+        assert certify_norm_bound(G.copy(order="F"), exact * (1.0 - 1e-9)) is None
+        assert certify_norm_bound(G.copy(order="F"), exact * (1.0 + 1e-6)) is not None
+
+    @pytest.mark.parametrize("dim", [40, 2 * _WIDTH, 200, 1001],
+                             ids=["below-one-panel", "panel-multiple", "non-multiple", "1001"])
+    def test_in_place_verdicts_are_the_references(self, dim):
+        # the same None or shift as the out-of-place factorization, on either side of the norm
+        # and at the Grushin task's 2 sqrt(dim) + 3
+        G = sample_ginibre(dim, derive_seed(0, "cell", dim - 1))
+        exact = operator_norm(G)
+        for c in (exact * (1.0 - 1e-6), exact * (1.0 + 1e-6), 2.0 * np.sqrt(dim) + 3.0):
+            want = _reference_certificate(G, c)
+            assert certify_norm_bound(G.copy(order="F"), c) == want
+            assert (want is None) == (c < exact)
+
+    def test_one_zpotrf_per_block_row_and_one_ztrtrs_beside_each_but_the_last(self):
+        dim = 2 * _WIDTH + 22
+        with _lapack.counting() as counts:
+            assert certify_norm_bound(sample_ginibre(dim, 5), 2.0 * np.sqrt(dim) + 3.0) is not None
+        assert counts == {"zpotrf": {str(_WIDTH): 2, "22": 1},
+                          "ztrtrs": {f"{_WIDTH},{dim - _WIDTH}": 1, f"{_WIDTH},22": 1}}
+
+    def test_the_factor_overwrites_g_and_a_bound_without_refill_does_not(self):
+        # the certificate keeps its block rows in G's own columns; NormBound gives it a copy
+        G = sample_ginibre(150, 4)
+        kept = G.tobytes()
+        norm = NormBound(G)
+        assert norm.route == "cholesky" and G.tobytes() == kept
+        assert certify_norm_bound(G, norm.bound) is not None and G.tobytes() != kept
 
     def test_large_rank_one_takes_the_svd_fallback(self):
+        # v vanishes on the first two block rows, so they are factored (and kept in G) before the
+        # third fails: the fallback reads G as refill left it, and without refill G as it was
         rng = np.random.default_rng(4)
-        u = rng.normal(size=40) + 1j * rng.normal(size=40)
-        v = rng.normal(size=40) + 1j * rng.normal(size=40)
-        G = 100.0 * np.outer(u / np.linalg.norm(u), v.conj() / np.linalg.norm(v))
-        norm = NormBound(G)                              # 2 sqrt(40) + 3 < 100
+        dim = 2 * _WIDTH + 22
+        u = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        v = np.zeros(dim, dtype=complex)
+        v[2 * _WIDTH + 2:] = rng.normal(size=20) + 1j * rng.normal(size=20)
+        original = 100.0 * np.outer(u / np.linalg.norm(u), v.conj() / np.linalg.norm(v))
+        exact = operator_norm(original)
+        G = original.copy()
+        norm = NormBound(G)                              # 2 sqrt(dim) + 3 < 100
+        assert norm.route == "svd-fallback" and G.tobytes() == original.tobytes()
+        assert norm.bound == norm.exact() == exact
         assert norm.route == "svd-fallback"
-        assert norm.bound == norm.exact() == operator_norm(G)
-        assert norm.route == "svd-fallback"
+        G, overwritten = np.asfortranarray(original), []
+
+        def refill(G):
+            overwritten.append(not np.array_equal(G, original))
+            G[:] = original
+
+        norm = NormBound(G, refill=refill)
+        assert overwritten == [True] and norm.route == "svd-fallback"
+        assert norm.bound == norm.exact() == exact
+
+    def test_exact_norm_after_a_refill_is_the_norm_of_the_drawn_g(self):
+        # the Grushin task certifies in G and draws it again: an undecided bound's exact norm is G's
+        dim, seed = 150, derive_seed(0, "cell", 149)
+        G = sample_ginibre(dim, seed)
+        norm = NormBound(G, refill=lambda G: sample_ginibre(dim, seed, out=G))
+        assert norm.route == "cholesky" and G.tobytes() == sample_ginibre(dim, seed).tobytes()
+        assert norm.exact() == operator_norm(sample_ginibre(dim, seed)) and norm.route == "svd-exact"
 
     def test_rounding_shift_is_negligible_at_dim_1001(self):
         G = sample_ginibre(1001, derive_seed(0, "cell", 1000))
         c = 2.0 * np.sqrt(1001) + 3.0
-        shift = certify_norm_bound(G, c)
+        shift = certify_norm_bound(G.copy(order="F"), c)
         assert shift is not None and shift > 0.0
         assert shift <= 1e-6 * (c * c - operator_norm(G) ** 2)
 
-    def test_holds_half_a_gram(self):
-        # the upper trapezoid of the factor in block rows and one panel of scratch; a whole
-        # Gram matrix (a dim^2 array) or a conjugated copy of G does not fit
+    @pytest.mark.parametrize("refill", [False, True], ids=["copy", "in-place"])
+    def test_holds_g_and_two_panels(self, refill):
+        # in place: two panels of _WIDTH rows and O(dim) beside them; without refill a copy of G
+        # too. Half a Gram (dim^2 / 2) beside G does not fit
         import tracemalloc
         dim = 300
-        G = sample_ginibre(dim, derive_seed(0, "cell", dim - 1))
-        c = 2.0 * np.sqrt(dim) + 3.0
-        assert certify_norm_bound(G, c) is not None                     # warm-up
+        seed = derive_seed(0, "cell", dim - 1)
+        G = sample_ginibre(dim, seed)
+        redraw = (lambda G: G.fill(0.0)) if refill else None         # so the drawing takes no memory
+        assert NormBound(G, refill=redraw).route == "cholesky"                   # warm-up
+        sample_ginibre(dim, seed, out=G)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            certify_norm_bound(G, c)
+            NormBound(G, refill=redraw)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 0.65 * dim * dim
+        assert peak <= 16 * ((0 if refill else dim * dim) + 2 * _WIDTH * dim + _WIDTH ** 2 + 4 * dim)
 
     def test_nonfinite_noise_certifies_nothing(self):
         G = sample_ginibre(20, 1)
