@@ -241,6 +241,12 @@ class QuadratureGrid:
     weights: np.ndarray
 
 
+#: Nodes per block where a quadrature or a sample is built and evaluated a block at a time
+#: (:func:`_liouville_nodes`, :func:`_sample_blocks`): a block's complex values fill 128 KiB,
+#: and its Python loop costs nothing measurable (blocks of 16384 nodes took the same time).
+BLOCK_NODES = 1 << 13
+
+
 def liouville_quadrature(space: PhaseSpace, resolution: int) -> QuadratureGrid:
     """Build a quadrature for the calibrated Liouville measure.
 
@@ -248,25 +254,42 @@ def liouville_quadrature(space: PhaseSpace, resolution: int) -> QuadratureGrid:
     trigonometric polynomials with mode indices below the resolution).
     Sphere: Gauss-Legendre in cos(theta) times a uniform azimuthal grid with
     ``2 * resolution`` nodes (exact for polynomials in (x1, x2, x3) up to
-    degree ``2 * resolution - 1``).
+    degree ``2 * resolution - 1``).  The nodes are :func:`_liouville_nodes`'s blocks, joined.
+    """
+    weights, blocks = _liouville_nodes(space, resolution)
+    return QuadratureGrid(np.concatenate(list(blocks)), weights)
+
+
+def _liouville_nodes(space: PhaseSpace, resolution: int):
+    """The weights of the Liouville quadrature of ``resolution`` and an iterator over its nodes,
+    in the weights' order, in blocks of whole grid rows of about :data:`BLOCK_NODES` nodes.
+
+    The one statement of the node formula (see :func:`liouville_quadrature`).  A row is one
+    ``x`` on the torus and one Gauss-Legendre node ``u = cos(theta)`` on the sphere; each node
+    has the bits it has in a grid built whole.
     """
     if resolution < 2:
         raise ValueError("quadrature resolution must be >= 2")
     if space.kind == TORUS:
         x = np.arange(resolution) / resolution
-        X, XI = np.meshgrid(x, x, indexing="ij")
-        pts = np.stack([X.ravel(), XI.ravel()], axis=-1)
-        w = np.full(pts.shape[0], space.volume / pts.shape[0])
-        return QuadratureGrid(pts, w)
-    n_phi = 2 * resolution
-    u, wu = np.polynomial.legendre.leggauss(resolution)
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    U, PHI = np.meshgrid(u, phi, indexing="ij")
-    s = np.sqrt(1.0 - U**2)
-    pts = np.stack([(s * np.cos(PHI)).ravel(), (s * np.sin(PHI)).ravel(), U.ravel()], axis=-1)
-    # d(mu) = (1/2) du dphi, total 2*pi
-    w = (np.outer(wu, np.full(n_phi, 2.0 * np.pi / n_phi)) * 0.5).ravel()
-    return QuadratureGrid(pts, w)
+        weights = np.full(resolution * resolution, space.volume / (resolution * resolution))
+
+        def nodes(rows):
+            X, XI = np.meshgrid(x[rows], x, indexing="ij")
+            return np.stack([X.ravel(), XI.ravel()], axis=-1)
+    else:
+        n_phi = 2 * resolution
+        u, wu = np.polynomial.legendre.leggauss(resolution)
+        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+        cos, sin = np.cos(phi), np.sin(phi)
+        # d(mu) = (1/2) du dphi, total 2*pi
+        weights = (np.outer(wu, np.full(n_phi, 2.0 * np.pi / n_phi)) * 0.5).ravel()
+
+        def nodes(rows):
+            s = np.sqrt(1.0 - u[rows, None] ** 2)
+            return np.stack([(s * cos).ravel(), (s * sin).ravel(), np.repeat(u[rows], n_phi)], axis=-1)
+    step = max(1, BLOCK_NODES // (len(weights) // resolution))     # rows per block
+    return weights, (nodes(slice(row, row + step)) for row in range(0, resolution, step))
 
 
 @dataclass(frozen=True)
@@ -286,21 +309,43 @@ class SymbolImage:
 
 
 def symbol_image(f: SymbolSpec, resolution: int) -> SymbolImage:
-    """``f0`` at the nodes of the Liouville quadrature of ``resolution``; the nodes are dropped."""
-    grid = liouville_quadrature(f.space, resolution)
+    """``f0`` at the nodes of the Liouville quadrature of ``resolution``, evaluated a block of
+    nodes at a time (:func:`_liouville_nodes`): no node array of the whole grid exists."""
     f0 = f.principal()
-    return SymbolImage(f0, resolution, evaluate_symbol_grid(f0, grid.points), grid.weights)
+    weights, blocks = _liouville_nodes(f.space, resolution)
+    values = np.empty(len(weights), dtype=complex)
+    start = 0
+    for points in blocks:
+        values[start:start + len(points)] = evaluate_symbol_grid(f0, points)
+        start += len(points)
+    return SymbolImage(f0, resolution, values, weights)
 
 
 def sample_points(space: PhaseSpace, n: int, seed: int = 0) -> np.ndarray:
-    """n points sampled uniformly w.r.t. the Liouville measure."""
+    """n points sampled uniformly w.r.t. the Liouville measure: :func:`_sample_blocks`, joined."""
+    return np.concatenate(list(_sample_blocks(space, n, seed)))
+
+
+def _sample_blocks(space: PhaseSpace, n: int, seed: int):
+    """:func:`sample_points`'s points in blocks of at most :data:`BLOCK_NODES`, with the bits of one draw.
+
+    The sphere's draw is all ``n`` heights, then all ``n`` azimuths, so the azimuths come from
+    a second generator of the same stream that first skips ``n`` draws.
+    """
     rng = np.random.Generator(np.random.Philox(key=seed))
+    sizes = [min(BLOCK_NODES, n - i) for i in range(0, max(n, 1), BLOCK_NODES)]    # one block if n <= 0
     if space.kind == TORUS:
-        return rng.random((n, 2))
-    u = rng.uniform(-1.0, 1.0, n)
-    phi = rng.uniform(0.0, 2.0 * np.pi, n)
-    s = np.sqrt(1.0 - u**2)
-    return np.stack([s * np.cos(phi), s * np.sin(phi), u], axis=-1)
+        for size in sizes:
+            yield rng.random((size, 2))
+        return
+    azimuths = np.random.Generator(np.random.Philox(key=seed))
+    for size in sizes:
+        azimuths.random(size)
+    for size in sizes:
+        u = rng.uniform(-1.0, 1.0, size)
+        phi = azimuths.uniform(0.0, 2.0 * np.pi, size)
+        s = np.sqrt(1.0 - u**2)
+        yield np.stack([s * np.cos(phi), s * np.sin(phi), u], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -328,22 +373,26 @@ def estimate_kappa(f: SymbolSpec, z_grid, samples: int, t_grid, seed: int = 0) -
     For each probe ``z`` the normalized mass ``m(z, t)`` of
     ``{|f0 - z|^2 <= t}`` is estimated from ``samples`` uniform points and
     ``log m`` is fitted against ``log t``; the reported exponent is the
-    minimum slope over probes (the uniformity in z is what matters).
+    minimum slope over probes (the uniformity in z is what matters).  The
+    points are drawn and counted a block at a time (:func:`_sample_blocks`).
     """
     if samples < 10**4:
         raise ValueError("estimate_kappa requires samples >= 10**4")
     t_grid = np.asarray(list(t_grid), dtype=float)
     if np.any(t_grid <= 0.0) or np.any(t_grid >= 1.0):
         raise ValueError("t_grid must lie in (0, 1)")
-    pts = sample_points(f.space, int(samples), seed)
-    vals = evaluate_symbol_grid(f.principal(), pts)
+    samples, zs, f0 = int(samples), [complex(z) for z in z_grid], f.principal()
+    counts = np.zeros((len(zs), len(t_grid)), dtype=np.int64)     # per probe, points within each t
+    for points in _sample_blocks(f.space, samples, seed):
+        vals = evaluate_symbol_grid(f0, points)
+        for row, z in zip(counts, zs):
+            d2 = np.abs(vals - z) ** 2
+            row += [np.count_nonzero(d2 <= t) for t in t_grid]
 
     diagnostics = []
     skipped = []
-    for z in z_grid:
-        z = complex(z)
-        d2 = np.abs(vals - z) ** 2
-        m = np.array([np.count_nonzero(d2 <= t) / d2.size for t in t_grid])    # np.mean's bits
+    for z, row in zip(zs, counts.tolist()):
+        m = np.array([count / samples for count in row])          # np.mean's bits
         mask = m > 0
         if mask.sum() < 2 or np.ptp(np.log(m[mask])) == 0.0:
             skipped.append(z)

@@ -523,7 +523,8 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
     that raises fails every task and raises from ``run``.  Each task draws its own copy of the cell's noise, so no
     per-cell matrix exists outside a running task.  All tasks share one thread pool with one thread
     per usable CPU.  From validation on, numpy's OpenBLAS, which does every
-    dense call, is pinned to one thread (restored afterwards).  ``workers`` is ignored; it is
+    dense call, is pinned to one thread (restored afterwards), and glibc's mmap
+    threshold is fixed (:func:`_fix_mmap_threshold`).  ``workers`` is ignored; it is
     kept so that callers passing it positionally, such as the benchmark's
     ``perfbench/child.py``, keep working.  The manifest's ``timings`` give
     the seconds of validation (``validate_s``), of the rest of set-up until
@@ -548,6 +549,7 @@ def run(config: ExperimentConfig, out_dir=None, workers=None, stages=STAGES) -> 
 
 def _run(config: ExperimentConfig, out_dir, stages: set) -> RunRecord:
     """The body of :func:`run`, on one OpenBLAS thread."""
+    _fix_mmap_threshold()
     t_start, t_validate = time.time(), time.perf_counter()
     validation = config.validate()             # a rejected config leaves no directory behind
     t_setup = time.perf_counter()
@@ -656,16 +658,18 @@ def _classical(config: ExperimentConfig, stages: set) -> _Classical | None:
 
     One evaluation of ``f0`` on the run's quadrature grid
     (:func:`~toeplab.geometry.symbol_image`) gives the probes, the classical
-    potential of every probe of the run and the Weyl prediction.  The tasks'
-    first dense work runs beside these steps, so each step's temporaries are
-    released (:func:`_release_heap`) before the next step allocates its
-    own: kept resident, they would count in the run's peak beside the
-    tasks' matrices.
+    potential of every probe of the run and the Weyl prediction; :func:`verify`
+    calls it too, to re-derive them.  The tasks' first dense work runs beside
+    these steps, so they hold no grid-sized array but the image's values and
+    weights, one distance buffer and the Weyl sort's order, and build the rest a
+    block of nodes at a time; each step's temporaries are released
+    (:func:`_release_heap`) before the next step allocates its own: kept
+    resident, they would count in the run's peak beside the tasks' matrices.
     """
     if "spectrum" not in stages:                # potential and grushin need it
         return None
     image = symbol_image(config.symbol_spec(), config.resolution)
-    _release_heap()                             # the kappa fit's temporaries and the grid's nodes
+    _release_heap()                             # the kappa fit's temporaries and the node blocks
     probes = config._probes(image) if "potential" in stages else None
     n_probes = 0 if probes is None else len(probes)
     # the classical potential of every probe of the run, in one call; nan where it hits nodes
@@ -875,6 +879,32 @@ def _malloc_trim():
     return trim
 
 
+#: The mmap threshold that :func:`_fix_mmap_threshold` sets: a block above it that the heap
+#: cannot serve is mapped for itself and unmapped when freed.  Above the blocks a run frees and
+#: allocates again and again (set-up's node blocks, a Grushin probe's subspace blocks), which
+#: glibc's default of 128 KiB mapped afresh each time, for 2.7-4 times a run's minor page
+#: faults, and below the cell matrices from dim 512 up.
+_MMAP_THRESHOLD = 4 * 1024 * 1024
+
+
+@functools.cache
+def _fix_mmap_threshold() -> bool:
+    """Fix glibc's mmap threshold at :data:`_MMAP_THRESHOLD` for the rest of the process, once;
+    False where the C library has no ``mallopt`` or ignores it (macOS, Windows; musl).
+
+    Left dynamic, glibc raises the threshold to the size of each mapped block that is freed
+    (up to 32 MiB), and blocks below it then grow the heaps and stay resident when freed, so
+    where an array lives, and a run's peak, would hang on what happened to be freed before it.
+    Fixed, that depends on the array's size alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):    # TypeError: no CDLL(None) on Windows
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt(-3, _MMAP_THRESHOLD) == 1        # -3: M_MMAP_THRESHOLD in glibc's malloc.h
+
+
 def _release_heap() -> None:
     """Return the heap pages that ``free`` left resident to the OS, where ``malloc_trim`` exists.
 
@@ -981,8 +1011,9 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
     by), and so does a file listing other than :func:`_expected_artifacts`, the
     files ``run`` writes for the configuration's cells that did not fail.
     Each cell CSV listed under its expected name, with a matching checksum, is
-    parsed once by :func:`_read_csv`; the cross-check of :func:`_inconsistent_cells`
-    and the criteria read those rows.  A CSV that :func:`_read_csv` refuses fails
+    parsed once by :func:`_read_csv`; the cross-check of :func:`_inconsistent_cells`,
+    against set-up's values re-derived by :func:`_classical`, and the criteria read
+    those rows.  A CSV that :func:`_read_csv` refuses fails
     ``integrity`` and each criterion that reads it, naming the file.  The acceptance
     suite also judges the unperturbed cells' potential check (:func:`_judge_unperturbed`).
     """
@@ -1011,6 +1042,8 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
             mismatched.append(info["path"])
         else:
             intact.add(info["path"])
+    with _pinned_blas():                        # as run pins it: the classical potential's dot
+        classical = _classical(config, set(manifest["stages"]))
     tables, refused = {}, {}            # (cell, kind) -> its rows, or what _read_csv said of it
     for name, cell in sorted(manifest["cells"].items()):
         for kind, info in cell["files"].items():
@@ -1021,7 +1054,7 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
                     refused[name, kind] = str(exc)
     faults = [("checksum mismatch", mismatched), ("missing artifacts", missing),     # the first found fails
               ("artifacts not as run writes them", listing),
-              ("inconsistent artifacts", [*refused.values(), *_inconsistent_cells(config, tables)])]
+              ("inconsistent artifacts", [*refused.values(), *_inconsistent_cells(config, tables, classical)])]
     fault = next((f"{what}: {found}" for what, found in faults if found), None)
     whole = f"{len(manifest['cells'])} cells and {len(manifest['matrices'])} matrices intact"
     failed = sorted(manifest["errors"])
@@ -1038,39 +1071,51 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
 
 
 #: Largest gap between a potential row's ``U_emp`` and ``sum log|lambda - z| / dim``
-#: recomputed from its cell's spectrum CSV.  ``run`` and ``verify`` compute it by one
-#: function, :func:`~toeplab.potential.log_abs_sums`, so on one build the two are
-#: equal; the bound admits a run that another build wrote.  Against a 40-digit
-#: determinant that sum's forward error on perturbed cells (sphere N = 60, flag N = 50)
-#: is at most 1.2e-16 per dim, so 1e-8 is no statement of its accuracy.
+#: recomputed from its cell's spectrum CSV, and between its ``U_lim`` and the classical
+#: potential that set-up's quadrature gives again.  ``run`` and ``verify`` compute each by
+#: one function, :func:`~toeplab.potential.log_abs_sums` and
+#: :func:`~toeplab.potential.limit_potential_many`, so on one build the two are equal; the
+#: bound admits a run that another build wrote.  Against a 40-digit determinant that sum's
+#: forward error on perturbed cells (sphere N = 60, flag N = 50) is at most 1.2e-16 per dim,
+#: so 1e-8 is no statement of its accuracy, nor of the quadrature's: another build's dot
+#: product over the grid's 80000 nodes moves ``U_lim`` by rounding alone.
 POTENTIAL_TOL = 1e-8
 
 
-def _inconsistent_cells(config: ExperimentConfig, tables: dict) -> list:
-    """Where a cell's parsed CSVs disagree with each other or its size, one line each.
+def _inconsistent_cells(config: ExperimentConfig, tables: dict, classical) -> list:
+    """Where a cell's parsed CSVs disagree with each other, its size or set-up's values, one line each.
 
     ``tables`` maps each parsed ``(cell, kind)`` CSV of a cell of ``config``
-    to its rows.  The spectrum
+    to its rows, and ``classical`` is :func:`_classical` of ``config`` (None
+    without the spectrum stage, when no counting curve or potential exists).  The spectrum
     holds ``dim`` finite eigenvalues, each potential row's ``U_emp`` is the
     one that spectrum gives within :data:`POTENTIAL_TOL`, each
     counting-curve row's ``empirical`` is that spectrum's count at its
     radius, exactly, each potential row's ``deviation`` is its
     ``|U_emp - U_lim|``, exactly, and each diagnostics row has finite B1-B3
-    or a ``singular-`` flag.  The columns that the configuration fixes hold
+    or a ``singular-`` flag.  Each potential row's ``z`` is a probe of the
+    configuration and its ``U_lim`` that probe's classical potential within
+    :data:`POTENTIAL_TOL`.  The columns that the configuration fixes hold
     its values bit for bit (:func:`_unfixed_columns`): the counting curve's
-    radii are :meth:`ExperimentConfig.radii_grid`; the diagnostics hold one
+    radii are :meth:`ExperimentConfig.radii_grid` and its ``predicted`` the
+    Weyl prediction at each; the diagnostics hold one
     row per Grushin probe, in order, with the cell's ``N``, ``seed`` and
     ``delta = noise_size(N)`` and the run's ``rho``; each potential row holds
     the cell's ``N`` and ``seed`` (-1 in an unperturbed cell).
     """
-    problems, radii = [], [{"r": r} for r in config.radii_grid().tolist()]
+    problems, curve, u_lim = [], [], {}
+    if classical is not None:
+        curve = [{"r": r, "predicted": p}
+                 for r, p in zip(classical.radii.tolist(), classical.predicted.tolist())]
+        if classical.probes is not None:
+            u_lim = dict(zip(classical.probes.tolist(), classical.u_lim.tolist()))
     for cell in sorted(config.cells(), key=_cell_name):
         name, lam = _cell_name(cell), None
         _, N, seed = cell
         probes = [{"N": N, "z_re": float(re), "z_im": float(im), "rho": config.rho,
                    "delta": config.noise_size(N), "seed": seed} for re, im in config.grushin_probes]
         potentials = tables.get((name, "potential"), [])
-        for kind, fixed in (("cdf", radii), ("diagnostics", probes),
+        for kind, fixed in (("cdf", curve), ("diagnostics", probes),
                             ("potential", [{"N": N, "seed": -1 if seed is None else seed}] * len(potentials))):
             if (name, kind) in tables:
                 problems.extend(_unfixed_columns(name, kind, tables[name, kind], fixed))
@@ -1094,10 +1139,16 @@ def _inconsistent_cells(config: ExperimentConfig, tables: dict) -> list:
                     problems.append(f"{name}: empirical {r['empirical']!r} at r={r['r']!r} "
                                     f"against {want!r} from its spectrum")
         for r in potentials:
+            z = complex(r["z_re"], r["z_im"])
             got, want = r["deviation"], _deviation(r["U_emp"], r["U_lim"])
             if not (got == want or math.isnan(got) and math.isnan(want)):
-                problems.append(f"{name}: deviation {got!r} at z={complex(r['z_re'], r['z_im'])} "
-                                f"against |U_emp - U_lim| = {want!r}")
+                problems.append(f"{name}: deviation {got!r} at z={z} against |U_emp - U_lim| = {want!r}")
+            if z not in u_lim:
+                problems.append(f"{name}: z={z} in {_csv_name('potential', name)} is not a probe "
+                                "of its configuration")
+            elif not abs(r["U_lim"] - u_lim[z]) <= POTENTIAL_TOL:
+                problems.append(f"{name}: U_lim {r['U_lim']!r} at z={z} against {u_lim[z]!r} "
+                                "from the set-up quadrature")
         for r in tables.get((name, "diagnostics"), []):
             finite = all(math.isfinite(r[b]) for b in ("B1", "B2", "B3"))
             if not (finite or _singular_flagged(r)):

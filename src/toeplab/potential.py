@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _lapack
-from .geometry import SymbolImage, symbol_image
+from .geometry import BLOCK_NODES, SymbolImage, symbol_image
 
 #: Probes closer than this to an eigenvalue are dropped from a realization.
 PROBE_EXCLUSION_RADIUS = 1e-4
@@ -102,19 +102,26 @@ def limit_potential_many(image: SymbolImage, probes) -> np.ndarray:
     A probe that lands exactly on a node image is retried on the image's
     resolution plus 1, 2 and 3 (node positions shift with resolution)
     rather than returning -inf; one that hits a node image at every
-    refinement gets nan.  Probes are done one at a time, so the working set
-    is one grid-sized array however many probes there are.
+    refinement gets nan.  Probes are done one at a time, each into one float
+    buffer per image: ``|z - f0|`` is written into it a block of
+    :data:`~toeplab.geometry.BLOCK_NODES` nodes at a time and its log taken
+    in place, so the working set is that buffer and one block however many
+    probes there are.  One dot product over the whole buffer gives each value.
     """
-    images = [image]
+    images = [(image, np.empty(len(image.values)))]    # each grid with its distance buffer
     volume = image.symbol.space.volume
     out = np.full(len(probes), np.nan)
     for i, z in enumerate(probes):
         for attempt in range(4):
             if attempt == len(images):
-                images.append(symbol_image(image.symbol, image.resolution + attempt))
-            dist = np.abs(complex(z) - images[attempt].values)
-            if np.all(dist > 0.0):
-                out[i] = np.dot(images[attempt].weights, np.log(dist)) / volume
+                refined = symbol_image(image.symbol, image.resolution + attempt)
+                images.append((refined, np.empty(len(refined.values))))
+            grid, dist = images[attempt]
+            for start in range(0, len(dist), BLOCK_NODES):
+                block = slice(start, start + BLOCK_NODES)
+                np.abs(complex(z) - grid.values[block], out=dist[block])
+            if dist.min() > 0.0:                # np.all(dist > 0.0): a nan fails it too
+                out[i] = np.dot(grid.weights, np.log(dist, out=dist)) / volume
                 break
     return out
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import SymbolImage
+from .geometry import BLOCK_NODES, SymbolImage
 
 
 def empirical_cdf_disks(lam, radii) -> np.ndarray:
@@ -27,13 +27,27 @@ def empirical_cdf_disks(lam, radii) -> np.ndarray:
 
 
 def weyl_predict(image: SymbolImage, radii) -> np.ndarray:
-    """Classical fraction mu{|f0| <= r} / vol for each radius, integrated against ``image``."""
-    # cumulative weights over sorted moduli: exactly monotone in r
-    dist = np.abs(image.values)
-    order = np.argsort(dist)
-    cum = np.concatenate([[0.0], np.cumsum(image.weights[order])])
-    idx = np.searchsorted(dist[order], np.asarray(radii, dtype=float), side="right")
-    return cum[idx] / image.symbol.space.volume
+    """Classical fraction mu{|f0| <= r} / vol for each radius, integrated against ``image``.
+
+    The weights are summed in the order of the sorted moduli, so the result is exactly monotone
+    in r.  That sum is formed a block of :data:`~toeplab.geometry.BLOCK_NODES` nodes at a time,
+    each block's first weight carrying the total so far (one ``np.cumsum``'s bits), and only
+    its values at the radii are kept.
+    """
+    moduli = np.abs(image.values)
+    order = np.argsort(moduli)
+    moduli.sort()                               # moduli[order], in place
+    idx = np.searchsorted(moduli, np.asarray(radii, dtype=float), side="right")
+    cum = np.zeros(len(idx))                    # the weight of the idx smallest moduli
+    total = 0.0
+    for start in range(0, len(order), BLOCK_NODES):
+        block = image.weights[order[start:start + BLOCK_NODES]]
+        block[0] += total
+        np.cumsum(block, out=block)
+        inside = (idx > start) & (idx <= start + len(block))
+        cum[inside] = block[idx[inside] - start - 1]
+        total = block[-1]
+    return cum / image.symbol.space.volume
 
 
 def match_eigenvalues(a, b) -> float:

@@ -413,6 +413,32 @@ class TestCrossCheck:
             assert integrity["status"] == "fail"
             assert integrity["detail"].startswith("inconsistent artifacts: ['" + detail)
 
+    @pytest.mark.parametrize("name, edit, detail", [
+        ("cdf_N60_s0.csv", _each_row("predicted", lambda row: row["empirical"]),
+         r"N60_s0: cdf_N60_s0\.csv line \d+ predicted \S+ against \S+ from its configuration"),
+        # deviation = |U_emp - U_lim| still holds on every row
+        ("pot_N60_s0.csv", lambda text: _each_row("deviation", lambda row: repr(abs(float(row["U_emp"]) - 123.0)))(
+            _each_row("U_lim", lambda row: "123.0")(text)),
+         r"N60_s0: U_lim 123\.0 at z=\S+ against \S+ from the set-up quadrature"),
+    ], ids=["empirical-predictions", "constant-classical-potential"])
+    def test_a_column_set_up_derives_is_derived_again(self, n60, tmp_path, name, edit, detail):
+        # verify re-derives the Weyl prediction (bit for bit) and the classical potential
+        # (within POTENTIAL_TOL) by the set-up quadrature that run calls
+        copy = self._tampered(n60, tmp_path / "copy", name, edit)
+        for suite in ("integrity", "acceptance"):
+            integrity = verify(copy, suite=suite).criteria["integrity"]
+            assert integrity["status"] == "fail"
+            problems = integrity["detail"].removeprefix("inconsistent artifacts: ['").split("', '")
+            assert problems and all(re.fullmatch(detail, p.removesuffix("']")) for p in problems)
+
+    def test_a_row_at_another_probe_fails_integrity(self, n60, tmp_path):
+        # its U_emp no longer matches the spectrum either; the probe itself is named
+        copy = self._tampered(n60, tmp_path / "copy", "pot_N60_s1.csv", _each_row("z_re", lambda row: "5.0"))
+        integrity = verify(copy, suite="integrity").criteria["integrity"]
+        assert integrity["status"] == "fail"
+        assert "N60_s1: z=(5-1.4999539672053839j) in pot_N60_s1.csv is not a probe of its configuration" \
+            in integrity["detail"]
+
     @pytest.mark.parametrize("edit, detail, seeds", [
         (lambda m: m["cells"]["N60_s1"]["files"].pop("potential"),
          ["cell N60_s1 potential: listed None, run writes pot_N60_s1.csv"], 2),
@@ -1178,22 +1204,23 @@ class TestRun:
                 (tmp_path / "threads1" / name).read_bytes(), name
 
     def test_set_up_does_every_quadrature(self, tmp_path, monkeypatch):
-        # f0 once on the run's grid, on the set-up thread, and one classical-potential call over
-        # every probe; no default-resolution grid (the kappa fit's 64-node grid and samples aside)
+        # f0 once at each node of the run's grid, on the set-up thread, and one classical-potential
+        # call over every probe; no default-resolution grid (the kappa fit's 64-node grid and
+        # samples aside)
         import threading
         import toeplab.geometry as geometry
         import toeplab.potential as potential
-        real_evaluate, real_grid = geometry.evaluate_symbol_grid, geometry.liouville_quadrature
+        real_evaluate, real_nodes = geometry.evaluate_symbol_grid, geometry._liouville_nodes
         real_many = potential.limit_potential_many
         evaluated, grids, quadratures = [], [], []
 
         def evaluate(f, points, *args, **kwargs):
-            evaluated.append((threading.get_ident(), len(points)))
+            evaluated.append((threading.get_ident(), points))
             return real_evaluate(f, points, *args, **kwargs)
 
-        def grid(space, resolution):
+        def nodes(space, resolution):
             grids.append(resolution)
-            return real_grid(space, resolution)
+            return real_nodes(space, resolution)
 
         def many(*args):
             quadratures.append(len(args[1]))
@@ -1201,7 +1228,7 @@ class TestRun:
 
         for module in [m for name, m in sys.modules.items() if name.startswith("toeplab")]:
             for name, fake, real in (("evaluate_symbol_grid", evaluate, real_evaluate),
-                                     ("liouville_quadrature", grid, real_grid),
+                                     ("_liouville_nodes", nodes, real_nodes),
                                      ("limit_potential_many", many, real_many)):
                 if getattr(module, name, None) is real:
                     monkeypatch.setattr(module, name, fake)
@@ -1209,20 +1236,20 @@ class TestRun:
         assert record.manifest["errors"] == {} and len(record.manifest["cells"]) == 4
         assert grids == [64, 100]                       # the kappa fit's probe box, then the run's grid
         assert {thread for thread, _ in evaluated} == {threading.get_ident()}
-        assert [n for _, n in evaluated].count(100 * 200) == 1     # resolution 100 on the sphere
+        grid = {tuple(p) for p in geometry.liouville_quadrature(make_phase_space("sphere"), 100).points}
+        on_grid = [tuple(p) for _, points in evaluated for p in points.tolist() if tuple(p) in grid]
+        assert len(grid) == 100 * 200 and sorted(on_grid) == sorted(grid)      # each node once
         assert quadratures == [16 + 2]                  # the 4 x 4 probe grid, then the Grushin probes
 
     def test_a_matrix_only_run_does_no_quadrature(self, tmp_path, monkeypatch):
         import toeplab.geometry as geometry
-        real, grids = geometry.liouville_quadrature, []
+        real, grids = geometry._liouville_nodes, []
 
         def grid(space, resolution):
             grids.append(resolution)
             return real(space, resolution)
 
-        for module in [m for name, m in sys.modules.items() if name.startswith("toeplab")]:
-            if getattr(module, "liouville_quadrature", None) is real:
-                monkeypatch.setattr(module, "liouville_quadrature", grid)
+        monkeypatch.setattr(geometry, "_liouville_nodes", grid)
         record = run(tiny_config(kappa_hat=0.5), out_dir=tmp_path, stages=["matrix"])
         assert record.manifest["errors"] == {} and set(record.manifest["matrices"]) == {"N24", "N48"}
         assert grids == []
@@ -1721,6 +1748,40 @@ class TestHeapRelease:
             pytest.skip("no peak resident memory on this system")
         # one N = 300 cell matrix is 1.4 MiB: ten more cells kept would add 14
         assert abs(peaks[1] - peaks[0]) <= 4.0, peaks
+
+    @pytest.mark.parametrize("threshold", ["dynamic", "fixed"])
+    def test_a_fixed_mmap_threshold_returns_freed_arrays(self, threshold):
+        # glibc raises a dynamic threshold to a freed 16 MiB mapped block, after which 6 MiB
+        # arrays grow the heap and stay resident when freed; fixed at 4 MiB, each is unmapped
+        import toeplab.harness as hz
+        if hz._malloc_trim() is None:
+            pytest.skip("the C library is not glibc")
+        script = ("import os, sys\n"
+                  "import numpy as np\n"
+                  "from toeplab import harness\n"
+                  "def rss():\n"
+                  "    with open('/proc/self/statm') as fh:\n"
+                  "        return int(fh.read().split()[1]) * os.sysconf('SC_PAGE_SIZE') / 2**20\n"
+                  "if sys.argv[1] == 'fixed':\n"
+                  "    assert harness._fix_mmap_threshold()\n"
+                  "big = np.ones(2 << 20); del big\n"
+                  "before = rss()\n"
+                  "arrays = [np.ones(6 << 17) for _ in range(4)]; del arrays\n"
+                  "print(rss() - before)\n")
+        src = str(Path(_lapack.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", script, threshold], capture_output=True, text=True,
+                                env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        kept = float(result.stdout)                 # MiB of the 24 freed
+        assert kept >= 20.0 if threshold == "dynamic" else kept <= 0.5
+
+    def test_a_run_fixes_the_mmap_threshold(self, tmp_path, monkeypatch):
+        import toeplab.harness as hz
+        calls = []
+        monkeypatch.setattr(hz, "_fix_mmap_threshold", lambda: calls.append("fixed"))
+        run(tiny_config(n_values=[24], seeds=[0]), out_dir=tmp_path)
+        assert calls == ["fixed"]
 
 
 def _grushin_scan_config() -> ExperimentConfig:
