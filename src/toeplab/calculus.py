@@ -73,20 +73,19 @@ class ScalarSurrogate:
 
     fn: object
     coefficients: tuple  # power basis, ascending
-    interval: tuple
     sup_error: float
 
 
-def chebyshev_surrogate(fn, degree: int, interval=(-1.0, 1.0),
-                        check_points: int = 2001) -> ScalarSurrogate:
-    """Chebyshev interpolant of ``fn`` converted to the power basis."""
+def chebyshev_surrogate(fn, degree: int) -> ScalarSurrogate:
+    """Chebyshev interpolant of ``fn`` on [-1, 1] converted to the power basis; its sup-error
+    is measured at 2001 equispaced points."""
     from numpy.polynomial import chebyshev, polynomial
 
-    cheb = chebyshev.Chebyshev.interpolate(fn, degree, domain=list(interval))
+    cheb = chebyshev.Chebyshev.interpolate(fn, degree, domain=[-1.0, 1.0])
     power = cheb.convert(kind=polynomial.Polynomial)
-    xs = np.linspace(interval[0], interval[1], check_points)
+    xs = np.linspace(-1.0, 1.0, 2001)
     err = float(np.max(np.abs(np.asarray([fn(x) for x in xs]) - power(xs))))
-    return ScalarSurrogate(fn, tuple(complex(c) for c in power.coef), tuple(interval), err)
+    return ScalarSurrogate(fn, tuple(complex(c) for c in power.coef), err)
 
 
 def functional_calculus_residual(f: SymbolSpec, chi: ScalarSurrogate, n_values) -> ResidualCurve:
@@ -124,8 +123,8 @@ def trace_residual(f: SymbolSpec, n_values) -> ResidualCurve:
     return _fit_curve(n_values, residuals)
 
 
-def norm_bound_check(f: SymbolSpec, n_values, tol: float = 1e-8):
-    """Per-size (norm, sup|f|) table; raises if the bound is ever violated."""
+def norm_bound_check(f: SymbolSpec, n_values):
+    """Per-size (norm, sup|f|) table; raises if the norm ever exceeds sup|f| by more than 1e-8."""
     rows = []
     for N in n_values:
         N = int(N)
@@ -133,6 +132,6 @@ def norm_bound_check(f: SymbolSpec, n_values, tol: float = 1e-8):
         norm = operator_norm(T.dense())
         bound = sup_abs(f, N=N)
         rows.append((N, norm, bound))
-        if norm > bound + tol:
+        if norm > bound + 1e-8:
             raise ValueError(f"norm bound violated at N={N}: ||T|| = {norm:.12g} > sup|f| = {bound:.12g}")
     return rows

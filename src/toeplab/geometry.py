@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .randmat import _philox
+
 TORUS = "torus"
 SPHERE = "sphere"
 
@@ -164,16 +166,16 @@ def _eval_terms(kind: str, terms: dict, pts: np.ndarray) -> np.ndarray:
     return values
 
 
-def is_real_valued(f: SymbolSpec, samples: int = 4096, seed: int = 0) -> bool:
-    """Whether the principal symbol is real on a dense sample of the space."""
-    pts = sample_points(f.space, samples, seed)
+def is_real_valued(f: SymbolSpec) -> bool:
+    """Whether the principal symbol is real on 4096 points sampled from the space (seed 0)."""
+    pts = sample_points(f.space, 4096, 0)
     vals = evaluate_symbol_grid(f.principal(), pts)
     return bool(np.max(np.abs(vals.imag)) < 1e-12)
 
 
-def sup_abs(f: SymbolSpec, resolution: int = 0, N: int | None = None) -> float:
-    """sup |f| over a dense quadrature sample grid of the symbol's space."""
-    grid = liouville_quadrature(f.space, resolution or f.space.quadrature_default)
+def sup_abs(f: SymbolSpec, N: int | None = None) -> float:
+    """sup |f| over the nodes of the space's default Liouville quadrature."""
+    grid = liouville_quadrature(f.space, f.space.quadrature_default)
     return float(np.max(np.abs(evaluate_symbol_grid(f, grid.points, N))))
 
 
@@ -330,17 +332,15 @@ def _sample_blocks(space: PhaseSpace, n: int, seed: int):
     """:func:`sample_points`'s points in blocks of at most :data:`BLOCK_NODES`, with the bits of one draw.
 
     The sphere's draw is all ``n`` heights, then all ``n`` azimuths, so the azimuths come from
-    a second generator of the same stream that first skips ``n`` draws.
+    a second generator of the same stream, started ``n`` doubles in.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _philox(seed)
     sizes = [min(BLOCK_NODES, n - i) for i in range(0, max(n, 1), BLOCK_NODES)]    # one block if n <= 0
     if space.kind == TORUS:
         for size in sizes:
             yield rng.random((size, 2))
         return
-    azimuths = np.random.Generator(np.random.Philox(key=seed))
-    for size in sizes:
-        azimuths.random(size)
+    azimuths = _philox(seed, skip=n)
     for size in sizes:
         u = rng.uniform(-1.0, 1.0, size)
         phi = azimuths.uniform(0.0, 2.0 * np.pi, size)
@@ -434,7 +434,7 @@ def symbol_to_record(f: SymbolSpec) -> str:
 
 
 #: Largest real or imaginary part of a record's coefficient: the Grushin cutoff squares the
-#: singular values of P - z (``grushin._params_of_values``), which overflow above sqrt(float max) = 1.3e154.
+#: singular values of P - z (``grushin.grushin_params``), which overflow above sqrt(float max) = 1.3e154.
 _COEFFICIENT_MAX = 1e150
 
 

@@ -51,7 +51,7 @@ from . import _lapack
 from .geometry import SymbolSpec
 from .potential import log_abs_det
 from .quantize import ToeplitzMatrix, quantize_symbol
-from .randmat import NormBound
+from .randmat import NormBound, _philox
 
 #: ``b_diagnostics`` flags a probe whose bordered-LU condition estimate exceeds
 #: this; the corner still comes from that LU.  Worst estimates measured: 434 on
@@ -104,11 +104,8 @@ class GrushinParams:
     n_small: int
 
 
-def grushin_params(N: int, rho: float, triples: SingularTriples) -> GrushinParams:
-    return _params_of_values(N, rho, triples.values)
-
-
-def _params_of_values(N: int, rho: float, values: np.ndarray) -> GrushinParams:
+def grushin_params(N: int, rho: float, values: np.ndarray) -> GrushinParams:
+    """The cutoff of ``(N, rho)`` and the count of the singular ``values`` of P - z below it."""
     if not (0.0 < rho < 0.5):
         raise ValueError(f"rho must lie in (0, 1/2), got {rho}")
     alpha = float(N) ** (-2.0 * rho)
@@ -208,7 +205,7 @@ def _smallest_eigenvectors(band: np.ndarray, eigenvalues: np.ndarray, A: int):
     for d in range(1, w + 1):
         full[2 * w - d, d:] = band[d, :n - d].conj()
     ends = np.flatnonzero(np.diff(eigenvalues[:A]) > 1e3 * tol) + 1
-    rng = np.random.Generator(np.random.Philox(key=0))
+    rng = _philox(0)
     basis = np.empty((n, A), dtype=complex, order="F")
     adjoint = np.empty((A, n), dtype=complex)   # basis.conj().T, row by row: no projection copies it
     for start, stop in zip(np.r_[0, ends], np.r_[ends, A]):
@@ -246,7 +243,7 @@ def _small_values(T: ToeplitzMatrix, z: complex, rho: float):
     right_gram, left_gram, perm, e = _banded_grams(T, z)
     squares = _lapack.eigvalsh_banded(right_gram)         # of B*B / 4^e
     values = np.ldexp(np.sqrt(np.clip(squares, 0.0, None)), e)
-    return values, _params_of_values(T.N, rho, values), (right_gram, left_gram, perm, squares)
+    return values, grushin_params(T.N, rho, values), (right_gram, left_gram, perm, squares)
 
 
 def _small_subspaces(T: ToeplitzMatrix, z: complex, rho: float):
@@ -342,7 +339,8 @@ def _bulk_norm(values: np.ndarray, A: int) -> float:
     return 1.0 / t if t > 0.0 else float("inf")
 
 
-def _neumann_warning(delta: float, g_norm: NormBound, values: np.ndarray, A: int) -> str | None:
+def _neumann_warning(delta: float, G: np.ndarray, g_norm: NormBound, values: np.ndarray,
+                     A: int) -> str | None:
     """Warning text when ``delta ||G|| (||bulk|| + ||injection||) >= 1``, else None.
 
     ``values`` are the ascending singular values of ``P - z``.  The exact
@@ -352,7 +350,7 @@ def _neumann_warning(delta: float, g_norm: NormBound, values: np.ndarray, A: int
     reach = _bulk_norm(values, A) + (1.0 if A else 0.0)
     if delta * g_norm.bound * reach < 1.0:
         return None
-    neumann = delta * g_norm.exact() * reach
+    neumann = delta * g_norm.exact(G) * reach
     if neumann >= 1.0:
         return f"Neumann invertibility condition violated ({neumann:.3g} >= 1): inverting anyway"
     return None
@@ -382,7 +380,7 @@ def assemble_grushin(triples: SingularTriples, params: GrushinParams,
             raise ValueError(f"perturbation shape {G.shape} does not match dim {dim}")
         if delta != 0.0:
             M[:dim, :dim] += delta * G
-            warning = _neumann_warning(delta, NormBound(G), triples.values, A)
+            warning = _neumann_warning(delta, G, NormBound(G), triples.values, A)
             if warning:
                 warnings.append(warning)
     return GrushinSystem(M, np.linalg.inv(M), dim, tuple(warnings))
@@ -405,7 +403,7 @@ def schur_identity_residual(P: np.ndarray, z: complex, perturbation=None) -> flo
 
     triples = singular_triples(P, z)
     try:
-        system = assemble_grushin(triples, grushin_params(dim, 0.25, triples), perturbation)
+        system = assemble_grushin(triples, grushin_params(dim, 0.25, triples.values), perturbation)
     except np.linalg.LinAlgError:               # exactly singular bordered matrix
         return float("nan")
     direct = log_abs_det(shifted)
@@ -470,9 +468,9 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray, classi
     matrix and O(dim A) beside ``G`` and ``T``, which it leaves unchanged.
     ``bordered``, a Fortran-ordered complex128 ``(dim + A)^2`` array, is the
     matrix to build it in instead of a new one.  ``G`` may be its top-left
-    block: the Neumann test reads ``G`` first, then ``delta G`` overwrites it
-    in place and ``g_norm`` lets go of it (:meth:`~toeplab.randmat.NormBound.release`),
-    so the probe holds no second ``(dim + A)^2`` or dim^2 array.
+    block: the Neumann test, which alone reads ``g_norm``'s exact norm of
+    ``G``, comes first, then ``delta G`` overwrites ``G`` in place, so the
+    probe holds no second ``(dim + A)^2`` or dim^2 array.
     A condition estimate above ``CONDITION_GUARD`` adds a flag; the corner
     still comes from the LU.  Route one of the Schur check,
     ``log|det(P + delta G - z)|``, is not computed here: a run reads it
@@ -503,8 +501,7 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray, classi
     if G.shape != (dim, dim):
         raise ValueError(f"perturbation shape {G.shape} does not match dim {dim}")
     if delta != 0.0:
-        g_norm = NormBound(G) if g_norm is None else g_norm
-        warning = _neumann_warning(delta, g_norm, values, A)
+        warning = _neumann_warning(delta, G, NormBound(G) if g_norm is None else g_norm, values, A)
         if warning:
             flags.append(warning)
 
@@ -516,8 +513,6 @@ def b_diagnostics(T, z: complex, rho: float, delta: float, G: np.ndarray, classi
                          f"{(dim + A, dim + A)}, got {bordered.dtype} {bordered.shape}")
     else:
         M = bordered
-        if g_norm is not None and np.may_share_memory(G, M):
-            g_norm.release()            # delta G is formed over G
     top = T.add_to(np.multiply(G, delta, out=M[:dim, :dim]))   # P from its band, no dim^2 add
     top[np.diag_indices(dim)] -= complex(z)                     # P + delta G - z
     M[:dim, dim:] = left

@@ -78,7 +78,7 @@ from .potential import (
     potential_from_spectrum,
 )
 from .quantize import ToeplitzMatrix, bergman_dimension, check_size, quantize_symbol
-from .randmat import NormBound, derive_seed, noise_window, sample_ginibre
+from .randmat import NormBound, certify_norm_bound, derive_seed, noise_window, norm_candidate, sample_ginibre
 from .spectra import empirical_cdf_disks, weyl_predict
 
 
@@ -779,10 +779,10 @@ def _grushin_task(setup: _Setup, kind: str, N: int, seed: int):
     that needs nothing from set-up.  ``G`` is drawn into the top-left block of that probe's
     ``(dim + A)^2`` bordered matrix, and the earlier probes build their own from it.  The
     bound on ``||G||`` is certified in ``G``'s own columns
-    (:func:`~toeplab.randmat.certify_norm_bound`), beside two panels of fixed height, and
-    ``G`` is then drawn again in place (both draws count in ``draw_s``).  The last probe
-    forms and factors its bordered matrix over ``G``, so a one-probe cell holds no second
-    dim^2 array in its certificate or its split.
+    (:func:`~toeplab.randmat.certify_norm_bound`), beside two panels of fixed height, ``G``
+    is drawn again in place (both draws count in ``draw_s``) and its ``NormBound`` made from
+    that verdict.  The last probe forms and factors its bordered matrix over ``G``, so a
+    one-probe cell holds no second dim^2 array in its certificate or its split.
     With no Grushin probe it draws nothing and returns no split, health or timing."""
     clock = _Clock()
     T, zs, delta = setup.matrices[N], setup.grushin_probes, setup.deltas[N]
@@ -794,13 +794,11 @@ def _grushin_task(setup: _Setup, kind: str, N: int, seed: int):
     bordered = np.empty((T.dim + A, T.dim + A), dtype=complex, order="F")
     G = _cell_noise(T, seed, out=bordered[:T.dim, :T.dim])
     clock.lap("draw_s")
-
-    def redraw(G):                          # the certificate factored G in its own columns
-        clock.lap("norm_bound_s")
-        _cell_noise(T, seed, out=G)
-        clock.lap("draw_s")
-
-    g_norm = NormBound(G, refill=redraw)    # certified; the exact norm only if a flag hinges on it
+    certified = certify_norm_bound(G, norm_candidate(T.dim)) is not None   # factored in G's own columns
+    clock.lap("norm_bound_s")
+    _cell_noise(T, seed, out=G)
+    clock.lap("draw_s")
+    g_norm = NormBound(G, certified=certified)  # an SVD only if the certificate failed
     clock.lap("norm_bound_s")
     u_lim = setup.classical.result().grushin_u_lim
     clock.lap("wait_s")
@@ -1072,61 +1070,71 @@ def verify(run_dir, suite: str = "acceptance") -> VerifyReport:
 
 #: Largest gap between a potential row's ``U_emp`` and ``sum log|lambda - z| / dim``
 #: recomputed from its cell's spectrum CSV, and between its ``U_lim`` and the classical
-#: potential that set-up's quadrature gives again.  ``run`` and ``verify`` compute each by
-#: one function, :func:`~toeplab.potential.log_abs_sums` and
-#: :func:`~toeplab.potential.limit_potential_many`, so on one build the two are equal; the
-#: bound admits a run that another build wrote.  Against a 40-digit determinant that sum's
-#: forward error on perturbed cells (sphere N = 60, flag N = 50) is at most 1.2e-16 per dim,
-#: so 1e-8 is no statement of its accuracy, nor of the quadrature's: another build's dot
-#: product over the grid's 80000 nodes moves ``U_lim`` by rounding alone.
+#: potential that set-up's quadrature gives again, and per dim between a ``schur_residual``
+#: and the one its spectrum, B1-B3 and that potential give.  ``run`` and ``verify`` compute
+#: each by one function, :func:`~toeplab.potential.log_abs_sums` and
+#: :func:`~toeplab.potential.limit_potential_many`, so on one build the two are equal (the
+#: residual, from B1-B3, within 5e-17 per dim); the bound admits a run that another build
+#: wrote.  Against a 40-digit determinant that sum's forward error on perturbed cells (sphere
+#: N = 60, flag N = 50) is at most 1.2e-16 per dim, so 1e-8 is no statement of its accuracy,
+#: nor of the quadrature's: another build's dot product over the grid's 80000 nodes moves
+#: ``U_lim`` by rounding alone.
 POTENTIAL_TOL = 1e-8
 
 
 def _inconsistent_cells(config: ExperimentConfig, tables: dict, classical) -> list:
     """Where a cell's parsed CSVs disagree with each other, its size or set-up's values, one line each.
 
-    ``tables`` maps each parsed ``(cell, kind)`` CSV of a cell of ``config``
-    to its rows, and ``classical`` is :func:`_classical` of ``config`` (None
-    without the spectrum stage, when no counting curve or potential exists).  The spectrum
-    holds ``dim`` finite eigenvalues, each potential row's ``U_emp`` is the
-    one that spectrum gives within :data:`POTENTIAL_TOL`, each
-    counting-curve row's ``empirical`` is that spectrum's count at its
-    radius, exactly, each potential row's ``deviation`` is its
-    ``|U_emp - U_lim|``, exactly, and each diagnostics row has finite B1-B3
-    or a ``singular-`` flag.  Each potential row's ``z`` is a probe of the
-    configuration and its ``U_lim`` that probe's classical potential within
-    :data:`POTENTIAL_TOL`.  The columns that the configuration fixes hold
-    its values bit for bit (:func:`_unfixed_columns`): the counting curve's
-    radii are :meth:`ExperimentConfig.radii_grid` and its ``predicted`` the
-    Weyl prediction at each; the diagnostics hold one
-    row per Grushin probe, in order, with the cell's ``N``, ``seed`` and
-    ``delta = noise_size(N)`` and the run's ``rho``; each potential row holds
-    the cell's ``N`` and ``seed`` (-1 in an unperturbed cell).
+    ``tables`` maps each parsed ``(cell, kind)`` CSV of a cell of ``config`` to its rows, and
+    ``classical`` is :func:`_classical` of ``config`` (None without the spectrum stage, when no
+    counting curve or potential exists).  The spectrum holds ``dim`` finite eigenvalues, each
+    potential row's ``U_emp`` is the one that spectrum gives within :data:`POTENTIAL_TOL`, each
+    counting-curve row's ``empirical`` is that spectrum's count at its radius, exactly, each
+    potential row's ``deviation`` is its ``|U_emp - U_lim|``, exactly, and each diagnostics row
+    has finite B1-B3 or a ``singular-`` flag.  The columns that the configuration fixes hold
+    its values bit for bit (:func:`_unfixed_columns`): the counting curve's radii are
+    :meth:`ExperimentConfig.radii_grid` and its ``predicted`` the Weyl prediction at each; the
+    diagnostics hold one row per Grushin probe, in order, with the cell's ``N``, ``seed`` and
+    ``delta = noise_size(N)`` and the run's ``rho``; the potential one row per probe that the
+    spectrum keeps (:func:`~toeplab.potential.potential_from_spectrum`), in order, with its
+    ``z`` and the cell's ``N`` and ``seed`` (-1 if unperturbed).  Such a potential row's
+    ``U_lim`` is its probe's classical potential within :data:`POTENTIAL_TOL`, and such a
+    diagnostics row with finite B1-B3 has the Schur residual that the spectrum, B1-B3 and that
+    potential give, within ``dim`` times it.
     """
-    problems, curve, u_lim = [], [], {}
+    problems, curve = [], []
     if classical is not None:
         curve = [{"r": r, "predicted": p}
                  for r, p in zip(classical.radii.tolist(), classical.predicted.tolist())]
-        if classical.probes is not None:
-            u_lim = dict(zip(classical.probes.tolist(), classical.u_lim.tolist()))
+    grushin_zs = [complex(re, im) for re, im in config.grushin_probes]
     for cell in sorted(config.cells(), key=_cell_name):
         name, lam = _cell_name(cell), None
         _, N, seed = cell
-        probes = [{"N": N, "z_re": float(re), "z_im": float(im), "rho": config.rho,
-                   "delta": config.noise_size(N), "seed": seed} for re, im in config.grushin_probes]
-        potentials = tables.get((name, "potential"), [])
-        for kind, fixed in (("cdf", curve), ("diagnostics", probes),
-                            ("potential", [{"N": N, "seed": -1 if seed is None else seed}] * len(potentials))):
-            if (name, kind) in tables:
-                problems.extend(_unfixed_columns(name, kind, tables[name, kind], fixed))
+        label = -1 if seed is None else seed
         if (name, "spectrum") in tables:
-            dim = bergman_dimension(make_phase_space(config.space), cell[1])
+            dim = bergman_dimension(make_phase_space(config.space), N)
             eig = np.array([[r["re"], r["im"]] for r in tables[name, "spectrum"]])
             if len(eig) != dim or not np.all(np.isfinite(eig)):
                 problems.append(f"{name}: {_csv_name('spectrum', name)} holds {len(eig)} rows, "
                                 f"expected {dim} finite")
             else:
                 lam = eig[:, 0] + 1j * eig[:, 1]
+        potentials = tables.get((name, "potential"), [])
+        written, u_lim = [{"N": N, "seed": label}] * len(potentials), [None] * len(potentials)
+        if lam is not None and (name, "potential") in tables:      # so classical.probes is there
+            kept = potential_from_spectrum(lam, classical.probes)[1]
+            written = [{"z_re": z.real, "z_im": z.imag, "N": N, "seed": label}
+                       for z in classical.probes[kept].tolist()]
+            u_lim = classical.u_lim[kept].tolist()
+        splits = [{"N": N, "z_re": z.real, "z_im": z.imag, "rho": config.rho,
+                   "delta": config.noise_size(N), "seed": seed} for z in grushin_zs]
+        held = {}                       # kind -> its rows, if they hold the columns the configuration fixes
+        for kind, fixed in (("cdf", curve), ("diagnostics", splits), ("potential", written)):
+            if (name, kind) in tables:
+                unfixed = _unfixed_columns(name, kind, tables[name, kind], fixed)
+                problems.extend(unfixed)
+                if not unfixed:
+                    held[kind] = tables[name, kind]
         if lam is not None:
             zs = [complex(r["z_re"], r["z_im"]) for r in potentials]
             for r, z, want in zip(potentials, zs, (log_abs_sums(lam, zs) / len(lam)).tolist()):
@@ -1138,22 +1146,29 @@ def _inconsistent_cells(config: ExperimentConfig, tables: dict, classical) -> li
                 if r["empirical"] != want:
                     problems.append(f"{name}: empirical {r['empirical']!r} at r={r['r']!r} "
                                     f"against {want!r} from its spectrum")
-        for r in potentials:
+        for r, classical_u in zip(potentials, u_lim):
             z = complex(r["z_re"], r["z_im"])
             got, want = r["deviation"], _deviation(r["U_emp"], r["U_lim"])
             if not (got == want or math.isnan(got) and math.isnan(want)):
                 problems.append(f"{name}: deviation {got!r} at z={z} against |U_emp - U_lim| = {want!r}")
-            if z not in u_lim:
-                problems.append(f"{name}: z={z} in {_csv_name('potential', name)} is not a probe "
-                                "of its configuration")
-            elif not abs(r["U_lim"] - u_lim[z]) <= POTENTIAL_TOL:
-                problems.append(f"{name}: U_lim {r['U_lim']!r} at z={z} against {u_lim[z]!r} "
+            if ("potential" in held and classical_u is not None      # the kept probes' rows, in order
+                    and not abs(r["U_lim"] - classical_u) <= POTENTIAL_TOL):
+                problems.append(f"{name}: U_lim {r['U_lim']!r} at z={z} against {classical_u!r} "
                                 "from the set-up quadrature")
-        for r in tables.get((name, "diagnostics"), []):
-            finite = all(math.isfinite(r[b]) for b in ("B1", "B2", "B3"))
-            if not (finite or _singular_flagged(r)):
-                problems.append(f"{name}: non-finite B1-B3 at z=({r['z_re']}, {r['z_im']}) "
-                                "without a singular- flag")
+        # route one of each probe's Schur check, where the rows are the probes' in order
+        route_one = None if lam is None or "diagnostics" not in held else log_abs_sums(lam, grushin_zs).tolist()
+        for i, r in enumerate(tables.get((name, "diagnostics"), [])):
+            if not all(math.isfinite(r[b]) for b in ("B1", "B2", "B3")):
+                if not _singular_flagged(r):
+                    problems.append(f"{name}: non-finite B1-B3 at z=({r['z_re']}, {r['z_im']}) "
+                                    "without a singular- flag")
+            elif route_one is not None:
+                split = len(lam) * (r["B1"] + r["B2"] + r["B3"] + float(classical.grushin_u_lim[i]))
+                got = r["schur_residual"]
+                want = abs(route_one[i] - split) if math.isfinite(route_one[i]) else float("nan")
+                if not (math.isnan(got) and math.isnan(want) or abs(got - want) <= len(lam) * POTENTIAL_TOL):
+                    problems.append(f"{name}: schur_residual {got!r} at z={grushin_zs[i]} against {want!r} "
+                                    "from its spectrum, B1-B3 and the set-up quadrature")
     return problems
 
 

@@ -65,7 +65,11 @@ def band_log_abs_dets(T, probes) -> np.ndarray:
 def log_abs_sums(lam, points) -> np.ndarray:
     """``log|det(M - z)| = sum_i log|lambda_i - z|`` at each point ``z``, ``lam`` the spectrum of ``M``;
     -inf at an eigenvalue.  One row sum per point: a point's bits do not depend on the other points."""
-    dist = np.abs(np.subtract.outer(np.asarray(points, dtype=complex), lam))
+    return _log_row_sums(np.abs(np.subtract.outer(np.asarray(points, dtype=complex), lam)))
+
+
+def _log_row_sums(dist: np.ndarray) -> np.ndarray:
+    """The sum of the logs of each row of a table ``|z - lambda|``, which it overwrites."""
     with np.errstate(divide="ignore"):
         return np.log(dist, out=dist).sum(axis=1)
 
@@ -76,7 +80,8 @@ def potential_from_spectrum(lam, probes, T=None):
     Returns ``(values, kept, health)``: ``values[i]`` is :func:`log_abs_sums`
     over ``dim`` at ``probes[i]`` (nan where the probe is dropped), and
     ``kept`` the mask of probes at least :data:`PROBE_EXCLUSION_RADIUS` from
-    every eigenvalue.  ``health`` records ``probes_dropped``.
+    every eigenvalue (``verify`` reads it too), both from one table of
+    ``|z - lambda|``.  ``health`` records ``probes_dropped``.
 
     ``T`` is given when ``M`` is the quantization matrix ``T`` itself (an
     unperturbed cell): :func:`band_log_abs_dets` then checks every kept
@@ -86,8 +91,9 @@ def potential_from_spectrum(lam, probes, T=None):
     """
     probes = np.asarray(probes, dtype=complex)
     dim = len(lam)
-    kept = np.abs(np.subtract.outer(probes, lam)).min(axis=1) >= PROBE_EXCLUSION_RADIUS
-    values = log_abs_sums(lam, probes) / dim
+    dist = np.abs(np.subtract.outer(probes, lam))
+    kept = dist.min(axis=1) >= PROBE_EXCLUSION_RADIUS
+    values = _log_row_sums(dist) / dim
     values[~kept] = np.nan
     health = {"probes_dropped": int(np.count_nonzero(~kept))}
     if T is not None:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SPHERE, TORUS, PhaseSpace, SymbolSpec
+from .geometry import SPHERE, TORUS, PhaseSpace, SymbolSpec, evaluate_symbol_grid
 
 
 @dataclass(frozen=True)
@@ -244,7 +244,7 @@ def quantize_sphere(f: SymbolSpec, N: int) -> ToeplitzMatrix:
     return _toeplitz(N, f, diagonals)
 
 
-def sphere_entries_quadrature(f: SymbolSpec, N: int, resolution: int | None = None) -> np.ndarray:
+def sphere_entries_quadrature(f: SymbolSpec, N: int) -> np.ndarray:
     """Quantization entries by 2D numerical quadrature (cross-check oracle).
 
     Integrates ``<f s_k, s_l> / (||s_k|| ||s_l||)`` in the coordinates
@@ -255,7 +255,7 @@ def sphere_entries_quadrature(f: SymbolSpec, N: int, resolution: int | None = No
     if f.kind != SPHERE:
         raise ValueError("sphere quadrature entries require a sphere symbol")
     deg = f.total_degree()
-    n_u = resolution or (N + 2 * deg + 8)
+    n_u = N + 2 * deg + 8                   # Gauss-Legendre nodes in u
     # frequencies up to N + deg appear before the selection rule kills them;
     # anything coarser aliases onto spurious far-off-diagonal couplings
     n_phi = 2 * (N + deg) + 8
@@ -264,8 +264,6 @@ def sphere_entries_quadrature(f: SymbolSpec, N: int, resolution: int | None = No
     U, PHI = np.meshgrid(u, phi, indexing="ij")
     s = np.sqrt(1.0 - U**2)
     pts = np.stack([(s * np.cos(PHI)).ravel(), (s * np.sin(PHI)).ravel(), U.ravel()], axis=-1)
-    from .geometry import evaluate_symbol_grid
-
     fvals = evaluate_symbol_grid(f, pts, N).reshape(n_u, n_phi)
 
     dim = N + 1

@@ -1,9 +1,10 @@
 """Complex Gaussian perturbations, the admissible noise window, tail experiments.
 
 PRNG convention: all randomness flows from the Philox4x64-10 counter-based
-generator keyed by a 64-bit seed.  Complex Gaussian entries use the polar
-transform ``g = sqrt(-log(1 - u1)) * exp(2 pi i u2)`` on two uniform draws,
-giving mean 0 and E|g|^2 = 1 (real and imaginary parts each of variance 1/2).
+generator keyed by a 64-bit seed, each stream started by :func:`_philox`.
+Complex Gaussian entries use the polar transform ``g = sqrt(-log(1 - u1)) *
+exp(2 pi i u2)`` on two uniform draws: mean 0, E|g|^2 = 1, real and
+imaginary parts each of variance 1/2.
 Derived seeds are SHA-256 hashes of the part list, so experiment cells get
 independent, reproducible streams on any platform.  The noise is a plain array.
 """
@@ -24,6 +25,16 @@ from . import _lapack
 #: Fitted once from the reference experiment (dim=64, 500 trials, 10 seeds;
 #: peak measured ratio 1.9) and frozen with headroom; never ground truth.
 TAIL_BOUND_CONSTANT = 4.0
+
+
+def _philox(key: int, skip: int = 0) -> np.random.Generator:
+    """A generator of the Philox stream keyed by ``key``, started ``skip`` doubles in: one double
+    per 64-bit output and four outputs per counter step, so no skipped double is drawn."""
+    bits = np.random.Philox(key=int(key))
+    bits.advance(skip // 4)
+    generator = np.random.Generator(bits)
+    generator.random(skip % 4)
+    return generator
 
 
 def derive_seed(*parts) -> int:
@@ -50,13 +61,8 @@ def sample_ginibre(dim: int, seed: int, out: np.ndarray | None = None) -> np.nda
         raise ValueError(f"out must be a {dim} x {dim} complex128 array, got {out.dtype} {out.shape}")
     # both draws in blocks of rows, each evaluated in place in one buffer and
     # copied into the result once: the same bits, and no dim x dim array
-    # beyond the result.  Philox yields one double per 64-bit output and four
-    # outputs per counter step, so u2's stream starts dim^2 / 4 steps in.
-    radii = np.random.Generator(np.random.Philox(key=int(seed)))
-    past_u1 = np.random.Philox(key=int(seed))
-    past_u1.advance(dim * dim // 4)
-    angles = np.random.Generator(past_u1)
-    angles.random(dim * dim % 4)
+    # beyond the result.  u2's stream starts dim^2 doubles into u1's.
+    radii, angles = _philox(seed), _philox(seed, skip=dim * dim)
     radius, scratch = np.empty((32, dim)), np.empty((32, dim), dtype=complex)
     for i0 in range(0, dim, 32):
         r, block = radius[:min(32, dim - i0)], scratch[:min(32, dim - i0)]
@@ -134,7 +140,7 @@ def certify_norm_bound(G: np.ndarray, c: float) -> float | None:
     first, and beside ``G`` the certificate holds two panels of
     :data:`_WIDTH` rows, the block row being factored and a conjugated panel
     of ``G`` or an update.  A caller that needs ``G`` afterwards passes a copy
-    or draws ``G`` again (:class:`NormBound`).
+    (:class:`NormBound`) or draws ``G`` again.
     """
     if G.dtype != np.complex128 or G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ValueError(f"expected a square complex128 matrix, got {G.dtype} {G.shape}")
@@ -175,45 +181,41 @@ def certify_norm_bound(G: np.ndarray, c: float) -> float | None:
     return shift
 
 
+def norm_candidate(dim: int) -> float:
+    """``c = 2 sqrt(dim) + 3``, the bound on a dim x dim Ginibre matrix's norm that
+    :func:`certify_norm_bound` is asked to prove (Gaussian concentration of that norm around
+    ``2 sqrt(dim)``: Vershynin, arXiv:1011.3027, Thm 5.32); only the factorization proves it."""
+    return 2.0 * math.sqrt(dim) + 3.0
+
+
 class NormBound:
     """``||G||`` for a Neumann test: a certified upper bound, the exact norm on demand.
 
-    ``bound`` is ``c = 2 sqrt(dim) + 3`` when :func:`certify_norm_bound`
+    ``bound`` is :func:`norm_candidate` when :func:`certify_norm_bound`
     proves it (``route`` ``"cholesky"``), otherwise the exact norm from an
-    SVD (``"svd-fallback"``).  The choice of ``c`` comes from Gaussian
-    concentration of a Ginibre matrix's norm around ``2 sqrt(dim)``
-    (Vershynin, arXiv:1011.3027, Thm 5.32); only the factorization proves it.
-    The certificate overwrites what it factors: with ``refill``, a callable
-    that writes ``G``'s entries into ``G`` again (the Grushin task draws its
-    noise a second time), it factors ``G`` itself and ``refill(G)`` follows;
-    without, it factors a copy.  Either way ``G`` holds its entries after.
-    :meth:`exact` computes the SVD norm at most once, and the route then
-    reads ``"svd-exact"``.  Whoever overwrites ``G`` calls :meth:`release`
-    first; a later :meth:`exact` that would need ``G`` then raises.
+    SVD of ``G`` (``"svd-fallback"``).  ``certified`` is the certificate's
+    verdict when the caller has it (the Grushin task certifies ``G`` in its
+    own columns and draws it again); then no factorization is made here, and
+    an SVD only if it is False.  Without it, a copy of ``G`` is certified.
+    No array is kept: :meth:`exact` computes the SVD norm of the ``G`` it is
+    given, at most once, and the route then reads ``"svd-exact"``.
     """
 
-    def __init__(self, G: np.ndarray, refill=None):
-        self._G = G
-        c = 2.0 * math.sqrt(G.shape[0]) + 3.0
-        shift = certify_norm_bound(np.array(G, dtype=complex, order="F") if refill is None else G, c)
-        if refill is not None:
-            refill(G)
-        if shift is not None:
+    def __init__(self, G: np.ndarray, certified: bool | None = None):
+        c = norm_candidate(G.shape[0])
+        if certified is None:
+            certified = certify_norm_bound(np.array(G, dtype=complex, order="F"), c) is not None
+        if certified:
             self.bound, self.route, self._exact = c, "cholesky", None
         else:
             self._exact = operator_norm(G)
             self.bound, self.route = self._exact, "svd-fallback"
 
-    def exact(self) -> float:
+    def exact(self, G: np.ndarray) -> float:
+        """``||G||``, the norm of the ``G`` this bound was made for, which its caller passes intact."""
         if self._exact is None:
-            if self._G is None:
-                raise RuntimeError("the exact norm of an overwritten G is not known")
-            self._exact, self.route = operator_norm(self._G), "svd-exact"
+            self._exact, self.route = operator_norm(G), "svd-exact"
         return self._exact
-
-    def release(self) -> None:
-        """Let go of ``G``, which its holder is about to overwrite."""
-        self._G = None
 
 
 @dataclass(frozen=True)
@@ -247,16 +249,16 @@ def smin_tail_experiment(B: np.ndarray, delta: float, t_grid, trials: int,
     return TailExperiment(t_grid, successes, successes / trials)
 
 
-def fit_tail_slope(result: TailExperiment, min_successes: int = 5):
+def fit_tail_slope(result: TailExperiment):
     """Fitted tail exponent of p_hat vs t (log-log slope in the tail).
 
     Fits ``log(-log(1 - p))`` against ``log t``, which linearizes the
     quadratic-exponent tail family exactly and so removes the top-of-window
     curvature of a plain ``log p`` fit; for small p the two slopes agree.
-    Bins below ``min_successes`` counts are dropped (Poisson noise floor).
+    Bins below 5 counts are dropped (Poisson noise floor).
     Returns ``(slope, bins_used)``.
     """
-    mask = (result.successes >= min_successes) & (result.p_hat < 1.0) & (result.t_grid > 0.0)
+    mask = (result.successes >= 5) & (result.p_hat < 1.0) & (result.t_grid > 0.0)
     if mask.sum() < 2:
         raise ValueError("not enough populated tail bins to fit a slope")
     hazard = -np.log1p(-result.p_hat[mask])

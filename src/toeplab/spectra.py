@@ -8,9 +8,8 @@ it, releases the GIL at dimensions up to 500 too).  The classical side is
 the push-forward of the normalized Liouville measure by the principal
 symbol, integrated over the same disks against the symbol's image on the
 run's quadrature grid (``geometry.symbol_image``), the image that also gives
-the run's probes and classical potential.
-``match_eigenvalues`` compares two spectra as multisets.  All return plain
-values; ``harness`` writes them to ``eig_*.csv`` and ``cdf_*.csv``.
+the run's probes and classical potential.  Both return plain values;
+``harness`` writes them to ``eig_*.csv`` and ``cdf_*.csv``.
 """
 
 from __future__ import annotations
@@ -48,18 +47,3 @@ def weyl_predict(image: SymbolImage, radii) -> np.ndarray:
         cum[inside] = block[idx[inside] - start - 1]
         total = block[-1]
     return cum / image.symbol.space.volume
-
-
-def match_eigenvalues(a, b) -> float:
-    """Greedy nearest-neighbor multiset pairing; returns the largest pair gap."""
-    a = np.asarray(a, dtype=complex).copy()
-    b = list(np.asarray(b, dtype=complex))
-    if len(a) != len(b):
-        raise ValueError("spectra have different sizes")
-    worst = 0.0
-    for lam in a:
-        dist = np.abs(np.asarray(b) - lam)
-        j = int(np.argmin(dist))
-        worst = max(worst, float(dist[j]))
-        b.pop(j)
-    return worst

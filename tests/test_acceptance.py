@@ -179,7 +179,7 @@ def test_criterion_06_closed_form_inverse():
         lam = np.linalg.eigvals(P)
         z = complex(lam[int(rng.integers(dim))]) + float(rng.uniform(1e-4, 0.05))
         triples = singular_triples(P, z)
-        params = grushin_params(max(dim, 4), 0.3, triples)
+        params = grushin_params(max(dim, 4), 0.3, triples.values)
         blocks = closed_form_inverse(triples, params.n_small)
         system = assemble_grushin(triples, params)
         worst_block = max(

@@ -319,6 +319,20 @@ def _each_row(column: str, value):
     return edit
 
 
+def _worse_half(text: str) -> str:
+    """The potential CSV without the half of its rows with the largest deviations."""
+    header, *lines = text.splitlines()
+    deviation = header.split(",").index("deviation")
+    ranked = sorted(range(len(lines)), key=lambda i: float(lines[i].split(",")[deviation]))
+    return "\n".join([header] + [lines[i] for i in sorted(ranked[:len(lines) // 2])]) + "\n"
+
+
+def _first_row_twice(text: str) -> str:
+    """The CSV with its second data row replaced by its first."""
+    header, first, _, *rest = text.splitlines(True)
+    return "".join([header, first, first, *rest])
+
+
 class TestCrossCheck:
     """``verify``'s integrity suite checks a cell's CSVs against each other."""
 
@@ -432,12 +446,37 @@ class TestCrossCheck:
             assert problems and all(re.fullmatch(detail, p.removesuffix("']")) for p in problems)
 
     def test_a_row_at_another_probe_fails_integrity(self, n60, tmp_path):
-        # its U_emp no longer matches the spectrum either; the probe itself is named
+        # its U_emp no longer matches the spectrum either; the probe's coordinate is named
         copy = self._tampered(n60, tmp_path / "copy", "pot_N60_s1.csv", _each_row("z_re", lambda row: "5.0"))
         integrity = verify(copy, suite="integrity").criteria["integrity"]
         assert integrity["status"] == "fail"
-        assert "N60_s1: z=(5-1.4999539672053839j) in pot_N60_s1.csv is not a probe of its configuration" \
-            in integrity["detail"]
+        assert integrity["detail"].startswith("inconsistent artifacts: ['N60_s1: pot_N60_s1.csv line 2 z_re 5.0 "
+                                              "against -1.4999539672053839 from its configuration'")
+
+    @pytest.mark.parametrize("edit, detail", [
+        (_worse_half, "N60_s0: pot_N60_s0.csv holds 72 rows, its configuration 144"),
+        (_first_row_twice, "N60_s0: pot_N60_s0.csv line 3 z_im -1.4999539672053839 against "
+                           "-1.2272350640771323 from its configuration"),
+    ], ids=["worse-half-dropped", "first-row-twice"])
+    def test_the_potential_holds_one_row_per_kept_probe_in_order(self, n60, tmp_path, edit, detail):
+        # every remaining row agrees with the spectrum and set-up's classical potential; with the
+        # worse half dropped the potential median over both seeds falls from 0.0017 to 0.0012
+        copy = self._tampered(n60, tmp_path / "copy", "pot_N60_s0.csv", edit)
+        for suite in ("integrity", "acceptance"):
+            integrity = verify(copy, suite=suite).criteria["integrity"]
+            assert integrity == {"status": "fail", "detail": f"inconsistent artifacts: ['{detail}']"}
+
+    def test_a_moved_split_fails_its_schur_residual(self, n60, tmp_path):
+        # B3 of the one Grushin probe moved by 1e-3: B1-B3 stay finite and the recorded residual
+        # is the run's, so only the residual re-derived from the spectrum shows it
+        copy = self._tampered(n60, tmp_path / "copy", "diag_N60_s0.csv",
+                              _each_row("B3", lambda row: repr(float(row["B3"]) + 1e-3)))
+        for suite in ("integrity", "acceptance"):
+            integrity = verify(copy, suite=suite).criteria["integrity"]
+            assert integrity["status"] == "fail"
+            assert re.fullmatch(r"inconsistent artifacts: \['N60_s0: schur_residual \S+ at z=\(0\.3\+0\.2j\) "
+                                r"against \S+ from its spectrum, B1-B3 and the set-up quadrature'\]",
+                                integrity["detail"])
 
     @pytest.mark.parametrize("edit, detail, seeds", [
         (lambda m: m["cells"]["N60_s1"]["files"].pop("potential"),
@@ -777,7 +816,9 @@ class TestRun:
         assert criterion["status"] == "fail"
         assert criterion["detail"].startswith("worst finite residual 0.000e+00")
         assert criterion["detail"].endswith(f"; {rows} non-finite, {rows} of them without a singular- flag")
-        assert verify(clone, suite="integrity").passed
+        # integrity re-derives each residual from the spectrum and the row's finite B1-B3
+        integrity = verify(clone, suite="integrity").criteria["integrity"]
+        assert integrity["status"] == "fail" and integrity["detail"].count(": schur_residual nan at z=") == rows
 
         # a residual the split flags as singular explains itself
         self._edit_rows(clone, "diagnostics", lambda ln: ln.rsplit(",", 1)[0] + ",singular-corner-determinant")
@@ -1418,7 +1459,7 @@ class TestCellMemory:
 
     def test_a_grushin_result_holds_no_reference_to_the_noise(self, tmp_path, monkeypatch, published):
         # a result waits in its future until every spectrum task before it is collected;
-        # one that kept G (through its NormBound) held a dim^2 array per cell meanwhile.
+        # one that kept G held a dim^2 array per cell meanwhile.
         # G is drawn into the last probe's bordered matrix, and drawn there again after the
         # certificate has factored it; that buffer must go too
         import weakref
@@ -1449,16 +1490,15 @@ class TestCellMemory:
         N, dim, z = 299, 300, 0.3 + 0.2j
         T = quantize_symbol(preset_config("sphere-figure3").symbol_spec(), N)
         A = _small_subspaces(T, z, 0.2)[1].n_small
-        certified, real = [], hz.NormBound
+        certified, real = [], hz.certify_norm_bound
 
-        def bounding(G, refill=None):           # the peak up to the certificate's end, then anew
-            def refilling(G):
-                certified.append(tracemalloc.get_traced_memory()[1])
-                tracemalloc.reset_peak()
-                refill(G)
-            return real(G, refill=refilling)
+        def certifying(G, c):                   # the peak up to the certificate's end, then anew
+            shift = real(G, c)
+            certified.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return shift
 
-        monkeypatch.setattr(hz, "NormBound", bounding)
+        monkeypatch.setattr(hz, "certify_norm_bound", certifying)
         classical = hz._Classical(radii=np.zeros(1), predicted=np.zeros(1), probes=None, u_lim=np.zeros(0),
                                   grushin_u_lim=np.zeros(1))
         setup = hz._Setup(out=tmp_path, matrices={N: T}, deltas={N: 1 / N}, rho=0.2, grushin_probes=[z],

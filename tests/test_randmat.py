@@ -17,6 +17,7 @@ from toeplab.randmat import (
     derive_seed,
     fit_tail_slope,
     noise_window,
+    norm_candidate,
     operator_norm,
     sample_ginibre,
     smin_tail_experiment,
@@ -232,7 +233,7 @@ class TestNormCertificate:
         assert counts == {"zpotrf": {str(_WIDTH): 2, "22": 1},
                           "ztrtrs": {f"{_WIDTH},{dim - _WIDTH}": 1, f"{_WIDTH},22": 1}}
 
-    def test_the_factor_overwrites_g_and_a_bound_without_refill_does_not(self):
+    def test_the_factor_overwrites_g_and_a_bound_without_a_verdict_does_not(self):
         # the certificate keeps its block rows in G's own columns; NormBound gives it a copy
         G = sample_ginibre(150, 4)
         kept = G.tobytes()
@@ -241,8 +242,8 @@ class TestNormCertificate:
         assert certify_norm_bound(G, norm.bound) is not None and G.tobytes() != kept
 
     def test_large_rank_one_takes_the_svd_fallback(self):
-        # v vanishes on the first two block rows, so they are factored (and kept in G) before the
-        # third fails: the fallback reads G as refill left it, and without refill G as it was
+        # v vanishes on the first two block rows, so they are factored before the third fails;
+        # the fallback reads G as it was
         rng = np.random.default_rng(4)
         dim = 2 * _WIDTH + 22
         u = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -251,27 +252,33 @@ class TestNormCertificate:
         original = 100.0 * np.outer(u / np.linalg.norm(u), v.conj() / np.linalg.norm(v))
         exact = operator_norm(original)
         G = original.copy()
-        norm = NormBound(G)                              # 2 sqrt(dim) + 3 < 100
+        norm = NormBound(G)                              # norm_candidate(dim) < 100
         assert norm.route == "svd-fallback" and G.tobytes() == original.tobytes()
-        assert norm.bound == norm.exact() == exact
+        assert norm.bound == norm.exact(G) == exact
         assert norm.route == "svd-fallback"
-        G, overwritten = np.asfortranarray(original), []
 
-        def refill(G):
-            overwritten.append(not np.array_equal(G, original))
-            G[:] = original
+    def test_a_verdict_is_taken_as_given(self):
+        # the Grushin task certifies G in its own columns and passes the verdict: a certified bound
+        # makes no LAPACK call, a failed one takes the exact norm, once
+        G = sample_ginibre(150, 4)
+        with _lapack.counting() as counts:
+            norm = NormBound(G, certified=True)
+        assert counts == {} and (norm.bound, norm.route) == (norm_candidate(150), "cholesky")
+        with _lapack.counting() as counts:
+            norm = NormBound(G, certified=False)
+            exact = norm.exact(G)
+        assert exact == norm.bound == operator_norm(G) and norm.route == "svd-fallback"
+        assert counts == {"zgesdd": {"150,150": 1}}
 
-        norm = NormBound(G, refill=refill)
-        assert overwritten == [True] and norm.route == "svd-fallback"
-        assert norm.bound == norm.exact() == exact
-
-    def test_exact_norm_after_a_refill_is_the_norm_of_the_drawn_g(self):
-        # the Grushin task certifies in G and draws it again: an undecided bound's exact norm is G's
-        dim, seed = 150, derive_seed(0, "cell", 149)
-        G = sample_ginibre(dim, seed)
-        norm = NormBound(G, refill=lambda G: sample_ginibre(dim, seed, out=G))
-        assert norm.route == "cholesky" and G.tobytes() == sample_ginibre(dim, seed).tobytes()
-        assert norm.exact() == operator_norm(sample_ginibre(dim, seed)) and norm.route == "svd-exact"
+    def test_exact_norm_is_the_norm_of_the_g_given_and_computed_once(self):
+        G = sample_ginibre(30, 2)
+        norm = NormBound(G)
+        assert norm.route == "cholesky" and norm.bound == norm_candidate(30) == 2.0 * np.sqrt(30) + 3.0
+        exact = norm.exact(G)
+        assert exact == operator_norm(G) and norm.route == "svd-exact"
+        with _lapack.counting() as counts:
+            assert norm.exact(G) == exact
+        assert counts == {}
 
     def test_rounding_shift_is_negligible_at_dim_1001(self):
         G = sample_ginibre(1001, derive_seed(0, "cell", 1000))
@@ -280,44 +287,33 @@ class TestNormCertificate:
         assert shift is not None and shift > 0.0
         assert shift <= 1e-6 * (c * c - operator_norm(G) ** 2)
 
-    @pytest.mark.parametrize("refill", [False, True], ids=["copy", "in-place"])
-    def test_holds_g_and_two_panels(self, refill):
-        # in place: two panels of _WIDTH rows and O(dim) beside them; without refill a copy of G
-        # too. Half a Gram (dim^2 / 2) beside G does not fit
+    @pytest.mark.parametrize("in_place", [False, True], ids=["copy", "in-place"])
+    def test_holds_g_and_two_panels(self, in_place):
+        # in place: two panels of _WIDTH rows and O(dim) beside them; NormBound certifies a copy
+        # of G too. Half a Gram (dim^2 / 2) beside G does not fit
         import tracemalloc
         dim = 300
-        seed = derive_seed(0, "cell", dim - 1)
-        G = sample_ginibre(dim, seed)
-        redraw = (lambda G: G.fill(0.0)) if refill else None         # so the drawing takes no memory
-        assert NormBound(G, refill=redraw).route == "cholesky"                   # warm-up
-        sample_ginibre(dim, seed, out=G)
+        G = sample_ginibre(dim, derive_seed(0, "cell", dim - 1))
+
+        def bound():
+            return (certify_norm_bound(G, norm_candidate(dim)) is not None if in_place
+                    else NormBound(G).route == "cholesky")
+
+        assert bound()                                                  # warm-up
+        sample_ginibre(dim, derive_seed(0, "cell", dim - 1), out=G)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            NormBound(G, refill=redraw)
+            assert bound()
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * ((0 if refill else dim * dim) + 2 * _WIDTH * dim + _WIDTH ** 2 + 4 * dim)
+        assert peak <= 16 * ((0 if in_place else dim * dim) + 2 * _WIDTH * dim + _WIDTH ** 2 + 4 * dim)
 
     def test_nonfinite_noise_certifies_nothing(self):
         G = sample_ginibre(20, 1)
         G[3, 4] = np.nan
         assert certify_norm_bound(G, 1e6) is None
-
-    def test_a_released_bound_computes_no_exact_norm(self):
-        # whoever overwrites G releases it first; the exact norm of what is left would be wrong
-        G = sample_ginibre(30, 2)
-        norm = NormBound(G)
-        norm.release()
-        G[:] = 0.0
-        with pytest.raises(RuntimeError, match="overwritten"):
-            norm.exact()
-        assert norm.route == "cholesky"
-        kept = NormBound(sample_ginibre(30, 2))
-        exact = kept.exact()
-        kept.release()
-        assert kept.exact() == exact == operator_norm(sample_ginibre(30, 2))
 
     def test_exact_norm_only_where_the_bound_cannot_decide(self):
         T = quantize_sphere(sphere_symbol({(1, 0, 0): 1j, (0, 1, 0): 1.0}), 79)

@@ -14,11 +14,22 @@ from toeplab.geometry import (
 )
 from toeplab.quantize import _toeplitz, quantize_torus
 from toeplab.randmat import operator_norm, sample_ginibre
-from toeplab.spectra import (
-    empirical_cdf_disks,
-    match_eigenvalues,
-    weyl_predict,
-)
+from toeplab.spectra import empirical_cdf_disks, weyl_predict
+
+
+def match_eigenvalues(a, b) -> float:
+    """Greedy nearest-neighbor multiset pairing; returns the largest pair gap."""
+    a = np.asarray(a, dtype=complex).copy()
+    b = list(np.asarray(b, dtype=complex))
+    if len(a) != len(b):
+        raise ValueError("spectra have different sizes")
+    worst = 0.0
+    for lam in a:
+        dist = np.abs(np.asarray(b) - lam)
+        j = int(np.argmin(dist))
+        worst = max(worst, float(dist[j]))
+        b.pop(j)
+    return worst
 
 
 def haar_unitary(dim, seed):
